@@ -1,19 +1,19 @@
-// Capacity-tier harness: bytes/state of the marking store under the
-// legacy (hash + dense-id index) and compact (id-less, arena
-// back-reference) interning layouts, on the fixtures the capacity story
-// rests on — the reconfigurable OPE model sequentially and at 4 threads,
-// plus the deep token ring. The byte counts come from the engines' own
-// StoreStats (table + arena geometry), so they are deterministic and
-// machine-independent: bench/compare.py --capacity gates an aggregate
-// compact/legacy ratio ceiling and per-row bytes/state ceilings on them.
+// Capacity-tier harness: bytes/state of the marking store (the id-less
+// robin-hood / id-indexed block layout) on the fixtures the capacity
+// story rests on — the reconfigurable OPE model sequentially and at 4
+// threads, plus the deep token ring. The byte counts come from the
+// engines' own StoreStats (table + arena geometry), so they are
+// deterministic and machine-independent: bench/compare.py --capacity
+// gates per-row bytes/state ceilings on them.
 //
 // --json PATH   machine-readable summary for the compare.py gate
 // --stages N    OPE fixture size (default 3 = s3/d3 tier-1 scale;
 //               the nightly soak passes 4 = the 19M-state s4/d4 pin,
-//               sequential rows only, to keep the runtime bounded)
+//               sequential row only, to keep the runtime bounded)
 //
-// Exit is non-zero if the two layouts disagree on (states, edges) for
-// any fixture — the harness doubles as a differential smoke.
+// Exit is non-zero if any fixture truncates or the parallel row
+// disagrees with the sequential one on (states, edges) — the harness
+// doubles as a differential smoke.
 
 #include <cstdio>
 #include <cstring>
@@ -36,65 +36,47 @@ struct Row {
     std::string name;
     std::size_t states = 0;
     std::size_t edges = 0;
-    std::size_t legacy_bytes = 0;   ///< table + arena, legacy layout
-    std::size_t compact_bytes = 0;  ///< table + arena, compact layout
-    double seconds[2] = {0.0, 0.0};
-    bool ok = true;
+    std::size_t bytes = 0;  ///< table + arena
+    double seconds = 0.0;
+    bool truncated = false;
 
-    double bytes_per_state(bool compact) const {
-        return static_cast<double>(compact ? compact_bytes : legacy_bytes) /
-               static_cast<double>(states);
-    }
-    double ratio() const {
-        return static_cast<double>(compact_bytes) /
-               static_cast<double>(legacy_bytes);
+    double bytes_per_state() const {
+        return static_cast<double>(bytes) / static_cast<double>(states);
     }
 };
 
-std::size_t store_bytes(const petri::MemoryStats& memory) {
-    return memory.store.table_bytes + memory.store.arena_bytes;
-}
-
-/// One fixture under both layouts; threads == 0 means the sequential
-/// engine (the parallel explorer at 1 thread delegates there anyway, but
-/// naming it keeps the row labels honest).
+/// One fixture; threads == 0 means the sequential engine (the parallel
+/// explorer at 1 thread delegates there anyway, but naming it keeps the
+/// row labels honest).
 Row measure(const std::string& name, const petri::CompiledNet& compiled,
             std::size_t threads, std::size_t max_states) {
+    petri::ReachabilityOptions options;
+    options.max_states = max_states;
+    options.stop_at_first_match = false;
+    petri::ReachabilityResult result;
+    bench::Stopwatch watch;
+    if (threads == 0) {
+        petri::ReachabilityExplorer explorer(compiled, options);
+        result = explorer.explore_all();
+    } else {
+        options.threads = threads;
+        petri::ParallelReachabilityExplorer explorer(compiled, options);
+        result = explorer.explore_all();
+    }
     Row row;
     row.name = name;
-    for (const bool compact : {false, true}) {
-        petri::ReachabilityOptions options;
-        options.max_states = max_states;
-        options.compact_store = compact;
-        options.stop_at_first_match = false;
-        petri::ReachabilityResult result;
-        bench::Stopwatch watch;
-        if (threads == 0) {
-            petri::ReachabilityExplorer explorer(compiled, options);
-            result = explorer.explore_all();
-        } else {
-            options.threads = threads;
-            petri::ParallelReachabilityExplorer explorer(compiled, options);
-            result = explorer.explore_all();
-        }
-        row.seconds[compact ? 1 : 0] = watch.elapsed_s();
-        (compact ? row.compact_bytes : row.legacy_bytes) =
-            store_bytes(result.memory);
-        if (compact) {
-            row.ok = result.states_explored == row.states &&
-                     result.edges_explored == row.edges;
-        } else {
-            row.states = result.states_explored;
-            row.edges = result.edges_explored;
-        }
-        if (result.truncated) row.ok = false;
-    }
+    row.seconds = watch.elapsed_s();
+    row.states = result.states_explored;
+    row.edges = result.edges_explored;
+    row.bytes =
+        result.memory.store.table_bytes + result.memory.store.arena_bytes;
+    row.truncated = result.truncated;
     return row;
 }
 
 /// Deep token ring (24 registers, 3 tokens): ~269k states of a narrow
 /// marking — the small-record end of the capacity spectrum, where table
-/// overhead dominates and the compact layout helps most.
+/// overhead dominates.
 petri::Net deep_ring_net() {
     dfs::Graph g("deepring");
     std::vector<dfs::NodeId> regs;
@@ -119,9 +101,8 @@ int main(int argc, char** argv) {
         }
     }
     bench::Stopwatch watch;
-    bench::print_header(
-        "marking-store capacity tier",
-        "bytes/state, legacy vs compact interning layout");
+    bench::print_header("marking-store capacity tier",
+                        "bytes/state of the interning store");
 
     const bool soak_pin = stages >= 4;
     const std::size_t cap = soak_pin ? 25'000'000 : 2'000'000;
@@ -135,9 +116,10 @@ int main(int argc, char** argv) {
     std::vector<Row> rows;
     rows.push_back(
         measure(std::string(ope_label) + "/seq", compiled, 0, cap));
+    bool ok = true;
     if (!soak_pin) {
         // Tier-1 scale: add the narrow-marking ring and the parallel
-        // engine's layout (per-record concurrent blocks instead of the
+        // engine's store (id-indexed concurrent blocks instead of the
         // sequential arena). The soak pin skips these — two extra
         // 19M-state explorations buy no new gate.
         const petri::Net ring = deep_ring_net();
@@ -145,56 +127,50 @@ int main(int argc, char** argv) {
         rows.push_back(measure("deepring/seq", ring_compiled, 0, cap));
         rows.push_back(
             measure(std::string(ope_label) + "/par4", compiled, 4, cap));
-    }
-
-    bool ok = true;
-    std::size_t legacy_total = 0;
-    std::size_t compact_total = 0;
-    util::Table table({"fixture", "states", "legacy B/state",
-                       "compact B/state", "compact/legacy"});
-    for (const Row& row : rows) {
-        legacy_total += row.legacy_bytes;
-        compact_total += row.compact_bytes;
-        table.add_row({row.name, std::to_string(row.states),
-                       util::Table::num(row.bytes_per_state(false), 1),
-                       util::Table::num(row.bytes_per_state(true), 1),
-                       util::Table::num(row.ratio(), 3)});
-        if (!row.ok) {
-            std::printf("LAYOUT MISMATCH on %s: the compact pass "
-                        "disagreed on (states, edges) or truncated\n",
-                        row.name.c_str());
+        if (rows.back().states != rows.front().states ||
+            rows.back().edges != rows.front().edges) {
+            std::printf("ENGINE MISMATCH: %s explored %zu/%zu, %s %zu/%zu "
+                        "(states/edges)\n",
+                        rows.back().name.c_str(), rows.back().states,
+                        rows.back().edges, rows.front().name.c_str(),
+                        rows.front().states, rows.front().edges);
             ok = false;
         }
     }
-    const double aggregate =
-        static_cast<double>(compact_total) /
-        static_cast<double>(legacy_total);
-    std::printf("%s\naggregate compact/legacy store bytes: %.3f "
-                "(gate: <= 0.80 via compare.py --capacity)\n\n",
-                table.to_ascii().c_str(), aggregate);
+
+    util::Table table({"fixture", "states", "B/state", "time [s]"});
+    for (const Row& row : rows) {
+        table.add_row({row.name, std::to_string(row.states),
+                       util::Table::num(row.bytes_per_state(), 1),
+                       util::Table::num(row.seconds, 2)});
+        if (row.truncated) {
+            std::printf("TRUNCATED: %s hit the %zu-state cap\n",
+                        row.name.c_str(), cap);
+            ok = false;
+        }
+    }
+    std::printf("%s\n(gate: per-fixture B/state ceilings via compare.py "
+                "--capacity)\n\n",
+                table.to_ascii().c_str());
 
     if (json_path != nullptr) {
         if (FILE* f = std::fopen(json_path, "w")) {
             std::fprintf(f, "{\n  \"rows\": [\n");
             for (std::size_t i = 0; i < rows.size(); ++i) {
                 const Row& row = rows[i];
-                std::fprintf(
-                    f,
-                    "    {\"name\": \"%s\", \"states\": %zu, "
-                    "\"edges\": %zu, "
-                    "\"legacy_bytes_per_state\": %.3f, "
-                    "\"compact_bytes_per_state\": %.3f, "
-                    "\"ratio\": %.4f}%s\n",
-                    row.name.c_str(), row.states, row.edges,
-                    row.bytes_per_state(false), row.bytes_per_state(true),
-                    row.ratio(), i + 1 < rows.size() ? "," : "");
+                std::fprintf(f,
+                             "    {\"name\": \"%s\", \"states\": %zu, "
+                             "\"edges\": %zu, "
+                             "\"bytes_per_state\": %.3f}%s\n",
+                             row.name.c_str(), row.states, row.edges,
+                             row.bytes_per_state(),
+                             i + 1 < rows.size() ? "," : "");
             }
             std::fprintf(f,
                          "  ],\n"
-                         "  \"aggregate_ratio\": %.4f,\n"
                          "  \"ok\": %s\n"
                          "}\n",
-                         aggregate, ok ? "true" : "false");
+                         ok ? "true" : "false");
             std::fclose(f);
         } else {
             std::printf("cannot write %s\n", json_path);

@@ -2,10 +2,7 @@
 // ParallelReachabilityExplorer at 1, 2, 4 and all hardware threads,
 // head-to-head with the sequential compiled engine on the 191k-state
 // 3-stage reconfigurable OPE model — the hot path of the verification
-// flow — plus the PR-5 head-to-heads: work stealing vs the atomic-cursor
-// baseline on a deep-ring narrow-layer fixture, canonical-CAS vs
-// re-sweep witness trees on clean and violated passes, and the
-// frontier-only enabled-set cache's resident-byte diet.
+// flow — for a bare exploration and for the full verify_all pass.
 //
 // --json PATH writes the machine-readable summary bench/compare.py
 // gates (multi-thread scaling floor on multi-core runners; skipped
@@ -27,7 +24,6 @@
 #include "ope/dfs_models.hpp"
 #include "petri/parallel.hpp"
 #include "petri/reachability.hpp"
-#include "pipeline/builder.hpp"
 #include "util/table.hpp"
 #include "verify/verifier.hpp"
 
@@ -40,21 +36,6 @@ double run_explore(petri::ParallelReachabilityExplorer& explorer,
     bench::Stopwatch watch;
     out = explorer.explore_all();
     return watch.elapsed_s();
-}
-
-/// Deep token ring (24 registers, 3 tokens): ~269k states over a long
-/// BFS diameter of narrow layers — the workload intra-layer stealing
-/// exists for.
-petri::Net deep_ring_net() {
-    dfs::Graph g("deepring");
-    std::vector<dfs::NodeId> regs;
-    const int n = 24;
-    for (int i = 0; i < n; ++i) {
-        regs.push_back(g.add_control("c" + std::to_string(i), i % 8 == 0,
-                                     dfs::TokenValue::True));
-    }
-    for (int i = 0; i < n; ++i) g.connect(regs[i], regs[(i + 1) % n]);
-    return dfs::to_petri(g).net;
 }
 
 }  // namespace
@@ -158,128 +139,6 @@ int main(int argc, char** argv) {
     std::printf("verify_all (3 properties, one pass):\n%s\n",
                 verify_table.to_ascii().c_str());
 
-    // ---- intra-layer work stealing vs the atomic-cursor baseline ------
-    // Narrow layers leave cursor-chunked workers idle at the barrier;
-    // the deque scheduler rebalances inside the layer. Multi-core
-    // runners should see steal >= cursor here; on one core both are the
-    // same serialized walk.
-    const petri::Net ring = deep_ring_net();
-    const petri::CompiledNet ring_compiled(ring);
-    const auto ring_baseline =
-        petri::ReachabilityExplorer(ring_compiled).explore_all();
-    double steal_vs_cursor = 0.0;
-    util::Table steal_table(
-        {"threads", "cursor [ms]", "steal [ms]", "steal/cursor"});
-    for (const std::size_t threads : counts) {
-        if (threads == 1) continue;
-        double secs[2] = {0.0, 0.0};
-        for (const bool stealing : {false, true}) {
-            petri::ReachabilityOptions options;
-            options.threads = threads;
-            options.work_stealing = stealing;
-            petri::ParallelReachabilityExplorer explorer(ring_compiled,
-                                                         options);
-            petri::ReachabilityResult result;
-            run_explore(explorer, result);
-            secs[stealing ? 1 : 0] = run_explore(explorer, result);
-            if (result.states_explored != ring_baseline.states_explored ||
-                result.edges_explored != ring_baseline.edges_explored) {
-                std::printf("ENGINE MISMATCH on deep ring (%s, %zu t)\n",
-                            stealing ? "steal" : "cursor", threads);
-                ok = false;
-            }
-        }
-        const double ratio = secs[0] / secs[1];
-        steal_vs_cursor = std::max(steal_vs_cursor, ratio);
-        steal_table.add_row({std::to_string(threads),
-                             util::Table::num(secs[0] * 1e3, 1),
-                             util::Table::num(secs[1] * 1e3, 1),
-                             util::Table::num(ratio, 2) + "x"});
-    }
-    std::printf("deep ring (24 regs, 3 tokens, %zu states), narrow "
-                "layers:\n%s\n",
-                ring_baseline.states_explored,
-                steal_table.to_ascii().c_str());
-
-    // ---- canonical-CAS vs re-sweep witness trees ----------------------
-    // Clean pass (goal never matches): CAS pays its same-layer duplicate
-    // compares, re-sweep pays nothing. Violated pass (deadlock traces
-    // wanted): CAS reconstructs for free, re-sweep pays one extra serial
-    // O(edges) walk. The default is canonical-CAS — see README.
-    auto gap = ope::build_reconfigurable_ope_dfs(3, 3);
-    pipeline::reset_ring(gap.graph, gap.stages[1].global_ring,
-                         dfs::TokenValue::False);
-    const auto gap_tr = dfs::to_petri(gap.graph);
-    const petri::CompiledNet gap_compiled(gap_tr.net);
-    util::Table tree_table({"pass", "cas [ms]", "resweep [ms]", "ratio"});
-    double tree_secs[2][2];  // [violated][cas]
-    for (const bool cas : {true, false}) {
-        petri::ReachabilityOptions options;
-        options.threads = counts.back();
-        options.stop_at_first_match = false;
-        options.witness_tree =
-            cas ? petri::ReachabilityOptions::WitnessTree::kCanonicalCas
-                : petri::ReachabilityOptions::WitnessTree::kResweep;
-        {
-            // Clean: the OPE model has no deadlock; no trace is built.
-            petri::ParallelReachabilityExplorer explorer(compiled,
-                                                         options);
-            const auto dead = petri::Predicate::deadlock();
-            explorer.find(dead);
-            bench::Stopwatch w;
-            const auto r = explorer.find(dead);
-            tree_secs[0][cas ? 1 : 0] = w.elapsed_s();
-            if (r.found()) ok = false;
-        }
-        {
-            // Violated: the gap model deadlocks; traces are built.
-            petri::ParallelReachabilityExplorer explorer(gap_compiled,
-                                                         options);
-            explorer.find_deadlocks();
-            bench::Stopwatch w;
-            const auto r = explorer.find_deadlocks();
-            tree_secs[1][cas ? 1 : 0] = w.elapsed_s();
-            if (!r.found()) ok = false;
-        }
-    }
-    for (const int violated : {0, 1}) {
-        tree_table.add_row(
-            {violated ? "violated (traces)" : "clean (no trace)",
-             util::Table::num(tree_secs[violated][1] * 1e3, 1),
-             util::Table::num(tree_secs[violated][0] * 1e3, 1),
-             util::Table::num(
-                 tree_secs[violated][1] / tree_secs[violated][0], 2) +
-                 "x"});
-    }
-    std::printf("witness tree, canonical-CAS vs re-sweep (%zu threads):\n%s\n",
-                counts.back(), tree_table.to_ascii().c_str());
-
-    // ---- frontier-only enabled-set cache ------------------------------
-    util::Table diet_table(
-        {"cache", "records", "record MB", "resident MB", "peak MB"});
-    std::size_t diet_resident[2] = {0, 0};
-    for (const bool cache : {false, true}) {
-        petri::ReachabilityOptions options;
-        options.threads = counts.back();
-        options.frontier_enabled_cache = cache;
-        petri::ParallelReachabilityExplorer explorer(compiled, options);
-        petri::ReachabilityResult result;
-        run_explore(explorer, result);
-        diet_resident[cache ? 1 : 0] = result.memory.resident_bytes;
-        diet_table.add_row(
-            {cache ? "on" : "off", std::to_string(result.memory.records),
-             util::Table::num(result.memory.record_bytes / 1e6, 1),
-             util::Table::num(result.memory.resident_bytes / 1e6, 1),
-             util::Table::num(result.memory.peak_bytes / 1e6, 1)});
-    }
-    const double diet_reduction =
-        1.0 - static_cast<double>(diet_resident[1]) /
-                  static_cast<double>(diet_resident[0]);
-    std::printf("enabled-set cache (3-stage OPE, %zu threads):\n%s"
-                "resident reduction: %.1f%%\n\n",
-                counts.back(), diet_table.to_ascii().c_str(),
-                100.0 * diet_reduction);
-
     if (json_path != nullptr) {
         if (FILE* f = std::fopen(json_path, "w")) {
             std::fprintf(
@@ -287,12 +146,9 @@ int main(int argc, char** argv) {
                 "{\n"
                 "  \"hardware_threads\": %u,\n"
                 "  \"best_speedup\": %.3f,\n"
-                "  \"steal_vs_cursor\": %.3f,\n"
-                "  \"diet_resident_reduction\": %.3f,\n"
                 "  \"ok\": %s\n"
                 "}\n",
-                hw ? hw : 1, best_speedup, steal_vs_cursor,
-                diet_reduction, ok ? "true" : "false");
+                hw ? hw : 1, best_speedup, ok ? "true" : "false");
             std::fclose(f);
         } else {
             std::printf("cannot write %s\n", json_path);

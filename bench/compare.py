@@ -36,21 +36,16 @@ PARALLEL_MIN_THREADS = 4
 # Capacity gate for bench_capacity's JSON summary (--capacity). The
 # numbers are store geometry (table + arena bytes over deterministic
 # state counts), not timings, so they are machine-independent and gate
-# on any runner. The aggregate compact/legacy ratio ceiling is the
-# tentpole claim (the compact layout saves >= 20% of store bytes across
-# the fixture mix); the per-row bytes/state ceilings catch either layout
-# silently growing records or slot head-room. Ceilings sit ~10% above
+# on any runner: the per-row bytes/state ceilings catch the store
+# silently growing records or slot head-room. Ceilings sit ~15% above
 # the measured values so allocator-rounding changes don't flap the gate.
-CAPACITY_MAX_AGGREGATE_RATIO = 0.80
 CAPACITY_MAX_BYTES_PER_STATE = {
-    # fixture           (legacy, compact) bytes/state ceilings, ~15%
-    # above the measured 79.6/35.7, 79.9/48.7 and 64.2/43.2
-    "ope_s3_d3/seq": (92.0, 42.0),
-    "deepring/seq": (92.0, 56.0),
-    "ope_s3_d3/par4": (75.0, 50.0),
-    # the nightly soak pin (19M states, sequential row only; measured
-    # 74.2/46.1 — a 37.9% drop against the >= 20% acceptance bar)
-    "ope_s4_d4/seq": (86.0, 54.0),
+    # fixture           bytes/state ceiling (measured value in brackets)
+    "ope_s3_d3/seq": 41.0,   # [35.7]
+    "deepring/seq": 56.0,    # [48.7]
+    "ope_s3_d3/par4": 62.5,  # [54.2]
+    # the nightly soak pin (19M states, sequential row only)
+    "ope_s4_d4/seq": 53.0,   # [46.1]
 }
 
 # Partial-order reduction floor for bench_por's JSON summary (--por).
@@ -135,12 +130,7 @@ def main():
                              "(reduction-ratio floor)")
     parser.add_argument("--capacity",
                         help="bench_capacity JSON summary to gate "
-                             "(compact/legacy store-byte ratio ceiling "
-                             "and per-fixture bytes/state ceilings)")
-    parser.add_argument("--max-capacity-ratio", type=float,
-                        default=CAPACITY_MAX_AGGREGATE_RATIO,
-                        help="aggregate compact/legacy store-byte "
-                             "ceiling")
+                             "(per-fixture bytes/state ceilings)")
     parser.add_argument("--min-ope-ratio", type=float,
                         default=POR_MIN_OPE_RATIO,
                         help="state-count reduction floor on the best "
@@ -152,12 +142,6 @@ def main():
                         help="bench_mc JSON summary to report "
                              "(advisory only; reproducibility gates in "
                              "bench_mc itself via its exit code)")
-    parser.add_argument("--incremental",
-                        help="bench_incremental JSON summary to report "
-                             "(advisory only; the scratch/incremental "
-                             "differential and the intern-ratio ceiling "
-                             "gate in bench_incremental itself via its "
-                             "exit code)")
     parser.add_argument("--min-parallel-speedup", type=float,
                         default=PARALLEL_MIN_SPEEDUP,
                         help="multi-thread scaling floor (gated only on "
@@ -216,11 +200,8 @@ def main():
     if par is not None:
         threads = par.get("hardware_threads", 1)
         speedup = par.get("best_speedup", 0.0)
-        steal = par.get("steal_vs_cursor")
-        diet = par.get("diet_resident_reduction")
         print(f"parallel scaling: {threads} hardware threads, best "
-              f"speedup {speedup:.2f}x, steal/cursor {steal}, "
-              f"diet reduction {diet}")
+              f"speedup {speedup:.2f}x")
         if not par.get("ok", False):
             failures.append("bench_parallel reported a cross-engine "
                             "mismatch")
@@ -262,42 +243,26 @@ def main():
            if args.capacity else None)
     if cap is not None:
         # Store geometry over deterministic state counts —
-        # machine-independent, so both ceilings gate on any runner.
+        # machine-independent, so the ceilings gate on any runner.
         rows = cap.get("rows", [])
         if not rows:
             failures.append("capacity: summary has no fixture rows")
         for row in rows:
             name = row.get("name", "?")
-            legacy = row.get("legacy_bytes_per_state", 0.0)
-            compact = row.get("compact_bytes_per_state", 0.0)
+            per_state = row.get("bytes_per_state", 0.0)
             print(f"capacity {name:18} {row.get('states', 0):>10} states"
-                  f"   legacy {legacy:6.1f} B/state   compact "
-                  f"{compact:6.1f} B/state   ratio "
-                  f"{row.get('ratio', 0.0):.3f}")
-            ceilings = CAPACITY_MAX_BYTES_PER_STATE.get(name)
-            if ceilings is None:
+                  f"   {per_state:6.1f} B/state")
+            ceiling = CAPACITY_MAX_BYTES_PER_STATE.get(name)
+            if ceiling is None:
                 print(f"capacity: no bytes/state ceiling pinned for "
                       f"{name} (informational row)")
-                continue
-            if legacy > ceilings[0]:
+            elif per_state > ceiling:
                 failures.append(
-                    f"capacity: {name} legacy layout grew to "
-                    f"{legacy:.1f} B/state (ceiling {ceilings[0]:.1f})")
-            if compact > ceilings[1]:
-                failures.append(
-                    f"capacity: {name} compact layout grew to "
-                    f"{compact:.1f} B/state (ceiling {ceilings[1]:.1f})")
-        ratio = cap.get("aggregate_ratio", 1.0)
-        print(f"capacity aggregate compact/legacy store bytes: "
-              f"{ratio:.3f} (ceiling {args.max_capacity_ratio:.2f})")
+                    f"capacity: {name} store grew to {per_state:.1f} "
+                    f"B/state (ceiling {ceiling:.1f})")
         if not cap.get("ok", False):
-            failures.append("bench_capacity reported a layout mismatch "
+            failures.append("bench_capacity reported an engine mismatch "
                             "or truncated fixture")
-        if ratio > args.max_capacity_ratio:
-            failures.append(
-                f"capacity: compact/legacy store-byte ratio {ratio:.3f} "
-                f"above the {args.max_capacity_ratio:.2f} ceiling — the "
-                "compact layout stopped paying for itself")
 
     sweep = (load_section(args.sweep, "sweep", False, failures)
              if args.sweep else None)
@@ -343,33 +308,6 @@ def main():
         elif not mc.get("ok", False):
             warnings.append("bench_mc reported a problem (see its own "
                             "job step for the gate)")
-
-    inc = (load_section(args.incremental, "incremental", False, failures)
-           if args.incremental else None)
-    if inc is not None:
-        # Advisory only: the timings are machine facts, and the two hard
-        # contracts (scratch/incremental bit-equality, intern-ratio
-        # ceiling) already gate bench_incremental's own CI step. Here we
-        # surface the summary and flag anything that looks off.
-        ratio = inc.get("intern_ratio", 0.0)
-        print(f"incremental re-verification (advisory): "
-              f"{len(inc.get('depths', []))} configurations, "
-              f"scratch sweep {inc.get('scratch_total_s', 0.0) * 1e3:.1f}ms "
-              f"vs incremental {inc.get('incremental_total_s', 0.0) * 1e3:.1f}ms "
-              f"({inc.get('speedup', 0.0):.2f}x), "
-              f"interned {inc.get('interned_markings')} markings for "
-              f"{inc.get('deepest_states')} deepest-run states "
-              f"({ratio:.2f}x)")
-        if not inc.get("ok", False):
-            warnings.append("bench_incremental reported a problem (its "
-                            "own job step gates)")
-        elif ratio > 1.5:
-            warnings.append(f"incremental sweep interned {ratio:.2f}x the "
-                            "deepest run's markings — store reuse is not "
-                            "engaging")
-        elif inc.get("speedup", 0.0) < 0.9:
-            warnings.append("incremental sweep ran slower than scratch — "
-                            "reuse overhead exceeds its savings")
 
     for w in warnings:
         print(f"::warning::bench: {w}")

@@ -5,7 +5,6 @@
 #include "dfs/dot.hpp"
 #include "netlist/verilog.hpp"
 #include "petri/astg.hpp"
-#include "petri/reuse.hpp"
 
 namespace rap::flow {
 
@@ -83,9 +82,8 @@ const pipeline::Pipeline& Design::pipeline() const {
 void Design::flush_verifier() const {
     if (!verifier_) return;
     // The verifier is about to be dropped: fold its observable state
-    // into the session accumulators so counters and stats never appear
-    // to go backwards across a rebuild.
-    reuse_fallbacks_ += verifier_->reuse_fallbacks();
+    // into the session accumulators so stats never appear to go
+    // backwards across a rebuild.
     if (verifier_->has_memory_stats()) {
         last_memory_ = verifier_->memory_stats();
     }
@@ -107,12 +105,6 @@ void Design::invalidate_all_artifacts() {
     dynamics_.reset();
     netlist_.reset();
     timing_.reset();
-    // A structural edit must not hand cached enabled rows (or a warm
-    // marking table sized for the old structure) to the next pass: drop
-    // the session store so incremental verification restarts clean.
-    // Reconfigurations deliberately do NOT reach here — keeping the
-    // store across initial-marking changes is the whole point.
-    reuse_.reset();
 }
 
 void Design::set_depth(int depth) {
@@ -157,11 +149,6 @@ void Design::set_resume(
     flush_verifier();
 }
 
-std::size_t Design::reuse_fallbacks() const noexcept {
-    return reuse_fallbacks_ +
-           (verifier_ ? verifier_->reuse_fallbacks() : 0);
-}
-
 // -- artifacts -----------------------------------------------------------
 
 const dfs::Dynamics& Design::dynamics() const {
@@ -190,14 +177,7 @@ const petri::CompiledNet& Design::compiled_net() const {
 
 const verify::Verifier& Design::verifier() const {
     if (!verifier_) {
-        verify::VerifyOptions vopts = options_.verify;
-        if (options_.incremental && vopts.reuse == nullptr) {
-            if (reuse_ == nullptr) {
-                reuse_ = std::make_shared<petri::ReuseStore>();
-            }
-            vopts.reuse = reuse_;
-        }
-        verifier_.emplace(graph(), compiled_model(), vopts);
+        verifier_.emplace(graph(), compiled_model(), options_.verify);
     }
     return *verifier_;
 }

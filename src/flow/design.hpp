@@ -33,19 +33,6 @@ struct DesignOptions {
     verify::VerifyOptions verify{};          ///< state-space cap
     netlist::Library::Options library{};     ///< NCL-D mapping options
     tech::ProcessParams process{};           ///< voltage/leakage model
-    /// Incremental re-verification: the session keeps one
-    /// petri::ReuseStore across reconfigurations (set_depth /
-    /// set_initial / reset_ring), so each verify() after a
-    /// reconfiguration re-claims the markings, witness links and enabled
-    /// rows already resident from earlier passes instead of re-interning
-    /// them. Verdicts, witnesses and counters are bit-identical to
-    /// scratch at the same thread count. A structural edit() drops the
-    /// store (a different structure must not inherit rows; markings
-    /// would survive an attach, but the session conservatively starts
-    /// clean). Ignored when verify.reuse is set explicitly — then the
-    /// caller owns the store's lifecycle (flow::Sweep's shared-store
-    /// mode does this).
-    bool incremental = false;
 };
 
 /// Throws std::invalid_argument if `options` is inconsistent (see
@@ -172,14 +159,6 @@ public:
     /// readable across model mutations.
     std::optional<petri::PorStats> por_stats() const;
 
-    /// Verification passes of this session that requested cross-pass
-    /// reuse but ran scratch (dimension/witness-mode mismatch after a
-    /// topology change). Accumulated across verifier rebuilds, so the
-    /// count survives reconfigurations — a session whose "incremental"
-    /// sweeps silently went cold shows it here (and in the flow metrics
-    /// as rap_reuse_fallbacks_total).
-    std::size_t reuse_fallbacks() const noexcept;
-
     // -- checkpointing ----------------------------------------------------
 
     /// Points verification checkpointing at `path` (empty disables):
@@ -235,20 +214,12 @@ public:
     /// Bumped on every model mutation (reconfiguration or edit()).
     std::size_t revision() const noexcept { return revision_; }
 
-    /// The session's cross-pass marking store (DesignOptions::
-    /// incremental): null until the first verifier() build, and reset to
-    /// null by edit(). Exposed so tests and benches can read
-    /// interned_markings() / row_invalidations() between passes.
-    const std::shared_ptr<petri::ReuseStore>& reuse_store() const noexcept {
-        return reuse_;
-    }
-
 private:
     dfs::Graph& graph_mut() noexcept;
     void invalidate_marking_artifacts();
     void invalidate_all_artifacts();
-    /// Drops the cached verifier after folding its counters and stats
-    /// into the session-level accumulators (so nothing observable resets).
+    /// Drops the cached verifier after folding its stats into the
+    /// session-level accumulators (so nothing observable resets).
     void flush_verifier() const;
 
     DesignOptions options_;
@@ -259,18 +230,12 @@ private:
     mutable std::optional<dfs::Dynamics> dynamics_;
     mutable std::shared_ptr<const verify::CompiledModel> model_;
     mutable std::optional<verify::Verifier> verifier_;
-    /// Cross-pass store (DesignOptions::incremental): survives
-    /// reconfiguration invalidation, dropped by edit().
-    mutable std::shared_ptr<petri::ReuseStore> reuse_;
     mutable std::unique_ptr<netlist::Netlist> netlist_;
     mutable std::optional<asim::TimingMap> timing_;
 
     mutable std::size_t pn_builds_ = 0;
     mutable std::size_t netlist_builds_ = 0;
     std::size_t revision_ = 0;
-    /// Reuse-requested-but-scratch passes folded in from dropped
-    /// verifiers; reuse_fallbacks() adds the live verifier's share.
-    mutable std::size_t reuse_fallbacks_ = 0;
     /// Footprint of the last completed exploration, surviving verifier
     /// invalidation so memory_stats() keeps answering after reconfigure.
     mutable std::optional<petri::MemoryStats> last_memory_;

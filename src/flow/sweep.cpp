@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -13,7 +12,6 @@
 #include <utility>
 
 #include "ope/dfs_models.hpp"
-#include "petri/reuse.hpp"
 #include "verify/cache.hpp"
 
 namespace rap::flow {
@@ -43,12 +41,6 @@ struct SweepState {
     double timeout_s = 0.0;
     Sweep::ResultCallback callback;
     std::size_t max_in_flight = 1;
-    /// Shared-store mode: chains of grid indices, one per (stages,
-    /// schedule) pair in grid order. A chain is the scheduling unit —
-    /// its points run on one worker, in depth order, against one
-    /// ReuseStore (explorations sharing a store must be sequenced).
-    /// Empty when the mode is off (points schedule individually).
-    std::vector<std::vector<std::size_t>> chains;
     /// Checkpoint directory ("" = off): each point writes
     /// `<dir>/<flattened label>.ckpt`.
     std::string checkpoint_dir;
@@ -75,8 +67,6 @@ struct SweepState {
     /// peak_resident_bytes — the rap_store_* gauges describe the sweep's
     /// biggest state space, the one capacity planning cares about.
     std::optional<petri::StoreStats> peak_store;
-    /// Passes that requested cross-pass reuse but ran scratch.
-    std::size_t reuse_fallbacks_total = 0;
     std::size_t por_active_configs = 0;  ///< rows whose pass reduced
     std::size_t por_enabled_total = 0;   ///< full-exploration work
     std::size_t por_expanded_total = 0;  ///< work actually done
@@ -87,8 +77,7 @@ namespace {
 
 /// Runs one grid point start to finish. Never throws: every failure mode
 /// maps to a row status.
-SweepResult process_point(SweepState& state, const SweepPoint& point,
-                          const std::shared_ptr<petri::ReuseStore>& reuse) {
+SweepResult process_point(SweepState& state, const SweepPoint& point) {
     SweepResult row;
     row.point = point;
 
@@ -137,12 +126,6 @@ SweepResult process_point(SweepState& state, const SweepPoint& point,
         // are respected.
         options.verify.threads = 1;
     }
-    if (reuse != nullptr) {
-        // Shared-store chain: this point re-claims what the chain's
-        // earlier depths interned. Sound because the chain runs on one
-        // worker, one point at a time.
-        options.verify.reuse = reuse;
-    }
     const std::function<bool()> user_stop = options.verify.stop;
     options.verify.stop = [&state, deadline, user_stop] {
         return state.cancelled.load(std::memory_order_relaxed) ||
@@ -180,7 +163,6 @@ SweepResult process_point(SweepState& state, const SweepPoint& point,
         }
         row.memory = design->memory_stats();
         row.por = design->por_stats();
-        row.reuse_fallbacks = design->reuse_fallbacks();
 
         bool truncated_by_stop = false;
         for (const auto& finding : row.report.findings) {
@@ -200,14 +182,12 @@ SweepResult process_point(SweepState& state, const SweepPoint& point,
             // Salvage whatever the dead pass measured before it threw.
             row.memory = design->memory_stats();
             row.por = design->por_stats();
-            row.reuse_fallbacks = design->reuse_fallbacks();
         }
     }
     return row;
 }
 
-void run_point(SweepState& state, std::size_t index,
-               const std::shared_ptr<petri::ReuseStore>& reuse) {
+void run_point(SweepState& state, std::size_t index) {
     {
         std::unique_lock<std::mutex> lock(state.mutex);
         state.gate.wait(lock, [&] {
@@ -217,7 +197,7 @@ void run_point(SweepState& state, std::size_t index,
         ++state.in_flight;
     }
 
-    SweepResult row = process_point(state, state.grid[index], reuse);
+    SweepResult row = process_point(state, state.grid[index]);
 
     {
         const std::lock_guard<std::mutex> lock(state.mutex);
@@ -231,7 +211,6 @@ void run_point(SweepState& state, std::size_t index,
             state.peak_resident_bytes = std::max(
                 state.peak_resident_bytes, row.memory->peak_bytes);
         }
-        state.reuse_fallbacks_total += row.reuse_fallbacks;
         if (row.por && row.por->active) {
             ++state.por_active_configs;
             state.por_enabled_total += row.por->enabled_transitions;
@@ -250,24 +229,11 @@ void run_point(SweepState& state, std::size_t index,
 }
 
 void worker_loop(const std::shared_ptr<SweepState>& state) {
-    // The scheduling unit is a grid point, or — in shared-store mode — a
-    // whole (stages, schedule) chain whose points share one ReuseStore
-    // and therefore must run one at a time, in depth order.
-    const bool chained = !state->chains.empty();
-    const std::size_t tasks =
-        chained ? state->chains.size() : state->grid.size();
     for (;;) {
-        const std::size_t task =
+        const std::size_t index =
             state->next.fetch_add(1, std::memory_order_relaxed);
-        if (task >= tasks) return;
-        if (chained) {
-            const auto reuse = std::make_shared<petri::ReuseStore>();
-            for (const std::size_t index : state->chains[task]) {
-                run_point(*state, index, reuse);
-            }
-        } else {
-            run_point(*state, task, nullptr);
-        }
+        if (index >= state->grid.size()) return;
+        run_point(*state, index);
     }
 }
 
@@ -293,7 +259,6 @@ Metrics build_metrics(SweepState& state) {
     double verify_seconds = 0.0;
     std::size_t peak = 0;
     std::optional<petri::StoreStats> peak_store;
-    std::size_t reuse_fallbacks = 0;
     std::size_t por_active = 0;
     std::size_t por_enabled = 0;
     std::size_t por_expanded = 0;
@@ -306,7 +271,6 @@ Metrics build_metrics(SweepState& state) {
         verify_seconds = state.verify_seconds_total;
         peak = state.peak_resident_bytes;
         peak_store = state.peak_store;
-        reuse_fallbacks = state.reuse_fallbacks_total;
         por_active = state.por_active_configs;
         por_enabled = state.por_enabled_total;
         por_expanded = state.por_expanded_total;
@@ -346,12 +310,9 @@ Metrics build_metrics(SweepState& state) {
     m.set("rap_sweep_peak_resident_bytes",
           "Largest single-exploration resident footprint seen",
           Type::kGauge, static_cast<double>(peak));
-    m.set("rap_reuse_fallbacks_total",
-          "Passes that requested cross-pass reuse but ran scratch",
-          Type::kCounter, static_cast<double>(reuse_fallbacks));
 
     // Marking-store shape of the peak-resident exploration — the
-    // capacity-tier surface (table vs arena split, load factor, layout).
+    // capacity-tier surface (table vs arena split, load factor).
     if (peak_store) {
         m.set("rap_store_slots",
               "Hash-table slots of the peak-resident exploration's store",
@@ -365,10 +326,6 @@ Metrics build_metrics(SweepState& state) {
         m.set("rap_store_arena_bytes",
               "Record-arena bytes of the peak-resident exploration's store",
               Type::kGauge, static_cast<double>(peak_store->arena_bytes));
-        m.set("rap_store_compact",
-              "1 when the peak-resident exploration used the compact "
-              "(id-less) interning layout",
-              Type::kGauge, peak_store->compact ? 1.0 : 0.0);
     }
 
     // Partial-order reduction aggregates across completed rows. The
@@ -535,11 +492,6 @@ Sweep& Sweep::per_config_timeout(double seconds) {
     return *this;
 }
 
-Sweep& Sweep::shared_store(bool enabled) {
-    shared_store_ = enabled;
-    return *this;
-}
-
 Sweep& Sweep::checkpoint_dir(std::string dir) {
     checkpoint_dir_ = std::move(dir);
     return *this;
@@ -623,38 +575,12 @@ Sweep::Handle Sweep::launch() {
     state->callback = callback_;
     state->checkpoint_dir = checkpoint_dir_;
     state->cache_before = verify::cache_stats();
-    if (shared_store_ && !checkpoint_dir_.empty()) {
-        throw std::invalid_argument(
-            "flow::Sweep: checkpoint_dir is incompatible with "
-            "shared_store — the engines refuse to checkpoint a "
-            "cross-pass ReuseStore, so every chained point would come "
-            "back kInvalid");
-    }
-
-    if (shared_store_) {
-        // One chain per (stages, schedule) pair; the grid is ordered
-        // stages -> depth -> schedule, so pushing indices in grid order
-        // leaves each chain sorted by depth.
-        std::map<std::pair<int, std::size_t>, std::size_t> chain_of;
-        for (std::size_t i = 0; i < state->grid.size(); ++i) {
-            const SweepPoint& p = state->grid[i];
-            const auto key = std::make_pair(p.stages, p.schedule);
-            auto it = chain_of.find(key);
-            if (it == chain_of.end()) {
-                it = chain_of.emplace(key, state->chains.size()).first;
-                state->chains.emplace_back();
-            }
-            state->chains[it->second].push_back(i);
-        }
-    }
 
     std::size_t workers = workers_;
     if (workers == 0) {
         workers = std::max(1u, std::thread::hardware_concurrency());
     }
-    const std::size_t schedulable =
-        shared_store_ ? state->chains.size() : state->grid.size();
-    workers = std::max<std::size_t>(1, std::min(workers, schedulable));
+    workers = std::max<std::size_t>(1, std::min(workers, state->grid.size()));
     state->max_in_flight =
         max_in_flight_ > 0 ? std::min(max_in_flight_, workers) : workers;
 

@@ -55,10 +55,6 @@ struct SweepResult {
     /// peak-resident aggregate) — absent only when no exploration ran at
     /// all (factory rejection, cancellation before start).
     std::optional<petri::MemoryStats> memory;
-    /// Passes of this row's session that requested cross-pass reuse but
-    /// ran scratch (shared-store chains gone cold after a topology
-    /// change) — aggregated into rap_reuse_fallbacks_total.
-    std::size_t reuse_fallbacks = 0;
     /// Partial-order-reduction statistics of the verification pass
     /// (sweeps verify with reduction on by default — Sweep::por()).
     std::optional<petri::PorStats> por;
@@ -147,27 +143,12 @@ public:
     Sweep& max_in_flight(std::size_t count);
     /// Wall-clock budget per configuration; <= 0 (default) = none.
     Sweep& per_config_timeout(double seconds);
-    /// Incremental re-verification across the depth axis: grid points
-    /// sharing (stages, schedule) form a chain that runs on ONE worker,
-    /// in depth order, with one shared petri::ReuseStore — each depth's
-    /// verification re-claims the markings and enabled rows the chain's
-    /// earlier depths already interned, so a d=1..N chain costs about as
-    /// much interning as its deepest configuration alone. Verdicts and
-    /// reports are bit-identical to the independent-session default.
-    /// Chains are the unit of scheduling here (distinct chains still run
-    /// in parallel), so a single-chain grid serialises; leave this off
-    /// (the default) when grid-level parallelism matters more than
-    /// cross-depth reuse.
-    Sweep& shared_store(bool enabled);
     /// Per-configuration checkpointing: each grid point's exploration
     /// periodically serializes a petri::StoreCheckpoint to
     /// `<dir>/<label>.ckpt` (grid labels like "s4/d3/v0" are flattened to
     /// "s4_d3_v0"), so a killed sweep resumes its longest configurations
     /// instead of rerunning them (the nightly soak wires this to CI
     /// artifacts). The directory must exist. Empty (default) = off.
-    /// Incompatible with shared_store (the engines refuse reuse +
-    /// checkpoint, so launch() rejects the combination up front with
-    /// std::invalid_argument).
     Sweep& checkpoint_dir(std::string dir);
     /// Streaming sink, invoked from worker threads (serialised — at most
     /// one callback at a time) as rows complete. The callback must not
@@ -235,7 +216,6 @@ private:
     std::size_t workers_ = 0;
     std::size_t max_in_flight_ = 0;
     double timeout_s_ = 0.0;
-    bool shared_store_ = false;
     std::string checkpoint_dir_;
     ResultCallback callback_;
 };

@@ -1,5 +1,6 @@
 #include "petri/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,6 +24,18 @@ constexpr std::size_t kHeaderWords = 21;
 
 [[noreturn]] void reject(const std::string& path, const char* what) {
     throw std::runtime_error("StoreCheckpoint: '" + path + "' " + what);
+}
+
+/// acc += n * width, false on uint64 overflow: section lengths come from
+/// the file, so a header whose sum wraps must not pass the length check.
+bool add_section(std::uint64_t& acc, std::uint64_t n, std::uint64_t width) {
+    std::uint64_t words = 0;
+    return !__builtin_mul_overflow(n, width, &words) &&
+           !__builtin_add_overflow(acc, words, &acc);
+}
+
+[[noreturn]] void refuse(const char* what) {
+    throw std::runtime_error(std::string("resume: checkpoint ") + what);
 }
 
 }  // namespace
@@ -90,6 +103,42 @@ void StoreCheckpoint::save(const std::string& path) const {
     }
 }
 
+void StoreCheckpoint::check_ids(std::size_t transitions) const {
+    std::uint64_t words = 0;
+    if (meta_words == 0 ||
+        !add_section(words, record_count, record_stride()) ||
+        records.size() != words) {
+        refuse("records do not match its record count and geometry");
+    }
+    auto in_range = [this](std::uint32_t id) { return id < record_count; };
+    if (!std::all_of(frontier.begin(), frontier.end(), in_range)) {
+        refuse("frontier references an id beyond its own records");
+    }
+    for (const std::uint32_t hit : goal_hits) {
+        if (hit != UINT32_MAX && !in_range(hit)) {
+            refuse("goal hit references an id beyond its own records");
+        }
+    }
+    if (!std::all_of(deadlocks.begin(), deadlocks.end(), in_range)) {
+        refuse("deadlock references an id beyond its own records");
+    }
+    for (const Violation& v : violations) {
+        if (!in_range(v.state) || v.fired >= transitions ||
+            v.disabled >= transitions) {
+            refuse("violation references a state or transition out of "
+                   "range");
+        }
+    }
+    for (std::uint64_t id = 0; id < record_count; ++id) {
+        const std::uint64_t link = record(id)[marking_words];
+        const auto parent = static_cast<std::uint32_t>(link);
+        const auto via = static_cast<std::uint32_t>(link >> 32);
+        const bool ok = id == 0 ? parent == UINT32_MAX
+                                : parent < id && via < transitions;
+        if (!ok) refuse("witness link is not a BFS-tree edge");
+    }
+}
+
 StoreCheckpoint StoreCheckpoint::load(const std::string& path) {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) reject(path, "cannot be opened");
@@ -137,13 +186,15 @@ StoreCheckpoint StoreCheckpoint::load(const std::string& path) {
     const std::uint64_t records_off = words[20];
 
     const std::uint64_t payload = words.size() - 1;  // minus checksum
-    const std::uint64_t expected_off = kHeaderWords + frontier_n +
-                                       goals_n + deadlocks_n +
-                                       violations_n * 2;
-    const std::uint64_t record_words =
-        c.record_count * c.record_stride();
-    if (records_off != expected_off ||
-        payload != expected_off + record_words) {
+    std::uint64_t expected_off = kHeaderWords;
+    const bool sections_fit = add_section(expected_off, frontier_n, 1) &&
+                              add_section(expected_off, goals_n, 1) &&
+                              add_section(expected_off, deadlocks_n, 1) &&
+                              add_section(expected_off, violations_n, 2);
+    std::uint64_t end = expected_off;
+    if (!sections_fit ||
+        !add_section(end, c.record_count, c.record_stride()) ||
+        records_off != expected_off || payload != end) {
         reject(path, "has inconsistent section lengths");
     }
 

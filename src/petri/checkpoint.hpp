@@ -89,14 +89,28 @@ public:
         return records.data() + id * record_stride();
     }
 
+    /// Resume-time range checks shared by both engines: every id the
+    /// checkpoint names (frontier, goal hits, deadlocks, violations) is
+    /// below record_count, every violation names transitions below
+    /// `transitions`, and every record's witness link (meta word 0,
+    /// via << 32 | parent) is the root's "no parent" or points at an
+    /// earlier record — BFS discovery order guarantees parent < id in
+    /// both engines — through a transition below `transitions`. A file
+    /// that passes its checksum can still carry ids that would index out
+    /// of range or make trace rebuilding loop; throws std::runtime_error
+    /// (also when records does not hold record_count records of at least
+    /// one meta word).
+    void check_ids(std::size_t transitions) const;
+
     /// Atomic save: writes `path + ".tmp"` then renames over `path`, so a
     /// crash mid-write leaves the previous checkpoint intact. Throws
     /// std::runtime_error on any IO failure.
     void save(const std::string& path) const;
 
     /// Loads and fully validates framing (magic, version, section
-    /// lengths, trailing checksum). Structural/geometry validation
-    /// against a net happens at resume time, where the net is known.
+    /// lengths, trailing checksum), throwing std::runtime_error on any
+    /// defect. Structural/geometry validation against a net happens at
+    /// resume time, where the net is known.
     static StoreCheckpoint load(const std::string& path);
 };
 

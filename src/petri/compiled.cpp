@@ -381,10 +381,9 @@ void CompiledNet::update_enabled(const std::uint64_t* marking,
 // ------------------------------------------------------- MarkingStore --
 
 MarkingStore::MarkingStore(std::size_t marking_words,
-                           std::size_t meta_words, bool compact)
+                           std::size_t meta_words)
     : words_(std::max<std::size_t>(marking_words, 1)),
       meta_words_(meta_words),
-      compact_(compact),
       arena_(words_ + meta_words_),
       table_(std::size_t{1} << 12, kEmptySlot) {}
 
@@ -393,27 +392,11 @@ std::uint64_t MarkingStore::hash(const std::uint64_t* words)
     return hash_marking_words(words, words_);
 }
 
-void MarkingStore::grow() {
-    // 4x growth keeps rehash counts low; stored hashes make each rehash
-    // a table-only operation (no arena reads).
-    std::vector<std::uint64_t> table(table_.size() * 4, kEmptySlot);
-    const std::size_t mask = table.size() - 1;
-    for (std::uint32_t id = 0; id < count_; ++id) {
-        std::size_t slot = static_cast<std::size_t>(hashes_[id]) & mask;
-        while (table[slot] != kEmptySlot) slot = (slot + 1) & mask;
-        table[slot] = pack(hashes_[id], id);
-    }
-    table_ = std::move(table);
-}
-
-// -- compact (robin-hood) layout -----------------------------------------
-
 void MarkingStore::insert_displacing(std::uint64_t entry, std::size_t slot,
                                      std::size_t dist) noexcept {
     // Robin-hood displacement: a probing entry evicts any resident whose
     // own probe distance is shorter, then carries the evictee forward.
-    // Probe-length variance stays tiny even at 7/8 load, which is what
-    // lets the compact layout drop the legacy head-room.
+    // Probe-length variance stays tiny even at 7/8 load.
     const std::size_t mask = table_.size() - 1;
     while (true) {
         const std::uint64_t cur = table_[slot];
@@ -434,21 +417,20 @@ void MarkingStore::insert_displacing(std::uint64_t entry, std::size_t slot,
     }
 }
 
-void MarkingStore::grow_compact() {
+void MarkingStore::grow() {
     // No per-id hash index to lean on: recompute each record's hash from
-    // the arena. 2x growth — rehash cost is paid from the bytes the
-    // missing index saves, and the marking arena is never released here,
-    // so every record is readable.
+    // the arena. The marking arena is never released here, so every
+    // record is readable.
     table_.assign(table_.size() * 2, kEmptySlot);
     const std::size_t mask = table_.size() - 1;
     for (std::uint32_t id = 0; id < count_; ++id) {
         const std::uint64_t h = hash(arena_[id]);
-        insert_displacing(pack_compact(h, id),
-                          static_cast<std::size_t>(h) & mask, 0);
+        insert_displacing(pack(h, id), static_cast<std::size_t>(h) & mask,
+                          0);
     }
 }
 
-MarkingStore::InternResult MarkingStore::intern_compact(
+MarkingStore::InternResult MarkingStore::intern(
     const std::uint64_t* words, std::size_t capacity_limit) {
     const std::size_t mask = table_.size() - 1;
     const std::uint64_t h = hash(words);
@@ -476,48 +458,18 @@ MarkingStore::InternResult MarkingStore::intern_compact(
         ++dist;
     }
     if (count_ >= capacity_limit) return {kNone, false};
-    const auto id = static_cast<std::uint32_t>(arena_.push_zero());
-    std::memcpy(arena_[id], words, words_ * sizeof(std::uint64_t));
-    insert_displacing(pack_compact(h, id), slot, dist);
-    ++count_;
-    if (count_ * 8 >= table_.size() * 7) grow_compact();
-    return {id, true};
-}
-
-MarkingStore::InternResult MarkingStore::intern(
-    const std::uint64_t* words, std::size_t capacity_limit) {
-    if (compact_) return intern_compact(words, capacity_limit);
-    const std::size_t mask = table_.size() - 1;
-    const std::uint64_t h = hash(words);
-    const std::uint64_t fragment = h & 0xFFFFFFFF00000000ULL;
-    std::size_t slot = static_cast<std::size_t>(h) & mask;
-    while (table_[slot] != kEmptySlot) {
-        const std::uint64_t entry = table_[slot];
-        if ((entry & 0xFFFFFFFF00000000ULL) == fragment) {
-            const auto id = static_cast<std::uint32_t>(entry);
-            if (std::memcmp(arena_[id], words,
-                            words_ * sizeof(std::uint64_t)) == 0) {
-                return {id, false};
-            }
-        }
-        slot = (slot + 1) & mask;
-    }
-    if (count_ >= capacity_limit) return {kNone, false};
     // Record = marking payload + zeroed meta area (the arena record is
     // wider than the interned key when meta_words_ > 0).
     const auto id = static_cast<std::uint32_t>(arena_.push_zero());
     std::memcpy(arena_[id], words, words_ * sizeof(std::uint64_t));
-    hashes_.push_back(h);
-    table_[slot] = pack(h, id);
+    insert_displacing(pack(h, id), slot, dist);
     ++count_;
-    // Keep the load factor below ~0.7 so linear probes stay short.
-    if (count_ * 10 >= table_.size() * 7) grow();
+    if (count_ * 8 >= table_.size() * 7) grow();
     return {id, true};
 }
 
 void MarkingStore::clear() {
     arena_.clear();
-    hashes_.clear();
     count_ = 0;
     std::fill(table_.begin(), table_.end(), kEmptySlot);
 }

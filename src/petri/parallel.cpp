@@ -11,7 +11,7 @@
 #include <thread>
 
 #include "petri/checkpoint.hpp"
-#include "petri/reuse.hpp"
+#include "util/arena.hpp"
 #include "util/steal_deque.hpp"
 
 namespace rap::petri {
@@ -19,6 +19,10 @@ namespace rap::petri {
 namespace {
 
 constexpr std::size_t kWordBits = util::BitVec::kWordBits;
+
+/// Meta words per parallel-engine record: the (via << 32 | parent)
+/// canonical witness link and the BFS depth.
+constexpr std::uint32_t kMetaWords = 2;
 
 void copy_words(std::uint64_t* dst, const std::uint64_t* src,
                 std::size_t n) {
@@ -51,41 +55,20 @@ void spin_pause(unsigned round) noexcept {
 // ------------------------------------------- ConcurrentMarkingStore --
 
 ConcurrentMarkingStore::ConcurrentMarkingStore(std::size_t marking_words,
-                                               std::size_t meta_words,
-                                               std::size_t workers,
-                                               bool compact)
+                                               std::size_t meta_words)
     : words_(std::max<std::size_t>(marking_words, 1)),
       record_words_(words_ + meta_words),
-      compact_(compact),
       table_size_(std::size_t{1} << 12),
       table_(std::make_unique<std::atomic<std::uint64_t>[]>(table_size_)) {
     for (std::size_t i = 0; i < table_size_; ++i) {
         table_[i].store(kEmptySlot, std::memory_order_relaxed);
     }
-    if (compact_) {
-        // Power-of-two records per block so the id->record map is a
-        // shift+mask; ~128K-word blocks, like the legacy arenas.
-        const std::size_t rpb = std::bit_floor(std::max<std::size_t>(
-            (std::size_t{1} << 14) / record_words_, 1));
-        cshift_ = static_cast<std::size_t>(std::bit_width(rpb) - 1);
-        cmask_ = static_cast<std::uint32_t>(rpb - 1);
-        return;  // no per-worker arenas: ids index the shared blocks
-    }
-    arenas_.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        // Mid-sized blocks: N workers each strand ~half a block, so the
-        // default 512K-word blocks would cost small models more than
-        // the records themselves; 128K keeps the waste a few percent
-        // while still amortising allocation at 19M records.
-        arenas_.emplace_back(record_words_, std::size_t{1} << 14);
-    }
-}
-
-void ConcurrentMarkingStore::ensure_workers(std::size_t workers) {
-    if (compact_) return;  // workers share the id-indexed blocks
-    while (arenas_.size() < workers) {
-        arenas_.emplace_back(record_words_, std::size_t{1} << 14);
-    }
+    // Power-of-two records per block so the id->record map is a
+    // shift+mask; ~128K-word blocks.
+    const std::size_t rpb = std::bit_floor(
+        std::max<std::size_t>((std::size_t{1} << 14) / record_words_, 1));
+    shift_ = static_cast<std::size_t>(std::bit_width(rpb) - 1);
+    mask_ = static_cast<std::uint32_t>(rpb - 1);
 }
 
 std::size_t ConcurrentMarkingStore::size() const noexcept {
@@ -100,9 +83,8 @@ std::uint64_t ConcurrentMarkingStore::hash(const std::uint64_t* words)
 }
 
 ConcurrentMarkingStore::InternResult ConcurrentMarkingStore::intern(
-    const std::uint64_t* words, std::size_t worker,
-    std::size_t capacity_limit, const std::uint64_t* meta_init,
-    std::size_t meta_init_words) {
+    const std::uint64_t* words, std::size_t capacity_limit,
+    const std::uint64_t* meta_init, std::size_t meta_init_words) {
     const std::size_t mask = table_size_ - 1;
     const std::uint64_t h = hash(words);
     const std::uint64_t fragment = h & 0xFFFFFFFF00000000ULL;
@@ -126,23 +108,15 @@ ConcurrentMarkingStore::InternResult ConcurrentMarkingStore::intern(
                                    std::memory_order_release);
                 return {kNone, false};
             }
-            std::uint64_t* record;
-            if (compact_) {
-                // The id doubles as the arena position; the block was
-                // zero-provisioned by the last serial reserve, so the
-                // meta words beyond meta_init start zeroed exactly like
-                // a push_zero record.
-                record = compact_record(id);
-            } else {
-                util::WordArena& arena = arenas_[worker];
-                record = arena[arena.push_zero()];
-            }
-            copy_words(record, words, words_);
+            // The id doubles as the arena position; the block was
+            // zero-provisioned by the last serial reserve, so the meta
+            // words beyond meta_init start zeroed.
+            std::uint64_t* rec = record(id);
+            copy_words(rec, words, words_);
             // Pre-publication meta (the canonical-min witness link and
             // depth): racing readers that learn the id below must never
             // see it uninitialised.
-            copy_words(record + words_, meta_init, meta_init_words);
-            if (!compact_) records_[id] = record;
+            copy_words(rec + words_, meta_init, meta_init_words);
             table_[slot].store(pack(h, id), std::memory_order_release);
             return {id, true};
         }
@@ -155,7 +129,7 @@ ConcurrentMarkingStore::InternResult ConcurrentMarkingStore::intern(
                 spin_pause(spins++);
                 continue;
             }
-            if (std::memcmp((*this)[entry_id], words,
+            if (std::memcmp(record(entry_id), words,
                             words_ * sizeof(std::uint64_t)) == 0) {
                 return {entry_id, false};
             }
@@ -164,50 +138,17 @@ ConcurrentMarkingStore::InternResult ConcurrentMarkingStore::intern(
     }
 }
 
-std::uint32_t ConcurrentMarkingStore::find(
-    const std::uint64_t* words) const noexcept {
-    const std::size_t mask = table_size_ - 1;
-    const std::uint64_t h = hash(words);
-    const std::uint64_t fragment = h & 0xFFFFFFFF00000000ULL;
-    std::size_t slot = static_cast<std::size_t>(h) & mask;
-    for (;;) {
-        const std::uint64_t entry =
-            table_[slot].load(std::memory_order_acquire);
-        if (entry == kEmptySlot) return kNone;
-        const auto entry_id = static_cast<std::uint32_t>(entry);
-        // Capacity tombstones sit mid-probe-chain; records inserted
-        // before the cap was hit can live beyond them, so skip past.
-        if (entry_id != kCapacityId && entry_id != kPendingId &&
-            (entry & 0xFFFFFFFF00000000ULL) == fragment &&
-            std::memcmp((*this)[entry_id], words,
-                        words_ * sizeof(std::uint64_t)) == 0) {
-            return entry_id;
-        }
-        slot = (slot + 1) & mask;
-    }
-}
-
 void ConcurrentMarkingStore::reserve(std::size_t needed) {
-    if (compact_) {
-        // Zero-provision blocks covering `needed`: make_unique
-        // value-initialises, so a winner's record slot starts zeroed.
-        const std::size_t rpb = std::size_t{cmask_} + 1;
-        while (creserved_ < needed) {
-            cblocks_.push_back(std::make_unique<std::uint64_t[]>(
-                rpb * record_words_));
-            creserved_ += rpb;
-        }
-    } else if (records_.size() < needed) {
-        records_.resize(needed, nullptr);
+    // Zero-provision blocks covering `needed`: make_unique
+    // value-initialises, so a winner's record slot starts zeroed.
+    const std::size_t rpb = std::size_t{mask_} + 1;
+    while (reserved_ < needed) {
+        blocks_.push_back(
+            std::make_unique<std::uint64_t[]>(rpb * record_words_));
+        reserved_ += rpb;
     }
     std::size_t want = table_size_;
-    if (compact_) {
-        // 7/8 ceiling: the probe footprint the compact slots buy back
-        // funds a denser table (see the class comment).
-        while (needed * 8 >= want * 7) want *= 2;
-    } else {
-        while (needed * 10 >= want * 7) want *= 2;
-    }
+    while (needed * 10 >= want * 7) want *= 2;
     if (want == table_size_) return;
     auto table = std::make_unique<std::atomic<std::uint64_t>[]>(want);
     for (std::size_t i = 0; i < want; ++i) {
@@ -216,7 +157,7 @@ void ConcurrentMarkingStore::reserve(std::size_t needed) {
     const std::size_t mask = want - 1;
     const std::size_t count = count_.load(std::memory_order_acquire);
     for (std::uint32_t id = 0; id < count; ++id) {
-        const std::uint64_t h = hash((*this)[id]);
+        const std::uint64_t h = hash(record(id));
         std::size_t slot = static_cast<std::size_t>(h) & mask;
         while (table[slot].load(std::memory_order_relaxed) != kEmptySlot) {
             slot = (slot + 1) & mask;
@@ -228,30 +169,20 @@ void ConcurrentMarkingStore::reserve(std::size_t needed) {
 }
 
 std::size_t ConcurrentMarkingStore::record_bytes() const noexcept {
-    if (compact_) {
-        return cblocks_.size() * (std::size_t{cmask_} + 1) *
-               record_words_ * sizeof(std::uint64_t);
-    }
-    std::size_t bytes = 0;
-    for (const util::WordArena& arena : arenas_) {
-        bytes += arena.resident_bytes();
-    }
-    return bytes;
+    return blocks_.size() * (std::size_t{mask_} + 1) * record_words_ *
+           sizeof(std::uint64_t);
 }
 
 std::size_t ConcurrentMarkingStore::resident_bytes() const noexcept {
     return record_bytes() + table_size_ * sizeof(std::uint64_t) +
-           records_.capacity() * sizeof(std::uint64_t*) +
-           cblocks_.capacity() * sizeof(void*);
+           blocks_.capacity() * sizeof(void*);
 }
 
 StoreStats ConcurrentMarkingStore::stats() const noexcept {
     StoreStats s;
-    s.compact = compact_;
     s.records = size();
     s.slots = table_size_;
-    s.table_bytes = table_size_ * sizeof(std::uint64_t) +
-                    records_.capacity() * sizeof(std::uint64_t*);
+    s.table_bytes = table_size_ * sizeof(std::uint64_t);
     s.arena_bytes = record_bytes();
     return s;
 }
@@ -288,19 +219,18 @@ namespace {
 /// worker phase.
 ///
 /// Memory layout (the diet that reaches the 19M-state OPE models): a
-/// record is marking words plus, in canonical-CAS witness mode, two meta
-/// words — the atomic (via << 32 | parent) link and the BFS depth. The
-/// enabled bitsets live OUTSIDE the records when
-/// options.frontier_enabled_cache is on: each worker keeps two ping-pong
-/// arenas of rows, one holding the frontier being expanded, one filling
-/// with discoveries, and the barrier's serial step recycles the arena of
-/// the layer that just finished — so only ~two BFS layers of enabled
-/// words are ever resident instead of all of them.
+/// record is marking words plus two meta words — the atomic (via << 32 |
+/// parent) canonical witness link and the BFS depth. The enabled bitsets
+/// live OUTSIDE the records: each worker keeps two ping-pong arenas of
+/// rows, one holding the frontier being expanded, one filling with
+/// discoveries, and the barrier's serial step recycles the arena of the
+/// layer that just finished — so only ~two BFS layers of enabled words
+/// are ever resident instead of all of them.
 class ParallelPass {
 public:
     ParallelPass(const Net& net, const CompiledNet& compiled,
                  const ReachabilityOptions& options, const MultiQuery& query,
-                 std::size_t workers, ReuseStore* reuse)
+                 std::size_t workers)
         : net_(net),
           compiled_(compiled),
           query_(query),
@@ -308,22 +238,11 @@ public:
           mwords_(compiled.marking_words()),
           twords_(compiled.enabled_words()),
           workers_(workers),
-          cas_tree_(options.witness_tree ==
-                    ReachabilityOptions::WitnessTree::kCanonicalCas),
           stop_(options.stop),
-          reuse_(reuse),
-          diet_(options.frontier_enabled_cache && reuse == nullptr),
-          stealing_(options.work_stealing),
           por_(make_por(compiled, options, query)),
-          tight_(por_.has_value() && diet_ && !query.check_persistence &&
+          tight_(por_.has_value() && !query.check_persistence &&
                  !por_->proviso_needed()),
-          wmeta_words_((cas_tree_ || por_.has_value()) ? 2 : 0),
-          erec_off_(mwords_ + wmeta_words_),
-          store_(reuse != nullptr
-                     ? reuse->store()
-                     : owned_store_.emplace(
-                           mwords_, wmeta_words_ + (diet_ ? 0 : twords_),
-                           workers, options.compact_store)),
+          store_(mwords_, kMetaWords),
           checkpoint_path_(options.checkpoint_path),
           save_every_layers_(options.checkpoint_every != 0
                                  ? options.checkpoint_every
@@ -346,14 +265,12 @@ public:
             ctx.child.assign(std::max<std::size_t>(mwords_, 1), 0);
             ctx.scratch = Marking(net.place_count());
             if (por_) ctx.ample.assign(twords_, 0);
-            if (diet_) {
-                // Small blocks: these hold ~one BFS layer per worker and
-                // are recycled every other barrier, so the default block
-                // size would pin far more than they ever use.
-                ctx.earena.reserve(2);
-                ctx.earena.emplace_back(row_words, std::size_t{1} << 12);
-                ctx.earena.emplace_back(row_words, std::size_t{1} << 12);
-            }
+            // Small blocks: these hold ~one BFS layer per worker and are
+            // recycled every other barrier, so the default block size
+            // would pin far more than they ever use.
+            ctx.earena.reserve(2);
+            ctx.earena.emplace_back(row_words, std::size_t{1} << 12);
+            ctx.earena.emplace_back(row_words, std::size_t{1} << 12);
         }
         unresolved_ = query.goals.size();
         can_early_stop_ = options.stop_at_first_match &&
@@ -361,8 +278,7 @@ public:
                           !query.check_persistence && !query.goals.empty();
         // The CAS witness link is only worth maintaining when the pass
         // can be asked for a trace; a bare explore/count pays nothing.
-        maintain_tree_ =
-            cas_tree_ && (!query.goals.empty() || query.check_persistence);
+        maintain_tree_ = !query.goals.empty() || query.check_persistence;
     }
 
     MultiResult run();
@@ -406,17 +322,16 @@ private:
     /// workers' per-edge counter updates do not false-share.
     struct alignas(64) WorkerCtx {
         std::vector<std::uint32_t> out;  ///< next-layer discoveries
-        /// Enabled-set row of each `out` entry (worker arena in diet
-        /// mode, record interior otherwise), stitched into
-        /// frontier_rows_ at the barrier.
+        /// Enabled-set row of each `out` entry (in the worker's write
+        /// arena), stitched into frontier_rows_ at the barrier.
         std::vector<const std::uint64_t*> out_rows;
         std::vector<std::uint32_t> best;  ///< per-goal best hit this layer
         std::vector<std::uint32_t> deadlocks;
         std::vector<LocalViolation> violations;
         std::vector<std::uint64_t> child;  ///< successor marking scratch
         Marking scratch;                   ///< predicate evaluation view
-        /// Ping-pong enabled-row arenas (frontier cache mode): [parity]
-        /// fills with discoveries while [1 - parity] backs the frontier.
+        /// Ping-pong enabled-row arenas: [parity] fills with discoveries
+        /// while [1 - parity] backs the frontier.
         std::vector<util::WordArena> earena;
         PorContext::Scratch por_scratch;   ///< reduce() working set
         std::vector<std::uint64_t> ample;  ///< stubborn-subset bitset
@@ -539,9 +454,7 @@ private:
                           TransitionId via) {
         std::uint64_t* record = store_.record_mut(child);
         // Depth is written before the id is published and never again.
-        // Reuse passes track freshness in the claim word instead — their
-        // callers only get here for next-layer states.
-        if (reuse_ == nullptr && record[mwords_ + 1] != depth_ + 1) return;
+        if (record[mwords_ + 1] != depth_ + 1) return;
         std::atomic_ref<std::uint64_t> link(record[mwords_]);
         const std::uint64_t cand =
             (std::uint64_t{via.value} << 32) | parent;
@@ -566,96 +479,8 @@ private:
         }
     }
 
-    /// Reuse-mode insert path of expand_edge: the successor is looked up
-    /// in the shared cross-pass store and *claimed* for this pass's epoch
-    /// — intern's inserted bit no longer distinguishes fresh discoveries
-    /// (records resident from earlier passes are physical duplicates but
-    /// logically new here). The claim winner consumes one unit of the
-    /// max_states budget, writes the witness link, and recomputes the
-    /// enabled row only when the cached one is stale for the attached
-    /// structure; losers treat the state exactly like a scratch
-    /// duplicate. ctx.child holds the successor marking on entry.
-    bool reuse_edge(std::uint32_t head, TransitionId t,
-                    const std::uint64_t* parent_row, std::size_t w,
-                    WorkerCtx& ctx, bool& fresh_seen) {
-        const auto interned =
-            store_.intern(ctx.child.data(), w, provision_cap_, nullptr, 0);
-        if (interned.id == ConcurrentMarkingStore::kNone) {
-            // Physical exhaustion: provisioning capped this layer's
-            // inserts at the remaining claim budget, and every inserted
-            // record's claim completes unconditionally, so the pass ends
-            // with exactly max_states claims — the scratch truncation
-            // contract.
-            truncated_.store(true, std::memory_order_relaxed);
-            abort_now_.store(true, std::memory_order_release);
-            return false;
-        }
-        std::atomic<std::uint64_t>& cl = reuse_->claim(interned.id);
-        const std::uint64_t pending =
-            (epoch_ << 32) | ReuseStore::kPendingDepth;
-        std::uint64_t cur = cl.load(std::memory_order_acquire);
-        while ((cur >> 32) != epoch_) {
-            if (!cl.compare_exchange_weak(cur, pending,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-                continue;
-            }
-            // Claim won: this worker alone publishes the state this pass.
-            // The budget slot is taken after winning so every slot below
-            // cap_ maps to a claim that completes.
-            const std::uint32_t slot =
-                pass_claims_.fetch_add(1, std::memory_order_acq_rel);
-            if (slot >= cap_) {
-                pass_claims_.fetch_sub(1, std::memory_order_acq_rel);
-                cl.store((epoch_ << 32) | ReuseStore::kOverflowDepth,
-                         std::memory_order_release);
-                truncated_.store(true, std::memory_order_relaxed);
-                abort_now_.store(true, std::memory_order_release);
-                return false;
-            }
-            std::uint64_t* record = store_.record_mut(interned.id);
-            // Atomic because same-layer losers may CAS the link
-            // concurrently once the claim publishes below.
-            std::atomic_ref<std::uint64_t>(record[mwords_])
-                .store((std::uint64_t{t.value} << 32) | head,
-                       std::memory_order_relaxed);
-            std::uint64_t* row = record + erec_off_;
-            if (!reuse_->row_valid(interned.id)) {
-                copy_words(row, parent_row, twords_);
-                compiled_.update_enabled(ctx.child.data(), t, row);
-                reuse_->set_row_valid(interned.id);
-            }
-            cl.store((epoch_ << 32) | (depth_ + 1),
-                     std::memory_order_release);
-            fresh_seen = true;
-            ctx.out_edges += enabled_popcount(row);
-            visit(interned.id, row, ctx);
-            ctx.out.push_back(interned.id);
-            ctx.out_rows.push_back(row);
-            return true;
-        }
-        // Already claimed this epoch: a duplicate edge. Wait out a claim
-        // mid-publication so the link and row below it are settled.
-        std::uint32_t d = static_cast<std::uint32_t>(cur);
-        unsigned idle = 0;
-        while (d == ReuseStore::kPendingDepth) {
-            spin_pause(idle++);
-            d = static_cast<std::uint32_t>(
-                cl.load(std::memory_order_acquire));
-        }
-        if (d == ReuseStore::kOverflowDepth) {
-            truncated_.store(true, std::memory_order_relaxed);
-            abort_now_.store(true, std::memory_order_release);
-            return false;
-        }
-        const bool fresh = d == depth_ + 1;
-        if (maintain_tree_ && fresh) cas_witness_link(interned.id, head, t);
-        if (por_ && fresh) fresh_seen = true;
-        return true;
-    }
-
     void expand(std::uint32_t head, const std::uint64_t* enabled,
-                std::size_t w, WorkerCtx& ctx) {
+                WorkerCtx& ctx) {
         const std::uint64_t* marking = marking_of(head);
 
         // Reduction decision first — deterministic in (marking, enabled),
@@ -738,20 +563,10 @@ private:
                 check_persistence_edges(head, t, enabled, ctx);
             }
 
-            if (reuse_ != nullptr) {
-                return reuse_edge(head, t, enabled, w, ctx, fresh_seen);
-            }
-
-            std::uint64_t meta_init[2];
-            std::size_t meta_init_words = 0;
-            if (wmeta_words_ != 0) {
-                meta_init[0] = (std::uint64_t{t.value} << 32) | head;
-                meta_init[1] = depth_ + 1;
-                meta_init_words = 2;
-            }
-            const auto interned =
-                store_.intern(ctx.child.data(), w, cap_, meta_init,
-                              meta_init_words);
+            const std::uint64_t meta_init[kMetaWords] = {
+                (std::uint64_t{t.value} << 32) | head, depth_ + 1};
+            const auto interned = store_.intern(ctx.child.data(), cap_,
+                                                meta_init, kMetaWords);
             if (interned.id == ConcurrentMarkingStore::kNone) {
                 truncated_.store(true, std::memory_order_relaxed);
                 abort_now_.store(true, std::memory_order_release);
@@ -773,15 +588,8 @@ private:
             }
             fresh_seen = true;
 
-            std::uint64_t* child_enabled;
-            if (diet_) {
-                util::WordArena& arena = ctx.earena[write_parity_];
-                child_enabled = arena[arena.push(enabled)];
-            } else {
-                child_enabled =
-                    store_.record_mut(interned.id) + erec_off_;
-                copy_words(child_enabled, enabled, twords_);
-            }
+            util::WordArena& arena = ctx.earena[write_parity_];
+            std::uint64_t* child_enabled = arena[arena.push(enabled)];
             compiled_.update_enabled(ctx.child.data(), t, child_enabled);
             if (tight_) {
                 // Discovery-time reduction: compute the child's ample
@@ -837,31 +645,13 @@ private:
         }
     }
 
-    void run_chunk(std::uint64_t task, std::size_t w, WorkerCtx& ctx) {
+    void run_chunk(std::uint64_t task, WorkerCtx& ctx) {
         const auto begin = static_cast<std::size_t>(task >> 32);
         const auto end =
             static_cast<std::size_t>(static_cast<std::uint32_t>(task));
         for (std::size_t i = begin; i < end; ++i) {
             if (abort_now_.load(std::memory_order_relaxed)) return;
-            expand(frontier_[i], frontier_rows_[i], w, ctx);
-        }
-    }
-
-    /// PR-4 baseline scheduling: a shared atomic cursor deals fixed
-    /// chunks. Kept selectable (options.work_stealing = false) as the
-    /// bench_parallel head-to-head reference.
-    void process_layer_cursor(std::size_t w) {
-        WorkerCtx& ctx = ctx_[w];
-        for (;;) {
-            if (abort_now_.load(std::memory_order_relaxed)) return;
-            const std::size_t begin =
-                cursor_.fetch_add(chunk_, std::memory_order_relaxed);
-            if (begin >= frontier_.size()) return;
-            const std::size_t end =
-                std::min(begin + chunk_, frontier_.size());
-            run_chunk((static_cast<std::uint64_t>(begin) << 32) |
-                          static_cast<std::uint32_t>(end),
-                      w, ctx);
+            expand(frontier_[i], frontier_rows_[i], ctx);
         }
     }
 
@@ -869,7 +659,7 @@ private:
     /// oldest chunks of any loaded neighbour. Exiting is exact — chunks
     /// are only pushed by the serial step, so once every deque reads
     /// empty no further intra-layer work can appear.
-    void process_layer_stealing(std::size_t w) {
+    void process_layer(std::size_t w) {
         WorkerCtx& ctx = ctx_[w];
         unsigned idle = 0;
         std::uint64_t task;
@@ -877,7 +667,7 @@ private:
             if (abort_now_.load(std::memory_order_relaxed)) return;
             if (deques_[w].pop(task)) {
                 idle = 0;
-                run_chunk(task, w, ctx);
+                run_chunk(task, ctx);
                 continue;
             }
             bool ran = false;
@@ -885,7 +675,7 @@ private:
                 if (deques_[(w + k) % workers_].steal(task)) {
                     ++ctx.steals;
                     ran = true;
-                    run_chunk(task, w, ctx);
+                    run_chunk(task, ctx);
                     break;
                 }
             }
@@ -902,14 +692,6 @@ private:
         }
     }
 
-    void process_layer(std::size_t w) {
-        if (stealing_) {
-            process_layer_stealing(w);
-        } else {
-            process_layer_cursor(w);
-        }
-    }
-
     void process_layer_guarded(std::size_t w) noexcept {
         try {
             process_layer(w);
@@ -922,18 +704,14 @@ private:
         }
     }
 
-    /// Fills the per-worker deques (or resets the shared cursor) with the
-    /// current frontier, dealt as contiguous chunks so the no-steal case
-    /// degenerates to a static partition.
+    /// Fills the per-worker deques with the current frontier, dealt as
+    /// contiguous chunks so the no-steal case degenerates to a static
+    /// partition.
     void prepare_frontier_schedule() {
-        chunk_ = std::clamp<std::size_t>(
+        const std::size_t chunk = std::clamp<std::size_t>(
             frontier_.size() / (workers_ * 8), 1, 256);
-        if (!stealing_) {
-            cursor_.store(0, std::memory_order_relaxed);
-            return;
-        }
         const std::size_t tasks =
-            (frontier_.size() + chunk_ - 1) / chunk_;
+            (frontier_.size() + chunk - 1) / chunk;
         const std::size_t per_worker = (tasks + workers_ - 1) / workers_;
         for (util::StealDeque& deque : deques_) {
             deque.reset_and_reserve(per_worker);
@@ -941,7 +719,7 @@ private:
         std::size_t begin = 0;
         for (std::size_t task = 0; begin < frontier_.size(); ++task) {
             const std::size_t end =
-                std::min(begin + chunk_, frontier_.size());
+                std::min(begin + chunk, frontier_.size());
             deques_[task / per_worker].push(
                 (static_cast<std::uint64_t>(begin) << 32) |
                 static_cast<std::uint32_t>(end));
@@ -950,9 +728,8 @@ private:
     }
 
     /// Bytes resident right now, sampled at layer boundaries for
-    /// memory_stats(): records + table + id index, the live enabled-row
-    /// arenas, and the frontier bookkeeping (retained layers included,
-    /// for the re-sweep mode that keeps them).
+    /// memory_stats(): records + table, the live enabled-row arenas, and
+    /// the frontier bookkeeping.
     std::size_t resident_now() const {
         std::size_t bytes = store_.resident_bytes();
         for (const WorkerCtx& ctx : ctx_) {
@@ -964,9 +741,6 @@ private:
         }
         bytes += frontier_.capacity() * sizeof(std::uint32_t) +
                  frontier_rows_.capacity() * sizeof(std::uint64_t*);
-        for (const auto& layer : layers_) {
-            bytes += layer.capacity() * sizeof(std::uint32_t);
-        }
         return bytes;
     }
 
@@ -981,9 +755,9 @@ private:
         ckpt.engine = StoreCheckpoint::Engine::kParallel;
         ckpt.structure_digest = compiled_.structure_digest();
         ckpt.marking_words = static_cast<std::uint32_t>(mwords_);
-        ckpt.meta_words = static_cast<std::uint32_t>(wmeta_words_);
+        ckpt.meta_words = kMetaWords;
         const std::size_t n = store_.size();
-        const std::size_t stride = mwords_ + wmeta_words_;
+        const std::size_t stride = mwords_ + kMetaWords;
         ckpt.record_count = n;
         ckpt.records.reserve(n * stride);
         for (std::uint32_t id = 0; id < n; ++id) {
@@ -1026,8 +800,7 @@ private:
                 "resume: checkpoint structural digest does not match this "
                 "net — the interned ids describe a different structure");
         }
-        if (ckpt.marking_words != mwords_ ||
-            ckpt.meta_words != wmeta_words_) {
+        if (ckpt.marking_words != mwords_ || ckpt.meta_words != kMetaWords) {
             throw std::runtime_error(
                 "resume: checkpoint record geometry does not match");
         }
@@ -1040,6 +813,7 @@ private:
             throw std::runtime_error(
                 "resume: checkpoint goal count does not match the query");
         }
+        ckpt.check_ids(compiled_.transition_count());
         const Marking m0 = net_.initial_marking();
         copy_words(ctx_[0].child.data(), m0.word_data(), m0.word_count());
         if (std::memcmp(ckpt.record(0), ctx_[0].child.data(),
@@ -1051,8 +825,8 @@ private:
         store_.reserve(static_cast<std::size_t>(ckpt.record_count));
         for (std::uint64_t id = 0; id < ckpt.record_count; ++id) {
             const std::uint64_t* rec = ckpt.record(id);
-            const auto interned = store_.intern(rec, 0, cap_, rec + mwords_,
-                                                wmeta_words_);
+            const auto interned =
+                store_.intern(rec, cap_, rec + mwords_, kMetaWords);
             if (!interned.inserted || interned.id != id) {
                 throw std::runtime_error(
                     "resume: checkpoint records are not unique dense-id "
@@ -1082,22 +856,12 @@ private:
         }
         // Frontier enabled rows are derived data: recompute them (and the
         // tight layout's ample halves) exactly where discovery would have
-        // put them — worker 0's read-parity arena, or the record interior.
+        // put them — worker 0's read-parity arena.
         std::size_t out_edges = 0;
         frontier_rows_.reserve(frontier_.size());
+        util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
         for (const std::uint32_t id : frontier_) {
-            if (id >= ckpt.record_count) {
-                throw std::runtime_error(
-                    "resume: checkpoint frontier references an id beyond "
-                    "its own records");
-            }
-            std::uint64_t* row;
-            if (diet_) {
-                util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
-                row = arena[arena.push_zero()];
-            } else {
-                row = store_.record_mut(id) + erec_off_;
-            }
+            std::uint64_t* row = arena[arena.push_zero()];
             compiled_.enabled_set(store_[id], row);
             if (tight_) {
                 std::uint64_t* ample_row = row + twords_;
@@ -1117,40 +881,20 @@ private:
         return true;
     }
 
-    /// Serial reuse-mode provisioning: the next layer can insert at most
-    /// min(out-edge count, remaining claim budget) new records into the
-    /// shared store — capping physical growth at the budget is what makes
-    /// physical-exhaustion truncation land on exactly max_states claims.
-    void provision_layer(std::size_t out_edges) {
-        const std::size_t claimed =
-            pass_claims_.load(std::memory_order_relaxed);
-        const std::size_t budget_left = cap_ - std::min(cap_, claimed);
-        provision_cap_ = store_.size() + std::min(out_edges, budget_left);
-        store_.reserve(provision_cap_);
-        reuse_->ensure_capacity(provision_cap_);
-    }
-
     /// Serial between-layers step, run by the barrier's completion while
     /// every worker is parked: stitches the next frontier, provisions the
     /// store, settles this layer's goal hits, and decides whether the
     /// pass is done.
     void layer_done() noexcept {
-        if (cas_tree_) {
-            // Witness links live in the records; the expanded layer's id
-            // list is dead weight at 19M-state scale.
-            frontier_.clear();
-        } else {
-            layers_.push_back(std::move(frontier_));
-            frontier_ = std::vector<std::uint32_t>();
-        }
+        // Witness links live in the records; the expanded layer's id list
+        // is dead weight at 19M-state scale.
+        frontier_.clear();
         frontier_rows_.clear();
         // Recycle the arena that backed the just-expanded frontier: its
         // rows are never read again, the next layer's discoveries
         // overwrite them in place.
         write_parity_ = 1 - write_parity_;
-        for (WorkerCtx& ctx : ctx_) {
-            if (diet_) ctx.earena[write_parity_].clear();
-        }
+        for (WorkerCtx& ctx : ctx_) ctx.earena[write_parity_].clear();
         std::size_t out_edges = 0;
         std::size_t violations = 0;
         for (WorkerCtx& ctx : ctx_) {
@@ -1224,109 +968,23 @@ private:
             }
         }
 
-        if (reuse_ != nullptr) {
-            provision_layer(out_edges);
-        } else {
-            store_.reserve(std::min(store_.size() + out_edges, cap_));
-        }
+        store_.reserve(std::min(store_.size() + out_edges, cap_));
         prepare_frontier_schedule();
     }
 
-    /// Builds the canonical BFS tree in one serial sweep over the stored
-    /// edge set: each state's parent is the lexicographically-smallest
-    /// (predecessor marking, transition) pair among its previous-layer
-    /// predecessors — the kResweep witness mode (the canonical-CAS mode
-    /// maintains the identical tree in the records during exploration
-    /// and never runs this). O(edges) once, O(depth) per trace.
-    void build_canonical_tree() {
-        if (tree_built_) return;
-        tree_built_ = true;
-        const std::size_t states = store_.size();
-        depth_of_.assign(states, 0);
-        for (std::size_t d = 0; d < layers_.size(); ++d) {
-            for (const std::uint32_t id : layers_[d]) {
-                depth_of_[id] = static_cast<std::uint32_t>(d);
-            }
-        }
-        constexpr std::uint64_t kUnset = UINT64_MAX;
-        parent_of_.assign(states, kUnset);
-        std::vector<std::uint64_t> child(std::max<std::size_t>(mwords_, 1));
-        std::vector<std::uint64_t> enabled_scratch(twords_);
-        for (std::size_t d = 0; d + 1 < layers_.size(); ++d) {
-            for (const std::uint32_t pid : layers_[d]) {
-                const std::uint64_t* pm = marking_of(pid);
-                const std::uint64_t* enabled;
-                if (diet_) {
-                    // The frontier cache dropped this layer's bitsets;
-                    // recompute from the marking.
-                    compiled_.enabled_set(pm, enabled_scratch.data());
-                    enabled = enabled_scratch.data();
-                } else {
-                    enabled = store_[pid] + erec_off_;
-                }
-                for (std::size_t w = 0; w < twords_; ++w) {
-                    std::uint64_t bits = enabled[w];
-                    while (bits != 0) {
-                        const TransitionId t{static_cast<std::uint32_t>(
-                            w * kWordBits + static_cast<std::size_t>(
-                                                std::countr_zero(bits)))};
-                        bits &= bits - 1;
-                        copy_words(child.data(), pm, mwords_);
-                        compiled_.fire(child.data(), t);
-                        const std::uint32_t cid = store_.find(child.data());
-                        // Only tree edges qualify: the successor exists
-                        // (it may not, in a truncated pass) and sits one
-                        // layer deeper (cross and back edges are not
-                        // shortest paths).
-                        if (cid == ConcurrentMarkingStore::kNone ||
-                            depth_of_[cid] != d + 1) {
-                            continue;
-                        }
-                        const std::uint64_t cur = parent_of_[cid];
-                        if (cur != kUnset) {
-                            const auto cur_parent =
-                                static_cast<std::uint32_t>(cur);
-                            if (cur_parent == pid) {
-                                if (TransitionId{static_cast<std::uint32_t>(
-                                        cur >> 32)} <= t) {
-                                    continue;
-                                }
-                            } else if (!words_less(pm,
-                                                   marking_of(cur_parent),
-                                                   mwords_)) {
-                                continue;
-                            }
-                        }
-                        parent_of_[cid] =
-                            (std::uint64_t{t.value} << 32) | pid;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Canonical BFS-shortest trace for a stored state: in CAS mode a
-    /// plain walk over the records' witness links (already canonical-min
-    /// when the workers joined), otherwise off the re-swept tree.
-    Trace reconstruct(std::uint32_t id) {
+    /// Canonical BFS-shortest trace for a stored state: a plain walk over
+    /// the records' witness links (already canonical-min when the workers
+    /// joined).
+    Trace reconstruct(std::uint32_t id) const {
         Trace trace;
         std::uint32_t cursor = id;
-        if (cas_tree_) {
-            for (;;) {
-                const std::uint64_t link = store_[cursor][mwords_];
-                const auto parent = static_cast<std::uint32_t>(link);
-                if (parent == ConcurrentMarkingStore::kNone) break;
-                trace.firings.push_back(TransitionId{
-                    static_cast<std::uint32_t>(link >> 32)});
-                cursor = parent;
-            }
-        } else {
-            build_canonical_tree();
-            while (parent_of_[cursor] != UINT64_MAX) {
-                trace.firings.push_back(TransitionId{
-                    static_cast<std::uint32_t>(parent_of_[cursor] >> 32)});
-                cursor = static_cast<std::uint32_t>(parent_of_[cursor]);
-            }
+        for (;;) {
+            const std::uint64_t link = store_[cursor][mwords_];
+            const auto parent = static_cast<std::uint32_t>(link);
+            if (parent == ConcurrentMarkingStore::kNone) break;
+            trace.firings.push_back(
+                TransitionId{static_cast<std::uint32_t>(link >> 32)});
+            cursor = parent;
         }
         std::reverse(trace.firings.begin(), trace.firings.end());
         return trace;
@@ -1345,30 +1003,18 @@ private:
     const std::size_t mwords_;
     const std::size_t twords_;
     const std::size_t workers_;
-    const bool cas_tree_;   ///< canonical-CAS witness mode (vs re-sweep)
     const std::function<bool()> stop_;  ///< cooperative stop hook
-    /// Shared cross-pass store (incremental re-verification), or null
-    /// for a scratch pass. Forces diet_ off: rows must live in the
-    /// records to survive the pass.
-    ReuseStore* const reuse_;
-    const bool diet_;       ///< frontier-only enabled-set cache
-    const bool stealing_;   ///< deque scheduling (vs atomic cursor)
     /// Stubborn-set reduction of this pass (options.por); absent when off
-    /// or fallen back to full exploration. Also forces the two per-record
-    /// meta words: the depth word is the freshness test of the ignoring
-    /// proviso, mirroring the sequential engine's id watermark.
+    /// or fallen back to full exploration. The depth meta word is the
+    /// freshness test of its ignoring proviso, mirroring the sequential
+    /// engine's id watermark.
     const std::optional<PorContext> por_;
     /// Ample-width diet accounting: reduction on, never widened (no
     /// proviso, no persistence) — rows are [full | ample] pairs and
     /// out-edge provisioning counts ample bits only.
     const bool tight_;
-    const std::size_t wmeta_words_;  ///< witness meta words per record
-    const std::size_t erec_off_;     ///< in-record enabled offset (!diet_)
 
-    /// The pass's private store (scratch mode); reuse passes bind store_
-    /// to the ReuseStore's shared one instead.
-    std::optional<ConcurrentMarkingStore> owned_store_;
-    ConcurrentMarkingStore& store_;
+    ConcurrentMarkingStore store_;
     /// Periodic resume-point persistence (empty = off). Saved in the
     /// barrier's serial step every `save_every_layers_` completed layers,
     /// while every worker is parked — the records are quiescent, so the
@@ -1377,31 +1023,17 @@ private:
     const std::size_t save_every_layers_;
     const StoreCheckpoint* const resume_;  ///< resume point, or null
     std::size_t layers_since_save_ = 0;
-    std::uint64_t epoch_ = 0;  ///< reuse pass epoch (claims' high half)
-    /// Records claimed (= states reached) this pass — reuse mode's
-    /// states_explored and its truncation budget.
-    std::atomic<std::uint32_t> pass_claims_{0};
-    /// Physical intern cap for the current layer (reuse mode): resident
-    /// records + the layer's insert bound, set serially.
-    std::size_t provision_cap_ = 0;
     std::vector<std::uint32_t> frontier_;
     /// Enabled-set row per frontier index, stitched at the barrier.
     std::vector<const std::uint64_t*> frontier_rows_;
-    /// Expanded layers' id lists — retained by the re-sweep mode only.
-    std::vector<std::vector<std::uint32_t>> layers_;
     std::size_t depth_ = 0;  ///< BFS depth of the frontier being expanded
     int write_parity_ = 1;   ///< worker arena receiving discoveries
-    std::atomic<std::size_t> cursor_{0};
-    std::size_t chunk_ = 1;
     std::size_t peak_bytes_ = 0;
 
     std::vector<std::uint8_t> resolved_;
     std::vector<std::uint32_t> witness_id_;
     std::size_t unresolved_ = 0;
 
-    bool tree_built_ = false;
-    std::vector<std::uint32_t> depth_of_;   ///< id -> BFS depth
-    std::vector<std::uint64_t> parent_of_;  ///< id -> via << 32 | parent
     bool can_early_stop_ = false;
     bool maintain_tree_ = false;  ///< CAS links worth updating this pass
 
@@ -1423,46 +1055,19 @@ MultiResult ParallelPass::run() {
     // Root state, interned and evaluated serially (depth 0).
     const Marking m0 = net_.initial_marking();
     copy_words(ctx_[0].child.data(), m0.word_data(), m0.word_count());
-    std::uint32_t root_id;
-    std::uint64_t* root_enabled;
-    if (reuse_ != nullptr) {
-        epoch_ = reuse_->begin_pass();
-        provision_cap_ = store_.size() + 1;
-        store_.reserve(provision_cap_);
-        reuse_->ensure_capacity(provision_cap_);
-        const auto root = store_.intern(ctx_[0].child.data(), 0,
-                                        provision_cap_, nullptr, 0);
-        root_id = root.id;
-        pass_claims_.store(1, std::memory_order_relaxed);
-        reuse_->claim(root_id).store(epoch_ << 32,
-                                     std::memory_order_relaxed);
-        std::uint64_t* record = store_.record_mut(root_id);
-        record[mwords_] = std::uint64_t{ConcurrentMarkingStore::kNone};
-        root_enabled = record + erec_off_;
-        if (!reuse_->row_valid(root_id)) {
-            compiled_.enabled_set(record, root_enabled);
-            reuse_->set_row_valid(root_id);
-        }
-    } else {
-        store_.reserve(std::min<std::size_t>(1, cap_));
-        const std::uint64_t root_meta[2] = {
-            std::uint64_t{ConcurrentMarkingStore::kNone}, 0};
-        const auto root = store_.intern(ctx_[0].child.data(), 0, cap_,
-                                        root_meta, wmeta_words_);
-        root_id = root.id;
-        if (diet_) {
-            util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
-            root_enabled = arena[arena.push_zero()];
-        } else {
-            root_enabled = store_.record_mut(root_id) + erec_off_;
-        }
-        compiled_.enabled_set(store_[root_id], root_enabled);
-        if (tight_) {
-            std::uint64_t* ample_row = root_enabled + twords_;
-            if (!por_->reduce(store_[root_id], root_enabled, ample_row,
-                              ctx_[0].por_scratch)) {
-                copy_words(ample_row, root_enabled, twords_);
-            }
+    store_.reserve(std::min<std::size_t>(1, cap_));
+    const std::uint64_t root_meta[kMetaWords] = {
+        std::uint64_t{ConcurrentMarkingStore::kNone}, 0};
+    const std::uint32_t root_id =
+        store_.intern(ctx_[0].child.data(), cap_, root_meta, kMetaWords).id;
+    util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
+    std::uint64_t* root_enabled = arena[arena.push_zero()];
+    compiled_.enabled_set(store_[root_id], root_enabled);
+    if (tight_) {
+        std::uint64_t* ample_row = root_enabled + twords_;
+        if (!por_->reduce(store_[root_id], root_enabled, ample_row,
+                          ctx_[0].por_scratch)) {
+            copy_words(ample_row, root_enabled, twords_);
         }
     }
     visit(root_id, root_enabled, ctx_[0]);
@@ -1484,11 +1089,7 @@ MultiResult ParallelPass::run() {
         if ((can_early_stop_ && unresolved_ == 0) || root_out == 0) {
             return assemble();  // nothing to explore / nothing left to ask
         }
-        if (reuse_ != nullptr) {
-            provision_layer(root_out);
-        } else {
-            store_.reserve(std::min(1 + root_out, cap_));
-        }
+        store_.reserve(std::min(1 + root_out, cap_));
         prepare_frontier_schedule();
     }
 
@@ -1520,23 +1121,8 @@ MultiResult ParallelPass::run_layers() {
 }
 
 MultiResult ParallelPass::assemble() {
-    // Adopt the never-expanded last frontier as the final layer: an
-    // early-stopped (or truncated) pass has stored states there, and the
-    // re-sweep's tree needs their depths too (the CAS tree lives in the
-    // records and needs no layer lists).
-    if (!cas_tree_ && !frontier_.empty()) {
-        layers_.push_back(std::move(frontier_));
-        frontier_.clear();
-    }
-
     MultiResult result;
-    // Reuse passes count the states *this pass* reached (its claims),
-    // not the shared store's resident records — identical to what the
-    // scratch pass reports, including exact max_states on truncation.
-    result.states_explored =
-        reuse_ != nullptr
-            ? pass_claims_.load(std::memory_order_acquire)
-            : store_.size();
+    result.states_explored = store_.size();
     result.truncated = truncated_.load(std::memory_order_acquire);
     result.por.active = por_.has_value();
     for (const WorkerCtx& ctx : ctx_) {
@@ -1656,38 +1242,9 @@ MultiResult ParallelReachabilityExplorer::run_query(
         ReachabilityExplorer sequential(*compiled_, options_);
         return sequential.run_query(query);
     }
-    if (!options_.checkpoint_path.empty() || options_.resume != nullptr) {
-        // Checkpoints snapshot the records' witness meta; the re-sweep
-        // mode keeps its tree in layer lists that are never serialized,
-        // and a shared ReuseStore's records outlive any single pass's
-        // resume point. Refuse loudly — a resume point that silently
-        // degraded would be worse than none.
-        if (options_.witness_tree !=
-            ReachabilityOptions::WitnessTree::kCanonicalCas) {
-            throw std::runtime_error(
-                "checkpoint: the parallel engine checkpoints only the "
-                "canonical-CAS witness layout");
-        }
-        if (options_.reuse != nullptr) {
-            throw std::runtime_error(
-                "checkpoint: incompatible with a cross-pass ReuseStore");
-        }
-    }
-    // Cross-pass reuse needs the canonical-CAS record layout (witness
-    // meta + resident rows); other modes — and a store whose dimensions
-    // don't match this net — fall back to a scratch pass.
-    ReuseStore* reuse = nullptr;
-    if (options_.reuse &&
-        options_.witness_tree ==
-            ReachabilityOptions::WitnessTree::kCanonicalCas &&
-        options_.reuse->attach(*compiled_, threads_)) {
-        reuse = options_.reuse.get();
-    }
-    ParallelPass pass(net_, *compiled_, options_, query, threads_, reuse);
+    ParallelPass pass(net_, *compiled_, options_, query, threads_);
     try {
-        MultiResult result = pass.run();
-        result.reuse_fallback = options_.reuse != nullptr && reuse == nullptr;
-        return result;
+        return pass.run();
     } catch (const ExplorationAborted&) {
         throw;
     } catch (const std::exception& e) {

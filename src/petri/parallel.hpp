@@ -12,45 +12,36 @@
 #include "petri/net.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
-#include "util/arena.hpp"
 
 namespace rap::petri {
 
 /// Concurrent interned store of markings: the parallel engine's
 /// replacement for the single-threaded MarkingStore. Records (marking
-/// payload + caller-owned meta words) live in per-worker WordArena chunks
-/// — no cross-thread allocation contention, pointers stable for the whole
-/// pass — behind one shared open-addressing table whose packed
-/// (hash fragment | id) slots are claimed by CAS. Ids stay dense
-/// (discovery order of the whole pass) via a shared counter, so BFS
-/// bookkeeping still runs on plain arrays.
+/// payload + caller-owned meta words) live at arena positions derived
+/// from their dense id (`record = blocks[id >> shift] + (id & mask) *
+/// record_words`), so the id IS the back-reference and no id->record
+/// index is needed. One shared open-addressing table holds packed
+/// (hash fragment | id) slots claimed by CAS; ids stay dense (discovery
+/// order of the whole pass) via a shared counter, so BFS bookkeeping
+/// still runs on plain arrays.
 ///
 /// Concurrency contract: `intern` may run from any worker concurrently;
-/// everything else (`reserve`, `clear`, reads of records the caller has
-/// not itself published) must be separated from intern calls by an
-/// external happens-before edge — the engine's per-layer barrier.
-/// Capacity is fixed while workers run: `reserve` must have provisioned
-/// at least as many records as the layer can insert (the engine bounds a
-/// layer's inserts by the frontier's out-edge count).
-///
-/// The `compact` layout (ReachabilityOptions::compact_store) drops the
-/// id->record pointer index and the per-worker arenas entirely: records
-/// live at arena positions derived from their dense id (`record =
-/// cblocks[id >> shift] + (id & mask) * record_words`), so the id IS the
-/// back-reference and the 8-bytes-per-state pointer index disappears.
-/// Blocks are provisioned zeroed by `reserve` (serial, between layers) —
-/// a winning intern writes payload + pre-publication meta into its id's
-/// slot and publishes the table entry with release ordering, exactly the
-/// legacy happens-before shape. Probing stays linear (robin-hood
-/// displacement is not lock-free), but the table tolerates a 7/8 load
-/// ceiling vs the legacy 0.7 thanks to the denser probe footprint.
+/// everything else (`reserve`, reads of records the caller has not
+/// itself published) must be separated from intern calls by an external
+/// happens-before edge — the engine's per-layer barrier. Capacity is
+/// fixed while workers run: `reserve` must have provisioned at least as
+/// many records as the layer can insert (the engine bounds a layer's
+/// inserts by the frontier's out-edge count). Blocks are provisioned
+/// zeroed by `reserve`; a winning intern writes payload + pre-publication
+/// meta into its id's slot and publishes the table entry with release
+/// ordering. Probing is linear (robin-hood displacement is not
+/// lock-free), so the table grows at a 0.7 load ceiling.
 class ConcurrentMarkingStore {
 public:
     static constexpr std::uint32_t kNone = UINT32_MAX;
 
     ConcurrentMarkingStore(std::size_t marking_words,
-                           std::size_t meta_words, std::size_t workers,
-                           bool compact = false);
+                           std::size_t meta_words);
 
     /// Records interned so far, clamped to the construction-independent
     /// `capacity_limit` the callers passed (losers of the capacity race
@@ -58,23 +49,21 @@ public:
     std::size_t size() const noexcept;
 
     const std::uint64_t* operator[](std::uint32_t id) const noexcept {
-        return compact_ ? compact_record(id) : records_[id];
+        return record(id);
     }
     std::uint64_t* record_mut(std::uint32_t id) noexcept {
-        return compact_ ? compact_record(id) : records_[id];
+        return record(id);
     }
     std::size_t meta_offset() const noexcept { return words_; }
-    bool compact() const noexcept { return compact_; }
 
     struct InternResult {
         std::uint32_t id = kNone;  ///< kNone when the limit blocked insert
         bool inserted = false;
     };
 
-    /// Thread-safe lookup-or-insert. `worker` picks the arena the record
-    /// is appended to; `capacity_limit` is the max_states cap (ids are
-    /// only ever allocated below it, so when an insert fails on capacity
-    /// exactly `capacity_limit` records exist).
+    /// Thread-safe lookup-or-insert. `capacity_limit` is the max_states
+    /// cap (ids are only ever allocated below it, so when an insert fails
+    /// on capacity exactly `capacity_limit` records exist).
     ///
     /// The first `meta_init_words` words of the record's meta area are
     /// copied from `meta_init` BEFORE the id is published, so concurrent
@@ -82,33 +71,22 @@ public:
     /// (the canonical-min witness link depends on this). Any remaining
     /// meta words start zeroed and belong to the inserting caller until
     /// the next barrier publishes them.
-    InternResult intern(const std::uint64_t* words, std::size_t worker,
+    InternResult intern(const std::uint64_t* words,
                         std::size_t capacity_limit,
                         const std::uint64_t* meta_init = nullptr,
                         std::size_t meta_init_words = 0);
 
-    /// Serial: grows the per-worker arena set so `workers` workers can
-    /// intern. Existing arenas (and every record in them) are untouched —
-    /// the ReuseStore re-attach hook for a pass wider than the store's
-    /// construction.
-    void ensure_workers(std::size_t workers);
-
-    /// Serial (between-layers): ensures the table and the id->record
-    /// index can absorb `needed` records without any mid-layer growth.
+    /// Serial (between-layers): ensures the record blocks and the table
+    /// can absorb `needed` records without any mid-layer growth.
     /// Rehashing recomputes record hashes instead of caching one word
     /// per id — O(records) per doubling, in exchange for 8 fewer resident
     /// bytes per record for the whole pass.
     void reserve(std::size_t needed);
 
-    /// Serial lookup without insertion; kNone when absent. Used by the
-    /// post-pass canonical-tree sweep, after all interning is done.
-    std::uint32_t find(const std::uint64_t* words) const noexcept;
-
-    /// Record payload bytes resident in the per-worker arenas (legacy)
-    /// or the id-indexed block run (compact).
+    /// Record payload bytes resident in the id-indexed block run.
     std::size_t record_bytes() const noexcept;
 
-    /// Records + interning table + id->record index. Serial only.
+    /// Records + interning table + block index. Serial only.
     std::size_t resident_bytes() const noexcept;
 
     /// Interning-table geometry for rap_store_* metrics. Serial only.
@@ -117,9 +95,9 @@ public:
 private:
     std::uint64_t hash(const std::uint64_t* words) const noexcept;
 
-    std::uint64_t* compact_record(std::uint32_t id) const noexcept {
-        return cblocks_[id >> cshift_].get() +
-               static_cast<std::size_t>(id & cmask_) * record_words_;
+    std::uint64_t* record(std::uint32_t id) const noexcept {
+        return blocks_[id >> shift_].get() +
+               static_cast<std::size_t>(id & mask_) * record_words_;
     }
 
     // Slot states: empty, pending (claimed, record not yet published),
@@ -136,19 +114,16 @@ private:
 
     std::size_t words_;         ///< marking payload words (hashed, deduped)
     std::size_t record_words_;  ///< payload + meta words per record
-    bool compact_ = false;
     std::atomic<std::uint32_t> count_{0};
     std::size_t table_size_ = 0;  ///< power of two
     std::unique_ptr<std::atomic<std::uint64_t>[]> table_;
-    std::vector<std::uint64_t*> records_;  ///< id -> record, set by winner
-    std::vector<util::WordArena> arenas_;  ///< one per worker
-    // Compact layout: id-indexed zero-provisioned blocks, 2^cshift_
-    // records each. Only `reserve` (serial) grows this, so worker reads
-    // of cblocks_ race nothing.
-    std::size_t cshift_ = 0;
-    std::uint32_t cmask_ = 0;
-    std::size_t creserved_ = 0;  ///< records covered by compact blocks
-    std::vector<std::unique_ptr<std::uint64_t[]>> cblocks_;
+    // Id-indexed zero-provisioned blocks, 2^shift_ records each. Only
+    // `reserve` (serial) grows this, so worker reads of blocks_ race
+    // nothing.
+    std::size_t shift_ = 0;
+    std::uint32_t mask_ = 0;
+    std::size_t reserved_ = 0;  ///< records covered by blocks_
+    std::vector<std::unique_ptr<std::uint64_t[]>> blocks_;
 };
 
 /// Parallel-frontier breadth-first reachability over 1-safe nets: the
@@ -181,15 +156,6 @@ private:
 ///    cooperative stop hook is honoured both at layer granularity and
 ///    every 256 per-worker edges (so wide or heavily reduced layers
 ///    cannot postpone a timeout).
-///
-/// With ReachabilityOptions::reuse set (and witness_tree ==
-/// kCanonicalCas; other modes fall back to scratch), the pass runs
-/// against the shared ReuseStore instead of a private store: markings,
-/// witness links and enabled rows resident from earlier passes are
-/// claimed per-epoch rather than re-interned, and every result above is
-/// bit-identical to the scratch pass at the same thread count
-/// (states_explored counts this pass's reached set, not the store's
-/// resident records).
 ///
 /// options.threads == 1 delegates to a ReachabilityExplorer — bit-for-bit
 /// today's sequential code path; 0 means one worker per hardware thread.

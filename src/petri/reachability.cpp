@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "petri/checkpoint.hpp"
-#include "petri/reuse.hpp"
 #include "util/arena.hpp"
 #include "util/strings.hpp"
 
@@ -48,16 +47,14 @@ ReachabilityExplorer::ReachabilityExplorer(const Net& net,
       options_(options),
       owned_(std::in_place, net),
       compiled_(&*owned_),
-      store_(compiled_->marking_words(), /*meta_words=*/1,
-             options_.compact_store) {}
+      store_(compiled_->marking_words(), /*meta_words=*/1) {}
 
 ReachabilityExplorer::ReachabilityExplorer(const CompiledNet& compiled,
                                            ReachabilityOptions options)
     : net_(compiled.net()),
       options_(options),
       compiled_(&compiled),
-      store_(compiled.marking_words(), /*meta_words=*/1,
-             options_.compact_store) {}
+      store_(compiled.marking_words(), /*meta_words=*/1) {}
 
 ReachabilityResult ReachabilityExplorer::find(const Predicate& goal) {
     MultiQuery query;
@@ -99,38 +96,8 @@ std::size_t ReachabilityExplorer::count_states() {
 }
 
 MultiResult ReachabilityExplorer::run_query(const MultiQuery& query) {
-    if (options_.reuse != nullptr &&
-        (!options_.checkpoint_path.empty() ||
-         options_.resume != nullptr)) {
-        // A shared ReuseStore's records outlive any single pass's resume
-        // point; a checkpoint of it would resurrect other passes' states.
-        throw std::runtime_error(
-            "checkpoint: incompatible with a cross-pass ReuseStore");
-    }
-    if (options_.reuse && options_.reuse->attach(*compiled_, 1)) {
-        try {
-            return run_query_reused(query, *options_.reuse);
-        } catch (const ExplorationAborted&) {
-            throw;
-        } catch (const std::exception& e) {
-            MemoryStats stats;
-            const ConcurrentMarkingStore& s = options_.reuse->store();
-            stats.records = s.size();
-            stats.record_bytes = s.record_bytes();
-            stats.resident_bytes = s.resident_bytes();
-            stats.peak_bytes = stats.resident_bytes;
-            throw ExplorationAborted(e.what(), stats);
-        }
-    }
     try {
-        MultiResult result = run_query_scratch(query);
-        // Scratch although reuse was requested: a dimension-mismatched
-        // store after a topology change. Surfaced (not silent) so
-        // flow-level counters can see incremental sweeps going cold.
-        result.reuse_fallback = options_.reuse != nullptr;
-        return result;
-    } catch (const ExplorationAborted&) {
-        throw;
+        return run_pass(query);
     } catch (const std::exception& e) {
         // The pass died mid-exploration (a goal predicate threw, a
         // checkpoint write failed). The interned footprint is real and
@@ -145,8 +112,7 @@ MultiResult ReachabilityExplorer::run_query(const MultiQuery& query) {
     }
 }
 
-MultiResult ReachabilityExplorer::run_query_scratch(
-    const MultiQuery& query) {
+MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     MultiResult result;
     result.goals.resize(query.goals.size());
 
@@ -278,6 +244,7 @@ MultiResult ReachabilityExplorer::run_query_scratch(
             throw std::runtime_error(
                 "resume: checkpoint goal count does not match the query");
         }
+        ckpt.check_ids(compiled_->transition_count());
         copy_words(child.data(), m0.word_data(), m0.word_count());
         if (std::memcmp(ckpt.record(0), child.data(),
                         mwords * sizeof(std::uint64_t)) != 0) {
@@ -286,8 +253,7 @@ MultiResult ReachabilityExplorer::run_query_scratch(
                 "initial marking (reconfigured since the checkpoint?)");
         }
         // Re-intern in id order: dense discovery-order ids make the store
-        // rebuild layout-independent — a checkpoint written under either
-        // table layout resumes under either.
+        // rebuild independent of the table's probe order.
         for (std::uint64_t id = 0; id < ckpt.record_count; ++id) {
             const std::uint64_t* rec = ckpt.record(id);
             const auto interned = store_.intern(rec, cap);
@@ -380,7 +346,7 @@ MultiResult ReachabilityExplorer::run_query_scratch(
             ckpt.por = result.por;
             ckpt.save(options_.checkpoint_path);
         }
-        if (options_.frontier_enabled_cache && head % rpb == 0) {
+        if (head % rpb == 0) {
             // Frontier-only enabled-set cache: every state below `head`
             // is fully expanded and its bitset will never be read again,
             // so whole blocks behind the frontier go back to the
@@ -403,6 +369,37 @@ MultiResult ReachabilityExplorer::run_query_scratch(
         const bool persistence_prepass = por && query.check_persistence;
         bool fresh_seen = false;
 
+        // Persistence along the edge head --t--> child (child already
+        // fired): every other transition enabled at head whose enabling t
+        // withdraws is a violation unless the query exempts the pair.
+        auto check_persistence = [&](TransitionId t) {
+            for (std::uint32_t u : compiled_->affected(t)) {
+                if (u == t.value) continue;
+                if (((enabled[u / kWordBits] >> (u % kWordBits)) & 1) == 0) {
+                    continue;  // u was not enabled before t fired
+                }
+                const TransitionId ut{u};
+                if (compiled_->is_enabled(child.data(), ut)) continue;
+                if (query.persistence_exempt &&
+                    query.persistence_exempt(net_, t, ut)) {
+                    continue;
+                }
+                violation_ids.push_back({head, 0, t.value, u});
+                if (query.persistence_stop_at_first) {
+                    stop = true;
+                    return;
+                }
+                if (violation_ids.size() >=
+                    query.persistence_max_violations) {
+                    return;
+                }
+            }
+        };
+        auto collecting_violations = [&] {
+            return query.check_persistence &&
+                   violation_ids.size() < query.persistence_max_violations;
+        };
+
         auto expand_edge = [&](TransitionId t, bool check_edges) {
             // Edge-counter stop poll: the head poll below fires every
             // 2048 *states*, which a heavily reduced (or truncated-at-
@@ -418,30 +415,9 @@ MultiResult ReachabilityExplorer::run_query_scratch(
             copy_words(child.data(), marking, mwords);
             compiled_->fire(child.data(), t);
 
-            if (check_edges && query.check_persistence &&
-                violation_ids.size() < query.persistence_max_violations) {
-                for (std::uint32_t u : compiled_->affected(t)) {
-                    if (u == t.value) continue;
-                    if (((enabled[u / kWordBits] >> (u % kWordBits)) &
-                         1) == 0) {
-                        continue;  // u was not enabled before t fired
-                    }
-                    const TransitionId ut{u};
-                    if (compiled_->is_enabled(child.data(), ut)) continue;
-                    if (query.persistence_exempt &&
-                        query.persistence_exempt(net_, t, ut)) {
-                        continue;
-                    }
-                    violation_ids.push_back({head, 0, t.value, u});
-                    if (query.persistence_stop_at_first) {
-                        stop = true;
-                        return;
-                    }
-                    if (violation_ids.size() >=
-                        query.persistence_max_violations) {
-                        break;
-                    }
-                }
+            if (check_edges && collecting_violations()) {
+                check_persistence(t);
+                if (stop) return;
             }
 
             const auto interned = store_.intern(child.data(), cap);
@@ -470,9 +446,10 @@ MultiResult ReachabilityExplorer::run_query_scratch(
             visit(interned.id);
         };
 
-        auto expand_bits = [&](const std::uint64_t* bits_src,
-                               const std::uint64_t* minus,
-                               bool check_edges) {
+        // Calls edge(t) for every transition of bits_src & ~minus in
+        // ascending id order, until the pass stops.
+        auto for_each_bit = [&](const std::uint64_t* bits_src,
+                                const std::uint64_t* minus, auto&& edge) {
             for (std::size_t w = 0; w < twords && !stop; ++w) {
                 std::uint64_t bits = bits_src[w];
                 if (minus != nullptr) bits &= ~minus[w];
@@ -481,52 +458,25 @@ MultiResult ReachabilityExplorer::run_query_scratch(
                         w * kWordBits +
                         static_cast<std::size_t>(std::countr_zero(bits)))};
                     bits &= bits - 1;
-                    expand_edge(t, check_edges);
+                    edge(t);
                 }
             }
         };
+        auto expand_bits = [&](const std::uint64_t* bits_src,
+                               const std::uint64_t* minus,
+                               bool check_edges) {
+            for_each_bit(bits_src, minus, [&](TransitionId t) {
+                expand_edge(t, check_edges);
+            });
+        };
 
-        if (persistence_prepass &&
-            violation_ids.size() < query.persistence_max_violations) {
-            for (std::size_t w = 0; w < twords && !stop; ++w) {
-                std::uint64_t bits = enabled[w];
-                while (bits != 0 && !stop) {
-                    const TransitionId t{static_cast<std::uint32_t>(
-                        w * kWordBits +
-                        static_cast<std::size_t>(std::countr_zero(bits)))};
-                    bits &= bits - 1;
-                    copy_words(child.data(), marking, mwords);
-                    compiled_->fire(child.data(), t);
-                    for (std::uint32_t u : compiled_->affected(t)) {
-                        if (u == t.value) continue;
-                        if (((enabled[u / kWordBits] >> (u % kWordBits)) &
-                             1) == 0) {
-                            continue;
-                        }
-                        const TransitionId ut{u};
-                        if (compiled_->is_enabled(child.data(), ut)) {
-                            continue;
-                        }
-                        if (query.persistence_exempt &&
-                            query.persistence_exempt(net_, t, ut)) {
-                            continue;
-                        }
-                        violation_ids.push_back({head, 0, t.value, u});
-                        if (query.persistence_stop_at_first) {
-                            stop = true;
-                            break;
-                        }
-                        if (violation_ids.size() >=
-                            query.persistence_max_violations) {
-                            break;
-                        }
-                    }
-                    if (violation_ids.size() >=
-                        query.persistence_max_violations) {
-                        break;
-                    }
-                }
-            }
+        if (persistence_prepass && collecting_violations()) {
+            for_each_bit(enabled, nullptr, [&](TransitionId t) {
+                if (!collecting_violations()) return;
+                copy_words(child.data(), marking, mwords);
+                compiled_->fire(child.data(), t);
+                check_persistence(t);
+            });
             if (stop) break;
         }
 
@@ -595,355 +545,6 @@ MultiResult ReachabilityExplorer::run_query_scratch(
         if (goal_hit[g] != kNoParent) {
             r.witness = materialize(goal_hit[g]);
             r.witness_trace = rebuild_trace(goal_hit[g]);
-        }
-    }
-    return result;
-}
-
-MultiResult ReachabilityExplorer::run_query_reused(const MultiQuery& query,
-                                                   ReuseStore& reuse) {
-    MultiResult result;
-    result.goals.resize(query.goals.size());
-
-    const std::size_t mwords = compiled_->marking_words();
-    const std::size_t twords = compiled_->enabled_words();
-    const std::size_t cap = std::max<std::size_t>(options_.max_states, 1);
-    ConcurrentMarkingStore& store = reuse.store();
-    const std::uint64_t epoch = reuse.begin_pass();
-    const std::size_t row_off = mwords + 2;
-
-    // Discovery order of this pass: order[i] is the id claimed i-th.
-    // Scratch ids ARE discovery order, so running every per-state loop
-    // over `order` positions reproduces the scratch pass bit-for-bit —
-    // deadlock lists, goal first-hits, trace shapes — whatever ids the
-    // resident store already assigned the markings.
-    std::vector<std::uint32_t> order;
-    order.reserve(std::min<std::size_t>(cap, 4096));
-
-    std::vector<std::uint32_t> goal_hit(query.goals.size(), kNoParent);
-    std::size_t unmatched = query.goals.size();
-    const bool can_early_stop = options_.stop_at_first_match &&
-                                !query.collect_deadlocks &&
-                                !query.check_persistence &&
-                                !query.goals.empty();
-
-    Marking scratch(net_.place_count());
-    const std::size_t scratch_words = scratch.word_count();
-    std::vector<std::uint64_t> child(std::max<std::size_t>(mwords, 1), 0);
-
-    std::optional<PorContext> por;
-    PorContext::Scratch por_scratch;
-    std::vector<std::uint64_t> ample;
-    if (options_.por) {
-        PorRequest request;
-        request.goals = query.goals;
-        request.check_persistence = query.check_persistence;
-        request.persistence_exempt = query.persistence_exempt;
-        por.emplace(*compiled_, request);
-        if (por->active()) {
-            ample.resize(twords);
-        } else {
-            por.reset();
-        }
-    }
-    result.por.active = por.has_value();
-
-    bool stop = false;
-
-    auto materialize_id = [&](std::uint32_t id) {
-        Marking m(net_.place_count());
-        copy_words(m.word_data(), store[id], m.word_count());
-        return m;
-    };
-    auto trace_of = [&](std::uint32_t id) {
-        // Same walk as rebuild_trace, over the shared records' link
-        // word: every ancestor was claimed this pass, so every link on
-        // the path was (re)written this pass.
-        Trace trace;
-        std::uint32_t cursor = id;
-        for (;;) {
-            const std::uint64_t visit = store[cursor][mwords];
-            const auto parent = static_cast<std::uint32_t>(visit);
-            if (parent == kNoParent) break;
-            trace.firings.push_back(
-                TransitionId{static_cast<std::uint32_t>(visit >> 32)});
-            cursor = parent;
-        }
-        std::reverse(trace.firings.begin(), trace.firings.end());
-        return trace;
-    };
-
-    auto visit = [&](std::uint32_t id, const std::uint64_t* enabled) {
-        bool dead = true;
-        for (std::size_t w = 0; w < twords; ++w) {
-            if (enabled[w] != 0) {
-                dead = false;
-                break;
-            }
-        }
-        if (dead && query.collect_deadlocks) {
-            result.deadlocks.push_back(materialize_id(id));
-        }
-        if (unmatched != 0) {
-            bool scratch_ready = false;
-            for (std::size_t g = 0; g < query.goals.size(); ++g) {
-                if (goal_hit[g] != kNoParent) continue;
-                const Predicate& goal = *query.goals[g];
-                bool match = false;
-                if (goal.kind() == Predicate::Kind::Deadlock) {
-                    match = dead;
-                } else {
-                    if (!scratch_ready) {
-                        copy_words(scratch.word_data(), store[id],
-                                   scratch_words);
-                        scratch_ready = true;
-                    }
-                    match = goal(net_, scratch);
-                }
-                if (match) {
-                    goal_hit[g] = id;
-                    --unmatched;
-                }
-            }
-        }
-        if (can_early_stop && unmatched == 0) stop = true;
-    };
-
-    // Claims a record this pass (claim word = epoch | discovery index),
-    // refreshing its witness link and — when the geometry changed since
-    // the row was cached — its enabled row. Single-threaded pass: plain
-    // relaxed stores, no CAS.
-    auto claim = [&](std::uint32_t id, std::uint64_t link,
-                     const std::uint64_t* parent_row, TransitionId via) {
-        reuse.ensure_capacity(id + 1);
-        reuse.claim(id).store(
-            (epoch << 32) | static_cast<std::uint32_t>(order.size()),
-            std::memory_order_relaxed);
-        std::uint64_t* record = store.record_mut(id);
-        record[mwords] = link;
-        std::uint64_t* row = record + row_off;
-        if (!reuse.row_valid(id)) {
-            if (parent_row != nullptr) {
-                copy_words(row, parent_row, twords);
-                compiled_->update_enabled(child.data(), via, row);
-            } else {
-                compiled_->enabled_set(record, row);
-            }
-            reuse.set_row_valid(id);
-        }
-        order.push_back(id);
-        visit(id, row);
-    };
-
-    const Marking m0 = net_.initial_marking();
-    copy_words(child.data(), m0.word_data(), m0.word_count());
-    store.reserve(store.size() + 1);
-    const auto root = store.intern(child.data(), 0, store.size() + 1);
-    claim(root.id, pack_visit(kNoParent, 0), nullptr, TransitionId{0});
-
-    std::size_t peak_bytes = store.resident_bytes();
-
-    std::uint32_t next_layer_begin = 1;
-    for (std::uint32_t head = 0;
-         head < static_cast<std::uint32_t>(order.size()) && !stop; ++head) {
-        if (options_.stop && (head & 2047u) == 0 && options_.stop()) {
-            result.truncated = true;
-            break;
-        }
-        if (head == next_layer_begin) {
-            next_layer_begin = static_cast<std::uint32_t>(order.size());
-        }
-        const std::uint32_t head_id = order[head];
-        const std::uint64_t* marking = store[head_id];
-        const std::uint64_t* enabled = store[head_id] + row_off;
-
-        const bool persistence_prepass = por && query.check_persistence;
-        bool fresh_seen = false;
-
-        auto expand_edge = [&](TransitionId t, bool check_edges) {
-            if (options_.stop && (result.edges_explored & 255u) == 0 &&
-                options_.stop()) {
-                result.truncated = true;
-                stop = true;
-                return;
-            }
-            ++result.edges_explored;
-            copy_words(child.data(), marking, mwords);
-            compiled_->fire(child.data(), t);
-
-            if (check_edges && query.check_persistence &&
-                result.persistence_violations.size() <
-                    query.persistence_max_violations) {
-                for (std::uint32_t u : compiled_->affected(t)) {
-                    if (u == t.value) continue;
-                    if (((enabled[u / kWordBits] >> (u % kWordBits)) &
-                         1) == 0) {
-                        continue;
-                    }
-                    const TransitionId ut{u};
-                    if (compiled_->is_enabled(child.data(), ut)) continue;
-                    if (query.persistence_exempt &&
-                        query.persistence_exempt(net_, t, ut)) {
-                        continue;
-                    }
-                    result.persistence_violations.push_back(
-                        {materialize_id(head_id), t, ut,
-                         trace_of(head_id)});
-                    if (query.persistence_stop_at_first) {
-                        stop = true;
-                        return;
-                    }
-                    if (result.persistence_violations.size() >=
-                        query.persistence_max_violations) {
-                        break;
-                    }
-                }
-            }
-
-            store.reserve(store.size() + 1);
-            const auto interned =
-                store.intern(child.data(), 0, store.size() + 1);
-            reuse.ensure_capacity(interned.id + 1);
-            const std::uint64_t cl =
-                reuse.claim(interned.id).load(std::memory_order_relaxed);
-            if ((cl >> 32) == epoch) {
-                // Reached earlier this pass. Next-layer rediscoveries
-                // count as POR progress, exactly like the scratch
-                // engine's id watermark.
-                if (static_cast<std::uint32_t>(cl) >= next_layer_begin) {
-                    fresh_seen = true;
-                }
-                return;
-            }
-            if (order.size() >= cap) {
-                // The scratch pass would have failed this intern on
-                // max_states: same truncation point, states_explored ==
-                // max_states exactly. (The marking may have been
-                // physically interned above — harmless resident
-                // pollution a later pass can still claim.)
-                result.truncated = true;
-                stop = true;
-                return;
-            }
-            fresh_seen = true;
-            claim(interned.id, pack_visit(head_id, t.value), enabled, t);
-        };
-
-        auto expand_bits = [&](const std::uint64_t* bits_src,
-                               const std::uint64_t* minus,
-                               bool check_edges) {
-            for (std::size_t w = 0; w < twords && !stop; ++w) {
-                std::uint64_t bits = bits_src[w];
-                if (minus != nullptr) bits &= ~minus[w];
-                while (bits != 0 && !stop) {
-                    const TransitionId t{static_cast<std::uint32_t>(
-                        w * kWordBits +
-                        static_cast<std::size_t>(std::countr_zero(bits)))};
-                    bits &= bits - 1;
-                    expand_edge(t, check_edges);
-                }
-            }
-        };
-
-        if (persistence_prepass &&
-            result.persistence_violations.size() <
-                query.persistence_max_violations) {
-            for (std::size_t w = 0; w < twords && !stop; ++w) {
-                std::uint64_t bits = enabled[w];
-                while (bits != 0 && !stop) {
-                    const TransitionId t{static_cast<std::uint32_t>(
-                        w * kWordBits +
-                        static_cast<std::size_t>(std::countr_zero(bits)))};
-                    bits &= bits - 1;
-                    copy_words(child.data(), marking, mwords);
-                    compiled_->fire(child.data(), t);
-                    for (std::uint32_t u : compiled_->affected(t)) {
-                        if (u == t.value) continue;
-                        if (((enabled[u / kWordBits] >> (u % kWordBits)) &
-                             1) == 0) {
-                            continue;
-                        }
-                        const TransitionId ut{u};
-                        if (compiled_->is_enabled(child.data(), ut)) {
-                            continue;
-                        }
-                        if (query.persistence_exempt &&
-                            query.persistence_exempt(net_, t, ut)) {
-                            continue;
-                        }
-                        result.persistence_violations.push_back(
-                            {materialize_id(head_id), t, ut,
-                             trace_of(head_id)});
-                        if (query.persistence_stop_at_first) {
-                            stop = true;
-                            break;
-                        }
-                        if (result.persistence_violations.size() >=
-                            query.persistence_max_violations) {
-                            break;
-                        }
-                    }
-                    if (result.persistence_violations.size() >=
-                        query.persistence_max_violations) {
-                        break;
-                    }
-                }
-            }
-            if (stop) break;
-        }
-
-        bool reduced = false;
-        std::size_t enabled_count = 0;
-        std::size_t ample_count = 0;
-        if (por) {
-            for (std::size_t w = 0; w < twords; ++w) {
-                enabled_count +=
-                    static_cast<std::size_t>(std::popcount(enabled[w]));
-            }
-            reduced = por->reduce(marking, enabled, ample.data(),
-                                  por_scratch);
-            ++result.por.expansions;
-            result.por.enabled_transitions += enabled_count;
-            if (reduced) {
-                ++result.por.reduced_expansions;
-                for (std::size_t w = 0; w < twords; ++w) {
-                    ample_count += static_cast<std::size_t>(
-                        std::popcount(ample[w]));
-                }
-            }
-            result.por.expanded_transitions +=
-                reduced ? ample_count : enabled_count;
-        }
-
-        expand_bits(reduced ? ample.data() : enabled, nullptr,
-                    /*check_edges=*/!persistence_prepass);
-
-        if (reduced && por->proviso_needed() && !fresh_seen && !stop) {
-            ++result.por.proviso_expansions;
-            result.por.expanded_transitions += enabled_count - ample_count;
-            expand_bits(enabled, ample.data(), /*check_edges=*/false);
-        }
-    }
-
-    result.states_explored = order.size();
-    // Memory reports the *shared* store's residency: records accumulated
-    // across every pass that reused it, not just this pass's claims.
-    result.memory.records = store.size();
-    result.memory.record_bytes = store.record_bytes();
-    result.memory.resident_bytes = store.resident_bytes();
-    result.memory.peak_bytes =
-        std::max(peak_bytes, result.memory.resident_bytes);
-    result.memory.store = store.stats();
-    for (std::size_t g = 0; g < query.goals.size(); ++g) {
-        ReachabilityResult& r = result.goals[g];
-        r.states_explored = result.states_explored;
-        r.edges_explored = result.edges_explored;
-        r.truncated = result.truncated;
-        r.memory = result.memory;
-        r.por = result.por;
-        if (goal_hit[g] != kNoParent) {
-            r.witness = materialize_id(goal_hit[g]);
-            r.witness_trace = trace_of(goal_hit[g]);
         }
     }
     return result;

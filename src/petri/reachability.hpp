@@ -17,7 +17,6 @@
 
 namespace rap::petri {
 
-class ReuseStore;       // petri/reuse.hpp — cross-pass store retention
 class StoreCheckpoint;  // petri/checkpoint.hpp — serialized resume point
 
 /// A firing sequence from the initial marking, used as counterexample
@@ -39,13 +38,6 @@ struct ReachabilityOptions {
     /// hardware thread, 1 = the sequential engine's exact code path.
     /// ReachabilityExplorer itself is single-threaded and ignores this.
     std::size_t threads = 0;
-    /// Frontier-only enabled-set cache (the memory diet that reaches the
-    /// 19M-state OPE models): a state's enabled bitset is kept only while
-    /// its BFS layer can still be expanded and is dropped once the layer
-    /// is done, removing enabled_words() words from every resident record.
-    /// Results are bit-identical either way — the bitsets of fully
-    /// expanded layers are never read again.
-    bool frontier_enabled_cache = true;
     /// Partial-order (stubborn-set) reduction: expand a property-aware
     /// stubborn subset of each state's enabled set instead of all of it
     /// (see petri::PorContext). Verdicts are preserved — deadlock sets
@@ -62,28 +54,6 @@ struct ReachabilityOptions {
     /// support places fall back to full exploration (PorStats::active
     /// reports false).
     bool por = false;
-    /// How ParallelReachabilityExplorer builds the canonical witness tree
-    /// (ReachabilityExplorer is single-threaded and ignores this).
-    enum class WitnessTree {
-        /// Maintain a per-record canonical-min (depth, parent, via) meta
-        /// word with a CAS on same-layer duplicate edges during
-        /// exploration: traces are free at reconstruction time. The
-        /// default — measured ~15-20% slower on clean passes that carry
-        /// a goal (the maintenance only runs when a trace could be
-        /// requested), while violated passes skip the re-sweep's extra
-        /// serial O(edges) walk entirely (see bench_parallel).
-        kCanonicalCas,
-        /// PR-4 behaviour: one serial re-fire-and-probe sweep over the
-        /// stored states when the first trace is requested. Clean passes
-        /// pay nothing; every violated pass pays roughly one extra
-        /// sequential exploration.
-        kResweep,
-    };
-    WitnessTree witness_tree = WitnessTree::kCanonicalCas;
-    /// Intra-layer scheduling of ParallelReachabilityExplorer workers:
-    /// per-worker Chase-Lev deques with stealing (default), or the PR-4
-    /// shared atomic-cursor chunking (kept as the bench baseline).
-    bool work_stealing = true;
     /// Cooperative stop hook: polled by the sequential engine every 2048
     /// interned states AND every 256 expanded edges (states alone let a
     /// heavily POR-reduced or wide-state pass run far past a deadline),
@@ -96,35 +66,14 @@ struct ReachabilityOptions {
     /// sweep's deadline hook does, is fine). Must not throw. Null (the
     /// default) never stops.
     std::function<bool()> stop;
-    /// Cross-pass store retention (incremental re-verification): when
-    /// set, the exploration attaches to this shared ReuseStore and
-    /// claims resident markings per-pass instead of re-interning them —
-    /// see petri/reuse.hpp for the contract. Results are bit-identical
-    /// to a scratch pass at the same thread count. Falls back to scratch
-    /// when the store's record dimensions don't match the net, or
-    /// (parallel engine) when witness_tree != kCanonicalCas — counted in
-    /// ReuseStore::fallbacks() and MultiResult::reuse_fallback so a
-    /// topology change degrading every "incremental" pass to cold is
-    /// visible. Passes sharing one ReuseStore must be externally
-    /// sequenced.
-    std::shared_ptr<ReuseStore> reuse;
-    /// Compact interning layout (the 100M-state capacity tier): an
-    /// id-less robin-hood table whose slots carry arena back-references,
-    /// dropping the legacy per-id hash/pointer index and a quarter of the
-    /// slot head-room (~30% of the non-record overhead; see
-    /// MarkingStore/StoreStats). Exploration results are bit-identical to
-    /// the default layout at every thread count. Ignored by reused passes
-    /// — the attached ReuseStore owns its own (legacy) table.
-    bool compact_store = false;
     /// When non-empty, the exploration periodically serializes a
     /// petri::StoreCheckpoint here (atomically: tmp file + rename) so a
     /// killed pass can resume instead of rerunning from t=0. The
     /// sequential engine checkpoints every `checkpoint_every` expanded
     /// states, the parallel engine every `checkpoint_every` completed BFS
-    /// layers (in the barrier's serial step; it requires the default
-    /// kCanonicalCas witness tree and no attached ReuseStore). A failed
-    /// write aborts the pass with ExplorationAborted rather than run a
-    /// soak whose "checkpoints" silently don't exist.
+    /// layers (in the barrier's serial step). A failed write aborts the
+    /// pass with ExplorationAborted rather than run a soak whose
+    /// "checkpoints" silently don't exist.
     std::string checkpoint_path;
     /// Checkpoint cadence (states for the sequential engine, layers for
     /// the parallel one); 0 picks a default (65536 states / 1 layer).
@@ -132,7 +81,9 @@ struct ReachabilityOptions {
     /// Resume point: continue a previously checkpointed exploration
     /// instead of starting from the initial marking. The checkpoint must
     /// come from the same engine kind, net structure (structural digest)
-    /// and record geometry — anything else throws std::runtime_error.
+    /// and record geometry, and every id and witness link it carries must
+    /// be in range (StoreCheckpoint::check_ids) — anything else throws
+    /// std::runtime_error.
     /// The continued pass reproduces the uninterrupted run's
     /// (states, edges, verdicts, witnesses) exactly.
     std::shared_ptr<const StoreCheckpoint> resume;
@@ -144,12 +95,12 @@ struct ReachabilityOptions {
 struct MemoryStats {
     std::size_t records = 0;        ///< interned markings
     std::size_t record_bytes = 0;   ///< arena-resident record payloads
-    /// Records + interning table + id index + live enabled-set cache +
-    /// frontier bookkeeping, at the end of the pass.
+    /// Records + interning table + live enabled-set cache + frontier
+    /// bookkeeping, at the end of the pass.
     std::size_t resident_bytes = 0;
     std::size_t peak_bytes = 0;  ///< max resident over the pass
-    /// Interning-table geometry (layout, slots, load factor, table vs
-    /// arena byte split) — the rap_store_* metrics source.
+    /// Interning-table geometry (slots, load factor, table vs arena byte
+    /// split) — the rap_store_* metrics source.
     StoreStats store;
 };
 
@@ -234,14 +185,6 @@ struct MultiResult {
 
     std::vector<Marking> deadlocks;
     std::vector<PersistenceViolation> persistence_violations;
-
-    /// True when ReachabilityOptions::reuse was set but this pass ran
-    /// scratch anyway (record-dimension mismatch after a topology change,
-    /// or — parallel engine — a non-kCanonicalCas witness tree). The
-    /// verdicts are still exact; the incremental speed-up silently is
-    /// not, which is why verify::Verifier and flow::Sweep count these
-    /// into rap_reuse_fallbacks_total.
-    bool reuse_fallback = false;
 };
 
 /// Explicit-state breadth-first reachability over 1-safe nets, running on
@@ -293,16 +236,10 @@ public:
 private:
     static constexpr std::uint32_t kNoParent = UINT32_MAX;
 
-    /// run_query on an attached ReuseStore: claims resident records in
-    /// discovery order instead of interning into the private store_, so
-    /// every answer (including discovery-ordered deadlock lists and
-    /// first-hit witnesses) is bit-identical to the scratch pass.
-    MultiResult run_query_reused(const MultiQuery& query, ReuseStore& reuse);
-
-    /// The scratch-path pass body (private store_), factored out so
-    /// run_query can convert a mid-pass failure into ExplorationAborted
-    /// with the footprint at the moment of death attached.
-    MultiResult run_query_scratch(const MultiQuery& query);
+    /// The pass body, factored out so run_query can convert a mid-pass
+    /// failure into ExplorationAborted with the footprint at the moment
+    /// of death attached.
+    MultiResult run_pass(const MultiQuery& query);
 
     Trace rebuild_trace(std::uint32_t index) const;
     Marking materialize(std::uint32_t id) const;

@@ -65,8 +65,7 @@ std::string model_fingerprint(const dfs::Graph& graph);
 /// per-node initial-marking fields. Two graphs with equal structural
 /// fingerprints translate to nets that differ at most in their initial
 /// markings — exactly the condition under which CompiledModel's delta
-/// constructor (and petri::ReuseStore row retention) apply. The
-/// ArtifactCache keys its parent index by this.
+/// constructor applies. The ArtifactCache keys its parent index by this.
 std::string model_structure_fingerprint(const dfs::Graph& graph);
 
 /// Returns the compiled artifact for `graph`, reusing a cached one when

@@ -51,11 +51,8 @@ petri::MultiResult Verifier::run_exploration(const petri::MultiQuery& query,
     ropts.max_states = options_.max_states;
     ropts.stop_at_first_match = stop_at_first_match;
     ropts.threads = options_.threads;
-    ropts.frontier_enabled_cache = options_.frontier_enabled_cache;
     ropts.por = options_.por;
     ropts.stop = options_.stop;
-    ropts.reuse = options_.reuse;
-    ropts.compact_store = options_.compact_store;
     ropts.checkpoint_path = options_.checkpoint_path;
     ropts.checkpoint_every = options_.checkpoint_every;
     ropts.resume = options_.resume;
@@ -68,7 +65,6 @@ petri::MultiResult Verifier::run_exploration(const petri::MultiQuery& query,
         auto result = explorer.run_query(query);
         last_memory_ = result.memory;
         last_por_ = result.por;
-        if (result.reuse_fallback) ++reuse_fallbacks_;
         return result;
     } catch (const petri::ExplorationAborted& e) {
         // The pass died mid-exploration but its interned footprint is

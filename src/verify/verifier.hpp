@@ -67,13 +67,6 @@ struct VerifyOptions {
     /// may stop mid-layer there, so states_explored and witness details
     /// can differ between threads == 1 and parallel configurations.
     std::size_t threads = 0;
-    /// Frontier-only enabled-set cache (petri::ReachabilityOptions::
-    /// frontier_enabled_cache): drops the enabled bitsets of fully
-    /// expanded BFS layers, shrinking resident bytes per state by
-    /// roughly the enabled-word share of the record — the knob that lets
-    /// one pass hold the ~19M-state 4-stage OPE models. Verdicts and
-    /// witnesses are bit-identical either way.
-    bool frontier_enabled_cache = true;
     /// Partial-order (stubborn-set) reduction forwarded to the
     /// exploration engines (petri::ReachabilityOptions::por). Verdicts
     /// are preserved for every property the verifier checks — the
@@ -90,26 +83,10 @@ struct VerifyOptions {
     /// drives cancellation and per-configuration timeouts through this.
     /// Must not throw. Null (the default) never stops.
     std::function<bool()> stop;
-    /// Cross-pass marking-store retention forwarded to the exploration
-    /// engines (petri::ReachabilityOptions::reuse) — the incremental
-    /// re-verification hook. Passes sharing one store re-claim resident
-    /// markings (and their cached enabled rows) instead of re-interning
-    /// them, which pays off when consecutive verifications differ only
-    /// in the net's initial marking (flow::Design reconfigurations).
-    /// Verdicts, witnesses and counters are bit-identical to scratch at
-    /// the same thread count; dimension or witness-mode mismatches fall
-    /// back to scratch silently. The same store must not be used by two
-    /// explorations concurrently.
-    std::shared_ptr<petri::ReuseStore> reuse;
-    /// Compact interning layout (petri::ReachabilityOptions::
-    /// compact_store): drops the id->record index and a quarter of the
-    /// table head-room for ~30% less non-record overhead per state.
-    /// Verdicts, witnesses and counters are bit-identical either way.
-    bool compact_store = false;
     /// Periodic checkpointing (petri::ReachabilityOptions::
     /// checkpoint_path): when non-empty, every exploration this verifier
     /// runs serializes resume points there. See the engine option for
-    /// cadence and the kCanonicalCas / no-reuse restrictions.
+    /// the cadence.
     std::string checkpoint_path;
     /// Cadence forwarded to petri::ReachabilityOptions::checkpoint_every
     /// (0 = engine default).
@@ -118,21 +95,6 @@ struct VerifyOptions {
     /// next exploration continues the checkpointed pass instead of
     /// starting at the initial marking.
     std::shared_ptr<const petri::StoreCheckpoint> resume;
-};
-
-/// A user-supplied Reach-style predicate for the standard checks'
-/// exploration.
-///
-/// Retired surface: verify::Spec is the only documented way to attach
-/// custom properties — it *owns* its predicates (no raw-pointer
-/// lifetime contract) and composes fluently. The struct remains only so
-/// stale call sites fail loudly with a deprecation warning instead of
-/// silently: no Verifier entry point accepts it anymore.
-struct [[deprecated(
-    "use verify::Spec::custom(description, predicate) — Spec owns its "
-    "predicates and runs in the same single exploration")]] CustomCheck {
-    const petri::Predicate* predicate = nullptr;
-    std::string description;
 };
 
 /// Aggregate report of a full verification pass. Findings are always in
@@ -235,14 +197,6 @@ public:
     /// (flow::Design::por_stats() wraps this in a std::optional instead).
     const petri::PorStats& por_stats() const noexcept { return last_por_; }
 
-    /// Explorations that requested cross-pass reuse but ran scratch (a
-    /// record-dimension or witness-mode mismatch). A nonzero count means
-    /// the "incremental" speed-up silently stopped being incremental —
-    /// flow::Design aggregates this into rap_reuse_fallbacks_total.
-    std::size_t reuse_fallbacks() const noexcept {
-        return reuse_fallbacks_;
-    }
-
     const dfs::Translation& translation() const noexcept {
         return model_->translation();
     }
@@ -274,7 +228,6 @@ private:
     VerifyOptions options_;
     std::shared_ptr<const CompiledModel> model_;
     mutable std::size_t explorations_ = 0;
-    mutable std::size_t reuse_fallbacks_ = 0;
     mutable petri::MemoryStats last_memory_;
     mutable petri::PorStats last_por_;
 };

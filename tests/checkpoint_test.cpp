@@ -1,9 +1,11 @@
 // Checkpoint/resume contract tests: a killed exploration resumed from
 // its last on-disk StoreCheckpoint must reproduce the uninterrupted
 // pass's (states, edges, verdicts, witnesses) exactly — on both engine
-// kinds — while corrupted files, foreign structures, reconfigured
+// kinds — while corrupted files, crafted files whose checksum was
+// recomputed over hostile contents, foreign structures, reconfigured
 // initial markings and engine-kind mismatches are all refused loudly
-// instead of resuming as a silently wrong exploration.
+// (std::runtime_error) instead of resuming as a silently wrong
+// exploration.
 
 #include <gtest/gtest.h>
 
@@ -15,9 +17,9 @@
 #include <vector>
 
 #include "petri/checkpoint.hpp"
+#include "petri/compiled.hpp"
 #include "petri/parallel.hpp"
 #include "petri/reachability.hpp"
-#include "petri/reuse.hpp"
 #include "petri_fixtures.hpp"
 
 namespace rap::petri {
@@ -108,19 +110,11 @@ TEST(Checkpoint, SequentialKillAndResumeMatchesUninterrupted) {
     ASSERT_GT(ckpt->record_count, 0u);
     ASSERT_LT(ckpt->record_count, reference.states_explored);
 
-    // Resume under both table layouts: dense discovery-order ids make
-    // the checkpoint layout-independent, so a legacy-layout checkpoint
-    // must continue identically in a compact-store pass and vice versa.
-    for (const bool compact : {false, true}) {
-        ReachabilityOptions resume = base;
-        resume.resume = ckpt;
-        resume.compact_store = compact;
-        ReachabilityExplorer resumed(compiled, resume);
-        const auto result = resumed.run_query(bundle.query);
-        expect_identical(fixture.net, reference, result,
-                         std::string("sequential resume, ") +
-                             (compact ? "compact" : "legacy") + " layout");
-    }
+    ReachabilityOptions resume = base;
+    resume.resume = ckpt;
+    ReachabilityExplorer resumed(compiled, resume);
+    const auto result = resumed.run_query(bundle.query);
+    expect_identical(fixture.net, reference, result, "sequential resume");
 }
 
 TEST(Checkpoint, ParallelKillAndResumeMatchesUninterrupted) {
@@ -150,16 +144,11 @@ TEST(Checkpoint, ParallelKillAndResumeMatchesUninterrupted) {
     ASSERT_EQ(ckpt->engine, StoreCheckpoint::Engine::kParallel);
     ASSERT_GT(ckpt->record_count, 0u);
 
-    for (const bool compact : {false, true}) {
-        ReachabilityOptions resume = base;
-        resume.resume = ckpt;
-        resume.compact_store = compact;
-        ParallelReachabilityExplorer resumed(compiled, resume);
-        const auto result = resumed.run_query(bundle.query);
-        expect_identical(fixture.net, reference, result,
-                         std::string("parallel resume, ") +
-                             (compact ? "compact" : "legacy") + " layout");
-    }
+    ReachabilityOptions resume = base;
+    resume.resume = ckpt;
+    ParallelReachabilityExplorer resumed(compiled, resume);
+    const auto result = resumed.run_query(bundle.query);
+    expect_identical(fixture.net, reference, result, "parallel resume");
 }
 
 TEST(Checkpoint, ResumedPassKeepsCheckpointingToTheNextFile) {
@@ -319,24 +308,201 @@ TEST(Checkpoint, EngineKindMismatchRefused) {
                  std::runtime_error);
 }
 
-TEST(Checkpoint, ReuseStoreAndCheckpointingRefusedTogether) {
-    // A cross-pass ReuseStore retains rows the checkpoint cannot carry;
-    // both engines must refuse the combination up front rather than
-    // write checkpoints that cannot faithfully resume.
-    const Fixture fixture = ring_fixture(3);
-    const CompiledNet compiled(fixture.net);
-    const QueryBundle bundle(fixture.net);
+// -- crafted files ---------------------------------------------------------
+//
+// Each case below damages a real checkpoint and recomputes its trailing
+// checksum, so the damage reaches the section parser / resume checks
+// instead of being caught by the checksum first.
 
-    ReachabilityOptions options;
-    options.stop_at_first_match = false;
-    options.reuse = std::make_shared<ReuseStore>();
-    options.checkpoint_path = temp_path("ckpt_reuse.ckpt");
-    ReachabilityExplorer sequential(compiled, options);
-    EXPECT_THROW(sequential.run_query(bundle.query), std::runtime_error);
+std::vector<std::uint64_t> read_words(const std::string& path) {
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    const auto bytes = static_cast<std::size_t>(in.tellg());
+    std::vector<std::uint64_t> words(bytes / sizeof(std::uint64_t));
+    in.seekg(0);
+    in.read(reinterpret_cast<char*>(words.data()),
+            static_cast<std::streamsize>(bytes));
+    return words;
+}
 
-    options.threads = 4;
-    ParallelReachabilityExplorer parallel(compiled, options);
-    EXPECT_THROW(parallel.run_query(bundle.query), std::runtime_error);
+/// Writes `words` with a freshly recomputed checksum word at the end.
+void write_resealed(const std::string& path,
+                    std::vector<std::uint64_t> words) {
+    words.back() = hash_marking_words(words.data(), words.size() - 1);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(words.data()),
+              static_cast<std::streamsize>(words.size() *
+                                           sizeof(std::uint64_t)));
+}
+
+/// A killed pass's checkpoint of the gap model on either engine kind
+/// (threads == 1: sequential), plus what a resume needs. File names carry
+/// the running test's name: ctest runs the cases as parallel processes.
+struct CraftBase {
+    Fixture fixture = gap_fixture();
+    CompiledNet compiled{fixture.net};
+    QueryBundle bundle{fixture.net};
+    std::size_t threads;
+    StoreCheckpoint ckpt;
+
+    explicit CraftBase(std::size_t t) : threads(t) {
+        const std::string path = file("base");
+        std::remove(path.c_str());
+        if (threads == 1) {
+            killed_run(compiled, bundle.query, path, 1, 12, 256);
+        } else {
+            killed_run(compiled, bundle.query, path, threads, 20, 1);
+        }
+        ckpt = StoreCheckpoint::load(path);
+    }
+
+    /// Saves `crafted` (save() reseals the checksum), loads it back and
+    /// resumes from it on this engine kind.
+    MultiResult resume_from(const StoreCheckpoint& crafted) const {
+        const std::string path = file("crafted");
+        crafted.save(path);
+        ReachabilityOptions options;
+        options.stop_at_first_match = false;
+        options.threads = threads;
+        options.resume = std::make_shared<const StoreCheckpoint>(
+            StoreCheckpoint::load(path));
+        return ParallelReachabilityExplorer(compiled, options)
+            .run_query(bundle.query);
+    }
+
+    std::string file(const std::string& role) const {
+        return temp_path(
+            std::string("ckpt_") +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(threads) + "_" + role + ".ckpt");
+    }
+
+    /// Meta word 0 of record `id`: the (via << 32 | parent) witness link.
+    static std::uint64_t& link(StoreCheckpoint& c, std::uint64_t id) {
+        return c.records[id * c.record_stride() + c.marking_words];
+    }
+};
+
+TEST(Checkpoint, OverflowingSectionLengthsRejectedAsRuntimeError) {
+    // Section counts whose word total wraps uint64 must fail the length
+    // check, not reach an allocation (std::length_error / bad_alloc).
+    const CraftBase base(1);
+    const std::string path = temp_path("ckpt_craft_lengths.ckpt");
+    base.ckpt.save(path);
+    const std::vector<std::uint64_t> pristine = read_words(path);
+    ASSERT_NO_THROW(StoreCheckpoint::load(path));
+
+    // Header words: [4] marking|meta words, [5] record_count, [10..13]
+    // frontier/goal/deadlock/violation counts, [20] records offset.
+    // violations_n * 2 wraps back onto the real violation words: an
+    // unchecked sum would accept it and then die in resize().
+    std::vector<std::uint64_t> words = pristine;
+    words[13] += std::uint64_t{1} << 63;
+    write_resealed(path, words);
+    EXPECT_THROW(StoreCheckpoint::load(path), std::runtime_error);
+
+    // frontier_n + goals_n wraps onto the real sum: an unchecked sum
+    // would accept it and the frontier read would ask for ~2^63 ids.
+    words = pristine;
+    words[10] += std::uint64_t{1} << 63;
+    words[11] += std::uint64_t{1} << 63;
+    write_resealed(path, words);
+    EXPECT_THROW(StoreCheckpoint::load(path), std::runtime_error);
+
+    // record_count * stride wraps onto the real record run: declare a
+    // 2-word stride and 2^63 extra records (one record word moves into
+    // the deadlock section first when the run has odd length).
+    words = pristine;
+    std::uint64_t run = words.size() - 1 - words[20];
+    if (run % 2 != 0) {
+        ++words[12];
+        ++words[20];
+        --run;
+    }
+    words[4] = (std::uint64_t{1} << 32) | 1;
+    words[5] = run / 2 + (std::uint64_t{1} << 63);
+    write_resealed(path, words);
+    EXPECT_THROW(StoreCheckpoint::load(path), std::runtime_error);
+}
+
+TEST(Checkpoint, OutOfRangeIdsRefusedOnResume) {
+    // Goal hits, deadlock ids, violation ids and frontier ids must all
+    // name records the checkpoint actually carries.
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const CraftBase base(threads);
+        const auto beyond = static_cast<std::uint32_t>(base.ckpt.record_count);
+        const std::string engine = threads == 1 ? "seq" : "par";
+
+        StoreCheckpoint crafted = base.ckpt;
+        crafted.goal_hits[1] = beyond;
+        EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+            << engine << " goal hit";
+
+        crafted = base.ckpt;
+        crafted.deadlocks.push_back(beyond);
+        EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+            << engine << " deadlock";
+
+        crafted = base.ckpt;
+        crafted.violations.push_back({beyond, 0, 0, 0});
+        EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+            << engine << " violation";
+
+        if (threads > 1) {
+            crafted = base.ckpt;
+            ASSERT_FALSE(crafted.frontier.empty());
+            crafted.frontier.back() = beyond;
+            EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+                << engine << " frontier";
+        }
+        // The untouched checkpoint still resumes.
+        EXPECT_NO_THROW(base.resume_from(base.ckpt)) << engine;
+    }
+}
+
+TEST(Checkpoint, ParentLinkNotBeforeItsChildRefusedOnResume) {
+    // BFS discovery order puts every parent before its child; a record
+    // naming itself (or a later record) as its parent would make trace
+    // rebuilding loop forever, so resume refuses it up front.
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const CraftBase base(threads);
+        ASSERT_GT(base.ckpt.record_count, 2u);
+        const std::uint64_t id = base.ckpt.record_count - 1;
+        for (const std::uint64_t parent : {id, id + 1}) {
+            StoreCheckpoint crafted = base.ckpt;
+            std::uint64_t& link = CraftBase::link(crafted, id);
+            link = (link & 0xFFFFFFFF00000000ULL) | parent;
+            EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+                << threads << "t parent " << parent;
+        }
+        // The root must stay parentless.
+        StoreCheckpoint crafted = base.ckpt;
+        CraftBase::link(crafted, 0) = 0;
+        EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+            << threads << "t root";
+    }
+}
+
+TEST(Checkpoint, OutOfRangeTransitionRefusedOnResume) {
+    // Witness links and violations name transitions of the net; an id at
+    // or past transition_count() would index past the name table.
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const CraftBase base(threads);
+        const auto transitions =
+            static_cast<std::uint64_t>(base.compiled.transition_count());
+
+        StoreCheckpoint crafted = base.ckpt;
+        std::uint64_t& link =
+            CraftBase::link(crafted, crafted.record_count - 1);
+        link = (transitions << 32) | (link & 0xFFFFFFFFULL);
+        EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+            << threads << "t link";
+
+        crafted = base.ckpt;
+        crafted.violations.push_back(
+            {0, 0, static_cast<std::uint32_t>(transitions), 0});
+        EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+            << threads << "t violation";
+    }
 }
 
 }  // namespace

@@ -11,9 +11,11 @@
 #include <utility>
 #include <vector>
 
+#include "dfs/dot.hpp"
 #include "dfs_helpers.hpp"
 #include "flow/design.hpp"
 #include "ope/dfs_models.hpp"
+#include "pipeline/builder.hpp"
 
 namespace rap::flow {
 namespace {
@@ -269,6 +271,66 @@ TEST(Design, ConstructorRejectsInconsistentOptionsWithClearMessage) {
     bad_alpha.process.alpha = 0.0;
     EXPECT_THROW(Design(make_fig1b().graph, bad_alpha),
                  std::invalid_argument);
+}
+
+void expect_same_report(const verify::Report& a, const verify::Report& b,
+                        const std::string& context) {
+    ASSERT_EQ(a.findings.size(), b.findings.size()) << context;
+    for (std::size_t i = 0; i < a.findings.size(); ++i) {
+        const auto& fa = a.findings[i];
+        const auto& fb = b.findings[i];
+        EXPECT_EQ(fa.property, fb.property) << context << " finding " << i;
+        EXPECT_EQ(fa.violated, fb.violated) << context << " finding " << i;
+        EXPECT_EQ(fa.truncated, fb.truncated) << context << " finding " << i;
+        EXPECT_EQ(fa.states_explored, fb.states_explored)
+            << context << " finding " << i;
+        EXPECT_EQ(fa.trace, fb.trace) << context << " finding " << i;
+    }
+}
+
+TEST(Incremental, SetDepthValidatesTheWholeRequestBeforeApplying) {
+    // Builder level: a static stage past the requested depth rejects the
+    // request before ANY ring is touched — no partial application.
+    std::vector<pipeline::StageOptions> stages(3);
+    stages[1].reconfigurable = false;  // static mid-stage
+    stages[2].reconfigurable = true;
+    auto p = pipeline::build_pipeline("inc_depth", stages);
+    const std::string before = dfs::to_dot(p.graph);
+
+    EXPECT_THROW(pipeline::set_depth(p, 0), std::invalid_argument);
+    EXPECT_THROW(pipeline::set_depth(p, 4), std::invalid_argument);
+    EXPECT_THROW(pipeline::set_depth(p, 1), std::invalid_argument);
+    EXPECT_EQ(dfs::to_dot(p.graph), before) << "no partial application";
+    try {
+        pipeline::set_depth(p, 1);
+        FAIL() << "bypassing a static stage must throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("static"), std::string::npos)
+            << e.what();
+    }
+
+    // Design level: the failed call leaves revision(), the build
+    // counters and every cached artifact untouched.
+    DesignOptions options;
+    options.verify.threads = 1;
+    Design design(
+        pipeline::build_pipeline("inc_depth2", ope_style_stages(3, 3)),
+        options);
+    const auto baseline = design.verify();
+    const std::size_t revision = design.revision();
+    const std::size_t builds = design.pn_builds();
+
+    EXPECT_THROW(design.set_depth(99), std::invalid_argument);
+    EXPECT_THROW(design.set_depth(0), std::invalid_argument);
+    EXPECT_EQ(design.revision(), revision);
+    EXPECT_EQ(design.pn_builds(), builds);
+    expect_same_report(design.verify(), baseline,
+                       "artifacts survive the failed reconfiguration");
+    EXPECT_EQ(design.pn_builds(), builds) << "no rebuild after the throw";
+
+    // Graph-backed designs refuse with a distinct type and message.
+    Design graph_backed(dfs::Graph("inc_graph_backed"), options);
+    EXPECT_THROW(graph_backed.set_depth(2), std::logic_error);
 }
 
 }  // namespace

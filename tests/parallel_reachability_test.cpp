@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "dfs/model.hpp"
@@ -92,41 +93,38 @@ TEST(ParallelReachability, DifferentialAgainstSequentialOnEveryFixture) {
 }
 
 TEST(CompactStore, DifferentialZooAcrossThreadCounts) {
-    // The capacity-tier layout: id-less interning slots carrying arena
-    // back-references. Results must be bit-identical to the legacy
-    // layout on the whole zoo at 1 (sequential) and 2/4/8 threads — the
-    // layout changes where records live, never what gets explored.
-    for (const Fixture& fixture : all_fixtures()) {
+    // Both engines, on the one (compact) store layout, against the naive
+    // oracle: the interpreted Net semantics with nothing shared with
+    // either engine. The zoo and the 24 fuzz seeds at 1 (sequential) and
+    // 2/4/8 threads must reproduce its states, edges and deadlock set
+    // exactly; each naive answer is computed once per fixture.
+    std::vector<Fixture> fixtures = all_fixtures();
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        fixtures.push_back(fuzz_fixture(seed));
+    }
+    MultiQuery query;
+    query.collect_deadlocks = true;
+    for (const Fixture& fixture : fixtures) {
+        const NaiveAnswer naive = naive_explore(fixture.net);
         const CompiledNet compiled(fixture.net);
-        const QueryBundle bundle(fixture.net);
-
-        ReachabilityOptions seq_options;
-        seq_options.stop_at_first_match = false;
-        ReachabilityExplorer seq(compiled, seq_options);
-        const auto reference = seq.run_query(bundle.query);
-
-        ReachabilityOptions compact_seq = seq_options;
-        compact_seq.compact_store = true;
-        ReachabilityExplorer cseq(compiled, compact_seq);
-        const auto compact_reference = cseq.run_query(bundle.query);
-        expect_equivalent(fixture.net, reference, compact_reference,
-                          fixture.name + " compact @1t");
-        EXPECT_TRUE(compact_reference.memory.store.compact)
-            << fixture.name;
-        EXPECT_FALSE(reference.memory.store.compact) << fixture.name;
-
-        for (const std::size_t threads : kThreadCounts) {
+        for (const std::size_t threads :
+             {std::size_t{1}, std::size_t{2}, std::size_t{4},
+              std::size_t{8}}) {
+            const std::string context =
+                fixture.name + " @" + std::to_string(threads) + "t";
             ReachabilityOptions options;
             options.stop_at_first_match = false;
             options.threads = threads;
-            options.compact_store = true;
-            ParallelReachabilityExplorer par(compiled, options);
-            const auto result = par.run_query(bundle.query);
-            expect_equivalent(fixture.net, reference, result,
-                              fixture.name + " compact @" +
-                                  std::to_string(threads) + "t");
-            EXPECT_TRUE(result.memory.store.compact)
-                << fixture.name << " @" << threads << "t";
+            const MultiResult result =
+                threads == 1
+                    ? ReachabilityExplorer(compiled, options).run_query(query)
+                    : ParallelReachabilityExplorer(compiled, options)
+                          .run_query(query);
+            EXPECT_FALSE(result.truncated) << context;
+            EXPECT_EQ(result.states_explored, naive.states) << context;
+            EXPECT_EQ(result.edges_explored, naive.edges) << context;
+            EXPECT_EQ(sorted(result.deadlocks), naive.deadlocks) << context;
+            EXPECT_EQ(result.memory.records, naive.states) << context;
         }
     }
 }
@@ -164,10 +162,10 @@ TEST(ParallelReachability, RandomizedDifferentialFuzzer) {
     }
 }
 
-TEST(ParallelReachability, WorkStealingMatchesCursorOnNarrowLayers) {
+TEST(ParallelReachability, WorkStealingMatchesSequentialOnNarrowLayers) {
     // The steal-heavy workload: deep rings whose BFS layers stay narrow,
-    // where deque scheduling actually redistributes work. Both
-    // schedulers must produce the canonical results at every thread
+    // where deque scheduling actually redistributes work. The stealing
+    // scheduler must produce the canonical results at every thread
     // count.
     for (const Fixture& fixture :
          {deep_ring_fixture(16, 8), deep_ring_fixture(16, 4)}) {
@@ -180,18 +178,14 @@ TEST(ParallelReachability, WorkStealingMatchesCursorOnNarrowLayers) {
         const auto reference = seq.run_query(bundle.query);
 
         for (const std::size_t threads : kThreadCounts) {
-            for (const bool stealing : {true, false}) {
-                ReachabilityOptions options;
-                options.stop_at_first_match = false;
-                options.threads = threads;
-                options.work_stealing = stealing;
-                ParallelReachabilityExplorer par(compiled, options);
-                const auto result = par.run_query(bundle.query);
-                expect_equivalent(
-                    fixture.net, reference, result,
-                    fixture.name + (stealing ? " steal" : " cursor") +
-                        " @" + std::to_string(threads) + "t");
-            }
+            ReachabilityOptions options;
+            options.stop_at_first_match = false;
+            options.threads = threads;
+            ParallelReachabilityExplorer par(compiled, options);
+            const auto result = par.run_query(bundle.query);
+            expect_equivalent(fixture.net, reference, result,
+                              fixture.name + " @" +
+                                  std::to_string(threads) + "t");
         }
     }
 }
@@ -430,68 +424,69 @@ void expect_identical(const MultiResult& a, const MultiResult& b,
 }
 
 TEST(MemoryDiet, CacheDropsEnabledShareAndKeepsResultsBitIdentical) {
-    // The frontier-only enabled-set cache must (a) change no answer bit
-    // and (b) shrink record bytes by the enabled-word share of the
-    // record — the diet that fits the ~19M-state OPE models in memory.
+    // The frontier-only enabled-set cache: records carry the marking and
+    // the two witness meta words only — the enabled bitsets live in
+    // per-layer row arenas that are recycled as the frontier moves — and
+    // every thread count still reproduces the same canonical result bit
+    // for bit.
     const Fixture fixture = ope_fixture(3, 3);
     const CompiledNet compiled(fixture.net);
     const QueryBundle bundle(fixture.net);
 
-    MultiResult with_cache;
-    MultiResult without_cache;
-    for (const bool cache : {true, false}) {
+    std::optional<MultiResult> baseline;
+    for (const std::size_t threads : kThreadCounts) {
         ReachabilityOptions options;
         options.stop_at_first_match = false;
-        options.threads = 4;
-        options.frontier_enabled_cache = cache;
-        ParallelReachabilityExplorer par(compiled, options);
-        (cache ? with_cache : without_cache) = par.run_query(bundle.query);
+        options.threads = threads;
+        auto result =
+            ParallelReachabilityExplorer(compiled, options).run_query(
+                bundle.query);
+        if (!baseline) {
+            baseline = std::move(result);
+            continue;
+        }
+        expect_identical(*baseline, result,
+                         "ope_s3_d3 @" + std::to_string(threads) + "t");
     }
-    expect_identical(with_cache, without_cache, "ope_s3_d3 cache on/off");
 
-    // Record layout: marking + 2 witness meta words, plus the enabled
-    // words only when the cache is off. Arena block granularity makes
-    // the measured byte counts approximate; 5% covers it at 191k states.
+    // Record bytes are (marking + 2 meta words) per state. Block
+    // granularity makes the measured count approximate; 5% covers it at
+    // 191k states. Keeping the rows in the records instead would add
+    // enabled_words() words to every one of them.
     const std::size_t mwords = compiled.marking_words();
     const std::size_t twords = compiled.enabled_words();
-    const double expected_drop =
-        static_cast<double>(twords) /
-        static_cast<double>(mwords + 2 + twords);
-    EXPECT_EQ(with_cache.memory.records, with_cache.states_explored);
-    ASSERT_GT(without_cache.memory.record_bytes, 0u);
-    const double drop =
-        1.0 - static_cast<double>(with_cache.memory.record_bytes) /
-                  static_cast<double>(without_cache.memory.record_bytes);
-    EXPECT_NEAR(drop, expected_drop, 0.05)
-        << "record diet off-target: " << with_cache.memory.record_bytes
-        << " vs " << without_cache.memory.record_bytes << " bytes";
-    EXPECT_LT(with_cache.memory.resident_bytes,
-              without_cache.memory.resident_bytes);
-    EXPECT_GE(with_cache.memory.peak_bytes,
-              with_cache.memory.resident_bytes);
+    const MemoryStats& memory = baseline->memory;
+    const std::size_t states = baseline->states_explored;
+    EXPECT_EQ(memory.records, states);
+    const double expected_records =
+        static_cast<double>(states * (mwords + 2) * sizeof(std::uint64_t));
+    EXPECT_NEAR(static_cast<double>(memory.record_bytes) / expected_records,
+                1.0, 0.05)
+        << "records must not carry enabled words";
+    const std::size_t in_record_rows =
+        states * (mwords + 2 + twords) * sizeof(std::uint64_t) +
+        memory.store.table_bytes;
+    EXPECT_LT(memory.resident_bytes, in_record_rows);
+    EXPECT_GE(memory.peak_bytes, memory.resident_bytes);
 
     // The sequential engine's variant of the cache (block release behind
     // the implicit frontier) obeys the same result contract.
     ReachabilityOptions seq_options;
     seq_options.stop_at_first_match = false;
-    MultiResult seq_with;
-    MultiResult seq_without;
-    for (const bool cache : {true, false}) {
-        seq_options.frontier_enabled_cache = cache;
-        ReachabilityExplorer seq(compiled, seq_options);
-        (cache ? seq_with : seq_without) = seq.run_query(bundle.query);
-    }
-    expect_identical(seq_with, seq_without, "ope_s3_d3 sequential on/off");
-    EXPECT_LT(seq_with.memory.resident_bytes,
-              seq_without.memory.resident_bytes);
-    EXPECT_GT(seq_without.memory.peak_bytes, 0u);
+    const auto seq =
+        ReachabilityExplorer(compiled, seq_options).run_query(bundle.query);
+    expect_equivalent(fixture.net, seq, *baseline, "ope_s3_d3 sequential");
+    EXPECT_LT(seq.memory.resident_bytes,
+              states * (mwords + 1 + twords) * sizeof(std::uint64_t) +
+                  seq.memory.store.table_bytes);
+    EXPECT_GE(seq.memory.peak_bytes, seq.memory.resident_bytes);
 }
 
 TEST(MemoryDiet, EvictionPathStressUnderEveryScheduler) {
-    // Many-layer model, every scheduler/witness-tree combination: the
-    // arena recycling (parallel) and block release (sequential) paths
-    // the ASan job must walk. Witness traces are materialised to force
-    // reconstruction after eviction.
+    // Many-layer model at every worker count: the arena recycling
+    // (parallel) and block release (sequential) paths the ASan job must
+    // walk. Witness traces are materialised to force reconstruction
+    // after eviction.
     const Fixture fixture = gap_fixture();
     const CompiledNet compiled(fixture.net);
     const QueryBundle bundle(fixture.net);
@@ -501,34 +496,24 @@ TEST(MemoryDiet, EvictionPathStressUnderEveryScheduler) {
     ReachabilityExplorer seq(compiled, seq_options);
     const auto reference = seq.run_query(bundle.query);
 
-    for (const bool stealing : {true, false}) {
-        for (const bool cas :
-             {true, false}) {
-            ReachabilityOptions options;
-            options.stop_at_first_match = false;
-            options.threads = 4;
-            options.work_stealing = stealing;
-            options.witness_tree =
-                cas ? ReachabilityOptions::WitnessTree::kCanonicalCas
-                    : ReachabilityOptions::WitnessTree::kResweep;
-            ParallelReachabilityExplorer par(compiled, options);
-            const auto result = par.run_query(bundle.query);
-            expect_equivalent(fixture.net, reference, result,
-                              std::string("gap eviction ") +
-                                  (stealing ? "steal" : "cursor") +
-                                  (cas ? " cas" : " resweep"));
-        }
+    for (const std::size_t threads : kThreadCounts) {
+        ReachabilityOptions options;
+        options.stop_at_first_match = false;
+        options.threads = threads;
+        ParallelReachabilityExplorer par(compiled, options);
+        const auto result = par.run_query(bundle.query);
+        expect_equivalent(fixture.net, reference, result,
+                          "gap eviction @" + std::to_string(threads) + "t");
     }
 }
 
 TEST(MemoryDiet, ReducedPassAccountsRowsAtAmpleWidth) {
-    // ROADMAP follow-up (a): a reduced pass that never widens (no
-    // persistence check, no proviso — deadlock collection only) stores
-    // frontier rows as [full | ample] with the ample set computed at
-    // discovery, and accounts out-edge provisioning at ample width. The
-    // contract: answers and reduction statistics are bit-identical to
-    // the expansion-time reduction path (diet off), while records still
-    // shed their enabled words.
+    // A reduced pass that never widens (no persistence check, no proviso
+    // — deadlock collection only) stores frontier rows as [full | ample]
+    // with the ample set computed at discovery, and accounts out-edge
+    // provisioning at ample width. The contract: answers and reduction
+    // statistics equal the sequential engine's expansion-time reduction,
+    // while the row arenas show up in the resident accounting.
     const Fixture fixture = ope_fixture(3, 3);
     const CompiledNet compiled(fixture.net);
     MultiQuery query;
@@ -542,87 +527,159 @@ TEST(MemoryDiet, ReducedPassAccountsRowsAtAmpleWidth) {
     ASSERT_TRUE(reference.por.active);
     ASSERT_GT(reference.por.ignored(), 0u) << "fixture must actually reduce";
 
-    MultiResult with_cache;
-    MultiResult without_cache;
-    for (const bool cache : {true, false}) {
-        ReachabilityOptions options;
-        options.stop_at_first_match = false;
-        options.threads = 4;
-        options.por = true;
-        options.frontier_enabled_cache = cache;
-        ParallelReachabilityExplorer par(compiled, options);
-        (cache ? with_cache : without_cache) = par.run_query(query);
-    }
-    expect_identical(with_cache, without_cache, "reduced diet on/off");
-    EXPECT_EQ(with_cache.states_explored, reference.states_explored);
-    EXPECT_EQ(sorted(with_cache.deadlocks), sorted(reference.deadlocks));
+    ReachabilityOptions options = seq_options;
+    options.threads = 4;
+    const auto reduced =
+        ParallelReachabilityExplorer(compiled, options).run_query(query);
+    EXPECT_EQ(reduced.states_explored, reference.states_explored);
+    EXPECT_EQ(reduced.edges_explored, reference.edges_explored);
+    EXPECT_EQ(sorted(reduced.deadlocks), sorted(reference.deadlocks));
 
     // Discovery-time and expansion-time ample computation must agree on
     // every reduction statistic, not just the verdicts.
-    EXPECT_TRUE(with_cache.por.active);
-    EXPECT_EQ(with_cache.por.expansions, without_cache.por.expansions);
-    EXPECT_EQ(with_cache.por.reduced_expansions,
-              without_cache.por.reduced_expansions);
-    EXPECT_EQ(with_cache.por.proviso_expansions,
-              without_cache.por.proviso_expansions);
-    EXPECT_EQ(with_cache.por.enabled_transitions,
-              without_cache.por.enabled_transitions);
-    EXPECT_EQ(with_cache.por.expanded_transitions,
-              without_cache.por.expanded_transitions);
+    EXPECT_TRUE(reduced.por.active);
+    EXPECT_EQ(reduced.por.expansions, reference.por.expansions);
+    EXPECT_EQ(reduced.por.reduced_expansions,
+              reference.por.reduced_expansions);
+    EXPECT_EQ(reduced.por.proviso_expansions,
+              reference.por.proviso_expansions);
+    EXPECT_EQ(reduced.por.enabled_transitions,
+              reference.por.enabled_transitions);
+    EXPECT_EQ(reduced.por.expanded_transitions,
+              reference.por.expanded_transitions);
 
-    // Arena-block granularity dominates record_bytes at POR-reduced
-    // sizes (a few thousand states), so the enabled-word byte ratio is
-    // not measurable here — the full-pass diet test covers it. What
-    // must hold on the reduced pass: every record is accounted, and the
-    // per-worker [full | ample] row arenas show up in the resident
-    // accounting (diet off has no row arenas — its enabled words live
-    // inside the store records).
-    EXPECT_EQ(with_cache.memory.records, with_cache.states_explored);
-    ASSERT_GT(without_cache.memory.record_bytes, 0u);
-    ASSERT_GE(with_cache.memory.resident_bytes,
-              with_cache.memory.record_bytes);
-    const std::size_t with_overhead =
-        with_cache.memory.resident_bytes - with_cache.memory.record_bytes;
-    const std::size_t without_overhead =
-        without_cache.memory.resident_bytes -
-        without_cache.memory.record_bytes;
-    EXPECT_GT(with_overhead, without_overhead)
+    // Every record is accounted, and the per-worker [full | ample] row
+    // arenas are part of the resident bytes on top of records + table.
+    EXPECT_EQ(reduced.memory.records, reduced.states_explored);
+    EXPECT_GT(reduced.memory.resident_bytes,
+              reduced.memory.record_bytes +
+                  reduced.memory.store.table_bytes)
         << "ample-width row arenas must be part of the resident accounting";
-    EXPECT_GE(with_cache.memory.peak_bytes,
-              with_cache.memory.resident_bytes);
+    EXPECT_GE(reduced.memory.peak_bytes, reduced.memory.resident_bytes);
 }
 
-// --------------------------------------------------------- witness tree --
+// ----------------------------------------------------- canonical witness --
 
-TEST(WitnessTree, CasAndResweepProduceIdenticalCanonicalTraces) {
-    // The canonical-min CAS maintained during exploration and the serial
-    // re-sweep must build the SAME deterministic tree: identical witness
-    // markings and identical traces, with the cache on and off.
-    const Fixture fixture = gap_fixture();
-    const CompiledNet compiled(fixture.net);
-    const QueryBundle bundle(fixture.net);
+/// Naive canonical BFS tree over the interpreted Net semantics: for each
+/// reachable marking its depth and the smallest (parent marking words,
+/// transition) pair among its previous-layer predecessors — the tree the
+/// parallel engine's canonical-min witness links must reproduce.
+class NaiveCanonicalTree {
+public:
+    explicit NaiveCanonicalTree(const Net& net) {
+        std::vector<Marking> layer{net.initial_marking()};
+        nodes_.emplace(layer.front(), Node{});
+        for (std::size_t depth = 1; !layer.empty(); ++depth) {
+            std::vector<Marking> next;
+            for (const Marking& parent : layer) {
+                for (const TransitionId t : net.enabled_transitions(parent)) {
+                    Marking child = parent;
+                    net.fire(child, t);
+                    auto it = nodes_.find(child);
+                    if (it == nodes_.end()) {
+                        nodes_.emplace(child, Node{depth, parent, t});
+                        next.push_back(std::move(child));
+                    } else if (it->second.depth == depth &&
+                               edge_less(parent, t, *it->second.parent,
+                                         it->second.via)) {
+                        it->second.parent = parent;
+                        it->second.via = t;
+                    }
+                }
+            }
+            layer = std::move(next);
+        }
+    }
 
-    std::optional<MultiResult> baseline;
-    for (const bool cache : {true, false}) {
-        for (const bool cas : {true, false}) {
+    /// The canonical firing sequence from the initial marking to `m`.
+    std::vector<TransitionId> trace(const Marking& m) const {
+        std::vector<TransitionId> firings;
+        const Node* node = &nodes_.at(m);
+        while (node->parent) {
+            firings.push_back(node->via);
+            node = &nodes_.at(*node->parent);
+        }
+        std::reverse(firings.begin(), firings.end());
+        return firings;
+    }
+
+    /// Lexicographically smallest marking of the shallowest layer that
+    /// satisfies `goal` (the parallel engine's canonical witness).
+    std::optional<Marking> canonical_hit(const Net& net,
+                                         const Predicate& goal) const {
+        std::optional<Marking> best;
+        std::size_t best_depth = 0;
+        for (const auto& [m, node] : nodes_) {
+            if (!goal(net, m)) continue;
+            if (!best || node.depth < best_depth ||
+                (node.depth == best_depth && words_less(m, *best))) {
+                best = m;
+                best_depth = node.depth;
+            }
+        }
+        return best;
+    }
+
+private:
+    struct Node {
+        std::size_t depth = 0;
+        std::optional<Marking> parent;  ///< nullopt at the root
+        TransitionId via{0};
+    };
+
+    static bool words_less(const Marking& a, const Marking& b) {
+        return std::lexicographical_compare(
+            a.word_data(), a.word_data() + a.word_count(), b.word_data(),
+            b.word_data() + b.word_count());
+    }
+    static bool edge_less(const Marking& pa, TransitionId ta,
+                          const Marking& pb, TransitionId tb) {
+        if (pa == pb) return ta.value < tb.value;
+        return words_less(pa, pb);
+    }
+
+    std::unordered_map<Marking, Node, util::BitVecHash> nodes_;
+};
+
+TEST(CanonicalWitness, TracesMatchTheNaiveCanonicalBfsTree) {
+    // Goal witnesses and persistence-violation traces of the parallel
+    // engine against an independent naive canonical tree, at 2/4/8
+    // threads: the witness marking is the canonical hit and every trace
+    // walks the canonical-min parent links.
+    for (const Fixture& fixture :
+         {gap_fixture(), ring_fixture(4), fuzz_fixture(1), fuzz_fixture(2),
+          fuzz_fixture(3), fuzz_fixture(7), fuzz_fixture(8)}) {
+        const NaiveCanonicalTree tree(fixture.net);
+        const CompiledNet compiled(fixture.net);
+        const QueryBundle bundle(fixture.net);
+        const Predicate* goals[] = {&bundle.dead, &bundle.marked};
+        for (const std::size_t threads : kThreadCounts) {
+            const std::string context =
+                fixture.name + " @" + std::to_string(threads) + "t";
             ReachabilityOptions options;
             options.stop_at_first_match = false;
-            options.threads = 4;
-            options.frontier_enabled_cache = cache;
-            options.witness_tree =
-                cas ? ReachabilityOptions::WitnessTree::kCanonicalCas
-                    : ReachabilityOptions::WitnessTree::kResweep;
-            ParallelReachabilityExplorer par(compiled, options);
-            auto result = par.run_query(bundle.query);
-            if (!baseline) {
-                ASSERT_TRUE(result.goals[0].found());
-                baseline = std::move(result);
-                continue;
+            options.threads = threads;
+            const auto result =
+                ParallelReachabilityExplorer(compiled, options).run_query(
+                    bundle.query);
+            ASSERT_EQ(result.goals.size(), 2u) << context;
+            for (std::size_t g = 0; g < 2; ++g) {
+                const auto hit = tree.canonical_hit(fixture.net, *goals[g]);
+                ASSERT_EQ(result.goals[g].found(), hit.has_value())
+                    << context << " goal " << g;
+                if (!hit) continue;
+                EXPECT_EQ(*result.goals[g].witness, *hit)
+                    << context << " goal " << g;
+                EXPECT_EQ(result.goals[g].witness_trace->firings,
+                          tree.trace(*hit))
+                    << context << " goal " << g;
             }
-            expect_identical(*baseline, result,
-                             std::string("witness tree ") +
-                                 (cas ? "cas" : "resweep") +
-                                 (cache ? " cache" : " nocache"));
+            for (const PersistenceViolation& v :
+                 result.persistence_violations) {
+                EXPECT_EQ(v.trace_to_marking.firings, tree.trace(v.marking))
+                    << context << " violation at "
+                    << fixture.net.describe_marking(v.marking);
+            }
         }
     }
 }
@@ -630,21 +687,21 @@ TEST(WitnessTree, CasAndResweepProduceIdenticalCanonicalTraces) {
 // ------------------------------------------- concurrent interning table --
 
 TEST(ConcurrentMarkingStore, InternsDedupesAndEnforcesCapacity) {
-    ConcurrentMarkingStore store(2, 1, 1);
+    ConcurrentMarkingStore store(2, 1);
     store.reserve(2);
     const std::uint64_t a[2] = {1, 2};
     const std::uint64_t b[2] = {3, 4};
-    const auto ra = store.intern(a, 0, 2);
+    const auto ra = store.intern(a, 2);
     EXPECT_TRUE(ra.inserted);
     EXPECT_EQ(ra.id, 0u);
-    const auto ra2 = store.intern(a, 0, 2);
+    const auto ra2 = store.intern(a, 2);
     EXPECT_FALSE(ra2.inserted);
     EXPECT_EQ(ra2.id, 0u);
-    const auto rb = store.intern(b, 0, 2);
+    const auto rb = store.intern(b, 2);
     EXPECT_TRUE(rb.inserted);
     EXPECT_EQ(rb.id, 1u);
     const std::uint64_t c[2] = {5, 6};
-    const auto rc = store.intern(c, 0, 2);  // over capacity
+    const auto rc = store.intern(c, 2);  // over capacity
     EXPECT_FALSE(rc.inserted);
     EXPECT_EQ(rc.id, ConcurrentMarkingStore::kNone);
     EXPECT_EQ(store.size(), 2u);
@@ -661,7 +718,7 @@ TEST(ConcurrentMarkingStore, ConcurrentInterningIsConsistent) {
     // every key must get exactly one dense id, agreed on by all workers.
     constexpr std::size_t kKeys = 20000;
     constexpr std::size_t kWorkers = 8;
-    ConcurrentMarkingStore store(1, 0, kWorkers);
+    ConcurrentMarkingStore store(1, 0);
     store.reserve(kKeys);
 
     std::vector<std::vector<std::uint32_t>> ids(
@@ -679,7 +736,7 @@ TEST(ConcurrentMarkingStore, ConcurrentInterningIsConsistent) {
                 std::swap(keys[i - 1], keys[rng.below(i)]);
             }
             for (const std::uint64_t key : keys) {
-                ids[w][key] = store.intern(&key, w, kKeys).id;
+                ids[w][key] = store.intern(&key, kKeys).id;
             }
         });
     }
@@ -812,8 +869,8 @@ TEST(ParallelVerify, DesignAdoptsThreadsThroughOptions) {
 
 TEST(ParallelVerify, MemoryStatsSurfaceThroughVerifierAndDesign) {
     // memory_stats() rides the facades: std::nullopt before any
-    // exploration, populated by verify(), and the enabled-set cache knob
-    // reaches the engine through VerifyOptions with verdicts unchanged.
+    // exploration, then populated by verify() with the engine's
+    // footprint.
     flow::DesignOptions options;
     options.verify.threads = 2;
     flow::Design design(ope::build_reconfigurable_ope_dfs(3, 3), options);
@@ -827,16 +884,13 @@ TEST(ParallelVerify, MemoryStatsSurfaceThroughVerifierAndDesign) {
     EXPECT_GT(stats.resident_bytes, stats.record_bytes);
     EXPECT_GE(stats.peak_bytes, stats.resident_bytes);
 
-    flow::DesignOptions fat_options;
-    fat_options.verify.threads = 2;
-    fat_options.verify.frontier_enabled_cache = false;
-    flow::Design fat(ope::build_reconfigurable_ope_dfs(3, 3), fat_options);
-    const auto fat_report = fat.verify();
-    ASSERT_TRUE(fat_report.clean());
-    EXPECT_EQ(fat_report.findings[0].states_explored,
-              report.findings[0].states_explored);
-    ASSERT_TRUE(fat.memory_stats().has_value());
-    EXPECT_GT(fat.memory_stats()->record_bytes, stats.record_bytes);
+    // The enabled bitsets never live in the records (the memory diet):
+    // record bytes stay below what in-record rows would need.
+    const CompiledNet& compiled = design.compiled_net();
+    EXPECT_LT(stats.record_bytes,
+              stats.records *
+                  (compiled.marking_words() + 2 + compiled.enabled_words()) *
+                  sizeof(std::uint64_t));
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
 // Shared Petri-net test fixtures and differential-harness plumbing:
 // the model zoo (paper-style rings/wagging/OPE plus seeded random
-// topologies) and the query/replay helpers used by the parallel-engine
-// differential harness (parallel_reachability_test.cpp) and the
-// partial-order-reduction harness (por_test.cpp). Header-only, test-only.
+// topologies), the naive BFS oracle, and the query/replay helpers used by
+// the engine differential harnesses (parallel_reachability_test.cpp,
+// por_test.cpp, checkpoint_test.cpp). Header-only, test-only.
 
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <string>
 #include <tuple>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -250,6 +252,46 @@ inline std::vector<Fixture> all_fixtures() {
     return fixtures;
 }
 
+// -------------------------------------------------------- naive oracle --
+
+/// What an exhaustive full-graph pass must report, computed by the naive
+/// oracle below.
+struct NaiveAnswer {
+    std::size_t states = 0;
+    std::size_t edges = 0;  ///< sum of enabled counts over reachable markings
+    std::vector<Marking> deadlocks;  ///< sorted
+};
+
+/// Seed-style naive BFS: the interpreted Net semantics only (full rescan
+/// per state, unordered_map interning) — no CompiledNet, no marking
+/// store, nothing shared with either engine, so it is an independent
+/// reference for both.
+inline NaiveAnswer naive_explore(const Net& net) {
+    NaiveAnswer answer;
+    std::unordered_set<Marking, util::BitVecHash> seen;
+    seen.max_load_factor(0.5f);  // short chains for the 842k-state zoo
+    std::deque<Marking> frontier;
+    const Marking m0 = net.initial_marking();
+    seen.insert(m0);
+    frontier.push_back(m0);
+    Marking next = m0;
+    while (!frontier.empty()) {
+        const Marking current = std::move(frontier.front());
+        frontier.pop_front();
+        const auto enabled = net.enabled_transitions(current);
+        answer.edges += enabled.size();
+        if (enabled.empty()) answer.deadlocks.push_back(current);
+        for (const TransitionId t : enabled) {
+            next = current;
+            net.fire(next, t);
+            if (seen.insert(next).second) frontier.push_back(next);
+        }
+    }
+    answer.states = seen.size();
+    std::sort(answer.deadlocks.begin(), answer.deadlocks.end());
+    return answer;
+}
+
 // ----------------------------------------------------------- plumbing --
 
 /// Exhaustive multi-property query over `net`: a deadlock goal, a
@@ -300,6 +342,42 @@ inline void expect_replays(const Net& net, const Trace& trace,
         net.fire(m, t);
     }
     EXPECT_EQ(m, end) << context << ": witness trace misses its witness";
+}
+
+/// Full bit-equality of two passes: counters, sets, witness markings
+/// AND traces, plus every witness replaying onto the net.
+inline void expect_identical_passes(const Net& net, const MultiResult& a,
+                                    const MultiResult& b,
+                                    const std::string& context) {
+    EXPECT_EQ(a.states_explored, b.states_explored) << context;
+    EXPECT_EQ(a.edges_explored, b.edges_explored) << context;
+    EXPECT_EQ(a.truncated, b.truncated) << context;
+    EXPECT_EQ(sorted(a.deadlocks), sorted(b.deadlocks)) << context;
+    EXPECT_EQ(violation_set(a.persistence_violations),
+              violation_set(b.persistence_violations))
+        << context;
+    ASSERT_EQ(a.goals.size(), b.goals.size()) << context;
+    for (std::size_t g = 0; g < a.goals.size(); ++g) {
+        ASSERT_EQ(a.goals[g].found(), b.goals[g].found())
+            << context << " goal " << g;
+        if (!a.goals[g].found()) continue;
+        EXPECT_EQ(a.goals[g].witness, b.goals[g].witness)
+            << context << " goal " << g;
+        EXPECT_EQ(a.goals[g].witness_trace->firings,
+                  b.goals[g].witness_trace->firings)
+            << context << " goal " << g;
+        expect_replays(net, *b.goals[g].witness_trace,
+                       *b.goals[g].witness,
+                       context + " goal " + std::to_string(g));
+    }
+    ASSERT_EQ(a.persistence_violations.size(),
+              b.persistence_violations.size())
+        << context;
+    for (std::size_t v = 0; v < a.persistence_violations.size(); ++v) {
+        EXPECT_EQ(a.persistence_violations[v].trace_to_marking.firings,
+                  b.persistence_violations[v].trace_to_marking.firings)
+            << context << " violation " << v;
+    }
 }
 
 }  // namespace rap::petri::testfx

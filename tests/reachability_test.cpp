@@ -1,18 +1,21 @@
 // Tests for the compiled reachability engine: CompiledNet agreement with
-// the interpreted Net semantics, the single-pass multi-goal API,
-// truncation semantics, witness determinism, and the first-match witness
-// guarantee.
+// the interpreted Net semantics (full and delta builds), the single-pass
+// multi-goal API, truncation semantics, witness determinism, and the
+// first-match witness guarantee.
 
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <unordered_map>
 
+#include "dfs_helpers.hpp"
 #include "petri/compiled.hpp"
 #include "petri/net.hpp"
+#include "petri/parallel.hpp"
 #include "petri/persistence.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
+#include "petri_fixtures.hpp"
 
 namespace rap::petri {
 namespace {
@@ -69,28 +72,6 @@ Net make_mixed() {
     net.add_input_arc(dst, t_self);
     net.add_output_arc(t_self, dst);
     return net;
-}
-
-/// Seed-style naive BFS (full rescan per state, unordered_map interning)
-/// — the reference the compiled engine must agree with exactly.
-std::size_t naive_count_states(const Net& net) {
-    std::unordered_map<Marking, std::size_t, util::BitVecHash> seen;
-    std::deque<Marking> frontier;
-    const Marking m0 = net.initial_marking();
-    seen.emplace(m0, 0);
-    frontier.push_back(m0);
-    while (!frontier.empty()) {
-        const Marking current = frontier.front();
-        frontier.pop_front();
-        for (TransitionId t : net.enabled_transitions(current)) {
-            Marking next = current;
-            net.fire(next, t);
-            if (seen.emplace(next, seen.size()).second) {
-                frontier.push_back(next);
-            }
-        }
-    }
-    return seen.size();
 }
 
 // ------------------------------------------------------- CompiledNet --
@@ -163,9 +144,64 @@ TEST(CompiledNet, IncrementalEnabledSetMatchesFullScan) {
 TEST(CompiledNet, StateCountsMatchNaiveExploration) {
     for (const Net& net : {make_ring(), make_toggles(6), make_mixed()}) {
         ReachabilityExplorer explorer(net);
-        EXPECT_EQ(explorer.count_states(), naive_count_states(net))
+        EXPECT_EQ(explorer.count_states(), testfx::naive_explore(net).states)
             << net.name();
     }
+}
+
+/// Same structure at every depth: the model name is depth-independent
+/// and ope_style_stages only flips the configuration tokens, so the nets
+/// of one `stages` value differ in initial marking alone — the delta
+/// compilation precondition a reconfigurable chip satisfies by
+/// construction.
+Net depth_net(int stages, int depth) {
+    auto p = pipeline::build_pipeline(
+        "inc_s" + std::to_string(stages),
+        dfs::testing::ope_style_stages(stages, depth));
+    return dfs::to_petri(p.graph).net;
+}
+
+TEST(Incremental, DeltaCompiledNetMatchesFullBuild) {
+    const Net parent_net = depth_net(3, 3);
+    const Net child_net = depth_net(3, 2);
+    ASSERT_EQ(CompiledNet::digest_structure(parent_net),
+              CompiledNet::digest_structure(child_net))
+        << "reconfiguration must be a marking-only change";
+
+    const CompiledNet parent(parent_net);
+    const CompiledNet full(child_net);
+    const CompiledNet delta(child_net, parent);
+    EXPECT_EQ(delta.marking_words(), full.marking_words());
+    EXPECT_EQ(delta.enabled_words(), full.enabled_words());
+
+    const testfx::QueryBundle bundle(child_net);
+    ReachabilityOptions options;
+    options.stop_at_first_match = false;
+    const auto reference =
+        ReachabilityExplorer(full, options).run_query(bundle.query);
+    const auto result =
+        ReachabilityExplorer(delta, options).run_query(bundle.query);
+    testfx::expect_identical_passes(child_net, reference, result,
+                                    "delta vs full, seq");
+
+    options.threads = 4;
+    const auto par_reference =
+        ParallelReachabilityExplorer(full, options).run_query(bundle.query);
+    const auto par_result =
+        ParallelReachabilityExplorer(delta, options).run_query(bundle.query);
+    testfx::expect_identical_passes(child_net, par_reference, par_result,
+                                    "delta vs full, par");
+
+    // A parent of a different structure falls back to a full rebuild.
+    const Net other = depth_net(2, 2);
+    const CompiledNet unrelated(other);
+    const CompiledNet fallback(child_net, unrelated);
+    options.threads = 1;
+    const auto fb_result =
+        ReachabilityExplorer(fallback, options).run_query(bundle.query);
+    testfx::expect_identical_passes(
+        child_net, reference, fb_result,
+        "unrelated parent falls back to full build");
 }
 
 // ------------------------------------------------------ MarkingStore --
@@ -403,7 +439,7 @@ TEST(Reachability, ExhaustiveSearchKeepsFirstWitness) {
     EXPECT_EQ(result.witness_trace->firings.size(), 1u);
     EXPECT_EQ(result.witness_trace->to_string(net), "drop");
     // The pass itself ran to exhaustion.
-    EXPECT_EQ(result.states_explored, naive_count_states(net));
+    EXPECT_EQ(result.states_explored, testfx::naive_explore(net).states);
 }
 
 // ------------------------------------------------------- determinism --
@@ -495,24 +531,24 @@ TEST(Reachability, PeakMemoryCapturesMidPassFrontierSpike) {
     // resident after the last layer drains. A correct sampler must
     // therefore report a peak strictly above the final resident bytes.
     const Net net = make_wide_toggles(15, 4066);
+    const CompiledNet compiled(net);
     ReachabilityOptions options;
     options.max_states = std::size_t{1} << 16;
-    options.frontier_enabled_cache = true;
-    ReachabilityExplorer explorer(net, options);
+    ReachabilityExplorer explorer(compiled, options);
     const auto result = explorer.explore_all();
     ASSERT_EQ(result.states_explored, std::size_t{1} << 15);
     ASSERT_FALSE(result.truncated);
     EXPECT_GT(result.memory.peak_bytes, result.memory.resident_bytes);
 
-    // The same pass without the diet keeps every row resident, which
-    // bounds the dieted peak from above: the spike the sampler reports
-    // is a genuine intermediate, not the whole undieted cache.
-    ReachabilityOptions no_diet = options;
-    no_diet.frontier_enabled_cache = false;
-    ReachabilityExplorer reference(net, no_diet);
-    const auto full = reference.explore_all();
-    ASSERT_EQ(full.states_explored, result.states_explored);
-    EXPECT_LT(result.memory.peak_bytes, full.memory.resident_bytes);
+    // Keeping every row resident would add one enabled-set row per state
+    // on top of the final footprint, which bounds the peak from above:
+    // the spike the sampler reports is a genuine intermediate, not the
+    // whole undieted cache.
+    const std::size_t every_row = result.states_explored *
+                                  compiled.enabled_words() *
+                                  sizeof(std::uint64_t);
+    EXPECT_LT(result.memory.peak_bytes,
+              result.memory.resident_bytes + every_row);
 }
 
 }  // namespace

@@ -327,14 +327,6 @@ TEST(Sweep, CheckpointDirWritesPerPointFiles) {
     EXPECT_LE(m.value("rap_store_load_factor"), 1.0);
 }
 
-// The engines refuse reuse + checkpoint, so the grid driver rejects the
-// shared_store + checkpoint_dir combination before any worker starts.
-TEST(Sweep, CheckpointDirRefusesSharedStoreChains) {
-    Sweep sweep = Sweep::ope();
-    sweep.stages({2}).depths(1, 2).shared_store(true).checkpoint_dir("/tmp");
-    EXPECT_THROW(sweep.launch(), std::invalid_argument);
-}
-
 TEST(Metrics, PrometheusExpositionFormat) {
     Metrics m;
     m.set("rap_demo_total", "A counter", Metrics::Type::kCounter, 42.0);

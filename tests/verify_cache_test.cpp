@@ -11,7 +11,11 @@
 #include <thread>
 #include <vector>
 
+#include "dfs/translate.hpp"
 #include "dfs_helpers.hpp"
+#include "petri/reachability.hpp"
+#include "petri_fixtures.hpp"
+#include "pipeline/builder.hpp"
 #include "rap/verify/cache.hpp"
 
 namespace rap::verify {
@@ -202,6 +206,38 @@ TEST(ArtifactCache, ClearDropsUnpinnedEntriesWithoutCountingEvictions) {
     EXPECT_EQ(stats.pinned, 1u);
     EXPECT_EQ(stats.evictions, 0u);
     EXPECT_EQ(stats.misses, 2u);  // counters survive clear()
+}
+
+TEST(Incremental, ArtifactCacheServesReconfigurationsAsDeltas) {
+    // Two compiles of the same structure under different initial
+    // markings: the second is a cache miss (the fingerprint covers the
+    // marking) but must be built as parent+delta via the structural
+    // index, and answer exactly like a from-scratch compile.
+    auto p3 = pipeline::build_pipeline(
+        "inc_cache", dfs::testing::ope_style_stages(3, 3));
+    auto p2 = pipeline::build_pipeline(
+        "inc_cache", dfs::testing::ope_style_stages(3, 2));
+
+    const std::size_t deltas_before = artifact_delta_builds();
+    const auto parent = compile_model(p3.graph);
+    ASSERT_NE(parent, nullptr);
+    const auto child = compile_model(p2.graph);
+    ASSERT_NE(child, nullptr);
+    EXPECT_EQ(artifact_delta_builds() - deltas_before, 1u)
+        << "the reconfigured compile must take the delta path";
+
+    const petri::Net fresh_net = dfs::to_petri(p2.graph).net;
+    const petri::CompiledNet fresh(fresh_net);
+    const petri::testfx::QueryBundle bundle(fresh_net);
+    petri::ReachabilityOptions options;
+    options.stop_at_first_match = false;
+    const auto reference =
+        petri::ReachabilityExplorer(fresh, options).run_query(bundle.query);
+    const auto result =
+        petri::ReachabilityExplorer(child->compiled(), options)
+            .run_query(bundle.query);
+    petri::testfx::expect_identical_passes(fresh_net, reference, result,
+                                           "cache delta model");
 }
 
 }  // namespace
