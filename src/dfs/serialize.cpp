@@ -1,6 +1,7 @@
 #include "dfs/serialize.hpp"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -38,10 +39,89 @@ std::string to_text(const Graph& graph) {
 
 namespace {
 
+/// A refusal already carrying its line number (see from_text).
+struct ParseError : std::invalid_argument {
+    using std::invalid_argument::invalid_argument;
+};
+
 [[noreturn]] void fail(std::size_t line, const std::string& message) {
-    throw std::invalid_argument(
-        util::format("dfs parse error, line %zu: %s", line,
-                     message.c_str()));
+    throw ParseError(util::format("dfs parse error, line %zu: %s", line,
+                                  message.c_str()));
+}
+
+/// Applies one non-blank, non-comment line to `graph`.
+void parse_line(std::optional<Graph>& graph, std::string_view line,
+                std::size_t line_no) {
+    std::istringstream words{std::string(line)};
+    std::string keyword;
+    words >> keyword;
+
+    if (keyword == "dfs") {
+        if (graph) fail(line_no, "duplicate 'dfs' header");
+        std::string name;
+        words >> name;
+        if (name.empty()) fail(line_no, "missing model name");
+        graph.emplace(name);
+        return;
+    }
+    if (!graph) fail(line_no, "expected 'dfs <name>' header first");
+
+    if (keyword == "edge") {
+        std::string from, to, flag;
+        words >> from >> to >> flag;
+        if (from.empty() || to.empty()) {
+            fail(line_no, "edge needs two node names");
+        }
+        const auto src = graph->find(from);
+        const auto dst = graph->find(to);
+        if (!src) fail(line_no, "unknown node '" + from + "'");
+        if (!dst) fail(line_no, "unknown node '" + to + "'");
+        if (flag == "inv") {
+            graph->connect_inverted(*src, *dst);
+        } else if (flag.empty()) {
+            graph->connect(*src, *dst);
+        } else {
+            fail(line_no, "unknown edge flag '" + flag + "'");
+        }
+        return;
+    }
+
+    // Node lines.
+    std::string name, marking;
+    words >> name >> marking;
+    if (name.empty()) fail(line_no, "missing node name");
+    if (keyword == "logic") {
+        if (!marking.empty()) {
+            fail(line_no, "logic nodes carry no marking");
+        }
+        graph->add_logic(name);
+    } else if (keyword == "register") {
+        if (!marking.empty() && marking != "*") {
+            fail(line_no, "register marking must be '*'");
+        }
+        graph->add_register(name, marking == "*");
+    } else if (keyword == "control" || keyword == "push" ||
+               keyword == "pop") {
+        bool marked = false;
+        TokenValue token = TokenValue::True;
+        if (marking == "T") {
+            marked = true;
+        } else if (marking == "F") {
+            marked = true;
+            token = TokenValue::False;
+        } else if (!marking.empty()) {
+            fail(line_no, "dynamic marking must be 'T' or 'F'");
+        }
+        if (keyword == "control") {
+            graph->add_control(name, marked, token);
+        } else if (keyword == "push") {
+            graph->add_push(name, marked, token);
+        } else {
+            graph->add_pop(name, marked, token);
+        }
+    } else {
+        fail(line_no, "unknown keyword '" + keyword + "'");
+    }
 }
 
 }  // namespace
@@ -54,76 +134,15 @@ Graph from_text(std::string_view text) {
         ++line_no;
         const std::string_view line = util::trim(raw);
         if (line.empty() || line.front() == '#') continue;
-
-        std::istringstream words{std::string(line)};
-        std::string keyword;
-        words >> keyword;
-
-        if (keyword == "dfs") {
-            if (graph) fail(line_no, "duplicate 'dfs' header");
-            std::string name;
-            words >> name;
-            if (name.empty()) fail(line_no, "missing model name");
-            graph.emplace(name);
-            continue;
-        }
-        if (!graph) fail(line_no, "expected 'dfs <name>' header first");
-
-        if (keyword == "edge") {
-            std::string from, to, flag;
-            words >> from >> to >> flag;
-            if (from.empty() || to.empty()) {
-                fail(line_no, "edge needs two node names");
-            }
-            const auto src = graph->find(from);
-            const auto dst = graph->find(to);
-            if (!src) fail(line_no, "unknown node '" + from + "'");
-            if (!dst) fail(line_no, "unknown node '" + to + "'");
-            if (flag == "inv") {
-                graph->connect_inverted(*src, *dst);
-            } else if (flag.empty()) {
-                graph->connect(*src, *dst);
-            } else {
-                fail(line_no, "unknown edge flag '" + flag + "'");
-            }
-            continue;
-        }
-
-        // Node lines.
-        std::string name, marking;
-        words >> name >> marking;
-        if (name.empty()) fail(line_no, "missing node name");
-        if (keyword == "logic") {
-            if (!marking.empty()) {
-                fail(line_no, "logic nodes carry no marking");
-            }
-            graph->add_logic(name);
-        } else if (keyword == "register") {
-            if (!marking.empty() && marking != "*") {
-                fail(line_no, "register marking must be '*'");
-            }
-            graph->add_register(name, marking == "*");
-        } else if (keyword == "control" || keyword == "push" ||
-                   keyword == "pop") {
-            bool marked = false;
-            TokenValue token = TokenValue::True;
-            if (marking == "T") {
-                marked = true;
-            } else if (marking == "F") {
-                marked = true;
-                token = TokenValue::False;
-            } else if (!marking.empty()) {
-                fail(line_no, "dynamic marking must be 'T' or 'F'");
-            }
-            if (keyword == "control") {
-                graph->add_control(name, marked, token);
-            } else if (keyword == "push") {
-                graph->add_push(name, marked, token);
-            } else {
-                graph->add_pop(name, marked, token);
-            }
-        } else {
-            fail(line_no, "unknown keyword '" + keyword + "'");
+        try {
+            parse_line(graph, line, line_no);
+        } catch (const ParseError&) {
+            throw;
+        } catch (const std::invalid_argument& e) {
+            // Graph's own refusals (duplicate node names or edges,
+            // self-loops, inverting arcs from non-control nodes) get the
+            // line number too.
+            fail(line_no, e.what());
         }
     }
     if (!graph) throw std::invalid_argument("dfs parse error: empty input");

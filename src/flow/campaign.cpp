@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -62,7 +61,6 @@ struct CampaignState {
     bool confirm_hazards = false;
     double knee_fraction = 0.05;
     Campaign::RunCallback callback;
-    std::size_t max_in_flight = 1;
 
     // -- work distribution ----------------------------------------------
     std::atomic<std::size_t> next{0};
@@ -71,7 +69,6 @@ struct CampaignState {
 
     // -- mutable results + aggregates (guarded by mutex) ------------------
     std::mutex mutex;
-    std::condition_variable gate;  ///< max_in_flight admission
     std::size_t in_flight = 0;
     std::vector<CampaignAggregate> rows;  ///< slot per grid point
     std::vector<char> row_done;           ///< slot filled by a worker
@@ -262,11 +259,7 @@ void worker_loop(const std::shared_ptr<CampaignState>& state) {
         if (index >= state->grid.size()) return;
 
         {
-            std::unique_lock<std::mutex> lock(state->mutex);
-            state->gate.wait(lock, [&] {
-                return state->in_flight < state->max_in_flight ||
-                       state->cancelled.load(std::memory_order_relaxed);
-            });
+            const std::lock_guard<std::mutex> lock(state->mutex);
             ++state->in_flight;
         }
 
@@ -279,7 +272,6 @@ void worker_loop(const std::shared_ptr<CampaignState>& state) {
             state->row_done[index] = 1;
             ++state->done;
         }
-        state->gate.notify_one();
     }
 }
 
@@ -492,11 +484,6 @@ Campaign& Campaign::workers(std::size_t count) {
     return *this;
 }
 
-Campaign& Campaign::max_in_flight(std::size_t count) {
-    max_in_flight_ = count;
-    return *this;
-}
-
 Campaign& Campaign::on_run(RunCallback callback) {
     callback_ = std::move(callback);
     return *this;
@@ -530,11 +517,8 @@ Campaign::Handle::~Handle() {
 }
 
 void Campaign::Handle::cancel() {
-    {
-        const std::lock_guard<std::mutex> lock(state_->mutex);
-        state_->cancelled.store(true, std::memory_order_relaxed);
-    }
-    state_->gate.notify_all();
+    const std::lock_guard<std::mutex> lock(state_->mutex);
+    state_->cancelled.store(true, std::memory_order_relaxed);
 }
 
 bool Campaign::Handle::cancelled() const {
@@ -581,8 +565,6 @@ Campaign::Handle Campaign::launch() {
     }
     workers = std::max<std::size_t>(
         1, std::min(workers, state->grid.size()));
-    state->max_in_flight =
-        max_in_flight_ > 0 ? std::min(max_in_flight_, workers) : workers;
 
     state->rows.resize(state->grid.size());
     state->row_done.assign(state->grid.size(), 0);

@@ -178,8 +178,6 @@ public:
     /// Worker pool size; 0 (default) = one per hardware thread, capped
     /// at the grid size. Never affects results.
     Campaign& workers(std::size_t count);
-    /// Cap on points simulating at once (default: the worker count).
-    Campaign& max_in_flight(std::size_t count);
     /// Streaming sink for per-run rows, invoked from worker threads
     /// (serialised). Rows of one point arrive in run order; must not
     /// call back into the Handle.
@@ -242,7 +240,6 @@ private:
     bool confirm_hazards_ = false;
     double knee_fraction_ = 0.05;
     std::size_t workers_ = 0;
-    std::size_t max_in_flight_ = 0;
     RunCallback callback_;
 };
 

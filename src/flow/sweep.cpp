@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
@@ -40,7 +39,6 @@ struct SweepState {
     std::vector<tech::VoltageSchedule> schedules;
     double timeout_s = 0.0;
     Sweep::ResultCallback callback;
-    std::size_t max_in_flight = 1;
     /// Checkpoint directory ("" = off): each point writes
     /// `<dir>/<flattened label>.ckpt`.
     std::string checkpoint_dir;
@@ -55,7 +53,6 @@ struct SweepState {
 
     // -- mutable results + aggregates (guarded by mutex) ------------------
     std::mutex mutex;
-    std::condition_variable gate;  ///< max_in_flight admission
     std::size_t in_flight = 0;
     std::vector<SweepResult> results;  ///< slot per grid point
     std::size_t done = 0;
@@ -189,11 +186,7 @@ SweepResult process_point(SweepState& state, const SweepPoint& point) {
 
 void run_point(SweepState& state, std::size_t index) {
     {
-        std::unique_lock<std::mutex> lock(state.mutex);
-        state.gate.wait(lock, [&] {
-            return state.in_flight < state.max_in_flight ||
-                   state.cancelled.load(std::memory_order_relaxed);
-        });
+        const std::lock_guard<std::mutex> lock(state.mutex);
         ++state.in_flight;
     }
 
@@ -225,7 +218,6 @@ void run_point(SweepState& state, std::size_t index) {
             state.callback(state.results[index]);
         }
     }
-    state.gate.notify_one();
 }
 
 void worker_loop(const std::shared_ptr<SweepState>& state) {
@@ -482,11 +474,6 @@ Sweep& Sweep::workers(std::size_t count) {
     return *this;
 }
 
-Sweep& Sweep::max_in_flight(std::size_t count) {
-    max_in_flight_ = count;
-    return *this;
-}
-
 Sweep& Sweep::per_config_timeout(double seconds) {
     timeout_s_ = seconds;
     return *this;
@@ -530,11 +517,8 @@ Sweep::Handle::~Handle() {
 }
 
 void Sweep::Handle::cancel() {
-    {
-        const std::lock_guard<std::mutex> lock(state_->mutex);
-        state_->cancelled.store(true, std::memory_order_relaxed);
-    }
-    state_->gate.notify_all();
+    const std::lock_guard<std::mutex> lock(state_->mutex);
+    state_->cancelled.store(true, std::memory_order_relaxed);
 }
 
 bool Sweep::Handle::cancelled() const {
@@ -581,8 +565,6 @@ Sweep::Handle Sweep::launch() {
         workers = std::max(1u, std::thread::hardware_concurrency());
     }
     workers = std::max<std::size_t>(1, std::min(workers, state->grid.size()));
-    state->max_in_flight =
-        max_in_flight_ > 0 ? std::min(max_in_flight_, workers) : workers;
 
     state->results.resize(state->grid.size());
     // Pre-fill every slot's point so cancelled-before-start rows still

@@ -91,11 +91,11 @@ struct SweepResult {
 ///   compiled model while the session runs, so LRU eviction under a
 ///   tight cache capacity can never drop an artifact a worker is about
 ///   to use.
-/// - **Bounded in-flight memory.** At most workers() (further capped by
-///   max_in_flight()) sessions hold exploration state simultaneously;
-///   per-config engine threads default to 1 inside a sweep (grid-level
-///   parallelism owns the cores — set base.verify.threads explicitly to
-///   override).
+/// - **Bounded in-flight memory.** Each worker runs one configuration at
+///   a time, so at most workers() sessions hold exploration state
+///   simultaneously; per-config engine threads default to 1 inside a
+///   sweep (grid-level parallelism owns the cores — set
+///   base.verify.threads explicitly to override).
 /// - **Cooperative cancellation + timeouts.** Handle::cancel() stops
 ///   new work and interrupts running explorations through the engines'
 ///   stop hook; per_config_timeout() bounds each configuration the same
@@ -138,9 +138,6 @@ public:
     /// Worker pool size; 0 (default) = one per hardware thread, capped
     /// at the grid size.
     Sweep& workers(std::size_t count);
-    /// Cap on configurations holding exploration state at once
-    /// (default: the worker count).
-    Sweep& max_in_flight(std::size_t count);
     /// Wall-clock budget per configuration; <= 0 (default) = none.
     Sweep& per_config_timeout(double seconds);
     /// Per-configuration checkpointing: each grid point's exploration
@@ -214,7 +211,6 @@ private:
     std::vector<int> stages_{1};
     std::vector<tech::VoltageSchedule> schedules_;
     std::size_t workers_ = 0;
-    std::size_t max_in_flight_ = 0;
     double timeout_s_ = 0.0;
     std::string checkpoint_dir_;
     ResultCallback callback_;

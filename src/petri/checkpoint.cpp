@@ -103,6 +103,37 @@ void StoreCheckpoint::save(const std::string& path) const {
     }
 }
 
+void StoreCheckpoint::check_resumable(Engine kind, std::uint32_t meta,
+                                      const CompiledNet& compiled,
+                                      std::size_t max_states,
+                                      std::size_t goals) const {
+    if (engine != kind) {
+        refuse(kind == Engine::kSequential
+                   ? "was not written by the sequential engine"
+                   : "was not written by the parallel engine");
+    }
+    if (structure_digest != compiled.structure_digest()) {
+        refuse("structural digest does not match this net — the interned "
+               "ids describe a different structure");
+    }
+    if (marking_words != compiled.marking_words() || meta_words != meta) {
+        refuse("record geometry does not match");
+    }
+    if (record_count == 0 || record_count > max_states) {
+        refuse("record count is out of range for this pass's max_states");
+    }
+    if (goal_hits.size() != goals) {
+        refuse("goal count does not match the query");
+    }
+    check_ids(compiled.transition_count());
+    const Marking m0 = compiled.net().initial_marking();
+    if (!std::equal(m0.word_data(), m0.word_data() + m0.word_count(),
+                    record(0))) {
+        refuse("root marking differs from this net's initial marking "
+               "(reconfigured since the checkpoint?)");
+    }
+}
+
 void StoreCheckpoint::check_ids(std::size_t transitions) const {
     std::uint64_t words = 0;
     if (meta_words == 0 ||
@@ -129,6 +160,9 @@ void StoreCheckpoint::check_ids(std::size_t transitions) const {
                    "range");
         }
     }
+    auto depth_of = [this](std::uint64_t id) {
+        return record(id)[marking_words + 1];
+    };
     for (std::uint64_t id = 0; id < record_count; ++id) {
         const std::uint64_t link = record(id)[marking_words];
         const auto parent = static_cast<std::uint32_t>(link);
@@ -136,6 +170,15 @@ void StoreCheckpoint::check_ids(std::size_t transitions) const {
         const bool ok = id == 0 ? parent == UINT32_MAX
                                 : parent < id && via < transitions;
         if (!ok) refuse("witness link is not a BFS-tree edge");
+        if (meta_words >= 2 &&
+            depth_of(id) != (id == 0 ? 0 : depth_of(parent) + 1)) {
+            refuse("depth word does not follow its witness link");
+        }
+    }
+    if (meta_words >= 2 &&
+        !std::all_of(frontier.begin(), frontier.end(),
+                     [&](std::uint32_t id) { return depth_of(id) == depth; })) {
+        refuse("frontier is not one BFS layer at its depth");
     }
 }
 

@@ -89,17 +89,30 @@ public:
         return records.data() + id * record_stride();
     }
 
-    /// Resume-time range checks shared by both engines: every id the
+    /// Resume-time refusals shared by both engines, run before any record
+    /// is re-interned: the checkpoint must come from engine `kind` with
+    /// `meta` meta words per record, match `compiled`'s structural digest
+    /// and marking width, hold between 1 and `max_states` records, answer
+    /// `goals` goals, pass check_ids, and start from `compiled`'s initial
+    /// marking. Throws std::runtime_error naming the first mismatch.
+    void check_resumable(Engine kind, std::uint32_t meta,
+                         const CompiledNet& compiled, std::size_t max_states,
+                         std::size_t goals) const;
+
+    /// Resume-time range checks (part of check_resumable): every id the
     /// checkpoint names (frontier, goal hits, deadlocks, violations) is
     /// below record_count, every violation names transitions below
     /// `transitions`, and every record's witness link (meta word 0,
     /// via << 32 | parent) is the root's "no parent" or points at an
     /// earlier record — BFS discovery order guarantees parent < id in
-    /// both engines — through a transition below `transitions`. A file
-    /// that passes its checksum can still carry ids that would index out
-    /// of range or make trace rebuilding loop; throws std::runtime_error
-    /// (also when records does not hold record_count records of at least
-    /// one meta word).
+    /// both engines — through a transition below `transitions`. Records
+    /// with a second meta word (the parallel engine's BFS depth) must sit
+    /// one layer below their parent, the root at depth 0, and every
+    /// frontier id at `depth` — the invariant the canonical-min link
+    /// updates of a resumed pass rely on. A file that passes its checksum
+    /// can still carry ids that would index out of range or make trace
+    /// rebuilding loop; throws std::runtime_error (also when records does
+    /// not hold record_count records of at least one meta word).
     void check_ids(std::size_t transitions) const;
 
     /// Atomic save: writes `path + ".tmp"` then renames over `path`, so a

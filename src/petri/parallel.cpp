@@ -6,11 +6,11 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
-#include <optional>
-#include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "petri/checkpoint.hpp"
+#include "petri/pass.hpp"
 #include "util/arena.hpp"
 #include "util/steal_deque.hpp"
 
@@ -18,16 +18,8 @@ namespace rap::petri {
 
 namespace {
 
-constexpr std::size_t kWordBits = util::BitVec::kWordBits;
-
-/// Meta words per parallel-engine record: the (via << 32 | parent)
-/// canonical witness link and the BFS depth.
-constexpr std::uint32_t kMetaWords = 2;
-
-void copy_words(std::uint64_t* dst, const std::uint64_t* src,
-                std::size_t n) {
-    if (n != 0) std::memcpy(dst, src, n * sizeof(std::uint64_t));
-}
+using detail::copy_words;
+using detail::kNoParent;
 
 /// Deterministic total order on fixed-width word payloads — the
 /// canonical tie-break the parallel engine uses wherever the sequential
@@ -198,20 +190,17 @@ std::size_t ParallelReachabilityExplorer::resolve_threads(
 
 ParallelReachabilityExplorer::ParallelReachabilityExplorer(
     const Net& net, ReachabilityOptions options)
-    : net_(net),
-      options_(options),
-      owned_(std::in_place, net),
-      compiled_(&*owned_),
-      threads_(resolve_threads(options.threads)) {}
+    : ExplorerBase(net, std::move(options)),
+      threads_(resolve_threads(options_.threads)) {}
 
 ParallelReachabilityExplorer::ParallelReachabilityExplorer(
     const CompiledNet& compiled, ReachabilityOptions options)
-    : net_(compiled.net()),
-      options_(options),
-      compiled_(&compiled),
-      threads_(resolve_threads(options.threads)) {}
+    : ExplorerBase(compiled, std::move(options)),
+      threads_(resolve_threads(options_.threads)) {}
 
 namespace {
+
+using Violation = StoreCheckpoint::Violation;
 
 /// One exploration pass: all shared state of the layer-synchronous BFS.
 /// Workers only write their own WorkerCtx mid-layer; everything else
@@ -228,57 +217,33 @@ namespace {
 /// are ever resident instead of all of them.
 class ParallelPass {
 public:
-    ParallelPass(const Net& net, const CompiledNet& compiled,
+    ParallelPass(const CompiledNet& compiled,
                  const ReachabilityOptions& options, const MultiQuery& query,
                  std::size_t workers)
-        : net_(net),
-          compiled_(compiled),
-          query_(query),
-          cap_(std::max<std::size_t>(options.max_states, 1)),
-          mwords_(compiled.marking_words()),
-          twords_(compiled.enabled_words()),
+        : shell_(compiled, options, query),
           workers_(workers),
           stop_(options.stop),
-          por_(make_por(compiled, options, query)),
-          tight_(por_.has_value() && !query.check_persistence &&
-                 !por_->proviso_needed()),
-          store_(mwords_, kMetaWords),
+          // The CAS witness link is only worth maintaining when the pass
+          // can be asked for a trace; a bare explore/count pays nothing.
+          maintain_tree_(!query.goals.empty() || query.check_persistence),
+          store_(shell_.mwords, kMetaWords),
           checkpoint_path_(options.checkpoint_path),
           save_every_layers_(options.checkpoint_every != 0
                                  ? options.checkpoint_every
                                  : 1),
           resume_(options.resume.get()),
-          resolved_(query.goals.size(), 0),
-          witness_id_(query.goals.size(), ConcurrentMarkingStore::kNone),
           ctx_(workers),
           deques_(workers) {
-        // Reduced passes that never widen (no proviso, no persistence)
-        // only ever expand the ample set, so the diet arenas account
-        // rows at ample width: each row stores [full | ample], computed
-        // once at discovery, and out-edge provisioning counts ample bits
-        // — the reserve no longer sizes tables for a frontier the
-        // reduction will never fire.
-        const std::size_t row_words = twords_ * (tight_ ? 2 : 1);
         for (WorkerCtx& ctx : ctx_) {
-            ctx.best.assign(query.goals.size(),
-                            ConcurrentMarkingStore::kNone);
-            ctx.child.assign(std::max<std::size_t>(mwords_, 1), 0);
-            ctx.scratch = Marking(net.place_count());
-            if (por_) ctx.ample.assign(twords_, 0);
+            shell_.init(ctx);
+            ctx.best.assign(query.goals.size(), kNoParent);
             // Small blocks: these hold ~one BFS layer per worker and are
             // recycled every other barrier, so the default block size
             // would pin far more than they ever use.
             ctx.earena.reserve(2);
-            ctx.earena.emplace_back(row_words, std::size_t{1} << 12);
-            ctx.earena.emplace_back(row_words, std::size_t{1} << 12);
+            ctx.earena.emplace_back(shell_.twords, std::size_t{1} << 12);
+            ctx.earena.emplace_back(shell_.twords, std::size_t{1} << 12);
         }
-        unresolved_ = query.goals.size();
-        can_early_stop_ = options.stop_at_first_match &&
-                          !query.collect_deadlocks &&
-                          !query.check_persistence && !query.goals.empty();
-        // The CAS witness link is only worth maintaining when the pass
-        // can be asked for a trace; a bare explore/count pays nothing.
-        maintain_tree_ = !query.goals.empty() || query.check_persistence;
     }
 
     MultiResult run();
@@ -286,157 +251,68 @@ public:
     /// Footprint snapshot for the abort path: whatever was interned and
     /// resident when the pass died. Serial only (workers joined).
     MemoryStats footprint() const {
-        MemoryStats stats;
-        stats.records = store_.size();
-        stats.record_bytes = store_.record_bytes();
-        stats.resident_bytes = resident_now();
-        stats.peak_bytes = std::max(peak_bytes_, stats.resident_bytes);
-        stats.store = store_.stats();
-        return stats;
+        return detail::footprint(store_, resident_now(), peak_bytes_);
     }
 
 private:
-    /// Builds the pass's reduction context, or nullopt when reduction is
-    /// off / inactive (so `if (por_)` is the single activity test).
-    static std::optional<PorContext> make_por(
-        const CompiledNet& compiled, const ReachabilityOptions& options,
-        const MultiQuery& query) {
-        if (!options.por) return std::nullopt;
-        PorRequest request;
-        request.goals = query.goals;
-        request.check_persistence = query.check_persistence;
-        request.persistence_exempt = query.persistence_exempt;
-        std::optional<PorContext> por(std::in_place, compiled, request);
-        if (!por->active()) por.reset();
-        return por;
-    }
-
-    struct LocalViolation {
-        std::uint32_t state;  ///< id of the marking the pair conflicts at
-        std::uint32_t depth;  ///< its BFS depth (trace length)
-        TransitionId fired;
-        TransitionId disabled;
-    };
-
-    /// Per-worker mutable state; cache-line aligned so neighbouring
-    /// workers' per-edge counter updates do not false-share.
-    struct alignas(64) WorkerCtx {
+    /// Per-worker mutable state on top of the shared lane; cache-line
+    /// aligned so neighbouring workers' per-edge counter updates do not
+    /// false-share.
+    struct alignas(64) WorkerCtx : detail::Lane {
         std::vector<std::uint32_t> out;  ///< next-layer discoveries
         /// Enabled-set row of each `out` entry (in the worker's write
         /// arena), stitched into frontier_rows_ at the barrier.
         std::vector<const std::uint64_t*> out_rows;
         std::vector<std::uint32_t> best;  ///< per-goal best hit this layer
-        std::vector<std::uint32_t> deadlocks;
-        std::vector<LocalViolation> violations;
-        std::vector<std::uint64_t> child;  ///< successor marking scratch
-        Marking scratch;                   ///< predicate evaluation view
         /// Ping-pong enabled-row arenas: [parity] fills with discoveries
         /// while [1 - parity] backs the frontier.
         std::vector<util::WordArena> earena;
-        PorContext::Scratch por_scratch;   ///< reduce() working set
-        std::vector<std::uint64_t> ample;  ///< stubborn-subset bitset
-        PorStats por;                      ///< this worker's share
-        std::size_t edges = 0;
         std::size_t out_edges = 0;  ///< enabled-bit sum of discoveries
         std::size_t steals = 0;     ///< chunks taken from other workers
     };
 
-    const std::uint64_t* marking_of(std::uint32_t id) const {
-        return store_[id];
+    bool markings_less(std::uint32_t a, std::uint32_t b) const {
+        return words_less(store_[a], store_[b], shell_.mwords);
     }
 
-    Marking materialize(std::uint32_t id) const {
-        Marking m(net_.place_count());
-        copy_words(m.word_data(), marking_of(id), m.word_count());
-        return m;
-    }
-
-    std::size_t enabled_popcount(const std::uint64_t* enabled) const {
-        std::size_t n = 0;
-        for (std::size_t w = 0; w < twords_; ++w) {
-            n += static_cast<std::size_t>(std::popcount(enabled[w]));
-        }
-        return n;
-    }
-
-    bool violation_less(const LocalViolation& a,
-                        const LocalViolation& b) const {
+    bool violation_less(const Violation& a, const Violation& b) const {
         if (a.depth != b.depth) return a.depth < b.depth;
-        const std::uint64_t* ma = marking_of(a.state);
-        const std::uint64_t* mb = marking_of(b.state);
-        if (std::memcmp(ma, mb, mwords_ * sizeof(std::uint64_t)) != 0) {
-            return words_less(ma, mb, mwords_);
-        }
+        if (a.state != b.state) return markings_less(a.state, b.state);
         if (a.fired != b.fired) return a.fired < b.fired;
         return a.disabled < b.disabled;
     }
 
     /// Evaluates deadlock collection and pending goals on a freshly
-    /// published state — the parallel mirror of the sequential visit().
+    /// published state, keeping per goal the canonical
+    /// (lexicographically smallest) hit of the layer so witnesses do not
+    /// depend on worker scheduling.
     void visit(std::uint32_t id, const std::uint64_t* enabled,
                WorkerCtx& ctx) {
-        bool dead = true;
-        for (std::size_t w = 0; w < twords_; ++w) {
-            if (enabled[w] != 0) {
-                dead = false;
-                break;
-            }
-        }
-        if (dead && query_.collect_deadlocks) ctx.deadlocks.push_back(id);
-        if (unresolved_ == 0) return;
-        bool scratch_ready = false;
-        for (std::size_t g = 0; g < query_.goals.size(); ++g) {
-            if (resolved_[g]) continue;
-            const Predicate& goal = *query_.goals[g];
-            bool match = false;
-            if (goal.kind() == Predicate::Kind::Deadlock) {
-                match = dead;
-            } else {
-                if (!scratch_ready) {
-                    copy_words(ctx.scratch.word_data(), marking_of(id),
-                               ctx.scratch.word_count());
-                    scratch_ready = true;
-                }
-                match = goal(net_, ctx.scratch);
-            }
-            if (!match) continue;
-            // Keep the canonical (lexicographically smallest) hit of the
-            // layer so witnesses do not depend on worker scheduling.
-            if (ctx.best[g] == ConcurrentMarkingStore::kNone ||
-                words_less(marking_of(id), marking_of(ctx.best[g]),
-                           mwords_)) {
+        shell_.visit(id, store_[id], enabled, ctx, [&](std::size_t g) {
+            if (ctx.best[g] == kNoParent || markings_less(id, ctx.best[g])) {
                 ctx.best[g] = id;
             }
-        }
+        });
     }
 
     void check_persistence_edges(std::uint32_t head, TransitionId fired,
                                  const std::uint64_t* head_enabled,
                                  WorkerCtx& ctx) {
-        for (std::uint32_t u : compiled_.affected(fired)) {
-            if (u == fired.value) continue;
-            if (((head_enabled[u / kWordBits] >> (u % kWordBits)) & 1) ==
-                0) {
-                continue;  // u was not enabled before `fired` fired
-            }
-            const TransitionId ut{u};
-            if (compiled_.is_enabled(ctx.child.data(), ut)) continue;
-            if (query_.persistence_exempt &&
-                query_.persistence_exempt(net_, fired, ut)) {
-                continue;
-            }
-            ctx.violations.push_back(
-                {head, static_cast<std::uint32_t>(depth_), fired, ut});
-        }
+        shell_.scan_persistence(
+            fired, head_enabled, ctx, [&](TransitionId t, TransitionId u) {
+                ctx.violations.push_back(
+                    {head, static_cast<std::uint32_t>(depth_), t.value,
+                     u.value});
+                return true;
+            });
         // Bounded collection: each worker only ever needs its own
         // canonically-smallest K (min-K of a union is the min-K of the
         // parts' min-Ks, whatever the edge partition was).
-        const std::size_t max = query_.persistence_max_violations;
+        const std::size_t max = shell_.query.persistence_max_violations;
         if (max != SIZE_MAX &&
             ctx.violations.size() > std::max<std::size_t>(2 * max, 64)) {
             std::sort(ctx.violations.begin(), ctx.violations.end(),
-                      [this](const LocalViolation& a,
-                             const LocalViolation& b) {
+                      [this](const Violation& a, const Violation& b) {
                           return violation_less(a, b);
                       });
             ctx.violations.resize(max);
@@ -454,22 +330,19 @@ private:
                           TransitionId via) {
         std::uint64_t* record = store_.record_mut(child);
         // Depth is written before the id is published and never again.
-        if (record[mwords_ + 1] != depth_ + 1) return;
-        std::atomic_ref<std::uint64_t> link(record[mwords_]);
+        if (record[shell_.mwords + 1] != depth_ + 1) return;
+        std::atomic_ref<std::uint64_t> link(record[shell_.mwords]);
         const std::uint64_t cand =
             (std::uint64_t{via.value} << 32) | parent;
-        const std::uint64_t* pm = marking_of(parent);
         std::uint64_t cur = link.load(std::memory_order_acquire);
         for (;;) {
             const auto cur_parent = static_cast<std::uint32_t>(cur);
-            bool smaller;
-            if (cur_parent == parent) {
-                smaller = via.value < static_cast<std::uint32_t>(cur >> 32);
-            } else {
-                // Markings are interned: distinct parent ids hold
-                // distinct markings, so the order is strict.
-                smaller = words_less(pm, marking_of(cur_parent), mwords_);
-            }
+            // Markings are interned: distinct parent ids hold distinct
+            // markings, so the order is strict.
+            const bool smaller =
+                cur_parent == parent
+                    ? via.value < static_cast<std::uint32_t>(cur >> 32)
+                    : markings_less(parent, cur_parent);
             if (!smaller) return;
             if (link.compare_exchange_weak(cur, cand,
                                            std::memory_order_acq_rel,
@@ -481,64 +354,25 @@ private:
 
     void expand(std::uint32_t head, const std::uint64_t* enabled,
                 WorkerCtx& ctx) {
-        const std::uint64_t* marking = marking_of(head);
-
-        // Reduction decision first — deterministic in (marking, enabled),
-        // so the reduced graph is the same whichever worker expands head.
-        const std::uint64_t* bits_src = enabled;
-        bool reduced = false;
-        std::size_t enabled_count = 0;
-        std::size_t ample_count = 0;
-        if (tight_) {
-            // Tight rows carry [full | ample] with the ample set computed
-            // at discovery; stats are still recorded here, at expansion,
-            // so early-stopped and truncated passes report exactly what
-            // the non-tight engines do.
-            const std::uint64_t* ample_row = enabled + twords_;
-            enabled_count = enabled_popcount(enabled);
-            ample_count = enabled_popcount(ample_row);
-            reduced = std::memcmp(ample_row, enabled,
-                                  twords_ * sizeof(std::uint64_t)) != 0;
-            ++ctx.por.expansions;
-            ctx.por.enabled_transitions += enabled_count;
-            if (reduced) ++ctx.por.reduced_expansions;
-            ctx.por.expanded_transitions +=
-                reduced ? ample_count : enabled_count;
-            bits_src = ample_row;
-        } else if (por_) {
-            enabled_count = enabled_popcount(enabled);
-            ++ctx.por.expansions;
-            ctx.por.enabled_transitions += enabled_count;
-            reduced = por_->reduce(marking, enabled, ctx.ample.data(),
-                                   ctx.por_scratch);
-            if (reduced) {
-                ++ctx.por.reduced_expansions;
-                ample_count = enabled_popcount(ctx.ample.data());
-                ctx.por.expanded_transitions += ample_count;
-                bits_src = ctx.ample.data();
-            } else {
-                ctx.por.expanded_transitions += enabled_count;
-            }
-        }
+        const std::uint64_t* marking = store_[head];
+        const std::size_t twords = shell_.twords;
+        auto aborted = [this] {
+            return abort_now_.load(std::memory_order_relaxed);
+        };
 
         // Persistence is a property of the FULL graph's edges: under
         // reduction, check every enabled transition's edge up front so
         // the verdict never depends on which edges the stubborn set kept.
-        const bool prepass = por_.has_value() && query_.check_persistence;
-        if (prepass) {
-            for (std::size_t word = 0; word < twords_; ++word) {
-                std::uint64_t bits = enabled[word];
-                while (bits != 0) {
-                    if (abort_now_.load(std::memory_order_relaxed)) return;
-                    const TransitionId t{static_cast<std::uint32_t>(
-                        word * kWordBits +
-                        static_cast<std::size_t>(std::countr_zero(bits)))};
-                    bits &= bits - 1;
-                    copy_words(ctx.child.data(), marking, mwords_);
-                    compiled_.fire(ctx.child.data(), t);
-                    check_persistence_edges(head, t, enabled, ctx);
-                }
-            }
+        const bool prepass = shell_.por && shell_.query.check_persistence;
+        auto scan_edge = [&](TransitionId t) {
+            if (aborted()) return false;
+            shell_.fire_into(ctx, marking, t);
+            check_persistence_edges(head, t, enabled, ctx);
+            return true;
+        };
+        if (prepass &&
+            !detail::for_each_bit(enabled, nullptr, twords, scan_edge)) {
+            return;
         }
 
         // True once some successor of head sits in the next BFS layer:
@@ -546,7 +380,7 @@ private:
         // ignoring proviso holds without widening.
         bool fresh_seen = false;
 
-        auto expand_edge = [&](TransitionId t, bool check_edges) -> bool {
+        auto expand_edge = [&](TransitionId t) -> bool {
             // Per-worker edge-counter stop poll: the serial layer poll
             // alone lets one enormous (or heavily reduced) layer blow
             // straight through a sweep deadline.
@@ -556,17 +390,16 @@ private:
                 return false;
             }
             ++ctx.edges;
-            copy_words(ctx.child.data(), marking, mwords_);
-            compiled_.fire(ctx.child.data(), t);
+            shell_.fire_into(ctx, marking, t);
 
-            if (check_edges && query_.check_persistence) {
+            if (!prepass && shell_.query.check_persistence) {
                 check_persistence_edges(head, t, enabled, ctx);
             }
 
             const std::uint64_t meta_init[kMetaWords] = {
                 (std::uint64_t{t.value} << 32) | head, depth_ + 1};
-            const auto interned = store_.intern(ctx.child.data(), cap_,
-                                                meta_init, kMetaWords);
+            const auto interned = store_.intern(
+                ctx.child.data(), shell_.cap, meta_init, kMetaWords);
             if (interned.id == ConcurrentMarkingStore::kNone) {
                 truncated_.store(true, std::memory_order_relaxed);
                 abort_now_.store(true, std::memory_order_release);
@@ -580,8 +413,8 @@ private:
                 // changes, so this read is race-free. Next-layer
                 // duplicates count as progress exactly like the
                 // sequential engine's id watermark does.
-                if (por_ &&
-                    store_[interned.id][mwords_ + 1] == depth_ + 1) {
+                if (shell_.por &&
+                    store_[interned.id][shell_.mwords + 1] == depth_ + 1) {
                     fresh_seen = true;
                 }
                 return true;
@@ -590,59 +423,25 @@ private:
 
             util::WordArena& arena = ctx.earena[write_parity_];
             std::uint64_t* child_enabled = arena[arena.push(enabled)];
-            compiled_.update_enabled(ctx.child.data(), t, child_enabled);
-            if (tight_) {
-                // Discovery-time reduction: compute the child's ample
-                // set into the row's second half (out-edge accounting
-                // and the next layer's expansion both read it there).
-                std::uint64_t* ample_row = child_enabled + twords_;
-                if (!por_->reduce(ctx.child.data(), child_enabled,
-                                  ample_row, ctx.por_scratch)) {
-                    copy_words(ample_row, child_enabled, twords_);
-                }
-                ctx.out_edges += enabled_popcount(ample_row);
-            } else {
-                ctx.out_edges += enabled_popcount(child_enabled);
-            }
+            shell_.compiled.update_enabled(ctx.child.data(), t,
+                                           child_enabled);
+            ctx.out_edges += detail::popcount_words(child_enabled, twords);
             visit(interned.id, child_enabled, ctx);
             ctx.out.push_back(interned.id);
             ctx.out_rows.push_back(child_enabled);
             return true;
         };
 
-        auto expand_bits = [&](const std::uint64_t* src,
-                               const std::uint64_t* minus,
-                               bool check_edges) -> bool {
-            for (std::size_t word = 0; word < twords_; ++word) {
-                std::uint64_t bits = src[word];
-                if (minus != nullptr) bits &= ~minus[word];
-                while (bits != 0) {
-                    if (abort_now_.load(std::memory_order_relaxed)) {
-                        return false;
-                    }
-                    const TransitionId t{static_cast<std::uint32_t>(
-                        word * kWordBits +
-                        static_cast<std::size_t>(std::countr_zero(bits)))};
-                    bits &= bits - 1;
-                    if (!expand_edge(t, check_edges)) return false;
-                }
-            }
-            return true;
+        auto edge = [&](TransitionId t) {
+            return !aborted() && expand_edge(t);
         };
-
-        if (!expand_bits(bits_src, nullptr, /*check_edges=*/!prepass)) {
-            return;
-        }
-
-        // Ignoring proviso: a reduced expansion none of whose stubborn
-        // successors reached the next layer could postpone a visible
-        // action forever — widen to the full enabled set. Deadlock-only
-        // passes never need this (proviso_needed() is false).
-        if (reduced && por_->proviso_needed() && !fresh_seen) {
-            ++ctx.por.proviso_expansions;
-            ctx.por.expanded_transitions += enabled_count - ample_count;
-            expand_bits(enabled, ctx.ample.data(), /*check_edges=*/false);
-        }
+        shell_.expand_state(
+            marking, enabled, ctx,
+            [&](const std::uint64_t* bits, const std::uint64_t* minus) {
+                const bool finished =
+                    detail::for_each_bit(bits, minus, twords, edge);
+                return !finished || fresh_seen;
+            });
     }
 
     void run_chunk(std::uint64_t task, WorkerCtx& ctx) {
@@ -692,15 +491,20 @@ private:
         }
     }
 
+    /// Records the pass's first error and makes every worker stop.
+    void fail_with(std::exception_ptr error) noexcept {
+        {
+            const std::lock_guard<std::mutex> lock(error_mu_);
+            if (!error_) error_ = std::move(error);
+        }
+        abort_now_.store(true, std::memory_order_release);
+    }
+
     void process_layer_guarded(std::size_t w) noexcept {
         try {
             process_layer(w);
         } catch (...) {
-            {
-                const std::lock_guard<std::mutex> lock(error_mu_);
-                if (!error_) error_ = std::current_exception();
-            }
-            abort_now_.store(true, std::memory_order_release);
+            fail_with(std::current_exception());
         }
     }
 
@@ -745,140 +549,73 @@ private:
     }
 
     /// Serial (barrier completion): snapshots the pass at the layer
-    /// boundary layer_done() just stitched — records with their witness
-    /// meta in dense id order, the next frontier's ids, every verdict
-    /// accumulator. Enabled rows are derived data and stay out; resume
-    /// recomputes the frontier's. Throws on IO failure (caught by the
-    /// caller and routed through the pass's error path).
+    /// boundary layer_done() just stitched, with the next frontier's ids
+    /// as the cursor; resume recomputes the frontier's enabled rows.
+    /// Throws on IO failure (caught by the caller and routed through the
+    /// pass's error path).
     void save_checkpoint() const {
-        StoreCheckpoint ckpt;
-        ckpt.engine = StoreCheckpoint::Engine::kParallel;
-        ckpt.structure_digest = compiled_.structure_digest();
-        ckpt.marking_words = static_cast<std::uint32_t>(mwords_);
-        ckpt.meta_words = kMetaWords;
-        const std::size_t n = store_.size();
-        const std::size_t stride = mwords_ + kMetaWords;
-        ckpt.record_count = n;
-        ckpt.records.reserve(n * stride);
-        for (std::uint32_t id = 0; id < n; ++id) {
-            const std::uint64_t* rec = store_[id];
-            ckpt.records.insert(ckpt.records.end(), rec, rec + stride);
-        }
-        ckpt.head = n;
-        ckpt.next_layer_begin = n;
+        StoreCheckpoint ckpt = shell_.capture(
+            StoreCheckpoint::Engine::kParallel, kMetaWords, store_, ctx_);
+        ckpt.head = ckpt.record_count;
+        ckpt.next_layer_begin = ckpt.record_count;
         ckpt.depth = depth_;
         ckpt.frontier = frontier_;
-        ckpt.goal_hits = witness_id_;
-        for (const WorkerCtx& ctx : ctx_) {
-            ckpt.edges_explored += ctx.edges;
-            ckpt.deadlocks.insert(ckpt.deadlocks.end(),
-                                  ctx.deadlocks.begin(),
-                                  ctx.deadlocks.end());
-            for (const LocalViolation& v : ctx.violations) {
-                ckpt.violations.push_back(
-                    {v.state, v.depth, v.fired.value, v.disabled.value});
-            }
-            ckpt.por.merge(ctx.por);
-        }
         ckpt.save(checkpoint_path_);
     }
 
-    /// Rebuilds the pass from resume_: re-interns the records in dense
-    /// id order (layout-independent), seeds every verdict accumulator
-    /// into worker 0's context, and recomputes the frontier's enabled
-    /// rows. Returns false when the resumed pass has nothing left to do
-    /// (caller assembles immediately). Throws on any mismatch — a resume
-    /// point must never silently restart or corrupt an exploration.
-    bool seed_from_checkpoint() {
+    /// Rebuilds the pass from resume_ — refusing any mismatch: a resume
+    /// point must never silently restart or corrupt an exploration — with
+    /// every verdict accumulator seeded into worker 0's lane and the
+    /// checkpointed frontier as the next layer.
+    void restore() {
         const StoreCheckpoint& ckpt = *resume_;
-        if (ckpt.engine != StoreCheckpoint::Engine::kParallel) {
-            throw std::runtime_error(
-                "resume: checkpoint was written by the sequential engine");
-        }
-        if (ckpt.structure_digest != compiled_.structure_digest()) {
-            throw std::runtime_error(
-                "resume: checkpoint structural digest does not match this "
-                "net — the interned ids describe a different structure");
-        }
-        if (ckpt.marking_words != mwords_ || ckpt.meta_words != kMetaWords) {
-            throw std::runtime_error(
-                "resume: checkpoint record geometry does not match");
-        }
-        if (ckpt.record_count == 0 || ckpt.record_count > cap_) {
-            throw std::runtime_error(
-                "resume: checkpoint record count is out of range for this "
-                "pass's max_states");
-        }
-        if (ckpt.goal_hits.size() != query_.goals.size()) {
-            throw std::runtime_error(
-                "resume: checkpoint goal count does not match the query");
-        }
-        ckpt.check_ids(compiled_.transition_count());
-        const Marking m0 = net_.initial_marking();
-        copy_words(ctx_[0].child.data(), m0.word_data(), m0.word_count());
-        if (std::memcmp(ckpt.record(0), ctx_[0].child.data(),
-                        mwords_ * sizeof(std::uint64_t)) != 0) {
-            throw std::runtime_error(
-                "resume: checkpoint root marking differs from this net's "
-                "initial marking (reconfigured since the checkpoint?)");
-        }
+        ckpt.check_resumable(StoreCheckpoint::Engine::kParallel, kMetaWords,
+                             shell_.compiled, shell_.cap,
+                             shell_.query.goals.size());
         store_.reserve(static_cast<std::size_t>(ckpt.record_count));
-        for (std::uint64_t id = 0; id < ckpt.record_count; ++id) {
-            const std::uint64_t* rec = ckpt.record(id);
-            const auto interned =
-                store_.intern(rec, cap_, rec + mwords_, kMetaWords);
-            if (!interned.inserted || interned.id != id) {
-                throw std::runtime_error(
-                    "resume: checkpoint records are not unique dense-id "
-                    "markings — corrupted or foreign checkpoint");
-            }
-        }
+        shell_.restore(ckpt, ctx_[0], [&](const std::uint64_t* rec) {
+            return store_.intern(rec, shell_.cap, rec + shell_.mwords,
+                                 kMetaWords);
+        });
         depth_ = static_cast<std::size_t>(ckpt.depth);
-        ctx_[0].edges = static_cast<std::size_t>(ckpt.edges_explored);
-        ctx_[0].por = ckpt.por;
-        ctx_[0].por.active = false;  // activity is this pass's, not saved
-        ctx_[0].deadlocks = ckpt.deadlocks;
-        for (const StoreCheckpoint::Violation& v : ckpt.violations) {
-            ctx_[0].violations.push_back({v.state, v.depth,
-                                          TransitionId{v.fired},
-                                          TransitionId{v.disabled}});
-        }
-        unresolved_ = 0;
-        for (std::size_t g = 0; g < query_.goals.size(); ++g) {
-            witness_id_[g] = ckpt.goal_hits[g];
-            resolved_[g] =
-                ckpt.goal_hits[g] != ConcurrentMarkingStore::kNone ? 1 : 0;
-            if (!resolved_[g]) ++unresolved_;
-        }
         frontier_ = ckpt.frontier;
-        if (frontier_.empty() || (can_early_stop_ && unresolved_ == 0)) {
-            return false;  // the checkpointed pass was already settled
-        }
-        // Frontier enabled rows are derived data: recompute them (and the
-        // tight layout's ample halves) exactly where discovery would have
-        // put them — worker 0's read-parity arena.
+    }
+
+    /// Serial: computes frontier_'s enabled rows where discovery would
+    /// have put them — worker 0's read-parity arena — and returns their
+    /// out-edge count.
+    std::size_t load_frontier_rows() {
+        util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
         std::size_t out_edges = 0;
         frontier_rows_.reserve(frontier_.size());
-        util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
         for (const std::uint32_t id : frontier_) {
             std::uint64_t* row = arena[arena.push_zero()];
-            compiled_.enabled_set(store_[id], row);
-            if (tight_) {
-                std::uint64_t* ample_row = row + twords_;
-                if (!por_->reduce(store_[id], row, ample_row,
-                                  ctx_[0].por_scratch)) {
-                    copy_words(ample_row, row, twords_);
-                }
-                out_edges += enabled_popcount(ample_row);
-            } else {
-                out_edges += enabled_popcount(row);
-            }
+            shell_.compiled.enabled_set(store_[id], row);
+            out_edges += detail::popcount_words(row, shell_.twords);
             frontier_rows_.push_back(row);
         }
-        store_.reserve(
-            std::min(store_.size() + out_edges, cap_));
-        prepare_frontier_schedule();
-        return true;
+        return out_edges;
+    }
+
+    /// Serial: settles every unmatched goal on the canonical-min of the
+    /// workers' best hits since the last settlement.
+    void settle_goals() noexcept {
+        for (std::size_t g = 0; g < shell_.goal_hit.size(); ++g) {
+            if (shell_.goal_hit[g] != kNoParent) continue;
+            std::uint32_t best = kNoParent;
+            for (WorkerCtx& ctx : ctx_) {
+                const std::uint32_t hit = std::exchange(ctx.best[g],
+                                                        kNoParent);
+                if (hit != kNoParent &&
+                    (best == kNoParent || markings_less(hit, best))) {
+                    best = hit;
+                }
+            }
+            if (best != kNoParent) {
+                shell_.goal_hit[g] = best;
+                --shell_.unmatched;
+            }
+        }
     }
 
     /// Serial between-layers step, run by the barrier's completion while
@@ -910,27 +647,7 @@ private:
             violations += ctx.violations.size();
         }
         ++depth_;  // frontier_ now holds states at this BFS depth
-
-        for (std::size_t g = 0; g < resolved_.size(); ++g) {
-            if (resolved_[g]) continue;
-            std::uint32_t best = ConcurrentMarkingStore::kNone;
-            for (WorkerCtx& ctx : ctx_) {
-                const std::uint32_t hit = ctx.best[g];
-                ctx.best[g] = ConcurrentMarkingStore::kNone;
-                if (hit == ConcurrentMarkingStore::kNone) continue;
-                if (best == ConcurrentMarkingStore::kNone ||
-                    words_less(marking_of(hit), marking_of(best),
-                               mwords_)) {
-                    best = hit;
-                }
-            }
-            if (best != ConcurrentMarkingStore::kNone) {
-                resolved_[g] = 1;
-                witness_id_[g] = best;
-                --unresolved_;
-            }
-        }
-
+        settle_goals();
         peak_bytes_ = std::max(peak_bytes_, resident_now());
 
         if (stop_ && stop_()) {
@@ -943,8 +660,9 @@ private:
         }
 
         if (abort_now_.load(std::memory_order_acquire) ||
-            frontier_.empty() || (can_early_stop_ && unresolved_ == 0) ||
-            (query_.persistence_stop_at_first && violations != 0)) {
+            frontier_.empty() ||
+            (shell_.can_early_stop && shell_.unmatched == 0) ||
+            (shell_.query.persistence_stop_at_first && violations != 0)) {
             done_ = true;
             return;
         }
@@ -958,36 +676,14 @@ private:
                 // IO failure must surface as an aborted pass, not a
                 // silently skipped resume point: route it through the
                 // same error path a worker exception takes.
-                {
-                    const std::lock_guard<std::mutex> lock(error_mu_);
-                    if (!error_) error_ = std::current_exception();
-                }
-                abort_now_.store(true, std::memory_order_release);
+                fail_with(std::current_exception());
                 done_ = true;
                 return;
             }
         }
 
-        store_.reserve(std::min(store_.size() + out_edges, cap_));
+        store_.reserve(std::min(store_.size() + out_edges, shell_.cap));
         prepare_frontier_schedule();
-    }
-
-    /// Canonical BFS-shortest trace for a stored state: a plain walk over
-    /// the records' witness links (already canonical-min when the workers
-    /// joined).
-    Trace reconstruct(std::uint32_t id) const {
-        Trace trace;
-        std::uint32_t cursor = id;
-        for (;;) {
-            const std::uint64_t link = store_[cursor][mwords_];
-            const auto parent = static_cast<std::uint32_t>(link);
-            if (parent == ConcurrentMarkingStore::kNone) break;
-            trace.firings.push_back(
-                TransitionId{static_cast<std::uint32_t>(link >> 32)});
-            cursor = parent;
-        }
-        std::reverse(trace.firings.begin(), trace.firings.end());
-        return trace;
     }
 
     /// Shared worker-pool loop: runs barrier-synchronized layers until
@@ -996,23 +692,15 @@ private:
 
     MultiResult assemble();
 
-    const Net& net_;
-    const CompiledNet& compiled_;
-    const MultiQuery& query_;
-    const std::size_t cap_;
-    const std::size_t mwords_;
-    const std::size_t twords_;
+    /// Meta words per record: the (via << 32 | parent) canonical witness
+    /// link and the BFS depth (the freshness test of the reduction's
+    /// ignoring proviso, mirroring the sequential engine's id watermark).
+    static constexpr std::uint32_t kMetaWords = 2;
+
+    detail::PassShell shell_;
     const std::size_t workers_;
     const std::function<bool()> stop_;  ///< cooperative stop hook
-    /// Stubborn-set reduction of this pass (options.por); absent when off
-    /// or fallen back to full exploration. The depth meta word is the
-    /// freshness test of its ignoring proviso, mirroring the sequential
-    /// engine's id watermark.
-    const std::optional<PorContext> por_;
-    /// Ample-width diet accounting: reduction on, never widened (no
-    /// proviso, no persistence) — rows are [full | ample] pairs and
-    /// out-edge provisioning counts ample bits only.
-    const bool tight_;
+    const bool maintain_tree_;  ///< CAS links worth updating this pass
 
     ConcurrentMarkingStore store_;
     /// Periodic resume-point persistence (empty = off). Saved in the
@@ -1030,13 +718,6 @@ private:
     int write_parity_ = 1;   ///< worker arena receiving discoveries
     std::size_t peak_bytes_ = 0;
 
-    std::vector<std::uint8_t> resolved_;
-    std::vector<std::uint32_t> witness_id_;
-    std::size_t unresolved_ = 0;
-
-    bool can_early_stop_ = false;
-    bool maintain_tree_ = false;  ///< CAS links worth updating this pass
-
     std::atomic<bool> abort_now_{false};
     std::atomic<bool> truncated_{false};
     bool done_ = false;
@@ -1049,50 +730,30 @@ private:
 
 MultiResult ParallelPass::run() {
     if (resume_ != nullptr) {
-        if (!seed_from_checkpoint()) return assemble();
-        return run_layers();
+        restore();
+    } else {
+        // Root state, interned serially at depth 0.
+        const Marking m0 = shell_.net.initial_marking();
+        copy_words(ctx_[0].child.data(), m0.word_data(), m0.word_count());
+        store_.reserve(1);
+        const std::uint64_t root_meta[kMetaWords] = {kNoParent, 0};
+        frontier_.push_back(store_
+                                .intern(ctx_[0].child.data(), shell_.cap,
+                                        root_meta, kMetaWords)
+                                .id);
     }
-    // Root state, interned and evaluated serially (depth 0).
-    const Marking m0 = net_.initial_marking();
-    copy_words(ctx_[0].child.data(), m0.word_data(), m0.word_count());
-    store_.reserve(std::min<std::size_t>(1, cap_));
-    const std::uint64_t root_meta[kMetaWords] = {
-        std::uint64_t{ConcurrentMarkingStore::kNone}, 0};
-    const std::uint32_t root_id =
-        store_.intern(ctx_[0].child.data(), cap_, root_meta, kMetaWords).id;
-    util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
-    std::uint64_t* root_enabled = arena[arena.push_zero()];
-    compiled_.enabled_set(store_[root_id], root_enabled);
-    if (tight_) {
-        std::uint64_t* ample_row = root_enabled + twords_;
-        if (!por_->reduce(store_[root_id], root_enabled, ample_row,
-                          ctx_[0].por_scratch)) {
-            copy_words(ample_row, root_enabled, twords_);
-        }
+    const std::size_t out_edges = load_frontier_rows();
+    if (resume_ == nullptr) {
+        // Root hits settle exactly like a layer boundary's.
+        visit(frontier_[0], frontier_rows_[0], ctx_[0]);
+        settle_goals();
     }
-    visit(root_id, root_enabled, ctx_[0]);
-    frontier_.push_back(root_id);
-    frontier_rows_.push_back(root_enabled);
-    // Settle root hits exactly like a layer boundary would (depth 0, so
-    // compensate the depth bump layer_done() applies).
-    {
-        const std::size_t root_out = enabled_popcount(
-            tight_ ? root_enabled + twords_ : root_enabled);
-        for (std::size_t g = 0; g < resolved_.size(); ++g) {
-            const std::uint32_t hit = ctx_[0].best[g];
-            ctx_[0].best[g] = ConcurrentMarkingStore::kNone;
-            if (hit == ConcurrentMarkingStore::kNone) continue;
-            resolved_[g] = 1;
-            witness_id_[g] = hit;
-            --unresolved_;
-        }
-        if ((can_early_stop_ && unresolved_ == 0) || root_out == 0) {
-            return assemble();  // nothing to explore / nothing left to ask
-        }
-        store_.reserve(std::min(1 + root_out, cap_));
-        prepare_frontier_schedule();
+    if (frontier_.empty() ||
+        (shell_.can_early_stop && shell_.unmatched == 0)) {
+        return assemble();  // nothing to explore / nothing left to ask
     }
-
+    store_.reserve(std::min(store_.size() + out_edges, shell_.cap));
+    prepare_frontier_schedule();
     return run_layers();
 }
 
@@ -1121,118 +782,35 @@ MultiResult ParallelPass::run_layers() {
 }
 
 MultiResult ParallelPass::assemble() {
-    MultiResult result;
-    result.states_explored = store_.size();
-    result.truncated = truncated_.load(std::memory_order_acquire);
-    result.por.active = por_.has_value();
+    // Canonical verdict order, whichever worker found what: deadlocks by
+    // marking, violations by (depth, marking, pair), cut to what the
+    // query keeps.
+    std::vector<std::uint32_t> dead;
+    std::vector<Violation> violations;
     for (const WorkerCtx& ctx : ctx_) {
-        result.edges_explored += ctx.edges;
-        result.por.merge(ctx.por);
+        dead.insert(dead.end(), ctx.deadlocks.begin(), ctx.deadlocks.end());
+        violations.insert(violations.end(), ctx.violations.begin(),
+                          ctx.violations.end());
     }
-    result.memory.records = store_.size();
-    result.memory.record_bytes = store_.record_bytes();
-    result.memory.resident_bytes = resident_now();
-    result.memory.peak_bytes =
-        std::max(peak_bytes_, result.memory.resident_bytes);
-    result.memory.store = store_.stats();
-
-    if (query_.collect_deadlocks) {
-        std::vector<std::uint32_t> dead;
-        for (const WorkerCtx& ctx : ctx_) {
-            dead.insert(dead.end(), ctx.deadlocks.begin(),
-                        ctx.deadlocks.end());
-        }
-        std::sort(dead.begin(), dead.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      return words_less(marking_of(a), marking_of(b),
-                                        mwords_);
-                  });
-        result.deadlocks.reserve(dead.size());
-        for (const std::uint32_t id : dead) {
-            result.deadlocks.push_back(materialize(id));
-        }
+    std::sort(dead.begin(), dead.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return markings_less(a, b);
+              });
+    std::sort(violations.begin(), violations.end(),
+              [this](const Violation& a, const Violation& b) {
+                  return violation_less(a, b);
+              });
+    std::size_t keep = shell_.query.persistence_max_violations;
+    if (shell_.query.persistence_stop_at_first) {
+        keep = std::min<std::size_t>(keep, 1);
     }
-
-    if (query_.check_persistence) {
-        std::vector<LocalViolation> all;
-        for (const WorkerCtx& ctx : ctx_) {
-            all.insert(all.end(), ctx.violations.begin(),
-                       ctx.violations.end());
-        }
-        std::sort(all.begin(), all.end(),
-                  [this](const LocalViolation& a, const LocalViolation& b) {
-                      return violation_less(a, b);
-                  });
-        std::size_t keep = query_.persistence_max_violations;
-        if (query_.persistence_stop_at_first) {
-            keep = std::min<std::size_t>(keep, 1);
-        }
-        if (all.size() > keep) all.resize(keep);
-        result.persistence_violations.reserve(all.size());
-        for (const LocalViolation& v : all) {
-            result.persistence_violations.push_back(
-                {materialize(v.state), v.fired, v.disabled,
-                 reconstruct(v.state)});
-        }
-    }
-
-    result.goals.resize(query_.goals.size());
-    for (std::size_t g = 0; g < query_.goals.size(); ++g) {
-        ReachabilityResult& r = result.goals[g];
-        r.states_explored = result.states_explored;
-        r.edges_explored = result.edges_explored;
-        r.truncated = result.truncated;
-        r.memory = result.memory;
-        r.por = result.por;
-        if (resolved_[g]) {
-            r.witness = materialize(witness_id_[g]);
-            r.witness_trace = reconstruct(witness_id_[g]);
-        }
-    }
-    return result;
+    if (violations.size() > keep) violations.resize(keep);
+    return shell_.finish(store_, ctx_,
+                         truncated_.load(std::memory_order_acquire),
+                         footprint(), dead, violations);
 }
 
 }  // namespace
-
-ReachabilityResult ParallelReachabilityExplorer::find(
-    const Predicate& goal) {
-    MultiQuery query;
-    query.goals = {&goal};
-    return std::move(run_query(query).goals[0]);
-}
-
-std::vector<ReachabilityResult> ParallelReachabilityExplorer::find_all(
-    std::span<const Predicate* const> goals) {
-    MultiQuery query;
-    query.goals.assign(goals.begin(), goals.end());
-    return std::move(run_query(query).goals);
-}
-
-ReachabilityResult ParallelReachabilityExplorer::find_deadlocks() {
-    const Predicate dead = Predicate::deadlock();
-    MultiQuery query;
-    query.goals = {&dead};
-    query.collect_deadlocks = true;
-    auto multi = run_query(query);
-    ReachabilityResult result = std::move(multi.goals[0]);
-    result.deadlocks = std::move(multi.deadlocks);
-    return result;
-}
-
-ReachabilityResult ParallelReachabilityExplorer::explore_all() {
-    const auto multi = run_query(MultiQuery{});
-    ReachabilityResult result;
-    result.states_explored = multi.states_explored;
-    result.edges_explored = multi.edges_explored;
-    result.truncated = multi.truncated;
-    result.memory = multi.memory;
-    result.por = multi.por;
-    return result;
-}
-
-std::size_t ParallelReachabilityExplorer::count_states() {
-    return explore_all().states_explored;
-}
 
 MultiResult ParallelReachabilityExplorer::run_query(
     const MultiQuery& query) {
@@ -1242,7 +820,7 @@ MultiResult ParallelReachabilityExplorer::run_query(
         ReachabilityExplorer sequential(*compiled_, options_);
         return sequential.run_query(query);
     }
-    ParallelPass pass(net_, *compiled_, options_, query, threads_);
+    ParallelPass pass(*compiled_, options_, query, threads_);
     try {
         return pass.run();
     } catch (const ExplorationAborted&) {

@@ -4,13 +4,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "petri/compiled.hpp"
 #include "petri/net.hpp"
-#include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
 
 namespace rap::petri {
@@ -55,6 +52,9 @@ public:
         return record(id);
     }
     std::size_t meta_offset() const noexcept { return words_; }
+    const std::uint64_t* meta(std::uint32_t id) const noexcept {
+        return record(id) + words_;
+    }
 
     struct InternResult {
         std::uint32_t id = kNone;  ///< kNone when the limit blocked insert
@@ -163,27 +163,17 @@ private:
 /// Goal predicates and the persistence exemption callback are invoked
 /// concurrently from worker threads and must be thread-safe for const
 /// access (every predicate built from Predicate atoms/connectives is).
-class ParallelReachabilityExplorer {
+class ParallelReachabilityExplorer
+    : public ExplorerBase<ParallelReachabilityExplorer> {
 public:
+    /// Any number of explorers and verifiers can share one CompiledNet
+    /// concurrently: it is never written to.
     explicit ParallelReachabilityExplorer(const Net& net,
                                           ReachabilityOptions options = {});
-
-    /// Runs on an externally owned CompiledNet (the verify::CompiledModel
-    /// / flow::Design sharing hook). The artifact must outlive the
-    /// explorer; it is never written to, so any number of explorers and
-    /// verifiers can share it concurrently.
     explicit ParallelReachabilityExplorer(const CompiledNet& compiled,
                                           ReachabilityOptions options = {});
 
-    ReachabilityResult find(const Predicate& goal);
-    std::vector<ReachabilityResult> find_all(
-        std::span<const Predicate* const> goals);
     MultiResult run_query(const MultiQuery& query);
-    ReachabilityResult find_deadlocks();
-    ReachabilityResult explore_all();
-    std::size_t count_states();
-
-    const CompiledNet& compiled() const noexcept { return *compiled_; }
 
     /// Worker threads a pass will use (options.threads resolved).
     std::size_t threads() const noexcept { return threads_; }
@@ -192,10 +182,6 @@ public:
     static std::size_t resolve_threads(std::size_t requested) noexcept;
 
 private:
-    const Net& net_;
-    ReachabilityOptions options_;
-    std::optional<CompiledNet> owned_;  ///< set by the Net constructor only
-    const CompiledNet* compiled_;       ///< owned_ or the shared artifact
     std::size_t threads_;
 };
 

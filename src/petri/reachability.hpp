@@ -8,6 +8,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "petri/compiled.hpp"
@@ -82,8 +83,8 @@ struct ReachabilityOptions {
     /// instead of starting from the initial marking. The checkpoint must
     /// come from the same engine kind, net structure (structural digest)
     /// and record geometry, and every id and witness link it carries must
-    /// be in range (StoreCheckpoint::check_ids) — anything else throws
-    /// std::runtime_error.
+    /// be in range (StoreCheckpoint::check_resumable) — anything else
+    /// throws std::runtime_error.
     /// The continued pass reproduces the uninterrupted run's
     /// (states, edges, verdicts, witnesses) exactly.
     std::shared_ptr<const StoreCheckpoint> resume;
@@ -162,7 +163,8 @@ struct MultiQuery {
     /// Check output persistence along every explored edge.
     bool check_persistence = false;
     /// Transition pairs for which mutual disabling is *intended* choice
-    /// (see PersistenceOptions::exempt).
+    /// (e.g. the Mt+/Mf+ pair of a control register models an input
+    /// choice, not a hazard). Returns true when the pair is exempt.
     std::function<bool(const Net&, TransitionId, TransitionId)>
         persistence_exempt;
     /// Stop the whole exploration at the first persistence violation.
@@ -187,6 +189,81 @@ struct MultiResult {
     std::vector<PersistenceViolation> persistence_violations;
 };
 
+/// The front door both engines share, written once over the engine's
+/// `run_query(const MultiQuery&)`: construction on a net (compiled here)
+/// or on an externally owned CompiledNet, and the convenience queries.
+template <class Engine>
+class ExplorerBase {
+public:
+    /// Searches for a marking satisfying `goal`.
+    ReachabilityResult find(const Predicate& goal) {
+        MultiQuery query;
+        query.goals = {&goal};
+        return std::move(engine().run_query(query).goals[0]);
+    }
+
+    /// Single-pass multi-goal search: one exploration answers every goal.
+    /// Returns one result per goal (same order), each carrying the shared
+    /// pass's state/edge counts.
+    std::vector<ReachabilityResult> find_all(
+        std::span<const Predicate* const> goals) {
+        MultiQuery query;
+        query.goals.assign(goals.begin(), goals.end());
+        return std::move(engine().run_query(query).goals);
+    }
+
+    /// Exhaustively explores and collects every deadlocked marking
+    /// (respecting max_states).
+    ReachabilityResult find_deadlocks() {
+        const Predicate dead = Predicate::deadlock();
+        MultiQuery query;
+        query.goals = {&dead};
+        query.collect_deadlocks = true;
+        MultiResult multi = engine().run_query(query);
+        ReachabilityResult result = std::move(multi.goals[0]);
+        result.deadlocks = std::move(multi.deadlocks);
+        return result;
+    }
+
+    /// Exhaustively explores; returns state/edge counts only.
+    ReachabilityResult explore_all() {
+        const MultiResult multi = engine().run_query(MultiQuery{});
+        ReachabilityResult result;
+        result.states_explored = multi.states_explored;
+        result.edges_explored = multi.edges_explored;
+        result.truncated = multi.truncated;
+        result.memory = multi.memory;
+        result.por = multi.por;
+        return result;
+    }
+
+    /// Number of distinct reachable markings (convenience over explore_all).
+    std::size_t count_states() { return explore_all().states_explored; }
+
+    const CompiledNet& compiled() const noexcept { return *compiled_; }
+
+protected:
+    ExplorerBase(const Net& net, ReachabilityOptions options)
+        : options_(std::move(options)),
+          owned_(std::in_place, net),
+          compiled_(&*owned_) {}
+
+    /// Runs on an externally owned CompiledNet instead of compiling the
+    /// net again — the sharing hook behind verify::CompiledModel and
+    /// flow::Design: N explorations (or N verifiers) amortise ONE compile.
+    /// The artifact must outlive the explorer; it is never written to.
+    ExplorerBase(const CompiledNet& compiled, ReachabilityOptions options)
+        : options_(std::move(options)),
+          compiled_(&compiled) {}
+
+    ReachabilityOptions options_;
+    std::optional<CompiledNet> owned_;  ///< set by the Net constructor only
+    const CompiledNet* compiled_;       ///< owned_ or the shared artifact
+
+private:
+    Engine& engine() { return static_cast<Engine&>(*this); }
+};
+
 /// Explicit-state breadth-first reachability over 1-safe nets, running on
 /// a CompiledNet: word-masked enable tests, incremental enabled-set
 /// maintenance through the affected-transition index, and an
@@ -196,58 +273,23 @@ struct MultiResult {
 /// BFS (rather than DFS) keeps witness traces shortest, which matters for
 /// debuggability of DFS model bugs — the paper reports hand-analysing such
 /// traces during the OPE design.
-class ReachabilityExplorer {
+class ReachabilityExplorer : public ExplorerBase<ReachabilityExplorer> {
 public:
     explicit ReachabilityExplorer(const Net& net,
                                   ReachabilityOptions options = {});
-
-    /// Runs on an externally owned CompiledNet instead of compiling the
-    /// net again — the sharing hook behind verify::CompiledModel and
-    /// flow::Design: N explorations (or N verifiers) amortise ONE compile.
-    /// The artifact must outlive the explorer.
     explicit ReachabilityExplorer(const CompiledNet& compiled,
                                   ReachabilityOptions options = {});
-
-    /// Searches for a marking satisfying `goal`.
-    ReachabilityResult find(const Predicate& goal);
-
-    /// Single-pass multi-goal search: one exploration answers every goal.
-    /// Returns one result per goal (same order), each carrying the shared
-    /// pass's state/edge counts.
-    std::vector<ReachabilityResult> find_all(
-        std::span<const Predicate* const> goals);
 
     /// Full control: goals + deadlock collection + persistence checking,
     /// all in one exploration.
     MultiResult run_query(const MultiQuery& query);
 
-    /// Exhaustively explores and collects every deadlocked marking
-    /// (respecting max_states).
-    ReachabilityResult find_deadlocks();
-
-    /// Exhaustively explores; returns state/edge counts only.
-    ReachabilityResult explore_all();
-
-    /// Number of distinct reachable markings (convenience over explore_all).
-    std::size_t count_states();
-
-    const CompiledNet& compiled() const noexcept { return *compiled_; }
-
 private:
-    static constexpr std::uint32_t kNoParent = UINT32_MAX;
-
     /// The pass body, factored out so run_query can convert a mid-pass
     /// failure into ExplorationAborted with the footprint at the moment
     /// of death attached.
     MultiResult run_pass(const MultiQuery& query);
 
-    Trace rebuild_trace(std::uint32_t index) const;
-    Marking materialize(std::uint32_t id) const;
-
-    const Net& net_;
-    ReachabilityOptions options_;
-    std::optional<CompiledNet> owned_;  ///< set by the Net constructor only
-    const CompiledNet* compiled_;       ///< owned_ or the shared artifact
     /// Each record carries one meta word packing the predecessor link
     /// (parent id | via transition << 32), so witness-trace rebuilding
     /// reads the record itself and is independent of visiting order.

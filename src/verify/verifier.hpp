@@ -11,7 +11,6 @@
 #include "dfs/translate.hpp"
 #include "petri/checkpoint.hpp"
 #include "petri/parallel.hpp"
-#include "petri/persistence.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
 #include "verify/artifacts.hpp"

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -252,6 +254,61 @@ TEST(Campaign, StreamsRowsInRunOrderPerPoint) {
             EXPECT_EQ(runs[r], r) << "rows of one point arrive in order";
         }
     }
+}
+
+TEST(Campaign, CancelStopsCallbacksAndSkipsUnstartedPoints) {
+    std::promise<void> first_row;
+    auto first_row_seen = first_row.get_future();
+    std::promise<void> gate;
+    auto gate_open = gate.get_future().share();
+    std::atomic<int> factory_calls{0};
+
+    // The factory blocks from the second point on until the test opens
+    // the gate *after* cancelling — mid-campaign cancellation without
+    // timing assumptions.
+    const Campaign::Factory build = small_factory(2);
+    auto factory = [&](int depth) {
+        if (factory_calls.fetch_add(1) > 0) gate_open.wait();
+        return build(depth);
+    };
+
+    std::atomic<std::size_t> callbacks{0};
+    bool first_signalled = false;
+    auto handle = Campaign(Campaign::Factory(factory))
+                      .depths({1, 2})
+                      .fault_scales({0.0, 1.0})  // 4 points
+                      .runs(3)
+                      .items(4)
+                      .seed(17)
+                      .workers(1)
+                      .on_run([&](const CampaignRun&) {
+                          ++callbacks;
+                          if (!first_signalled) {
+                              first_signalled = true;
+                              first_row.set_value();
+                          }
+                      })
+                      .launch();
+
+    first_row_seen.wait();
+    handle.cancel();
+    const std::size_t callbacks_at_cancel = callbacks.load();
+    gate.set_value();
+    EXPECT_TRUE(handle.cancelled());
+
+    const CampaignSummary summary = handle.wait();
+    EXPECT_EQ(callbacks.load(), callbacks_at_cancel)
+        << "no on_run row may fire after cancel() returned";
+    // The single worker finishes the point it holds — the first, or the
+    // second if it already reached that factory call — and starts no
+    // other.
+    ASSERT_GE(summary.rows.size(), 1u);
+    ASSERT_LE(summary.rows.size(), 2u);
+    for (std::size_t i = 0; i < summary.rows.size(); ++i) {
+        EXPECT_EQ(summary.rows[i].point.index, i) << "unstarted point kept";
+    }
+    EXPECT_EQ(summary.runs_total, 3u * summary.rows.size());
+    EXPECT_EQ(handle.metrics().value("rap_mc_cancelled"), 1.0);
 }
 
 TEST(Campaign, MetricsExposeMonteCarloCounters) {

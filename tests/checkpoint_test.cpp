@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -21,6 +23,7 @@
 #include "petri/parallel.hpp"
 #include "petri/reachability.hpp"
 #include "petri_fixtures.hpp"
+#include "util/rng.hpp"
 
 namespace rap::petri {
 namespace {
@@ -502,6 +505,145 @@ TEST(Checkpoint, OutOfRangeTransitionRefusedOnResume) {
             {0, 0, static_cast<std::uint32_t>(transitions), 0});
         EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
             << threads << "t violation";
+    }
+}
+
+TEST(Checkpoint, DepthWordOffItsWitnessLinkRefusedOnResume) {
+    // The parallel engine's canonical-min link update trusts each
+    // record's depth word: a record claiming the next layer's depth gets
+    // its witness link rewritten on a duplicate edge. Claimed by the
+    // root, the update would compare against the parent of a parentless
+    // link (an id past the store); claimed by any other record, it could
+    // close a link cycle. The one-register ring's state graph is a single
+    // cycle whose last layer leads back to the root, so a resumed first
+    // layer rediscovers it.
+    const Fixture fixture = ring_fixture(1);
+    const CompiledNet compiled(fixture.net);
+    const QueryBundle bundle(fixture.net);
+    const std::string path = temp_path("ckpt_depth_base.ckpt");
+    std::remove(path.c_str());
+    // Never stopped: the file keeps the last layer boundary of the pass.
+    killed_run(compiled, bundle.query, path, 4, INT32_MAX, 1);
+    const StoreCheckpoint base = StoreCheckpoint::load(path);
+    ASSERT_EQ(base.engine, StoreCheckpoint::Engine::kParallel);
+    ASSERT_GT(base.record_count, 2u);
+
+    auto leads_to_root = [&](std::uint32_t id) {
+        const std::size_t words = base.marking_words;
+        std::vector<std::uint64_t> enabled(compiled.enabled_words());
+        compiled.enabled_set(base.record(id), enabled.data());
+        for (std::uint32_t t = 0; t < compiled.transition_count(); ++t) {
+            if (((enabled[t / 64] >> (t % 64)) & 1) == 0) continue;
+            std::vector<std::uint64_t> next(base.record(id),
+                                            base.record(id) + words);
+            compiled.fire(next.data(), TransitionId{t});
+            if (std::equal(next.begin(), next.end(), base.record(0))) {
+                return true;
+            }
+        }
+        return false;
+    };
+    ASSERT_TRUE(std::any_of(base.frontier.begin(), base.frontier.end(),
+                            leads_to_root));
+
+    auto resume = [&](const StoreCheckpoint& crafted) {
+        const std::string crafted_path = temp_path("ckpt_depth_crafted.ckpt");
+        crafted.save(crafted_path);
+        ReachabilityOptions options;
+        options.stop_at_first_match = false;
+        options.threads = 4;
+        options.resume = std::make_shared<const StoreCheckpoint>(
+            StoreCheckpoint::load(crafted_path));
+        return ParallelReachabilityExplorer(compiled, options)
+            .run_query(bundle.query);
+    };
+    auto depth_word = [](StoreCheckpoint& c, std::uint64_t id)
+        -> std::uint64_t& {
+        return c.records[id * c.record_stride() + c.marking_words + 1];
+    };
+
+    StoreCheckpoint crafted = base;
+    depth_word(crafted, 0) = base.depth + 1;
+    EXPECT_THROW(resume(crafted), std::runtime_error) << "root";
+
+    crafted = base;
+    depth_word(crafted, base.record_count - 1) += 1;
+    EXPECT_THROW(resume(crafted), std::runtime_error) << "deeper record";
+
+    crafted = base;
+    crafted.depth += 1;
+    EXPECT_THROW(resume(crafted), std::runtime_error) << "frontier depth";
+
+    EXPECT_NO_THROW(resume(base));
+}
+
+TEST(Checkpoint, MutatedCheckpointsResumeOrAreRefused) {
+    // Seeded mutation fuzzer over real checkpoints of both engine kinds:
+    // bit flips and words overwritten with boundary values, resealed so
+    // the damage reaches the section parser and the resume checks. Every
+    // case must resume to completion or throw std::runtime_error
+    // (ExplorationAborted included) — never crash, hang or throw
+    // anything else.
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const CraftBase base(threads);
+        const std::string path = base.file("fuzz");
+        base.ckpt.save(path);
+        const std::vector<std::uint64_t> pristine = read_words(path);
+        const std::uint64_t records_off = pristine[20];
+        const std::uint64_t count = base.ckpt.record_count;
+        const std::uint64_t stride = base.ckpt.record_stride();
+        const std::uint64_t mwords = base.ckpt.marking_words;
+        const std::uint64_t values[] = {0,          1,         UINT32_MAX,
+                                        UINT64_MAX, count - 1, count + 1};
+
+        std::size_t resumed = 0;
+        std::size_t refused = 0;
+        for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+            util::Rng rng(seed * 8 + threads);
+            std::vector<std::uint64_t> words = pristine;
+            const int mutations = static_cast<int>(rng.range(1, 3));
+            for (int m = 0; m < mutations; ++m) {
+                // A third of the hits land in the header and id sections,
+                // a third on a record's meta words (witness link, depth),
+                // the rest anywhere before the checksum word.
+                std::uint64_t at = 0;
+                switch (rng.below(3)) {
+                    case 0: at = rng.below(records_off); break;
+                    case 1:
+                        at = records_off + rng.below(count) * stride +
+                             mwords + rng.below(stride - mwords);
+                        break;
+                    default: at = rng.below(words.size() - 1); break;
+                }
+                std::uint64_t& word = words[at];
+                const std::uint64_t kind = rng.below(7);
+                if (kind == 6) {
+                    word ^= std::uint64_t{1} << rng.below(64);
+                } else {
+                    word = values[kind];
+                }
+            }
+            write_resealed(path, words);
+            ReachabilityOptions options;
+            options.stop_at_first_match = false;
+            options.threads = threads;
+            // Damaged records can seed states the real pass never sees.
+            options.max_states = 8 * count;
+            try {
+                options.resume = std::make_shared<const StoreCheckpoint>(
+                    StoreCheckpoint::load(path));
+                ParallelReachabilityExplorer(base.compiled, options)
+                    .run_query(base.bundle.query);
+                ++resumed;
+            } catch (const std::runtime_error&) {
+                ++refused;
+            } catch (const std::exception& e) {
+                ADD_FAILURE() << threads << "t seed " << seed << " threw "
+                              << e.what();
+            }
+        }
+        EXPECT_GT(refused, 0u) << threads << "t";
+        EXPECT_GT(resumed, 0u) << threads << "t";
     }
 }
 

@@ -2,9 +2,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "dfs/serialize.hpp"
 #include "dfs_helpers.hpp"
+#include "ope/dfs_models.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace rap::dfs {
 namespace {
@@ -95,29 +100,111 @@ edge ctrl out
 }
 
 TEST(Serialize, ErrorsCarryLineNumbers) {
-    auto expect_error = [](const char* text, const char* needle) {
+    auto expect_error = [](const char* text, std::size_t line,
+                           const char* needle) {
         try {
             from_text(text);
             FAIL() << "expected parse error for: " << text;
         } catch (const std::invalid_argument& e) {
-            EXPECT_NE(std::string(e.what()).find(needle),
-                      std::string::npos)
-                << e.what();
+            const std::string what = e.what();
+            const std::string prefix =
+                "dfs parse error, line " + std::to_string(line) + ": ";
+            EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+            EXPECT_NE(what.find(needle), std::string::npos) << what;
         }
     };
-    expect_error("register r\n", "header");
-    expect_error("dfs a\ndfs b\n", "duplicate");
-    expect_error("dfs a\nwidget w\n", "unknown keyword 'widget'");
-    expect_error("dfs a\nregister r X\n", "must be '*'");
-    expect_error("dfs a\ncontrol c *\n", "'T' or 'F'");
-    expect_error("dfs a\nedge x y\n", "unknown node 'x'");
-    expect_error("dfs a\nregister r\nregister s\nedge r s wat\n",
+    expect_error("register r\n", 1, "header");
+    expect_error("dfs a\ndfs b\n", 2, "duplicate");
+    expect_error("dfs a\nwidget w\n", 2, "unknown keyword 'widget'");
+    expect_error("dfs a\nregister r X\n", 2, "must be '*'");
+    expect_error("dfs a\ncontrol c *\n", 2, "'T' or 'F'");
+    expect_error("dfs a\nedge x y\n", 2, "unknown node 'x'");
+    expect_error("dfs a\nregister r\nregister s\nedge r s wat\n", 4,
                  "unknown edge flag");
-    expect_error("dfs a\nlogic l *\n", "no marking");
-    expect_error("dfs\n", "missing model name");
-    expect_error("dfs a\nedge r\n", "two node names");
+    expect_error("dfs a\nlogic l *\n", 2, "no marking");
+    expect_error("dfs\n", 1, "missing model name");
+    expect_error("dfs a\nedge r\n", 2, "two node names");
+    // Refusals raised by Graph itself carry the line number too.
+    expect_error("dfs a\nregister r\n# gap\nlogic r\n", 4,
+                 "duplicate node name");
+    expect_error("dfs a\nregister a\nedge a a\n", 3, "self-loop");
+    expect_error("dfs a\nregister r\nregister s\nedge r s\nedge r s\n", 5,
+                 "duplicate edge");
+    expect_error("dfs a\nregister r\nregister s\nedge r s inv\n", 4,
+                 "only control registers");
     EXPECT_THROW(from_text(""), std::invalid_argument);
     EXPECT_THROW(from_text("# only a comment\n"), std::invalid_argument);
+}
+
+/// Seeded mutation fuzzer over a real model's text: every mutant must
+/// either parse or be refused with the documented exception and prefix —
+/// never crash, never throw anything else.
+TEST(Serialize, MutatedModelTextParsesOrIsRefused) {
+    const std::string text =
+        to_text(ope::build_reconfigurable_ope_dfs(3, 3).graph);
+    const std::vector<std::string> lines = util::split(text, '\n');
+    // Replacement tokens: every keyword and flag, a few hostile strings,
+    // and the model's own node names (so edges can hit real nodes).
+    std::vector<std::string> vocab = {"dfs", "logic", "register", "control",
+                                      "push", "pop", "edge", "inv", "*",
+                                      "T", "F", "#", "", "x", "edge edge"};
+    for (const std::string& line : lines) {
+        const std::vector<std::string> tokens = util::split(line, ' ');
+        if (tokens.size() >= 2) vocab.push_back(tokens[1]);
+    }
+
+    std::size_t parsed = 0;
+    std::size_t refused = 0;
+    for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+        util::Rng rng(seed);
+        std::vector<std::string> mutant = lines;
+        const auto pick = [&rng](std::size_t n) {
+            return static_cast<std::size_t>(rng.below(n));
+        };
+        const int mutations = static_cast<int>(rng.range(1, 4));
+        for (int m = 0; m < mutations && !mutant.empty(); ++m) {
+            switch (rng.below(4)) {
+                case 0:  // drop a line
+                    mutant.erase(mutant.begin() +
+                                 static_cast<std::ptrdiff_t>(
+                                     pick(mutant.size())));
+                    break;
+                case 1: {  // duplicate a line somewhere
+                    const std::string copy = mutant[pick(mutant.size())];
+                    mutant.insert(mutant.begin() +
+                                      static_cast<std::ptrdiff_t>(
+                                          pick(mutant.size() + 1)),
+                                  copy);
+                    break;
+                }
+                case 2:  // swap two lines
+                    std::swap(mutant[pick(mutant.size())],
+                              mutant[pick(mutant.size())]);
+                    break;
+                default: {  // replace one token
+                    std::string& line = mutant[pick(mutant.size())];
+                    std::vector<std::string> tokens = util::split(line, ' ');
+                    tokens[pick(tokens.size())] = vocab[pick(vocab.size())];
+                    line = util::join(tokens, " ");
+                    break;
+                }
+            }
+        }
+        const std::string input = util::join(mutant, "\n");
+        try {
+            from_text(input);
+            ++parsed;
+        } catch (const std::invalid_argument& e) {
+            ++refused;
+            EXPECT_EQ(std::string(e.what()).rfind("dfs parse error", 0), 0u)
+                << "seed " << seed << ": " << e.what();
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "seed " << seed << " threw " << e.what();
+        }
+    }
+    // Both outcomes occur, so the mutations reach past the first line.
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(refused, 0u);
 }
 
 TEST(Serialize, FileRoundTrip) {

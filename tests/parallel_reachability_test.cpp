@@ -507,13 +507,11 @@ TEST(MemoryDiet, EvictionPathStressUnderEveryScheduler) {
     }
 }
 
-TEST(MemoryDiet, ReducedPassAccountsRowsAtAmpleWidth) {
+TEST(MemoryDiet, ReducedParallelPassMatchesSequentialStats) {
     // A reduced pass that never widens (no persistence check, no proviso
-    // — deadlock collection only) stores frontier rows as [full | ample]
-    // with the ample set computed at discovery, and accounts out-edge
-    // provisioning at ample width. The contract: answers and reduction
-    // statistics equal the sequential engine's expansion-time reduction,
-    // while the row arenas show up in the resident accounting.
+    // — deadlock collection only). The contract: answers and reduction
+    // statistics equal the sequential engine's, while the per-worker row
+    // arenas show up in the resident accounting.
     const Fixture fixture = ope_fixture(3, 3);
     const CompiledNet compiled(fixture.net);
     MultiQuery query;
@@ -535,8 +533,8 @@ TEST(MemoryDiet, ReducedPassAccountsRowsAtAmpleWidth) {
     EXPECT_EQ(reduced.edges_explored, reference.edges_explored);
     EXPECT_EQ(sorted(reduced.deadlocks), sorted(reference.deadlocks));
 
-    // Discovery-time and expansion-time ample computation must agree on
-    // every reduction statistic, not just the verdicts.
+    // Both engines take the same reduction choice per state, so they
+    // agree on every reduction statistic, not just the verdicts.
     EXPECT_TRUE(reduced.por.active);
     EXPECT_EQ(reduced.por.expansions, reference.por.expansions);
     EXPECT_EQ(reduced.por.reduced_expansions,
@@ -548,13 +546,13 @@ TEST(MemoryDiet, ReducedPassAccountsRowsAtAmpleWidth) {
     EXPECT_EQ(reduced.por.expanded_transitions,
               reference.por.expanded_transitions);
 
-    // Every record is accounted, and the per-worker [full | ample] row
-    // arenas are part of the resident bytes on top of records + table.
+    // Every record is accounted, and the per-worker enabled-row arenas
+    // are part of the resident bytes on top of records + table.
     EXPECT_EQ(reduced.memory.records, reduced.states_explored);
     EXPECT_GT(reduced.memory.resident_bytes,
               reduced.memory.record_bytes +
                   reduced.memory.store.table_bytes)
-        << "ample-width row arenas must be part of the resident accounting";
+        << "enabled-row arenas must be part of the resident accounting";
     EXPECT_GE(reduced.memory.peak_bytes, reduced.memory.resident_bytes);
 }
 

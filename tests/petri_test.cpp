@@ -2,7 +2,6 @@
 
 #include "petri/dot.hpp"
 #include "petri/net.hpp"
-#include "petri/persistence.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
 
@@ -230,10 +229,17 @@ TEST(Predicate, DescriptionComposes) {
 
 // -------------------------------------------------------- persistence --
 
+/// A persistence-only pass on the sequential engine, stopping at the
+/// first violation.
+MultiResult persistence_pass(const Net& net, MultiQuery query = {}) {
+    query.check_persistence = true;
+    query.persistence_stop_at_first = true;
+    return ReachabilityExplorer(net).run_query(query);
+}
+
 TEST(Persistence, RingIsPersistent) {
     const Net net = make_ring();
-    const auto result = check_persistence(net);
-    EXPECT_TRUE(result.persistent());
+    EXPECT_TRUE(persistence_pass(net).persistence_violations.empty());
 }
 
 TEST(Persistence, ChoiceIsNotPersistent) {
@@ -249,9 +255,9 @@ TEST(Persistence, ChoiceIsNotPersistent) {
     net.add_output_arc(t1, b);
     net.add_input_arc(a, t2);
     net.add_output_arc(t2, c);
-    const auto result = check_persistence(net);
-    ASSERT_FALSE(result.persistent());
-    const auto& v = result.violations[0];
+    const auto result = persistence_pass(net);
+    ASSERT_FALSE(result.persistence_violations.empty());
+    const auto& v = result.persistence_violations[0];
     EXPECT_NE(v.fired, v.disabled);
     EXPECT_TRUE(v.trace_to_marking.firings.empty());
     EXPECT_NE(v.to_string(net).find("disables"), std::string::npos);
@@ -267,11 +273,11 @@ TEST(Persistence, ExemptionSuppressesIntendedChoice) {
     net.add_output_arc(t1, b);
     net.add_input_arc(a, t2);
     net.add_output_arc(t2, b);
-    PersistenceOptions options;
-    options.exempt = [](const Net&, TransitionId, TransitionId) {
+    MultiQuery query;
+    query.persistence_exempt = [](const Net&, TransitionId, TransitionId) {
         return true;
     };
-    EXPECT_TRUE(check_persistence(net, options).persistent());
+    EXPECT_TRUE(persistence_pass(net, query).persistence_violations.empty());
 }
 
 TEST(Persistence, ReadArcDisablingDetected) {
@@ -288,10 +294,11 @@ TEST(Persistence, ReadArcDisablingDetected) {
     const auto consume = net.add_transition("consume");
     net.add_input_arc(g, consume);
     net.add_output_arc(consume, sink);
-    const auto result = check_persistence(net);
-    ASSERT_FALSE(result.persistent());
-    EXPECT_EQ(net.transition_name(result.violations[0].fired), "consume");
-    EXPECT_EQ(net.transition_name(result.violations[0].disabled), "guarded");
+    const auto result = persistence_pass(net);
+    ASSERT_FALSE(result.persistence_violations.empty());
+    const auto& v = result.persistence_violations[0];
+    EXPECT_EQ(net.transition_name(v.fired), "consume");
+    EXPECT_EQ(net.transition_name(v.disabled), "guarded");
 }
 
 // ---------------------------------------------------------------- dot --

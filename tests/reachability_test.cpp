@@ -12,7 +12,6 @@
 #include "petri/compiled.hpp"
 #include "petri/net.hpp"
 #include "petri/parallel.hpp"
-#include "petri/persistence.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
 #include "petri_fixtures.hpp"
@@ -401,26 +400,6 @@ TEST(Reachability, RunQueryCombinesGoalsDeadlocksAndPersistence) {
     ASSERT_FALSE(multi.persistence_violations.empty());
     EXPECT_NE(multi.persistence_violations[0].fired,
               multi.persistence_violations[0].disabled);
-}
-
-TEST(Reachability, SharedPassPersistenceMatchesStandalone) {
-    const Net net = make_mixed();
-    const auto standalone = check_persistence(net);
-
-    MultiQuery query;
-    query.check_persistence = true;
-    query.persistence_stop_at_first = true;
-    ReachabilityExplorer explorer(net);
-    const auto multi = explorer.run_query(query);
-
-    ASSERT_EQ(standalone.violations.empty(),
-              multi.persistence_violations.empty());
-    if (!standalone.violations.empty()) {
-        EXPECT_EQ(standalone.violations[0].fired,
-                  multi.persistence_violations[0].fired);
-        EXPECT_EQ(standalone.violations[0].disabled,
-                  multi.persistence_violations[0].disabled);
-    }
 }
 
 // ------------------------------------------------- first-match witness --
