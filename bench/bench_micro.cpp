@@ -155,6 +155,31 @@ void BM_VerifyAllSinglePass(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifyAllSinglePass)->Unit(benchmark::kMillisecond);
 
+void BM_PorPassOpe(benchmark::State& state) {
+    // One flow::Sweep point's work: a deadlock-only POR pass over the
+    // reconfigurable OPE (stages, depth) on one thread — the regression
+    // gate of the stubborn-set closure (PorContext::reduce), which takes
+    // most of such a pass. Time / "states" = time per reduced state.
+    const auto p = ope::build_reconfigurable_ope_dfs(
+        static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
+    const auto tr = dfs::to_petri(p.graph);
+    const petri::CompiledNet compiled(tr.net);
+    petri::ReachabilityOptions options;
+    options.por = true;
+    options.threads = 1;
+    std::size_t states = 0;
+    for (auto _ : state) {
+        petri::ReachabilityExplorer explorer(compiled, options);
+        states = explorer.find_deadlocks().states_explored;
+        benchmark::DoNotOptimize(states);
+    }
+    state.counters["states"] = static_cast<double>(states);
+}
+BENCHMARK(BM_PorPassOpe)
+    ->Args({5, 5})
+    ->Args({6, 6})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_CycleAnalysis(benchmark::State& state) {
     const int stages = static_cast<int>(state.range(0));
     const auto p = ope::build_reconfigurable_ope_dfs(stages, stages);

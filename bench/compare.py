@@ -68,6 +68,7 @@ GATED = (
     "BM_ReachabilityFig1b",
     "BM_ReachabilityOpeStates",
     "BM_VerifyAllSinglePass",
+    "BM_PorPassOpe",
 )
 
 TIME_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}

@@ -107,6 +107,7 @@ CompiledNet::CompiledNet(const Net& net, const CompiledNet& parent)
         effect_ = parent.effect_;
         affected_off_ = parent.affected_off_;
         affected_ = parent.affected_;
+        disables_ = parent.disables_;
         return;
     }
 
@@ -133,7 +134,6 @@ CompiledNet::CompiledNet(const Net& net, const CompiledNet& parent)
     require_off_.reserve(transition_count_ + 1);
     forbid_off_.reserve(transition_count_ + 1);
     effect_off_.reserve(transition_count_ + 1);
-    std::vector<std::vector<std::uint32_t>> dependents(place_count_);
     std::vector<PlaceId> require_places;
     std::vector<PlaceId> forbid_places;
     for (std::uint32_t ti = 0; ti < transition_count_; ++ti) {
@@ -194,16 +194,16 @@ CompiledNet::CompiledNet(const Net& net, const CompiledNet& parent)
             }
         }
 
-        for (PlaceId p : require_places) dependents[p.value].push_back(ti);
-        for (PlaceId p : forbid_places) dependents[p.value].push_back(ti);
     }
     require_off_.push_back(static_cast<std::uint32_t>(require_.size()));
     forbid_off_.push_back(static_cast<std::uint32_t>(forbid_.size()));
     effect_off_.push_back(static_cast<std::uint32_t>(effect_.size()));
 
-    // affected(t) only moves when t itself changed or one of the places
-    // it toggles gained/lost a dependent; other rows copy over.
+    // affected(t) and disables(t) only move when t itself changed or one
+    // of the places it toggles gained/lost a reader; other rows copy over.
+    const PlaceReaders readers(net);
     affected_off_.reserve(transition_count_ + 1);
+    disables_.assign(transition_count_ * enabled_words_, 0);
     std::vector<PlaceId> toggled;
     std::vector<std::uint32_t> scratch;
     for (std::uint32_t ti = 0; ti < transition_count_; ++ti) {
@@ -222,22 +222,17 @@ CompiledNet::CompiledNet(const Net& net, const CompiledNet& parent)
                 break;
             }
         }
-        if (!stale) {
-            affected_.insert(
-                affected_.end(),
-                parent.affected_.begin() + parent.affected_off_[ti],
-                parent.affected_.begin() + parent.affected_off_[ti + 1]);
+        if (stale) {
+            index_toggles(net, ti, readers, scratch);
             continue;
         }
-        scratch.clear();
-        for (PlaceId p : toggled) {
-            scratch.insert(scratch.end(), dependents[p.value].begin(),
-                           dependents[p.value].end());
-        }
-        std::sort(scratch.begin(), scratch.end());
-        scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                      scratch.end());
-        affected_.insert(affected_.end(), scratch.begin(), scratch.end());
+        affected_.insert(
+            affected_.end(),
+            parent.affected_.begin() + parent.affected_off_[ti],
+            parent.affected_.begin() + parent.affected_off_[ti + 1]);
+        std::copy_n(parent.disables(t), enabled_words_,
+                    disables_.begin() +
+                        static_cast<std::ptrdiff_t>(ti * enabled_words_));
     }
     affected_off_.push_back(static_cast<std::uint32_t>(affected_.size()));
 }
@@ -246,11 +241,6 @@ void CompiledNet::build_full(const Net& net) {
     require_off_.reserve(transition_count_ + 1);
     forbid_off_.reserve(transition_count_ + 1);
     effect_off_.reserve(transition_count_ + 1);
-
-    // Place -> transitions whose enabledness depends on that place's
-    // token (consume / read / produce-contact). Built densely first, then
-    // flattened per transition into the affected-transition CSR.
-    std::vector<std::vector<std::uint32_t>> dependents(place_count_);
 
     std::vector<PlaceId> require_places;
     std::vector<PlaceId> forbid_places;
@@ -296,39 +286,108 @@ void CompiledNet::build_full(const Net& net) {
             }
         }
 
-        for (PlaceId p : require_places) dependents[p.value].push_back(ti);
-        for (PlaceId p : forbid_places) dependents[p.value].push_back(ti);
     }
     require_off_.push_back(static_cast<std::uint32_t>(require_.size()));
     forbid_off_.push_back(static_cast<std::uint32_t>(forbid_.size()));
     effect_off_.push_back(static_cast<std::uint32_t>(effect_.size()));
 
-    // affected(t) = union of dependents over the places whose marking a
-    // firing of t actually toggles: the symmetric difference of pre and
-    // post (pre ∩ post places end up marked again).
+    // Per transition, the affected-transition CSR and the disables rows,
+    // from the places' readers (consume / read / produce-contact).
+    const PlaceReaders readers(net);
     affected_off_.reserve(transition_count_ + 1);
-    std::vector<PlaceId> toggled;
+    disables_.assign(transition_count_ * enabled_words_, 0);
     std::vector<std::uint32_t> scratch;
     for (std::uint32_t ti = 0; ti < transition_count_; ++ti) {
-        const TransitionId t{ti};
-        const auto& pre = net.preset(t);
-        const auto& post = net.postset(t);
-        toggled.clear();
-        std::set_symmetric_difference(pre.begin(), pre.end(), post.begin(),
-                                      post.end(),
-                                      std::back_inserter(toggled));
-        scratch.clear();
-        for (PlaceId p : toggled) {
-            scratch.insert(scratch.end(), dependents[p.value].begin(),
-                           dependents[p.value].end());
-        }
-        std::sort(scratch.begin(), scratch.end());
-        scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                      scratch.end());
         affected_off_.push_back(static_cast<std::uint32_t>(affected_.size()));
-        affected_.insert(affected_.end(), scratch.begin(), scratch.end());
+        index_toggles(net, ti, readers, scratch);
     }
     affected_off_.push_back(static_cast<std::uint32_t>(affected_.size()));
+}
+
+void CompiledNet::index_toggles(const Net& net, std::uint32_t ti,
+                                const PlaceReaders& readers,
+                                std::vector<std::uint32_t>& scratch) {
+    // A firing of t unmarks toff(t) = pre ∖ post and marks
+    // ton(t) = post ∖ pre (pre ∩ post places end up marked again).
+    // affected(t) gathers every reader of those places; disables(t) only
+    // the ones the toggle goes against: requirers of toff, forbidders
+    // of ton.
+    const TransitionId t{ti};
+    const auto& pre = net.preset(t);
+    const auto& post = net.postset(t);
+    std::uint64_t* row =
+        disables_.data() + std::size_t{ti} * enabled_words_;
+    scratch.clear();
+    auto toggle = [&](PlaceId p, std::span<const std::uint32_t> against) {
+        const auto req = readers.require(p);
+        const auto fbd = readers.forbid(p);
+        scratch.insert(scratch.end(), req.begin(), req.end());
+        scratch.insert(scratch.end(), fbd.begin(), fbd.end());
+        for (const std::uint32_t u : against) {
+            row[u / kWordBits] |= std::uint64_t{1} << (u % kWordBits);
+        }
+    };
+    for (PlaceId p : pre) {
+        if (!std::binary_search(post.begin(), post.end(), p)) {
+            toggle(p, readers.require(p));
+        }
+    }
+    for (PlaceId p : post) {
+        if (!std::binary_search(pre.begin(), pre.end(), p)) {
+            toggle(p, readers.forbid(p));
+        }
+    }
+    row[ti / kWordBits] &= ~(std::uint64_t{1} << (ti % kWordBits));
+    std::sort(scratch.begin(), scratch.end());
+    scratch.erase(std::unique(scratch.begin(), scratch.end()),
+                  scratch.end());
+    affected_.insert(affected_.end(), scratch.begin(), scratch.end());
+}
+
+CompiledNet::PlaceReaders::PlaceReaders(const Net& net) {
+    const std::size_t places = net.place_count();
+    const auto transitions =
+        static_cast<std::uint32_t>(net.transition_count());
+    // Visits every (place, reader) pair in ascending transition order;
+    // run once to count, once to fill.
+    auto each_reader = [&](auto&& on_require, auto&& on_forbid) {
+        for (std::uint32_t ti = 0; ti < transitions; ++ti) {
+            const TransitionId t{ti};
+            const auto& pre = net.preset(t);
+            auto in_pre = [&](PlaceId p) {
+                return std::binary_search(pre.begin(), pre.end(), p);
+            };
+            for (PlaceId p : pre) on_require(p.value, ti);
+            for (PlaceId p : net.readset(t)) {
+                if (!in_pre(p)) on_require(p.value, ti);
+            }
+            for (PlaceId p : net.postset(t)) {
+                if (!in_pre(p)) on_forbid(p.value, ti);
+            }
+        }
+    };
+    require_off.assign(places + 1, 0);
+    forbid_off.assign(places + 1, 0);
+    each_reader(
+        [&](std::uint32_t p, std::uint32_t) { ++require_off[p + 1]; },
+        [&](std::uint32_t p, std::uint32_t) { ++forbid_off[p + 1]; });
+    for (std::size_t p = 0; p < places; ++p) {
+        require_off[p + 1] += require_off[p];
+        forbid_off[p + 1] += forbid_off[p];
+    }
+    requirers.resize(require_off[places]);
+    forbidders.resize(forbid_off[places]);
+    std::vector<std::uint32_t> require_at(require_off.begin(),
+                                          require_off.end() - 1);
+    std::vector<std::uint32_t> forbid_at(forbid_off.begin(),
+                                         forbid_off.end() - 1);
+    each_reader(
+        [&](std::uint32_t p, std::uint32_t t) {
+            requirers[require_at[p]++] = t;
+        },
+        [&](std::uint32_t p, std::uint32_t t) {
+            forbidders[forbid_at[p]++] = t;
+        });
 }
 
 bool CompiledNet::is_enabled(const std::uint64_t* marking,

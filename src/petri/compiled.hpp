@@ -46,7 +46,10 @@ inline std::uint64_t hash_marking_words(const std::uint64_t* words,
 /// places its firing toggles of each place's dependent transitions)
 /// enables incremental enabled-set maintenance: after firing t, only
 /// affected(t) can change enabledness, so a successor's enabled set is
-/// its parent's with just those bits re-tested.
+/// its parent's with just those bits re-tested. Its subset that firing
+/// t can only ever *disable* is kept as one bitset row per transition
+/// (disables(t)), the structural relation behind the persistence scan
+/// and the stubborn-set dependence.
 class CompiledNet {
 public:
     explicit CompiledNet(const Net& net);
@@ -108,6 +111,19 @@ public:
                 affected_.data() + affected_off_[t.value + 1]};
     }
 
+    /// The transitions u != t that firing `t` disables wherever both are
+    /// enabled, as an enabled_words()-wide bitset row:
+    ///
+    ///   disables(t,u) <=> toff(t) ∩ require(u) ≠ ∅ ∨ ton(t) ∩ forbid(u) ≠ ∅
+    ///
+    /// with toff(t) = pre ∖ post and ton(t) = post ∖ pre. An enabled t
+    /// unmarks exactly toff(t) and marks exactly ton(t), so for u enabled
+    /// alongside t the relation holds at every marking: the persistence
+    /// scan of an edge is `enabled & disables(t)`.
+    const std::uint64_t* disables(TransitionId t) const noexcept {
+        return disables_.data() + std::size_t{t.value} * enabled_words_;
+    }
+
 private:
     struct Term {
         std::uint32_t word;
@@ -119,7 +135,31 @@ private:
         std::uint64_t set_mask;    // produce-arc places in this word
     };
 
+    /// Place -> the transitions that need it marked (require = pre ∪
+    /// read) or unmarked (forbid = post ∖ pre) to be enabled, ascending,
+    /// as two CSR tables.
+    struct PlaceReaders {
+        explicit PlaceReaders(const Net& net);
+        std::span<const std::uint32_t> require(PlaceId p) const noexcept {
+            return {requirers.data() + require_off[p.value],
+                    requirers.data() + require_off[p.value + 1]};
+        }
+        std::span<const std::uint32_t> forbid(PlaceId p) const noexcept {
+            return {forbidders.data() + forbid_off[p.value],
+                    forbidders.data() + forbid_off[p.value + 1]};
+        }
+        std::vector<std::uint32_t> require_off;
+        std::vector<std::uint32_t> requirers;
+        std::vector<std::uint32_t> forbid_off;
+        std::vector<std::uint32_t> forbidders;
+    };
+
     void build_full(const Net& net);
+    /// Appends affected(t) and writes disables(t) (zeroed beforehand)
+    /// from the places t toggles and `readers`.
+    void index_toggles(const Net& net, std::uint32_t t,
+                       const PlaceReaders& readers,
+                       std::vector<std::uint32_t>& scratch);
 
     const Net* net_;
     std::size_t place_count_;
@@ -139,6 +179,7 @@ private:
 
     std::vector<std::uint32_t> affected_off_;
     std::vector<std::uint32_t> affected_;
+    std::vector<std::uint64_t> disables_;  // transition_count_ rows
 };
 
 /// Interning-table geometry of one store, for capacity planning and the

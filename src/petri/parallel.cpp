@@ -299,7 +299,7 @@ private:
                                  const std::uint64_t* head_enabled,
                                  WorkerCtx& ctx) {
         shell_.scan_persistence(
-            fired, head_enabled, ctx, [&](TransitionId t, TransitionId u) {
+            fired, head_enabled, [&](TransitionId t, TransitionId u) {
                 ctx.violations.push_back(
                     {head, static_cast<std::uint32_t>(depth_), t.value,
                      u.value});
@@ -366,7 +366,6 @@ private:
         const bool prepass = shell_.por && shell_.query.check_persistence;
         auto scan_edge = [&](TransitionId t) {
             if (aborted()) return false;
-            shell_.fire_into(ctx, marking, t);
             check_persistence_edges(head, t, enabled, ctx);
             return true;
         };

@@ -184,25 +184,28 @@ public:
         }
     }
 
-    /// Persistence along the edge head --t--> lane.child (t already
-    /// fired): every other transition enabled at head (`enabled`) whose
-    /// enabling t withdraws is reported as `record(t, u)` unless the
-    /// query exempts the pair. Stops when `record` returns false.
+    /// Persistence along the edge head --t-->: every other transition
+    /// enabled at head (`enabled`) whose enabling t withdraws is reported
+    /// as `record(t, u)` unless the query exempts the pair. With t and u
+    /// both enabled, t disables u exactly when CompiledNet::disables says
+    /// so, so the scan needs no successor marking and is one AND per
+    /// word. Stops when `record` returns false.
     template <class Record>
     void scan_persistence(TransitionId t, const std::uint64_t* enabled,
-                          const Lane& lane, Record&& record) const {
-        for (const std::uint32_t u : compiled.affected(t)) {
-            if (u == t.value ||
-                ((enabled[u / kWordBits] >> (u % kWordBits)) & 1) == 0) {
-                continue;  // u was not enabled before t fired
+                          Record&& record) const {
+        const std::uint64_t* disables = compiled.disables(t);
+        for (std::size_t w = 0; w < twords; ++w) {
+            for (std::uint64_t hit = enabled[w] & disables[w]; hit != 0;
+                 hit &= hit - 1) {
+                const TransitionId u{static_cast<std::uint32_t>(
+                    w * kWordBits +
+                    static_cast<std::size_t>(std::countr_zero(hit)))};
+                if (query.persistence_exempt &&
+                    query.persistence_exempt(net, t, u)) {
+                    continue;
+                }
+                if (!record(t, u)) return;
             }
-            const TransitionId ut{u};
-            if (compiled.is_enabled(lane.child.data(), ut)) continue;
-            if (query.persistence_exempt &&
-                query.persistence_exempt(net, t, ut)) {
-                continue;
-            }
-            if (!record(t, ut)) return;
         }
     }
 

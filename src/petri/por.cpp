@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
 
 namespace rap::petri {
 
@@ -19,60 +18,48 @@ void set_bit(std::uint64_t* words, std::uint32_t i) noexcept {
     words[i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
 }
 
-std::vector<std::uint32_t> ids(const std::vector<PlaceId>& places) {
-    std::vector<std::uint32_t> out;
-    out.reserve(places.size());
-    for (PlaceId p : places) out.push_back(p.value);
-    return out;
+/// Calls `f(u)` for every member u of a `words`-wide bitset row.
+template <class F>
+void for_each_member(const std::uint64_t* row, std::size_t words, F&& f) {
+    for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+            f(static_cast<std::uint32_t>(
+                w * kWordBits +
+                static_cast<std::size_t>(std::countr_zero(bits))));
+        }
+    }
 }
 
 }  // namespace
 
-PorContext::Csr PorContext::build_csr(
-    std::size_t rows, const std::vector<std::vector<std::uint32_t>>& adj) {
-    Csr csr;
-    csr.off.resize(rows + 1, 0);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < rows; ++i) {
-        csr.off[i] = static_cast<std::uint32_t>(total);
-        total += adj[i].size();
-    }
-    csr.off[rows] = static_cast<std::uint32_t>(total);
-    csr.items.reserve(total);
-    for (std::size_t i = 0; i < rows; ++i) {
-        csr.items.insert(csr.items.end(), adj[i].begin(), adj[i].end());
-    }
-    return csr;
-}
-
 void PorContext::mark_togglers_visible(std::uint32_t place) {
-    for (std::uint32_t t : producers_.row(place)) visible_[t] = 1;
-    for (std::uint32_t t : unmarkers_.row(place)) visible_[t] = 1;
+    const std::uint64_t* producers = enabler_row(2 * place);
+    const std::uint64_t* unmarkers = enabler_row(2 * place + 1);
+    for (std::size_t w = 0; w < words_; ++w) {
+        visible_[w] |= producers[w] | unmarkers[w];
+    }
 }
 
 void PorContext::mark_enabledness_support_visible(std::uint32_t transition) {
     if (support_marked_[transition]) return;
     support_marked_[transition] = 1;
-    for (std::uint32_t p : require_.row(transition)) {
-        mark_togglers_visible(p);
-    }
-    for (std::uint32_t p : forbid_.row(transition)) {
-        mark_togglers_visible(p);
+    for (std::uint32_t i = condition_off_[transition];
+         i < condition_off_[transition + 1]; ++i) {
+        mark_togglers_visible(conditions_[i].place);
     }
 }
 
 PorContext::PorContext(const CompiledNet& compiled,
                        const PorRequest& request)
-    : net_(&compiled.net()),
-      transition_count_(compiled.transition_count()),
-      marking_words_(compiled.marking_words()),
-      enabled_words_(compiled.enabled_words()) {
+    : words_(compiled.enabled_words()) {
+    const Net& net = compiled.net();
+    const std::size_t T = compiled.transition_count();
     // A pass whose goals include a predicate of unknown support cannot
     // bound that goal's visible transitions; reduction would risk the
     // verdict, so the whole pass falls back to full exploration.
     // (Deadlock goals need no visibility: stubbornness alone preserves
     // every deadlock.) Nets with < 2 transitions have nothing to reduce.
-    active_ = transition_count_ >= 2;
+    active_ = T >= 2;
     for (const Predicate* goal : request.goals) {
         if (goal == nullptr) continue;
         if (goal->kind() == Predicate::Kind::Deadlock) continue;
@@ -80,83 +67,81 @@ PorContext::PorContext(const CompiledNet& compiled,
     }
     if (!active_) return;
 
-    const std::size_t T = transition_count_;
-    const std::size_t P = net_->place_count();
+    const std::size_t P = net.place_count();
 
-    // Per-transition place lists under the compiled "safe enabling"
-    // semantics. Note ton(t) = post ∖ pre = forbid(t): producing into p
-    // requires p unmarked (contact-freeness), so the produce-only places
-    // are exactly the places t can mark.
-    std::vector<std::vector<std::uint32_t>> require_adj(T);
-    std::vector<std::vector<std::uint32_t>> forbid_adj(T);
-    std::vector<std::vector<std::uint32_t>> toff_adj(T);
+    // Enabler rows under the compiled "safe enabling" semantics: row 2p
+    // holds the transitions that can mark p (p ∈ ton = post ∖ pre, which
+    // is also forbid: producing into p requires p unmarked), row 2p + 1
+    // the ones that can unmark it (p ∈ toff = pre ∖ post).
+    enablers_.assign(2 * P * words_, 0);
+    std::vector<std::uint32_t> enabler_count(2 * P, 0);
+    auto add_enabler = [&](std::uint32_t row, std::uint32_t t) {
+        set_bit(enablers_.data() + std::size_t{row} * words_, t);
+        ++enabler_count[row];
+    };
     for (std::uint32_t t = 0; t < T; ++t) {
-        const auto pre = ids(net_->preset(TransitionId{t}));
-        const auto post = ids(net_->postset(TransitionId{t}));
-        const auto read = ids(net_->readset(TransitionId{t}));
+        const auto& pre = net.preset(TransitionId{t});
+        const auto& post = net.postset(TransitionId{t});
+        for (PlaceId p : post) {
+            if (!std::binary_search(pre.begin(), pre.end(), p)) {
+                add_enabler(2 * p.value, t);
+            }
+        }
+        for (PlaceId p : pre) {
+            if (!std::binary_search(post.begin(), post.end(), p)) {
+                add_enabler(2 * p.value + 1, t);
+            }
+        }
+    }
+
+    // Each transition's conditions in D2 choice order: scan order
+    // (require = pre ∪ read ascending, then forbid = post ∖ pre
+    // ascending), stably sorted by enabler count, so the first
+    // unsatisfied one is the smallest list with ties to scan order.
+    condition_off_.reserve(T + 1);
+    std::vector<PlaceId> require;
+    for (std::uint32_t t = 0; t < T; ++t) {
+        const auto& pre = net.preset(TransitionId{t});
+        const auto& post = net.postset(TransitionId{t});
+        const auto& read = net.readset(TransitionId{t});
+        condition_off_.push_back(
+            static_cast<std::uint32_t>(conditions_.size()));
+        const auto first = static_cast<std::ptrdiff_t>(conditions_.size());
+        require.clear();
         std::set_union(pre.begin(), pre.end(), read.begin(), read.end(),
-                       std::back_inserter(require_adj[t]));
-        std::set_difference(post.begin(), post.end(), pre.begin(),
-                            pre.end(), std::back_inserter(forbid_adj[t]));
-        std::set_difference(pre.begin(), pre.end(), post.begin(),
-                            post.end(), std::back_inserter(toff_adj[t]));
+                       std::back_inserter(require));
+        for (PlaceId p : require) conditions_.push_back({p.value, 2 * p.value});
+        for (PlaceId p : post) {
+            if (!std::binary_search(pre.begin(), pre.end(), p)) {
+                conditions_.push_back({p.value, 2 * p.value + 1});
+            }
+        }
+        std::stable_sort(conditions_.begin() + first, conditions_.end(),
+                         [&](const Condition& a, const Condition& b) {
+                             return enabler_count[a.row] <
+                                    enabler_count[b.row];
+                         });
     }
-    require_ = build_csr(T, require_adj);
-    forbid_ = build_csr(T, forbid_adj);
+    condition_off_.push_back(static_cast<std::uint32_t>(conditions_.size()));
 
-    std::vector<std::vector<std::uint32_t>> producers_adj(P);
-    std::vector<std::vector<std::uint32_t>> unmarkers_adj(P);
-    std::vector<std::vector<std::uint32_t>> requirers_adj(P);
+    // Symmetric disabling dependence: the compiled disables rows ORed
+    // with their transpose (neither side holds t itself).
+    dependent_.assign(T * words_, 0);
     for (std::uint32_t t = 0; t < T; ++t) {
-        for (std::uint32_t p : forbid_adj[t]) producers_adj[p].push_back(t);
-        for (std::uint32_t p : toff_adj[t]) unmarkers_adj[p].push_back(t);
-        for (std::uint32_t p : require_adj[t]) {
-            requirers_adj[p].push_back(t);
-        }
+        const std::uint64_t* disables = compiled.disables(TransitionId{t});
+        std::uint64_t* row = dependent_.data() + std::size_t{t} * words_;
+        for (std::size_t w = 0; w < words_; ++w) row[w] |= disables[w];
+        for_each_member(disables, words_, [&](std::uint32_t u) {
+            set_bit(dependent_.data() + std::size_t{u} * words_, t);
+        });
     }
-    producers_ = build_csr(P, producers_adj);
-    unmarkers_ = build_csr(P, unmarkers_adj);
-
-    // Symmetric disabling dependence. disables(t,u):
-    //   toff(t) ∩ require(u) ≠ ∅  (t unmarks a place u needs marked)
-    // ∨ ton(t)  ∩ forbid(u)  ≠ ∅  (t marks a place u needs unmarked)
-    std::vector<std::vector<std::uint32_t>> dependent_adj(T);
-    std::vector<std::uint32_t> buffer;
-    for (std::uint32_t t = 0; t < T; ++t) {
-        buffer.clear();
-        // forward: u that t can disable
-        for (std::uint32_t p : toff_adj[t]) {
-            buffer.insert(buffer.end(), requirers_adj[p].begin(),
-                          requirers_adj[p].end());
-        }
-        for (std::uint32_t p : forbid_adj[t]) {
-            buffer.insert(buffer.end(), producers_adj[p].begin(),
-                          producers_adj[p].end());
-        }
-        // backward: u that can disable t
-        for (std::uint32_t p : require_adj[t]) {
-            buffer.insert(buffer.end(), unmarkers_adj[p].begin(),
-                          unmarkers_adj[p].end());
-        }
-        for (std::uint32_t p : forbid_adj[t]) {
-            buffer.insert(buffer.end(), producers_adj[p].begin(),
-                          producers_adj[p].end());
-        }
-        std::sort(buffer.begin(), buffer.end());
-        buffer.erase(std::unique(buffer.begin(), buffer.end()),
-                     buffer.end());
-        for (std::uint32_t u : buffer) {
-            if (u != t) dependent_adj[t].push_back(u);
-        }
-    }
-    dependent_ = build_csr(T, dependent_adj);
 
     // Visibility. A transition is visible when its firing can change a
     // watched predicate: for goals, the togglers of the declared support
     // places; for persistence, the togglers of the enabledness support
     // (require ∪ forbid) of both members of every non-exempt pair that
     // can statically conflict.
-    visible_.assign(T, 0);
+    visible_.assign(words_, 0);
     for (const Predicate* goal : request.goals) {
         if (goal == nullptr) continue;
         if (goal->kind() == Predicate::Kind::Deadlock) continue;
@@ -168,36 +153,88 @@ PorContext::PorContext(const CompiledNet& compiled,
     if (request.check_persistence) {
         proviso_ = true;
         support_marked_.assign(T, 0);
-        std::vector<std::uint32_t> stamp(T, 0);
         for (std::uint32_t t = 0; t < T; ++t) {
-            buffer.clear();
-            for (std::uint32_t p : toff_adj[t]) {
-                for (std::uint32_t u : requirers_adj[p]) {
-                    if (stamp[u] != t + 1) {
-                        stamp[u] = t + 1;
-                        buffer.push_back(u);
+            for_each_member(
+                compiled.disables(TransitionId{t}), words_,
+                [&](std::uint32_t u) {
+                    if (request.persistence_exempt &&
+                        request.persistence_exempt(net, TransitionId{t},
+                                                   TransitionId{u})) {
+                        return;
                     }
-                }
-            }
-            for (std::uint32_t p : forbid_adj[t]) {
-                for (std::uint32_t u : producers_adj[p]) {
-                    if (stamp[u] != t + 1) {
-                        stamp[u] = t + 1;
-                        buffer.push_back(u);
-                    }
-                }
-            }
-            for (std::uint32_t u : buffer) {
-                if (u == t) continue;
-                if (request.persistence_exempt &&
-                    request.persistence_exempt(*net_, TransitionId{t},
-                                               TransitionId{u})) {
-                    continue;
-                }
-                mark_enabledness_support_visible(t);
-                mark_enabledness_support_visible(u);
-            }
+                    mark_enabledness_support_visible(t);
+                    mark_enabledness_support_visible(u);
+                });
         }
+    }
+}
+
+const std::uint64_t* PorContext::chosen_enablers(
+    std::uint32_t t, const std::uint64_t* marking) const noexcept {
+    for (std::uint32_t i = condition_off_[t]; i < condition_off_[t + 1];
+         ++i) {
+        const Condition& c = conditions_[i];
+        // A require condition (even row) fails on an unmarked place, a
+        // forbid condition (odd row) on a marked one.
+        if (test_bit(marking, c.place) == ((c.row & 1) != 0)) {
+            return enabler_row(c.row);
+        }
+    }
+    // A disabled transition always has an unsatisfied condition; the
+    // enabled bitsets are maintained incrementally and proven equal to
+    // recomputation.
+    assert(false && "disabled transition with every condition met");
+    return nullptr;
+}
+
+std::size_t PorContext::close(std::uint32_t seed,
+                              const std::uint64_t* marking,
+                              const std::uint64_t* enabled,
+                              std::size_t bound, Scratch& s) const {
+    // Locals, not members: words_ is an unsigned long like the uint64_t
+    // words stored below, so the compiler would reload it after each
+    // store.
+    const std::size_t words = words_;
+    const std::uint64_t* visible = visible_.data();
+    std::uint64_t* closure = s.closure.data();
+    std::uint64_t* pending = s.pending.data();
+    const std::size_t seed_word = seed / kWordBits;
+    const std::uint64_t seed_bit = std::uint64_t{1} << (seed % kWordBits);
+    // C2: a proper ample set may not fire a visible transition.
+    if ((visible[seed_word] & seed_bit) != 0) return 0;
+    std::fill(closure, closure + words, 0);
+    std::fill(pending, pending + words, 0);
+    closure[seed_word] = seed_bit;
+    pending[seed_word] = seed_bit;
+    // bound >= 2 here: reduce() stops at an ample set of one.
+    std::size_t amp = 1;
+    std::size_t lo = seed_word;  // no pending member below this word
+    for (;;) {
+        while (lo < words && pending[lo] == 0) ++lo;
+        if (lo == words) return amp;
+        const auto u = static_cast<std::uint32_t>(
+            lo * kWordBits +
+            static_cast<std::size_t>(std::countr_zero(pending[lo])));
+        pending[lo] &= pending[lo] - 1;
+        // D1 for an enabled member, D2 for a disabled one.
+        const std::uint64_t* row = test_bit(enabled, u)
+                                       ? dependent_row(u)
+                                       : chosen_enablers(u, marking);
+        if (row == nullptr) continue;
+        for (std::size_t w = 0; w < words; ++w) {
+            const std::uint64_t fresh = row[w] & ~closure[w];
+            if (fresh == 0) continue;
+            closure[w] |= fresh;
+            pending[w] |= fresh;
+            lo = std::min(lo, w);
+            const std::uint64_t fresh_enabled = fresh & enabled[w];
+            if (fresh_enabled == 0) continue;
+            if ((fresh_enabled & visible[w]) != 0) return 0;
+            amp += static_cast<std::size_t>(std::popcount(fresh_enabled));
+        }
+        // A closure that already matches the incumbent can't improve on
+        // it, and closures only grow.
+        if (amp >= bound) return 0;
     }
 }
 
@@ -205,112 +242,36 @@ bool PorContext::reduce(const std::uint64_t* marking,
                         const std::uint64_t* enabled, std::uint64_t* ample,
                         Scratch& s) const {
     std::size_t enabled_count = 0;
-    for (std::size_t w = 0; w < enabled_words_; ++w) {
+    for (std::size_t w = 0; w < words_; ++w) {
         enabled_count += static_cast<std::size_t>(
             std::popcount(enabled[w]));
     }
     if (enabled_count < 2) return false;
+    s.closure.resize(words_);
+    s.pending.resize(words_);
 
-    if (s.stamp.size() != transition_count_) {
-        s.stamp.assign(transition_count_, 0);
-        s.epoch = 0;
-    }
-    s.best.resize(enabled_words_);
-
+    // Seeds in ascending id order; each accepted closure is its seed's
+    // least fixpoint and strictly smaller than the incumbent.
     std::size_t best_count = enabled_count;
-    bool found = false;
     int trials = 0;
-
-    for (std::size_t w = 0; w < enabled_words_ && trials < kSeedTrials;
-         ++w) {
-        std::uint64_t bits = enabled[w];
-        while (bits != 0 && trials < kSeedTrials) {
+    for (std::size_t w = 0; w < words_ && trials < kSeedTrials; ++w) {
+        for (std::uint64_t bits = enabled[w];
+             bits != 0 && trials < kSeedTrials; bits &= bits - 1) {
             const auto seed = static_cast<std::uint32_t>(
                 w * kWordBits +
                 static_cast<std::size_t>(std::countr_zero(bits)));
-            bits &= bits - 1;
             ++trials;
-
-            if (++s.epoch == 0) {
-                std::fill(s.stamp.begin(), s.stamp.end(), 0);
-                s.epoch = 1;
-            }
-            s.queue.clear();
-            s.stamp[seed] = s.epoch;
-            s.queue.push_back(seed);
-
-            std::size_t amp = 0;
-            bool aborted = false;
-            for (std::size_t qi = 0; qi < s.queue.size(); ++qi) {
-                const std::uint32_t u = s.queue[qi];
-                if (test_bit(enabled, u)) {
-                    // C2: a proper ample set may not fire a visible
-                    // transition — and a closure that already matches the
-                    // incumbent can't improve on it either way.
-                    if ((proviso_ && visible_[u]) || ++amp >= best_count) {
-                        aborted = true;
-                        break;
-                    }
-                    for (std::uint32_t v : dependent_.row(u)) {
-                        if (s.stamp[v] != s.epoch) {
-                            s.stamp[v] = s.epoch;
-                            s.queue.push_back(v);
-                        }
-                    }
-                } else {
-                    // D2: the necessary enablers of ONE unsatisfied
-                    // condition — any sequence enabling u must first fire
-                    // one of them. Smallest list wins, scan order breaks
-                    // ties, so the choice is deterministic.
-                    std::span<const std::uint32_t> chosen;
-                    std::size_t chosen_size = SIZE_MAX;
-                    for (std::uint32_t p : require_.row(u)) {
-                        if (!test_bit(marking, p)) {
-                            const auto row = producers_.row(p);
-                            if (row.size() < chosen_size) {
-                                chosen = row;
-                                chosen_size = row.size();
-                            }
-                        }
-                    }
-                    for (std::uint32_t p : forbid_.row(u)) {
-                        if (test_bit(marking, p)) {
-                            const auto row = unmarkers_.row(p);
-                            if (row.size() < chosen_size) {
-                                chosen = row;
-                                chosen_size = row.size();
-                            }
-                        }
-                    }
-                    // A disabled transition always has an unsatisfied
-                    // condition; the enabled bitsets are maintained
-                    // incrementally and proven equal to recomputation.
-                    assert(chosen_size != SIZE_MAX);
-                    for (std::uint32_t v : chosen) {
-                        if (s.stamp[v] != s.epoch) {
-                            s.stamp[v] = s.epoch;
-                            s.queue.push_back(v);
-                        }
-                    }
-                }
-            }
-            if (aborted || amp == 0 || amp >= best_count) continue;
-
+            const std::size_t amp = close(seed, marking, enabled,
+                                          best_count, s);
+            if (amp == 0) continue;
             best_count = amp;
-            found = true;
-            std::fill(s.best.begin(), s.best.end(), 0);
-            for (std::uint32_t u : s.queue) {
-                if (test_bit(enabled, u)) set_bit(s.best.data(), u);
+            for (std::size_t v = 0; v < words_; ++v) {
+                ample[v] = s.closure[v] & enabled[v];
             }
-            if (best_count == 1) break;
+            if (best_count == 1) return true;
         }
-        if (found && best_count == 1) break;
     }
-
-    if (!found) return false;
-    std::memcpy(ample, s.best.data(),
-                enabled_words_ * sizeof(std::uint64_t));
-    return true;
+    return best_count < enabled_count;
 }
 
 }  // namespace rap::petri

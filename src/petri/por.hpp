@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "petri/compiled.hpp"
@@ -13,9 +12,12 @@
 namespace rap::petri {
 
 /// Reduction statistics of one exploration pass (ReachabilityResult /
-/// MultiResult::por). All counters are deterministic: the reduced state
-/// graph depends only on the net and the query, never on scheduling, so
-/// the same pass reports the same numbers at every thread count.
+/// MultiResult::por). The reduced state graph depends only on the net and
+/// the query, never on scheduling, so a pass that runs to completion
+/// (neither truncated at max_states nor stopped) reports the same numbers
+/// at every thread count. A truncated or stopped parallel pass promises
+/// less: the workers race for the last slots, so which states made it in
+/// — and every counter here — can vary from run to run.
 struct PorStats {
     /// Reduction actually ran. False when ReachabilityOptions::por was
     /// off or the pass had to fall back to full exploration (a goal
@@ -65,36 +67,43 @@ struct PorRequest {
 ///   enabled(t) <=> require(t) = pre ∪ read all marked
 ///               && forbid(t)  = post ∖ pre all unmarked
 ///
-/// Static tables (construction, one pass each over the net's arcs):
+/// Static tables, built per pass from place adjacency (the relations as
+/// enabled_words()-wide bitset rows):
 ///
-/// - toggle sets: ton(t) = post ∖ pre (= forbid(t)), toff(t) = pre ∖ post
-/// - per-place producers (p ∈ ton) and unmarkers (p ∈ toff)
-/// - a symmetric *disabling* dependence CSR:
+/// - per place, its producers (p ∈ ton = post ∖ pre = forbid) and its
+///   unmarkers (p ∈ toff = pre ∖ post)
+/// - a symmetric *disabling* dependence, CompiledNet::disables ORed with
+///   its transpose:
 ///     dependent(t,u) <=> toff(t)∩require(u) ≠ ∅ ∨ ton(t)∩forbid(u) ≠ ∅
 ///                      ∨ (the same with t and u swapped)
 ///   Transitions outside dependent(t) can neither disable t nor race its
 ///   effect: under 1-safe contact-free semantics every shared-toggle case
 ///   either implies mutual disabling (covered) or the pair can never be
 ///   co-enabled, so independent firings commute.
+/// - per transition, its enabling conditions (a required or a forbidden
+///   place) sorted by enabler count, then by scan position (require
+///   places ascending, then forbid places ascending).
 ///
 /// Per state, reduce() closes a seed transition under
 ///
 ///   D1  enabled t in the set  -> all of dependent(t) joins
 ///   D2  disabled t in the set -> the necessary enablers of ONE
 ///       unsatisfied condition join (producers of an unmarked required
-///       place, or unmarkers of a marked forbidden place — the smallest
-///       such list, deterministically tie-broken)
+///       place, or unmarkers of a marked forbidden place — the first
+///       unsatisfied condition in the sorted order, i.e. the smallest
+///       such list, ties to scan order)
 ///
-/// and returns ample = closure ∩ enabled. Every enabled member is a key
-/// transition, so all deadlocks of the full graph stay reachable and the
-/// reduced deadlock set is *exactly* the full one. Goal reachability and
-/// persistence additionally require the visibility condition (a proper
-/// ample set contains no transition that can change a watched predicate)
-/// and the BFS-queue ignoring proviso, which the engines apply through
-/// proviso_needed() and their layer bookkeeping. The choice of ample set
-/// depends only on (marking, enabled set, static tables), so the reduced
-/// state graph — and every verdict and counter derived from it — is
-/// identical across engines and thread counts.
+/// one row OR per step, and returns ample = closure ∩ enabled. Every
+/// enabled member is a key transition, so all deadlocks of the full graph
+/// stay reachable and the reduced deadlock set is *exactly* the full one.
+/// Goal reachability and persistence additionally require the visibility
+/// condition (a proper ample set contains no transition that can change
+/// a watched predicate) and the BFS-queue ignoring proviso, which the
+/// engines apply through proviso_needed() and their layer bookkeeping.
+/// The choice of ample set depends only on (marking, enabled set, static
+/// tables), so the reduced state graph — and every verdict and counter
+/// derived from it — is identical across engines and thread counts for
+/// a pass that runs to completion.
 class PorContext {
 public:
     PorContext(const CompiledNet& compiled, const PorRequest& request);
@@ -112,10 +121,8 @@ public:
 
     /// Per-thread scratch for reduce(); reusable across states.
     struct Scratch {
-        std::vector<std::uint32_t> stamp;  ///< closure membership, epoched
-        std::uint32_t epoch = 0;
-        std::vector<std::uint32_t> queue;  ///< closure worklist / members
-        std::vector<std::uint64_t> best;   ///< best ample bitset so far
+        std::vector<std::uint64_t> closure;  ///< the seed's closure so far
+        std::vector<std::uint64_t> pending;  ///< members not yet stepped
     };
 
     /// Computes a stubborn subset of `enabled` at `marking` into `ample`
@@ -127,31 +134,43 @@ public:
                 std::uint64_t* ample, Scratch& scratch) const;
 
 private:
-    struct Csr {
-        std::vector<std::uint32_t> off;    // n + 1 entries
-        std::vector<std::uint32_t> items;  // sorted within each row
-        std::span<const std::uint32_t> row(std::uint32_t i) const noexcept {
-            return {items.data() + off[i], items.data() + off[i + 1]};
-        }
+    /// One enabling condition of a transition: `place` must be marked
+    /// (a require condition, enabler row 2·place = its producers) or
+    /// unmarked (a forbid condition, row 2·place + 1 = its unmarkers).
+    struct Condition {
+        std::uint32_t place;
+        std::uint32_t row;
     };
-    static Csr build_csr(std::size_t rows,
-                         const std::vector<std::vector<std::uint32_t>>& adj);
+
+    const std::uint64_t* dependent_row(std::uint32_t t) const noexcept {
+        return dependent_.data() + std::size_t{t} * words_;
+    }
+    const std::uint64_t* enabler_row(std::uint32_t row) const noexcept {
+        return enablers_.data() + std::size_t{row} * words_;
+    }
+    /// D2: the enabler row of t's first unsatisfied condition.
+    const std::uint64_t* chosen_enablers(
+        std::uint32_t t, const std::uint64_t* marking) const noexcept;
+    /// Ample count of `seed`'s closure, left in scratch.closure; 0 when
+    /// the closure reaches `bound` enabled members or an enabled visible
+    /// one (the seed cannot beat the incumbent).
+    std::size_t close(std::uint32_t seed, const std::uint64_t* marking,
+                      const std::uint64_t* enabled, std::size_t bound,
+                      Scratch& scratch) const;
     void mark_togglers_visible(std::uint32_t place);
     void mark_enabledness_support_visible(std::uint32_t transition);
 
-    const Net* net_;
-    std::size_t transition_count_;
-    std::size_t marking_words_;
-    std::size_t enabled_words_;
+    std::size_t words_;  ///< enabled_words()
     bool active_ = true;
     bool proviso_ = false;
 
-    Csr require_;    // transition -> places (pre ∪ read)
-    Csr forbid_;     // transition -> places (post ∖ pre)
-    Csr producers_;  // place -> transitions with p ∈ ton  (can mark p)
-    Csr unmarkers_;  // place -> transitions with p ∈ toff (can unmark p)
-    Csr dependent_;  // symmetric disabling dependence
-    std::vector<std::uint8_t> visible_;
+    std::vector<std::uint64_t> dependent_;  // one row per transition
+    std::vector<std::uint64_t> enablers_;   // two rows per place
+    std::vector<std::uint32_t> condition_off_;  // transition_count + 1
+    std::vector<Condition> conditions_;         // D2 choice order
+    /// Transitions a proper ample set may not contain; all clear unless
+    /// proviso_needed().
+    std::vector<std::uint64_t> visible_;
     std::vector<std::uint8_t> support_marked_;  // memo for persistence viz
 
     static constexpr int kSeedTrials = 8;

@@ -219,7 +219,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
             shell.fire_into(lane, marking, t);
 
             if (!prepass && collecting()) {
-                shell.scan_persistence(t, enabled, lane, record_violation);
+                shell.scan_persistence(t, enabled, record_violation);
                 if (stop) return;
             }
 
@@ -251,8 +251,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
 
         if (prepass && collecting()) {
             detail::for_each_bit(enabled, nullptr, twords, [&](TransitionId t) {
-                shell.fire_into(lane, marking, t);
-                shell.scan_persistence(t, enabled, lane, record_violation);
+                shell.scan_persistence(t, enabled, record_violation);
                 return !stop && collecting();
             });
             if (stop) break;

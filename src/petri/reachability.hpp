@@ -48,12 +48,15 @@ struct ReachabilityOptions {
     /// concurrent nets. Under reduction, witnesses remain genuine firing
     /// sequences but need not be globally shortest, a goal's witness
     /// marking may differ from the full pass's, states_explored/
-    /// edges_explored count the *reduced* graph (still deterministic
-    /// across engines and thread counts), and collected persistence
-    /// violations are a subset of the full pass's (non-emptiness — the
-    /// verdict — is preserved). Passes carrying a goal with unknown
-    /// support places fall back to full exploration (PorStats::active
-    /// reports false).
+    /// edges_explored count the *reduced* graph, and collected
+    /// persistence violations are a subset of the full pass's
+    /// (non-emptiness — the verdict — is preserved). A reduced pass that
+    /// finishes untruncated and unstopped reports the same graph and
+    /// counters from either engine at any thread count; a truncated
+    /// parallel pass promises only `truncated` and states_explored ==
+    /// max_states, since its workers race for the last slots. Passes
+    /// carrying a goal with unknown support places fall back to full
+    /// exploration (PorStats::active reports false).
     bool por = false;
     /// Cooperative stop hook: polled by the sequential engine every 2048
     /// interned states AND every 256 expanded edges (states alone let a

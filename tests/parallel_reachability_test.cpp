@@ -129,6 +129,48 @@ TEST(CompactStore, DifferentialZooAcrossThreadCounts) {
     }
 }
 
+TEST(PersistenceOracle, ViolationSetsMatchTheNaiveOracleAcrossThreadCounts) {
+    // Both engines report violations through the shared persistence scan
+    // (CompiledNet::disables against the head's enabled set), so comparing
+    // them with each other cannot catch a fault in that scan. The naive
+    // oracle fires every enabled pair under the interpreted Net semantics
+    // instead. Full passes (no POR), every violation kept, the zoo and
+    // the 24 fuzz seeds at 1 (sequential) and 2/4/8 threads.
+    std::vector<Fixture> fixtures = all_fixtures();
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        fixtures.push_back(fuzz_fixture(seed));
+    }
+    MultiQuery query;
+    query.check_persistence = true;
+    ASSERT_EQ(query.persistence_max_violations, SIZE_MAX);
+    std::size_t total = 0;
+    for (const Fixture& fixture : fixtures) {
+        const NaiveAnswer naive = naive_explore(fixture.net, true);
+        total += naive.violations.size();
+        const CompiledNet compiled(fixture.net);
+        for (const std::size_t threads :
+             {std::size_t{1}, std::size_t{2}, std::size_t{4},
+              std::size_t{8}}) {
+            const std::string context =
+                fixture.name + " @" + std::to_string(threads) + "t";
+            ReachabilityOptions options;
+            options.stop_at_first_match = false;
+            options.threads = threads;
+            const MultiResult result =
+                threads == 1
+                    ? ReachabilityExplorer(compiled, options).run_query(query)
+                    : ParallelReachabilityExplorer(compiled, options)
+                          .run_query(query);
+            EXPECT_FALSE(result.truncated) << context;
+            EXPECT_EQ(result.states_explored, naive.states) << context;
+            EXPECT_EQ(violation_set(result.persistence_violations),
+                      naive.violations)
+                << context;
+        }
+    }
+    EXPECT_GT(total, 0u) << "no fixture has a violation to compare";
+}
+
 TEST(ParallelReachability, RandomizedDifferentialFuzzer) {
     // >= 20 seeded random models across three topology classes (rings
     // with bridges, fork/join blocks, bridged meshes), each cross-checked

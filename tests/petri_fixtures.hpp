@@ -254,19 +254,28 @@ inline std::vector<Fixture> all_fixtures() {
 
 // -------------------------------------------------------- naive oracle --
 
+/// A persistence violation as (marking, fired, disabled), the order
+/// violation sets are compared in.
+using ViolationKey = std::tuple<Marking, std::uint32_t, std::uint32_t>;
+
 /// What an exhaustive full-graph pass must report, computed by the naive
 /// oracle below.
 struct NaiveAnswer {
     std::size_t states = 0;
     std::size_t edges = 0;  ///< sum of enabled counts over reachable markings
     std::vector<Marking> deadlocks;  ///< sorted
+    /// Every (M, t, u) with t != u both enabled at a reachable M and u no
+    /// longer enabled once t fired; sorted. Only filled when asked for.
+    std::vector<ViolationKey> violations;
 };
 
 /// Seed-style naive BFS: the interpreted Net semantics only (full rescan
 /// per state, unordered_map interning) — no CompiledNet, no marking
 /// store, nothing shared with either engine, so it is an independent
-/// reference for both.
-inline NaiveAnswer naive_explore(const Net& net) {
+/// reference for both. With `persistence`, each firing is also checked
+/// against every other transition enabled before it, by re-testing
+/// enabledness after the firing.
+inline NaiveAnswer naive_explore(const Net& net, bool persistence = false) {
     NaiveAnswer answer;
     std::unordered_set<Marking, util::BitVecHash> seen;
     seen.max_load_factor(0.5f);  // short chains for the 842k-state zoo
@@ -284,11 +293,18 @@ inline NaiveAnswer naive_explore(const Net& net) {
         for (const TransitionId t : enabled) {
             next = current;
             net.fire(next, t);
+            for (const TransitionId u : enabled) {
+                if (!persistence || u == t || net.is_enabled(next, u)) {
+                    continue;
+                }
+                answer.violations.emplace_back(current, t.value, u.value);
+            }
             if (seen.insert(next).second) frontier.push_back(next);
         }
     }
     answer.states = seen.size();
     std::sort(answer.deadlocks.begin(), answer.deadlocks.end());
+    std::sort(answer.violations.begin(), answer.violations.end());
     return answer;
 }
 
@@ -315,8 +331,6 @@ inline std::vector<Marking> sorted(std::vector<Marking> markings) {
     std::sort(markings.begin(), markings.end());
     return markings;
 }
-
-using ViolationKey = std::tuple<Marking, std::uint32_t, std::uint32_t>;
 
 inline std::vector<ViolationKey> violation_set(
     const std::vector<PersistenceViolation>& violations) {

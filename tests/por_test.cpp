@@ -9,20 +9,29 @@
 // reduced violation sets a subset of the full pass's, reduced counters
 // deterministic across engines and thread counts — plus the PorStats
 // surface, the unknown-support fallback, and actual state-count
-// reduction on the OPE models the CI ratio floor gates.
+// reduction on the OPE models the CI ratio floor gates. The ample-set
+// oracle walks the reduced graphs state by state and checks every
+// reduction choice against the reference closure in por_reference.hpp,
+// and the sweep_grid benchmark's reduced state counts are pinned here.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "dfs/translate.hpp"
+#include "ope/dfs_models.hpp"
 #include "petri/parallel.hpp"
 #include "petri/por.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
 #include "petri_fixtures.hpp"
+#include "por_reference.hpp"
+#include "verify/verifier.hpp"
 
 namespace rap::petri {
 namespace {
@@ -201,6 +210,214 @@ TEST(PorDifferential, RandomizedFuzzer24Seeds) {
     }
 }
 
+// ---------------------------------------------------- ample-set oracle --
+
+/// The reduced state counts of the sweep_grid benchmark's ten points
+/// (reconfigurable OPE, stages x depth) under
+/// Spec().deadlock().control_conflict(), single thread.
+struct SweepPoint {
+    int stages;
+    int depth;
+    std::size_t states;
+};
+constexpr SweepPoint kSweepGrid[] = {
+    {3, 3, 945},    {4, 3, 2'722},  {4, 4, 3'644},  {5, 3, 3'743},
+    {5, 4, 8'523},  {5, 5, 11'059}, {6, 3, 4'900},  {6, 4, 12'760},
+    {6, 5, 34'965}, {6, 6, 46'208},
+};
+
+std::string label(const SweepPoint& point) {
+    return "s" + std::to_string(point.stages) + "/d" +
+           std::to_string(point.depth);
+}
+
+PorRequest request_of(const MultiQuery& query) {
+    PorRequest request;
+    request.goals = query.goals;
+    request.check_persistence = query.check_persistence;
+    request.persistence_exempt = query.persistence_exempt;
+    return request;
+}
+
+/// How far one oracle walk goes, and what it saw.
+struct Walk {
+    std::size_t states = 0;
+    bool complete = false;  ///< the whole reduced graph was walked
+};
+
+/// Walks the reduced graph for `request` in BFS layers, expanding the
+/// ample set wherever reduce() finds one, and checks at every state that
+/// PorContext::reduce returns the reference's (found, ample) pair. With
+/// `widen`, a visibility-sensitive state whose stubborn successors all
+/// lie in earlier layers is widened back to its enabled set (the
+/// engines' ignoring proviso), so the walk is the graph the engines
+/// explore; without it, the walk reaches other states. Stops after
+/// `max_states` states.
+Walk walk_reduced_graph(const CompiledNet& compiled,
+                        const PorRequest& request, bool widen,
+                        std::size_t max_states, const std::string& context) {
+    const PorContext por(compiled, request);
+    const ReferencePor reference(compiled.net(), request);
+    EXPECT_EQ(por.active(), reference.active) << context;
+    if (!por.active() || !reference.active) return {};
+    EXPECT_EQ(por.proviso_needed(), reference.proviso) << context;
+
+    const Net& net = compiled.net();
+    const std::size_t twords = compiled.enabled_words();
+    std::unordered_map<Marking, std::size_t, util::BitVecHash> depth;
+    std::vector<Marking> layer{net.initial_marking()};
+    depth.emplace(layer.front(), 0);
+    PorContext::Scratch scratch;
+    std::vector<std::uint64_t> enabled(twords);
+    std::vector<std::uint64_t> ample(twords);
+    std::size_t walked = 0;
+    std::size_t mismatches = 0;
+    bool cut = false;
+    for (std::size_t d = 0; !layer.empty() && !cut; ++d) {
+        std::vector<Marking> next;
+        for (const Marking& m : layer) {
+            if (walked == max_states) {
+                cut = true;
+                break;
+            }
+            ++walked;
+            compiled.enabled_set(m.word_data(), enabled.data());
+            const bool found = por.reduce(m.word_data(), enabled.data(),
+                                          ample.data(), scratch);
+            const auto [ref_found, ref_ample] =
+                reference_reduce(reference, m.word_data(), enabled.data());
+            if ((found != ref_found || (found && ample != ref_ample)) &&
+                ++mismatches <= 3) {
+                ADD_FAILURE() << context << ": reduce disagrees with the "
+                              << "reference at " << net.describe_marking(m);
+            }
+            bool fresh = false;
+            auto expand = [&](const std::vector<std::uint64_t>& bits,
+                              const std::vector<std::uint64_t>* minus) {
+                for (std::size_t w = 0; w < twords; ++w) {
+                    std::uint64_t word = bits[w];
+                    if (minus != nullptr) word &= ~(*minus)[w];
+                    for (; word != 0; word &= word - 1) {
+                        Marking child = m;
+                        compiled.fire(
+                            child.word_data(),
+                            TransitionId{static_cast<std::uint32_t>(
+                                w * 64 + static_cast<std::size_t>(
+                                             std::countr_zero(word)))});
+                        const auto [it, inserted] =
+                            depth.emplace(child, d + 1);
+                        if (it->second == d + 1) fresh = true;
+                        if (inserted) next.push_back(std::move(child));
+                    }
+                }
+            };
+            if (!found) {
+                expand(enabled, nullptr);
+                continue;
+            }
+            expand(ample, nullptr);
+            if (widen && !fresh && por.proviso_needed()) {
+                expand(enabled, &ample);
+            }
+        }
+        layer = std::move(next);
+    }
+    EXPECT_EQ(mismatches, 0u) << context;
+    return {walked, !cut};
+}
+
+/// Oracle walks stop here: past it, the BFS prefix is checked. Every
+/// reduced graph of the zoo and the fuzz seeds fits but the wagging
+/// stage's visibility-sensitive ones (651k and 842k states).
+constexpr std::size_t kWalkStates = 200'000;
+
+bool same_parity(const Net&, TransitionId t, TransitionId u) {
+    return ((t.value ^ u.value) & 1) == 0;
+}
+
+TEST(PorOracle, ReduceMatchesTheReferenceOnEveryReducedState) {
+    // Every reduction choice on the reduced graphs of the zoo and the 24
+    // fuzz seeds under three kinds of request: deadlock-only (no
+    // proviso), goals with declared support places, and persistence,
+    // walked with and without the proviso's widening and once more with
+    // an exemption filter. Each complete walk with widening must visit
+    // exactly the states the engine explores.
+    std::vector<Fixture> fixtures = all_fixtures();
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        fixtures.push_back(fuzz_fixture(seed));
+    }
+    for (const Fixture& fixture : fixtures) {
+        const CompiledNet compiled(fixture.net);
+        const QueryBundle bundle(fixture.net);
+        MultiQuery deadlock_only;
+        deadlock_only.goals.push_back(&bundle.dead);
+        deadlock_only.collect_deadlocks = true;
+        MultiQuery goals;
+        goals.goals.assign(bundle.query.goals.begin(),
+                           bundle.query.goals.end());
+        MultiQuery persistence;
+        persistence.check_persistence = true;
+        MultiQuery exempting = persistence;
+        exempting.persistence_exempt = same_parity;
+        const struct {
+            const char* name;
+            const MultiQuery* query;
+            bool widen;
+        } kinds[] = {
+            {"deadlock-only", &deadlock_only, true},
+            {"goals", &goals, true},
+            {"persistence", &persistence, true},
+            {"persistence, no widening", &persistence, false},
+            {"persistence+exempt", &exempting, true},
+        };
+        for (const auto& kind : kinds) {
+            const std::string context = fixture.name + " " + kind.name;
+            const Walk walk =
+                walk_reduced_graph(compiled, request_of(*kind.query),
+                                   kind.widen, kWalkStates, context);
+            if (!walk.complete || !kind.widen) continue;
+            const MultiResult engine = reduced_run(compiled, *kind.query, 1);
+            ASSERT_FALSE(engine.truncated) << context;
+            EXPECT_EQ(walk.states, engine.states_explored) << context;
+        }
+    }
+}
+
+TEST(PorOracle, ReduceMatchesTheReferenceOnTheSweepGrid) {
+    // The sweep_grid benchmark's points. No node of these models has two
+    // controls, so the sweep's control-conflict check is trivially safe
+    // and its pass is deadlock-only: that walk is exhaustive and must
+    // reach the pinned counts. A goal with support places and a
+    // persistence request make most transitions visible and leave
+    // millions of states; their first states are checked.
+    constexpr std::size_t kPrefix = 5'000;
+    for (const SweepPoint& point : kSweepGrid) {
+        const auto p =
+            ope::build_reconfigurable_ope_dfs(point.stages, point.depth);
+        const dfs::Translation translation = dfs::to_petri(p.graph);
+        const CompiledNet compiled(translation.net);
+        const QueryBundle bundle(translation.net);
+        PorRequest deadlock_only;
+        deadlock_only.goals.push_back(&bundle.dead);
+        PorRequest goals;
+        goals.goals.assign(bundle.query.goals.begin(),
+                           bundle.query.goals.end());
+        PorRequest persistence;
+        persistence.check_persistence = true;
+        const Walk walk = walk_reduced_graph(
+            compiled, deadlock_only, true, point.states + 1,
+            label(point) + " deadlock-only");
+        EXPECT_TRUE(walk.complete) << label(point);
+        EXPECT_EQ(walk.states, point.states) << label(point);
+        walk_reduced_graph(compiled, goals, true, kPrefix,
+                           label(point) + " goals");
+        walk_reduced_graph(compiled, persistence, true, kPrefix,
+                           label(point) + " persistence");
+        walk_reduced_graph(compiled, persistence, false, kPrefix,
+                           label(point) + " persistence, no widening");
+    }
+}
+
 // ---------------------------------------------------- actual reduction --
 
 TEST(PorReduction, DeadlockPassShrinksTheOpeModels) {
@@ -262,6 +479,27 @@ TEST(PorReduction, FiveStageOpeReducedPassFitsTierOne) {
     // Deterministic reduced graph across engines and thread counts.
     const auto red4 = reduced_run(compiled, query, 4);
     expect_same_reduced_graph(red, red4, fixture.name + " @4t");
+}
+
+TEST(PorReduction, SweepGridReducedStateCountsArePinned) {
+    // The counts perfbench's sweep_grid checks on every operation, pinned
+    // in tier-1 as well: the verifier's reduced pass over each point.
+    verify::VerifyOptions options;
+    options.por = true;
+    options.threads = 1;
+    for (const SweepPoint& point : kSweepGrid) {
+        const auto p =
+            ope::build_reconfigurable_ope_dfs(point.stages, point.depth);
+        const verify::Verifier verifier(p.graph, options);
+        const verify::Report report =
+            verifier.verify(verify::Spec{}.deadlock().control_conflict());
+        EXPECT_TRUE(report.clean()) << label(point);
+        ASSERT_FALSE(report.findings.empty()) << label(point);
+        EXPECT_FALSE(report.findings.front().truncated) << label(point);
+        EXPECT_EQ(report.findings.front().states_explored, point.states)
+            << label(point);
+        EXPECT_TRUE(verifier.por_stats().active) << label(point);
+    }
 }
 
 // ------------------------------------------------------- stats surface --

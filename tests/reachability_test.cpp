@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "dfs_helpers.hpp"
 #include "petri/compiled.hpp"
@@ -140,6 +143,49 @@ TEST(CompiledNet, IncrementalEnabledSetMatchesFullScan) {
     }
 }
 
+TEST(CompiledNet, DisablesRowsMatchFiringOnEveryReachableMarking) {
+    // disables(t) is structural; at every reachable marking, for t != u
+    // both enabled, u's bit must say whether firing t (interpreted
+    // semantics) leaves u disabled. No row holds its own transition.
+    std::vector<Net> nets = {make_ring(), make_toggles(4), make_mixed(),
+                             testfx::gap_fixture().net};
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        nets.push_back(testfx::random_fixture(seed).net);
+    }
+    for (const Net& net : nets) {
+        const CompiledNet compiled(net);
+        auto bit = [&](TransitionId t, TransitionId u) {
+            return (compiled.disables(t)[u.value / 64] >> (u.value % 64)) & 1;
+        };
+        for (std::uint32_t ti = 0; ti < net.transition_count(); ++ti) {
+            EXPECT_EQ(bit(TransitionId{ti}, TransitionId{ti}), 0u)
+                << net.name();
+        }
+        std::unordered_map<Marking, std::size_t, util::BitVecHash> seen;
+        std::deque<Marking> frontier{net.initial_marking()};
+        seen.emplace(frontier.front(), 0);
+        while (!frontier.empty()) {
+            const Marking current = frontier.front();
+            frontier.pop_front();
+            const auto enabled = net.enabled_transitions(current);
+            for (const TransitionId t : enabled) {
+                Marking next = current;
+                net.fire(next, t);
+                for (const TransitionId u : enabled) {
+                    if (u == t) continue;
+                    ASSERT_EQ(bit(t, u) == 1, !net.is_enabled(next, u))
+                        << net.name() << ": " << net.transition_name(t)
+                        << " / " << net.transition_name(u) << " at "
+                        << net.describe_marking(current);
+                }
+                if (seen.emplace(next, seen.size()).second) {
+                    frontier.push_back(next);
+                }
+            }
+        }
+    }
+}
+
 TEST(CompiledNet, StateCountsMatchNaiveExploration) {
     for (const Net& net : {make_ring(), make_toggles(6), make_mixed()}) {
         ReachabilityExplorer explorer(net);
@@ -160,6 +206,24 @@ Net depth_net(int stages, int depth) {
     return dfs::to_petri(p.graph).net;
 }
 
+/// Every per-transition index of two compiled nets is equal: the
+/// affected lists and the disables rows.
+void expect_same_indexes(const CompiledNet& a, const CompiledNet& b,
+                         const std::string& context) {
+    ASSERT_EQ(a.transition_count(), b.transition_count()) << context;
+    ASSERT_EQ(a.enabled_words(), b.enabled_words()) << context;
+    for (std::uint32_t ti = 0; ti < a.transition_count(); ++ti) {
+        const TransitionId t{ti};
+        const auto aa = a.affected(t);
+        const auto ba = b.affected(t);
+        EXPECT_TRUE(std::equal(aa.begin(), aa.end(), ba.begin(), ba.end()))
+            << context << ": affected(" << ti << ")";
+        EXPECT_TRUE(std::equal(a.disables(t), a.disables(t) + a.enabled_words(),
+                               b.disables(t)))
+            << context << ": disables(" << ti << ")";
+    }
+}
+
 TEST(Incremental, DeltaCompiledNetMatchesFullBuild) {
     const Net parent_net = depth_net(3, 3);
     const Net child_net = depth_net(3, 2);
@@ -172,6 +236,7 @@ TEST(Incremental, DeltaCompiledNetMatchesFullBuild) {
     const CompiledNet delta(child_net, parent);
     EXPECT_EQ(delta.marking_words(), full.marking_words());
     EXPECT_EQ(delta.enabled_words(), full.enabled_words());
+    expect_same_indexes(delta, full, "marking-only delta");
 
     const testfx::QueryBundle bundle(child_net);
     ReachabilityOptions options;
@@ -201,6 +266,68 @@ TEST(Incremental, DeltaCompiledNetMatchesFullBuild) {
     testfx::expect_identical_passes(
         child_net, reference, fb_result,
         "unrelated parent falls back to full build");
+}
+
+/// A four-place ring, a separate toggle pair, and one bridge transition
+/// whose arcs are the only difference between the two variants: equal
+/// place and transition counts, so the delta path patches instead of
+/// rebuilding.
+Net bridged_ring(bool moved) {
+    Net net(moved ? "bridged_moved" : "bridged");
+    std::vector<PlaceId> ring;
+    for (int i = 0; i < 4; ++i) {
+        ring.push_back(net.add_place("p" + std::to_string(i), i == 0));
+    }
+    const auto q0 = net.add_place("q0", true);
+    const auto q1 = net.add_place("q1", false);
+    const auto x0 = net.add_place("x0", true);
+    const auto x1 = net.add_place("x1", false);
+    for (int i = 0; i < 4; ++i) {
+        const auto t = net.add_transition("t" + std::to_string(i));
+        net.add_input_arc(ring[i], t);
+        net.add_output_arc(t, ring[(i + 1) % 4]);
+    }
+    const auto up = net.add_transition("up");
+    net.add_input_arc(x0, up);
+    net.add_output_arc(up, x1);
+    const auto down = net.add_transition("down");
+    net.add_input_arc(x1, down);
+    net.add_output_arc(down, x0);
+    const auto bridge = net.add_transition("bridge");
+    if (moved) {
+        net.add_input_arc(q0, bridge);
+        net.add_output_arc(bridge, ring[2]);
+        net.add_read_arc(ring[1], bridge);
+    } else {
+        net.add_input_arc(ring[0], bridge);
+        net.add_output_arc(bridge, q1);
+    }
+    return net;
+}
+
+TEST(Incremental, DeltaCompiledNetRebuildsChangedRowsExactly) {
+    // A structural change at equal counts: the changed transition and
+    // every row reading a place it touches are rebuilt, the toggle
+    // pair's rows are copied, and the result equals a full build.
+    for (const bool moved : {false, true}) {
+        const Net parent_net = bridged_ring(!moved);
+        const Net child_net = bridged_ring(moved);
+        ASSERT_NE(CompiledNet::digest_structure(parent_net),
+                  CompiledNet::digest_structure(child_net));
+        const CompiledNet parent(parent_net);
+        const CompiledNet delta(child_net, parent);
+        const CompiledNet full(child_net);
+        expect_same_indexes(delta, full, child_net.name());
+
+        ReachabilityOptions options;
+        options.stop_at_first_match = false;
+        const testfx::QueryBundle bundle(child_net);
+        testfx::expect_identical_passes(
+            child_net,
+            ReachabilityExplorer(full, options).run_query(bundle.query),
+            ReachabilityExplorer(delta, options).run_query(bundle.query),
+            child_net.name() + " delta vs full");
+    }
 }
 
 // ------------------------------------------------------ MarkingStore --
