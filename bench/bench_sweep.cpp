@@ -1,7 +1,7 @@
 // Design-space sweep throughput: the flow::Sweep batch driver over the
 // real reconfigurable OPE pipeline (stages x depth x voltage schedule),
 // measuring dedup-before-compile (distinct models vs grid points, cache
-// hit rate out of the sharded artifact cache), aggregate verification
+// hit rate out of the artifact cache), aggregate verification
 // throughput and the worker-pool scaling of grid-level parallelism —
 // the service shape the verification flow runs at in production.
 //

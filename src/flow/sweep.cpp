@@ -100,9 +100,9 @@ SweepResult process_point(SweepState& state, const SweepPoint& point) {
         return row;
     }
 
-    // Dedup bookkeeping + pin: the cache coalesces concurrent builds of
-    // the same content, and the pin keeps LRU eviction off this model
-    // until the session below is done with it.
+    // Dedup bookkeeping. The session below resolves the model through
+    // the artifact cache, which coalesces concurrent builds of the same
+    // content and never evicts a model the session still holds.
     const std::string key = verify::model_fingerprint(model->graph);
     {
         const std::lock_guard<std::mutex> lock(state.mutex);
@@ -144,8 +144,6 @@ SweepResult process_point(SweepState& state, const SweepPoint& point) {
     // to under-report the sweep's peak-resident aggregate.
     std::unique_ptr<Design> design;
     try {
-        const auto pin =
-            verify::ArtifactCache::process_cache().get_pinned(model->graph);
         design = make_design(std::move(*model), options);
 
         const auto t0 = std::chrono::steady_clock::now();
@@ -353,33 +351,16 @@ Metrics build_metrics(SweepState& state) {
     const auto delta = [](std::size_t a, std::size_t b) {
         return static_cast<double>(a - std::min(a, b));
     };
-    char shard_label[16];
-    for (std::size_t i = 0; i < now.shards.size(); ++i) {
-        std::snprintf(shard_label, sizeof(shard_label), "%zu", i);
-        const Metrics::Labels labels{{"shard", shard_label}};
-        const std::size_t before_hits =
-            i < before.shards.size() ? before.shards[i].hits : 0;
-        const std::size_t before_misses =
-            i < before.shards.size() ? before.shards[i].misses : 0;
-        const std::size_t before_evictions =
-            i < before.shards.size() ? before.shards[i].evictions : 0;
-        m.set("rap_cache_hits_total",
-              "Artifact cache hits since the sweep launched, per shard",
-              Type::kCounter, delta(now.shards[i].hits, before_hits),
-              labels);
-        m.set("rap_cache_misses_total",
-              "Artifact cache misses (= builds) since the sweep "
-              "launched, per shard",
-              Type::kCounter, delta(now.shards[i].misses, before_misses),
-              labels);
-        m.set("rap_cache_evictions_total",
-              "Artifact cache LRU evictions since the sweep launched, "
-              "per shard",
-              Type::kCounter,
-              delta(now.shards[i].evictions, before_evictions), labels);
-    }
     const double hits = delta(now.hits, before.hits);
     const double misses = delta(now.misses, before.misses);
+    m.set("rap_cache_hits_total",
+          "Artifact cache hits since the sweep launched", Type::kCounter, hits);
+    m.set("rap_cache_misses_total",
+          "Artifact cache misses (= builds) since the sweep launched",
+          Type::kCounter, misses);
+    m.set("rap_cache_evictions_total",
+          "Artifact cache LRU evictions since the sweep launched",
+          Type::kCounter, delta(now.evictions, before.evictions));
     m.set("rap_cache_hit_rate",
           "Hits / lookups of the artifact cache since the sweep launched",
           Type::kGauge,
@@ -391,7 +372,8 @@ Metrics build_metrics(SweepState& state) {
           static_cast<double>(now.bytes));
     m.set("rap_cache_capacity_bytes", "Artifact cache byte capacity",
           Type::kGauge, static_cast<double>(now.capacity_bytes));
-    m.set("rap_cache_pinned", "Artifacts pinned by in-flight sessions",
+    m.set("rap_cache_pinned",
+          "Artifacts held by live sessions or building, so never evicted",
           Type::kGauge, static_cast<double>(now.pinned));
     return m;
 }

@@ -82,15 +82,15 @@ struct SweepResult {
 /// Scaling contract:
 ///
 /// - **Dedup before compile.** Configurations are content-keyed
-///   (verify::model_fingerprint); the sharded verify::ArtifactCache
+///   (verify::model_fingerprint); the verify::ArtifactCache
 ///   coalesces concurrent builds, so identical models reached through
 ///   different grid points (e.g. the same depth under two voltage
 ///   schedules) compile exactly once — artifact_builds() grows by the
 ///   number of *distinct* models, not grid points.
-/// - **Pinned artifacts.** Each worker pins its configuration's
-///   compiled model while the session runs, so LRU eviction under a
-///   tight cache capacity can never drop an artifact a worker is about
-///   to use.
+/// - **Held artifacts.** Each worker's session owns its configuration's
+///   compiled model while it runs, and the cache never evicts a model
+///   that is still held, so a tight cache capacity cannot force a
+///   rebuild under a running worker.
 /// - **Bounded in-flight memory.** Each worker runs one configuration at
 ///   a time, so at most workers() sessions hold exploration state
 ///   simultaneously; per-config engine threads default to 1 inside a
@@ -182,7 +182,7 @@ public:
         /// Scrapeable engine metrics snapshot: sweep progress (configs
         /// done/total, queue depth, in-flight), aggregate states/s and
         /// peak resident bytes, and the process artifact cache's
-        /// per-shard hit/miss/eviction counters — render with
+        /// hit/miss/eviction counters — render with
         /// metrics::to_prometheus().
         Metrics metrics() const;
 

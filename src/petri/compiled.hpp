@@ -54,16 +54,14 @@ class CompiledNet {
 public:
     explicit CompiledNet(const Net& net);
 
-    /// Delta compilation: compile `net` by patching `parent`'s arrays
-    /// instead of packing from scratch. Transitions whose pre/post/read
-    /// arcs match the parent's keep their CSR term rows verbatim (for a
-    /// reconfiguration that only flips initial markings — the flow::Design
-    /// set_depth case — that is *every* row, one bulk copy); changed
-    /// transitions are repacked, and the affected-transition index is
-    /// recomputed only where a changed arc can reach it. Falls back to a
-    /// full build when the place/transition counts differ. The result is
-    /// bit-identical to CompiledNet(net). `parent` (and its net) only
-    /// needs to stay alive for the duration of this constructor.
+    /// Delta compilation: when `parent` was compiled from a net with the
+    /// same place and transition counts and the same preset, postset and
+    /// readset for every transition — a reconfiguration that only moved
+    /// initial markings, the flow::Design set_depth case — its tables
+    /// are copied instead of packed again; any other parent falls back
+    /// to a full build. Either way the result equals CompiledNet(net).
+    /// `parent` (and its net) only needs to stay alive for the duration
+    /// of this constructor.
     CompiledNet(const Net& net, const CompiledNet& parent);
 
     const Net& net() const noexcept { return *net_; }
@@ -154,7 +152,6 @@ private:
         std::vector<std::uint32_t> forbidders;
     };
 
-    void build_full(const Net& net);
     /// Appends affected(t) and writes disables(t) (zeroed beforehand)
     /// from the places t toggles and `readers`.
     void index_toggles(const Net& net, std::uint32_t t,

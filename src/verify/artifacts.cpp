@@ -1,8 +1,8 @@
 #include "verify/artifacts.hpp"
 
 #include <atomic>
+#include <charconv>
 
-#include "util/strings.hpp"
 #include "verify/cache.hpp"
 
 namespace rap::verify {
@@ -12,59 +12,58 @@ namespace {
 std::atomic<std::size_t> g_builds{0};
 std::atomic<std::size_t> g_delta_builds{0};
 
+/// Appends `value` in decimal, then `end`.
+void put(std::string& key, std::size_t value, char end) {
+    char digits[20];
+    char* last = std::to_chars(digits, digits + sizeof digits, value).ptr;
+    key.append(digits, last);
+    key += end;
+}
+
 }  // namespace
 
 std::string model_structure_fingerprint(const dfs::Graph& graph) {
-    // model_fingerprint minus the initial-marking fields: what remains is
-    // exactly what the Fig. 3 translation turns into places, transitions
-    // and arcs, so equal keys mean identical net *structure*.
-    std::string key =
-        util::format("%zu:", graph.name().size()) + graph.name();
+    std::string key;
+    put(key, graph.name().size(), ':');
+    key += graph.name();
     key += '\x1f';
     for (const dfs::NodeId n : graph.nodes()) {
         const std::string& name = graph.node_name(n);
-        key += util::format("%zu:", name.size()) + name;
-        key += util::format(":%d;", static_cast<int>(graph.kind(n)));
+        put(key, name.size(), ':');
+        key += name;
+        key += ':';
+        put(key, static_cast<unsigned>(graph.kind(n)), ';');
     }
     key += '\x1f';
     for (const dfs::NodeId n : graph.nodes()) {
         for (const dfs::NodeId m : graph.postset(n)) {
-            key += util::format("%u>%u:%d;", n.value, m.value,
-                                graph.is_inverted(n, m) ? 1 : 0);
+            put(key, n.value, '>');
+            put(key, m.value, ':');
+            key += graph.is_inverted(n, m) ? "1;" : "0;";
         }
     }
     return key;
 }
 
-std::string model_fingerprint(const dfs::Graph& graph) {
-    std::string key =
-        util::format("%zu:", graph.name().size()) + graph.name();
+void append_marking_fingerprint(std::string& key, const dfs::Graph& graph) {
+    // One ';'-terminated field per node, in node order: the structural
+    // part fixes the node count, so the whole key stays unambiguous.
     key += '\x1f';
     for (const dfs::NodeId n : graph.nodes()) {
         const auto& init = graph.initial(n);
-        const std::string& name = graph.node_name(n);
-        key += util::format("%zu:", name.size()) + name;
-        key += util::format(
-            ":%d:%d:%d;", static_cast<int>(graph.kind(n)),
-            init.marked ? 1 : 0, static_cast<int>(init.token));
+        key += init.marked ? '1' : '0';
+        put(key, static_cast<unsigned>(init.token), ';');
     }
-    key += '\x1f';
-    for (const dfs::NodeId n : graph.nodes()) {
-        for (const dfs::NodeId m : graph.postset(n)) {
-            key += util::format("%u>%u:%d;", n.value, m.value,
-                                graph.is_inverted(n, m) ? 1 : 0);
-        }
-    }
+}
+
+std::string model_fingerprint(const dfs::Graph& graph) {
+    std::string key = model_structure_fingerprint(graph);
+    append_marking_fingerprint(key, graph);
     return key;
 }
 
 CompiledModel::CompiledModel(const dfs::Graph& graph)
     : translation_(dfs::to_petri(graph)), compiled_(translation_.net) {
-    // Rough per-place / per-transition footprint of the translation +
-    // CSR-compiled net; deterministic and monotone in model size, which
-    // is all the LRU byte accounting needs.
-    approx_bytes_ = 4096 + translation_.net.place_count() * 96 +
-                    translation_.net.transition_count() * 256;
     g_builds.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -72,8 +71,6 @@ CompiledModel::CompiledModel(const dfs::Graph& graph,
                              const CompiledModel& parent)
     : translation_(dfs::to_petri(graph)),
       compiled_(translation_.net, parent.compiled_) {
-    approx_bytes_ = 4096 + translation_.net.place_count() * 96 +
-                    translation_.net.transition_count() * 256;
     g_builds.fetch_add(1, std::memory_order_relaxed);
     g_delta_builds.fetch_add(1, std::memory_order_relaxed);
 }

@@ -1,216 +1,117 @@
 #include "verify/cache.hpp"
 
-#include <functional>
+#include <algorithm>
 #include <utility>
 
 namespace rap::verify {
 
-ArtifactCache::ArtifactCache(Options options) : options_(options) {
-    if (options_.shard_count == 0) options_.shard_count = 1;
-    per_shard_capacity_ =
-        std::max<std::size_t>(options_.capacity_bytes / options_.shard_count,
-                              1);
-    shards_.reserve(options_.shard_count);
-    for (std::size_t i = 0; i < options_.shard_count; ++i) {
-        shards_.push_back(std::make_unique<Shard>());
-    }
-}
+ArtifactCache::ArtifactCache(std::size_t capacity_bytes)
+    : capacity_bytes_(capacity_bytes) {}
 
-ArtifactCache::~ArtifactCache() = default;
+std::shared_ptr<const CompiledModel> ArtifactCache::get(
+    const dfs::Graph& graph) {
+    std::string key = model_structure_fingerprint(graph);
+    const std::size_t structure_size = key.size();
+    append_marking_fingerprint(key, graph);
 
-ArtifactCache::Pin::Pin(Pin&& other) noexcept
-    : cache_(std::exchange(other.cache_, nullptr)),
-      shard_(other.shard_),
-      key_(std::move(other.key_)),
-      model_(std::move(other.model_)) {}
-
-ArtifactCache::Pin& ArtifactCache::Pin::operator=(Pin&& other) noexcept {
-    if (this != &other) {
-        release();
-        cache_ = std::exchange(other.cache_, nullptr);
-        shard_ = other.shard_;
-        key_ = std::move(other.key_);
-        model_ = std::move(other.model_);
-    }
-    return *this;
-}
-
-void ArtifactCache::Pin::release() {
-    if (cache_ != nullptr) {
-        cache_->unpin(shard_, key_);
-        cache_ = nullptr;
-    }
-    model_.reset();
-}
-
-std::shared_ptr<const CompiledModel> ArtifactCache::lookup(
-    const dfs::Graph& graph, bool pin, std::string* key_out,
-    std::size_t* shard_out) {
-    std::string key = model_fingerprint(graph);
-    const std::size_t shard_index =
-        std::hash<std::string>{}(key) % shards_.size();
-    if (key_out != nullptr) *key_out = key;
-    if (shard_out != nullptr) *shard_out = shard_index;
-    Shard& shard = *shards_[shard_index];
-
-    std::unique_lock<std::mutex> lock(shard.mutex);
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        auto it = shard.index.find(key);
-        if (it != shard.index.end()) {
-            Entry& entry = *it->second;
-            if (entry.building) {
+        auto it = index_.find(key);
+        if (it != index_.end()) {
+            if (it->second->model == nullptr) {
                 // Another caller is compiling this exact model; wait for
                 // its build instead of compiling again, then re-check
                 // from scratch (the build may have failed and vanished).
-                shard.ready.wait(lock);
+                ready_.wait(lock);
                 continue;
             }
-            ++shard.hits;
-            shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-            if (pin) ++entry.pin_count;
-            return entry.model;
+            ++hits_;
+            lru_.splice(lru_.begin(), lru_, it->second);
+            auto model = it->second->model;  // held from here on
+            evict_overflow();
+            return model;
         }
 
-        // Miss: insert a building placeholder (pinned so concurrent
-        // eviction cannot drop it) and compile outside the lock.
-        ++shard.misses;
-        shard.lru.push_front(Entry{key, nullptr, 0, 1, true});
-        shard.index[key] = shard.lru.begin();
+        // Miss: insert a building placeholder (held, so neither eviction
+        // nor clear() can drop it) and compile outside the lock, off the
+        // structure's latest live model when there is one.
+        ++misses_;
+        lru_.push_front(Entry{key, nullptr, 0});
+        const Slot slot = lru_.begin();
+        index_.emplace(key, slot);
+        std::string structure = key.substr(0, structure_size);
+        std::shared_ptr<const CompiledModel> parent;
+        if (auto s = structural_.find(structure); s != structural_.end()) {
+            parent = s->second.lock();
+        }
         lock.unlock();
 
         std::shared_ptr<const CompiledModel> model;
         try {
-            model = build_model(graph);
+            model = parent != nullptr
+                        ? std::make_shared<const CompiledModel>(graph, *parent)
+                        : std::make_shared<const CompiledModel>(graph);
         } catch (...) {
             lock.lock();
-            auto placed = shard.index.find(key);
-            shard.lru.erase(placed->second);
-            shard.index.erase(placed);
-            shard.ready.notify_all();  // waiters retry as builders
+            index_.erase(key);
+            lru_.erase(slot);
+            ready_.notify_all();  // waiters retry as builders
             throw;
         }
+        parent.reset();  // the parent is no longer held by this build
 
         lock.lock();
-        auto placed = shard.index.find(key);
-        Entry& entry = *placed->second;
-        entry.model = model;
-        entry.bytes = model->approx_bytes();
-        entry.building = false;
-        entry.pin_count = pin ? 1 : 0;  // the build pin becomes the caller's
-        shard.bytes += entry.bytes;
-        shard.ready.notify_all();
-        evict_overflow(shard);
+        slot->model = model;
+        slot->bytes = model->approx_bytes();
+        bytes_ += slot->bytes;
+        structural_[std::move(structure)] = model;
+        // The index only grows by distinct structures; sweep out entries
+        // whose models all died so it cannot accumulate unboundedly
+        // across long multi-model runs.
+        if (structural_.size() > 64) {
+            std::erase_if(structural_,
+                          [](const auto& kv) { return kv.second.expired(); });
+        }
+        ready_.notify_all();
+        evict_overflow();
         return model;
     }
 }
 
-std::shared_ptr<const CompiledModel> ArtifactCache::build_model(
-    const dfs::Graph& graph) {
-    const std::string sfp = model_structure_fingerprint(graph);
-    std::shared_ptr<const CompiledModel> parent;
-    {
-        const std::lock_guard<std::mutex> lock(structural_mu_);
-        auto it = structural_.find(sfp);
-        if (it != structural_.end()) parent = it->second.lock();
-    }
-    auto model = parent != nullptr
-                     ? std::make_shared<const CompiledModel>(graph, *parent)
-                     : std::make_shared<const CompiledModel>(graph);
-    {
-        const std::lock_guard<std::mutex> lock(structural_mu_);
-        structural_[sfp] = model;
-        // The index only ever grows by distinct structures; sweep out
-        // entries whose artifacts all died so it cannot accumulate
-        // unboundedly across long multi-model runs.
-        if (structural_.size() > 64) {
-            for (auto it = structural_.begin(); it != structural_.end();) {
-                if (it->second.expired()) {
-                    it = structural_.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-        }
-    }
-    return model;
+ArtifactCache::Slot ArtifactCache::drop(Slot slot) {
+    bytes_ -= slot->bytes;
+    index_.erase(slot->key);
+    return lru_.erase(slot);
 }
 
-std::shared_ptr<const CompiledModel> ArtifactCache::get(
-    const dfs::Graph& graph) {
-    return lookup(graph, /*pin=*/false, nullptr, nullptr);
-}
-
-ArtifactCache::Pin ArtifactCache::get_pinned(const dfs::Graph& graph) {
-    std::string key;
-    std::size_t shard_index = 0;
-    auto model = lookup(graph, /*pin=*/true, &key, &shard_index);
-    return Pin(this, shard_index, std::move(key), std::move(model));
-}
-
-void ArtifactCache::unpin(std::size_t shard_index, const std::string& key) {
-    Shard& shard = *shards_[shard_index];
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end() && it->second->pin_count > 0) {
-        --it->second->pin_count;
-        // Pinned entries may have pushed the shard past capacity;
-        // reclaim the overshoot as soon as the pin drops.
-        evict_overflow(shard);
-    }
-}
-
-void ArtifactCache::evict_overflow(Shard& shard) {
-    auto it = shard.lru.end();
-    while (shard.bytes > per_shard_capacity_ && it != shard.lru.begin()) {
+void ArtifactCache::evict_overflow() {
+    auto it = lru_.end();
+    while (bytes_ > capacity_bytes_ && it != lru_.begin()) {
         --it;
-        if (it->pin_count > 0 || it->building) continue;
-        shard.bytes -= it->bytes;
-        ++shard.evictions;
-        shard.index.erase(it->key);
-        it = shard.lru.erase(it);
+        if (held(*it)) continue;
+        ++evictions_;
+        it = drop(it);
     }
 }
 
 CacheStats ArtifactCache::stats() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
     CacheStats stats;
-    stats.capacity_bytes = options_.capacity_bytes;
-    stats.shards.reserve(shards_.size());
-    for (const auto& shard_ptr : shards_) {
-        const Shard& shard = *shard_ptr;
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        CacheShardStats s;
-        s.hits = shard.hits;
-        s.misses = shard.misses;
-        s.evictions = shard.evictions;
-        s.entries = shard.index.size();
-        s.bytes = shard.bytes;
-        for (const Entry& entry : shard.lru) {
-            if (entry.pin_count > 0) ++s.pinned;
-        }
-        stats.hits += s.hits;
-        stats.misses += s.misses;
-        stats.evictions += s.evictions;
-        stats.entries += s.entries;
-        stats.bytes += s.bytes;
-        stats.pinned += s.pinned;
-        stats.shards.push_back(s);
-    }
+    stats.hits = hits_;
+    stats.misses = misses_;
+    stats.evictions = evictions_;
+    stats.entries = index_.size();
+    stats.bytes = bytes_;
+    stats.pinned = static_cast<std::size_t>(
+        std::count_if(lru_.begin(), lru_.end(), held));
+    stats.capacity_bytes = capacity_bytes_;
     return stats;
 }
 
 void ArtifactCache::clear() {
-    for (const auto& shard_ptr : shards_) {
-        Shard& shard = *shard_ptr;
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-            if (it->pin_count > 0 || it->building) {
-                ++it;
-                continue;
-            }
-            shard.bytes -= it->bytes;
-            shard.index.erase(it->key);
-            it = shard.lru.erase(it);
-        }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (auto it = lru_.begin(); it != lru_.end();) {
+        it = held(*it) ? std::next(it) : drop(it);
     }
 }
 

@@ -7,36 +7,24 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "verify/artifacts.hpp"
 
 namespace rap::verify {
 
-/// Counters of one cache shard, snapshotted by ArtifactCache::stats().
-struct CacheShardStats {
-    std::size_t hits = 0;       ///< lookups served from the shard
+/// Cache snapshot, taken by ArtifactCache::stats(). Every lookup is
+/// exactly one hit or one miss (waiting on another caller's in-flight
+/// build counts as a hit — the waiter does not build), so `hits +
+/// misses` reconciles with the total lookup count and `misses` with the
+/// number of artifact builds the cache ran.
+struct CacheStats {
+    std::size_t hits = 0;       ///< lookups served from the cache
     std::size_t misses = 0;     ///< lookups that triggered a build
     std::size_t evictions = 0;  ///< entries dropped by the LRU policy
     std::size_t entries = 0;    ///< cached models right now
     std::size_t bytes = 0;      ///< estimated resident bytes right now
-    std::size_t pinned = 0;     ///< entries currently pinned
-};
-
-/// Aggregate cache snapshot: the per-shard counters plus their sums.
-/// Every lookup is exactly one hit or one miss (waiting on another
-/// caller's in-flight build counts as a hit — the waiter does not
-/// build), so `hits + misses` reconciles with the total lookup count
-/// and `misses` with the number of artifact builds the cache ran.
-struct CacheStats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t bytes = 0;
-    std::size_t pinned = 0;
+    std::size_t pinned = 0;     ///< held entries right now (see ArtifactCache)
     std::size_t capacity_bytes = 0;
-    std::vector<CacheShardStats> shards;
 
     double hit_rate() const noexcept {
         const std::size_t lookups = hits + misses;
@@ -46,89 +34,49 @@ struct CacheStats {
     }
 };
 
-/// Concurrent sharded LRU cache of CompiledModel artifacts, keyed by
-/// exact model content (verify::model_fingerprint). The multi-tenant
-/// replacement for the PR-3 process-wide-mutex map:
+/// Concurrent LRU cache of CompiledModel artifacts, keyed by exact model
+/// content (verify::model_fingerprint). One mutex guards it all: a
+/// lookup takes it about once per verification pass, and a pass runs
+/// for milliseconds.
 ///
-/// - **Mutex-striped shards.** The fingerprint hash picks one of N
-///   shards; each shard has its own mutex, LRU list and counters, so
-///   concurrent sweeps over different models do not serialise.
 /// - **Byte-capacity LRU.** Capacity is bytes (CompiledModel::
-///   approx_bytes), split evenly across shards; least-recently-used
-///   unpinned entries are evicted when a shard overflows.
+///   approx_bytes); every lookup evicts least-recently-used entries
+///   that are not held until the cache fits again.
 /// - **Build coalescing.** The first caller to miss a key builds the
-///   model *outside* the shard lock; concurrent callers for the same
-///   key block until that build lands instead of compiling again —
-///   dedup-before-compile for free, even when a batch driver's workers
-///   race on identical configurations.
-/// - **Pinned entries.** An in-flight build is pinned automatically,
-///   and get_pinned() returns a RAII Pin that keeps the entry resident
-///   until released — a sweep cannot evict what a worker is about to
-///   use. Pinned entries may push a shard past capacity; the overshoot
-///   is reclaimed on the next unpinned insertion.
+///   model *outside* the lock; concurrent callers for the same key block
+///   until that build lands instead of compiling again — dedup before
+///   compile, even when a batch driver's workers race on identical
+///   configurations.
+/// - **Held entries stay.** An entry is held while it is building, or
+///   while anyone besides the cache owns its model (its use count, read
+///   under the lock, exceeds the cache's own reference). Eviction and
+///   clear() skip held entries, so a session's model is never rebuilt
+///   while the session lives. The count can read stale-high when a
+///   holder lets go concurrently, never stale-low: a copy only leaves
+///   the cache under its lock. Held entries may push the cache past
+///   capacity; the first lookup after they are released reclaims the
+///   overshoot.
+/// - **Delta builds.** A miss whose structural key
+///   (model_structure_fingerprint, the full key's prefix) matches a
+///   live model is compiled off that model with CompiledModel(graph,
+///   parent), which copies its compiled tables.
 class ArtifactCache {
 public:
-    struct Options {
-        std::size_t shard_count = 8;
-        std::size_t capacity_bytes = 64 * 1024 * 1024;
-    };
-
-    ArtifactCache() : ArtifactCache(Options{}) {}
-    explicit ArtifactCache(Options options);
+    explicit ArtifactCache(std::size_t capacity_bytes = 64 * 1024 * 1024);
     ArtifactCache(const ArtifactCache&) = delete;
     ArtifactCache& operator=(const ArtifactCache&) = delete;
-    ~ArtifactCache();
-
-    /// RAII eviction pin. While alive, the entry stays cached (the
-    /// model itself is additionally kept alive by the shared_ptr, pin
-    /// or no pin). Must not outlive the cache.
-    class Pin {
-    public:
-        Pin() = default;
-        Pin(Pin&& other) noexcept;
-        Pin& operator=(Pin&& other) noexcept;
-        Pin(const Pin&) = delete;
-        Pin& operator=(const Pin&) = delete;
-        ~Pin() { release(); }
-
-        const std::shared_ptr<const CompiledModel>& model() const noexcept {
-            return model_;
-        }
-        explicit operator bool() const noexcept { return model_ != nullptr; }
-        void release();
-
-    private:
-        friend class ArtifactCache;
-        Pin(ArtifactCache* cache, std::size_t shard, std::string key,
-            std::shared_ptr<const CompiledModel> model)
-            : cache_(cache),
-              shard_(shard),
-              key_(std::move(key)),
-              model_(std::move(model)) {}
-
-        ArtifactCache* cache_ = nullptr;
-        std::size_t shard_ = 0;
-        std::string key_;
-        std::shared_ptr<const CompiledModel> model_;
-    };
 
     /// The artifact for `graph`: a cache hit, or exactly one build per
     /// key no matter how many callers miss it concurrently.
     std::shared_ptr<const CompiledModel> get(const dfs::Graph& graph);
 
-    /// get(), plus an eviction pin held until the returned Pin drops.
-    Pin get_pinned(const dfs::Graph& graph);
-
     CacheStats stats() const;
 
-    /// Drops every unpinned entry (hit/miss/eviction counters are kept;
-    /// the dropped entries do not count as evictions).
+    /// Drops every entry that is not held (hit/miss/eviction counters
+    /// are kept; the dropped entries do not count as evictions).
     void clear();
 
-    std::size_t shard_count() const noexcept { return shards_.size(); }
-    std::size_t capacity_bytes() const noexcept {
-        return options_.capacity_bytes;
-    }
+    std::size_t capacity_bytes() const noexcept { return capacity_bytes_; }
 
     /// The process-wide instance behind verify::compile_model and every
     /// flow::Design session.
@@ -139,48 +87,38 @@ private:
         std::string key;
         std::shared_ptr<const CompiledModel> model;  ///< null while building
         std::size_t bytes = 0;
-        std::size_t pin_count = 0;
-        bool building = false;
     };
+    using Slot = std::list<Entry>::iterator;
 
-    struct Shard {
-        mutable std::mutex mutex;
-        std::condition_variable ready;
-        /// Most-recently-used first; Entry addresses are stable.
-        std::list<Entry> lru;
-        std::unordered_map<std::string, std::list<Entry>::iterator> index;
-        std::size_t bytes = 0;
-        std::size_t hits = 0;
-        std::size_t misses = 0;
-        std::size_t evictions = 0;
-    };
+    static bool held(const Entry& entry) noexcept {
+        return entry.model == nullptr || entry.model.use_count() > 1;
+    }
+    /// Unlinks `slot` without counting an eviction; returns its
+    /// successor. Caller holds mutex_.
+    Slot drop(Slot slot);
+    void evict_overflow();  ///< caller holds mutex_
 
-    std::shared_ptr<const CompiledModel> lookup(const dfs::Graph& graph,
-                                                bool pin, std::string* key_out,
-                                                std::size_t* shard_out);
-    /// Compiles `graph` — as a delta off a live structurally identical
-    /// parent when the structural index has one, from scratch otherwise —
-    /// and registers the result as the structure's latest parent. Called
-    /// outside any shard lock (builds are the slow path).
-    std::shared_ptr<const CompiledModel> build_model(const dfs::Graph& graph);
-    void unpin(std::size_t shard_index, const std::string& key);
-    void evict_overflow(Shard& shard);  ///< caller holds shard.mutex
-
-    Options options_;
-    std::size_t per_shard_capacity_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    /// Structural-fingerprint -> most recent artifact of that structure,
-    /// held weakly: delta compilation wants *a* live parent but must not
-    /// keep evicted models alive. Global (not sharded) — only touched on
-    /// the build slow path.
-    std::mutex structural_mu_;
+    const std::size_t capacity_bytes_;
+    mutable std::mutex mutex_;
+    std::condition_variable ready_;
+    /// Most-recently-used first; list iterators stay valid, so a builder
+    /// keeps its placeholder's slot across the unlocked build.
+    std::list<Entry> lru_;
+    std::unordered_map<std::string, Slot> index_;
+    std::size_t bytes_ = 0;
+    std::size_t hits_ = 0;
+    std::size_t misses_ = 0;
+    std::size_t evictions_ = 0;
+    /// Structural key -> the latest model of that structure, held weakly:
+    /// a delta build wants *a* live parent but must not keep evicted
+    /// models alive.
     std::unordered_map<std::string, std::weak_ptr<const CompiledModel>>
         structural_;
 };
 
 /// Snapshot of the process-wide artifact cache (the instance behind
-/// verify::compile_model and flow::Design) — per-shard hit/miss/eviction
-/// counters, resident bytes and pin counts.
+/// verify::compile_model and flow::Design): hit/miss/eviction counters,
+/// resident bytes and held entries.
 CacheStats cache_stats();
 
 }  // namespace rap::verify

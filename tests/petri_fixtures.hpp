@@ -1,8 +1,9 @@
 // Shared Petri-net test fixtures and differential-harness plumbing:
 // the model zoo (paper-style rings/wagging/OPE plus seeded random
-// topologies), the naive BFS oracle, and the query/replay helpers used by
+// topologies), the naive BFS oracle, the query/replay helpers used by
 // the engine differential harnesses (parallel_reachability_test.cpp,
-// por_test.cpp, checkpoint_test.cpp). Header-only, test-only.
+// por_test.cpp, checkpoint_test.cpp), and the compiled-index comparison
+// the delta-build tests share. Header-only, test-only.
 
 #pragma once
 
@@ -19,6 +20,7 @@
 #include "dfs/model.hpp"
 #include "dfs/translate.hpp"
 #include "ope/dfs_models.hpp"
+#include "petri/compiled.hpp"
 #include "petri/net.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
@@ -391,6 +393,24 @@ inline void expect_identical_passes(const Net& net, const MultiResult& a,
         EXPECT_EQ(a.persistence_violations[v].trace_to_marking.firings,
                   b.persistence_violations[v].trace_to_marking.firings)
             << context << " violation " << v;
+    }
+}
+
+/// Every per-transition index of two compiled nets is equal: the
+/// affected lists and the disables rows.
+inline void expect_same_indexes(const CompiledNet& a, const CompiledNet& b,
+                                const std::string& context) {
+    ASSERT_EQ(a.transition_count(), b.transition_count()) << context;
+    ASSERT_EQ(a.enabled_words(), b.enabled_words()) << context;
+    for (std::uint32_t ti = 0; ti < a.transition_count(); ++ti) {
+        const TransitionId t{ti};
+        const auto aa = a.affected(t);
+        const auto ba = b.affected(t);
+        EXPECT_TRUE(std::equal(aa.begin(), aa.end(), ba.begin(), ba.end()))
+            << context << ": affected(" << ti << ")";
+        EXPECT_TRUE(std::equal(a.disables(t), a.disables(t) + a.enabled_words(),
+                               b.disables(t)))
+            << context << ": disables(" << ti << ")";
     }
 }
 

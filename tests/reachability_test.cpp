@@ -206,24 +206,6 @@ Net depth_net(int stages, int depth) {
     return dfs::to_petri(p.graph).net;
 }
 
-/// Every per-transition index of two compiled nets is equal: the
-/// affected lists and the disables rows.
-void expect_same_indexes(const CompiledNet& a, const CompiledNet& b,
-                         const std::string& context) {
-    ASSERT_EQ(a.transition_count(), b.transition_count()) << context;
-    ASSERT_EQ(a.enabled_words(), b.enabled_words()) << context;
-    for (std::uint32_t ti = 0; ti < a.transition_count(); ++ti) {
-        const TransitionId t{ti};
-        const auto aa = a.affected(t);
-        const auto ba = b.affected(t);
-        EXPECT_TRUE(std::equal(aa.begin(), aa.end(), ba.begin(), ba.end()))
-            << context << ": affected(" << ti << ")";
-        EXPECT_TRUE(std::equal(a.disables(t), a.disables(t) + a.enabled_words(),
-                               b.disables(t)))
-            << context << ": disables(" << ti << ")";
-    }
-}
-
 TEST(Incremental, DeltaCompiledNetMatchesFullBuild) {
     const Net parent_net = depth_net(3, 3);
     const Net child_net = depth_net(3, 2);
@@ -236,7 +218,7 @@ TEST(Incremental, DeltaCompiledNetMatchesFullBuild) {
     const CompiledNet delta(child_net, parent);
     EXPECT_EQ(delta.marking_words(), full.marking_words());
     EXPECT_EQ(delta.enabled_words(), full.enabled_words());
-    expect_same_indexes(delta, full, "marking-only delta");
+    testfx::expect_same_indexes(delta, full, "marking-only delta");
 
     const testfx::QueryBundle bundle(child_net);
     ReachabilityOptions options;
@@ -270,8 +252,7 @@ TEST(Incremental, DeltaCompiledNetMatchesFullBuild) {
 
 /// A four-place ring, a separate toggle pair, and one bridge transition
 /// whose arcs are the only difference between the two variants: equal
-/// place and transition counts, so the delta path patches instead of
-/// rebuilding.
+/// place and transition counts, but not the same arcs.
 Net bridged_ring(bool moved) {
     Net net(moved ? "bridged_moved" : "bridged");
     std::vector<PlaceId> ring;
@@ -306,18 +287,22 @@ Net bridged_ring(bool moved) {
 }
 
 TEST(Incremental, DeltaCompiledNetRebuildsChangedRowsExactly) {
-    // A structural change at equal counts: the changed transition and
-    // every row reading a place it touches are rebuilt, the toggle
-    // pair's rows are copied, and the result equals a full build.
+    // A parent with the same counts but other arcs cannot lend its
+    // tables: the delta constructor falls back to a full build, so every
+    // affected and disables row, and the pass, equal CompiledNet(net)'s.
     for (const bool moved : {false, true}) {
         const Net parent_net = bridged_ring(!moved);
         const Net child_net = bridged_ring(moved);
+        ASSERT_EQ(parent_net.place_count(), child_net.place_count());
+        ASSERT_EQ(parent_net.transition_count(), child_net.transition_count());
         ASSERT_NE(CompiledNet::digest_structure(parent_net),
                   CompiledNet::digest_structure(child_net));
         const CompiledNet parent(parent_net);
         const CompiledNet delta(child_net, parent);
         const CompiledNet full(child_net);
-        expect_same_indexes(delta, full, child_net.name());
+        EXPECT_EQ(&delta.net(), &child_net);
+        EXPECT_EQ(delta.structure_digest(), full.structure_digest());
+        testfx::expect_same_indexes(delta, full, child_net.name());
 
         ReachabilityOptions options;
         options.stop_at_first_match = false;

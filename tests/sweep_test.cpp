@@ -185,6 +185,8 @@ TEST(Sweep, ThreeAxisSweepDedupsBeforeCompileAndMatchesSerialRuns) {
     EXPECT_GT(m.value("rap_sweep_states_total"), 0.0);
     EXPECT_GT(m.value("rap_cache_hit_rate"), 0.0);
     EXPECT_LE(m.value("rap_cache_hit_rate"), 1.0);
+    EXPECT_EQ(m.value("rap_cache_misses_total"),
+              static_cast<double>(kDistinct));
 }
 
 // Cancellation honoured mid-sweep: after cancel() returns no further

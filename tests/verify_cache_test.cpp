@@ -1,8 +1,9 @@
-// Tests for the concurrent sharded LRU artifact cache: counter
-// reconciliation under a multi-threaded hammer, build coalescing (no
-// double-build when callers race on one key), byte-capacity LRU
-// eviction, and pin semantics. Each TEST() runs as its own ctest
-// process, so deltas of the global artifact_builds() counter are safe.
+// Tests for the concurrent LRU artifact cache: counter reconciliation
+// under a multi-threaded hammer, build coalescing (no double-build when
+// callers race on one key), byte-capacity LRU eviction, held entries
+// surviving eviction and clear(), delta builds, and the fingerprints
+// that key them. Each TEST() runs as its own ctest process, so deltas of
+// the global artifact_builds() counter are safe.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "dfs/translate.hpp"
 #include "dfs_helpers.hpp"
+#include "ope/dfs_models.hpp"
 #include "petri/reachability.hpp"
 #include "petri_fixtures.hpp"
 #include "pipeline/builder.hpp"
@@ -40,12 +42,18 @@ Graph make_model(int id) {
     return g;
 }
 
+/// approx_bytes() of one make_model() artifact, for capacity math.
+std::size_t model_bytes() {
+    ArtifactCache probe;
+    return probe.get(make_model(0))->approx_bytes();
+}
+
 TEST(ArtifactCache, ConcurrentHammerCountersReconcile) {
     constexpr int kThreads = 8;
     constexpr int kRounds = 25;
     constexpr int kModels = 6;
 
-    ArtifactCache cache;  // default: 8 shards, plenty of capacity
+    ArtifactCache cache;  // default capacity: room for every model
     const std::size_t builds_before = artifact_builds();
 
     std::atomic<bool> go{false};
@@ -114,20 +122,10 @@ TEST(ArtifactCache, RacingMissesOnOneKeyBuildOnce) {
 }
 
 TEST(ArtifactCache, EvictsLeastRecentlyUsedUnderCapacity) {
-    // Size the capacity from a real artifact so the cache holds exactly
-    // two of the (equally sized) models.
-    std::size_t model_bytes = 0;
-    {
-        ArtifactCache probe;
-        probe.get(make_model(0));
-        model_bytes = probe.stats().bytes;
-    }
-    ASSERT_GT(model_bytes, 0u);
-
-    ArtifactCache::Options options;
-    options.shard_count = 1;  // one shard: deterministic LRU order
-    options.capacity_bytes = 2 * model_bytes + model_bytes / 2;
-    ArtifactCache cache(options);
+    // Capacity for exactly two of the (equally sized) models.
+    const std::size_t bytes = model_bytes();
+    ASSERT_GT(bytes, 0u);
+    ArtifactCache cache(2 * bytes + bytes / 2);
 
     const Graph g0 = make_model(0);
     const Graph g1 = make_model(1);
@@ -138,12 +136,12 @@ TEST(ArtifactCache, EvictsLeastRecentlyUsedUnderCapacity) {
     EXPECT_EQ(cache.stats().entries, 2u);
     EXPECT_EQ(cache.stats().evictions, 0u);
 
-    // Third insert overflows the shard: the least recently used (g0)
+    // Third insert overflows the cache: the least recently used (g0)
     // goes, the newcomer and g1 stay resident.
     cache.get(g2);
     EXPECT_EQ(cache.stats().entries, 2u);
     EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_LE(cache.stats().bytes, options.capacity_bytes);
+    EXPECT_LE(cache.stats().bytes, cache.capacity_bytes());
 
     const std::size_t misses_before = cache.stats().misses;
     cache.get(g1);  // still resident -> hit
@@ -154,58 +152,122 @@ TEST(ArtifactCache, EvictsLeastRecentlyUsedUnderCapacity) {
 }
 
 TEST(ArtifactCache, PinnedEntrySurvivesEvictionPressure) {
-    std::size_t model_bytes = 0;
-    {
-        ArtifactCache probe;
-        probe.get(make_model(0));
-        model_bytes = probe.stats().bytes;
-    }
-
-    ArtifactCache::Options options;
-    options.shard_count = 1;
-    options.capacity_bytes = model_bytes;  // room for exactly one model
-    ArtifactCache cache(options);
+    ArtifactCache cache(model_bytes());  // room for exactly one model
 
     const Graph g0 = make_model(0);
     const Graph g1 = make_model(1);
 
-    ArtifactCache::Pin pin = cache.get_pinned(g0);
-    ASSERT_TRUE(pin);
+    // Owning the model is what pins it: a held entry is never evicted.
+    std::shared_ptr<const CompiledModel> held = cache.get(g0);
+    ASSERT_NE(held, nullptr);
     EXPECT_EQ(cache.stats().pinned, 1u);
 
-    // g1 overflows the shard, but the pinned g0 cannot be dropped — the
-    // unpinned newcomer is reclaimed instead.
+    // g1 overflows the cache, but both entries are held — g0 by this
+    // test, g1 by its own lookup while it lands — so nothing goes yet.
     cache.get(g1);
+    EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+
+    // The next lookup reclaims the overshoot: g1 is no longer held.
+    const std::size_t misses_before = cache.stats().misses;
+    EXPECT_EQ(cache.get(g0), held);  // hit: still resident
+    EXPECT_EQ(cache.stats().misses, misses_before);
     {
         const CacheStats stats = cache.stats();
         EXPECT_EQ(stats.entries, 1u);
         EXPECT_EQ(stats.evictions, 1u);
+        EXPECT_LE(stats.bytes, cache.capacity_bytes());
     }
-    const std::size_t misses_before = cache.stats().misses;
-    EXPECT_NE(cache.get(g0), nullptr);  // hit: still resident
-    EXPECT_EQ(cache.stats().misses, misses_before);
 
-    // Once the pin drops, g0 is ordinary LRU prey again.
-    pin.release();
+    // Once released, g0 is ordinary LRU prey again.
+    held.reset();
     EXPECT_EQ(cache.stats().pinned, 0u);
-    cache.get(g1);  // insert overflows -> evicts the now-unpinned g0
+    cache.get(g1);  // insert overflows -> evicts the released g0
     const CacheStats stats = cache.stats();
     EXPECT_EQ(stats.entries, 1u);
     EXPECT_EQ(stats.evictions, 2u);
 }
 
+TEST(ArtifactCache, HeldModelsSurviveConcurrentEvictionChurn) {
+    // Four holders keep one model each across re-lookups while four
+    // churners push other models through a cache with room for two.
+    constexpr int kHolders = 4;
+    constexpr int kChurners = 4;
+    constexpr int kRelookups = 40;
+    constexpr int kChurnModels = 24;
+
+    ArtifactCache cache(2 * model_bytes());
+    const std::size_t builds_before = artifact_builds();
+
+    std::atomic<bool> go{false};
+    std::atomic<int> holders_running{kHolders};
+    std::atomic<std::size_t> churn_lookups{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kHolders + kChurners);
+    for (int h = 0; h < kHolders; ++h) {
+        threads.emplace_back([&, h] {
+            const Graph g = make_model(h);
+            while (!go.load()) {
+            }
+            const auto held = cache.get(g);
+            for (int r = 0; r < kRelookups; ++r) {
+                // Let some churn land between two re-lookups.
+                const std::size_t seen = churn_lookups.load();
+                while (churn_lookups.load() == seen) {
+                    std::this_thread::yield();
+                }
+                EXPECT_EQ(cache.get(g).get(), held.get())
+                    << "holder " << h << ", re-lookup " << r;
+            }
+            holders_running.fetch_sub(1);
+        });
+    }
+    for (int c = 0; c < kChurners; ++c) {
+        threads.emplace_back([&, c] {
+            std::vector<Graph> models;
+            for (int m = 0; m < kChurnModels; ++m) {
+                models.push_back(make_model(kHolders + m));
+            }
+            while (!go.load()) {
+            }
+            for (std::size_t i = 0; holders_running.load() > 0; ++i) {
+                cache.get(models[(i + 6 * c) % kChurnModels]);
+                churn_lookups.fetch_add(1);
+            }
+        });
+    }
+    go.store(true);
+    for (auto& t : threads) t.join();
+
+    {
+        const CacheStats stats = cache.stats();
+        EXPECT_GT(stats.evictions, 0u) << "the churn must evict";
+        // No held entry was ever evicted and rebuilt behind a holder's
+        // back: every build is one miss, and vice versa.
+        EXPECT_EQ(artifact_builds() - builds_before, stats.misses);
+    }
+
+    // Everyone has let go: one more lookup brings the cache back under
+    // capacity, and nothing stays held.
+    cache.get(make_model(0));
+    const CacheStats stats = cache.stats();
+    EXPECT_LE(stats.bytes, cache.capacity_bytes());
+    EXPECT_EQ(stats.pinned, 0u);
+}
+
 TEST(ArtifactCache, ClearDropsUnpinnedEntriesWithoutCountingEvictions) {
     ArtifactCache cache;
     cache.get(make_model(0));
-    const Graph pinned_model = make_model(1);
-    ArtifactCache::Pin pin = cache.get_pinned(pinned_model);
+    const Graph held_model = make_model(1);
+    const std::shared_ptr<const CompiledModel> held = cache.get(held_model);
 
     cache.clear();
     const CacheStats stats = cache.stats();
-    EXPECT_EQ(stats.entries, 1u);  // the pinned one survives
+    EXPECT_EQ(stats.entries, 1u);  // the held one survives
     EXPECT_EQ(stats.pinned, 1u);
     EXPECT_EQ(stats.evictions, 0u);
     EXPECT_EQ(stats.misses, 2u);  // counters survive clear()
+    EXPECT_EQ(cache.get(held_model), held);
 }
 
 TEST(Incremental, ArtifactCacheServesReconfigurationsAsDeltas) {
@@ -238,6 +300,28 @@ TEST(Incremental, ArtifactCacheServesReconfigurationsAsDeltas) {
             .run_query(bundle.query);
     petri::testfx::expect_identical_passes(fresh_net, reference, result,
                                            "cache delta model");
+    petri::testfx::expect_same_indexes(child->compiled(), fresh,
+                                       "cache delta model");
+}
+
+TEST(ModelFingerprint, FullKeyExtendsTheStructuralKey) {
+    // A depth change moves only initial markings: the structural key
+    // stays and the full key moves. A stage change moves both.
+    const auto s4d3 = ope::build_reconfigurable_ope_dfs(4, 3);
+    const auto s4d4 = ope::build_reconfigurable_ope_dfs(4, 4);
+    const auto s3d3 = ope::build_reconfigurable_ope_dfs(3, 3);
+
+    const std::string structure = model_structure_fingerprint(s4d3.graph);
+    const std::string full = model_fingerprint(s4d3.graph);
+    EXPECT_EQ(full.compare(0, structure.size(), structure), 0)
+        << "the full key starts with the structural key";
+    EXPECT_GT(full.size(), structure.size());
+
+    EXPECT_EQ(model_structure_fingerprint(s4d4.graph), structure);
+    EXPECT_NE(model_fingerprint(s4d4.graph), full);
+
+    EXPECT_NE(model_structure_fingerprint(s3d3.graph), structure);
+    EXPECT_NE(model_fingerprint(s3d3.graph), full);
 }
 
 }  // namespace
