@@ -32,22 +32,12 @@ namespace {
 using namespace rap;
 
 flow::Campaign make_campaign(std::uint64_t seed) {
-    asim::FaultSpec faults;
-    faults.delay_sigma = 0.15;
-    faults.drop_rate = 0.01;
-    faults.duplicate_rate = 0.005;
-    faults.stuck_rate = 2e-4;
-    faults.glitch.rate_hz = 2e5;  // a few droops per microsecond-run
-    faults.glitch.droop_v = 0.5;
-    faults.glitch.min_duration_s = 2e-7;
-    faults.glitch.max_duration_s = 1e-6;
-
     const unsigned hw = std::thread::hardware_concurrency();
     return flow::Campaign::ope(3)
         .depths({3})
         .voltages({1.2, 0.9, 0.7, 0.55, 0.45})
         .fault_scales({0.0, 1.0, 4.0})
-        .base_faults(faults)
+        .base_faults(bench::mc_faults())
         .runs(70)  // 5 voltages x 3 scales x 70 = 1050 runs
         .items(24)
         .seed(seed)

@@ -9,11 +9,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "asim/faults.hpp"
+#include "bench_util.hpp"
 #include "chip/lfsr.hpp"
 #include "petri/compiled.hpp"
 #include "dfs/dynamics.hpp"
 #include "dfs/simulator.hpp"
 #include "dfs/translate.hpp"
+#include "flow/design.hpp"
 #include "ope/dfs_models.hpp"
 #include "ope/encoder.hpp"
 #include "perf/cycles.hpp"
@@ -179,6 +182,48 @@ BENCHMARK(BM_PorPassOpe)
     ->Args({5, 5})
     ->Args({6, 6})
     ->Unit(benchmark::kMillisecond);
+
+void BM_TimedSimRun(benchmark::State& state) {
+    // One seeded flow::Campaign run, rebuilt per iteration as the
+    // campaign does: the s4/d4 OPE design's timed simulator at 0.55 V
+    // under bench_mc's fault and glitch mix, pushing 24 items through.
+    // Items are fired events, so time per item is the cost per event.
+    const auto design =
+        flow::make_design(ope::build_reconfigurable_ope_dfs(4, 4));
+    const asim::FaultSpec faults = bench::mc_faults();
+    const double voltage = 0.55;
+    const std::uint64_t seed = 0x5eed;
+
+    asim::RunLimits limits;
+    limits.target_marks = 24;
+    limits.observe = design->pipeline().out;
+    limits.max_events =
+        limits.target_marks * design->graph().node_count() * 64;
+    // The campaign's time budget: 8x the fault-free nominal run time,
+    // stretched by the speed factor at the run's voltage.
+    {
+        asim::TimedSimulator sim = design->timed_sim();
+        dfs::State s = design->initial_state();
+        limits.max_time_s = 8 * sim.run(s, limits).time_s /
+                            tech::VoltageModel{}.speed_factor(voltage);
+    }
+    const asim::GlitchedSchedule glitched = asim::splice_glitches(
+        tech::VoltageSchedule::constant(voltage), faults.glitch, seed,
+        limits.max_time_s);
+
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        asim::TimedSimulator sim = design->timed_sim(glitched.schedule);
+        sim.set_seed(seed);
+        sim.set_faults(faults);
+        dfs::State s = design->initial_state();
+        const asim::TimedStats stats = sim.run(s, limits);
+        benchmark::DoNotOptimize(stats.time_s);
+        events += stats.events;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_TimedSimRun)->Unit(benchmark::kMicrosecond);
 
 void BM_CycleAnalysis(benchmark::State& state) {
     const int stages = static_cast<int>(state.range(0));

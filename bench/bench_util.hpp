@@ -8,7 +8,25 @@
 #include <cstdio>
 #include <string>
 
+#include "asim/faults.hpp"
+
 namespace rap::bench {
+
+/// The Monte Carlo fault mix at scale 1 (bench_mc's campaign, and the
+/// single run BM_TimedSimRun times): jitter, drops, duplicates, rare
+/// stuck-ats and a few supply droops per microsecond-scale run.
+inline asim::FaultSpec mc_faults() {
+    asim::FaultSpec faults;
+    faults.delay_sigma = 0.15;
+    faults.drop_rate = 0.01;
+    faults.duplicate_rate = 0.005;
+    faults.stuck_rate = 2e-4;
+    faults.glitch.rate_hz = 2e5;
+    faults.glitch.droop_v = 0.5;
+    faults.glitch.min_duration_s = 2e-7;
+    faults.glitch.max_duration_s = 1e-6;
+    return faults;
+}
 
 /// Wall-clock stopwatch for reporting harness runtimes.
 class Stopwatch {

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "util/rng.hpp"
 
@@ -31,6 +29,7 @@ TimedSimulator::TimedSimulator(const dfs::Dynamics& dynamics,
       timing_(std::move(timing)),
       model_(model),
       schedule_(std::move(schedule)),
+      timeline_(schedule_, model_),
       leakage_gates_(leakage_gates) {
     const dfs::Graph& graph = dynamics.graph();
     assert(timing_.size() == graph.node_count());
@@ -52,15 +51,15 @@ TimedSimulator::TimedSimulator(const dfs::Dynamics& dynamics,
     // neighbourhood (all the sets the enabling equations quantify over).
     affected_.resize(graph.node_count());
     for (dfs::NodeId n : graph.nodes()) {
-        std::unordered_set<std::uint32_t> set;
-        set.insert(n.value);
-        for (const auto& neighbours :
-             {graph.preset(n), graph.postset(n), graph.r_preset(n),
-              graph.r_postset(n)}) {
-            for (dfs::NodeId m : neighbours) set.insert(m.value);
+        std::vector<std::uint32_t>& set = affected_[n.value];
+        set.push_back(n.value);
+        for (const std::vector<dfs::NodeId>* neighbours :
+             {&graph.preset(n), &graph.postset(n), &graph.r_preset(n),
+              &graph.r_postset(n)}) {
+            for (dfs::NodeId m : *neighbours) set.push_back(m.value);
         }
-        affected_[n.value].assign(set.begin(), set.end());
-        std::sort(affected_[n.value].begin(), affected_[n.value].end());
+        std::sort(set.begin(), set.end());
+        set.erase(std::unique(set.begin(), set.end()), set.end());
     }
 }
 
@@ -92,37 +91,19 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
     // enabled_since per event (kInf = disabled), plus a compact list of
     // candidate indices with lazy deletion so the arbitration scan only
     // touches currently-enabled events. work_scale holds the jitter
-    // factor drawn when the event last became enabled.
+    // factor drawn when the event last became enabled; completion the
+    // event's finish time, valid while it stays enabled.
     std::vector<double> enabled_since(events_.size(), kInf);
     std::vector<double> work_scale(events_.size(), 1.0);
+    std::vector<double> completion(events_.size(), kInf);
     std::vector<char> in_list(events_.size(), 0);
     std::vector<std::uint32_t> candidates;
     double now = 0.0;
 
-    auto refresh_node = [&](std::uint32_t node) {
-        const bool is_stuck = faults.stuck(node);
-        for (std::uint32_t i = node_event_begin_[node];
-             i < node_event_begin_[node + 1]; ++i) {
-            const bool enabled =
-                !is_stuck && dynamics_->is_enabled(state, events_[i]);
-            if (enabled && enabled_since[i] == kInf) {
-                enabled_since[i] = now;
-                work_scale[i] = faults.draw_work_scale();
-                if (!in_list[i]) {
-                    in_list[i] = 1;
-                    candidates.push_back(i);
-                }
-            } else if (!enabled) {
-                enabled_since[i] = kInf;  // inertial cancel
-            }
-        }
-    };
-    for (std::uint32_t n = 0; n < graph.node_count(); ++n) refresh_node(n);
-
-    /// Nominal-speed work of event i as currently enabled (completion
-    /// daisy-chain cost is read off the live state, jitter off the
-    /// factor drawn at enabling).
-    auto event_work = [&](std::uint32_t i) {
+    /// Finish time of event i as currently enabled: its nominal-speed
+    /// work (completion daisy-chain cost read off the live state, jitter
+    /// off the factor drawn at enabling) integrated over the supply.
+    auto finish_time = [&](std::uint32_t i) {
         const NodeTiming& t = timing_[events_[i].node.value];
         double work = t.delay_s;
         if (t.delay_per_true_input_s > 0) {
@@ -134,8 +115,36 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
             }
             work += t.delay_per_true_input_s * real_inputs;
         }
-        return work * work_scale[i];
+        return timeline_.finish_time(enabled_since[i], work * work_scale[i]);
     };
+
+    // Cached completion times stay exact: a firing changes only the fired
+    // node's state, and a register's refresh set holds its postset, so
+    // every node whose work counts that register is refreshed and, if
+    // its work reads live state, recomputed.
+    auto refresh_node = [&](std::uint32_t node) {
+        const bool is_stuck = faults.stuck(node);
+        const bool reads_state = timing_[node].delay_per_true_input_s > 0;
+        for (std::uint32_t i = node_event_begin_[node];
+             i < node_event_begin_[node + 1]; ++i) {
+            const bool enabled =
+                !is_stuck && dynamics_->is_enabled(state, events_[i]);
+            if (enabled && enabled_since[i] == kInf) {
+                enabled_since[i] = now;
+                work_scale[i] = faults.draw_work_scale();
+                completion[i] = finish_time(i);
+                if (!in_list[i]) {
+                    in_list[i] = 1;
+                    candidates.push_back(i);
+                }
+            } else if (!enabled) {
+                enabled_since[i] = kInf;  // inertial cancel
+            } else if (reads_state) {
+                completion[i] = finish_time(i);
+            }
+        }
+    };
+    for (std::uint32_t n = 0; n < graph.node_count(); ++n) refresh_node(n);
 
     /// Event index of a forced stimulus event (UINT32_MAX when the node
     /// has no such phase — a malformed stimulus).
@@ -175,8 +184,7 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
                 break;
             }
             best = i;
-            best_time = schedule_.finish_time(model_, enabled_since[i],
-                                              event_work(i));
+            best_time = completion[i];
             if (best_time == kInf) {
                 stats.frozen = true;
                 break;
@@ -198,10 +206,8 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
                     continue;
                 }
                 any_enabled = true;
-                const double done = schedule_.finish_time(
-                    model_, enabled_since[i], event_work(i));
-                if (done < best_time) {
-                    best_time = done;
+                if (completion[i] < best_time) {
+                    best_time = completion[i];
                     best = i;
                 }
                 ++c;
@@ -252,6 +258,7 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
             record_energy(now, joules);
             enabled_since[best] = now;
             work_scale[best] = faults.draw_work_scale();
+            completion[best] = finish_time(best);
             continue;
         }
 

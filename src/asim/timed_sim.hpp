@@ -95,6 +95,12 @@ struct TimedStats {
 ///
 /// Races are inertial: an event disabled before completion is cancelled
 /// and restarts its timer on re-enabling.
+///
+/// A run keeps each enabled event's completion time instead of
+/// re-integrating it per step: it is computed when the event enables or
+/// a drop restarts its timer, and recomputed when a neighbour fires only
+/// for nodes with delay_per_true_input_s > 0, whose work reads their
+/// preset registers.
 class TimedSimulator {
 public:
     TimedSimulator(const dfs::Dynamics& dynamics, TimingMap timing,
@@ -140,15 +146,11 @@ public:
     TimedStats run(dfs::State& state, const RunLimits& limits);
 
 private:
-    struct Pending {
-        std::uint32_t event_index;
-        double enabled_since;
-    };
-
     const dfs::Dynamics* dynamics_;
     TimingMap timing_;
     tech::VoltageModel model_;
     tech::VoltageSchedule schedule_;
+    tech::SupplyTimeline timeline_;  // schedule_ compiled against model_
     double leakage_gates_;
     double true_bias_ = 0.5;
     std::uint64_t seed_ = 1;

@@ -167,36 +167,6 @@ std::vector<NodeId> Graph::logics() const {
     return out;
 }
 
-const std::vector<NodeId>& Graph::preset(NodeId n) const {
-    build_cache();
-    return preset_[n.value];
-}
-
-const std::vector<NodeId>& Graph::postset(NodeId n) const {
-    build_cache();
-    return postset_[n.value];
-}
-
-const std::vector<NodeId>& Graph::r_preset(NodeId n) const {
-    build_cache();
-    return r_preset_[n.value];
-}
-
-const std::vector<NodeId>& Graph::r_postset(NodeId n) const {
-    build_cache();
-    return r_postset_[n.value];
-}
-
-const std::vector<NodeId>& Graph::control_preset(NodeId n) const {
-    build_cache();
-    return control_preset_[n.value];
-}
-
-const std::vector<bool>& Graph::control_preset_inversion(NodeId n) const {
-    build_cache();
-    return control_preset_inverted_[n.value];
-}
-
 void Graph::build_cache() const {
     if (cache_valid_) return;
     const std::size_t n = kinds_.size();

@@ -103,23 +103,38 @@ public:
     std::vector<NodeId> logics() const;
 
     // -- derived structure (cached) ------------------------------------
+    // Inline: every enabling test reads these, so a cache hit is one
+    // flag test and an index; only a rebuild leaves the header.
+
     /// Direct preset / postset (• x and x •).
-    const std::vector<NodeId>& preset(NodeId n) const;
-    const std::vector<NodeId>& postset(NodeId n) const;
+    const std::vector<NodeId>& preset(NodeId n) const {
+        return cached(preset_, n);
+    }
+    const std::vector<NodeId>& postset(NodeId n) const {
+        return cached(postset_, n);
+    }
 
     /// R-preset ?x / R-postset x?: registers connected through logic-only
     /// paths (direct register neighbours included).
-    const std::vector<NodeId>& r_preset(NodeId n) const;
-    const std::vector<NodeId>& r_postset(NodeId n) const;
+    const std::vector<NodeId>& r_preset(NodeId n) const {
+        return cached(r_preset_, n);
+    }
+    const std::vector<NodeId>& r_postset(NodeId n) const {
+        return cached(r_postset_, n);
+    }
 
     /// Control registers in the R-preset — the registers that decide
     /// whether `n` is true- or false-controlled.
-    const std::vector<NodeId>& control_preset(NodeId n) const;
+    const std::vector<NodeId>& control_preset(NodeId n) const {
+        return cached(control_preset_, n);
+    }
 
     /// Per-entry inversion flags aligned with control_preset(n): true
     /// when the control arc is inverting (the consumer observes the
     /// complement of the token).
-    const std::vector<bool>& control_preset_inversion(NodeId n) const;
+    const std::vector<bool>& control_preset_inversion(NodeId n) const {
+        return cached(control_preset_inverted_, n);
+    }
 
     // -- validation -----------------------------------------------------
     /// Structural well-formedness diagnostics. Empty result = valid model.
@@ -134,6 +149,11 @@ public:
 private:
     void invalidate_cache() const noexcept { cache_valid_ = false; }
     void build_cache() const;
+    template <typename Set>
+    const Set& cached(const std::vector<Set>& table, NodeId n) const {
+        if (!cache_valid_) build_cache();
+        return table[n.value];
+    }
 
     std::string name_;
     std::vector<NodeKind> kinds_;

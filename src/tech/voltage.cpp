@@ -1,5 +1,6 @@
 #include "tech/voltage.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -66,25 +67,7 @@ std::vector<std::pair<double, double>> VoltageSchedule::breakpoints() const {
 
 double VoltageSchedule::finish_time(const VoltageModel& model, double t0,
                                     double work) const {
-    if (work <= 0) return t0;
-    double remaining = work;
-    double t = t0;
-    for (std::size_t i = 0; i < segments_.size(); ++i) {
-        const double seg_end = (i + 1 < segments_.size())
-                                   ? segments_[i + 1].start
-                                   : kInf;
-        if (seg_end <= t) continue;
-        const double rate = model.speed_factor(segments_[i].voltage);
-        const double span = seg_end - t;
-        if (rate > 0) {
-            const double need = remaining / rate;
-            if (need <= span) return t + need;
-            remaining -= span * rate;
-        }
-        t = seg_end;
-        if (t == kInf) break;
-    }
-    return kInf;  // frozen in the trailing segment
+    return SupplyTimeline(*this, model).finish_time(t0, work);
 }
 
 double VoltageSchedule::leakage_energy(const VoltageModel& model,
@@ -102,6 +85,41 @@ double VoltageSchedule::leakage_energy(const VoltageModel& model,
         energy += model.leakage_power(segments_[i].voltage, gates) * (hi - lo);
     }
     return energy;
+}
+
+SupplyTimeline::SupplyTimeline(const VoltageSchedule& schedule,
+                               const VoltageModel& model) {
+    rows_.reserve(schedule.segments_.size());
+    for (const VoltageSchedule::Segment& s : schedule.segments_) {
+        rows_.push_back({s.start, model.speed_factor(s.voltage)});
+    }
+}
+
+double SupplyTimeline::finish_time(double t0, double work) const {
+    if (work <= 0) return t0;
+    if (rows_.empty()) return kInf;  // 0V everywhere
+    // Row i ends where row i + 1 starts: jump past the rows that end at
+    // or before t0 (the loop's skip test still covers t0 = +inf).
+    const auto after = [](double t, const Row& r) { return t < r.start; };
+    auto later = std::upper_bound(rows_.begin() + 1, rows_.end(), t0, after);
+    std::size_t i = static_cast<std::size_t>(later - rows_.begin()) - 1;
+    double remaining = work;
+    double t = t0;
+    for (; i < rows_.size(); ++i) {
+        const double seg_end =
+            (i + 1 < rows_.size()) ? rows_[i + 1].start : kInf;
+        if (seg_end <= t) continue;
+        const double rate = rows_[i].speed;
+        const double span = seg_end - t;
+        if (rate > 0) {
+            const double need = remaining / rate;
+            if (need <= span) return t + need;
+            remaining -= span * rate;
+        }
+        t = seg_end;
+        if (t == kInf) break;
+    }
+    return kInf;  // frozen in the trailing segment
 }
 
 }  // namespace rap::tech

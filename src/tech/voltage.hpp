@@ -71,7 +71,9 @@ public:
     /// Time at which an amount of `work` (expressed in nominal-speed
     /// seconds) completes when started at time t0, integrating the speed
     /// factor across segments. Returns +inf if the supply never recovers
-    /// above the freeze voltage for long enough.
+    /// above the freeze voltage for long enough. Compiles a
+    /// SupplyTimeline per call; callers that integrate repeatedly over
+    /// one schedule should compile it once.
     double finish_time(const VoltageModel& model, double t0,
                        double work) const;
 
@@ -80,6 +82,8 @@ public:
                           double t1) const;
 
 private:
+    friend class SupplyTimeline;
+
     struct Segment {
         double start;
         double voltage;
@@ -87,6 +91,28 @@ private:
     // Sorted by start; first segment (if any) starts at 0.
     std::vector<Segment> segments_;
     double cursor_ = 0.0;  // end time of the last appended segment
+};
+
+/// A (VoltageSchedule, VoltageModel) pair compiled into one row per
+/// segment: its start time and the model's speed factor at its voltage.
+/// Integrating work over the rows evaluates no pow() per call, and the
+/// result is bit-identical to evaluating the model per segment. The
+/// timed simulator compiles its supply once per run.
+class SupplyTimeline {
+public:
+    SupplyTimeline(const VoltageSchedule& schedule,
+                   const VoltageModel& model);
+
+    /// VoltageSchedule::finish_time over the compiled rows.
+    double finish_time(double t0, double work) const;
+
+private:
+    struct Row {
+        double start;
+        double speed;
+    };
+    // Sorted by start, parallel to the schedule's segments.
+    std::vector<Row> rows_;
 };
 
 }  // namespace rap::tech

@@ -7,23 +7,6 @@ namespace rap::util {
 BitVec::BitVec(std::size_t bits)
     : bits_(bits), words_((bits + kWordBits - 1) / kWordBits, 0) {}
 
-bool BitVec::get(std::size_t i) const noexcept {
-    return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
-}
-
-void BitVec::set(std::size_t i, bool value) noexcept {
-    const std::uint64_t mask = std::uint64_t{1} << (i % kWordBits);
-    if (value) {
-        words_[i / kWordBits] |= mask;
-    } else {
-        words_[i / kWordBits] &= ~mask;
-    }
-}
-
-void BitVec::flip(std::size_t i) noexcept {
-    words_[i / kWordBits] ^= std::uint64_t{1} << (i % kWordBits);
-}
-
 std::size_t BitVec::count() const noexcept {
     std::size_t n = 0;
     for (auto w : words_) n += static_cast<std::size_t>(std::popcount(w));

@@ -35,9 +35,20 @@ public:
     std::uint64_t* word_data() noexcept { return words_.data(); }
     const std::uint64_t* word_data() const noexcept { return words_.data(); }
 
-    bool get(std::size_t i) const noexcept;
-    void set(std::size_t i, bool value) noexcept;
-    void flip(std::size_t i) noexcept;
+    bool get(std::size_t i) const noexcept {
+        return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
+    }
+    void set(std::size_t i, bool value) noexcept {
+        const std::uint64_t mask = std::uint64_t{1} << (i % kWordBits);
+        if (value) {
+            words_[i / kWordBits] |= mask;
+        } else {
+            words_[i / kWordBits] &= ~mask;
+        }
+    }
+    void flip(std::size_t i) noexcept {
+        words_[i / kWordBits] ^= std::uint64_t{1} << (i % kWordBits);
+    }
 
     /// Number of set bits.
     std::size_t count() const noexcept;

@@ -246,5 +246,42 @@ TEST(TimedSim, DaisyPenaltyGrowsWithRealTokens) {
     EXPECT_GT(t_daisy, t_plain * 1.5);
 }
 
+TEST(TimedSim, PendingWorkFollowsPresetRegisterChanges) {
+    // A false-controlled pop emits its empty token without waiting for
+    // its data preset, so that preset can fill while the emission is
+    // pending. With a per-true-input cost, the emission's work must be
+    // re-read when it does: 2 at enabling, 2 + 5 once r latches at t=1.
+    dfs::Graph g("pending");
+    const auto a = g.add_register("a", true);
+    const auto r = g.add_register("r");
+    const auto c = g.add_control("c", true, dfs::TokenValue::False);
+    const auto p = g.add_pop("p");
+    const auto sink = g.add_register("sink");
+    g.connect(a, r);
+    g.connect(r, p);
+    g.connect(c, p);
+    g.connect(p, sink);
+    const Dynamics dyn(g);
+
+    TimingMap timing = uniform_timing(g, 100.0);
+    timing[r.value].delay_s = 1.0;
+    timing[p.value].delay_s = 2.0;
+    timing[p.value].delay_per_true_input_s = 5.0;
+    auto sim = make_sim(dyn, timing);
+    sim.enable_event_trace();
+    State s = State::initial(g);
+    RunLimits limits;
+    limits.max_events = 2;
+    const auto stats = sim.run(s, limits);
+
+    ASSERT_EQ(stats.events_log.size(), 2u);
+    EXPECT_EQ(stats.events_log[0].event,
+              (dfs::Event{r, dfs::EventKind::Mark}));
+    EXPECT_EQ(stats.events_log[0].t_s, 1.0);
+    EXPECT_EQ(stats.events_log[1].event,
+              (dfs::Event{p, dfs::EventKind::MarkFalse}));
+    EXPECT_EQ(stats.events_log[1].t_s, 7.0);
+}
+
 }  // namespace
 }  // namespace rap::asim

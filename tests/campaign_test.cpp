@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <future>
 #include <map>
 #include <stdexcept>
@@ -111,6 +112,59 @@ TEST(Campaign, BitReproducibleAcrossWorkerCounts) {
                                          .seed(100)
                                          .run();
     EXPECT_NE(reseeded.checksum, serial.checksum);
+}
+
+// Golden pins: the exact checksums of a small seeded campaign over the
+// real reconfigurable OPE, with bench_mc's fault mix. The tests above
+// only compare runs with each other (serial vs pooled, rerun vs run), so
+// a change to the simulator's arithmetic would pass them all; this one
+// fails on any change to a single run's time, energy, event count or
+// fault tally. Covers nominal and sub-nominal supplies, droops below
+// the freeze voltage, drops, duplicates and stuck-ats.
+TEST(Campaign, GoldenChecksumsArePinned) {
+    asim::FaultSpec faults;
+    faults.delay_sigma = 0.15;
+    faults.drop_rate = 0.01;
+    faults.duplicate_rate = 0.005;
+    faults.stuck_rate = 2e-4;
+    faults.glitch.rate_hz = 2e5;
+    faults.glitch.droop_v = 0.5;
+    faults.glitch.min_duration_s = 2e-7;
+    faults.glitch.max_duration_s = 1e-6;
+    const CampaignSummary summary = Campaign::ope(4)
+                                        .depths({3, 4})
+                                        .voltages({1.2, 0.55, 0.45})
+                                        .fault_scales({0.0, 4.0})
+                                        .base_faults(faults)
+                                        .runs(3)
+                                        .items(8)
+                                        .seed(2024)
+                                        .run();
+
+    const std::vector<std::uint64_t> golden{
+        0x2cf977a857b50222ULL,  // d3/f0.00/v1.20
+        0x09d4f4917e940755ULL,  // d3/f0.00/v0.55
+        0x0c54d87293cc6f81ULL,  // d3/f0.00/v0.45
+        0x0d4368adc6bd96d3ULL,  // d3/f4.00/v1.20
+        0x13063f10f42a8ae5ULL,  // d3/f4.00/v0.55
+        0xfc2651c559568a9fULL,  // d3/f4.00/v0.45
+        0x5c4f527fd8e3f061ULL,  // d4/f0.00/v1.20
+        0x8599694276969b45ULL,  // d4/f0.00/v0.55
+        0xcff452d504f718b3ULL,  // d4/f0.00/v0.45
+        0x877ceb5c1ff56106ULL,  // d4/f4.00/v1.20
+        0x1067b7eea190a8c0ULL,  // d4/f4.00/v0.55
+        0xe58a23d578afc2cbULL,  // d4/f4.00/v0.45
+    };
+    ASSERT_EQ(summary.rows.size(), golden.size());
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        EXPECT_EQ(summary.rows[i].checksum, golden[i])
+            << summary.rows[i].point.label;
+    }
+    EXPECT_EQ(summary.checksum, 0xd3e901560b5ff566ULL);
+    // The grid must exercise what the checksums are meant to guard.
+    EXPECT_GT(summary.rows[5].glitch_windows, 0u);
+    EXPECT_GT(summary.rows[11].faults_injected, 0u);
+    EXPECT_LT(summary.completed_total, summary.runs_total);
 }
 
 TEST(Campaign, CleanNominalCampaignSurvivesEverywhere) {

@@ -174,6 +174,21 @@ TEST(Evaluation, DeeperConfigurationTakesLongerAndMoreEnergy) {
     EXPECT_GT(m6.energy_per_item_j(), m3.energy_per_item_j());
 }
 
+// Golden pins for the daisy-chained completion, the chip's only timing
+// whose work reads live state (delay_per_true_input_s > 0). Depth 4 of
+// 6 stages mixes real tokens with the empty ones of bypassed stages.
+TEST(Evaluation, DaisyChainMeasurementIsPinned) {
+    const Evaluation chip(small_reconfig(4));
+    const auto nominal = chip.measure(1.2, 300);
+    EXPECT_EQ(nominal.items, 300u);
+    EXPECT_EQ(nominal.time_s, 0x1.1ccc45bea82c3p-19);
+    EXPECT_EQ(nominal.energy_j(), 0x1.33053a71e9808p-29);
+    const auto low = chip.measure(0.5, 300);
+    EXPECT_EQ(low.items, 300u);
+    EXPECT_EQ(low.time_s, 0x1.ac8a8a1ced51bp-16);
+    EXPECT_EQ(low.energy_j(), 0x1.ac8ea185a8b04p-32);
+}
+
 TEST(Evaluation, FreezeAndRecoverCompletesTheRun) {
     const Evaluation chip(small_static());
     // Budget the schedule from a nominal calibration run.

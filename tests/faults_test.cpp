@@ -308,6 +308,11 @@ TEST(Witness, VerifierCounterexampleDrivesTheTimedSim) {
     EXPECT_EQ(stats.stimulus_fired, finding.event_trace.size());
     EXPECT_TRUE(dyn.control_conflict(s).has_value())
         << "replaying the witness must reach the hazardous state";
+    // Golden pin of the replay's timing: one nominal-speed unit per
+    // forced event at 1.2 V, no energy annotated.
+    EXPECT_EQ(stats.events, 1u);
+    EXPECT_EQ(stats.time_s, 1.0);
+    EXPECT_EQ(stats.dynamic_energy_j, 0.0);
 }
 
 TEST(Witness, TimedSimTraceIsPnReachable) {

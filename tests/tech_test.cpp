@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
+#include "asim/faults.hpp"
 #include "tech/voltage.hpp"
+#include "util/rng.hpp"
 
 namespace rap::tech {
 namespace {
@@ -148,6 +154,151 @@ TEST(VoltageSchedule, LeakageEnergyIntegratesSegments) {
     EXPECT_NEAR(s.leakage_energy(m, gates, 0.0, 3.0), expected, 1e-15);
     EXPECT_EQ(s.leakage_energy(m, gates, 3.0, 3.0), 0.0);
     EXPECT_EQ(s.leakage_energy(m, gates, 5.0, 3.0), 0.0);
+}
+
+// ------------------------------------------------------------ timeline --
+
+/// The integration loop as it stood before SupplyTimeline existed: one
+/// speed_factor (one pow) per visited segment per call. Kept here as the
+/// reference the compiled timeline must reproduce bit for bit.
+double per_call_finish_time(const VoltageSchedule& schedule,
+                            const VoltageModel& model, double t0,
+                            double work) {
+    if (work <= 0) return t0;
+    const auto segments = schedule.breakpoints();
+    double remaining = work;
+    double t = t0;
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+        const double seg_end =
+            (i + 1 < segments.size()) ? segments[i + 1].first : kInf;
+        if (seg_end <= t) continue;
+        const double rate = model.speed_factor(segments[i].second);
+        const double span = seg_end - t;
+        if (rate > 0) {
+            const double need = remaining / rate;
+            if (need <= span) return t + need;
+            remaining -= span * rate;
+        }
+        t = seg_end;
+        if (t == kInf) break;
+    }
+    return kInf;
+}
+
+using Breakpoints = std::vector<std::pair<double, double>>;
+
+bool starts_a_segment(const Breakpoints& points, double t) {
+    for (const auto& [start, voltage] : points) {
+        if (start == t) return true;
+    }
+    return false;
+}
+
+/// Segment boundaries strictly inside (t0, t1).
+std::size_t boundaries_between(const Breakpoints& points, double t0,
+                               double t1) {
+    std::size_t n = 0;
+    for (const auto& [start, voltage] : points) {
+        if (start > t0 && start < t1) ++n;
+    }
+    return n;
+}
+
+bool inside_a_window(const asim::GlitchedSchedule& glitched, double t) {
+    for (const auto& w : glitched.windows) {
+        if (t > w.start_s && t < w.end_s) return true;
+    }
+    return false;
+}
+
+TEST(SupplyTimeline, MatchesPerCallIntegrationBitForBit) {
+    const VoltageModel model;
+    const double horizon = 1e-5;
+    // Base supplies: nominal, sub-nominal (droops push it below the
+    // freeze), a three-step ramp, and one that freezes for good.
+    std::vector<VoltageSchedule> bases{VoltageSchedule::constant(1.2),
+                                       VoltageSchedule::constant(0.55),
+                                       VoltageSchedule::constant(0.45)};
+    bases.emplace_back();
+    bases.back().add_segment(horizon / 3, 1.2);
+    bases.back().add_segment(horizon / 3, 0.6);
+    bases.back().add_segment(1.0, 0.9);
+    bases.emplace_back();
+    bases.back().add_segment(horizon / 2, 0.9);
+    bases.back().add_segment(1.0, 0.3);
+
+    asim::GlitchSpec spec;
+    spec.rate_hz = 2e6;
+    spec.droop_v = 0.5;
+    spec.min_duration_s = 2e-7;
+    spec.max_duration_s = 1e-6;
+
+    util::Rng rng(0x71e11e);
+    std::size_t pairs = 0;
+    std::size_t on_boundary = 0;
+    std::size_t in_frozen_droop = 0;
+    std::size_t zero_work = 0;
+    std::size_t three_segments = 0;
+    std::size_t never = 0;
+    for (std::uint64_t seed = 0; seed < 240; ++seed) {
+        const VoltageSchedule& base = bases[seed % bases.size()];
+        const asim::GlitchedSchedule glitched =
+            asim::splice_glitches(base, spec, seed, horizon);
+        const VoltageSchedule& schedule = glitched.schedule;
+        const SupplyTimeline timeline(schedule, model);
+        const Breakpoints points = schedule.breakpoints();
+
+        for (int k = 0; k < 24; ++k) {
+            // Start anywhere, exactly on a boundary, or inside a droop.
+            double t0 = rng.uniform() * 1.2 * horizon;
+            if (k % 4 == 1) {
+                t0 = points[rng.below(points.size())].first;
+            } else if (k % 4 == 2 && !glitched.windows.empty()) {
+                const auto& w =
+                    glitched.windows[rng.below(glitched.windows.size())];
+                t0 = w.start_s + (w.end_s - w.start_s) * rng.uniform();
+            }
+            // Work up to the whole horizon, a short phase, or none.
+            double work = rng.uniform() * horizon;
+            if (k % 6 == 0) work = 0.0;
+            if (k % 6 == 3) work = rng.uniform() * 1e-7;
+
+            const double want =
+                per_call_finish_time(schedule, model, t0, work);
+            const double got = timeline.finish_time(t0, work);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(want))
+                << "seed " << seed << " t0 " << t0 << " work " << work
+                << ": " << got << " vs " << want;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                          schedule.finish_time(model, t0, work)),
+                      std::bit_cast<std::uint64_t>(want));
+
+            ++pairs;
+            const bool boundary = starts_a_segment(points, t0);
+            const bool frozen =
+                schedule.voltage_at(t0) <= model.params().v_freeze;
+            on_boundary += boundary;
+            in_frozen_droop +=
+                !boundary && frozen && inside_a_window(glitched, t0);
+            zero_work += work == 0.0;
+            never += want == kInf;
+            three_segments += boundaries_between(points, t0, want) >= 2;
+        }
+    }
+    EXPECT_GE(pairs, 200u * 24u);
+    EXPECT_GT(on_boundary, 0u);
+    EXPECT_GT(in_frozen_droop, 0u);
+    EXPECT_GT(zero_work, 0u);
+    EXPECT_GT(three_segments, 0u);
+    EXPECT_GT(never, 0u);
+}
+
+TEST(SupplyTimeline, EmptyScheduleNeverFinishes) {
+    const SupplyTimeline timeline(VoltageSchedule{}, VoltageModel{});
+    EXPECT_EQ(timeline.finish_time(0.0, 1.0), kInf);
+    EXPECT_EQ(timeline.finish_time(3.0, 0.0), 3.0);
+    EXPECT_EQ(timeline.finish_time(kInf, 1.0), kInf);
 }
 
 }  // namespace
