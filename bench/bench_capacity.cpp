@@ -1,19 +1,17 @@
 // Capacity-tier harness: bytes/state of the marking store (the id-less
-// robin-hood / id-indexed block layout) on the fixtures the capacity
-// story rests on — the reconfigurable OPE model sequentially and at 4
-// threads, plus the deep token ring. The byte counts come from the
-// engines' own StoreStats (table + arena geometry), so they are
-// deterministic and machine-independent: bench/compare.py --capacity
-// gates per-row bytes/state ceilings on them.
+// robin-hood table over a record arena) on the fixtures the capacity
+// story rests on — the reconfigurable OPE model plus the deep token
+// ring. The byte counts come from the engine's own StoreStats (table +
+// arena geometry), so they are deterministic and machine-independent:
+// bench/compare.py --capacity gates per-row bytes/state ceilings on
+// them.
 //
 // --json PATH   machine-readable summary for the compare.py gate
 // --stages N    OPE fixture size (default 3 = s3/d3 tier-1 scale;
 //               the nightly soak passes 4 = the 19M-state s4/d4 pin,
-//               sequential row only, to keep the runtime bounded)
+//               OPE row only, to keep the runtime bounded)
 //
-// Exit is non-zero if any fixture truncates or the parallel row
-// disagrees with the sequential one on (states, edges) — the harness
-// doubles as a differential smoke.
+// Exit is non-zero if any fixture truncates.
 
 #include <cstdio>
 #include <cstring>
@@ -24,7 +22,6 @@
 #include "dfs/model.hpp"
 #include "dfs/translate.hpp"
 #include "ope/dfs_models.hpp"
-#include "petri/parallel.hpp"
 #include "petri/reachability.hpp"
 #include "util/table.hpp"
 
@@ -45,24 +42,15 @@ struct Row {
     }
 };
 
-/// One fixture; threads == 0 means the sequential engine (the parallel
-/// explorer at 1 thread delegates there anyway, but naming it keeps the
-/// row labels honest).
+/// One fixture's exhaustive pass.
 Row measure(const std::string& name, const petri::CompiledNet& compiled,
-            std::size_t threads, std::size_t max_states) {
+            std::size_t max_states) {
     petri::ReachabilityOptions options;
     options.max_states = max_states;
     options.stop_at_first_match = false;
-    petri::ReachabilityResult result;
     bench::Stopwatch watch;
-    if (threads == 0) {
-        petri::ReachabilityExplorer explorer(compiled, options);
-        result = explorer.explore_all();
-    } else {
-        options.threads = threads;
-        petri::ParallelReachabilityExplorer explorer(compiled, options);
-        result = explorer.explore_all();
-    }
+    petri::ReachabilityExplorer explorer(compiled, options);
+    const petri::ReachabilityResult result = explorer.explore_all();
     Row row;
     row.name = name;
     row.seconds = watch.elapsed_s();
@@ -114,28 +102,14 @@ int main(int argc, char** argv) {
                   stages);
 
     std::vector<Row> rows;
-    rows.push_back(
-        measure(std::string(ope_label) + "/seq", compiled, 0, cap));
+    rows.push_back(measure(std::string(ope_label) + "/seq", compiled, cap));
     bool ok = true;
     if (!soak_pin) {
-        // Tier-1 scale: add the narrow-marking ring and the parallel
-        // engine's store (id-indexed concurrent blocks instead of the
-        // sequential arena). The soak pin skips these — two extra
-        // 19M-state explorations buy no new gate.
+        // Tier-1 scale: add the narrow-marking ring. The soak pin skips
+        // it to keep the runtime bounded.
         const petri::Net ring = deep_ring_net();
         const petri::CompiledNet ring_compiled(ring);
-        rows.push_back(measure("deepring/seq", ring_compiled, 0, cap));
-        rows.push_back(
-            measure(std::string(ope_label) + "/par4", compiled, 4, cap));
-        if (rows.back().states != rows.front().states ||
-            rows.back().edges != rows.front().edges) {
-            std::printf("ENGINE MISMATCH: %s explored %zu/%zu, %s %zu/%zu "
-                        "(states/edges)\n",
-                        rows.back().name.c_str(), rows.back().states,
-                        rows.back().edges, rows.front().name.c_str(),
-                        rows.front().states, rows.front().edges);
-            ok = false;
-        }
+        rows.push_back(measure("deepring/seq", ring_compiled, cap));
     }
 
     util::Table table({"fixture", "states", "B/state", "time [s]"});

@@ -160,7 +160,7 @@ BENCHMARK(BM_VerifyAllSinglePass)->Unit(benchmark::kMillisecond);
 
 void BM_PorPassOpe(benchmark::State& state) {
     // One flow::Sweep point's work: a deadlock-only POR pass over the
-    // reconfigurable OPE (stages, depth) on one thread — the regression
+    // reconfigurable OPE (stages, depth) — the regression
     // gate of the stubborn-set closure (PorContext::reduce), which takes
     // most of such a pass. Time / "states" = time per reduced state.
     const auto p = ope::build_reconfigurable_ope_dfs(
@@ -169,7 +169,6 @@ void BM_PorPassOpe(benchmark::State& state) {
     const petri::CompiledNet compiled(tr.net);
     petri::ReachabilityOptions options;
     options.por = true;
-    options.threads = 1;
     std::size_t states = 0;
     for (auto _ : state) {
         petri::ReachabilityExplorer explorer(compiled, options);

@@ -27,14 +27,6 @@ import json
 import statistics
 import sys
 
-# Multi-thread scaling floor for bench_parallel's JSON summary
-# (--parallel): calibrated conservatively from the 4-core CI runner's
-# first gated runs (explore_all best speedup has been >= 2x there; the
-# design target is >= 3x). Raise after a few more runs establish the
-# floor — 1-core containers skip the gate entirely.
-PARALLEL_MIN_SPEEDUP = 1.8
-PARALLEL_MIN_THREADS = 4
-
 # Capacity gate for bench_capacity's JSON summary (--capacity). The
 # numbers are store geometry (table + arena bytes over deterministic
 # state counts), not timings, so they are machine-independent and gate
@@ -45,8 +37,7 @@ CAPACITY_MAX_BYTES_PER_STATE = {
     # fixture           bytes/state ceiling (measured value in brackets)
     "ope_s3_d3/seq": 41.0,   # [35.7]
     "deepring/seq": 56.0,    # [48.7]
-    "ope_s3_d3/par4": 62.5,  # [54.2]
-    # the nightly soak pin (19M states, sequential row only)
+    # the nightly soak pin (19M states, OPE row only)
     "ope_s4_d4/seq": 53.0,   # [46.1]
 }
 
@@ -135,8 +126,6 @@ def main():
                         help="fail gated benchmarks above this fraction")
     parser.add_argument("--absolute", action="store_true",
                         help="compare raw times, skip calibration")
-    parser.add_argument("--parallel",
-                        help="bench_parallel JSON summary to gate")
     parser.add_argument("--por",
                         help="bench_por JSON summary to gate "
                              "(reduction-ratio floor)")
@@ -154,10 +143,6 @@ def main():
                         help="bench_mc JSON summary to report "
                              "(advisory only; reproducibility gates in "
                              "bench_mc itself via its exit code)")
-    parser.add_argument("--min-parallel-speedup", type=float,
-                        default=PARALLEL_MIN_SPEEDUP,
-                        help="multi-thread scaling floor (gated only on "
-                             f">= {PARALLEL_MIN_THREADS}-thread runners)")
     args = parser.parse_args()
 
     baseline = load_times(args.baseline)
@@ -206,25 +191,6 @@ def main():
         print(f"{name:40} {base * 1e9:11.0f}n {cur * 1e9:11.0f}n "
               f"{delta:+7.1%} [{tag}]{marker}")
 
-    par = (load_section(args.parallel, "parallel", True, failures)
-           if args.parallel else None)
-    if par is not None:
-        threads = par.get("hardware_threads", 1)
-        speedup = par.get("best_speedup", 0.0)
-        print(f"parallel scaling: {threads} hardware threads, best "
-              f"speedup {speedup:.2f}x")
-        if not par.get("ok", False):
-            failures.append("bench_parallel reported a cross-engine "
-                            "mismatch")
-        if threads < PARALLEL_MIN_THREADS:
-            print(f"parallel scaling floor skipped: {threads} hardware "
-                  f"thread(s) < {PARALLEL_MIN_THREADS} (1-core container)")
-        elif speedup < args.min_parallel_speedup:
-            failures.append(
-                f"parallel speedup {speedup:.2f}x below the "
-                f"{args.min_parallel_speedup:.2f}x floor on a "
-                f"{threads}-thread runner")
-
     por = (load_section(args.por, "por", True, failures)
            if args.por else None)
     if por is not None:
@@ -272,8 +238,8 @@ def main():
                     f"capacity: {name} store grew to {per_state:.1f} "
                     f"B/state (ceiling {ceiling:.1f})")
         if not cap.get("ok", False):
-            failures.append("bench_capacity reported an engine mismatch "
-                            "or truncated fixture")
+            failures.append("bench_capacity reported a truncated "
+                            "fixture")
 
     sweep = (load_section(args.sweep, "sweep", False, failures)
              if args.sweep else None)

@@ -26,7 +26,6 @@
 #include "rap/petri/compiled.hpp"
 #include "rap/petri/dot.hpp"
 #include "rap/petri/net.hpp"
-#include "rap/petri/parallel.hpp"
 #include "rap/petri/predicate.hpp"
 #include "rap/petri/reachability.hpp"
 #include "rap/verify/artifacts.hpp"

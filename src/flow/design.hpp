@@ -163,16 +163,16 @@ public:
 
     /// Points verification checkpointing at `path` (empty disables):
     /// subsequent explorations periodically serialize a
-    /// petri::StoreCheckpoint there (`every` = cadence in states
-    /// (sequential) or layers (parallel); 0 = engine default). Not a
-    /// model mutation — cached artifacts other than the verifier
-    /// survive, and revision() does not change.
+    /// petri::StoreCheckpoint there (`every` = cadence in expanded
+    /// states; 0 = engine default). Not a model mutation — cached
+    /// artifacts other than the verifier survive, and revision() does
+    /// not change.
     void set_checkpoint(std::string path, std::size_t every = 0);
 
     /// Makes the next exploration resume from a loaded checkpoint
     /// instead of the initial marking (pass nullptr to clear). The
-    /// checkpoint must match the session's net structure; the engines
-    /// refuse anything else loudly. One-shot in spirit: callers clear or
+    /// checkpoint must match the session's net structure; the engine
+    /// refuses anything else loudly. One-shot in spirit: callers clear or
     /// replace it after the resumed pass completes.
     void set_resume(std::shared_ptr<const petri::StoreCheckpoint> resume);
 

@@ -118,11 +118,6 @@ SweepResult process_point(SweepState& state, const SweepPoint& point) {
             : std::chrono::steady_clock::time_point::max();
 
     DesignOptions options = state.base;
-    if (options.verify.threads == 0) {
-        // Grid-level parallelism owns the cores; explicit base settings
-        // are respected.
-        options.verify.threads = 1;
-    }
     const std::function<bool()> user_stop = options.verify.stop;
     options.verify.stop = [&state, deadline, user_stop] {
         return state.cancelled.load(std::memory_order_relaxed) ||

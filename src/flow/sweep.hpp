@@ -93,11 +93,9 @@ struct SweepResult {
 ///   rebuild under a running worker.
 /// - **Bounded in-flight memory.** Each worker runs one configuration at
 ///   a time, so at most workers() sessions hold exploration state
-///   simultaneously; per-config engine threads default to 1 inside a
-///   sweep (grid-level parallelism owns the cores — set
-///   base.verify.threads explicitly to override).
+///   simultaneously.
 /// - **Cooperative cancellation + timeouts.** Handle::cancel() stops
-///   new work and interrupts running explorations through the engines'
+///   new work and interrupts running explorations through the engine's
 ///   stop hook; per_config_timeout() bounds each configuration the same
 ///   way (status kTimedOut, findings truncated).
 ///
@@ -143,9 +141,9 @@ public:
     /// Per-configuration checkpointing: each grid point's exploration
     /// periodically serializes a petri::StoreCheckpoint to
     /// `<dir>/<label>.ckpt` (grid labels like "s4/d3/v0" are flattened to
-    /// "s4_d3_v0"), so a killed sweep resumes its longest configurations
-    /// instead of rerunning them (the nightly soak wires this to CI
-    /// artifacts). The directory must exist. Empty (default) = off.
+    /// "s4_d3_v0"), so a killed sweep can resume its longest
+    /// configurations instead of rerunning them. The directory must
+    /// exist. Empty (default) = off.
     Sweep& checkpoint_dir(std::string dir);
     /// Streaming sink, invoked from worker threads (serialised — at most
     /// one callback at a time) as rows complete. The callback must not

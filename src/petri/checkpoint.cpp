@@ -13,14 +13,14 @@ namespace rap::petri {
 
 namespace {
 
-// "RAPCKPT1" as a little-endian word; a different framing revision bumps
-// the trailing digit so stale files fail the magic check, not a parse.
+// "RAPCKPT1" as a little-endian word. kVersion numbers the layout behind
+// it; a file of any other version is refused on load, never parsed.
 constexpr std::uint64_t kMagic = 0x3154504B43504152ULL;
-constexpr std::uint64_t kVersion = 1;
+constexpr std::uint64_t kVersion = 2;
 
 // Fixed header words before the variable sections (magic .. records
 // offset, inclusive).
-constexpr std::size_t kHeaderWords = 21;
+constexpr std::size_t kHeaderWords = 19;
 
 [[noreturn]] void reject(const std::string& path, const char* what) {
     throw std::runtime_error("StoreCheckpoint: '" + path + "' " + what);
@@ -49,9 +49,8 @@ void StoreCheckpoint::save(const std::string& path) const {
     }
 
     std::vector<std::uint64_t> words;
-    words.reserve(kHeaderWords + frontier.size() + goal_hits.size() +
-                  deadlocks.size() + violations.size() * 2 +
-                  records.size() + 1);
+    words.reserve(kHeaderWords + goal_hits.size() + deadlocks.size() +
+                  violations.size() * 2 + records.size() + 1);
     words.push_back(kMagic);
     words.push_back(kVersion);
     words.push_back(static_cast<std::uint64_t>(engine));
@@ -61,8 +60,6 @@ void StoreCheckpoint::save(const std::string& path) const {
     words.push_back(edges_explored);
     words.push_back(head);
     words.push_back(next_layer_begin);
-    words.push_back(depth);
-    words.push_back(frontier.size());
     words.push_back(goal_hits.size());
     words.push_back(deadlocks.size());
     words.push_back(violations.size());
@@ -75,14 +72,13 @@ void StoreCheckpoint::save(const std::string& path) const {
     // Word offset of the records run from the start of the file: the
     // mmap hook — map the file, add this, and the arena payload is one
     // aligned contiguous span.
-    words.push_back(kHeaderWords + frontier.size() + goal_hits.size() +
-                    deadlocks.size() + violations.size() * 2);
+    words.push_back(kHeaderWords + goal_hits.size() + deadlocks.size() +
+                    violations.size() * 2);
 
-    for (std::uint32_t id : frontier) words.push_back(id);
     for (std::uint32_t id : goal_hits) words.push_back(id);
     for (std::uint32_t id : deadlocks) words.push_back(id);
     for (const Violation& v : violations) {
-        words.push_back((std::uint64_t{v.state} << 32) | v.depth);
+        words.push_back(v.state);
         words.push_back((std::uint64_t{v.fired} << 32) | v.disabled);
     }
     words.insert(words.end(), records.begin(), records.end());
@@ -103,20 +99,17 @@ void StoreCheckpoint::save(const std::string& path) const {
     }
 }
 
-void StoreCheckpoint::check_resumable(Engine kind, std::uint32_t meta,
-                                      const CompiledNet& compiled,
+void StoreCheckpoint::check_resumable(const CompiledNet& compiled,
                                       std::size_t max_states,
                                       std::size_t goals) const {
-    if (engine != kind) {
-        refuse(kind == Engine::kSequential
-                   ? "was not written by the sequential engine"
-                   : "was not written by the parallel engine");
+    if (engine != Engine::kSequential) {
+        refuse("was not written by the sequential engine");
     }
     if (structure_digest != compiled.structure_digest()) {
         refuse("structural digest does not match this net — the interned "
                "ids describe a different structure");
     }
-    if (marking_words != compiled.marking_words() || meta_words != meta) {
+    if (marking_words != compiled.marking_words() || meta_words != 1) {
         refuse("record geometry does not match");
     }
     if (record_count == 0 || record_count > max_states) {
@@ -141,10 +134,10 @@ void StoreCheckpoint::check_ids(std::size_t transitions) const {
         records.size() != words) {
         refuse("records do not match its record count and geometry");
     }
-    auto in_range = [this](std::uint32_t id) { return id < record_count; };
-    if (!std::all_of(frontier.begin(), frontier.end(), in_range)) {
-        refuse("frontier references an id beyond its own records");
+    if (head > record_count || next_layer_begin > record_count) {
+        refuse("cursor lies beyond its own records");
     }
+    auto in_range = [this](std::uint32_t id) { return id < record_count; };
     for (const std::uint32_t hit : goal_hits) {
         if (hit != UINT32_MAX && !in_range(hit)) {
             refuse("goal hit references an id beyond its own records");
@@ -160,9 +153,6 @@ void StoreCheckpoint::check_ids(std::size_t transitions) const {
                    "range");
         }
     }
-    auto depth_of = [this](std::uint64_t id) {
-        return record(id)[marking_words + 1];
-    };
     for (std::uint64_t id = 0; id < record_count; ++id) {
         const std::uint64_t link = record(id)[marking_words];
         const auto parent = static_cast<std::uint32_t>(link);
@@ -170,15 +160,6 @@ void StoreCheckpoint::check_ids(std::size_t transitions) const {
         const bool ok = id == 0 ? parent == UINT32_MAX
                                 : parent < id && via < transitions;
         if (!ok) refuse("witness link is not a BFS-tree edge");
-        if (meta_words >= 2 &&
-            depth_of(id) != (id == 0 ? 0 : depth_of(parent) + 1)) {
-            refuse("depth word does not follow its witness link");
-        }
-    }
-    if (meta_words >= 2 &&
-        !std::all_of(frontier.begin(), frontier.end(),
-                     [&](std::uint32_t id) { return depth_of(id) == depth; })) {
-        refuse("frontier is not one BFS layer at its depth");
     }
 }
 
@@ -215,23 +196,20 @@ StoreCheckpoint StoreCheckpoint::load(const std::string& path) {
     c.edges_explored = words[6];
     c.head = words[7];
     c.next_layer_begin = words[8];
-    c.depth = words[9];
-    const std::uint64_t frontier_n = words[10];
-    const std::uint64_t goals_n = words[11];
-    const std::uint64_t deadlocks_n = words[12];
-    const std::uint64_t violations_n = words[13];
-    c.por.active = words[14] != 0;
-    c.por.expansions = words[15];
-    c.por.reduced_expansions = words[16];
-    c.por.proviso_expansions = words[17];
-    c.por.enabled_transitions = words[18];
-    c.por.expanded_transitions = words[19];
-    const std::uint64_t records_off = words[20];
+    const std::uint64_t goals_n = words[9];
+    const std::uint64_t deadlocks_n = words[10];
+    const std::uint64_t violations_n = words[11];
+    c.por.active = words[12] != 0;
+    c.por.expansions = words[13];
+    c.por.reduced_expansions = words[14];
+    c.por.proviso_expansions = words[15];
+    c.por.enabled_transitions = words[16];
+    c.por.expanded_transitions = words[17];
+    const std::uint64_t records_off = words[18];
 
     const std::uint64_t payload = words.size() - 1;  // minus checksum
     std::uint64_t expected_off = kHeaderWords;
-    const bool sections_fit = add_section(expected_off, frontier_n, 1) &&
-                              add_section(expected_off, goals_n, 1) &&
+    const bool sections_fit = add_section(expected_off, goals_n, 1) &&
                               add_section(expected_off, deadlocks_n, 1) &&
                               add_section(expected_off, violations_n, 2);
     std::uint64_t end = expected_off;
@@ -249,13 +227,11 @@ StoreCheckpoint StoreCheckpoint::load(const std::string& path) {
         }
         return ids;
     };
-    c.frontier = take_ids(frontier_n);
     c.goal_hits = take_ids(goals_n);
     c.deadlocks = take_ids(deadlocks_n);
     c.violations.resize(violations_n);
     for (Violation& v : c.violations) {
-        v.state = static_cast<std::uint32_t>(words[at] >> 32);
-        v.depth = static_cast<std::uint32_t>(words[at++]);
+        v.state = static_cast<std::uint32_t>(words[at++]);
         v.fired = static_cast<std::uint32_t>(words[at] >> 32);
         v.disabled = static_cast<std::uint32_t>(words[at++]);
     }

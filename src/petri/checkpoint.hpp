@@ -10,14 +10,14 @@
 namespace rap::petri {
 
 /// Serialized resume point of one reachability exploration: the interned
-/// marking arena (payload + meta words, in dense id order), the BFS
-/// cursor/frontier, and every per-pass verdict accumulator — enough that
-/// an engine handed this object continues to the exact
+/// marking arena (payload + witness link, in dense id order), the BFS
+/// cursor, and every per-pass verdict accumulator — enough that a
+/// ReachabilityExplorer handed this object continues to the exact
 /// `(states, edges, verdicts, witnesses)` of the uninterrupted run.
 ///
 /// The on-disk format is versioned, checksummed and mmap-friendly: a
 /// fixed-width little-endian header of 64-bit words, the variable-length
-/// cursor arrays, then the record payload as one contiguous 8-byte-aligned
+/// verdict arrays, then the record payload as one contiguous 8-byte-aligned
 /// word run (by far the dominant section at the 100M-state tier — a
 /// future reader can map it and hand the engine the mapping directly),
 /// closed by an FNV-1a checksum over everything before it. `load` rejects
@@ -30,19 +30,17 @@ namespace rap::petri {
 /// memory, not information) and memory statistics (machine-dependent).
 class StoreCheckpoint {
 public:
-    /// Engine kind the checkpoint came from. The two engines' cursors
-    /// mean different things (state index vs layer frontier), so a
-    /// checkpoint only resumes on its own kind.
+    /// Engine kind the checkpoint came from. One kind is left; the header
+    /// word stays so a file written by any other kind is refused on
+    /// resume.
     enum class Engine : std::uint64_t {
         kSequential = 0,
-        kParallel = 1,
     };
 
     /// One recorded persistence violation, by state id (materialized
     /// lazily at the end of the resumed pass, like in-pass ones).
     struct Violation {
         std::uint32_t state = 0;
-        std::uint32_t depth = 0;  ///< BFS depth (parallel canonical sort)
         std::uint32_t fired = 0;
         std::uint32_t disabled = 0;
     };
@@ -57,21 +55,17 @@ public:
     std::uint32_t meta_words = 0;
 
     /// Interned records in dense id order, `marking_words + meta_words`
-    /// words each (payload first, then the engine's meta words — witness
-    /// links, depth). records.size() == record_count * that stride.
+    /// words each (payload first, then the witness link).
+    /// records.size() == record_count * that stride.
     std::uint64_t record_count = 0;
     std::vector<std::uint64_t> records;
 
     // -- pass counters / cursor ------------------------------------------
     std::uint64_t edges_explored = 0;
-    /// Sequential cursor: next state index to expand, and the POR
-    /// freshness watermark that goes with it.
+    /// Next state index to expand, and the POR freshness watermark that
+    /// goes with it.
     std::uint64_t head = 0;
     std::uint64_t next_layer_begin = 0;
-    /// Parallel cursor: BFS depth of `frontier`, whose ids are the
-    /// stitched, deterministic discovery-order frontier of that layer.
-    std::uint64_t depth = 0;
-    std::vector<std::uint32_t> frontier;
 
     // -- verdict accumulators --------------------------------------------
     /// Per-goal first-hit state id, UINT32_MAX while unmatched. Sized by
@@ -89,30 +83,26 @@ public:
         return records.data() + id * record_stride();
     }
 
-    /// Resume-time refusals shared by both engines, run before any record
-    /// is re-interned: the checkpoint must come from engine `kind` with
-    /// `meta` meta words per record, match `compiled`'s structural digest
-    /// and marking width, hold between 1 and `max_states` records, answer
-    /// `goals` goals, pass check_ids, and start from `compiled`'s initial
-    /// marking. Throws std::runtime_error naming the first mismatch.
-    void check_resumable(Engine kind, std::uint32_t meta,
-                         const CompiledNet& compiled, std::size_t max_states,
+    /// Resume-time refusals, run before any record is re-interned: the
+    /// checkpoint must come from the sequential engine with one meta word
+    /// per record, match `compiled`'s structural digest and marking width,
+    /// hold between 1 and `max_states` records, answer `goals` goals, pass
+    /// check_ids, and start from `compiled`'s initial marking. Throws
+    /// std::runtime_error naming the first mismatch.
+    void check_resumable(const CompiledNet& compiled, std::size_t max_states,
                          std::size_t goals) const;
 
-    /// Resume-time range checks (part of check_resumable): every id the
-    /// checkpoint names (frontier, goal hits, deadlocks, violations) is
-    /// below record_count, every violation names transitions below
-    /// `transitions`, and every record's witness link (meta word 0,
-    /// via << 32 | parent) is the root's "no parent" or points at an
-    /// earlier record — BFS discovery order guarantees parent < id in
-    /// both engines — through a transition below `transitions`. Records
-    /// with a second meta word (the parallel engine's BFS depth) must sit
-    /// one layer below their parent, the root at depth 0, and every
-    /// frontier id at `depth` — the invariant the canonical-min link
-    /// updates of a resumed pass rely on. A file that passes its checksum
-    /// can still carry ids that would index out of range or make trace
-    /// rebuilding loop; throws std::runtime_error (also when records does
-    /// not hold record_count records of at least one meta word).
+    /// Resume-time range checks (part of check_resumable): the cursor
+    /// (head, next_layer_begin) and every id the checkpoint names (goal
+    /// hits, deadlocks, violations) lie within its records, every
+    /// violation names transitions below `transitions`, and every
+    /// record's witness link (meta word 0, via << 32 | parent) is the
+    /// root's "no parent" or points at an earlier record — BFS discovery
+    /// order guarantees parent < id — through a transition below
+    /// `transitions`. A file that passes its checksum can still carry ids
+    /// that would index out of range or make trace rebuilding loop;
+    /// throws std::runtime_error (also when records does not hold
+    /// record_count records of at least one meta word).
     void check_ids(std::size_t transitions) const;
 
     /// Atomic save: writes `path + ".tmp"` then renames over `path`, so a

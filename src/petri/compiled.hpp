@@ -10,8 +10,8 @@
 
 namespace rap::petri {
 
-/// Marking payload hash shared by the sequential and concurrent interning
-/// stores: FNV-1a over the words plus a splitmix64 finisher (FNV alone
+/// Marking payload hash of the interning store (and the checkpoint
+/// checksum): FNV-1a over the words plus a splitmix64 finisher (FNV alone
 /// clusters under linear probing).
 inline std::uint64_t hash_marking_words(const std::uint64_t* words,
                                         std::size_t count) noexcept {
@@ -205,7 +205,7 @@ struct StoreStats {
 ///
 /// Each record optionally carries `meta_words` extra payload words after
 /// the marking (zero-initialised on intern, ignored by hashing and
-/// dedup). The reachability engines keep per-state bookkeeping that must
+/// dedup). The reachability engine keeps per-state bookkeeping that must
 /// survive any visiting order — predecessor links for witness traces —
 /// directly in the record instead of in side arrays indexed by insertion
 /// order.

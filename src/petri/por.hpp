@@ -13,11 +13,7 @@ namespace rap::petri {
 
 /// Reduction statistics of one exploration pass (ReachabilityResult /
 /// MultiResult::por). The reduced state graph depends only on the net and
-/// the query, never on scheduling, so a pass that runs to completion
-/// (neither truncated at max_states nor stopped) reports the same numbers
-/// at every thread count. A truncated or stopped parallel pass promises
-/// less: the workers race for the last slots, so which states made it in
-/// — and every counter here — can vary from run to run.
+/// the query, so every run of the same pass reports the same numbers.
 struct PorStats {
     /// Reduction actually ran. False when ReachabilityOptions::por was
     /// off or the pass had to fall back to full exploration (a goal
@@ -50,7 +46,7 @@ struct PorStats {
     }
 };
 
-/// What a pass needs preserved, distilled from MultiQuery by the engines:
+/// What a pass needs preserved, distilled from MultiQuery by the engine:
 /// the goal predicates drive the visibility condition, persistence adds
 /// the conflict-pair visibility and the exempt filter.
 struct PorRequest {
@@ -61,7 +57,7 @@ struct PorRequest {
 };
 
 /// Property-aware stubborn-set (ample/persistent-set) reduction for the
-/// reachability engines, built on the same "safe enabling" semantics as
+/// reachability engine, built on the same "safe enabling" semantics as
 /// CompiledNet:
 ///
 ///   enabled(t) <=> require(t) = pre ∪ read all marked
@@ -99,27 +95,26 @@ struct PorRequest {
 /// Goal reachability and persistence additionally require the visibility
 /// condition (a proper ample set contains no transition that can change
 /// a watched predicate) and the BFS-queue ignoring proviso, which the
-/// engines apply through proviso_needed() and their layer bookkeeping.
+/// engine applies through proviso_needed() and its layer bookkeeping.
 /// The choice of ample set depends only on (marking, enabled set, static
 /// tables), so the reduced state graph — and every verdict and counter
-/// derived from it — is identical across engines and thread counts for
-/// a pass that runs to completion.
+/// derived from it — is a deterministic function of net and query.
 class PorContext {
 public:
     PorContext(const CompiledNet& compiled, const PorRequest& request);
 
     /// False when some goal predicate has unknown support places — the
     /// pass cannot tell which transitions are visible to it, so the
-    /// engines must fall back to full exploration.
+    /// engine must fall back to full exploration.
     bool active() const noexcept { return active_; }
 
     /// True when a visibility-sensitive property (a non-deadlock goal or
     /// persistence) is present: proper ample sets must then contain no
-    /// visible transition and the engines must apply the ignoring
+    /// visible transition and the engine must apply the ignoring
     /// proviso. Deadlock-only passes skip both and reduce harder.
     bool proviso_needed() const noexcept { return proviso_; }
 
-    /// Per-thread scratch for reduce(); reusable across states.
+    /// Scratch for reduce(); reusable across states.
     struct Scratch {
         std::vector<std::uint64_t> closure;  ///< the seed's closure so far
         std::vector<std::uint64_t> pending;  ///< members not yet stepped

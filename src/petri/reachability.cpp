@@ -1,9 +1,10 @@
 #include "petri/reachability.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "petri/checkpoint.hpp"
-#include "petri/pass.hpp"
 #include "util/arena.hpp"
 #include "util/strings.hpp"
 
@@ -11,12 +12,48 @@ namespace rap::petri {
 
 namespace {
 
-using detail::kNoParent;
+constexpr std::size_t kWordBits = util::BitVec::kWordBits;
+
+/// Parent id of the root's witness link, and "unmatched" in the goal
+/// ledger.
+constexpr std::uint32_t kNoParent = UINT32_MAX;
 
 /// Predecessor link packed into the record's meta word: parent id in the
 /// low half, the transition fired from it in the high half.
 std::uint64_t pack_visit(std::uint32_t parent, std::uint32_t via) {
     return (std::uint64_t{via} << 32) | parent;
+}
+
+void copy_words(std::uint64_t* dst, const std::uint64_t* src,
+                std::size_t n) {
+    if (n != 0) std::memcpy(dst, src, n * sizeof(std::uint64_t));
+}
+
+std::size_t popcount_words(const std::uint64_t* bits, std::size_t n) {
+    std::size_t count = 0;
+    for (std::size_t w = 0; w < n; ++w) {
+        count += static_cast<std::size_t>(std::popcount(bits[w]));
+    }
+    return count;
+}
+
+TransitionId bit_transition(std::size_t word, std::uint64_t bits) {
+    return TransitionId{static_cast<std::uint32_t>(
+        word * kWordBits + static_cast<std::size_t>(std::countr_zero(bits)))};
+}
+
+/// The footprint results and ExplorationAborted carry: the store's
+/// records and table geometry, the bytes resident now, and the peak
+/// (never below the resident figure).
+MemoryStats footprint(const MarkingStore& store, std::size_t resident,
+                      std::size_t peak) {
+    MemoryStats stats;
+    stats.records = store.size();
+    stats.record_bytes = store.record_bytes();
+    stats.resident_bytes = resident;
+    stats.peak_bytes = std::max(peak, resident);
+    stats.store = store.stats();
+    return stats;
 }
 
 }  // namespace
@@ -37,13 +74,51 @@ std::string PersistenceViolation::to_string(const Net& net) const {
 
 ReachabilityExplorer::ReachabilityExplorer(const Net& net,
                                            ReachabilityOptions options)
-    : ExplorerBase(net, std::move(options)),
+    : options_(std::move(options)),
+      owned_(std::in_place, net),
+      compiled_(&*owned_),
       store_(compiled_->marking_words(), /*meta_words=*/1) {}
 
 ReachabilityExplorer::ReachabilityExplorer(const CompiledNet& compiled,
                                            ReachabilityOptions options)
-    : ExplorerBase(compiled, std::move(options)),
+    : options_(std::move(options)),
+      compiled_(&compiled),
       store_(compiled.marking_words(), /*meta_words=*/1) {}
+
+ReachabilityResult ReachabilityExplorer::find(const Predicate& goal) {
+    MultiQuery query;
+    query.goals = {&goal};
+    return std::move(run_query(query).goals[0]);
+}
+
+std::vector<ReachabilityResult> ReachabilityExplorer::find_all(
+    std::span<const Predicate* const> goals) {
+    MultiQuery query;
+    query.goals.assign(goals.begin(), goals.end());
+    return std::move(run_query(query).goals);
+}
+
+ReachabilityResult ReachabilityExplorer::find_deadlocks() {
+    const Predicate dead = Predicate::deadlock();
+    MultiQuery query;
+    query.goals = {&dead};
+    query.collect_deadlocks = true;
+    MultiResult multi = run_query(query);
+    ReachabilityResult result = std::move(multi.goals[0]);
+    result.deadlocks = std::move(multi.deadlocks);
+    return result;
+}
+
+ReachabilityResult ReachabilityExplorer::explore_all() {
+    const MultiResult multi = run_query(MultiQuery{});
+    ReachabilityResult result;
+    result.states_explored = multi.states_explored;
+    result.edges_explored = multi.edges_explored;
+    result.truncated = multi.truncated;
+    result.memory = multi.memory;
+    result.por = multi.por;
+    return result;
+}
 
 MultiResult ReachabilityExplorer::run_query(const MultiQuery& query) {
     try {
@@ -53,18 +128,51 @@ MultiResult ReachabilityExplorer::run_query(const MultiQuery& query) {
         // checkpoint write failed). The interned footprint is real and
         // still resident — attach it so accounting survives the abort.
         throw ExplorationAborted(
-            e.what(), detail::footprint(store_, store_.resident_bytes(), 0));
+            e.what(), footprint(store_, store_.resident_bytes(), 0));
     }
 }
 
 MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
-    detail::PassShell shell(*compiled_, options_, query);
-    const std::size_t mwords = shell.mwords;
-    const std::size_t twords = shell.twords;
-    const std::size_t cap = shell.cap;
-    detail::Lane lane;
-    shell.init(lane);
-    const std::span<const detail::Lane> lanes(&lane, 1);
+    const Net& net = compiled_->net();
+    const std::size_t mwords = compiled_->marking_words();
+    const std::size_t twords = compiled_->enabled_words();
+    const std::size_t cap = std::max<std::size_t>(options_.max_states, 1);
+    // Every goal matched ends the pass: no other question needs the rest
+    // of the graph.
+    const bool can_early_stop = options_.stop_at_first_match &&
+                                !query.collect_deadlocks &&
+                                !query.check_persistence &&
+                                !query.goals.empty();
+
+    // Stubborn-set reduction of this pass; absent when off or fallen back
+    // to full exploration (a goal with unknown support), so `if (por)` is
+    // the single activity test.
+    std::optional<PorContext> por;
+    if (options_.por) {
+        PorRequest request;
+        request.goals = query.goals;
+        request.check_persistence = query.check_persistence;
+        request.persistence_exempt = query.persistence_exempt;
+        por.emplace(*compiled_, request);
+        if (!por->active()) por.reset();
+    }
+
+    // Verdicts are state ids, materialized only at the end of the pass:
+    // witness links in the records are immutable once written, so late
+    // materialization is exact — and an id list is exactly what a
+    // checkpoint carries. goal_hit[g] is goal g's first (BFS-shortest)
+    // witness, kNoParent while unmatched.
+    std::vector<std::uint32_t> goal_hit(query.goals.size(), kNoParent);
+    std::size_t unmatched = goal_hit.size();
+    std::vector<std::uint32_t> deadlocks;
+    std::vector<StoreCheckpoint::Violation> violations;
+    std::size_t edges = 0;
+    PorStats por_stats;
+
+    std::vector<std::uint64_t> child(std::max<std::size_t>(mwords, 1), 0);
+    Marking scratch(net.place_count());  // predicate evaluation view
+    PorContext::Scratch por_scratch;
+    std::vector<std::uint64_t> ample(por ? twords : 0, 0);
 
     store_.clear();
 
@@ -76,46 +184,71 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     bool stop = false;
     bool truncated = false;
 
-    // Discovery-time evaluation, each goal recording only its *first*
-    // (BFS-shortest) hit.
+    // Discovery-time evaluation of a freshly interned state: deadlock
+    // collection and every unmatched goal.
     auto visit = [&](std::uint32_t id) {
-        shell.visit(id, store_[id], enabled_store[id], lane,
-                    [&](std::size_t g) {
-                        shell.goal_hit[g] = id;
-                        --shell.unmatched;
-                    });
-        if (shell.can_early_stop && shell.unmatched == 0) stop = true;
+        const std::uint64_t* enabled = enabled_store[id];
+        const bool dead = std::all_of(enabled, enabled + twords,
+                                      [](std::uint64_t w) { return w == 0; });
+        if (dead && query.collect_deadlocks) deadlocks.push_back(id);
+        if (unmatched == 0) return;
+        bool scratch_ready = false;
+        for (std::size_t g = 0; g < query.goals.size(); ++g) {
+            if (goal_hit[g] != kNoParent) continue;
+            const Predicate& goal = *query.goals[g];
+            bool match = dead;
+            if (goal.kind() != Predicate::Kind::Deadlock) {
+                if (!scratch_ready) {
+                    copy_words(scratch.word_data(), store_[id],
+                               scratch.word_count());
+                    scratch_ready = true;
+                }
+                match = goal(net, scratch);
+            }
+            if (match) {
+                goal_hit[g] = id;
+                if (--unmatched == 0 && can_early_stop) stop = true;
+            }
+        }
     };
 
     std::uint32_t start_head = 0;
     std::uint32_t next_layer_begin = 1;
     if (options_.resume == nullptr) {
-        const Marking m0 = shell.net.initial_marking();
-        detail::copy_words(lane.child.data(), m0.word_data(),
-                           m0.word_count());
-        const auto root = store_.intern(lane.child.data(), cap);
+        const Marking m0 = net.initial_marking();
+        copy_words(child.data(), m0.word_data(), m0.word_count());
+        const auto root = store_.intern(child.data(), cap);
         store_.meta(root.id)[0] = pack_visit(kNoParent, 0);
         enabled_store.push_zero();
         compiled_->enabled_set(store_[root.id], enabled_store[root.id]);
         visit(root.id);
     } else {
+        // Rebuild the checkpointed pass: re-intern its records in dense
+        // id order (dense ids make the rebuild independent of the
+        // table's probe order), then seed the verdict accumulators.
         const StoreCheckpoint& ckpt = *options_.resume;
-        ckpt.check_resumable(StoreCheckpoint::Engine::kSequential, 1,
-                             *compiled_, cap, query.goals.size());
-        if (ckpt.head > ckpt.record_count ||
-            ckpt.next_layer_begin > ckpt.record_count) {
-            throw std::runtime_error(
-                "resume: checkpoint cursor lies beyond its own records");
-        }
-        shell.restore(ckpt, lane, [&](const std::uint64_t* rec) {
+        ckpt.check_resumable(*compiled_, cap, query.goals.size());
+        for (std::uint64_t id = 0; id < ckpt.record_count; ++id) {
+            const std::uint64_t* rec = ckpt.record(id);
             const auto interned = store_.intern(rec, cap);
-            if (interned.inserted) store_.meta(interned.id)[0] = rec[mwords];
-            return interned;
-        });
+            if (!interned.inserted || interned.id != id) {
+                throw std::runtime_error(
+                    "resume: checkpoint records are not unique dense-id "
+                    "markings — corrupted or foreign checkpoint");
+            }
+            store_.meta(interned.id)[0] = rec[mwords];
+        }
+        edges = static_cast<std::size_t>(ckpt.edges_explored);
+        por_stats = ckpt.por;
+        deadlocks = ckpt.deadlocks;
+        violations = ckpt.violations;
+        goal_hit = ckpt.goal_hits;
+        unmatched = static_cast<std::size_t>(
+            std::count(goal_hit.begin(), goal_hit.end(), kNoParent));
         start_head = static_cast<std::uint32_t>(ckpt.head);
         next_layer_begin =
             static_cast<std::uint32_t>(ckpt.next_layer_begin);
-        if (shell.can_early_stop && shell.unmatched == 0) stop = true;
+        if (can_early_stop && unmatched == 0) stop = true;
         // Enabled rows are derived data: skip the (released, never read
         // again) prefix and recompute only the live frontier's rows.
         enabled_store.skip_to(start_head);
@@ -141,16 +274,43 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     const std::size_t save_every = options_.checkpoint_every != 0
                                        ? options_.checkpoint_every
                                        : std::size_t{1} << 16;
+    // Snapshot at the top of the loop, before `head` is expanded: the
+    // records (payload + witness link) in dense id order, the cursor and
+    // every verdict accumulator. Enabled rows are derived data and stay
+    // out.
+    auto save_checkpoint = [&](std::uint32_t head) {
+        StoreCheckpoint ckpt;
+        ckpt.structure_digest = compiled_->structure_digest();
+        ckpt.marking_words = static_cast<std::uint32_t>(mwords);
+        ckpt.meta_words = 1;
+        const std::size_t n = store_.size();
+        const std::size_t stride = mwords + 1;
+        ckpt.record_count = n;
+        ckpt.records.reserve(n * stride);
+        for (std::uint32_t id = 0; id < n; ++id) {
+            const std::uint64_t* rec = store_[id];
+            ckpt.records.insert(ckpt.records.end(), rec, rec + stride);
+        }
+        ckpt.edges_explored = edges;
+        ckpt.head = head;
+        ckpt.next_layer_begin = next_layer_begin;
+        ckpt.goal_hits = goal_hit;
+        ckpt.deadlocks = deadlocks;
+        ckpt.violations = violations;
+        ckpt.por = por_stats;
+        ckpt.por.active = por.has_value();
+        ckpt.save(options_.checkpoint_path);
+    };
 
     // Persistence under reduction is checked per STATE over the full
     // enabled set (the bitsets are always maintained in full — POR only
     // masks which bits get expanded), so every reduced-reachable state
     // reports exactly the violations the full engine finds there.
     // Without POR the check rides on the expansion edges.
-    const bool prepass = shell.por && query.check_persistence;
+    const bool prepass = por && query.check_persistence;
     auto collecting = [&] {
         return query.check_persistence &&
-               lane.violations.size() < query.persistence_max_violations;
+               violations.size() < query.persistence_max_violations;
     };
 
     // The BFS frontier is implicit: ids are dense discovery-order
@@ -160,9 +320,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     // POR freshness watermark: ids below `next_layer_begin` belong to
     // the current or an earlier BFS layer (expanded or being expanded),
     // ids at or above it were discovered this layer and will only be
-    // expanded in the next one. The parallel engine derives the same
-    // predicate from per-record depth words, so both engines accept the
-    // same ample sets and explore the identical reduced graph.
+    // expanded in the next one.
     for (std::uint32_t head = start_head; head < store_.size() && !stop;
          ++head) {
         if (options_.stop && (head & 2047u) == 0 && options_.stop()) {
@@ -173,11 +331,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
         }
         if (!options_.checkpoint_path.empty() && head != start_head &&
             head % save_every == 0) {
-            StoreCheckpoint ckpt = shell.capture(
-                StoreCheckpoint::Engine::kSequential, 1, store_, lanes);
-            ckpt.head = head;
-            ckpt.next_layer_begin = next_layer_begin;
-            ckpt.save(options_.checkpoint_path);
+            save_checkpoint(head);
         }
         if (head % rpb == 0) {
             // Frontier-only enabled-set cache: every state below `head`
@@ -195,13 +349,29 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
         const std::uint64_t* enabled = enabled_store[head];
         bool fresh_seen = false;
 
-        auto record_violation = [&](TransitionId t, TransitionId u) {
-            lane.violations.push_back({head, 0, t.value, u.value});
-            if (query.persistence_stop_at_first) {
-                stop = true;
-                return false;
+        // Persistence along the edge head --t-->: every other transition
+        // enabled at head whose enabling t withdraws is a violation
+        // unless the query exempts the pair. With t and u both enabled,
+        // t disables u exactly when CompiledNet::disables says so, so the
+        // scan needs no successor marking and is one AND per word.
+        auto scan_persistence = [&](TransitionId t) {
+            const std::uint64_t* disables = compiled_->disables(t);
+            for (std::size_t w = 0; w < twords; ++w) {
+                for (std::uint64_t hit = enabled[w] & disables[w]; hit != 0;
+                     hit &= hit - 1) {
+                    const TransitionId u = bit_transition(w, hit);
+                    if (query.persistence_exempt &&
+                        query.persistence_exempt(net, t, u)) {
+                        continue;
+                    }
+                    violations.push_back({head, t.value, u.value});
+                    if (query.persistence_stop_at_first) {
+                        stop = true;
+                        return;
+                    }
+                    if (!collecting()) return;
+                }
             }
-            return lane.violations.size() < query.persistence_max_violations;
         };
 
         auto expand_edge = [&](TransitionId t) {
@@ -209,21 +379,21 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
             // 2048 *states*, which a heavily reduced (or truncated-at-
             // capacity) pass may take arbitrarily long to advance by —
             // deadlines must also trip on expansion work itself.
-            if (options_.stop && (lane.edges & 255u) == 0 &&
-                options_.stop()) {
+            if (options_.stop && (edges & 255u) == 0 && options_.stop()) {
                 truncated = true;
                 stop = true;
                 return;
             }
-            ++lane.edges;
-            shell.fire_into(lane, marking, t);
+            ++edges;
+            copy_words(child.data(), marking, mwords);
+            compiled_->fire(child.data(), t);
 
             if (!prepass && collecting()) {
-                shell.scan_persistence(t, enabled, record_violation);
+                scan_persistence(t);
                 if (stop) return;
             }
 
-            const auto interned = store_.intern(lane.child.data(), cap);
+            const auto interned = store_.intern(child.data(), cap);
             if (interned.id == MarkingStore::kNone) {
                 // max_states hit mid-expansion: report truncation and
                 // stop with states_explored == max_states exactly.
@@ -236,7 +406,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
 
             store_.meta(interned.id)[0] = pack_visit(head, t.value);
             enabled_store.push(enabled);
-            compiled_->update_enabled(lane.child.data(), t,
+            compiled_->update_enabled(child.data(), t,
                                       enabled_store[interned.id]);
             const std::size_t sig =
                 enabled_store.allocated_blocks() + store_.resident_bytes();
@@ -249,29 +419,115 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
             visit(interned.id);
         };
 
+        // Fires every transition of bits & ~minus (minus may be null) in
+        // ascending id order until the pass stops. Returns true when the
+        // state needs no proviso widening: a successor lies in the next
+        // BFS layer, or the pass stopped.
+        auto expand = [&](const std::uint64_t* bits,
+                          const std::uint64_t* minus) {
+            for (std::size_t w = 0; w < twords && !stop; ++w) {
+                std::uint64_t word = bits[w];
+                if (minus != nullptr) word &= ~minus[w];
+                for (; word != 0 && !stop; word &= word - 1) {
+                    expand_edge(bit_transition(w, word));
+                }
+            }
+            return fresh_seen || stop;
+        };
+
         if (prepass && collecting()) {
-            detail::for_each_bit(enabled, nullptr, twords, [&](TransitionId t) {
-                shell.scan_persistence(t, enabled, record_violation);
-                return !stop && collecting();
-            });
+            for (std::size_t w = 0; w < twords && !stop && collecting();
+                 ++w) {
+                for (std::uint64_t word = enabled[w];
+                     word != 0 && !stop && collecting(); word &= word - 1) {
+                    scan_persistence(bit_transition(w, word));
+                }
+            }
             if (stop) break;
         }
 
-        auto edge = [&](TransitionId t) {
-            expand_edge(t);
-            return !stop;
-        };
-        shell.expand_state(
-            marking, enabled, lane,
-            [&](const std::uint64_t* bits, const std::uint64_t* minus) {
-                detail::for_each_bit(bits, minus, twords, edge);
-                return fresh_seen || stop;
-            });
+        // The reduction choice for this expansion, with its PorStats
+        // accounting. The choice depends only on (marking, enabled set).
+        if (!por) {
+            expand(enabled, nullptr);
+            continue;
+        }
+        const std::size_t enabled_count = popcount_words(enabled, twords);
+        ++por_stats.expansions;
+        por_stats.enabled_transitions += enabled_count;
+        if (!por->reduce(marking, enabled, ample.data(), por_scratch)) {
+            por_stats.expanded_transitions += enabled_count;
+            expand(enabled, nullptr);
+            continue;
+        }
+        const std::size_t ample_count = popcount_words(ample.data(), twords);
+        ++por_stats.reduced_expansions;
+        por_stats.expanded_transitions += ample_count;
+        if (expand(ample.data(), nullptr) || !por->proviso_needed()) {
+            continue;
+        }
+        // Ignoring proviso (BFS-queue flavour): a visibility-sensitive
+        // pass may not postpone the ignored transitions forever. No
+        // stubborn successor is fresh — none will be expanded in a later
+        // layer — so widen this state back to the full enabled set.
+        // Deadlock-only passes never need this.
+        ++por_stats.proviso_expansions;
+        por_stats.expanded_transitions += enabled_count - ample_count;
+        expand(enabled, ample.data());
     }
 
-    return shell.finish(store_, lanes, truncated,
-                        detail::footprint(store_, resident_now(), peak_bytes),
-                        lane.deadlocks, lane.violations);
+    // Materialize every verdict from its state id: deadlocks and
+    // violations in discovery order, one ReachabilityResult per goal
+    // carrying the pass's counters and, when matched, the witness marking
+    // with its trace (a walk over the records' witness links).
+    auto marking_of = [&](std::uint32_t id) {
+        Marking m(net.place_count());
+        copy_words(m.word_data(), store_[id], m.word_count());
+        return m;
+    };
+    auto trace_to = [&](std::uint32_t id) {
+        Trace trace;
+        for (std::uint64_t link = store_.meta(id)[0];
+             static_cast<std::uint32_t>(link) != kNoParent;
+             link = store_.meta(static_cast<std::uint32_t>(link))[0]) {
+            trace.firings.push_back(
+                TransitionId{static_cast<std::uint32_t>(link >> 32)});
+        }
+        std::reverse(trace.firings.begin(), trace.firings.end());
+        return trace;
+    };
+
+    MultiResult result;
+    result.states_explored = store_.size();
+    result.edges_explored = edges;
+    result.truncated = truncated;
+    result.memory = footprint(store_, resident_now(), peak_bytes);
+    result.por = por_stats;
+    result.por.active = por.has_value();
+    result.deadlocks.reserve(deadlocks.size());
+    for (const std::uint32_t id : deadlocks) {
+        result.deadlocks.push_back(marking_of(id));
+    }
+    result.persistence_violations.reserve(violations.size());
+    for (const StoreCheckpoint::Violation& v : violations) {
+        result.persistence_violations.push_back(
+            {marking_of(v.state), TransitionId{v.fired},
+             TransitionId{v.disabled}, trace_to(v.state)});
+    }
+    result.goals.resize(goal_hit.size());
+    for (std::size_t g = 0; g < goal_hit.size(); ++g) {
+        ReachabilityResult& r = result.goals[g];
+        r.states_explored = result.states_explored;
+        r.edges_explored = result.edges_explored;
+        r.truncated = result.truncated;
+        r.memory = result.memory;
+        r.por = result.por;
+        if (goal_hit[g] != kNoParent) {
+            r.witness = marking_of(goal_hit[g]);
+            r.witness_trace = trace_to(goal_hit[g]);
+        }
+    }
+    return result;
 }
 
 }  // namespace rap::petri

@@ -35,9 +35,7 @@ struct ReachabilityOptions {
     /// goal predicate (for multi-goal queries: once every goal matched)
     /// instead of exhausting the state space.
     bool stop_at_first_match = true;
-    /// Worker threads for ParallelReachabilityExplorer: 0 = one per
-    /// hardware thread, 1 = the sequential engine's exact code path.
-    /// ReachabilityExplorer itself is single-threaded and ignores this.
+    /// Not read (one engine thread); perfbench/perfbench.cpp still sets it.
     std::size_t threads = 0;
     /// Partial-order (stubborn-set) reduction: expand a property-aware
     /// stubborn subset of each state's enabled set instead of all of it
@@ -50,44 +48,35 @@ struct ReachabilityOptions {
     /// marking may differ from the full pass's, states_explored/
     /// edges_explored count the *reduced* graph, and collected
     /// persistence violations are a subset of the full pass's
-    /// (non-emptiness — the verdict — is preserved). A reduced pass that
-    /// finishes untruncated and unstopped reports the same graph and
-    /// counters from either engine at any thread count; a truncated
-    /// parallel pass promises only `truncated` and states_explored ==
-    /// max_states, since its workers race for the last slots. Passes
-    /// carrying a goal with unknown support places fall back to full
-    /// exploration (PorStats::active reports false).
+    /// (non-emptiness — the verdict — is preserved). Passes carrying a
+    /// goal with unknown support places fall back to full exploration
+    /// (PorStats::active reports false).
     bool por = false;
-    /// Cooperative stop hook: polled by the sequential engine every 2048
-    /// interned states AND every 256 expanded edges (states alone let a
-    /// heavily POR-reduced or wide-state pass run far past a deadline),
-    /// and by the parallel engine once per layer (in the barrier's
-    /// serial step) plus every 256 edges per worker. Returning true ends
-    /// the exploration early with `truncated = true` — the mechanism
-    /// behind flow::Sweep cancellation and per-configuration timeouts.
-    /// May be invoked concurrently from worker threads, so it must be
-    /// thread-safe for const access (reading atomics / the clock, as the
-    /// sweep's deadline hook does, is fine). Must not throw. Null (the
-    /// default) never stops.
+    /// Cooperative stop hook, polled every 2048 expanded states AND every
+    /// 256 expanded edges (states alone let a heavily POR-reduced or
+    /// wide-state pass run far past a deadline). Returning true ends the
+    /// exploration early with `truncated = true` — the mechanism behind
+    /// flow::Sweep cancellation and per-configuration timeouts. It runs
+    /// on the exploring thread; state it shares with other threads must
+    /// be safe to read concurrently (atomics and the clock, as in the
+    /// sweep's deadline hook). Must not throw. Null (the default) never
+    /// stops.
     std::function<bool()> stop;
-    /// When non-empty, the exploration periodically serializes a
-    /// petri::StoreCheckpoint here (atomically: tmp file + rename) so a
-    /// killed pass can resume instead of rerunning from t=0. The
-    /// sequential engine checkpoints every `checkpoint_every` expanded
-    /// states, the parallel engine every `checkpoint_every` completed BFS
-    /// layers (in the barrier's serial step). A failed write aborts the
-    /// pass with ExplorationAborted rather than run a soak whose
+    /// When non-empty, the exploration serializes a petri::StoreCheckpoint
+    /// here (atomically: tmp file + rename) every `checkpoint_every`
+    /// expanded states, so a killed pass can resume instead of rerunning
+    /// from t=0. Each save writes the whole store. A failed write aborts
+    /// the pass with ExplorationAborted rather than run a soak whose
     /// "checkpoints" silently don't exist.
     std::string checkpoint_path;
-    /// Checkpoint cadence (states for the sequential engine, layers for
-    /// the parallel one); 0 picks a default (65536 states / 1 layer).
+    /// Checkpoint cadence in expanded states; 0 picks 65536.
     std::size_t checkpoint_every = 0;
     /// Resume point: continue a previously checkpointed exploration
     /// instead of starting from the initial marking. The checkpoint must
-    /// come from the same engine kind, net structure (structural digest)
-    /// and record geometry, and every id and witness link it carries must
-    /// be in range (StoreCheckpoint::check_resumable) — anything else
-    /// throws std::runtime_error.
+    /// come from the same net structure (structural digest) and record
+    /// geometry, and every id and witness link it carries must be in
+    /// range (StoreCheckpoint::check_resumable) — anything else throws
+    /// std::runtime_error.
     /// The continued pass reproduces the uninterrupted run's
     /// (states, edges, verdicts, witnesses) exactly.
     std::shared_ptr<const StoreCheckpoint> resume;
@@ -192,81 +181,6 @@ struct MultiResult {
     std::vector<PersistenceViolation> persistence_violations;
 };
 
-/// The front door both engines share, written once over the engine's
-/// `run_query(const MultiQuery&)`: construction on a net (compiled here)
-/// or on an externally owned CompiledNet, and the convenience queries.
-template <class Engine>
-class ExplorerBase {
-public:
-    /// Searches for a marking satisfying `goal`.
-    ReachabilityResult find(const Predicate& goal) {
-        MultiQuery query;
-        query.goals = {&goal};
-        return std::move(engine().run_query(query).goals[0]);
-    }
-
-    /// Single-pass multi-goal search: one exploration answers every goal.
-    /// Returns one result per goal (same order), each carrying the shared
-    /// pass's state/edge counts.
-    std::vector<ReachabilityResult> find_all(
-        std::span<const Predicate* const> goals) {
-        MultiQuery query;
-        query.goals.assign(goals.begin(), goals.end());
-        return std::move(engine().run_query(query).goals);
-    }
-
-    /// Exhaustively explores and collects every deadlocked marking
-    /// (respecting max_states).
-    ReachabilityResult find_deadlocks() {
-        const Predicate dead = Predicate::deadlock();
-        MultiQuery query;
-        query.goals = {&dead};
-        query.collect_deadlocks = true;
-        MultiResult multi = engine().run_query(query);
-        ReachabilityResult result = std::move(multi.goals[0]);
-        result.deadlocks = std::move(multi.deadlocks);
-        return result;
-    }
-
-    /// Exhaustively explores; returns state/edge counts only.
-    ReachabilityResult explore_all() {
-        const MultiResult multi = engine().run_query(MultiQuery{});
-        ReachabilityResult result;
-        result.states_explored = multi.states_explored;
-        result.edges_explored = multi.edges_explored;
-        result.truncated = multi.truncated;
-        result.memory = multi.memory;
-        result.por = multi.por;
-        return result;
-    }
-
-    /// Number of distinct reachable markings (convenience over explore_all).
-    std::size_t count_states() { return explore_all().states_explored; }
-
-    const CompiledNet& compiled() const noexcept { return *compiled_; }
-
-protected:
-    ExplorerBase(const Net& net, ReachabilityOptions options)
-        : options_(std::move(options)),
-          owned_(std::in_place, net),
-          compiled_(&*owned_) {}
-
-    /// Runs on an externally owned CompiledNet instead of compiling the
-    /// net again — the sharing hook behind verify::CompiledModel and
-    /// flow::Design: N explorations (or N verifiers) amortise ONE compile.
-    /// The artifact must outlive the explorer; it is never written to.
-    ExplorerBase(const CompiledNet& compiled, ReachabilityOptions options)
-        : options_(std::move(options)),
-          compiled_(&compiled) {}
-
-    ReachabilityOptions options_;
-    std::optional<CompiledNet> owned_;  ///< set by the Net constructor only
-    const CompiledNet* compiled_;       ///< owned_ or the shared artifact
-
-private:
-    Engine& engine() { return static_cast<Engine&>(*this); }
-};
-
 /// Explicit-state breadth-first reachability over 1-safe nets, running on
 /// a CompiledNet: word-masked enable tests, incremental enabled-set
 /// maintenance through the affected-transition index, and an
@@ -276,10 +190,14 @@ private:
 /// BFS (rather than DFS) keeps witness traces shortest, which matters for
 /// debuggability of DFS model bugs — the paper reports hand-analysing such
 /// traces during the OPE design.
-class ReachabilityExplorer : public ExplorerBase<ReachabilityExplorer> {
+class ReachabilityExplorer {
 public:
     explicit ReachabilityExplorer(const Net& net,
                                   ReachabilityOptions options = {});
+    /// Runs on an externally owned CompiledNet instead of compiling the
+    /// net again — the sharing hook behind verify::CompiledModel and
+    /// flow::Design: N explorations (or N verifiers) amortise ONE compile.
+    /// The artifact must outlive the explorer; it is never written to.
     explicit ReachabilityExplorer(const CompiledNet& compiled,
                                   ReachabilityOptions options = {});
 
@@ -287,16 +205,43 @@ public:
     /// all in one exploration.
     MultiResult run_query(const MultiQuery& query);
 
+    /// Searches for a marking satisfying `goal`.
+    ReachabilityResult find(const Predicate& goal);
+
+    /// Single-pass multi-goal search: one exploration answers every goal.
+    /// Returns one result per goal (same order), each carrying the shared
+    /// pass's state/edge counts.
+    std::vector<ReachabilityResult> find_all(
+        std::span<const Predicate* const> goals);
+
+    /// Exhaustively explores and collects every deadlocked marking
+    /// (respecting max_states).
+    ReachabilityResult find_deadlocks();
+
+    /// Exhaustively explores; returns state/edge counts only.
+    ReachabilityResult explore_all();
+
+    /// Number of distinct reachable markings (convenience over explore_all).
+    std::size_t count_states() { return explore_all().states_explored; }
+
+    const CompiledNet& compiled() const noexcept { return *compiled_; }
+
 private:
     /// The pass body, factored out so run_query can convert a mid-pass
     /// failure into ExplorationAborted with the footprint at the moment
     /// of death attached.
     MultiResult run_pass(const MultiQuery& query);
 
+    ReachabilityOptions options_;
+    std::optional<CompiledNet> owned_;  ///< set by the Net constructor only
+    const CompiledNet* compiled_;       ///< owned_ or the shared artifact
     /// Each record carries one meta word packing the predecessor link
     /// (parent id | via transition << 32), so witness-trace rebuilding
     /// reads the record itself and is independent of visiting order.
     MarkingStore store_;
 };
+
+/// Old name of ReachabilityExplorer, still used by perfbench/perfbench.cpp.
+using ParallelReachabilityExplorer = ReachabilityExplorer;
 
 }  // namespace rap::petri

@@ -5,11 +5,10 @@
 
 namespace rap::util {
 
-WordArena::WordArena(std::size_t record_words,
-                     std::size_t target_block_words)
+WordArena::WordArena(std::size_t record_words)
     : record_words_(std::max<std::size_t>(record_words, 1)),
       records_per_block_(
-          std::max<std::size_t>(target_block_words / record_words_, 1)) {}
+          std::max<std::size_t>((std::size_t{1} << 16) / record_words_, 1)) {}
 
 std::uint64_t* WordArena::grow_to(std::size_t index) {
     if (index == blocks_.size() * records_per_block_) {

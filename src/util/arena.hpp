@@ -16,13 +16,9 @@ namespace rap::util {
 class WordArena {
 public:
     /// Every record is exactly `record_words` 64-bit words. Blocks hold
-    /// ~`target_block_words` words each: the default amortises well for
-    /// stores that grow monotonically; per-layer scratch arenas (the
-    /// enabled-row cache) pass something small so a fleet of them does
-    /// not pin half-empty blocks.
-    explicit WordArena(std::size_t record_words,
-                       std::size_t target_block_words = std::size_t{1}
-                                                        << 16);
+    /// ~2^16 words each, which amortises well for stores that grow
+    /// monotonically.
+    explicit WordArena(std::size_t record_words);
 
     std::size_t record_words() const noexcept { return record_words_; }
     std::size_t size() const noexcept { return size_; }

@@ -50,16 +50,12 @@ petri::MultiResult Verifier::run_exploration(const petri::MultiQuery& query,
     petri::ReachabilityOptions ropts;
     ropts.max_states = options_.max_states;
     ropts.stop_at_first_match = stop_at_first_match;
-    ropts.threads = options_.threads;
     ropts.por = options_.por;
     ropts.stop = options_.stop;
     ropts.checkpoint_path = options_.checkpoint_path;
     ropts.checkpoint_every = options_.checkpoint_every;
     ropts.resume = options_.resume;
-    // The parallel explorer shards the BFS frontier over the shared
-    // compiled artifact; at one (resolved) thread it delegates to the
-    // sequential engine's exact code path.
-    petri::ParallelReachabilityExplorer explorer(model_->compiled(), ropts);
+    petri::ReachabilityExplorer explorer(model_->compiled(), ropts);
     ++explorations_;
     try {
         auto result = explorer.run_query(query);

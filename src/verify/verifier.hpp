@@ -10,7 +10,6 @@
 #include "dfs/model.hpp"
 #include "dfs/translate.hpp"
 #include "petri/checkpoint.hpp"
-#include "petri/parallel.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
 #include "verify/artifacts.hpp"
@@ -55,19 +54,8 @@ struct Finding {
 
 struct VerifyOptions {
     std::size_t max_states = 2'000'000;
-    /// Worker threads for the state-space exploration: 0 = one per
-    /// hardware thread (petri::ParallelReachabilityExplorer), 1 = the
-    /// sequential engine's exact code path. Whatever the setting, one
-    /// verification pass still answers every property in one exploration
-    /// and reports the same verdicts. Parallel passes pick canonical
-    /// (smallest) witnesses, so their reports are deterministic across
-    /// runs and across thread counts >= 2; the sequential path instead
-    /// keeps its discovery-order witness, and a single-question verify
-    /// may stop mid-layer there, so states_explored and witness details
-    /// can differ between threads == 1 and parallel configurations.
-    std::size_t threads = 0;
     /// Partial-order (stubborn-set) reduction forwarded to the
-    /// exploration engines (petri::ReachabilityOptions::por). Verdicts
+    /// exploration engine (petri::ReachabilityOptions::por). Verdicts
     /// are preserved for every property the verifier checks — the
     /// standard goals carry support places, so the unknown-support
     /// fallback never triggers for Spec::standard() — but
@@ -75,7 +63,7 @@ struct VerifyOptions {
     /// need not be globally shortest. por_stats() reports the measured
     /// reduction after a pass.
     bool por = false;
-    /// Cooperative stop hook forwarded to the exploration engines
+    /// Cooperative stop hook forwarded to the exploration engine
     /// (petri::ReachabilityOptions::stop): polled cheaply mid-pass; when
     /// it returns true the exploration ends early and every finding of
     /// the pass reports `truncated = true` (inconclusive). flow::Sweep

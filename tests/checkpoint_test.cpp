@@ -1,9 +1,9 @@
 // Checkpoint/resume contract tests: a killed exploration resumed from
 // its last on-disk StoreCheckpoint must reproduce the uninterrupted
-// pass's (states, edges, verdicts, witnesses) exactly — on both engine
-// kinds — while corrupted files, crafted files whose checksum was
-// recomputed over hostile contents, foreign structures, reconfigured
-// initial markings and engine-kind mismatches are all refused loudly
+// pass's (states, edges, verdicts, witnesses) exactly, while corrupted
+// files, crafted files whose checksum was recomputed over hostile
+// contents, foreign structures, reconfigured initial markings, old
+// format versions and foreign engine kinds are all refused loudly
 // (std::runtime_error) instead of resuming as a silently wrong
 // exploration.
 
@@ -20,7 +20,6 @@
 
 #include "petri/checkpoint.hpp"
 #include "petri/compiled.hpp"
-#include "petri/parallel.hpp"
 #include "petri/reachability.hpp"
 #include "petri_fixtures.hpp"
 #include "util/rng.hpp"
@@ -30,9 +29,8 @@ namespace {
 
 using namespace testfx;
 
-/// Exact-match comparison (tighter than the cross-engine differential):
-/// a resumed pass continues the same engine's deterministic walk, so
-/// even witness markings and traces must be identical.
+/// Exact-match comparison: a resumed pass continues the engine's
+/// deterministic walk, so even witness markings must be identical.
 void expect_identical(const Net& net, const MultiResult& full,
                       const MultiResult& resumed,
                       const std::string& context) {
@@ -69,20 +67,15 @@ std::string temp_path(const std::string& name) {
 /// pass after `polls` cooperative-stop polls, leaving the last periodic
 /// checkpoint on disk. Returns the partial (truncated) result.
 MultiResult killed_run(const CompiledNet& compiled, const MultiQuery& query,
-                       const std::string& path, std::size_t threads,
-                       int polls, std::size_t every) {
+                       const std::string& path, int polls,
+                       std::size_t every) {
     ReachabilityOptions options;
     options.stop_at_first_match = false;
     options.checkpoint_path = path;
     options.checkpoint_every = every;
     auto count = std::make_shared<std::atomic<int>>(0);
     options.stop = [count, polls] { return ++*count > polls; };
-    if (threads <= 1) {
-        ReachabilityExplorer explorer(compiled, options);
-        return explorer.run_query(query);
-    }
-    options.threads = threads;
-    ParallelReachabilityExplorer explorer(compiled, options);
+    ReachabilityExplorer explorer(compiled, options);
     return explorer.run_query(query);
 }
 
@@ -102,8 +95,7 @@ TEST(Checkpoint, SequentialKillAndResumeMatchesUninterrupted) {
     // about 40% in — after the head crossed the 256-state save cadence.
     const std::string path = temp_path("ckpt_seq_kill.ckpt");
     std::remove(path.c_str());
-    const auto partial =
-        killed_run(compiled, bundle.query, path, 1, 12, 256);
+    const auto partial = killed_run(compiled, bundle.query, path, 12, 256);
     ASSERT_TRUE(partial.truncated) << "kill did not interrupt the pass";
     ASSERT_LT(partial.states_explored, reference.states_explored)
         << "kill landed after exhaustion; nothing left to resume";
@@ -118,40 +110,6 @@ TEST(Checkpoint, SequentialKillAndResumeMatchesUninterrupted) {
     ReachabilityExplorer resumed(compiled, resume);
     const auto result = resumed.run_query(bundle.query);
     expect_identical(fixture.net, reference, result, "sequential resume");
-}
-
-TEST(Checkpoint, ParallelKillAndResumeMatchesUninterrupted) {
-    // Large enough (~191k states) that 60 cooperative-stop polls always
-    // land mid-pass, whatever the 4 workers' schedule looks like.
-    const Fixture fixture = ope_fixture(3, 3);
-    const CompiledNet compiled(fixture.net);
-    const QueryBundle bundle(fixture.net);
-
-    ReachabilityOptions base;
-    base.stop_at_first_match = false;
-    base.threads = 4;
-    ParallelReachabilityExplorer uninterrupted(compiled, base);
-    const auto reference = uninterrupted.run_query(bundle.query);
-    ASSERT_FALSE(reference.truncated);
-
-    const std::string path = temp_path("ckpt_par_kill.ckpt");
-    std::remove(path.c_str());
-    const auto partial =
-        killed_run(compiled, bundle.query, path, 4, 60, 1);
-    ASSERT_TRUE(partial.truncated) << "kill did not interrupt the pass";
-    ASSERT_LT(partial.states_explored, reference.states_explored)
-        << "kill landed after exhaustion; nothing left to resume";
-
-    const auto ckpt = std::make_shared<const StoreCheckpoint>(
-        StoreCheckpoint::load(path));
-    ASSERT_EQ(ckpt->engine, StoreCheckpoint::Engine::kParallel);
-    ASSERT_GT(ckpt->record_count, 0u);
-
-    ReachabilityOptions resume = base;
-    resume.resume = ckpt;
-    ParallelReachabilityExplorer resumed(compiled, resume);
-    const auto result = resumed.run_query(bundle.query);
-    expect_identical(fixture.net, reference, result, "parallel resume");
 }
 
 TEST(Checkpoint, ResumedPassKeepsCheckpointingToTheNextFile) {
@@ -171,8 +129,7 @@ TEST(Checkpoint, ResumedPassKeepsCheckpointingToTheNextFile) {
     const std::string second = temp_path("ckpt_chain_second.ckpt");
     std::remove(first.c_str());
     std::remove(second.c_str());
-    const auto partial =
-        killed_run(compiled, bundle.query, first, 1, 80, 1024);
+    const auto partial = killed_run(compiled, bundle.query, first, 80, 1024);
     ASSERT_TRUE(partial.truncated);
 
     ReachabilityOptions resume = base;
@@ -244,7 +201,7 @@ TEST(Checkpoint, StructuralOrMarkingChangeRefusedOnResume) {
     const Fixture source = ope_fixture(3, 3);
     const CompiledNet compiled(source.net);
     const QueryBundle bundle(source.net);
-    killed_run(compiled, bundle.query, path, 1, 30, 512);
+    killed_run(compiled, bundle.query, path, 30, 512);
     const auto ckpt = std::make_shared<const StoreCheckpoint>(
         StoreCheckpoint::load(path));
 
@@ -269,46 +226,6 @@ TEST(Checkpoint, StructuralOrMarkingChangeRefusedOnResume) {
         EXPECT_THROW(reconfigured.run_query(gap_bundle.query),
                      std::runtime_error);
     }
-}
-
-TEST(Checkpoint, EngineKindMismatchRefused) {
-    const Fixture fixture = ope_fixture(3, 3);
-    const CompiledNet compiled(fixture.net);
-    const QueryBundle bundle(fixture.net);
-
-    const std::string seq_path = temp_path("ckpt_kind_seq.ckpt");
-    const std::string par_path = temp_path("ckpt_kind_par.ckpt");
-    std::remove(seq_path.c_str());
-    std::remove(par_path.c_str());
-    killed_run(compiled, bundle.query, seq_path, 1, 30, 512);
-    killed_run(compiled, bundle.query, par_path, 4, 60, 1);
-    const auto seq_ckpt = std::make_shared<const StoreCheckpoint>(
-        StoreCheckpoint::load(seq_path));
-    const auto par_ckpt = std::make_shared<const StoreCheckpoint>(
-        StoreCheckpoint::load(par_path));
-    ASSERT_EQ(seq_ckpt->engine, StoreCheckpoint::Engine::kSequential);
-    ASSERT_EQ(par_ckpt->engine, StoreCheckpoint::Engine::kParallel);
-
-    ReachabilityOptions options;
-    options.stop_at_first_match = false;
-    options.resume = par_ckpt;
-    ReachabilityExplorer sequential(compiled, options);
-    EXPECT_THROW(sequential.run_query(bundle.query), std::runtime_error);
-
-    options.resume = seq_ckpt;
-    options.threads = 4;
-    ParallelReachabilityExplorer parallel(compiled, options);
-    EXPECT_THROW(parallel.run_query(bundle.query), std::runtime_error);
-
-    // A 1-thread "parallel" pass IS the sequential code path, so it
-    // accepts the sequential checkpoint and refuses the parallel one.
-    options.threads = 1;
-    ParallelReachabilityExplorer delegated(compiled, options);
-    EXPECT_NO_THROW(delegated.run_query(bundle.query));
-    options.resume = par_ckpt;
-    ParallelReachabilityExplorer delegated_par(compiled, options);
-    EXPECT_THROW(delegated_par.run_query(bundle.query),
-                 std::runtime_error);
 }
 
 // -- crafted files ---------------------------------------------------------
@@ -337,38 +254,72 @@ void write_resealed(const std::string& path,
                                            sizeof(std::uint64_t)));
 }
 
-/// A killed pass's checkpoint of the gap model on either engine kind
-/// (threads == 1: sequential), plus what a resume needs. File names carry
-/// the running test's name: ctest runs the cases as parallel processes.
+TEST(Checkpoint, EngineKindMismatchRefused) {
+    // Only the sequential engine's checkpoints resume. A file of any
+    // other engine kind (1 was the retired parallel engine's) is refused
+    // on resume, and a file of the previous format version — whose
+    // header still carried that engine's cursor — is refused on load.
+    const Fixture fixture = ope_fixture(3, 3);
+    const CompiledNet compiled(fixture.net);
+    const QueryBundle bundle(fixture.net);
+
+    const std::string path = temp_path("ckpt_kind.ckpt");
+    std::remove(path.c_str());
+    killed_run(compiled, bundle.query, path, 30, 512);
+    const StoreCheckpoint ckpt = StoreCheckpoint::load(path);
+    ASSERT_EQ(ckpt.engine, StoreCheckpoint::Engine::kSequential);
+
+    ReachabilityOptions options;
+    options.stop_at_first_match = false;
+    options.resume = std::make_shared<const StoreCheckpoint>(ckpt);
+    EXPECT_NO_THROW(
+        ReachabilityExplorer(compiled, options).run_query(bundle.query));
+
+    StoreCheckpoint foreign = ckpt;
+    foreign.engine = static_cast<StoreCheckpoint::Engine>(1);
+    const std::string foreign_path = temp_path("ckpt_kind_foreign.ckpt");
+    foreign.save(foreign_path);
+    options.resume = std::make_shared<const StoreCheckpoint>(
+        StoreCheckpoint::load(foreign_path));
+    EXPECT_THROW(
+        ReachabilityExplorer(compiled, options).run_query(bundle.query),
+        std::runtime_error);
+
+    // Header word [1] is the format version.
+    const std::string old_path = temp_path("ckpt_kind_old_version.ckpt");
+    std::vector<std::uint64_t> words = read_words(path);
+    ASSERT_EQ(words[1], 2u);
+    words[1] = 1;
+    write_resealed(old_path, words);
+    EXPECT_THROW(StoreCheckpoint::load(old_path), std::runtime_error);
+}
+
+/// A killed pass's checkpoint of the gap model, plus what a resume
+/// needs. File names carry the running test's name: ctest runs the cases
+/// as parallel processes.
 struct CraftBase {
     Fixture fixture = gap_fixture();
     CompiledNet compiled{fixture.net};
     QueryBundle bundle{fixture.net};
-    std::size_t threads;
     StoreCheckpoint ckpt;
 
-    explicit CraftBase(std::size_t t) : threads(t) {
+    CraftBase() {
         const std::string path = file("base");
         std::remove(path.c_str());
-        if (threads == 1) {
-            killed_run(compiled, bundle.query, path, 1, 12, 256);
-        } else {
-            killed_run(compiled, bundle.query, path, threads, 20, 1);
-        }
+        killed_run(compiled, bundle.query, path, 12, 256);
         ckpt = StoreCheckpoint::load(path);
     }
 
     /// Saves `crafted` (save() reseals the checksum), loads it back and
-    /// resumes from it on this engine kind.
+    /// resumes from it.
     MultiResult resume_from(const StoreCheckpoint& crafted) const {
         const std::string path = file("crafted");
         crafted.save(path);
         ReachabilityOptions options;
         options.stop_at_first_match = false;
-        options.threads = threads;
         options.resume = std::make_shared<const StoreCheckpoint>(
             StoreCheckpoint::load(path));
-        return ParallelReachabilityExplorer(compiled, options)
+        return ReachabilityExplorer(compiled, options)
             .run_query(bundle.query);
     }
 
@@ -376,7 +327,7 @@ struct CraftBase {
         return temp_path(
             std::string("ckpt_") +
             testing::UnitTest::GetInstance()->current_test_info()->name() +
-            "_" + std::to_string(threads) + "_" + role + ".ckpt");
+            "_" + role + ".ckpt");
     }
 
     /// Meta word 0 of record `id`: the (via << 32 | parent) witness link.
@@ -388,26 +339,26 @@ struct CraftBase {
 TEST(Checkpoint, OverflowingSectionLengthsRejectedAsRuntimeError) {
     // Section counts whose word total wraps uint64 must fail the length
     // check, not reach an allocation (std::length_error / bad_alloc).
-    const CraftBase base(1);
+    const CraftBase base;
     const std::string path = temp_path("ckpt_craft_lengths.ckpt");
     base.ckpt.save(path);
     const std::vector<std::uint64_t> pristine = read_words(path);
     ASSERT_NO_THROW(StoreCheckpoint::load(path));
 
-    // Header words: [4] marking|meta words, [5] record_count, [10..13]
-    // frontier/goal/deadlock/violation counts, [20] records offset.
+    // Header words: [4] marking|meta words, [5] record_count, [9..11]
+    // goal/deadlock/violation counts, [18] records offset.
     // violations_n * 2 wraps back onto the real violation words: an
     // unchecked sum would accept it and then die in resize().
     std::vector<std::uint64_t> words = pristine;
-    words[13] += std::uint64_t{1} << 63;
+    words[11] += std::uint64_t{1} << 63;
     write_resealed(path, words);
     EXPECT_THROW(StoreCheckpoint::load(path), std::runtime_error);
 
-    // frontier_n + goals_n wraps onto the real sum: an unchecked sum
-    // would accept it and the frontier read would ask for ~2^63 ids.
+    // goals_n + deadlocks_n wraps onto the real sum: an unchecked sum
+    // would accept it and the goal read would ask for ~2^63 ids.
     words = pristine;
+    words[9] += std::uint64_t{1} << 63;
     words[10] += std::uint64_t{1} << 63;
-    words[11] += std::uint64_t{1} << 63;
     write_resealed(path, words);
     EXPECT_THROW(StoreCheckpoint::load(path), std::runtime_error);
 
@@ -415,10 +366,10 @@ TEST(Checkpoint, OverflowingSectionLengthsRejectedAsRuntimeError) {
     // 2-word stride and 2^63 extra records (one record word moves into
     // the deadlock section first when the run has odd length).
     words = pristine;
-    std::uint64_t run = words.size() - 1 - words[20];
+    std::uint64_t run = words.size() - 1 - words[18];
     if (run % 2 != 0) {
-        ++words[12];
-        ++words[20];
+        ++words[10];
+        ++words[18];
         --run;
     }
     words[4] = (std::uint64_t{1} << 32) | 1;
@@ -428,223 +379,141 @@ TEST(Checkpoint, OverflowingSectionLengthsRejectedAsRuntimeError) {
 }
 
 TEST(Checkpoint, OutOfRangeIdsRefusedOnResume) {
-    // Goal hits, deadlock ids, violation ids and frontier ids must all
+    // The cursor, goal hits, deadlock ids and violation ids must all
     // name records the checkpoint actually carries.
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        const CraftBase base(threads);
-        const auto beyond = static_cast<std::uint32_t>(base.ckpt.record_count);
-        const std::string engine = threads == 1 ? "seq" : "par";
+    const CraftBase base;
+    const auto beyond = static_cast<std::uint32_t>(base.ckpt.record_count);
 
-        StoreCheckpoint crafted = base.ckpt;
-        crafted.goal_hits[1] = beyond;
-        EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
-            << engine << " goal hit";
+    StoreCheckpoint crafted = base.ckpt;
+    crafted.goal_hits[1] = beyond;
+    EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+        << "goal hit";
 
-        crafted = base.ckpt;
-        crafted.deadlocks.push_back(beyond);
-        EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
-            << engine << " deadlock";
+    crafted = base.ckpt;
+    crafted.deadlocks.push_back(beyond);
+    EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+        << "deadlock";
 
-        crafted = base.ckpt;
-        crafted.violations.push_back({beyond, 0, 0, 0});
-        EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
-            << engine << " violation";
+    crafted = base.ckpt;
+    crafted.violations.push_back({beyond, 0, 0});
+    EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+        << "violation";
 
-        if (threads > 1) {
-            crafted = base.ckpt;
-            ASSERT_FALSE(crafted.frontier.empty());
-            crafted.frontier.back() = beyond;
-            EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
-                << engine << " frontier";
-        }
-        // The untouched checkpoint still resumes.
-        EXPECT_NO_THROW(base.resume_from(base.ckpt)) << engine;
-    }
+    crafted = base.ckpt;
+    crafted.head = std::uint64_t{beyond} + 1;
+    EXPECT_THROW(base.resume_from(crafted), std::runtime_error) << "head";
+
+    crafted = base.ckpt;
+    crafted.next_layer_begin = std::uint64_t{beyond} + 1;
+    EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+        << "layer watermark";
+
+    // The untouched checkpoint still resumes.
+    EXPECT_NO_THROW(base.resume_from(base.ckpt));
 }
 
 TEST(Checkpoint, ParentLinkNotBeforeItsChildRefusedOnResume) {
     // BFS discovery order puts every parent before its child; a record
     // naming itself (or a later record) as its parent would make trace
     // rebuilding loop forever, so resume refuses it up front.
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        const CraftBase base(threads);
-        ASSERT_GT(base.ckpt.record_count, 2u);
-        const std::uint64_t id = base.ckpt.record_count - 1;
-        for (const std::uint64_t parent : {id, id + 1}) {
-            StoreCheckpoint crafted = base.ckpt;
-            std::uint64_t& link = CraftBase::link(crafted, id);
-            link = (link & 0xFFFFFFFF00000000ULL) | parent;
-            EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
-                << threads << "t parent " << parent;
-        }
-        // The root must stay parentless.
+    const CraftBase base;
+    ASSERT_GT(base.ckpt.record_count, 2u);
+    const std::uint64_t id = base.ckpt.record_count - 1;
+    for (const std::uint64_t parent : {id, id + 1}) {
         StoreCheckpoint crafted = base.ckpt;
-        CraftBase::link(crafted, 0) = 0;
+        std::uint64_t& link = CraftBase::link(crafted, id);
+        link = (link & 0xFFFFFFFF00000000ULL) | parent;
         EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
-            << threads << "t root";
+            << "parent " << parent;
     }
+    // The root must stay parentless.
+    StoreCheckpoint crafted = base.ckpt;
+    CraftBase::link(crafted, 0) = 0;
+    EXPECT_THROW(base.resume_from(crafted), std::runtime_error) << "root";
 }
 
 TEST(Checkpoint, OutOfRangeTransitionRefusedOnResume) {
     // Witness links and violations name transitions of the net; an id at
     // or past transition_count() would index past the name table.
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        const CraftBase base(threads);
-        const auto transitions =
-            static_cast<std::uint64_t>(base.compiled.transition_count());
+    const CraftBase base;
+    const auto transitions =
+        static_cast<std::uint64_t>(base.compiled.transition_count());
 
-        StoreCheckpoint crafted = base.ckpt;
-        std::uint64_t& link =
-            CraftBase::link(crafted, crafted.record_count - 1);
-        link = (transitions << 32) | (link & 0xFFFFFFFFULL);
-        EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
-            << threads << "t link";
+    StoreCheckpoint crafted = base.ckpt;
+    std::uint64_t& link = CraftBase::link(crafted, crafted.record_count - 1);
+    link = (transitions << 32) | (link & 0xFFFFFFFFULL);
+    EXPECT_THROW(base.resume_from(crafted), std::runtime_error) << "link";
 
-        crafted = base.ckpt;
-        crafted.violations.push_back(
-            {0, 0, static_cast<std::uint32_t>(transitions), 0});
-        EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
-            << threads << "t violation";
-    }
-}
-
-TEST(Checkpoint, DepthWordOffItsWitnessLinkRefusedOnResume) {
-    // The parallel engine's canonical-min link update trusts each
-    // record's depth word: a record claiming the next layer's depth gets
-    // its witness link rewritten on a duplicate edge. Claimed by the
-    // root, the update would compare against the parent of a parentless
-    // link (an id past the store); claimed by any other record, it could
-    // close a link cycle. The one-register ring's state graph is a single
-    // cycle whose last layer leads back to the root, so a resumed first
-    // layer rediscovers it.
-    const Fixture fixture = ring_fixture(1);
-    const CompiledNet compiled(fixture.net);
-    const QueryBundle bundle(fixture.net);
-    const std::string path = temp_path("ckpt_depth_base.ckpt");
-    std::remove(path.c_str());
-    // Never stopped: the file keeps the last layer boundary of the pass.
-    killed_run(compiled, bundle.query, path, 4, INT32_MAX, 1);
-    const StoreCheckpoint base = StoreCheckpoint::load(path);
-    ASSERT_EQ(base.engine, StoreCheckpoint::Engine::kParallel);
-    ASSERT_GT(base.record_count, 2u);
-
-    auto leads_to_root = [&](std::uint32_t id) {
-        const std::size_t words = base.marking_words;
-        std::vector<std::uint64_t> enabled(compiled.enabled_words());
-        compiled.enabled_set(base.record(id), enabled.data());
-        for (std::uint32_t t = 0; t < compiled.transition_count(); ++t) {
-            if (((enabled[t / 64] >> (t % 64)) & 1) == 0) continue;
-            std::vector<std::uint64_t> next(base.record(id),
-                                            base.record(id) + words);
-            compiled.fire(next.data(), TransitionId{t});
-            if (std::equal(next.begin(), next.end(), base.record(0))) {
-                return true;
-            }
-        }
-        return false;
-    };
-    ASSERT_TRUE(std::any_of(base.frontier.begin(), base.frontier.end(),
-                            leads_to_root));
-
-    auto resume = [&](const StoreCheckpoint& crafted) {
-        const std::string crafted_path = temp_path("ckpt_depth_crafted.ckpt");
-        crafted.save(crafted_path);
-        ReachabilityOptions options;
-        options.stop_at_first_match = false;
-        options.threads = 4;
-        options.resume = std::make_shared<const StoreCheckpoint>(
-            StoreCheckpoint::load(crafted_path));
-        return ParallelReachabilityExplorer(compiled, options)
-            .run_query(bundle.query);
-    };
-    auto depth_word = [](StoreCheckpoint& c, std::uint64_t id)
-        -> std::uint64_t& {
-        return c.records[id * c.record_stride() + c.marking_words + 1];
-    };
-
-    StoreCheckpoint crafted = base;
-    depth_word(crafted, 0) = base.depth + 1;
-    EXPECT_THROW(resume(crafted), std::runtime_error) << "root";
-
-    crafted = base;
-    depth_word(crafted, base.record_count - 1) += 1;
-    EXPECT_THROW(resume(crafted), std::runtime_error) << "deeper record";
-
-    crafted = base;
-    crafted.depth += 1;
-    EXPECT_THROW(resume(crafted), std::runtime_error) << "frontier depth";
-
-    EXPECT_NO_THROW(resume(base));
+    crafted = base.ckpt;
+    crafted.violations.push_back(
+        {0, static_cast<std::uint32_t>(transitions), 0});
+    EXPECT_THROW(base.resume_from(crafted), std::runtime_error)
+        << "violation";
 }
 
 TEST(Checkpoint, MutatedCheckpointsResumeOrAreRefused) {
-    // Seeded mutation fuzzer over real checkpoints of both engine kinds:
-    // bit flips and words overwritten with boundary values, resealed so
-    // the damage reaches the section parser and the resume checks. Every
-    // case must resume to completion or throw std::runtime_error
-    // (ExplorationAborted included) — never crash, hang or throw
-    // anything else.
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        const CraftBase base(threads);
-        const std::string path = base.file("fuzz");
-        base.ckpt.save(path);
-        const std::vector<std::uint64_t> pristine = read_words(path);
-        const std::uint64_t records_off = pristine[20];
-        const std::uint64_t count = base.ckpt.record_count;
-        const std::uint64_t stride = base.ckpt.record_stride();
-        const std::uint64_t mwords = base.ckpt.marking_words;
-        const std::uint64_t values[] = {0,          1,         UINT32_MAX,
-                                        UINT64_MAX, count - 1, count + 1};
+    // Seeded mutation fuzzer over a real checkpoint: bit flips and words
+    // overwritten with boundary values, resealed so the damage reaches
+    // the section parser and the resume checks. Every case must resume
+    // to completion or throw std::runtime_error (ExplorationAborted
+    // included) — never crash, hang or throw anything else.
+    const CraftBase base;
+    const std::string path = base.file("fuzz");
+    base.ckpt.save(path);
+    const std::vector<std::uint64_t> pristine = read_words(path);
+    const std::uint64_t records_off = pristine[18];
+    const std::uint64_t count = base.ckpt.record_count;
+    const std::uint64_t stride = base.ckpt.record_stride();
+    const std::uint64_t mwords = base.ckpt.marking_words;
+    const std::uint64_t values[] = {0,          1,         UINT32_MAX,
+                                    UINT64_MAX, count - 1, count + 1};
 
-        std::size_t resumed = 0;
-        std::size_t refused = 0;
-        for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-            util::Rng rng(seed * 8 + threads);
-            std::vector<std::uint64_t> words = pristine;
-            const int mutations = static_cast<int>(rng.range(1, 3));
-            for (int m = 0; m < mutations; ++m) {
-                // A third of the hits land in the header and id sections,
-                // a third on a record's meta words (witness link, depth),
-                // the rest anywhere before the checksum word.
-                std::uint64_t at = 0;
-                switch (rng.below(3)) {
-                    case 0: at = rng.below(records_off); break;
-                    case 1:
-                        at = records_off + rng.below(count) * stride +
-                             mwords + rng.below(stride - mwords);
-                        break;
-                    default: at = rng.below(words.size() - 1); break;
-                }
-                std::uint64_t& word = words[at];
-                const std::uint64_t kind = rng.below(7);
-                if (kind == 6) {
-                    word ^= std::uint64_t{1} << rng.below(64);
-                } else {
-                    word = values[kind];
-                }
+    std::size_t resumed = 0;
+    std::size_t refused = 0;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        util::Rng rng(seed * 8 + 1);
+        std::vector<std::uint64_t> words = pristine;
+        const int mutations = static_cast<int>(rng.range(1, 3));
+        for (int m = 0; m < mutations; ++m) {
+            // A third of the hits land in the header and id sections, a
+            // third on a record's meta word (the witness link), the rest
+            // anywhere before the checksum word.
+            std::uint64_t at = 0;
+            switch (rng.below(3)) {
+                case 0: at = rng.below(records_off); break;
+                case 1:
+                    at = records_off + rng.below(count) * stride + mwords +
+                         rng.below(stride - mwords);
+                    break;
+                default: at = rng.below(words.size() - 1); break;
             }
-            write_resealed(path, words);
-            ReachabilityOptions options;
-            options.stop_at_first_match = false;
-            options.threads = threads;
-            // Damaged records can seed states the real pass never sees.
-            options.max_states = 8 * count;
-            try {
-                options.resume = std::make_shared<const StoreCheckpoint>(
-                    StoreCheckpoint::load(path));
-                ParallelReachabilityExplorer(base.compiled, options)
-                    .run_query(base.bundle.query);
-                ++resumed;
-            } catch (const std::runtime_error&) {
-                ++refused;
-            } catch (const std::exception& e) {
-                ADD_FAILURE() << threads << "t seed " << seed << " threw "
-                              << e.what();
+            std::uint64_t& word = words[at];
+            const std::uint64_t kind = rng.below(7);
+            if (kind == 6) {
+                word ^= std::uint64_t{1} << rng.below(64);
+            } else {
+                word = values[kind];
             }
         }
-        EXPECT_GT(refused, 0u) << threads << "t";
-        EXPECT_GT(resumed, 0u) << threads << "t";
+        write_resealed(path, words);
+        ReachabilityOptions options;
+        options.stop_at_first_match = false;
+        // Damaged records can seed states the real pass never sees.
+        options.max_states = 8 * count;
+        try {
+            options.resume = std::make_shared<const StoreCheckpoint>(
+                StoreCheckpoint::load(path));
+            ReachabilityExplorer(base.compiled, options)
+                .run_query(base.bundle.query);
+            ++resumed;
+        } catch (const std::runtime_error&) {
+            ++refused;
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "seed " << seed << " threw " << e.what();
+        }
     }
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(resumed, 0u);
 }
 
 }  // namespace

@@ -113,40 +113,6 @@ TEST(Design, DeadlockWitnessSpeaksDfs) {
     }
 }
 
-TEST(Design, VerifyThreadsOptionShardsTheSameExploration) {
-    // The ReachabilityOptions::threads knob, adopted at the facade: a
-    // session configured for parallel verification answers exactly what
-    // the sequential session answers — same verdicts, same exhaustive
-    // state counts, same witness depths — from the same shared compiled
-    // artifact, still in one exploration per report.
-    DesignOptions parallel_options;
-    parallel_options.verify.threads = 4;
-    Design parallel(ope::build_reconfigurable_ope_dfs(3, 3),
-                    parallel_options);
-    parallel.reset_ring(parallel.pipeline().stages[1].global_ring,
-                        TokenValue::False);
-    DesignOptions sequential_options;
-    sequential_options.verify.threads = 1;  // pin: default 0 = all cores
-    Design sequential(ope::build_reconfigurable_ope_dfs(3, 3),
-                      sequential_options);
-    sequential.reset_ring(sequential.pipeline().stages[1].global_ring,
-                          TokenValue::False);
-
-    const auto par = parallel.verify();
-    const auto seq = sequential.verify();
-    EXPECT_EQ(parallel.verifier().explorations_run(), 1u);
-    ASSERT_EQ(par.findings.size(), seq.findings.size());
-    for (std::size_t i = 0; i < seq.findings.size(); ++i) {
-        EXPECT_EQ(par.findings[i].property, seq.findings[i].property);
-        EXPECT_EQ(par.findings[i].violated, seq.findings[i].violated) << i;
-        EXPECT_EQ(par.findings[i].states_explored,
-                  seq.findings[i].states_explored)
-            << i;
-        EXPECT_EQ(par.findings[i].trace.size(), seq.findings[i].trace.size())
-            << i;
-    }
-}
-
 TEST(Design, SequentialVerifierSessionsShareOneCompile) {
     // Two design sessions (and their verifiers) over identical model
     // content share the artifact through the process cache — the
@@ -311,11 +277,8 @@ TEST(Incremental, SetDepthValidatesTheWholeRequestBeforeApplying) {
 
     // Design level: the failed call leaves revision(), the build
     // counters and every cached artifact untouched.
-    DesignOptions options;
-    options.verify.threads = 1;
     Design design(
-        pipeline::build_pipeline("inc_depth2", ope_style_stages(3, 3)),
-        options);
+        pipeline::build_pipeline("inc_depth2", ope_style_stages(3, 3)));
     const auto baseline = design.verify();
     const std::size_t revision = design.revision();
     const std::size_t builds = design.pn_builds();
@@ -329,7 +292,7 @@ TEST(Incremental, SetDepthValidatesTheWholeRequestBeforeApplying) {
     EXPECT_EQ(design.pn_builds(), builds) << "no rebuild after the throw";
 
     // Graph-backed designs refuse with a distinct type and message.
-    Design graph_backed(dfs::Graph("inc_graph_backed"), options);
+    Design graph_backed(dfs::Graph("inc_graph_backed"));
     EXPECT_THROW(graph_backed.set_depth(2), std::logic_error);
 }
 

@@ -1,9 +1,9 @@
 // Shared Petri-net test fixtures and differential-harness plumbing:
 // the model zoo (paper-style rings/wagging/OPE plus seeded random
 // topologies), the naive BFS oracle, the query/replay helpers used by
-// the engine differential harnesses (parallel_reachability_test.cpp,
-// por_test.cpp, checkpoint_test.cpp), and the compiled-index comparison
-// the delta-build tests share. Header-only, test-only.
+// the engine harnesses (reachability_test.cpp, por_test.cpp,
+// checkpoint_test.cpp), and the compiled-index comparison the
+// delta-build tests share. Header-only, test-only.
 
 #pragma once
 
@@ -121,23 +121,6 @@ inline Fixture random_fixture(std::uint64_t seed) {
         }
     }
     return {net.name(), std::move(net)};
-}
-
-/// A deep token ring at the Petri level: `n` places in a cycle with
-/// `tokens` evenly spaced tokens. BFS diameter grows with n while layers
-/// stay narrow — the steal-heavy workload the work-stealing scheduler
-/// exists for.
-inline Fixture deep_ring_fixture(int n, int spacing) {
-    dfs::Graph g("deepring_n" + std::to_string(n) + "_s" +
-                 std::to_string(spacing));
-    std::vector<dfs::NodeId> regs;
-    for (int i = 0; i < n; ++i) {
-        regs.push_back(g.add_control("c" + std::to_string(i),
-                                     i % spacing == 0,
-                                     dfs::TokenValue::True));
-    }
-    for (int i = 0; i < n; ++i) g.connect(regs[i], regs[(i + 1) % n]);
-    return {g.name(), dfs::to_petri(g).net};
 }
 
 /// Fork/join topology: a live backbone ring plus random blocks where one

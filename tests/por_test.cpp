@@ -1,15 +1,13 @@
 // Differential harness for partial-order (stubborn-set) reduction:
 // every fixture model and 24 fuzzer seeds run reduced
-// (ReachabilityOptions::por) against the full exploration, across the
-// sequential engine and the parallel engine at 2/4/8 threads. The
+// (ReachabilityOptions::por) against the full exploration. The
 // contract checked here is exactly the one the option documents —
 // verdicts preserved (deadlock sets EXACTLY equal, goal reachability
 // and the persistence verdict unchanged), reduced witnesses genuine
 // (replayed firing by firing, goal re-evaluated at the end marking),
-// reduced violation sets a subset of the full pass's, reduced counters
-// deterministic across engines and thread counts — plus the PorStats
-// surface, the unknown-support fallback, and actual state-count
-// reduction on the OPE models the CI ratio floor gates. The ample-set
+// reduced violation sets a subset of the full pass's — plus the
+// PorStats surface, the unknown-support fallback, and actual
+// state-count reduction on the OPE models the CI ratio floor gates. The ample-set
 // oracle walks the reduced graphs state by state and checks every
 // reduction choice against the reference closure in por_reference.hpp,
 // and the sweep_grid benchmark's reduced state counts are pinned here.
@@ -18,14 +16,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "dfs/translate.hpp"
 #include "ope/dfs_models.hpp"
-#include "petri/parallel.hpp"
 #include "petri/por.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
@@ -38,8 +34,6 @@ namespace {
 
 using namespace testfx;  // model zoo + differential plumbing
 
-constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
-
 /// Full (unreduced) exhaustive reference pass, sequential engine.
 MultiResult full_reference(const CompiledNet& compiled,
                            const MultiQuery& query) {
@@ -49,16 +43,14 @@ MultiResult full_reference(const CompiledNet& compiled,
     return seq.run_query(query);
 }
 
-/// Reduced exhaustive pass; threads == 1 is the sequential engine's
-/// code path (via the parallel facade's delegation contract).
+/// Reduced exhaustive pass.
 MultiResult reduced_run(const CompiledNet& compiled,
-                        const MultiQuery& query, std::size_t threads) {
+                        const MultiQuery& query) {
     ReachabilityOptions options;
     options.stop_at_first_match = false;
     options.por = true;
-    options.threads = threads;
-    ParallelReachabilityExplorer par(compiled, options);
-    return par.run_query(query);
+    ReachabilityExplorer explorer(compiled, options);
+    return explorer.run_query(query);
 }
 
 /// Re-evaluates a goal at a witness marking (Deadlock goals through the
@@ -137,27 +129,6 @@ void expect_preserves(const Net& net, const QueryBundle& bundle,
     EXPECT_FALSE(full.por.active) << context;
 }
 
-/// The reduced graph is one deterministic object: counters, sets and
-/// stats must be identical whichever engine / thread count explored it.
-void expect_same_reduced_graph(const MultiResult& a, const MultiResult& b,
-                               const std::string& context) {
-    EXPECT_EQ(a.states_explored, b.states_explored) << context;
-    EXPECT_EQ(a.edges_explored, b.edges_explored) << context;
-    EXPECT_EQ(sorted(a.deadlocks), sorted(b.deadlocks)) << context;
-    EXPECT_EQ(violation_set(a.persistence_violations),
-              violation_set(b.persistence_violations))
-        << context;
-    EXPECT_EQ(a.por.expansions, b.por.expansions) << context;
-    EXPECT_EQ(a.por.reduced_expansions, b.por.reduced_expansions)
-        << context;
-    EXPECT_EQ(a.por.proviso_expansions, b.por.proviso_expansions)
-        << context;
-    EXPECT_EQ(a.por.enabled_transitions, b.por.enabled_transitions)
-        << context;
-    EXPECT_EQ(a.por.expanded_transitions, b.por.expanded_transitions)
-        << context;
-}
-
 // -------------------------------------------------------- differential --
 
 TEST(PorDifferential, VerdictsPreservedOnEveryFixture) {
@@ -165,26 +136,16 @@ TEST(PorDifferential, VerdictsPreservedOnEveryFixture) {
         const CompiledNet compiled(fixture.net);
         const QueryBundle bundle(fixture.net);
         const auto full = full_reference(compiled, bundle.query);
-
-        std::optional<MultiResult> baseline;
-        for (const std::size_t threads : kThreadCounts) {
-            const std::string context =
-                fixture.name + " reduced @" + std::to_string(threads) + "t";
-            const auto red = reduced_run(compiled, bundle.query, threads);
-            expect_preserves(fixture.net, bundle, full, red, context);
-            if (baseline) {
-                expect_same_reduced_graph(*baseline, red, context);
-            } else {
-                baseline = red;
-            }
-        }
+        const auto red = reduced_run(compiled, bundle.query);
+        expect_preserves(fixture.net, bundle, full, red,
+                         fixture.name + " reduced");
     }
 }
 
 TEST(PorDifferential, RandomizedFuzzer24Seeds) {
     // 24 seeded random models across the three topology classes, reduced
-    // vs full at every thread count. On mismatch the scoped trace names
-    // the failing seed and topology to replay.
+    // vs full. On mismatch the scoped trace names the failing seed and
+    // topology to replay.
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         const Fixture fixture = fuzz_fixture(seed);
         SCOPED_TRACE("fuzz seed=" + std::to_string(seed) +
@@ -193,20 +154,10 @@ TEST(PorDifferential, RandomizedFuzzer24Seeds) {
         const QueryBundle bundle(fixture.net);
         const auto full = full_reference(compiled, bundle.query);
         ASSERT_FALSE(full.truncated) << fixture.name;
-
-        std::optional<MultiResult> baseline;
-        for (const std::size_t threads : kThreadCounts) {
-            const std::string context =
-                "fuzz seed=" + std::to_string(seed) + " model=" +
-                fixture.name + " reduced @" + std::to_string(threads) + "t";
-            const auto red = reduced_run(compiled, bundle.query, threads);
-            expect_preserves(fixture.net, bundle, full, red, context);
-            if (baseline) {
-                expect_same_reduced_graph(*baseline, red, context);
-            } else {
-                baseline = red;
-            }
-        }
+        const auto red = reduced_run(compiled, bundle.query);
+        expect_preserves(fixture.net, bundle, full, red,
+                         "fuzz seed=" + std::to_string(seed) + " model=" +
+                             fixture.name + " reduced");
     }
 }
 
@@ -376,7 +327,7 @@ TEST(PorOracle, ReduceMatchesTheReferenceOnEveryReducedState) {
                 walk_reduced_graph(compiled, request_of(*kind.query),
                                    kind.widen, kWalkStates, context);
             if (!walk.complete || !kind.widen) continue;
-            const MultiResult engine = reduced_run(compiled, *kind.query, 1);
+            const MultiResult engine = reduced_run(compiled, *kind.query);
             ASSERT_FALSE(engine.truncated) << context;
             EXPECT_EQ(walk.states, engine.states_explored) << context;
         }
@@ -434,7 +385,7 @@ TEST(PorReduction, DeadlockPassShrinksTheOpeModels) {
         query.collect_deadlocks = true;
 
         const auto full = full_reference(compiled, query);
-        const auto red = reduced_run(compiled, query, 1);
+        const auto red = reduced_run(compiled, query);
         ASSERT_FALSE(full.truncated) << fixture.name;
         ASSERT_FALSE(red.truncated) << fixture.name;
         EXPECT_EQ(sorted(red.deadlocks), sorted(full.deadlocks))
@@ -444,10 +395,6 @@ TEST(PorReduction, DeadlockPassShrinksTheOpeModels) {
         EXPECT_LT(red.states_explored, full.states_explored)
             << fixture.name;
         EXPECT_GT(red.por.ignored(), 0u) << fixture.name;
-
-        // The parallel engine explores the same reduced graph.
-        const auto red4 = reduced_run(compiled, query, 4);
-        expect_same_reduced_graph(red, red4, fixture.name + " @4t");
     }
 }
 
@@ -466,7 +413,7 @@ TEST(PorReduction, FiveStageOpeReducedPassFitsTierOne) {
     query.goals = {&dead};
     query.collect_deadlocks = true;
 
-    const auto red = reduced_run(compiled, query, 1);
+    const auto red = reduced_run(compiled, query);
     ASSERT_FALSE(red.truncated);
     EXPECT_FALSE(red.goals[0].found()) << "5-stage OPE deadlocked";
     EXPECT_TRUE(red.deadlocks.empty());
@@ -475,10 +422,6 @@ TEST(PorReduction, FiveStageOpeReducedPassFitsTierOne) {
     EXPECT_LT(red.states_explored, 120'000u)
         << "reduced 5-stage graph grew an order of magnitude — the "
            "stubborn heuristic regressed";
-
-    // Deterministic reduced graph across engines and thread counts.
-    const auto red4 = reduced_run(compiled, query, 4);
-    expect_same_reduced_graph(red, red4, fixture.name + " @4t");
 }
 
 TEST(PorReduction, SweepGridReducedStateCountsArePinned) {
@@ -486,7 +429,6 @@ TEST(PorReduction, SweepGridReducedStateCountsArePinned) {
     // in tier-1 as well: the verifier's reduced pass over each point.
     verify::VerifyOptions options;
     options.por = true;
-    options.threads = 1;
     for (const SweepPoint& point : kSweepGrid) {
         const auto p =
             ope::build_reconfigurable_ope_dfs(point.stages, point.depth);
@@ -528,13 +470,11 @@ TEST(PorStats, UnknownSupportGoalFallsBackToFullExploration) {
     query.goals = {&opaque};
     const auto full = full_reference(compiled, query);
 
-    for (const std::size_t threads : kThreadCounts) {
-        const auto red = reduced_run(compiled, query, threads);
-        EXPECT_FALSE(red.por.active) << threads;
-        EXPECT_EQ(red.states_explored, full.states_explored) << threads;
-        EXPECT_EQ(red.edges_explored, full.edges_explored) << threads;
-        EXPECT_EQ(red.goals[0].found(), full.goals[0].found()) << threads;
-    }
+    const auto red = reduced_run(compiled, query);
+    EXPECT_FALSE(red.por.active);
+    EXPECT_EQ(red.states_explored, full.states_explored);
+    EXPECT_EQ(red.edges_explored, full.edges_explored);
+    EXPECT_EQ(red.goals[0].found(), full.goals[0].found());
 }
 
 TEST(PorStats, SupportedCustomGoalKeepsReductionActive) {
@@ -549,7 +489,7 @@ TEST(PorStats, SupportedCustomGoalKeepsReductionActive) {
     MultiQuery query;
     query.goals = {&scoped};
     const auto full = full_reference(compiled, query);
-    const auto red = reduced_run(compiled, query, 1);
+    const auto red = reduced_run(compiled, query);
     EXPECT_TRUE(red.por.active);
     EXPECT_EQ(red.goals[0].found(), full.goals[0].found());
     if (red.goals[0].found()) {

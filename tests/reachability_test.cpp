@@ -1,20 +1,24 @@
 // Tests for the compiled reachability engine: CompiledNet agreement with
 // the interpreted Net semantics (full and delta builds), the single-pass
-// multi-goal API, truncation semantics, witness determinism, and the
-// first-match witness guarantee.
+// multi-goal API, truncation semantics, witness determinism, the
+// first-match witness guarantee, the naive-oracle differentials over the
+// fixture zoo, the stop hook's edge bound, and the memory accounting
+// surfaced through verify::Verifier / flow::Design.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "dfs_helpers.hpp"
+#include "flow/design.hpp"
+#include "ope/dfs_models.hpp"
 #include "petri/compiled.hpp"
 #include "petri/net.hpp"
-#include "petri/parallel.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
 #include "petri_fixtures.hpp"
@@ -228,21 +232,12 @@ TEST(Incremental, DeltaCompiledNetMatchesFullBuild) {
     const auto result =
         ReachabilityExplorer(delta, options).run_query(bundle.query);
     testfx::expect_identical_passes(child_net, reference, result,
-                                    "delta vs full, seq");
-
-    options.threads = 4;
-    const auto par_reference =
-        ParallelReachabilityExplorer(full, options).run_query(bundle.query);
-    const auto par_result =
-        ParallelReachabilityExplorer(delta, options).run_query(bundle.query);
-    testfx::expect_identical_passes(child_net, par_reference, par_result,
-                                    "delta vs full, par");
+                                    "delta vs full");
 
     // A parent of a different structure falls back to a full rebuild.
     const Net other = depth_net(2, 2);
     const CompiledNet unrelated(other);
     const CompiledNet fallback(child_net, unrelated);
-    options.threads = 1;
     const auto fb_result =
         ReachabilityExplorer(fallback, options).run_query(bundle.query);
     testfx::expect_identical_passes(
@@ -640,6 +635,165 @@ TEST(Reachability, PeakMemoryCapturesMidPassFrontierSpike) {
                                   sizeof(std::uint64_t);
     EXPECT_LT(result.memory.peak_bytes,
               result.memory.resident_bytes + every_row);
+}
+
+// ------------------------------------------------ naive-oracle zoo --
+
+/// The fixture zoo plus the 24 seeded fuzz topologies.
+std::vector<testfx::Fixture> zoo_and_fuzz_fixtures() {
+    std::vector<testfx::Fixture> fixtures = testfx::all_fixtures();
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        fixtures.push_back(testfx::fuzz_fixture(seed));
+    }
+    return fixtures;
+}
+
+TEST(CompactStore, DifferentialZooAgainstTheNaiveOracle) {
+    // The engine on its compact store layout against the naive oracle:
+    // the interpreted Net semantics with nothing shared with the engine.
+    // The zoo and the 24 fuzz seeds must reproduce its states, edges and
+    // deadlock set exactly.
+    MultiQuery query;
+    query.collect_deadlocks = true;
+    for (const testfx::Fixture& fixture : zoo_and_fuzz_fixtures()) {
+        const testfx::NaiveAnswer naive = testfx::naive_explore(fixture.net);
+        const CompiledNet compiled(fixture.net);
+        ReachabilityOptions options;
+        options.stop_at_first_match = false;
+        const MultiResult result =
+            ReachabilityExplorer(compiled, options).run_query(query);
+        EXPECT_FALSE(result.truncated) << fixture.name;
+        EXPECT_EQ(result.states_explored, naive.states) << fixture.name;
+        EXPECT_EQ(result.edges_explored, naive.edges) << fixture.name;
+        EXPECT_EQ(testfx::sorted(result.deadlocks), naive.deadlocks)
+            << fixture.name;
+        EXPECT_EQ(result.memory.records, naive.states) << fixture.name;
+    }
+}
+
+TEST(PersistenceOracle, ViolationSetsMatchTheNaiveOracle) {
+    // The engine reports violations through its persistence scan
+    // (CompiledNet::disables against the head's enabled set). The naive
+    // oracle fires every enabled pair under the interpreted Net semantics
+    // instead. Full passes (no POR), every violation kept, the zoo and
+    // the 24 fuzz seeds.
+    MultiQuery query;
+    query.check_persistence = true;
+    ASSERT_EQ(query.persistence_max_violations, SIZE_MAX);
+    std::size_t total = 0;
+    for (const testfx::Fixture& fixture : zoo_and_fuzz_fixtures()) {
+        const testfx::NaiveAnswer naive =
+            testfx::naive_explore(fixture.net, true);
+        total += naive.violations.size();
+        const CompiledNet compiled(fixture.net);
+        ReachabilityOptions options;
+        options.stop_at_first_match = false;
+        const MultiResult result =
+            ReachabilityExplorer(compiled, options).run_query(query);
+        EXPECT_FALSE(result.truncated) << fixture.name;
+        EXPECT_EQ(result.states_explored, naive.states) << fixture.name;
+        EXPECT_EQ(testfx::violation_set(result.persistence_violations),
+                  naive.violations)
+            << fixture.name;
+    }
+    EXPECT_GT(total, 0u) << "no fixture has a violation to compare";
+}
+
+// ------------------------------------------------------- stop hook ------
+
+TEST(StopHook, FiresWithinEdgeBoundOnReducedPasses) {
+    // Regression: the stop hook used to be polled on interned *states*
+    // only (every 2048), so a heavily POR-reduced pass — few fresh
+    // states, many edges — could run far past its deadline. The engine
+    // also polls every 256 expanded edges; with a hook that trips right
+    // after its first call the pass must stop within a small edge
+    // budget, nowhere near the fixture's full reduced exploration.
+    const testfx::Fixture fixture = testfx::ope_fixture(3, 3);
+    const CompiledNet compiled(fixture.net);
+    MultiQuery query;
+    query.collect_deadlocks = true;
+
+    std::atomic<std::size_t> calls{0};
+    ReachabilityOptions options;
+    options.stop_at_first_match = false;
+    options.por = true;
+    options.stop = [&calls] {
+        return calls.fetch_add(1, std::memory_order_relaxed) >= 1;
+    };
+    ReachabilityExplorer explorer(compiled, options);
+    const auto result = explorer.run_query(query);
+    EXPECT_TRUE(result.truncated);
+    // Polls at head & 2047 == 0 states AND every 256 edges, so after the
+    // hook trips at most 256 edges can pass.
+    EXPECT_LE(result.edges_explored, 512u) << "edge poll missed its bound";
+}
+
+// ----------------------------------------------------- memory contract --
+
+TEST(MemoryDiet, CacheDropsEnabledShareAndKeepsResultsBitIdentical) {
+    // The frontier-only enabled-set cache: records carry the marking and
+    // the witness meta word only — the enabled bitsets live in a row
+    // arena whose blocks are released behind the frontier — and the
+    // results stay bit-identical whether the explorer is fresh or reused
+    // (a reused explorer re-runs on its cleared store).
+    const testfx::Fixture fixture = testfx::ope_fixture(3, 3);
+    const CompiledNet compiled(fixture.net);
+    const testfx::QueryBundle bundle(fixture.net);
+
+    ReachabilityOptions options;
+    options.stop_at_first_match = false;
+    ReachabilityExplorer explorer(compiled, options);
+    const auto first = explorer.run_query(bundle.query);
+    const auto again = explorer.run_query(bundle.query);
+    const auto fresh =
+        ReachabilityExplorer(compiled, options).run_query(bundle.query);
+    testfx::expect_identical_passes(fixture.net, first, again,
+                                    "ope_s3_d3 reused explorer");
+    testfx::expect_identical_passes(fixture.net, first, fresh,
+                                    "ope_s3_d3 fresh explorer");
+
+    // Record bytes are (marking + 1 meta word) per state. Block
+    // granularity makes the measured count approximate; 5% covers it at
+    // 191k states. Keeping the rows in the records instead would add
+    // enabled_words() words to every one of them.
+    const std::size_t mwords = compiled.marking_words();
+    const std::size_t twords = compiled.enabled_words();
+    const MemoryStats& memory = first.memory;
+    const std::size_t states = first.states_explored;
+    EXPECT_EQ(memory.records, states);
+    const double expected_records =
+        static_cast<double>(states * (mwords + 1) * sizeof(std::uint64_t));
+    EXPECT_NEAR(static_cast<double>(memory.record_bytes) / expected_records,
+                1.0, 0.05)
+        << "records must not carry enabled words";
+    EXPECT_LT(memory.resident_bytes,
+              states * (mwords + 1 + twords) * sizeof(std::uint64_t) +
+                  memory.store.table_bytes);
+    EXPECT_GE(memory.peak_bytes, memory.resident_bytes);
+}
+
+TEST(MemoryDiet, StatsSurfaceThroughVerifierAndDesign) {
+    // memory_stats() rides the facades: std::nullopt before any
+    // exploration, then populated by verify() with the engine's
+    // footprint.
+    flow::Design design(ope::build_reconfigurable_ope_dfs(3, 3));
+    EXPECT_FALSE(design.memory_stats().has_value());
+    const auto report = design.verify();
+    ASSERT_TRUE(report.clean());
+    ASSERT_TRUE(design.memory_stats().has_value());
+    const auto stats = *design.memory_stats();
+    EXPECT_EQ(stats.records, report.findings[0].states_explored);
+    EXPECT_GT(stats.record_bytes, 0u);
+    EXPECT_GT(stats.resident_bytes, stats.record_bytes);
+    EXPECT_GE(stats.peak_bytes, stats.resident_bytes);
+
+    // The enabled bitsets never live in the records (the memory diet):
+    // record bytes stay below what in-record rows would need.
+    const CompiledNet& compiled = design.compiled_net();
+    EXPECT_LT(stats.record_bytes,
+              stats.records *
+                  (compiled.marking_words() + 1 + compiled.enabled_words()) *
+                  sizeof(std::uint64_t));
 }
 
 }  // namespace

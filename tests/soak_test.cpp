@@ -17,17 +17,16 @@
 #include "ope/dfs_models.hpp"
 #include "petri/checkpoint.hpp"
 #include "petri/compiled.hpp"
-#include "petri/parallel.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
 
 namespace rap::petri {
 namespace {
 
-/// Reachable markings of build_reconfigurable_ope_dfs(4, 4), measured by
-/// the sequential engine and pinned here: the parallel pass must
-/// reproduce it exactly, making the soak a differential test at a scale
-/// the tier-1 fixtures cannot afford.
+/// Reachable markings of build_reconfigurable_ope_dfs(4, 4), pinned here:
+/// every nightly pass — fresh or resumed from the previous night's
+/// checkpoint — must reproduce them exactly, a scale the tier-1 fixtures
+/// cannot afford.
 constexpr std::size_t kFourStageOpeStates = 19'095'912;
 constexpr std::size_t kFourStageOpeEdges = 137'589'840;
 
@@ -44,16 +43,18 @@ TEST(Soak, FourStageOpeExploresNineteenMillionStates) {
     ReachabilityOptions options;
     options.max_states = 25'000'000;
     options.stop_at_first_match = false;
-    options.threads = 4;  // pinned: the parallel engine even on 1 core
 
-    // RAP_SOAK_CHECKPOINT=<path>: serialize a StoreCheckpoint there every
-    // BFS layer and, when the previous nightly left one behind (the CI
-    // job restores it from the artifact store), resume from it — the
-    // continued pass must land on exactly the same pinned counts, which
-    // makes every nightly a checkpoint/resume differential at full scale.
+    // RAP_SOAK_CHECKPOINT=<path>: serialize a StoreCheckpoint there and,
+    // when the previous nightly left one behind (the CI job restores it
+    // from the cache), resume from it — the continued pass must land on
+    // exactly the same pinned counts, which makes every nightly a
+    // checkpoint/resume differential at full scale. Every save writes
+    // the whole store (up to ~600 MB here), so the cadence keeps a full
+    // pass to 9 saves.
     const char* ckpt_path = std::getenv("RAP_SOAK_CHECKPOINT");
     if (ckpt_path != nullptr) {
         options.checkpoint_path = ckpt_path;
+        options.checkpoint_every = 2'000'000;
         if (std::ifstream(ckpt_path, std::ios::binary).good()) {
             options.resume = std::make_shared<const StoreCheckpoint>(
                 StoreCheckpoint::load(ckpt_path));
@@ -66,11 +67,11 @@ TEST(Soak, FourStageOpeExploresNineteenMillionStates) {
                             options.resume->record_count));
         }
     }
-    ParallelReachabilityExplorer explorer(compiled, options);
+    ReachabilityExplorer explorer(compiled, options);
 
-    // Deadlock goal + collection keeps the canonical-min witness
-    // maintenance on the hot path at full scale (a bare explore would
-    // skip it).
+    // Deadlock goal + collection keeps goal evaluation and deadlock
+    // collection on the hot path at full scale (a bare explore would
+    // skip both).
     const Predicate dead = Predicate::deadlock();
     MultiQuery query;
     query.goals = {&dead};
@@ -83,10 +84,10 @@ TEST(Soak, FourStageOpeExploresNineteenMillionStates) {
     EXPECT_FALSE(result.goals[0].found()) << "4-stage OPE deadlocked";
     EXPECT_TRUE(result.deadlocks.empty());
 
-    // Memory diet acceptance: records carry marking + 2 witness meta
-    // words; the pre-diet layout kept the enabled bitset in every record
+    // Memory diet acceptance: records carry marking + 1 witness meta
+    // word; the pre-diet layout kept the enabled bitset in every record
     // too. Resident record bytes must be >= 35% below that layout.
-    const std::size_t record_words = compiled.marking_words() + 2;
+    const std::size_t record_words = compiled.marking_words() + 1;
     const std::size_t pre_diet_bytes =
         result.memory.records *
         (record_words + compiled.enabled_words()) * sizeof(std::uint64_t);
@@ -113,7 +114,7 @@ TEST(Soak, FourStageOpeExploresNineteenMillionStates) {
     // checkpoint must never overwrite — or resume from — the full pass's.
     options.checkpoint_path.clear();
     options.resume = nullptr;
-    ParallelReachabilityExplorer reduced_explorer(compiled, options);
+    ReachabilityExplorer reduced_explorer(compiled, options);
     const auto reduced = reduced_explorer.run_query(query);
     EXPECT_FALSE(reduced.truncated);
     EXPECT_FALSE(reduced.goals[0].found());

@@ -148,11 +148,9 @@ TEST(Sweep, ThreeAxisSweepDedupsBeforeCompileAndMatchesSerialRuns) {
             << row.point.label;
 
         // Differential: a serial Design session over the same factory
-        // output, same options shape (sequential engine, same reduction
-        // default as the sweep), must agree verdict-for-verdict and
-        // state-for-state.
+        // output, same options shape (same reduction default as the
+        // sweep), must agree verdict-for-verdict and state-for-state.
         DesignOptions serial_options = base;
-        serial_options.verify.threads = 1;
         serial_options.verify.por = true;
         const auto design = make_design(
             ope_style_factory(row.point.stages, row.point.depth),
@@ -250,10 +248,9 @@ TEST(Sweep, CancelStopsCallbacksAndDrainsPool) {
 // findings are truncated (inconclusive), while the sweep carries on.
 TEST(Sweep, PerConfigTimeoutMarksRowTimedOut) {
     // The real 3-stage reconfigurable OPE (~191k states) cannot finish
-    // in a millisecond; the sequential engine polls the stop hook every
-    // 2048 expansions.
+    // in a millisecond; the engine polls the stop hook every 2048
+    // expansions.
     DesignOptions base;
-    base.verify.threads = 1;
     const std::vector<SweepResult> rows = Sweep::ope(base)
                                               .stages({3})
                                               .depths({3})
