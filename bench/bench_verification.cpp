@@ -4,18 +4,10 @@
 // This harness verifies the corrected OPE models at every depth and then
 // seeds the classes of initialisation bugs the paper describes, showing
 // the checker finds each one with a witness trace.
-//
-// It also races the compiled reachability engine (CompiledNet + interned
-// arena marking store, single-pass multi-property verification) against
-// the seed's naive explicit-state BFS on the largest pipeline model, in
-// states/second.
 
 #include <cstdio>
-#include <deque>
-#include <unordered_map>
 
 #include "bench_util.hpp"
-#include "dfs/translate.hpp"
 #include "ope/dfs_models.hpp"
 #include "pipeline/builder.hpp"
 #include "util/table.hpp"
@@ -28,45 +20,6 @@ using namespace rap;
 const char* verdict(const verify::Finding& f) {
     if (f.truncated) return "inconclusive";
     return f.violated ? "VIOLATED" : "ok";
-}
-
-/// The seed engine, verbatim in spirit: full transition rescan per state
-/// via enabled_transitions() (a fresh vector each call), one heap-backed
-/// Marking copy per edge, std::unordered_map interning.
-struct NaiveStats {
-    std::size_t states = 0;
-    std::size_t edges = 0;
-};
-
-NaiveStats naive_explore(const petri::Net& net) {
-    // Mirrors the seed's ReachabilityExplorer::run() exploration loop:
-    // markings stored in both the visit-order vector and the hash map,
-    // a contains() probe before every emplace, and a full Marking copy
-    // per expanded state.
-    NaiveStats stats;
-    std::vector<petri::Marking> order;
-    std::unordered_map<petri::Marking, std::size_t, util::BitVecHash> seen;
-    std::deque<std::size_t> frontier;
-    const petri::Marking m0 = net.initial_marking();
-    order.push_back(m0);
-    seen.emplace(m0, 0);
-    frontier.push_back(0);
-    while (!frontier.empty()) {
-        const std::size_t index = frontier.front();
-        frontier.pop_front();
-        const petri::Marking current = order[index];
-        for (petri::TransitionId t : net.enabled_transitions(current)) {
-            petri::Marking next = current;
-            net.fire(next, t);
-            ++stats.edges;
-            if (seen.contains(next)) continue;
-            seen.emplace(next, order.size());
-            order.push_back(std::move(next));
-            frontier.push_back(order.size() - 1);
-        }
-    }
-    stats.states = order.size();
-    return stats;
 }
 
 }  // namespace
@@ -103,52 +56,6 @@ int main() {
     check_clean(ope::build_reconfigurable_ope_dfs(3, 3).graph);
     std::printf("corrected models (single-pass verify_all):\n%s\n",
                 clean.to_ascii().c_str());
-
-    // Engine head-to-head on the largest pipeline model we explore
-    // explicitly: seed-style naive BFS vs the compiled engine.
-    std::printf("reachability engine head-to-head:\n");
-    util::Table race({"model", "engine", "states", "edges", "time [ms]",
-                      "states/s"});
-    double naive_rate = 0.0;
-    double compiled_rate = 0.0;
-    {
-        // The largest pipeline model explored explicitly here: the full
-        // 3-stage reconfigurable OPE (~191k states; 4 stages is already
-        // ~19M and naive BFS needs minutes on it).
-        const auto p = ope::build_reconfigurable_ope_dfs(3, 3);
-        const auto tr = dfs::to_petri(p.graph);
-
-        bench::Stopwatch naive_watch;
-        const auto naive = naive_explore(tr.net);
-        const double naive_s = naive_watch.elapsed_s();
-        naive_rate = static_cast<double>(naive.states) / naive_s;
-        race.add_row({p.graph.name(), "naive BFS (seed)",
-                      std::to_string(naive.states),
-                      std::to_string(naive.edges),
-                      util::Table::num(naive_s * 1e3, 1),
-                      util::Table::num(naive_rate, 0)});
-
-        petri::ReachabilityExplorer explorer(tr.net);
-        bench::Stopwatch compiled_watch;
-        const auto result = explorer.explore_all();
-        const double compiled_s = compiled_watch.elapsed_s();
-        compiled_rate =
-            static_cast<double>(result.states_explored) / compiled_s;
-        race.add_row({p.graph.name(), "compiled",
-                      std::to_string(result.states_explored),
-                      std::to_string(result.edges_explored),
-                      util::Table::num(compiled_s * 1e3, 1),
-                      util::Table::num(compiled_rate, 0)});
-
-        if (naive.states != result.states_explored) {
-            std::printf("ENGINE MISMATCH: %zu vs %zu states\n",
-                        naive.states, result.states_explored);
-            return 1;
-        }
-    }
-    std::printf("%s\n", race.to_ascii().c_str());
-    std::printf("compiled engine speedup: %.1fx states/s\n\n",
-                compiled_rate / naive_rate);
 
     // Seeded initialisation bugs.
     util::Table bugs({"seeded bug", "property", "found", "witness trace "

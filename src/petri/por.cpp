@@ -50,7 +50,8 @@ void PorContext::mark_enabledness_support_visible(std::uint32_t transition) {
 }
 
 PorContext::PorContext(const CompiledNet& compiled,
-                       const PorRequest& request)
+                       const PorRequest& request,
+                       const std::uint64_t* checked_pairs)
     : words_(compiled.enabled_words()) {
     const Net& net = compiled.net();
     const std::size_t T = compiled.transition_count();
@@ -139,8 +140,7 @@ PorContext::PorContext(const CompiledNet& compiled,
     // Visibility. A transition is visible when its firing can change a
     // watched predicate: for goals, the togglers of the declared support
     // places; for persistence, the togglers of the enabledness support
-    // (require ∪ forbid) of both members of every non-exempt pair that
-    // can statically conflict.
+    // (require ∪ forbid) of both members of every pair the pass checks.
     visible_.assign(words_, 0);
     for (const Predicate* goal : request.goals) {
         if (goal == nullptr) continue;
@@ -154,17 +154,11 @@ PorContext::PorContext(const CompiledNet& compiled,
         proviso_ = true;
         support_marked_.assign(T, 0);
         for (std::uint32_t t = 0; t < T; ++t) {
-            for_each_member(
-                compiled.disables(TransitionId{t}), words_,
-                [&](std::uint32_t u) {
-                    if (request.persistence_exempt &&
-                        request.persistence_exempt(net, TransitionId{t},
-                                                   TransitionId{u})) {
-                        return;
-                    }
-                    mark_enabledness_support_visible(t);
-                    mark_enabledness_support_visible(u);
-                });
+            for_each_member(checked_pairs + std::size_t{t} * words_, words_,
+                            [&](std::uint32_t u) {
+                                mark_enabledness_support_visible(t);
+                                mark_enabledness_support_visible(u);
+                            });
         }
     }
 }

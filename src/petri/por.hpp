@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "petri/compiled.hpp"
@@ -35,25 +34,14 @@ struct PorStats {
     std::size_t ignored() const noexcept {
         return enabled_transitions - expanded_transitions;
     }
-
-    void merge(const PorStats& other) noexcept {
-        active = active || other.active;
-        expansions += other.expansions;
-        reduced_expansions += other.reduced_expansions;
-        proviso_expansions += other.proviso_expansions;
-        enabled_transitions += other.enabled_transitions;
-        expanded_transitions += other.expanded_transitions;
-    }
 };
 
 /// What a pass needs preserved, distilled from MultiQuery by the engine:
 /// the goal predicates drive the visibility condition, persistence adds
-/// the conflict-pair visibility and the exempt filter.
+/// the visibility of the pairs the pass checks.
 struct PorRequest {
     std::vector<const Predicate*> goals;
     bool check_persistence = false;
-    std::function<bool(const Net&, TransitionId, TransitionId)>
-        persistence_exempt;
 };
 
 /// Property-aware stubborn-set (ample/persistent-set) reduction for the
@@ -101,7 +89,11 @@ struct PorRequest {
 /// derived from it — is a deterministic function of net and query.
 class PorContext {
 public:
-    PorContext(const CompiledNet& compiled, const PorRequest& request);
+    /// `checked_pairs` is read when request.check_persistence: one
+    /// enabled_words()-wide row per transition t holding the u whose
+    /// disabling by t the pass reports (the engine's checked-pair rows).
+    PorContext(const CompiledNet& compiled, const PorRequest& request,
+               const std::uint64_t* checked_pairs);
 
     /// False when some goal predicate has unknown support places — the
     /// pass cannot tell which transitions are visible to it, so the

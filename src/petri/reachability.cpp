@@ -42,6 +42,31 @@ TransitionId bit_transition(std::size_t word, std::uint64_t bits) {
         word * kWordBits + static_cast<std::size_t>(std::countr_zero(bits)))};
 }
 
+/// The persistence pairs a pass checks, one enabled_words()-wide row per
+/// transition t: CompiledNet::disables(t) minus the pairs the query
+/// exempts, asked once per structural pair.
+std::vector<std::uint64_t> checked_pairs(const CompiledNet& compiled,
+                                         const MultiQuery& query) {
+    const std::size_t words = compiled.enabled_words();
+    std::vector<std::uint64_t> rows(compiled.transition_count() * words);
+    for (std::uint32_t t = 0; t < compiled.transition_count(); ++t) {
+        const std::uint64_t* disables = compiled.disables(TransitionId{t});
+        std::uint64_t* row = rows.data() + std::size_t{t} * words;
+        for (std::size_t w = 0; w < words; ++w) {
+            row[w] = disables[w];
+            if (!query.persistence_exempt) continue;
+            for (std::uint64_t bits = disables[w]; bits != 0;
+                 bits &= bits - 1) {
+                if (query.persistence_exempt(compiled.net(), TransitionId{t},
+                                             bit_transition(w, bits))) {
+                    row[w] &= ~(std::uint64_t{1} << std::countr_zero(bits));
+                }
+            }
+        }
+    }
+    return rows;
+}
+
 /// The footprint results and ExplorationAborted carry: the store's
 /// records and table geometry, the bytes resident now, and the peak
 /// (never below the resident figure).
@@ -137,12 +162,10 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     const std::size_t mwords = compiled_->marking_words();
     const std::size_t twords = compiled_->enabled_words();
     const std::size_t cap = std::max<std::size_t>(options_.max_states, 1);
-    // Every goal matched ends the pass: no other question needs the rest
-    // of the graph.
-    const bool can_early_stop = options_.stop_at_first_match &&
-                                !query.collect_deadlocks &&
-                                !query.check_persistence &&
-                                !query.goals.empty();
+    // The pairs the persistence scan and the POR visibility both read.
+    const std::vector<std::uint64_t> checked =
+        query.check_persistence ? checked_pairs(*compiled_, query)
+                                : std::vector<std::uint64_t>{};
 
     // Stubborn-set reduction of this pass; absent when off or fallen back
     // to full exploration (a goal with unknown support), so `if (por)` is
@@ -152,8 +175,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
         PorRequest request;
         request.goals = query.goals;
         request.check_persistence = query.check_persistence;
-        request.persistence_exempt = query.persistence_exempt;
-        por.emplace(*compiled_, request);
+        por.emplace(*compiled_, request, checked.data());
         if (!por->active()) por.reset();
     }
 
@@ -168,6 +190,19 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     std::vector<StoreCheckpoint::Violation> violations;
     std::size_t edges = 0;
     PorStats por_stats;
+
+    auto collecting = [&] {
+        return query.check_persistence &&
+               violations.size() < query.persistence_max_violations;
+    };
+    // The stop rule: a stop_at_first_match pass with a question to answer
+    // ends once every goal has matched and the violations it asked for
+    // are in. Deadlock collection needs the whole graph.
+    auto answered = [&] {
+        return options_.stop_at_first_match && !query.collect_deadlocks &&
+               (!query.goals.empty() || query.check_persistence) &&
+               unmatched == 0 && !collecting();
+    };
 
     std::vector<std::uint64_t> child(std::max<std::size_t>(mwords, 1), 0);
     Marking scratch(net.place_count());  // predicate evaluation view
@@ -207,7 +242,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
             }
             if (match) {
                 goal_hit[g] = id;
-                if (--unmatched == 0 && can_early_stop) stop = true;
+                if (--unmatched == 0 && answered()) stop = true;
             }
         }
     };
@@ -248,7 +283,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
         start_head = static_cast<std::uint32_t>(ckpt.head);
         next_layer_begin =
             static_cast<std::uint32_t>(ckpt.next_layer_begin);
-        if (can_early_stop && unmatched == 0) stop = true;
+        if (answered()) stop = true;
         // Enabled rows are derived data: skip the (released, never read
         // again) prefix and recompute only the live frontier's rows.
         enabled_store.skip_to(start_head);
@@ -302,17 +337,6 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
         ckpt.save(options_.checkpoint_path);
     };
 
-    // Persistence under reduction is checked per STATE over the full
-    // enabled set (the bitsets are always maintained in full — POR only
-    // masks which bits get expanded), so every reduced-reachable state
-    // reports exactly the violations the full engine finds there.
-    // Without POR the check rides on the expansion edges.
-    const bool prepass = por && query.check_persistence;
-    auto collecting = [&] {
-        return query.check_persistence &&
-               violations.size() < query.persistence_max_violations;
-    };
-
     // The BFS frontier is implicit: ids are dense discovery-order
     // indices and the queue is FIFO, so the frontier is exactly the id
     // range [head, store_.size()).
@@ -347,33 +371,35 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
         }
         const std::uint64_t* marking = store_[head];
         const std::uint64_t* enabled = enabled_store[head];
-        bool fresh_seen = false;
 
-        // Persistence along the edge head --t-->: every other transition
-        // enabled at head whose enabling t withdraws is a violation
-        // unless the query exempts the pair. With t and u both enabled,
-        // t disables u exactly when CompiledNet::disables says so, so the
-        // scan needs no successor marking and is one AND per word.
-        auto scan_persistence = [&](TransitionId t) {
-            const std::uint64_t* disables = compiled_->disables(t);
+        // Persistence at head, over the full enabled set (POR only masks
+        // which bits get expanded, so a reduced pass reports at each state
+        // it reaches exactly what a full pass reports there). With t and
+        // u both enabled, t disables u exactly when CompiledNet::disables
+        // says so, so the scan of t needs no successor marking and is one
+        // AND per word with t's checked-pair row.
+        auto scan_persistence = [&] {
             for (std::size_t w = 0; w < twords; ++w) {
-                for (std::uint64_t hit = enabled[w] & disables[w]; hit != 0;
-                     hit &= hit - 1) {
-                    const TransitionId u = bit_transition(w, hit);
-                    if (query.persistence_exempt &&
-                        query.persistence_exempt(net, t, u)) {
-                        continue;
+                for (std::uint64_t bits = enabled[w]; bits != 0;
+                     bits &= bits - 1) {
+                    const TransitionId t = bit_transition(w, bits);
+                    const std::uint64_t* row =
+                        checked.data() + std::size_t{t.value} * twords;
+                    for (std::size_t v = 0; v < twords; ++v) {
+                        for (std::uint64_t hit = enabled[v] & row[v];
+                             hit != 0; hit &= hit - 1) {
+                            violations.push_back(
+                                {head, t.value, bit_transition(v, hit).value});
+                            if (!collecting()) return;
+                        }
                     }
-                    violations.push_back({head, t.value, u.value});
-                    if (query.persistence_stop_at_first) {
-                        stop = true;
-                        return;
-                    }
-                    if (!collecting()) return;
                 }
             }
         };
+        if (collecting()) scan_persistence();
+        if (answered()) break;
 
+        bool fresh_seen = false;
         auto expand_edge = [&](TransitionId t) {
             // Edge-counter stop poll: the head poll above fires every
             // 2048 *states*, which a heavily reduced (or truncated-at-
@@ -387,11 +413,6 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
             ++edges;
             copy_words(child.data(), marking, mwords);
             compiled_->fire(child.data(), t);
-
-            if (!prepass && collecting()) {
-                scan_persistence(t);
-                if (stop) return;
-            }
 
             const auto interned = store_.intern(child.data(), cap);
             if (interned.id == MarkingStore::kNone) {
@@ -434,17 +455,6 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
             }
             return fresh_seen || stop;
         };
-
-        if (prepass && collecting()) {
-            for (std::size_t w = 0; w < twords && !stop && collecting();
-                 ++w) {
-                for (std::uint64_t word = enabled[w];
-                     word != 0 && !stop && collecting(); word &= word - 1) {
-                    scan_persistence(bit_transition(w, word));
-                }
-            }
-            if (stop) break;
-        }
 
         // The reduction choice for this expansion, with its PorStats
         // accounting. The choice depends only on (marking, enabled set).

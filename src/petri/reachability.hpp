@@ -31,9 +31,9 @@ struct Trace {
 struct ReachabilityOptions {
     /// Exploration stops (with `truncated = true`) beyond this many states.
     std::size_t max_states = 2'000'000;
-    /// When set, exploration stops at the first marking satisfying the
-    /// goal predicate (for multi-goal queries: once every goal matched)
-    /// instead of exhausting the state space.
+    /// When set, exploration stops once the query is answered (the rule
+    /// is on MultiQuery::persistence_max_violations) instead of
+    /// exhausting the state space.
     bool stop_at_first_match = true;
     /// Not read (one engine thread); perfbench/perfbench.cpp still sets it.
     std::size_t threads = 0;
@@ -152,17 +152,23 @@ struct MultiQuery {
     std::vector<const Predicate*> goals;
     /// Collect every deadlocked marking (find_deadlocks semantics).
     bool collect_deadlocks = false;
-    /// Check output persistence along every explored edge.
+    /// Check output persistence at every explored state, over its full
+    /// enabled set: each enabled u whose enabling an enabled t withdraws
+    /// is a violation (t, u) unless the pair is exempt. Violations come
+    /// in state order, then t, then u. A pass truncated mid-state still
+    /// reports that state's violations for every enabled transition.
     bool check_persistence = false;
     /// Transition pairs for which mutual disabling is *intended* choice
     /// (e.g. the Mt+/Mf+ pair of a control register models an input
-    /// choice, not a hazard). Returns true when the pair is exempt.
+    /// choice, not a hazard). Returns true when the pair is exempt. Asked
+    /// once per structural pair (u in CompiledNet::disables(t)) when a
+    /// persistence pass starts, never during the scan.
     std::function<bool(const Net&, TransitionId, TransitionId)>
         persistence_exempt;
-    /// Stop the whole exploration at the first persistence violation.
-    bool persistence_stop_at_first = false;
-    /// Keep at most this many violations (exploration continues so other
-    /// questions still get exact answers).
+    /// Keep at most this many violations. A stop_at_first_match pass that
+    /// does not collect deadlocks ends once every goal has matched and
+    /// this many violations are in; with the default it never stops for
+    /// persistence.
     std::size_t persistence_max_violations = SIZE_MAX;
 };
 

@@ -51,11 +51,6 @@ std::string_view trim(std::string_view text) {
     return text.substr(b, e - b);
 }
 
-bool starts_with(std::string_view text, std::string_view prefix) {
-    return text.size() >= prefix.size() &&
-           text.substr(0, prefix.size()) == prefix;
-}
-
 std::string identifier(std::string_view name) {
     std::string out;
     out.reserve(name.size());

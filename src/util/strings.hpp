@@ -19,9 +19,6 @@ std::vector<std::string> split(std::string_view text, char sep);
 /// Removes leading/trailing ASCII whitespace.
 std::string_view trim(std::string_view text);
 
-/// True iff `text` starts with `prefix`.
-bool starts_with(std::string_view text, std::string_view prefix);
-
 /// Sanitises an arbitrary model name into a Verilog/DOT-safe identifier:
 /// alphanumerics kept, everything else mapped to '_', prefixed if needed.
 std::string identifier(std::string_view name);

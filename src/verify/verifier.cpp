@@ -177,21 +177,18 @@ std::optional<petri::Predicate> Verifier::control_conflict_predicate()
                                     std::move(support));
 }
 
-bool Verifier::persistence_exempt(const petri::Net& net,
+bool Verifier::persistence_exempt(const dfs::Translation& translation,
                                   petri::TransitionId a,
                                   petri::TransitionId b) {
     // Intended choices: the Mt_x+ / Mf_x+ pair of the same node, i.e. the
     // non-deterministic outcome of a data-dependent predicate (Fig. 4).
-    const std::string& na = net.transition_name(a);
-    const std::string& nb = net.transition_name(b);
-    const bool a_plus =
-        (util::starts_with(na, "Mt_") || util::starts_with(na, "Mf_")) &&
-        na.back() == '+';
-    const bool b_plus =
-        (util::starts_with(nb, "Mt_") || util::starts_with(nb, "Mf_")) &&
-        nb.back() == '+';
-    if (!a_plus || !b_plus) return false;
-    return na.substr(3) == nb.substr(3);
+    const auto& ea = translation.event(a);
+    const auto& eb = translation.event(b);
+    const auto marks = [](dfs::EventKind kind) {
+        return kind == dfs::EventKind::MarkTrue ||
+               kind == dfs::EventKind::MarkFalse;
+    };
+    return ea.node == eb.node && marks(ea.kind) && marks(eb.kind);
 }
 
 namespace {
@@ -211,7 +208,7 @@ Finding trivially_safe_conflict_finding(std::size_t states_explored,
 Report Verifier::run_spec(const Spec& spec, bool stop_at_first) const {
     // One exploration answers every requested property: deadlock,
     // control-conflict and any custom predicates as multi-goal
-    // reachability, persistence along the explored edges. With more than
+    // reachability, persistence at the explored states. With more than
     // one open question the pass runs to exhaustion — early exit on one
     // property would leave the others unanswered — but keeps only the
     // first persistence counterexample.
@@ -229,12 +226,11 @@ Report Verifier::run_spec(const Spec& spec, bool stop_at_first) const {
     }
     if (spec.wants_persistence()) {
         query.check_persistence = true;
-        query.persistence_exempt = &Verifier::persistence_exempt;
-        if (stop_at_first) {
-            query.persistence_stop_at_first = true;
-        } else {
-            query.persistence_max_violations = 1;
-        }
+        query.persistence_exempt = [&tr = model_->translation()](
+                                       const petri::Net&, auto a, auto b) {
+            return persistence_exempt(tr, a, b);
+        };
+        query.persistence_max_violations = 1;
     }
 
     petri::MultiResult multi;

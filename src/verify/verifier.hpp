@@ -148,6 +148,13 @@ public:
     /// evaluation outcome is a choice, not a hazard).
     Finding check_persistence() const;
 
+    /// The pairs check_persistence exempts, read off the translation's
+    /// event map: the MarkTrue/MarkFalse (Mt+/Mf+) transitions of one
+    /// node.
+    static bool persistence_exempt(const dfs::Translation& translation,
+                                   petri::TransitionId a,
+                                   petri::TransitionId b);
+
     /// Reachability of a custom Reach-style predicate.
     Finding check_custom(const petri::Predicate& predicate,
                          std::string description) const;
@@ -203,9 +210,6 @@ private:
     /// The control-conflict Reach predicate; nullopt when no node has
     /// multiple controls (trivially safe, nothing to explore).
     std::optional<petri::Predicate> control_conflict_predicate() const;
-    static bool persistence_exempt(const petri::Net& net,
-                                   petri::TransitionId a,
-                                   petri::TransitionId b);
 
     Report run_spec(const Spec& spec, bool stop_at_first) const;
     petri::MultiResult run_exploration(const petri::MultiQuery& query,

@@ -230,10 +230,10 @@ TEST(Predicate, DescriptionComposes) {
 // -------------------------------------------------------- persistence --
 
 /// A persistence-only pass on the sequential engine, stopping at the
-/// first violation.
+/// first violation (stop_at_first_match with one violation asked for).
 MultiResult persistence_pass(const Net& net, MultiQuery query = {}) {
     query.check_persistence = true;
-    query.persistence_stop_at_first = true;
+    query.persistence_max_violations = 1;
     return ReachabilityExplorer(net).run_query(query);
 }
 

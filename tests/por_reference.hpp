@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -30,9 +31,14 @@ inline bool word_bit(const std::uint64_t* words, std::uint32_t i) {
 }
 
 /// The static tables of one (net, request): the same relations
-/// PorContext documents, kept as sorted adjacency lists.
+/// PorContext documents, kept as sorted adjacency lists. A persistence
+/// request checks every structural pair that `exempt` (when set) does
+/// not name, asked pair by pair here rather than read off rows.
 struct ReferencePor {
-    ReferencePor(const Net& net, const PorRequest& request)
+    ReferencePor(
+        const Net& net, const PorRequest& request,
+        const std::function<bool(const Net&, TransitionId, TransitionId)>&
+            exempt = {})
         : transitions(net.transition_count()),
           enabled_words((net.transition_count() + 63) / 64) {
         active = transitions >= 2;
@@ -105,9 +111,8 @@ struct ReferencePor {
             proviso = true;
             for (std::uint32_t t = 0; t < T; ++t) {
                 for (std::uint32_t u : forward[t]) {
-                    if (request.persistence_exempt &&
-                        request.persistence_exempt(net, TransitionId{t},
-                                                   TransitionId{u})) {
+                    if (exempt &&
+                        exempt(net, TransitionId{t}, TransitionId{u})) {
                         continue;
                     }
                     mark_support(t);

@@ -96,7 +96,7 @@ void expect_preserves(const Net& net, const QueryBundle& bundle,
     }
 
     // Persistence: same verdict, and every reduced violation is one the
-    // full pass found too (the prepass checks full-graph edges at
+    // full pass found too (the scan checks full-graph edges at
     // reduced-reachable states, so red ⊆ full).
     EXPECT_EQ(red.persistence_violations.empty(),
               full.persistence_violations.empty())
@@ -186,8 +186,28 @@ PorRequest request_of(const MultiQuery& query) {
     PorRequest request;
     request.goals = query.goals;
     request.check_persistence = query.check_persistence;
-    request.persistence_exempt = query.persistence_exempt;
     return request;
+}
+
+/// The checked-pair rows the engine hands PorContext for `query`:
+/// CompiledNet::disables minus the pairs the query exempts.
+std::vector<std::uint64_t> checked_pairs(const CompiledNet& compiled,
+                                         const MultiQuery& query) {
+    const std::size_t T = compiled.transition_count();
+    const std::size_t words = compiled.enabled_words();
+    std::vector<std::uint64_t> rows(T * words, 0);
+    for (std::uint32_t t = 0; t < T; ++t) {
+        for (std::uint32_t u = 0; u < T; ++u) {
+            if (!word_bit(compiled.disables(TransitionId{t}), u)) continue;
+            if (query.persistence_exempt &&
+                query.persistence_exempt(compiled.net(), TransitionId{t},
+                                         TransitionId{u})) {
+                continue;
+            }
+            rows[t * words + u / 64] |= std::uint64_t{1} << (u % 64);
+        }
+    }
+    return rows;
 }
 
 /// How far one oracle walk goes, and what it saw.
@@ -196,7 +216,7 @@ struct Walk {
     bool complete = false;  ///< the whole reduced graph was walked
 };
 
-/// Walks the reduced graph for `request` in BFS layers, expanding the
+/// Walks the reduced graph for `query` in BFS layers, expanding the
 /// ample set wherever reduce() finds one, and checks at every state that
 /// PorContext::reduce returns the reference's (found, ample) pair. With
 /// `widen`, a visibility-sensitive state whose stubborn successors all
@@ -205,10 +225,13 @@ struct Walk {
 /// explore; without it, the walk reaches other states. Stops after
 /// `max_states` states.
 Walk walk_reduced_graph(const CompiledNet& compiled,
-                        const PorRequest& request, bool widen,
+                        const MultiQuery& query, bool widen,
                         std::size_t max_states, const std::string& context) {
-    const PorContext por(compiled, request);
-    const ReferencePor reference(compiled.net(), request);
+    const PorRequest request = request_of(query);
+    const std::vector<std::uint64_t> rows = checked_pairs(compiled, query);
+    const PorContext por(compiled, request, rows.data());
+    const ReferencePor reference(compiled.net(), request,
+                                 query.persistence_exempt);
     EXPECT_EQ(por.active(), reference.active) << context;
     if (!por.active() || !reference.active) return {};
     EXPECT_EQ(por.proviso_needed(), reference.proviso) << context;
@@ -323,9 +346,8 @@ TEST(PorOracle, ReduceMatchesTheReferenceOnEveryReducedState) {
         };
         for (const auto& kind : kinds) {
             const std::string context = fixture.name + " " + kind.name;
-            const Walk walk =
-                walk_reduced_graph(compiled, request_of(*kind.query),
-                                   kind.widen, kWalkStates, context);
+            const Walk walk = walk_reduced_graph(
+                compiled, *kind.query, kind.widen, kWalkStates, context);
             if (!walk.complete || !kind.widen) continue;
             const MultiResult engine = reduced_run(compiled, *kind.query);
             ASSERT_FALSE(engine.truncated) << context;
@@ -348,12 +370,12 @@ TEST(PorOracle, ReduceMatchesTheReferenceOnTheSweepGrid) {
         const dfs::Translation translation = dfs::to_petri(p.graph);
         const CompiledNet compiled(translation.net);
         const QueryBundle bundle(translation.net);
-        PorRequest deadlock_only;
+        MultiQuery deadlock_only;
         deadlock_only.goals.push_back(&bundle.dead);
-        PorRequest goals;
+        MultiQuery goals;
         goals.goals.assign(bundle.query.goals.begin(),
                            bundle.query.goals.end());
-        PorRequest persistence;
+        MultiQuery persistence;
         persistence.check_persistence = true;
         const Walk walk = walk_reduced_graph(
             compiled, deadlock_only, true, point.states + 1,

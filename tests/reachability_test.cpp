@@ -699,6 +699,58 @@ TEST(PersistenceOracle, ViolationSetsMatchTheNaiveOracle) {
     EXPECT_GT(total, 0u) << "no fixture has a violation to compare";
 }
 
+TEST(PersistenceOracle, FirstViolationStopMatchesTheExhaustivePass) {
+    // The one stop rule: under stop_at_first_match, a pass asking for one
+    // violation ends once it is in. It must be exactly the exhaustive
+    // pass's first violation, and a reduced pass must agree on the
+    // verdict.
+    MultiQuery every;
+    every.check_persistence = true;
+    MultiQuery first = every;
+    first.persistence_max_violations = 1;
+    std::size_t compared = 0;
+    for (const testfx::Fixture& fixture : zoo_and_fuzz_fixtures()) {
+        const CompiledNet compiled(fixture.net);
+        ReachabilityOptions exhaustive;
+        exhaustive.stop_at_first_match = false;
+        const MultiResult all =
+            ReachabilityExplorer(compiled, exhaustive).run_query(every);
+        ASSERT_FALSE(all.truncated) << fixture.name;
+        if (all.persistence_violations.empty()) continue;
+        ++compared;
+
+        ReachabilityOptions stopping;
+        ASSERT_TRUE(stopping.stop_at_first_match);
+        const MultiResult stopped =
+            ReachabilityExplorer(compiled, stopping).run_query(first);
+        EXPECT_FALSE(stopped.truncated) << fixture.name;
+        // The violating state enables at least two transitions and is
+        // never expanded.
+        EXPECT_LT(stopped.edges_explored, all.edges_explored)
+            << fixture.name << ": the pass did not stop at its violation";
+        ASSERT_EQ(stopped.persistence_violations.size(), 1u) << fixture.name;
+        const PersistenceViolation& got = stopped.persistence_violations[0];
+        const PersistenceViolation& want = all.persistence_violations[0];
+        EXPECT_EQ(got.marking, want.marking) << fixture.name;
+        EXPECT_EQ(got.fired, want.fired) << fixture.name;
+        EXPECT_EQ(got.disabled, want.disabled) << fixture.name;
+        EXPECT_EQ(got.trace_to_marking.firings, want.trace_to_marking.firings)
+            << fixture.name;
+
+        stopping.por = true;
+        const MultiResult reduced =
+            ReachabilityExplorer(compiled, stopping).run_query(first);
+        EXPECT_FALSE(reduced.truncated) << fixture.name;
+        ASSERT_EQ(reduced.persistence_violations.size(), 1u) << fixture.name;
+        const auto keys = testfx::violation_set(all.persistence_violations);
+        EXPECT_TRUE(std::binary_search(
+            keys.begin(), keys.end(),
+            testfx::violation_set(reduced.persistence_violations).front()))
+            << fixture.name << ": reduced violation not in the full set";
+    }
+    EXPECT_GT(compared, 0u) << "no fixture has a violation to compare";
+}
+
 // ------------------------------------------------------- stop hook ------
 
 TEST(StopHook, FiresWithinEdgeBoundOnReducedPasses) {

@@ -176,11 +176,6 @@ TEST(Strings, TrimRemovesWhitespaceOnly) {
     EXPECT_EQ(trim("   "), "");
 }
 
-TEST(Strings, StartsWith) {
-    EXPECT_TRUE(starts_with("hello", "he"));
-    EXPECT_FALSE(starts_with("he", "hello"));
-}
-
 TEST(Strings, IdentifierSanitises) {
     EXPECT_EQ(identifier("a-b.c"), "a_b_c");
     EXPECT_EQ(identifier("2x"), "n2x");

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "dfs/translate.hpp"
 #include "dfs_helpers.hpp"
+#include "ope/dfs_models.hpp"
+#include "petri/compiled.hpp"
+#include "pipeline/builder.hpp"
+#include "pipeline/wagging.hpp"
 #include "verify/verifier.hpp"
 
 namespace rap::verify {
@@ -97,6 +105,92 @@ TEST(Verifier, PersistenceHoldsForFig1b) {
     const Verifier verifier(m.graph);
     const Finding finding = verifier.check_persistence();
     EXPECT_FALSE(finding.violated) << finding.to_string();
+}
+
+/// The reference exemption rule over transition names: "Mt_x+" and
+/// "Mf_x+" of the same node x.
+bool name_rule_exempt(const petri::Net& net, petri::TransitionId a,
+                      petri::TransitionId b) {
+    const auto choice = [](const std::string& name) {
+        return (name.starts_with("Mt_") || name.starts_with("Mf_")) &&
+               name.back() == '+';
+    };
+    const std::string& na = net.transition_name(a);
+    const std::string& nb = net.transition_name(b);
+    return choice(na) && choice(nb) && na.substr(3) == nb.substr(3);
+}
+
+TEST(Verifier, PersistenceExemptionMatchesTheNameRule) {
+    // Over every structural pair (u in CompiledNet::disables(t)) of the
+    // paper's models, the event-map rule exempts exactly the pairs the
+    // name rule exempts; the exempt / structural counts are pinned.
+    struct Model {
+        std::string name;
+        Graph graph;
+        std::size_t exempt;
+        std::size_t pairs;
+    };
+    std::vector<Model> models;
+    models.push_back({"fig1b", make_fig1b().graph, 6, 75});
+    models.push_back({"ope_s3_d3",
+                      ope::build_reconfigurable_ope_dfs(3, 3).graph, 30, 448});
+    models.push_back({"ope_s4_d4",
+                      ope::build_reconfigurable_ope_dfs(4, 4).graph, 48, 683});
+    models.push_back({"ope_s6_d6",
+                      ope::build_reconfigurable_ope_dfs(6, 6).graph, 84,
+                      1'153});
+    models.push_back(
+        {"ope_static_s2", ope::build_static_ope_dfs(2).graph, 0, 74});
+    Graph wagging("wagging");
+    pipeline::add_wagging_stage(wagging, "w", wagging.add_register("in"));
+    models.push_back({"wagging", std::move(wagging), 32, 390});
+    auto gap = ope::build_reconfigurable_ope_dfs(3, 3);
+    pipeline::reset_ring(gap.graph, gap.stages[1].global_ring,
+                         TokenValue::False);
+    models.push_back({"ope_gap", std::move(gap.graph), 30, 448});
+
+    for (const Model& model : models) {
+        const dfs::Translation tr = dfs::to_petri(model.graph);
+        const petri::CompiledNet compiled(tr.net);
+        std::size_t pairs = 0;
+        std::size_t exempt = 0;
+        for (std::uint32_t t = 0; t < compiled.transition_count(); ++t) {
+            const std::uint64_t* row =
+                compiled.disables(petri::TransitionId{t});
+            for (std::uint32_t u = 0; u < compiled.transition_count(); ++u) {
+                if (((row[u / 64] >> (u % 64)) & 1) == 0) continue;
+                const petri::TransitionId a{t};
+                const petri::TransitionId b{u};
+                const bool by_name = name_rule_exempt(tr.net, a, b);
+                ++pairs;
+                exempt += by_name ? 1 : 0;
+                EXPECT_EQ(Verifier::persistence_exempt(tr, a, b), by_name)
+                    << model.name << ": " << tr.net.transition_name(a)
+                    << " / " << tr.net.transition_name(b);
+            }
+        }
+        EXPECT_EQ(pairs, model.pairs) << model.name;
+        EXPECT_EQ(exempt, model.exempt) << model.name;
+    }
+}
+
+TEST(Verifier, WaggingPersistenceWitnessIsPinned) {
+    // The wagging stage is not persistent. A persistence-only check stops
+    // at its first violation, with and without reduction, at the same
+    // state count and witness length.
+    for (const bool por : {false, true}) {
+        Graph g("wagging");
+        pipeline::add_wagging_stage(g, "w", g.add_register("in"));
+        VerifyOptions options;
+        options.por = por;
+        const Verifier verifier(g, options);
+        const Finding finding = verifier.check_persistence();
+        EXPECT_TRUE(finding.violated) << "por=" << por;
+        EXPECT_FALSE(finding.truncated) << "por=" << por;
+        EXPECT_EQ(finding.states_explored, 8'038u) << "por=" << por;
+        EXPECT_EQ(finding.trace.size(), 17u) << "por=" << por;
+        EXPECT_EQ(verifier.explorations_run(), 1u) << "por=" << por;
+    }
 }
 
 TEST(Verifier, CustomPredicateReachable) {
