@@ -31,36 +31,7 @@ TimedSimulator::TimedSimulator(const dfs::Dynamics& dynamics,
       schedule_(std::move(schedule)),
       timeline_(schedule_, model_),
       leakage_gates_(leakage_gates) {
-    const dfs::Graph& graph = dynamics.graph();
-    assert(timing_.size() == graph.node_count());
-
-    // Dense event enumeration.
-    node_event_begin_.resize(graph.node_count() + 1, 0);
-    for (dfs::NodeId n : graph.nodes()) {
-        node_event_begin_[n.value] =
-            static_cast<std::uint32_t>(events_.size());
-        for (const dfs::Event& e : dynamics.node_events(n)) {
-            events_.push_back(e);
-        }
-    }
-    node_event_begin_[graph.node_count()] =
-        static_cast<std::uint32_t>(events_.size());
-
-    // Affected-set: nodes whose event enabledness can change when `n`
-    // changes state — n itself plus its direct and register-level
-    // neighbourhood (all the sets the enabling equations quantify over).
-    affected_.resize(graph.node_count());
-    for (dfs::NodeId n : graph.nodes()) {
-        std::vector<std::uint32_t>& set = affected_[n.value];
-        set.push_back(n.value);
-        for (const std::vector<dfs::NodeId>* neighbours :
-             {&graph.preset(n), &graph.postset(n), &graph.r_preset(n),
-              &graph.r_postset(n)}) {
-            for (dfs::NodeId m : *neighbours) set.push_back(m.value);
-        }
-        std::sort(set.begin(), set.end());
-        set.erase(std::unique(set.begin(), set.end()), set.end());
-    }
+    assert(timing_.size() == dynamics.graph().node_count());
 }
 
 void TimedSimulator::set_seed(std::uint64_t seed) { seed_ = seed; }
@@ -92,11 +63,13 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
     // candidate indices with lazy deletion so the arbitration scan only
     // touches currently-enabled events. work_scale holds the jitter
     // factor drawn when the event last became enabled; completion the
-    // event's finish time, valid while it stays enabled.
-    std::vector<double> enabled_since(events_.size(), kInf);
-    std::vector<double> work_scale(events_.size(), 1.0);
-    std::vector<double> completion(events_.size(), kInf);
-    std::vector<char> in_list(events_.size(), 0);
+    // event's finish time, valid while it stays enabled. All are indexed
+    // by the Dynamics event table.
+    const std::uint32_t event_count = dynamics_->event_count();
+    std::vector<double> enabled_since(event_count, kInf);
+    std::vector<double> work_scale(event_count, 1.0);
+    std::vector<double> completion(event_count, kInf);
+    std::vector<char> in_list(event_count, 0);
     std::vector<std::uint32_t> candidates;
     double now = 0.0;
 
@@ -104,11 +77,12 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
     /// work (completion daisy-chain cost read off the live state, jitter
     /// off the factor drawn at enabling) integrated over the supply.
     auto finish_time = [&](std::uint32_t i) {
-        const NodeTiming& t = timing_[events_[i].node.value];
+        const dfs::NodeId node = dynamics_->event(i).node;
+        const NodeTiming& t = timing_[node.value];
         double work = t.delay_s;
         if (t.delay_per_true_input_s > 0) {
             int real_inputs = 0;
-            for (const dfs::NodeId p : graph.preset(events_[i].node)) {
+            for (const dfs::NodeId p : graph.preset(node)) {
                 if (!graph.is_logic(p) && state.marked_true(graph, p)) {
                     ++real_inputs;
                 }
@@ -118,17 +92,16 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
         return timeline_.finish_time(enabled_since[i], work * work_scale[i]);
     };
 
-    // Cached completion times stay exact: a firing changes only the fired
-    // node's state, and a register's refresh set holds its postset, so
-    // every node whose work counts that register is refreshed and, if
-    // its work reads live state, recomputed.
-    auto refresh_node = [&](std::uint32_t node) {
-        const bool is_stuck = faults.stuck(node);
-        const bool reads_state = timing_[node].delay_per_true_input_s > 0;
-        for (std::uint32_t i = node_event_begin_[node];
-             i < node_event_begin_[node + 1]; ++i) {
+    // Re-tests a node's events: a newly enabled one draws its jitter and
+    // joins the candidate list, a disabled one is cancelled. The visiting
+    // order (ascending node id, table order within a node) fixes the
+    // order of the jitter draws and of the candidate list, whose order
+    // breaks ties in the arbitration scan.
+    auto refresh_node = [&](dfs::NodeId node) {
+        const bool is_stuck = faults.stuck(node.value);
+        for (const std::uint32_t i : dynamics_->node_event_indices(node)) {
             const bool enabled =
-                !is_stuck && dynamics_->is_enabled(state, events_[i]);
+                !is_stuck && dynamics_->is_enabled(state, i);
             if (enabled && enabled_since[i] == kInf) {
                 enabled_since[i] = now;
                 work_scale[i] = faults.draw_work_scale();
@@ -139,22 +112,10 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
                 }
             } else if (!enabled) {
                 enabled_since[i] = kInf;  // inertial cancel
-            } else if (reads_state) {
-                completion[i] = finish_time(i);
             }
         }
     };
-    for (std::uint32_t n = 0; n < graph.node_count(); ++n) refresh_node(n);
-
-    /// Event index of a forced stimulus event (UINT32_MAX when the node
-    /// has no such phase — a malformed stimulus).
-    auto find_event = [&](const dfs::Event& e) -> std::uint32_t {
-        for (std::uint32_t i = node_event_begin_[e.node.value];
-             i < node_event_begin_[e.node.value + 1]; ++i) {
-            if (events_[i].kind == e.kind) return i;
-        }
-        return UINT32_MAX;
-    };
+    for (const dfs::NodeId n : graph.nodes()) refresh_node(n);
 
     // Power-trace accumulation.
     std::vector<double> bin_dynamic;  // dynamic energy per bin
@@ -178,8 +139,9 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
         if (forcing) {
             // Witness replay: the next stimulus event fires next, at the
             // time it would normally complete, regardless of races.
-            const std::uint32_t i = find_event(stimulus_[next_forced]);
-            if (i == UINT32_MAX || enabled_since[i] == kInf) {
+            const std::uint32_t i =
+                dynamics_->event_index(stimulus_[next_forced]);
+            if (i == dfs::Dynamics::kNoEvent || enabled_since[i] == kInf) {
                 stats.stimulus_stalled = true;
                 break;
             }
@@ -230,7 +192,7 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
         // conceptually, pick by coin flip instead of timing noise. A
         // forced stimulus scripts the polarity, so its race is not
         // re-drawn.
-        dfs::Event event = events_[best];
+        dfs::Event event = dynamics_->event(best);
         if (!forcing && (event.kind == dfs::EventKind::MarkTrue ||
                          event.kind == dfs::EventKind::MarkFalse)) {
             const bool is_free_choice =
@@ -289,10 +251,19 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
             ++stats.marks[event.node.value];
         }
 
-        // A kStuck action froze the node; refresh_node sees it via
-        // faults.stuck() and retires its pending phases with the rest.
-        for (const std::uint32_t node : affected_[event.node.value]) {
+        // Only readers(n) can change enabledness. n is one of them, so a
+        // kStuck action that froze it retires its pending phases here.
+        for (const dfs::NodeId node : dynamics_->readers(event.node)) {
             refresh_node(node);
+        }
+        // Cached completion times stay exact: a firing changes only the
+        // fired node's state, so the only finish times it moves are those
+        // of postset nodes whose work counts their preset's real tokens.
+        for (const dfs::NodeId node : graph.postset(event.node)) {
+            if (timing_[node.value].delay_per_true_input_s <= 0) continue;
+            for (const std::uint32_t i : dynamics_->node_event_indices(node)) {
+                if (enabled_since[i] != kInf) completion[i] = finish_time(i);
+            }
         }
     }
 

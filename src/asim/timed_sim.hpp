@@ -96,10 +96,13 @@ struct TimedStats {
 /// Races are inertial: an event disabled before completion is cancelled
 /// and restarts its timer on re-enabling.
 ///
-/// A run keeps each enabled event's completion time instead of
+/// A run indexes its per-event bookkeeping by the Dynamics event table and
+/// tests enabling through its compiled cubes. After node n fires it
+/// re-tests the events of readers(n) only, the nodes whose conditions
+/// read n. It keeps each enabled event's completion time instead of
 /// re-integrating it per step: it is computed when the event enables or
-/// a drop restarts its timer, and recomputed when a neighbour fires only
-/// for nodes with delay_per_true_input_s > 0, whose work reads their
+/// a drop restarts its timer, and recomputed when n fires only for n's
+/// postset nodes with delay_per_true_input_s > 0, whose work reads their
 /// preset registers.
 class TimedSimulator {
 public:
@@ -130,8 +133,10 @@ public:
     /// stimulus). Each forced event fires at the time it would normally
     /// complete; free-choice races obey the scripted polarity instead of
     /// the bias coin. If a forced event is not enabled when its turn
-    /// comes the run stops with TimedStats::stimulus_stalled. After the
-    /// list is exhausted the run continues under normal arbitration.
+    /// comes (or its node never emits its kind) the run stops with
+    /// TimedStats::stimulus_stalled; a node outside the graph throws
+    /// std::out_of_range. After the list is exhausted the run continues
+    /// under normal arbitration.
     void set_stimulus(std::vector<dfs::Event> forced);
 
     /// Enables power-trace sampling with the given bin width.
@@ -158,11 +163,6 @@ private:
     std::vector<dfs::Event> stimulus_;
     std::optional<double> trace_bin_s_;
     std::optional<std::size_t> event_trace_cap_;
-
-    // Dense event table: all potential events of all nodes.
-    std::vector<dfs::Event> events_;
-    std::vector<std::uint32_t> node_event_begin_;  // per node, into events_
-    std::vector<std::vector<std::uint32_t>> affected_;  // node -> node ids
 };
 
 }  // namespace rap::asim

@@ -1,7 +1,9 @@
 #include "dfs/dynamics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
 
 namespace rap::dfs {
 
@@ -19,22 +21,266 @@ std::string_view to_string(EventKind kind) {
 
 Dynamics::Dynamics(const Graph& graph) : graph_(&graph) {
     graph.ensure_valid();
+    compile();
+}
+
+void Dynamics::check_node(NodeId n) const {
+    if (n.value >= graph_->node_count()) {
+        throw std::out_of_range("dfs::Dynamics: node id " +
+                                std::to_string(n.value) +
+                                " is outside the graph");
+    }
 }
 
 std::vector<Event> Dynamics::node_events(NodeId n) const {
-    switch (graph_->kind(n)) {
-        case NodeKind::Logic:
-            return {{n, EventKind::LogicEvaluate}, {n, EventKind::LogicReset}};
-        case NodeKind::Register:
-            return {{n, EventKind::Mark}, {n, EventKind::Unmark}};
+    check_node(n);
+    std::vector<Event> out;
+    for (const std::uint32_t i : node_event_indices(n)) {
+        out.push_back(rows_[i].event);
+    }
+    return out;
+}
+
+// ---------------------------------------------------------------------------
+// The compiled event table
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The events each node kind emits, in node_events order.
+std::span<const EventKind> emitted_kinds(NodeKind kind) {
+    static constexpr EventKind kLogic[] = {EventKind::LogicEvaluate,
+                                           EventKind::LogicReset};
+    static constexpr EventKind kRegister[] = {EventKind::Mark,
+                                              EventKind::Unmark};
+    static constexpr EventKind kDynamic[] = {
+        EventKind::MarkTrue, EventKind::MarkFalse, EventKind::Unmark};
+    switch (kind) {
+        case NodeKind::Logic: return kLogic;
+        case NodeKind::Register: return kRegister;
         case NodeKind::Control:
         case NodeKind::Push:
-        case NodeKind::Pop:
-            return {{n, EventKind::MarkTrue},
-                    {n, EventKind::MarkFalse},
-                    {n, EventKind::Unmark}};
+        case NodeKind::Pop: return kDynamic;
     }
     return {};
+}
+
+}  // namespace
+
+void Dynamics::compile() {
+    const Graph& g = *graph_;
+    const std::size_t n = g.node_count();
+    constexpr std::size_t kWordBits = util::BitVec::kWordBits;
+
+    // The cube under construction, dense over the state words; end_cube()
+    // appends its non-empty words as terms. Literals name State's layout
+    // [C | M | T], one section of n bits each.
+    std::vector<std::uint64_t> set(util::BitVec::words_for_bits(3 * n));
+    std::vector<std::uint64_t> clear(set.size());
+    auto literal = [&](std::size_t bit, bool value) {
+        (value ? set : clear)[bit / kWordBits] |= std::uint64_t{1}
+                                                  << (bit % kWordBits);
+    };
+    auto c = [&](NodeId x, bool v) { literal(x.value, v); };
+    auto m = [&](NodeId x, bool v) { literal(n + x.value, v); };
+    auto t = [&](NodeId x, bool v) { literal(2 * n + x.value, v); };
+    auto end_cube = [&] {
+        for (std::uint32_t w = 0; w < set.size(); ++w) {
+            if (set[w] | clear[w]) terms_.push_back({set[w], clear[w], w});
+            set[w] = clear[w] = 0;
+        }
+    };
+
+    // Literal groups, one per term of the equations below.
+    auto preset_logic = [&](NodeId x, bool evaluated) {
+        for (NodeId k : g.preset(x)) {
+            if (g.is_logic(k)) c(k, evaluated);
+        }
+    };
+    auto r_preset = [&](NodeId x, bool marked) {
+        for (NodeId q : g.r_preset(x)) m(q, marked);
+    };
+    auto r_preset_pushes_true = [&](NodeId x) {
+        for (NodeId q : g.r_preset(x)) {
+            if (g.kind(q) == NodeKind::Push) t(q, true);
+        }
+    };
+    auto r_postset_unmarked = [&](NodeId x) {
+        for (NodeId q : g.r_postset(x)) m(q, false);
+    };
+    auto r_postset_took_token = [&](NodeId x) {
+        const bool x_is_control = g.kind(x) == NodeKind::Control;
+        for (NodeId q : g.r_postset(x)) {
+            m(q, true);
+            if (g.kind(q) != NodeKind::Pop) continue;
+            const auto& cpre = g.control_preset(q);
+            if (!x_is_control ||
+                !std::binary_search(cpre.begin(), cpre.end(), x)) {
+                t(q, true);
+            }
+        }
+    };
+    auto mark_set = [&](NodeId x) {
+        preset_logic(x, true);
+        r_preset(x, true);
+        r_preset_pushes_true(x);
+        r_postset_unmarked(x);
+    };
+    auto mark_reset = [&](NodeId x) {
+        preset_logic(x, false);
+        r_preset(x, false);
+        r_postset_took_token(x);
+    };
+    /// Every control marked with the token that, after the arc's
+    /// inversion, reads `polarity`. Validation gives every push and pop
+    /// a control, so false_controlled's "at least one" holds by
+    /// structure; a control without one makes a free choice (Eq. 5).
+    auto controlled = [&](NodeId x, bool polarity) {
+        const auto& controls = g.control_preset(x);
+        const auto& inverted = g.control_preset_inversion(x);
+        for (std::size_t i = 0; i < controls.size(); ++i) {
+            m(controls[i], true);
+            t(controls[i], polarity != inverted[i]);
+        }
+    };
+
+    node_first_.reserve(n + 1);
+    for (NodeId x : g.nodes()) {
+        node_first_.push_back(static_cast<std::uint32_t>(rows_.size()));
+        const NodeKind kind = g.kind(x);
+        for (const EventKind k : emitted_kinds(kind)) {
+            Row row{{x, k}, static_cast<std::uint32_t>(terms_.size()), 0, 0};
+            const bool splits_on_token =
+                k == EventKind::Unmark &&
+                (kind == NodeKind::Push || kind == NodeKind::Pop);
+            switch (k) {
+                case EventKind::LogicEvaluate:
+                    // Eq. 1 + 3: preset logic evaluated, preset registers
+                    // marked, directly preceding pushes with real tokens.
+                    c(x, false);
+                    for (NodeId p : g.preset(x)) {
+                        if (g.is_logic(p)) {
+                            c(p, true);
+                        } else {
+                            m(p, true);
+                            if (g.kind(p) == NodeKind::Push) t(p, true);
+                        }
+                    }
+                    break;
+                case EventKind::LogicReset:
+                    // Eq. 1 + 3: preset logic reset, preset registers
+                    // unmarked.
+                    c(x, true);
+                    for (NodeId p : g.preset(x)) {
+                        if (g.is_logic(p)) {
+                            c(p, false);
+                        } else {
+                            m(p, false);
+                        }
+                    }
+                    break;
+                case EventKind::Mark:
+                    m(x, false);
+                    mark_set(x);
+                    break;
+                case EventKind::MarkTrue:
+                    m(x, false);
+                    controlled(x, true);
+                    mark_set(x);
+                    break;
+                case EventKind::MarkFalse:
+                    m(x, false);
+                    controlled(x, false);
+                    if (kind == NodeKind::Control) {
+                        mark_set(x);
+                    } else if (kind == NodeKind::Push) {
+                        // Consumes and destroys the incoming token: the
+                        // R-postset is never involved.
+                        preset_logic(x, true);
+                        r_preset(x, true);
+                        r_preset_pushes_true(x);
+                    } else {
+                        // A pop produces an empty token: output space only.
+                        r_postset_unmarked(x);
+                    }
+                    break;
+                case EventKind::Unmark:
+                    m(x, true);
+                    if (!splits_on_token) {
+                        mark_reset(x);
+                        break;
+                    }
+                    // Push and pop: a real token (T) behaves statically...
+                    t(x, true);
+                    mark_reset(x);
+                    end_cube();
+                    row.split = static_cast<std::uint32_t>(terms_.size());
+                    // ...a destroyed one (push) leaves without any
+                    // R-postset interaction; an empty one (pop) leaves
+                    // once the R-postset took it and the controls moved
+                    // on, the data preset never involved.
+                    m(x, true);
+                    t(x, false);
+                    if (kind == NodeKind::Push) {
+                        preset_logic(x, false);
+                        r_preset(x, false);
+                    } else {
+                        r_postset_took_token(x);
+                        for (NodeId q : g.control_preset(x)) m(q, false);
+                    }
+                    break;
+            }
+            end_cube();
+            row.end = static_cast<std::uint32_t>(terms_.size());
+            if (!splits_on_token) row.split = row.end;
+            rows_.push_back(row);
+        }
+    }
+    node_first_.push_back(static_cast<std::uint32_t>(rows_.size()));
+
+    // Readers, read off the compiled terms: bit b of the state belongs
+    // to node b mod n. One bitset row per read node collects its readers,
+    // which then come out ascending.
+    const std::size_t row_words = util::BitVec::words_for_bits(n);
+    std::vector<std::uint64_t> read_by(n * row_words);
+    auto add_reader = [&](std::size_t read, std::uint32_t reader) {
+        read_by[read * row_words + reader / kWordBits] |=
+            std::uint64_t{1} << (reader % kWordBits);
+    };
+    for (const Row& row : rows_) {
+        add_reader(row.event.node.value, row.event.node.value);
+        for (std::uint32_t i = row.first; i < row.end; ++i) {
+            const Term& term = terms_[i];
+            for (std::uint64_t bits = term.set | term.clear; bits != 0;
+                 bits &= bits - 1) {
+                const std::size_t bit =
+                    term.word * kWordBits +
+                    static_cast<std::size_t>(std::countr_zero(bits));
+                add_reader(bit % n, row.event.node.value);
+            }
+        }
+    }
+    reader_first_.reserve(n + 1);
+    for (std::size_t read = 0; read < n; ++read) {
+        reader_first_.push_back(static_cast<std::uint32_t>(readers_.size()));
+        for (std::size_t w = 0; w < row_words; ++w) {
+            for (std::uint64_t bits = read_by[read * row_words + w];
+                 bits != 0; bits &= bits - 1) {
+                readers_.push_back(NodeId{static_cast<std::uint32_t>(
+                    w * kWordBits +
+                    static_cast<std::size_t>(std::countr_zero(bits)))});
+            }
+        }
+    }
+    reader_first_.push_back(static_cast<std::uint32_t>(readers_.size()));
+}
+
+std::uint32_t Dynamics::event_index(const Event& e) const {
+    check_node(e.node);
+    for (const std::uint32_t i : node_event_indices(e.node)) {
+        if (rows_[i].event.kind == e.kind) return i;
+    }
+    return kNoEvent;
 }
 
 // ---------------------------------------------------------------------------
@@ -189,101 +435,14 @@ bool Dynamics::mark_reset(const State& s, NodeId r) const {
 // ---------------------------------------------------------------------------
 
 bool Dynamics::is_enabled(const State& s, const Event& e) const {
-    const NodeId n = e.node;
-    switch (e.kind) {
-        case EventKind::LogicEvaluate:
-            return !s.logic_evaluated(n) && eval_set(s, n);
-        case EventKind::LogicReset:
-            return s.logic_evaluated(n) && eval_reset(s, n);
-        case EventKind::Mark:
-            assert(graph_->kind(n) == NodeKind::Register);
-            return !s.marked(n) && mark_set(s, n);
-        case EventKind::Unmark: {
-            if (!s.marked(n)) return false;
-            switch (graph_->kind(n)) {
-                case NodeKind::Register:
-                case NodeKind::Control:
-                    return mark_reset(s, n);
-                case NodeKind::Push:
-                    // A destroyed token (Mf) leaves without any R-postset
-                    // interaction; a real token behaves statically.
-                    if (s.token_true(n)) return mark_reset(s, n);
-                    return preset_logic_reset(s, n) &&
-                           r_preset_unmarked(s, n);
-                case NodeKind::Pop:
-                    // An empty token (Mf) was produced out of thin air: it
-                    // leaves when the R-postset took it and the control
-                    // preset has moved on; the data preset was never
-                    // involved.
-                    if (s.token_true(n)) return mark_reset(s, n);
-                    if (!r_postset_took_token(s, n)) return false;
-                    for (NodeId c : graph_->control_preset(n)) {
-                        if (s.marked(c)) return false;
-                    }
-                    return true;
-                case NodeKind::Logic:
-                    return false;
-            }
-            return false;
-        }
-        case EventKind::MarkTrue: {
-            if (s.marked(n)) return false;
-            switch (graph_->kind(n)) {
-                case NodeKind::Control: {
-                    if (!mark_set(s, n)) return false;
-                    // Eq. 5: copy a True token from upstream controls;
-                    // with no upstream controls the value is a free
-                    // (non-deterministic) data-dependent choice.
-                    const auto& cpre = graph_->control_preset(n);
-                    if (cpre.empty()) return true;
-                    return true_controlled(s, n);
-                }
-                case NodeKind::Push:
-                case NodeKind::Pop:
-                    // Operates as a static register when true-controlled.
-                    return true_controlled(s, n) && mark_set(s, n);
-                default:
-                    return false;
-            }
-        }
-        case EventKind::MarkFalse: {
-            if (s.marked(n)) return false;
-            switch (graph_->kind(n)) {
-                case NodeKind::Control: {
-                    if (!mark_set(s, n)) return false;
-                    const auto& cpre = graph_->control_preset(n);
-                    if (cpre.empty()) return true;
-                    return false_controlled(s, n);
-                }
-                case NodeKind::Push:
-                    // Consumes and destroys an incoming token: needs the
-                    // incoming token (preset logic evaluated, R-preset
-                    // marked with real pushes) but ignores the R-postset —
-                    // nothing will propagate.
-                    return false_controlled(s, n) &&
-                           preset_logic_evaluated(s, n) &&
-                           r_preset_marked(s, n) &&
-                           r_preset_pushes_true(s, n);
-                case NodeKind::Pop:
-                    // Produces an 'empty' token: ignores the data preset
-                    // entirely; needs only output space. The controls are
-                    // marked False by definition of false_controlled.
-                    return false_controlled(s, n) &&
-                           r_postset_unmarked(s, n);
-                default:
-                    return false;
-            }
-        }
-    }
-    return false;
+    const std::uint32_t i = event_index(e);
+    return i != kNoEvent && is_enabled(s, i);
 }
 
 std::vector<Event> Dynamics::enabled_events(const State& s) const {
     std::vector<Event> out;
-    for (NodeId n : graph_->nodes()) {
-        for (const Event& e : node_events(n)) {
-            if (is_enabled(s, e)) out.push_back(e);
-        }
+    for (std::uint32_t i = 0; i < event_count(); ++i) {
+        if (is_enabled(s, i)) out.push_back(rows_[i].event);
     }
     return out;
 }
@@ -313,10 +472,8 @@ void Dynamics::apply(State& s, const Event& e) const {
 }
 
 bool Dynamics::is_deadlocked(const State& s) const {
-    for (NodeId n : graph_->nodes()) {
-        for (const Event& e : node_events(n)) {
-            if (is_enabled(s, e)) return false;
-        }
+    for (std::uint32_t i = 0; i < event_count(); ++i) {
+        if (is_enabled(s, i)) return false;
     }
     return true;
 }

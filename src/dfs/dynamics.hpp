@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +38,25 @@ struct Event {
 /// interpretation notes in DESIGN.md §2). Stateless with respect to the
 /// token game: all queries take the State explicitly, so the same Dynamics
 /// can serve the untimed simulator, the timed simulator and the verifier.
+///
+/// Construction compiles the graph into a dense event table: every node's
+/// node_events(n), in node order, each with its enabling condition as at
+/// most two cubes of (state word, must-be-set mask, must-be-clear mask)
+/// terms over State's [C|M|T] payload words:
+///
+///   enabled(e) <=> some cube of e has, for every term (w, set, clear),
+///                  (s[w] & set) == set && (s[w] & clear) == 0
+///
+/// Only a push or pop Unmark needs two cubes: it splits on the node's own
+/// token (T = 1 behaves statically, T = 0 releases a destroyed or empty
+/// token). Per node the table also keeps its readers: the nodes whose
+/// cubes read one of its bits, so firing n can change the enabledness of
+/// readers(n)'s events only.
+///
+/// Snapshot contract: the table reads the graph's structure only. A
+/// Dynamics must be rebuilt after connect, connect_inverted or any add_*
+/// on its graph; set_initial changes no enabling condition and needs no
+/// rebuild.
 class Dynamics {
 public:
     explicit Dynamics(const Graph& graph);
@@ -42,9 +64,12 @@ public:
     const Graph& graph() const noexcept { return *graph_; }
 
     /// All events a node could ever emit (used to enumerate candidates).
+    /// Throws std::out_of_range for a node outside the graph.
     std::vector<Event> node_events(NodeId n) const;
 
-    /// Enabledness of a single event at a state.
+    /// Enabledness of a single event at a state. False for a kind the
+    /// node never emits; throws std::out_of_range for a node outside the
+    /// graph.
     bool is_enabled(const State& s, const Event& e) const;
 
     /// All enabled events, in node order.
@@ -61,6 +86,46 @@ public:
     /// disabling the node. Returns the first such node.
     std::optional<NodeId> control_conflict(const State& s) const;
 
+    // -- the compiled event table ----------------------------------------
+    // The hot-path reads event(), node_event_indices(), is_enabled(s, i)
+    // and readers() check nothing: they take a row index below
+    // event_count(), a node of the graph and a State of the graph.
+
+    /// event_index() of an event whose node never emits its kind.
+    static constexpr std::uint32_t kNoEvent = UINT32_MAX;
+
+    /// Number of table rows: every node_events(n), in node order.
+    std::uint32_t event_count() const noexcept {
+        return static_cast<std::uint32_t>(rows_.size());
+    }
+    const Event& event(std::uint32_t i) const { return rows_[i].event; }
+
+    /// Table indices of n's events, in node_events(n) order.
+    auto node_event_indices(NodeId n) const {
+        return std::views::iota(node_first_[n.value],
+                                node_first_[n.value + 1]);
+    }
+
+    /// Table index of `e`, or kNoEvent for a kind its node never emits.
+    /// Throws std::out_of_range for a node outside the graph.
+    std::uint32_t event_index(const Event& e) const;
+
+    /// Enabledness of table row `i` at a state.
+    bool is_enabled(const State& s, std::uint32_t i) const noexcept {
+        const std::uint64_t* words = s.bits().word_data();
+        const Row& row = rows_[i];
+        return cube_holds(words, row.first, row.split) ||
+               (row.split != row.end &&
+                cube_holds(words, row.split, row.end));
+    }
+
+    /// Nodes whose cubes read one of n's bits, ascending, n itself
+    /// included: when n fires, only their events can change enabledness.
+    std::span<const NodeId> readers(NodeId n) const noexcept {
+        return {readers_.data() + reader_first_[n.value],
+                readers_.data() + reader_first_[n.value + 1]};
+    }
+
     // -- the equations, exposed for tests and the PN translation -------
     bool eval_set(const State& s, NodeId l) const;    ///< Cd↑(l)
     bool eval_reset(const State& s, NodeId l) const;  ///< Cd↓(l)
@@ -76,6 +141,36 @@ public:
     bool false_controlled(const State& s, NodeId n) const;
 
 private:
+    /// One word of a cube: in state word `word`, the bits of `set` must
+    /// be 1 and the bits of `clear` 0.
+    struct Term {
+        std::uint64_t set;
+        std::uint64_t clear;
+        std::uint32_t word;
+    };
+    /// An event and its condition: cube 0 is terms_[first, split), cube 1
+    /// is terms_[split, end) when that range is non-empty. Every real
+    /// cube reads its own node, so an empty cube 1 means "no second cube".
+    struct Row {
+        Event event;
+        std::uint32_t first;
+        std::uint32_t split;
+        std::uint32_t end;
+    };
+
+    void compile();
+    void check_node(NodeId n) const;  ///< throws std::out_of_range
+
+    bool cube_holds(const std::uint64_t* words, std::uint32_t first,
+                    std::uint32_t last) const noexcept {
+        for (; first < last; ++first) {
+            const Term& t = terms_[first];
+            const std::uint64_t w = words[t.word];
+            if ((~w & t.set) | (w & t.clear)) return false;
+        }
+        return true;
+    }
+
     bool preset_logic_evaluated(const State& s, NodeId n) const;
     bool preset_logic_reset(const State& s, NodeId n) const;
     bool r_preset_marked(const State& s, NodeId n) const;
@@ -89,6 +184,11 @@ private:
     bool preset_pushes_true(const State& s, NodeId l) const;
 
     const Graph* graph_;
+    std::vector<Row> rows_;
+    std::vector<Term> terms_;
+    std::vector<std::uint32_t> node_first_;    // node -> first row; n + 1
+    std::vector<std::uint32_t> reader_first_;  // node -> into readers_
+    std::vector<NodeId> readers_;
 };
 
 }  // namespace rap::dfs

@@ -283,5 +283,26 @@ TEST(TimedSim, PendingWorkFollowsPresetRegisterChanges) {
     EXPECT_EQ(stats.events_log[1].t_s, 7.0);
 }
 
+TEST(TimedSim, StimulusOfAKindTheNodeNeverEmitsStalls) {
+    // A forced event whose node never emits its kind (a mark on a
+    // control register, an evaluate on a register) has no row in the
+    // event table: the replay stops before firing anything.
+    const auto m = make_fig1b();
+    const Dynamics dyn(m.graph);
+    const dfs::Event never_emitted[] = {
+        {m.ctrl, dfs::EventKind::Mark},
+        {m.in, dfs::EventKind::LogicEvaluate}};
+    for (const dfs::Event& bad : never_emitted) {
+        auto sim = make_sim(dyn, uniform_timing(m.graph, 1.0));
+        sim.set_stimulus({bad, {m.in, dfs::EventKind::Mark}});
+        State s = State::initial(m.graph);
+        const auto stats = sim.run(s, RunLimits{});
+        EXPECT_TRUE(stats.stimulus_stalled);
+        EXPECT_EQ(stats.stimulus_fired, 0u);
+        EXPECT_EQ(stats.events, 0u);
+        EXPECT_EQ(s, State::initial(m.graph));
+    }
+}
+
 }  // namespace
 }  // namespace rap::asim

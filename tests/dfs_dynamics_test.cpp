@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "dfs/dynamics.hpp"
 #include "dfs/simulator.hpp"
 #include "dfs_helpers.hpp"
+#include "dfs_reference.hpp"
+#include "ope/dfs_models.hpp"
+#include "pipeline/builder.hpp"
+#include "pipeline/wagging.hpp"
+#include "util/rng.hpp"
 
 namespace rap::dfs {
 namespace {
@@ -348,23 +356,34 @@ TEST(Dynamics, TokenConservationBetweenFiltAndOut) {
 
 // ------------------------------------------- exhaustive state search --
 
-/// BFS over the DFS state graph (direct semantics).
-std::size_t count_reachable_states(const Dynamics& dyn) {
+/// Calls visit(s) on the reachable states in BFS order, at most `cap` of
+/// them; returns how many it visited.
+template <typename Visit>
+std::size_t for_each_reachable(const Dynamics& dyn, std::size_t cap,
+                               Visit&& visit) {
     std::unordered_set<State, StateHash> seen;
     std::deque<State> frontier;
     const State s0 = State::initial(dyn.graph());
     seen.insert(s0);
     frontier.push_back(s0);
-    while (!frontier.empty()) {
+    std::size_t visited = 0;
+    while (!frontier.empty() && visited < cap) {
         const State s = frontier.front();
         frontier.pop_front();
+        visit(s);
+        ++visited;
         for (const Event& e : dyn.enabled_events(s)) {
             State next = s;
             dyn.apply(next, e);
             if (seen.insert(next).second) frontier.push_back(next);
         }
     }
-    return seen.size();
+    return visited;
+}
+
+/// Number of reachable states of the DFS state graph (direct semantics).
+std::size_t count_reachable_states(const Dynamics& dyn) {
+    return for_each_reachable(dyn, SIZE_MAX, [](const State&) {});
 }
 
 TEST(Dynamics, Fig1bStateSpaceIsFiniteAndDeadlockFree) {
@@ -399,6 +418,149 @@ TEST(Dynamics, ControlRingStateCountMatchesRotations) {
     // Token in one of 3 places, or transferring (two adjacent marked):
     // exactly 6 reachable states.
     EXPECT_EQ(count_reachable_states(dyn), 6u);
+}
+
+// ------------------------------------------------- the compiled table --
+
+struct TableModel {
+    std::string name;
+    Graph graph;
+    std::size_t cap = SIZE_MAX;  ///< states visited, BFS order
+};
+
+/// Fig. 1b, the OPE s3/d3 model and its gap configuration (stage 2's
+/// global ring reset to False), the static OPE s3 and a wagging stage,
+/// the model with inverting arcs (842,400 states, walked in part).
+std::vector<TableModel> table_models() {
+    std::vector<TableModel> models;
+    models.push_back({"fig1b", make_fig1b().graph});
+    models.push_back(
+        {"ope_s3_d3", ope::build_reconfigurable_ope_dfs(3, 3).graph});
+    pipeline::Pipeline gap = ope::build_reconfigurable_ope_dfs(3, 3);
+    pipeline::reset_ring(gap.graph, gap.stages[1].global_ring,
+                         TokenValue::False);
+    models.push_back({"ope_gap", gap.graph});
+    models.push_back({"ope_static_s3", ope::build_static_ope_dfs(3).graph});
+    TableModel wagging{"wagging", Graph("wagging"), 60'000};
+    pipeline::add_wagging_stage(wagging.graph, "w",
+                                wagging.graph.add_register("in"));
+    models.push_back(std::move(wagging));
+    return models;
+}
+
+TEST(Dynamics, CompiledTableMatchesTheEquations) {
+    for (const TableModel& model : table_models()) {
+        SCOPED_TRACE(model.name);
+        const Dynamics dyn(model.graph);
+        const testing::ReferenceEnabling reference(dyn);
+        for (NodeId n : model.graph.nodes()) {
+            const auto readers = dyn.readers(n);
+            EXPECT_TRUE(std::is_sorted(readers.begin(), readers.end()));
+            EXPECT_TRUE(
+                std::binary_search(readers.begin(), readers.end(), n));
+        }
+
+        std::size_t mismatches = 0;
+        std::size_t unread_changes = 0;
+        std::string first_mismatch;
+        std::vector<char> enabled(dyn.event_count());
+        const std::size_t states = for_each_reachable(
+            dyn, model.cap, [&](const State& s) {
+                for (std::uint32_t i = 0; i < dyn.event_count(); ++i) {
+                    const Event& e = dyn.event(i);
+                    enabled[i] = dyn.is_enabled(s, e);
+                    if (enabled[i] == reference(s, e)) continue;
+                    if (mismatches++ == 0) {
+                        first_mismatch =
+                            std::string(to_string(e.kind)) + " on " +
+                            model.graph.node_name(e.node) + " at " +
+                            s.describe(model.graph);
+                    }
+                }
+                // Firing an event of n may change only readers(n)'s
+                // events.
+                for (std::uint32_t i = 0; i < dyn.event_count(); ++i) {
+                    if (!enabled[i]) continue;
+                    State next = s;
+                    dyn.apply(next, dyn.event(i));
+                    const auto readers = dyn.readers(dyn.event(i).node);
+                    for (std::uint32_t j = 0; j < dyn.event_count(); ++j) {
+                        if (dyn.is_enabled(next, j) != (enabled[j] != 0) &&
+                            !std::binary_search(readers.begin(),
+                                                readers.end(),
+                                                dyn.event(j).node)) {
+                            ++unread_changes;
+                        }
+                    }
+                }
+            });
+        EXPECT_GT(states, 1u);
+        EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
+        EXPECT_EQ(unread_changes, 0u);
+    }
+}
+
+TEST(Dynamics, KindsANodeNeverEmitsAreNeverEnabled) {
+    static constexpr EventKind kAllKinds[] = {
+        EventKind::LogicEvaluate, EventKind::LogicReset,
+        EventKind::Mark,          EventKind::Unmark,
+        EventKind::MarkTrue,      EventKind::MarkFalse};
+    // Every (node, kind) pair node_events(node) does not list: an
+    // evaluate on a register, a mark on a control, push or pop...
+    auto never_emitted = [](const Dynamics& dyn) {
+        std::vector<Event> out;
+        for (NodeId n : dyn.graph().nodes()) {
+            const std::vector<Event> own = dyn.node_events(n);
+            for (EventKind k : kAllKinds) {
+                const Event e{n, k};
+                if (std::find(own.begin(), own.end(), e) == own.end()) {
+                    out.push_back(e);
+                }
+            }
+        }
+        return out;
+    };
+    auto count_enabled = [](const Dynamics& dyn, const State& s,
+                            const std::vector<Event>& events) {
+        std::size_t count = 0;
+        for (const Event& e : events) count += dyn.is_enabled(s, e);
+        return count;
+    };
+
+    // Fig. 1b, every reachable state.
+    const auto fig = make_fig1b();
+    const Dynamics fig_dyn(fig.graph);
+    const std::vector<Event> fig_never = never_emitted(fig_dyn);
+    ASSERT_FALSE(fig_never.empty());
+    std::size_t enabled = 0;
+    const std::size_t states =
+        for_each_reachable(fig_dyn, SIZE_MAX, [&](const State& s) {
+            enabled += count_enabled(fig_dyn, s, fig_never);
+        });
+    EXPECT_GT(states, 10u);
+    EXPECT_EQ(enabled, 0u);
+
+    // OPE s3/d3, along a seeded walk.
+    const pipeline::Pipeline ope = ope::build_reconfigurable_ope_dfs(3, 3);
+    const Dynamics ope_dyn(ope.graph);
+    const std::vector<Event> ope_never = never_emitted(ope_dyn);
+    util::Rng rng(2024);
+    State s = State::initial(ope.graph);
+    enabled = 0;
+    for (int step = 0; step < 20'000; ++step) {
+        enabled += count_enabled(ope_dyn, s, ope_never);
+        const std::vector<Event> next = ope_dyn.enabled_events(s);
+        ASSERT_FALSE(next.empty());
+        ope_dyn.apply(s, next[rng.below(next.size())]);
+    }
+    EXPECT_EQ(enabled, 0u);
+
+    // A node outside the graph is an error, whatever the kind.
+    const NodeId outside{static_cast<std::uint32_t>(ope.graph.node_count())};
+    for (EventKind k : kAllKinds) {
+        EXPECT_THROW(ope_dyn.is_enabled(s, {outside, k}), std::out_of_range);
+    }
+    EXPECT_THROW(ope_dyn.node_events(outside), std::out_of_range);
 }
 
 }  // namespace
