@@ -42,6 +42,123 @@ std::vector<Event> Dynamics::node_events(NodeId n) const {
 }
 
 // ---------------------------------------------------------------------------
+// The equations
+// ---------------------------------------------------------------------------
+
+void enabling_atoms(const Graph& g, NodeId n, EventKind kind,
+                    bool token_true, std::vector<Atom>& out) {
+    using Var = Atom::Var;
+    const NodeKind node_kind = g.kind(n);
+
+    /// Register q marked — a push with a real token, Mt (the push gating
+    /// of Eq. 3/4) — or unmarked.
+    auto holds = [&](NodeId q, bool marked) {
+        const bool real = marked && g.kind(q) == NodeKind::Push;
+        out.push_back({q, real ? Var::Mt : Var::M, marked});
+    };
+    /// Preset logic evaluated and R-preset marked, or preset logic reset
+    /// and R-preset unmarked.
+    auto inputs = [&](bool ready) {
+        for (NodeId k : g.preset(n)) {
+            if (g.is_logic(k)) out.push_back({k, Var::C, ready});
+        }
+        for (NodeId q : g.r_preset(n)) holds(q, ready);
+    };
+    auto r_postset_unmarked = [&] {
+        for (NodeId q : g.r_postset(n)) out.push_back({q, Var::M, false});
+    };
+    /// Eq. 4, "the R-postset took the token": a pop took it only when it
+    /// latched Mt; an Mf pop produced an unrelated empty token and must
+    /// not release n. The exception is the pop's own control register:
+    /// the pop latches the configuration token on either polarity, which
+    /// acknowledges it — without this a False configuration token could
+    /// never be returned.
+    auto r_postset_took = [&] {
+        const bool n_is_control = node_kind == NodeKind::Control;
+        for (NodeId q : g.r_postset(n)) {
+            bool real = false;
+            if (g.kind(q) == NodeKind::Pop) {
+                const auto& cpre = g.control_preset(q);
+                real = !n_is_control ||
+                       !std::binary_search(cpre.begin(), cpre.end(), n);
+            }
+            out.push_back({q, real ? Var::Mt : Var::M, true});
+        }
+    };
+    /// Every control carries the token that, after the arc's inversion
+    /// (Section II-B), reads `polarity`. Validation gives every push and
+    /// pop a control; a control without one makes a free choice (Eq. 5).
+    auto controlled = [&](bool polarity) {
+        const auto& controls = g.control_preset(n);
+        const auto& inverted = g.control_preset_inversion(n);
+        for (std::size_t i = 0; i < controls.size(); ++i) {
+            out.push_back({controls[i],
+                           polarity != inverted[i] ? Var::Mt : Var::Mf,
+                           true});
+        }
+    };
+
+    switch (kind) {
+        case EventKind::LogicEvaluate:
+        case EventKind::LogicReset: {
+            // Cd↑ (Cd↓), Eq. 1 + 3: preset logic evaluated (reset),
+            // preset registers marked with real tokens (unmarked).
+            const bool up = kind == EventKind::LogicEvaluate;
+            for (NodeId p : g.preset(n)) {
+                if (g.is_logic(p)) {
+                    out.push_back({p, Var::C, up});
+                } else {
+                    holds(p, up);
+                }
+            }
+            return;
+        }
+        case EventKind::Mark:
+        case EventKind::MarkTrue:
+            // Md↑, Eq. 2 + 4: inputs ready, R-postset unmarked. A push or
+            // pop behaves so when true-controlled.
+            if (kind == EventKind::MarkTrue) controlled(true);
+            inputs(true);
+            r_postset_unmarked();
+            return;
+        case EventKind::MarkFalse:
+            controlled(false);
+            if (node_kind == NodeKind::Control) {
+                inputs(true);
+                r_postset_unmarked();
+            } else if (node_kind == NodeKind::Push) {
+                // Consumes and destroys the incoming token: the
+                // R-postset is never involved.
+                inputs(true);
+            } else {
+                // A pop produces an empty token: output space only.
+                r_postset_unmarked();
+            }
+            return;
+        case EventKind::Unmark:
+            if (token_true || (node_kind != NodeKind::Push &&
+                               node_kind != NodeKind::Pop)) {
+                // Md↓, Eq. 2 + 4: inputs reset, R-postset holding the
+                // propagated token.
+                inputs(false);
+                r_postset_took();
+            } else if (node_kind == NodeKind::Push) {
+                // A destroyed token leaves without any R-postset
+                // interaction.
+                inputs(false);
+            } else {
+                // An empty token leaves once the R-postset took it and
+                // the controls moved on, the data preset never involved.
+                r_postset_took();
+                for (NodeId c : g.control_preset(n)) {
+                    out.push_back({c, Var::M, false});
+                }
+            }
+            return;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The compiled event table
 // ---------------------------------------------------------------------------
 
@@ -72,7 +189,7 @@ void Dynamics::compile() {
     const std::size_t n = g.node_count();
     constexpr std::size_t kWordBits = util::BitVec::kWordBits;
 
-    // The cube under construction, dense over the state words; end_cube()
+    // The cube under construction, dense over the state words; add_cube
     // appends its non-empty words as terms. Literals name State's layout
     // [C | M | T], one section of n bits each.
     std::vector<std::uint64_t> set(util::BitVec::words_for_bits(3 * n));
@@ -84,64 +201,34 @@ void Dynamics::compile() {
     auto c = [&](NodeId x, bool v) { literal(x.value, v); };
     auto m = [&](NodeId x, bool v) { literal(n + x.value, v); };
     auto t = [&](NodeId x, bool v) { literal(2 * n + x.value, v); };
-    auto end_cube = [&] {
+
+    // One cube of event (x, k): x's own variable at the value the event
+    // flips it from (and, for a split Unmark, x's token `token_true`),
+    // then the atoms of enabling_atoms(x, k, token_true).
+    std::vector<Atom> atoms;
+    auto add_cube = [&](NodeId x, EventKind k, bool token_true,
+                        bool reads_own_token) {
+        if (k == EventKind::LogicEvaluate || k == EventKind::LogicReset) {
+            c(x, k == EventKind::LogicReset);
+        } else {
+            m(x, k == EventKind::Unmark);
+        }
+        if (reads_own_token) t(x, token_true);
+        atoms.clear();
+        enabling_atoms(g, x, k, token_true, atoms);
+        for (const Atom& a : atoms) {
+            if (a.var == Atom::Var::C) {
+                c(a.node, a.value);
+            } else {
+                m(a.node, a.value);
+                if (a.var != Atom::Var::M) t(a.node, a.var == Atom::Var::Mt);
+            }
+        }
         for (std::uint32_t w = 0; w < set.size(); ++w) {
             if (set[w] | clear[w]) terms_.push_back({set[w], clear[w], w});
             set[w] = clear[w] = 0;
         }
-    };
-
-    // Literal groups, one per term of the equations below.
-    auto preset_logic = [&](NodeId x, bool evaluated) {
-        for (NodeId k : g.preset(x)) {
-            if (g.is_logic(k)) c(k, evaluated);
-        }
-    };
-    auto r_preset = [&](NodeId x, bool marked) {
-        for (NodeId q : g.r_preset(x)) m(q, marked);
-    };
-    auto r_preset_pushes_true = [&](NodeId x) {
-        for (NodeId q : g.r_preset(x)) {
-            if (g.kind(q) == NodeKind::Push) t(q, true);
-        }
-    };
-    auto r_postset_unmarked = [&](NodeId x) {
-        for (NodeId q : g.r_postset(x)) m(q, false);
-    };
-    auto r_postset_took_token = [&](NodeId x) {
-        const bool x_is_control = g.kind(x) == NodeKind::Control;
-        for (NodeId q : g.r_postset(x)) {
-            m(q, true);
-            if (g.kind(q) != NodeKind::Pop) continue;
-            const auto& cpre = g.control_preset(q);
-            if (!x_is_control ||
-                !std::binary_search(cpre.begin(), cpre.end(), x)) {
-                t(q, true);
-            }
-        }
-    };
-    auto mark_set = [&](NodeId x) {
-        preset_logic(x, true);
-        r_preset(x, true);
-        r_preset_pushes_true(x);
-        r_postset_unmarked(x);
-    };
-    auto mark_reset = [&](NodeId x) {
-        preset_logic(x, false);
-        r_preset(x, false);
-        r_postset_took_token(x);
-    };
-    /// Every control marked with the token that, after the arc's
-    /// inversion, reads `polarity`. Validation gives every push and pop
-    /// a control, so false_controlled's "at least one" holds by
-    /// structure; a control without one makes a free choice (Eq. 5).
-    auto controlled = [&](NodeId x, bool polarity) {
-        const auto& controls = g.control_preset(x);
-        const auto& inverted = g.control_preset_inversion(x);
-        for (std::size_t i = 0; i < controls.size(); ++i) {
-            m(controls[i], true);
-            t(controls[i], polarity != inverted[i]);
-        }
+        return static_cast<std::uint32_t>(terms_.size());
     };
 
     node_first_.reserve(n + 1);
@@ -153,86 +240,9 @@ void Dynamics::compile() {
             const bool splits_on_token =
                 k == EventKind::Unmark &&
                 (kind == NodeKind::Push || kind == NodeKind::Pop);
-            switch (k) {
-                case EventKind::LogicEvaluate:
-                    // Eq. 1 + 3: preset logic evaluated, preset registers
-                    // marked, directly preceding pushes with real tokens.
-                    c(x, false);
-                    for (NodeId p : g.preset(x)) {
-                        if (g.is_logic(p)) {
-                            c(p, true);
-                        } else {
-                            m(p, true);
-                            if (g.kind(p) == NodeKind::Push) t(p, true);
-                        }
-                    }
-                    break;
-                case EventKind::LogicReset:
-                    // Eq. 1 + 3: preset logic reset, preset registers
-                    // unmarked.
-                    c(x, true);
-                    for (NodeId p : g.preset(x)) {
-                        if (g.is_logic(p)) {
-                            c(p, false);
-                        } else {
-                            m(p, false);
-                        }
-                    }
-                    break;
-                case EventKind::Mark:
-                    m(x, false);
-                    mark_set(x);
-                    break;
-                case EventKind::MarkTrue:
-                    m(x, false);
-                    controlled(x, true);
-                    mark_set(x);
-                    break;
-                case EventKind::MarkFalse:
-                    m(x, false);
-                    controlled(x, false);
-                    if (kind == NodeKind::Control) {
-                        mark_set(x);
-                    } else if (kind == NodeKind::Push) {
-                        // Consumes and destroys the incoming token: the
-                        // R-postset is never involved.
-                        preset_logic(x, true);
-                        r_preset(x, true);
-                        r_preset_pushes_true(x);
-                    } else {
-                        // A pop produces an empty token: output space only.
-                        r_postset_unmarked(x);
-                    }
-                    break;
-                case EventKind::Unmark:
-                    m(x, true);
-                    if (!splits_on_token) {
-                        mark_reset(x);
-                        break;
-                    }
-                    // Push and pop: a real token (T) behaves statically...
-                    t(x, true);
-                    mark_reset(x);
-                    end_cube();
-                    row.split = static_cast<std::uint32_t>(terms_.size());
-                    // ...a destroyed one (push) leaves without any
-                    // R-postset interaction; an empty one (pop) leaves
-                    // once the R-postset took it and the controls moved
-                    // on, the data preset never involved.
-                    m(x, true);
-                    t(x, false);
-                    if (kind == NodeKind::Push) {
-                        preset_logic(x, false);
-                        r_preset(x, false);
-                    } else {
-                        r_postset_took_token(x);
-                        for (NodeId q : g.control_preset(x)) m(q, false);
-                    }
-                    break;
-            }
-            end_cube();
-            row.end = static_cast<std::uint32_t>(terms_.size());
-            if (!splits_on_token) row.split = row.end;
+            row.split = add_cube(x, k, true, splits_on_token);
+            row.end = splits_on_token ? add_cube(x, k, false, true)
+                                      : row.split;
             rows_.push_back(row);
         }
     }
@@ -281,153 +291,6 @@ std::uint32_t Dynamics::event_index(const Event& e) const {
         if (rows_[i].event.kind == e.kind) return i;
     }
     return kNoEvent;
-}
-
-// ---------------------------------------------------------------------------
-// Structural state predicates
-// ---------------------------------------------------------------------------
-
-bool Dynamics::preset_logic_evaluated(const State& s, NodeId n) const {
-    for (NodeId k : graph_->preset(n)) {
-        if (graph_->is_logic(k) && !s.logic_evaluated(k)) return false;
-    }
-    return true;
-}
-
-bool Dynamics::preset_logic_reset(const State& s, NodeId n) const {
-    for (NodeId k : graph_->preset(n)) {
-        if (graph_->is_logic(k) && s.logic_evaluated(k)) return false;
-    }
-    return true;
-}
-
-bool Dynamics::r_preset_marked(const State& s, NodeId n) const {
-    for (NodeId q : graph_->r_preset(n)) {
-        if (!s.marked(q)) return false;
-    }
-    return true;
-}
-
-bool Dynamics::r_preset_unmarked(const State& s, NodeId n) const {
-    for (NodeId q : graph_->r_preset(n)) {
-        if (s.marked(q)) return false;
-    }
-    return true;
-}
-
-bool Dynamics::r_postset_unmarked(const State& s, NodeId n) const {
-    for (NodeId q : graph_->r_postset(n)) {
-        if (s.marked(q)) return false;
-    }
-    return true;
-}
-
-bool Dynamics::r_postset_took_token(const State& s, NodeId n) const {
-    // Eq. 4: a pop in the R-postset counts as having taken the token only
-    // when it latched while true-controlled (Mt); an Mf pop produced an
-    // unrelated empty token and must not release this register. The one
-    // exception is the pop's own *control* register: the pop latches the
-    // configuration token on either polarity, which acknowledges it —
-    // without this a False configuration token could never be returned.
-    const bool n_is_control = graph_->kind(n) == NodeKind::Control;
-    for (NodeId q : graph_->r_postset(n)) {
-        if (!s.marked(q)) return false;
-        if (graph_->kind(q) == NodeKind::Pop && !s.token_true(q)) {
-            const auto& cpre = graph_->control_preset(q);
-            const bool n_controls_q =
-                n_is_control &&
-                std::binary_search(cpre.begin(), cpre.end(), n);
-            if (!n_controls_q) return false;
-        }
-    }
-    return true;
-}
-
-bool Dynamics::r_preset_pushes_true(const State& s, NodeId n) const {
-    for (NodeId q : graph_->r_preset(n)) {
-        if (graph_->kind(q) == NodeKind::Push && !s.marked_true(*graph_, q)) {
-            return false;
-        }
-    }
-    return true;
-}
-
-bool Dynamics::preset_pushes_true(const State& s, NodeId l) const {
-    for (NodeId q : graph_->preset(l)) {
-        if (graph_->kind(q) == NodeKind::Push && !s.marked_true(*graph_, q)) {
-            return false;
-        }
-    }
-    return true;
-}
-
-bool Dynamics::true_controlled(const State& s, NodeId n) const {
-    const auto& controls = graph_->control_preset(n);
-    const auto& inverted = graph_->control_preset_inversion(n);
-    for (std::size_t i = 0; i < controls.size(); ++i) {
-        const NodeId c = controls[i];
-        if (!s.marked(c)) return false;
-        // Inverting arcs (Section II-B extension): the consumer observes
-        // the complement of the control token.
-        if (s.token_true(c) == inverted[i]) return false;
-    }
-    return true;
-}
-
-bool Dynamics::false_controlled(const State& s, NodeId n) const {
-    const auto& controls = graph_->control_preset(n);
-    const auto& inverted = graph_->control_preset_inversion(n);
-    if (controls.empty()) return false;
-    for (std::size_t i = 0; i < controls.size(); ++i) {
-        const NodeId c = controls[i];
-        if (!s.marked(c)) return false;
-        if (s.token_true(c) != inverted[i]) return false;
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------------------
-// The set/reset equations
-// ---------------------------------------------------------------------------
-
-bool Dynamics::eval_set(const State& s, NodeId l) const {
-    // Cd↑(l), Eq. 1 + 3: preset logic evaluated, preset registers marked,
-    // and every directly-preceding push carries a real token.
-    for (NodeId k : graph_->preset(l)) {
-        if (graph_->is_logic(k)) {
-            if (!s.logic_evaluated(k)) return false;
-        } else {
-            if (!s.marked(k)) return false;
-        }
-    }
-    return preset_pushes_true(s, l);
-}
-
-bool Dynamics::eval_reset(const State& s, NodeId l) const {
-    // Cd↓(l), Eq. 1 + 3: preset logic reset, preset registers unmarked.
-    // (The push term of Eq. 3 is subsumed: an unmarked push has no token.)
-    for (NodeId k : graph_->preset(l)) {
-        if (graph_->is_logic(k)) {
-            if (s.logic_evaluated(k)) return false;
-        } else {
-            if (s.marked(k)) return false;
-        }
-    }
-    return true;
-}
-
-bool Dynamics::mark_set(const State& s, NodeId r) const {
-    // Md↑(r), Eq. 2 + 4: preset logic evaluated, R-preset marked (pushes
-    // with real tokens only), R-postset unmarked.
-    return preset_logic_evaluated(s, r) && r_preset_marked(s, r) &&
-           r_preset_pushes_true(s, r) && r_postset_unmarked(s, r);
-}
-
-bool Dynamics::mark_reset(const State& s, NodeId r) const {
-    // Md↓(r), Eq. 2 + 4: preset logic reset, R-preset unmarked, R-postset
-    // holding the propagated token (pops only when true-controlled).
-    return preset_logic_reset(s, r) && r_preset_unmarked(s, r) &&
-           r_postset_took_token(s, r);
 }
 
 // ---------------------------------------------------------------------------

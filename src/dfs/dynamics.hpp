@@ -34,6 +34,30 @@ struct Event {
     friend bool operator==(const Event&, const Event&) = default;
 };
 
+/// One conjunct of an enabling condition: variable `var` of `node` reads
+/// `value`. C is a logic node's evaluation state and M a register's
+/// marking. Mt and Mf read "marked with a True (real) token" and "marked
+/// with a False (destroyed or empty) token" — Fig. 3c's Mt_1 and Mf_1
+/// places — and appear with value = true only.
+struct Atom {
+    enum class Var : std::uint8_t { C, M, Mt, Mf };
+    NodeId node;
+    Var var = Var::M;
+    bool value = true;
+};
+
+/// The DFS enabling equations (Section II, Eq. 1–5, with the inverting
+/// arcs of Section II-B), written once. Appends to `out` the condition of
+/// event (n, kind) on every variable except n's own, as a conjunction of
+/// atoms. `token_true` selects the Mt- (true) or Mf- (false) variant of a
+/// push's or pop's Unmark and is ignored otherwise. Defined for the kinds
+/// node_events(n) lists.
+///
+/// Dynamics compiles these atoms into its event table and to_petri turns
+/// them into read arcs; neither writes an equation of its own.
+void enabling_atoms(const Graph& graph, NodeId n, EventKind kind,
+                    bool token_true, std::vector<Atom>& out);
+
 /// Executable semantics of the DFS equations (Section II, Eq. 1–5 plus the
 /// interpretation notes in DESIGN.md §2). Stateless with respect to the
 /// token game: all queries take the State explicitly, so the same Dynamics
@@ -47,11 +71,13 @@ struct Event {
 ///   enabled(e) <=> some cube of e has, for every term (w, set, clear),
 ///                  (s[w] & set) == set && (s[w] & clear) == 0
 ///
-/// Only a push or pop Unmark needs two cubes: it splits on the node's own
-/// token (T = 1 behaves statically, T = 0 releases a destroyed or empty
-/// token). Per node the table also keeps its readers: the nodes whose
-/// cubes read one of its bits, so firing n can change the enabledness of
-/// readers(n)'s events only.
+/// The equations live in enabling_atoms(): a cube is the event's own
+/// literal and its atoms, Mt(q) read as M(q) = 1 ∧ T(q) = 1 and Mf(q) as
+/// M(q) = 1 ∧ T(q) = 0. Only a push or pop Unmark needs two cubes: it
+/// splits on the node's own token (T = 1 behaves statically, T = 0
+/// releases a destroyed or empty token). Per node the table also keeps
+/// its readers: the nodes whose cubes read one of its bits, so firing n
+/// can change the enabledness of readers(n)'s events only.
 ///
 /// Snapshot contract: the table reads the graph's structure only. A
 /// Dynamics must be rebuilt after connect, connect_inverted or any add_*
@@ -126,20 +152,6 @@ public:
                 readers_.data() + reader_first_[n.value + 1]};
     }
 
-    // -- the equations, exposed for tests and the PN translation -------
-    bool eval_set(const State& s, NodeId l) const;    ///< Cd↑(l)
-    bool eval_reset(const State& s, NodeId l) const;  ///< Cd↓(l)
-    bool mark_set(const State& s, NodeId r) const;    ///< Md↑(r)
-    bool mark_reset(const State& s, NodeId r) const;  ///< Md↓(r)
-
-    /// All control registers in n's R-preset marked True (resp. False).
-    /// Empty control preset => neither true- nor false-controlled...
-    /// except that true_controlled() treats "no controls" as vacuously
-    /// true for *static* set/reset gating (uncontrolled nodes behave
-    /// statically).
-    bool true_controlled(const State& s, NodeId n) const;
-    bool false_controlled(const State& s, NodeId n) const;
-
 private:
     /// One word of a cube: in state word `word`, the bits of `set` must
     /// be 1 and the bits of `clear` 0.
@@ -170,18 +182,6 @@ private:
         }
         return true;
     }
-
-    bool preset_logic_evaluated(const State& s, NodeId n) const;
-    bool preset_logic_reset(const State& s, NodeId n) const;
-    bool r_preset_marked(const State& s, NodeId n) const;
-    bool r_preset_unmarked(const State& s, NodeId n) const;
-    bool r_postset_unmarked(const State& s, NodeId n) const;
-    /// All R-postset registers marked; pops count only when Mt (Eq. 4).
-    bool r_postset_took_token(const State& s, NodeId n) const;
-    /// Every push in the R-preset carries a real token (Eq. 3/4 gating).
-    bool r_preset_pushes_true(const State& s, NodeId n) const;
-    /// Every push directly preceding logic l carries a real token (Eq. 3).
-    bool preset_pushes_true(const State& s, NodeId l) const;
 
     const Graph* graph_;
     std::vector<Row> rows_;

@@ -49,6 +49,14 @@ struct ParseError : std::invalid_argument {
                                   message.c_str()));
 }
 
+/// Refuses a word left on the line after its last field.
+void expect_end(std::istringstream& words, std::size_t line_no) {
+    std::string extra;
+    if (words >> extra) {
+        fail(line_no, "unexpected trailing text '" + extra + "'");
+    }
+}
+
 /// Applies one non-blank, non-comment line to `graph`.
 void parse_line(std::optional<Graph>& graph, std::string_view line,
                 std::size_t line_no) {
@@ -60,6 +68,7 @@ void parse_line(std::optional<Graph>& graph, std::string_view line,
         if (graph) fail(line_no, "duplicate 'dfs' header");
         std::string name;
         words >> name;
+        expect_end(words, line_no);
         if (name.empty()) fail(line_no, "missing model name");
         graph.emplace(name);
         return;
@@ -69,6 +78,7 @@ void parse_line(std::optional<Graph>& graph, std::string_view line,
     if (keyword == "edge") {
         std::string from, to, flag;
         words >> from >> to >> flag;
+        expect_end(words, line_no);
         if (from.empty() || to.empty()) {
             fail(line_no, "edge needs two node names");
         }
@@ -89,6 +99,7 @@ void parse_line(std::optional<Graph>& graph, std::string_view line,
     // Node lines.
     std::string name, marking;
     words >> name >> marking;
+    expect_end(words, line_no);
     if (name.empty()) fail(line_no, "missing node name");
     if (keyword == "logic") {
         if (!marking.empty()) {

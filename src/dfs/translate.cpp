@@ -1,20 +1,11 @@
 #include "dfs/translate.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <stdexcept>
 
 namespace rap::dfs {
 namespace {
-
-/// One conjunct of a transition's enabling condition: a required value of
-/// another node's state variable, realised as a read arc on the matching
-/// place.
-struct Atom {
-    enum class Var { C, M, Mt, Mf };
-    NodeId node;
-    Var var;
-    bool value;
-};
 
 class Builder {
 public:
@@ -66,239 +57,67 @@ private:
         throw std::logic_error("bad atom");
     }
 
-    // -- condition fragments mirroring Dynamics ------------------------
-
-    void preset_logic(std::vector<Atom>& atoms, NodeId n, bool value) const {
-        for (NodeId k : graph_.preset(n)) {
-            if (graph_.is_logic(k)) atoms.push_back({k, Atom::Var::C, value});
-        }
-    }
-
-    /// Requires q to be "marked with a real token": Mt for pushes, plain
-    /// M otherwise (Eq. 3/4 push gating).
-    void marked_real(std::vector<Atom>& atoms, NodeId q) const {
-        if (graph_.kind(q) == NodeKind::Push) {
-            atoms.push_back({q, Atom::Var::Mt, true});
-        } else {
-            atoms.push_back({q, Atom::Var::M, true});
-        }
-    }
-
-    void r_preset_marked(std::vector<Atom>& atoms, NodeId n) const {
-        for (NodeId q : graph_.r_preset(n)) marked_real(atoms, q);
-    }
-
-    void r_preset_unmarked(std::vector<Atom>& atoms, NodeId n) const {
-        for (NodeId q : graph_.r_preset(n)) {
-            atoms.push_back({q, Atom::Var::M, false});
-        }
-    }
-
-    void r_postset_unmarked(std::vector<Atom>& atoms, NodeId n) const {
-        for (NodeId q : graph_.r_postset(n)) {
-            atoms.push_back({q, Atom::Var::M, false});
-        }
-    }
-
-    /// "R-postset took the token" (Eq. 4): pops must be Mt unless `n` is
-    /// the pop's own control register.
-    void r_postset_took(std::vector<Atom>& atoms, NodeId n) const {
-        const bool n_is_control = graph_.kind(n) == NodeKind::Control;
-        for (NodeId q : graph_.r_postset(n)) {
-            if (graph_.kind(q) == NodeKind::Pop) {
-                const auto& cpre = graph_.control_preset(q);
-                const bool exempt =
-                    n_is_control &&
-                    std::binary_search(cpre.begin(), cpre.end(), n);
-                atoms.push_back(
-                    {q, exempt ? Atom::Var::M : Atom::Var::Mt, true});
-            } else {
-                atoms.push_back({q, Atom::Var::M, true});
-            }
-        }
-    }
-
-    void controlled(std::vector<Atom>& atoms, NodeId n, bool polarity) const {
-        const auto& controls = graph_.control_preset(n);
-        const auto& inverted = graph_.control_preset_inversion(n);
-        for (std::size_t i = 0; i < controls.size(); ++i) {
-            // An inverting arc swaps which marking place satisfies the
-            // required effective polarity.
-            const bool want_true = polarity != inverted[i];
-            atoms.push_back(
-                {controls[i], want_true ? Atom::Var::Mt : Atom::Var::Mf,
-                 true});
-        }
-    }
-
-    std::vector<Atom> mark_set_atoms(NodeId r) const {
-        std::vector<Atom> atoms;
-        preset_logic(atoms, r, true);
-        r_preset_marked(atoms, r);
-        r_postset_unmarked(atoms, r);
-        return atoms;
-    }
-
-    std::vector<Atom> mark_reset_atoms(NodeId r) const {
-        std::vector<Atom> atoms;
-        preset_logic(atoms, r, false);
-        r_preset_unmarked(atoms, r);
-        r_postset_took(atoms, r);
-        return atoms;
-    }
-
-    // -- transition emission --------------------------------------------
-
-    petri::TransitionId emit(const std::string& name,
-                             const std::vector<petri::PlaceId>& consume,
-                             const std::vector<petri::PlaceId>& produce,
-                             const std::vector<Atom>& atoms,
-                             Translation::TransitionEvent event) {
+    /// Adds the transition of event (n, kind, token): it moves n's own
+    /// variable from `consume` to `produce` and reads the places of
+    /// enabling_atoms(n, kind). An atom's place that the transition
+    /// consumes needs no read arc.
+    void emit(const std::string& name, NodeId n, EventKind kind,
+              std::optional<TokenValue> token,
+              std::initializer_list<petri::PlaceId> consume,
+              std::initializer_list<petri::PlaceId> produce) {
         auto& net = result_.net;
         const petri::TransitionId t = net.add_transition(name);
-        result_.events_.push_back(event);
+        result_.events_.push_back({n, kind, token});
         for (petri::PlaceId p : consume) net.add_input_arc(p, t);
         for (petri::PlaceId p : produce) net.add_output_arc(t, p);
-        // Read arcs: deduplicate places (an atom may coincide with a
-        // consumed place — the consume arc already implies the test).
-        std::vector<petri::PlaceId> reads;
-        for (const Atom& atom : atoms) reads.push_back(place_for(atom));
-        std::sort(reads.begin(), reads.end());
-        reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
-        for (petri::PlaceId p : reads) {
+        atoms_.clear();
+        enabling_atoms(graph_, n, kind, token == TokenValue::True, atoms_);
+        reads_.clear();
+        for (const Atom& atom : atoms_) reads_.push_back(place_for(atom));
+        std::sort(reads_.begin(), reads_.end());
+        reads_.erase(std::unique(reads_.begin(), reads_.end()), reads_.end());
+        for (petri::PlaceId p : reads_) {
             if (std::find(consume.begin(), consume.end(), p) ==
                 consume.end()) {
                 net.add_read_arc(p, t);
             }
         }
-        result_.transitions_.emplace(name, t);
-        return t;
     }
 
+    /// One emit per Fig. 3 transition: x+ moves x's token from x_0 to
+    /// x_1, x- moves it back; a dynamic register's M± is refined into the
+    /// mutually exclusive Mt± / Mf± pairs (Fig. 3c).
     void make_transitions(NodeId n) {
-        const auto& slots = result_.places[n.value];
+        const auto& s = result_.places[n.value];
         const std::string& name = graph_.node_name(n);
-        switch (graph_.kind(n)) {
-            case NodeKind::Logic: {
-                std::vector<Atom> up;
-                for (NodeId k : graph_.preset(n)) {
-                    if (graph_.is_logic(k)) {
-                        up.push_back({k, Atom::Var::C, true});
-                    } else {
-                        marked_real(up, k);
-                    }
-                }
-                emit("C_" + name + "+", {slots.c0}, {slots.c1}, up,
-                     {n, EventKind::LogicEvaluate, std::nullopt});
-
-                std::vector<Atom> down;
-                for (NodeId k : graph_.preset(n)) {
-                    if (graph_.is_logic(k)) {
-                        down.push_back({k, Atom::Var::C, false});
-                    } else {
-                        down.push_back({k, Atom::Var::M, false});
-                    }
-                }
-                emit("C_" + name + "-", {slots.c1}, {slots.c0}, down,
-                     {n, EventKind::LogicReset, std::nullopt});
-                break;
-            }
-            case NodeKind::Register: {
-                emit("M_" + name + "+", {slots.m0}, {slots.m1},
-                     mark_set_atoms(n), {n, EventKind::Mark, std::nullopt});
-                emit("M_" + name + "-", {slots.m1}, {slots.m0},
-                     mark_reset_atoms(n),
-                     {n, EventKind::Unmark, std::nullopt});
-                break;
-            }
-            case NodeKind::Control: {
-                const auto& cpre = graph_.control_preset(n);
-                auto t_atoms = mark_set_atoms(n);
-                auto f_atoms = t_atoms;
-                if (!cpre.empty()) {
-                    controlled(t_atoms, n, true);
-                    controlled(f_atoms, n, false);
-                }
-                emit("Mt_" + name + "+", {slots.m0, slots.mt0},
-                     {slots.m1, slots.mt1}, t_atoms,
-                     {n, EventKind::MarkTrue, TokenValue::True});
-                emit("Mf_" + name + "+", {slots.m0, slots.mf0},
-                     {slots.m1, slots.mf1}, f_atoms,
-                     {n, EventKind::MarkFalse, TokenValue::False});
-                const auto down = mark_reset_atoms(n);
-                emit("Mt_" + name + "-", {slots.m1, slots.mt1},
-                     {slots.m0, slots.mt0}, down,
-                     {n, EventKind::Unmark, TokenValue::True});
-                emit("Mf_" + name + "-", {slots.m1, slots.mf1},
-                     {slots.m0, slots.mf0}, down,
-                     {n, EventKind::Unmark, TokenValue::False});
-                break;
-            }
-            case NodeKind::Push: {
-                auto t_atoms = mark_set_atoms(n);
-                controlled(t_atoms, n, true);
-                emit("Mt_" + name + "+", {slots.m0, slots.mt0},
-                     {slots.m1, slots.mt1}, t_atoms,
-                     {n, EventKind::MarkTrue, TokenValue::True});
-
-                // Mf+: consume-and-destroy — no postset atoms.
-                std::vector<Atom> f_atoms;
-                preset_logic(f_atoms, n, true);
-                r_preset_marked(f_atoms, n);
-                controlled(f_atoms, n, false);
-                emit("Mf_" + name + "+", {slots.m0, slots.mf0},
-                     {slots.m1, slots.mf1}, f_atoms,
-                     {n, EventKind::MarkFalse, TokenValue::False});
-
-                emit("Mt_" + name + "-", {slots.m1, slots.mt1},
-                     {slots.m0, slots.mt0}, mark_reset_atoms(n),
-                     {n, EventKind::Unmark, TokenValue::True});
-
-                // Mf-: the destroyed token leaves without the R-postset.
-                std::vector<Atom> f_down;
-                preset_logic(f_down, n, false);
-                r_preset_unmarked(f_down, n);
-                emit("Mf_" + name + "-", {slots.m1, slots.mf1},
-                     {slots.m0, slots.mf0}, f_down,
-                     {n, EventKind::Unmark, TokenValue::False});
-                break;
-            }
-            case NodeKind::Pop: {
-                auto t_atoms = mark_set_atoms(n);
-                controlled(t_atoms, n, true);
-                emit("Mt_" + name + "+", {slots.m0, slots.mt0},
-                     {slots.m1, slots.mt1}, t_atoms,
-                     {n, EventKind::MarkTrue, TokenValue::True});
-
-                // Mf+: self-produced empty token — only output space and
-                // False controls required.
-                std::vector<Atom> f_atoms;
-                r_postset_unmarked(f_atoms, n);
-                controlled(f_atoms, n, false);
-                emit("Mf_" + name + "+", {slots.m0, slots.mf0},
-                     {slots.m1, slots.mf1}, f_atoms,
-                     {n, EventKind::MarkFalse, TokenValue::False});
-
-                emit("Mt_" + name + "-", {slots.m1, slots.mt1},
-                     {slots.m0, slots.mt0}, mark_reset_atoms(n),
-                     {n, EventKind::Unmark, TokenValue::True});
-
-                // Mf-: leaves once taken downstream and controls moved on.
-                std::vector<Atom> f_down;
-                r_postset_took(f_down, n);
-                for (NodeId c : graph_.control_preset(n)) {
-                    f_down.push_back({c, Atom::Var::M, false});
-                }
-                emit("Mf_" + name + "-", {slots.m1, slots.mf1},
-                     {slots.m0, slots.mf0}, f_down,
-                     {n, EventKind::Unmark, TokenValue::False});
-                break;
-            }
+        if (graph_.is_logic(n)) {
+            emit("C_" + name + "+", n, EventKind::LogicEvaluate,
+                 std::nullopt, {s.c0}, {s.c1});
+            emit("C_" + name + "-", n, EventKind::LogicReset, std::nullopt,
+                 {s.c1}, {s.c0});
+        } else if (!graph_.is_dynamic(n)) {
+            emit("M_" + name + "+", n, EventKind::Mark, std::nullopt,
+                 {s.m0}, {s.m1});
+            emit("M_" + name + "-", n, EventKind::Unmark, std::nullopt,
+                 {s.m1}, {s.m0});
+        } else {
+            constexpr TokenValue kT = TokenValue::True;
+            constexpr TokenValue kF = TokenValue::False;
+            emit("Mt_" + name + "+", n, EventKind::MarkTrue, kT,
+                 {s.m0, s.mt0}, {s.m1, s.mt1});
+            emit("Mf_" + name + "+", n, EventKind::MarkFalse, kF,
+                 {s.m0, s.mf0}, {s.m1, s.mf1});
+            emit("Mt_" + name + "-", n, EventKind::Unmark, kT,
+                 {s.m1, s.mt1}, {s.m0, s.mt0});
+            emit("Mf_" + name + "-", n, EventKind::Unmark, kF,
+                 {s.m1, s.mf1}, {s.m0, s.mf0});
         }
     }
 
     const Graph& graph_;
     Translation result_;
+    std::vector<Atom> atoms_;            // emit's buffers, reused
+    std::vector<petri::PlaceId> reads_;
 };
 
 }  // namespace
@@ -306,27 +125,28 @@ private:
 petri::TransitionId Translation::transition_for(const Graph& graph,
                                                 const Event& e,
                                                 bool token_true) const {
-    const std::string& name = graph.node_name(e.node);
-    std::string key;
-    switch (e.kind) {
-        case EventKind::LogicEvaluate: key = "C_" + name + "+"; break;
-        case EventKind::LogicReset: key = "C_" + name + "-"; break;
-        case EventKind::Mark: key = "M_" + name + "+"; break;
-        case EventKind::MarkTrue: key = "Mt_" + name + "+"; break;
-        case EventKind::MarkFalse: key = "Mf_" + name + "+"; break;
-        case EventKind::Unmark:
-            if (!graph.is_dynamic(e.node)) {
-                key = "M_" + name + "-";
-            } else {
-                key = (token_true ? "Mt_" : "Mf_") + name + "-";
-            }
-            break;
+    if (e.node.value >= graph.node_count()) {
+        throw std::out_of_range("dfs::Translation: node id " +
+                                std::to_string(e.node.value) +
+                                " is outside the graph");
     }
-    const auto it = transitions_.find(key);
-    if (it == transitions_.end()) {
-        throw std::invalid_argument("no PN transition for event " + key);
+    // events_ is in node order: n's transitions are adjacent.
+    const auto first = std::lower_bound(
+        events_.begin(), events_.end(), e.node,
+        [](const TransitionEvent& te, NodeId n) { return te.node < n; });
+    for (auto it = first; it != events_.end() && it->node == e.node; ++it) {
+        if (it->kind != e.kind) continue;
+        // A dynamic register's Unmark is Mt- or Mf- by its token.
+        if (e.kind == EventKind::Unmark && it->token &&
+            (it->token == TokenValue::True) != token_true) {
+            continue;
+        }
+        return petri::TransitionId{
+            static_cast<std::uint32_t>(it - events_.begin())};
     }
-    return it->second;
+    throw std::invalid_argument("no PN transition for event " +
+                                std::string(to_string(e.kind)) + " on " +
+                                graph.node_name(e.node));
 }
 
 std::string Translation::describe_transition(const Graph& graph,

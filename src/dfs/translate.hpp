@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dfs/dynamics.hpp"
@@ -32,18 +31,15 @@ struct Translation {
 
     /// Maps a DFS event to its PN transition. Unmark of a dynamic register
     /// maps to two transitions (Mt- / Mf-) selected by the current token
-    /// flag, hence the extra parameter.
+    /// flag, hence the extra parameter. Throws std::invalid_argument for a
+    /// kind the node never emits and std::out_of_range for a node outside
+    /// the graph.
     petri::TransitionId transition_for(const Graph& graph, const Event& e,
                                        bool token_true) const;
 
     /// Encodes a DFS state as a PN marking (for initial-state agreement
     /// and bisimulation checks).
     petri::Marking encode(const Graph& graph, const State& s) const;
-
-    /// Transition lookup by the Fig. 3 naming convention ("Mt_filt+", …).
-    /// Populated by to_petri; exposed so that verification reports can
-    /// resolve names cheaply.
-    std::unordered_map<std::string, petri::TransitionId> transitions_;
 
     /// Reverse of transition_for: the DFS event each PN transition
     /// realises. `token` is the polarity carried by the Mt/Mf pair of a
@@ -53,7 +49,9 @@ struct Translation {
         EventKind kind = EventKind::Mark;
         std::optional<TokenValue> token;
     };
-    std::vector<TransitionEvent> events_;  // indexed by TransitionId::value
+    /// Indexed by TransitionId::value; to_petri emits node by node, so
+    /// the entries are in node order.
+    std::vector<TransitionEvent> events_;
 
     const TransitionEvent& event(petri::TransitionId t) const {
         return events_.at(t.value);
@@ -68,9 +66,10 @@ struct Translation {
 
 /// Translates a (valid) DFS model into its 1-safe read-arc Petri net
 /// semantics per Section II-C. Each state variable becomes an x_0/x_1
-/// place pair with x+ / x- transitions between them; enabling conditions
-/// of the DFS equations become read arcs. Dynamic registers refine M± into
-/// the mutually exclusive Mt±/Mf± pairs.
+/// place pair with x+ / x- transitions between them. A transition's read
+/// arcs are the places of its event's enabling_atoms — the same atoms
+/// Dynamics compiles into its event table. Dynamic registers refine M±
+/// into the mutually exclusive Mt±/Mf± pairs.
 Translation to_petri(const Graph& graph);
 
 }  // namespace rap::dfs

@@ -289,26 +289,30 @@ TEST(Dynamics, LinearPipelineStreamsTokens) {
 TEST(Dynamics, EquationAccessorsMatchEnabling) {
     const auto m = make_fig1b();
     const Dynamics dyn(m.graph);
+    const testing::ReferenceEnabling eq(m.graph);
     State s = State::initial(m.graph);
-    EXPECT_TRUE(dyn.mark_set(s, m.in));
-    EXPECT_FALSE(dyn.eval_set(s, m.cond));
+    EXPECT_TRUE(eq.mark_set(s, m.in));
+    EXPECT_TRUE(dyn.is_enabled(s, {m.in, EventKind::Mark}));
+    EXPECT_FALSE(eq.eval_set(s, m.cond));
+    EXPECT_FALSE(dyn.is_enabled(s, {m.cond, EventKind::LogicEvaluate}));
     step(dyn, s, m.in, EventKind::Mark);
-    EXPECT_TRUE(dyn.eval_set(s, m.cond));
-    EXPECT_FALSE(dyn.eval_reset(s, m.cond));
+    EXPECT_TRUE(eq.eval_set(s, m.cond));
+    EXPECT_TRUE(dyn.is_enabled(s, {m.cond, EventKind::LogicEvaluate}));
+    EXPECT_FALSE(eq.eval_reset(s, m.cond));
 }
 
 TEST(Dynamics, ControlledPredicates) {
     const auto m = make_fig1b();
-    const Dynamics dyn(m.graph);
+    const testing::ReferenceEnabling eq(m.graph);
     State s = State::initial(m.graph);
     // ctrl unmarked: neither polarity is established...
-    EXPECT_FALSE(dyn.true_controlled(s, m.filt));
-    EXPECT_FALSE(dyn.false_controlled(s, m.filt));
+    EXPECT_FALSE(eq.true_controlled(s, m.filt));
+    EXPECT_FALSE(eq.false_controlled(s, m.filt));
     // ...but a node with no controls is vacuously true-controlled.
-    EXPECT_TRUE(dyn.true_controlled(s, m.comp));
-    EXPECT_FALSE(dyn.false_controlled(s, m.comp));
+    EXPECT_TRUE(eq.true_controlled(s, m.comp));
+    EXPECT_FALSE(eq.false_controlled(s, m.comp));
     s.set_marked(m.ctrl, true, false);
-    EXPECT_TRUE(dyn.false_controlled(s, m.filt));
+    EXPECT_TRUE(eq.false_controlled(s, m.filt));
 }
 
 // ----------------------------------------------------- random walks --
@@ -452,7 +456,7 @@ TEST(Dynamics, CompiledTableMatchesTheEquations) {
     for (const TableModel& model : table_models()) {
         SCOPED_TRACE(model.name);
         const Dynamics dyn(model.graph);
-        const testing::ReferenceEnabling reference(dyn);
+        const testing::ReferenceEnabling reference(model.graph);
         for (NodeId n : model.graph.nodes()) {
             const auto readers = dyn.readers(n);
             EXPECT_TRUE(std::is_sorted(readers.begin(), readers.end()));

@@ -1,12 +1,18 @@
 #pragma once
 
-// The DFS enabling rules written as one switch per event kind over the
-// equation helpers — the form dfs::Dynamics compiles into its event
-// table. Tests compare the table against it state by state.
+// The DFS enabling rules as a per-node walk over the graph's structural
+// sets, one switch per event kind. It reads only the Graph and the
+// State: it calls nothing in dfs::Dynamics and does not use
+// dfs::enabling_atoms, the one copy of the equations in src/ that both
+// the event table and the Petri-net translation are generated from. So
+// it is an independent oracle: a bug in the shared atoms moves the table
+// and the net together, and only a comparison against this walk sees it.
 
 #include <algorithm>
 
 #include "dfs/dynamics.hpp"
+#include "dfs/model.hpp"
+#include "dfs/state.hpp"
 
 namespace rap::dfs::testing {
 
@@ -16,29 +22,28 @@ namespace rap::dfs::testing {
 /// whatever its equation says.
 class ReferenceEnabling {
 public:
-    explicit ReferenceEnabling(const Dynamics& dynamics)
-        : dyn_(dynamics), g_(dynamics.graph()) {}
+    explicit ReferenceEnabling(const Graph& graph) : g_(graph) {}
 
     bool operator()(const State& s, const Event& e) const {
         const NodeId n = e.node;
         switch (e.kind) {
             case EventKind::LogicEvaluate:
-                return !s.logic_evaluated(n) && dyn_.eval_set(s, n);
+                return !s.logic_evaluated(n) && eval_set(s, n);
             case EventKind::LogicReset:
-                return s.logic_evaluated(n) && dyn_.eval_reset(s, n);
+                return s.logic_evaluated(n) && eval_reset(s, n);
             case EventKind::Mark:
-                return !s.marked(n) && dyn_.mark_set(s, n);
+                return !s.marked(n) && mark_set(s, n);
             case EventKind::Unmark: {
                 if (!s.marked(n)) return false;
                 switch (g_.kind(n)) {
                     case NodeKind::Register:
                     case NodeKind::Control:
-                        return dyn_.mark_reset(s, n);
+                        return mark_reset(s, n);
                     case NodeKind::Push:
                         // A destroyed token (Mf) leaves without any
                         // R-postset interaction; a real token behaves
                         // statically.
-                        if (s.token_true(n)) return dyn_.mark_reset(s, n);
+                        if (s.token_true(n)) return mark_reset(s, n);
                         return preset_logic_reset(s, n) &&
                                r_preset_unmarked(s, n);
                     case NodeKind::Pop:
@@ -46,7 +51,7 @@ public:
                         // air: it leaves when the R-postset took it and
                         // the control preset has moved on; the data
                         // preset was never involved.
-                        if (s.token_true(n)) return dyn_.mark_reset(s, n);
+                        if (s.token_true(n)) return mark_reset(s, n);
                         if (!r_postset_took_token(s, n)) return false;
                         for (NodeId c : g_.control_preset(n)) {
                             if (s.marked(c)) return false;
@@ -64,14 +69,13 @@ public:
                         // Eq. 5: copy a True token from upstream
                         // controls; with none the value is a free
                         // (data-dependent) choice.
-                        if (!dyn_.mark_set(s, n)) return false;
+                        if (!mark_set(s, n)) return false;
                         if (g_.control_preset(n).empty()) return true;
-                        return dyn_.true_controlled(s, n);
+                        return true_controlled(s, n);
                     case NodeKind::Push:
                     case NodeKind::Pop:
                         // A static register when true-controlled.
-                        return dyn_.true_controlled(s, n) &&
-                               dyn_.mark_set(s, n);
+                        return true_controlled(s, n) && mark_set(s, n);
                     default:
                         return false;
                 }
@@ -80,21 +84,21 @@ public:
                 if (s.marked(n)) return false;
                 switch (g_.kind(n)) {
                     case NodeKind::Control:
-                        if (!dyn_.mark_set(s, n)) return false;
+                        if (!mark_set(s, n)) return false;
                         if (g_.control_preset(n).empty()) return true;
-                        return dyn_.false_controlled(s, n);
+                        return false_controlled(s, n);
                     case NodeKind::Push:
                         // Consumes and destroys an incoming token: needs
                         // it (preset logic evaluated, R-preset marked
                         // with real pushes) but ignores the R-postset.
-                        return dyn_.false_controlled(s, n) &&
+                        return false_controlled(s, n) &&
                                preset_logic_evaluated(s, n) &&
                                r_preset_marked(s, n) &&
                                r_preset_pushes_true(s, n);
                     case NodeKind::Pop:
                         // Produces an empty token: ignores the data
                         // preset, needs only output space.
-                        return dyn_.false_controlled(s, n) &&
+                        return false_controlled(s, n) &&
                                r_postset_unmarked(s, n);
                     default:
                         return false;
@@ -102,6 +106,74 @@ public:
             }
         }
         return false;
+    }
+
+    // -- the set/reset equations ---------------------------------------
+
+    /// Cd↑(l), Eq. 1 + 3: preset logic evaluated, preset registers
+    /// marked, and every directly preceding push carries a real token.
+    bool eval_set(const State& s, NodeId l) const {
+        for (NodeId k : g_.preset(l)) {
+            if (g_.is_logic(k) ? !s.logic_evaluated(k) : !s.marked(k)) {
+                return false;
+            }
+        }
+        return preset_pushes_true(s, l);
+    }
+
+    /// Cd↓(l), Eq. 1 + 3: preset logic reset, preset registers unmarked.
+    /// (The push term of Eq. 3 is subsumed: an unmarked push has no
+    /// token.)
+    bool eval_reset(const State& s, NodeId l) const {
+        for (NodeId k : g_.preset(l)) {
+            if (g_.is_logic(k) ? s.logic_evaluated(k) : s.marked(k)) {
+                return false;
+            }
+        }
+        return true;
+    }
+
+    /// Md↑(r), Eq. 2 + 4: preset logic evaluated, R-preset marked
+    /// (pushes with real tokens only), R-postset unmarked.
+    bool mark_set(const State& s, NodeId r) const {
+        return preset_logic_evaluated(s, r) && r_preset_marked(s, r) &&
+               r_preset_pushes_true(s, r) && r_postset_unmarked(s, r);
+    }
+
+    /// Md↓(r), Eq. 2 + 4: preset logic reset, R-preset unmarked,
+    /// R-postset holding the propagated token (pops only when
+    /// true-controlled).
+    bool mark_reset(const State& s, NodeId r) const {
+        return preset_logic_reset(s, r) && r_preset_unmarked(s, r) &&
+               r_postset_took_token(s, r);
+    }
+
+    /// Every control register in n's R-preset is marked with the token
+    /// that, after the arc's inversion, reads True. A node without
+    /// controls is vacuously true-controlled: it behaves statically.
+    bool true_controlled(const State& s, NodeId n) const {
+        const auto& controls = g_.control_preset(n);
+        const auto& inverted = g_.control_preset_inversion(n);
+        for (std::size_t i = 0; i < controls.size(); ++i) {
+            const NodeId c = controls[i];
+            // Inverting arcs (Section II-B extension): the consumer
+            // observes the complement of the control token.
+            if (!s.marked(c) || s.token_true(c) == inverted[i]) return false;
+        }
+        return true;
+    }
+
+    /// As true_controlled for False, except that a node without controls
+    /// is never false-controlled.
+    bool false_controlled(const State& s, NodeId n) const {
+        const auto& controls = g_.control_preset(n);
+        const auto& inverted = g_.control_preset_inversion(n);
+        if (controls.empty()) return false;
+        for (std::size_t i = 0; i < controls.size(); ++i) {
+            const NodeId c = controls[i];
+            if (!s.marked(c) || s.token_true(c) != inverted[i]) return false;
+        }
+        return true;
     }
 
 private:
@@ -135,8 +207,19 @@ private:
         }
         return true;
     }
+    /// Every push in the R-preset carries a real token (Eq. 3/4 gating).
     bool r_preset_pushes_true(const State& s, NodeId n) const {
         for (NodeId q : g_.r_preset(n)) {
+            if (g_.kind(q) == NodeKind::Push && !s.marked_true(g_, q)) {
+                return false;
+            }
+        }
+        return true;
+    }
+    /// Every push directly preceding logic l carries a real token
+    /// (Eq. 3).
+    bool preset_pushes_true(const State& s, NodeId l) const {
+        for (NodeId q : g_.preset(l)) {
             if (g_.kind(q) == NodeKind::Push && !s.marked_true(g_, q)) {
                 return false;
             }
@@ -160,7 +243,6 @@ private:
         return true;
     }
 
-    const Dynamics& dyn_;
     const Graph& g_;
 };
 

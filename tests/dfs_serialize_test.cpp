@@ -124,6 +124,14 @@ TEST(Serialize, ErrorsCarryLineNumbers) {
     expect_error("dfs a\nlogic l *\n", 2, "no marking");
     expect_error("dfs\n", 1, "missing model name");
     expect_error("dfs a\nedge r\n", 2, "two node names");
+    // A word after a line's last field is refused, never dropped.
+    expect_error("dfs m extra\n", 1, "unexpected trailing text 'extra'");
+    expect_error("dfs a\nregister a * extra\n", 2,
+                 "unexpected trailing text 'extra'");
+    expect_error("dfs a\ncontrol c T junk\n", 2,
+                 "unexpected trailing text 'junk'");
+    expect_error("dfs a\ncontrol c T\nregister b\nedge c b inv junk\n", 4,
+                 "unexpected trailing text 'junk'");
     // Refusals raised by Graph itself carry the line number too.
     expect_error("dfs a\nregister r\n# gap\nlogic r\n", 4,
                  "duplicate node name");

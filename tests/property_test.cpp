@@ -12,78 +12,14 @@
 #include "dfs/model.hpp"
 #include "dfs/serialize.hpp"
 #include "dfs/translate.hpp"
+#include "dfs_helpers.hpp"
 #include "petri/reachability.hpp"
 #include "util/rng.hpp"
 
 namespace rap::dfs {
 namespace {
 
-/// Generates a random valid model: a data chain of random register kinds
-/// (with logic between them) fed by a source register, plus 1-2 control
-/// rings whose heads guard the dynamic nodes, occasionally through
-/// inverting arcs.
-Graph random_model(std::uint64_t seed) {
-    util::Rng rng(seed);
-    Graph g("fuzz_" + std::to_string(seed));
-
-    // Control rings.
-    const int rings = 1 + static_cast<int>(rng.below(2));
-    std::vector<NodeId> heads;
-    for (int r = 0; r < rings; ++r) {
-        const auto polarity =
-            rng.chance(0.5) ? TokenValue::True : TokenValue::False;
-        const std::string prefix = "ring" + std::to_string(r);
-        const auto c1 = g.add_control(prefix + "_c1", true, polarity);
-        const auto c2 = g.add_control(prefix + "_c2", false, polarity);
-        const auto c3 = g.add_control(prefix + "_c3", false, polarity);
-        g.connect(c1, c2);
-        g.connect(c2, c3);
-        g.connect(c3, c1);
-        heads.push_back(c1);
-    }
-
-    // Data chain.
-    NodeId prev = g.add_register("src", rng.chance(0.3));
-    const int stages = 2 + static_cast<int>(rng.below(3));
-    for (int i = 0; i < stages; ++i) {
-        const std::string suffix = std::to_string(i);
-        if (rng.chance(0.6)) {
-            const auto f = g.add_logic("f" + suffix);
-            g.connect(prev, f);
-            prev = f;
-        }
-        NodeId reg;
-        switch (rng.below(4)) {
-            case 0:
-            case 1:
-                reg = g.add_register("r" + suffix);
-                break;
-            case 2: {
-                reg = g.add_push("p" + suffix);
-                const auto head = heads[rng.below(heads.size())];
-                if (rng.chance(0.25)) {
-                    g.connect_inverted(head, reg);
-                } else {
-                    g.connect(head, reg);
-                }
-                break;
-            }
-            default: {
-                reg = g.add_pop("q" + suffix);
-                const auto head = heads[rng.below(heads.size())];
-                if (rng.chance(0.25)) {
-                    g.connect_inverted(head, reg);
-                } else {
-                    g.connect(head, reg);
-                }
-                break;
-            }
-        }
-        g.connect(prev, reg);
-        prev = reg;
-    }
-    return g;
-}
+using testing::random_model;
 
 class RandomModel : public ::testing::TestWithParam<std::uint64_t> {};
 

