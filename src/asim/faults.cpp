@@ -85,6 +85,14 @@ FaultRealization::Action FaultRealization::on_fire(std::uint32_t node) {
     return Action::kNone;
 }
 
+void validate_glitch(const GlitchSpec& spec) {
+    if (spec.active() && (spec.max_duration_s < spec.min_duration_s ||
+                          spec.min_duration_s < 0.0)) {
+        throw std::invalid_argument(
+            "GlitchSpec: need 0 <= min_duration_s <= max_duration_s");
+    }
+}
+
 GlitchedSchedule splice_glitches(const tech::VoltageSchedule& base,
                                  const GlitchSpec& spec, std::uint64_t seed,
                                  double horizon_s) {
@@ -93,11 +101,7 @@ GlitchedSchedule splice_glitches(const tech::VoltageSchedule& base,
         out.schedule = base;
         return out;
     }
-    if (spec.max_duration_s < spec.min_duration_s ||
-        spec.min_duration_s < 0.0) {
-        throw std::invalid_argument(
-            "GlitchSpec: need 0 <= min_duration_s <= max_duration_s");
-    }
+    validate_glitch(spec);
 
     // Poisson arrivals: exponential inter-arrival times at rate_hz.
     // Windows are merged when a droop arrives inside the previous one.

@@ -121,6 +121,11 @@ struct GlitchedSchedule {
     std::size_t glitches() const noexcept { return windows.size(); }
 };
 
+/// Throws std::invalid_argument unless an active spec's duration window
+/// satisfies 0 <= min_duration_s <= max_duration_s — the rule
+/// splice_glitches applies, callable where a spec is configured.
+void validate_glitch(const GlitchSpec& spec);
+
 /// Splices seeded voltage droops into `base` over [0, horizon_s):
 /// Poisson arrivals at spec.rate_hz, uniform durations, each window
 /// subtracting spec.droop_v from whatever `base` schedules there

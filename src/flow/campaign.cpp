@@ -1,14 +1,13 @@
 #include "flow/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "flow/grid_pool.hpp"
 #include "ope/dfs_models.hpp"
 #include "util/rng.hpp"
 #include "verify/witness.hpp"
@@ -47,7 +46,8 @@ constexpr std::uint64_t kCalibTag = 0x63616c6962ULL;  // "calib"
 }  // namespace
 
 /// Everything a running campaign shares between the launching thread,
-/// the worker pool and the Handle (mirrors SweepState).
+/// the worker pool and the Handle. Owned by the Handle, which joins the
+/// runner before letting go of it.
 struct CampaignState {
     // -- immutable after launch -----------------------------------------
     Campaign::Factory factory;
@@ -62,23 +62,18 @@ struct CampaignState {
     double knee_fraction = 0.05;
     Campaign::RunCallback callback;
 
-    // -- work distribution ----------------------------------------------
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> cancelled{false};
-    std::vector<std::thread> pool;
-
-    // -- mutable results + aggregates (guarded by mutex) ------------------
-    std::mutex mutex;
-    std::size_t in_flight = 0;
-    std::vector<CampaignAggregate> rows;  ///< slot per grid point
-    std::vector<char> row_done;           ///< slot filled by a worker
-    std::size_t done = 0;
+    // -- results + aggregates (guarded by runner.mutex()) -----------------
+    /// Slot per grid point, empty until a worker runs the point.
+    std::vector<std::optional<CampaignAggregate>> rows;
     std::size_t runs_done = 0;
     std::size_t failures = 0;
     std::size_t hazards = 0;
     std::uint64_t faults_injected = 0;
     std::uint64_t glitch_windows = 0;
-    bool joined = false;
+
+    /// Last, so it is destroyed first: the workers are joined before the
+    /// slots they write go away.
+    GridPool runner;
 };
 
 namespace {
@@ -99,26 +94,23 @@ void fold_run(std::uint64_t& h, const CampaignRun& r) {
 }
 
 /// Publishes one finished run row: aggregate counters + the streaming
-/// callback, both under the state mutex (callback serialised, never
+/// callback, both under the runner's mutex (callback serialised, never
 /// after cancel()).
 void publish_run(CampaignState& state, const CampaignRun& row) {
-    const std::lock_guard<std::mutex> lock(state.mutex);
+    const std::lock_guard<std::mutex> lock(state.runner.mutex());
     ++state.runs_done;
     if (!row.completed) ++state.failures;
     if (row.hazard) ++state.hazards;
     state.faults_injected += row.faults.injected();
     state.glitch_windows += row.glitches;
-    if (!state.cancelled.load(std::memory_order_relaxed) &&
-        state.callback) {
-        state.callback(row);
-    }
+    if (!state.runner.cancelled() && state.callback) state.callback(row);
 }
 
 /// Runs one grid point start to finish: calibrate, then `runs` seeded
 /// Monte-Carlo runs in run order. Never throws; a factory/build failure
 /// reports every run of the point as failed with zero events.
-CampaignAggregate process_point(CampaignState& state,
-                                const CampaignPoint& point) {
+CampaignAggregate process_point(CampaignState& state, std::size_t index) {
+    const CampaignPoint& point = state.grid[index];
     CampaignAggregate agg;
     agg.point = point;
     agg.runs = state.runs;
@@ -251,41 +243,6 @@ CampaignAggregate process_point(CampaignState& state,
     return agg;
 }
 
-void worker_loop(const std::shared_ptr<CampaignState>& state) {
-    for (;;) {
-        if (state->cancelled.load(std::memory_order_relaxed)) return;
-        const std::size_t index =
-            state->next.fetch_add(1, std::memory_order_relaxed);
-        if (index >= state->grid.size()) return;
-
-        {
-            const std::lock_guard<std::mutex> lock(state->mutex);
-            ++state->in_flight;
-        }
-
-        CampaignAggregate row = process_point(*state, state->grid[index]);
-
-        {
-            const std::lock_guard<std::mutex> lock(state->mutex);
-            --state->in_flight;
-            state->rows[index] = std::move(row);
-            state->row_done[index] = 1;
-            ++state->done;
-        }
-    }
-}
-
-void join_pool(CampaignState& state) {
-    {
-        const std::lock_guard<std::mutex> lock(state.mutex);
-        if (state.joined) return;
-        state.joined = true;
-    }
-    for (std::thread& worker : state.pool) {
-        if (worker.joinable()) worker.join();
-    }
-}
-
 Metrics build_metrics(CampaignState& state) {
     Metrics m;
     using Type = Metrics::Type;
@@ -298,9 +255,9 @@ Metrics build_metrics(CampaignState& state) {
     std::uint64_t faults = 0;
     std::uint64_t glitches = 0;
     {
-        const std::lock_guard<std::mutex> lock(state.mutex);
-        done = state.done;
-        in_flight = state.in_flight;
+        const std::lock_guard<std::mutex> lock(state.runner.mutex());
+        done = state.runner.done();
+        in_flight = state.runner.in_flight();
         runs_done = state.runs_done;
         failures = state.failures;
         hazards = state.hazards;
@@ -315,8 +272,7 @@ Metrics build_metrics(CampaignState& state) {
     m.set("rap_mc_in_flight", "Grid points simulating right now",
           Type::kGauge, static_cast<double>(in_flight));
     m.set("rap_mc_cancelled", "1 once Handle::cancel() was called",
-          Type::kGauge,
-          state.cancelled.load(std::memory_order_relaxed) ? 1.0 : 0.0);
+          Type::kGauge, state.runner.cancelled() ? 1.0 : 0.0);
     m.set("rap_mc_runs_total", "Monte-Carlo runs the grid will execute",
           Type::kGauge,
           static_cast<double>(state.grid.size() * state.runs));
@@ -346,9 +302,9 @@ Metrics build_metrics(CampaignState& state) {
 CampaignSummary build_summary(CampaignState& state) {
     CampaignSummary summary;
     summary.checksum = kFnvOffset;
-    for (std::size_t i = 0; i < state.rows.size(); ++i) {
-        if (!state.row_done[i]) continue;  // cancelled before start
-        const CampaignAggregate& row = state.rows[i];
+    for (const std::optional<CampaignAggregate>& slot : state.rows) {
+        if (!slot) continue;  // cancelled before start
+        const CampaignAggregate& row = *slot;
         summary.runs_total += row.runs;
         summary.completed_total += row.completed;
         summary.hazards_total += row.hazards;
@@ -416,6 +372,12 @@ Campaign& Campaign::fault_scales(std::vector<double> values) {
         throw std::invalid_argument(
             "flow::Campaign: empty fault-scale axis");
     }
+    for (const double scale : values) {
+        if (!(scale >= 0.0)) {
+            throw std::invalid_argument(
+                "flow::Campaign: fault scales must be non-negative");
+        }
+    }
     fault_scales_ = std::move(values);
     return *this;
 }
@@ -429,6 +391,7 @@ Campaign& Campaign::depths(std::vector<int> values) {
 }
 
 Campaign& Campaign::base_faults(asim::FaultSpec spec) {
+    asim::validate_glitch(spec.glitch);
     faults_ = spec;
     return *this;
 }
@@ -513,25 +476,21 @@ Campaign::Handle::Handle(std::shared_ptr<detail::CampaignState> state)
     : state_(std::move(state)) {}
 
 Campaign::Handle::~Handle() {
-    if (state_) detail::join_pool(*state_);
+    if (state_) state_->runner.join();
 }
 
-void Campaign::Handle::cancel() {
-    const std::lock_guard<std::mutex> lock(state_->mutex);
-    state_->cancelled.store(true, std::memory_order_relaxed);
-}
+void Campaign::Handle::cancel() { state_->runner.cancel(); }
 
 bool Campaign::Handle::cancelled() const {
-    return state_->cancelled.load(std::memory_order_relaxed);
+    return state_->runner.cancelled();
 }
 
 std::size_t Campaign::Handle::done() const {
-    const std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->done;
+    return state_->runner.done();
 }
 
 std::size_t Campaign::Handle::total() const {
-    return state_->grid.size();
+    return state_->runner.total();
 }
 
 Metrics Campaign::Handle::metrics() const {
@@ -539,7 +498,7 @@ Metrics Campaign::Handle::metrics() const {
 }
 
 CampaignSummary Campaign::Handle::wait() {
-    detail::join_pool(*state_);
+    state_->runner.join();
     return detail::build_summary(*state_);
 }
 
@@ -559,21 +518,15 @@ Campaign::Handle Campaign::launch() {
     state->knee_fraction = knee_fraction_;
     state->callback = callback_;
 
-    std::size_t workers = workers_;
-    if (workers == 0) {
-        workers = std::max(1u, std::thread::hardware_concurrency());
-    }
-    workers = std::max<std::size_t>(
-        1, std::min(workers, state->grid.size()));
-
     state->rows.resize(state->grid.size());
-    state->row_done.assign(state->grid.size(), 0);
 
-    state->pool.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-        state->pool.emplace_back(
-            [state] { detail::worker_loop(state); });
-    }
+    detail::CampaignState* st = state.get();
+    st->runner.start(
+        st->grid.size(), workers_,
+        [st](std::size_t i) { return detail::process_point(*st, i); },
+        [st](std::size_t i, CampaignAggregate row) {
+            st->rows[i] = std::move(row);
+        });
     return Handle(std::move(state));
 }
 

@@ -145,13 +145,17 @@ public:
     // -- grid axes (defaults: nominal voltage, scale 1, depth 1) ---------
 
     Campaign& voltages(std::vector<double> values);
+    /// Each scale must be non-negative (a negative or NaN one throws
+    /// std::invalid_argument).
     Campaign& fault_scales(std::vector<double> values);
     Campaign& depths(std::vector<int> values);
 
     // -- behaviour -------------------------------------------------------
 
     /// The fault intensities at scale 1.0 (each point applies
-    /// spec.scaled(point.fault_scale)).
+    /// spec.scaled(point.fault_scale)). An active glitch spec whose
+    /// duration window splice_glitches would refuse throws
+    /// std::invalid_argument here (asim::validate_glitch).
     Campaign& base_faults(asim::FaultSpec spec);
     /// Seeded runs per grid point (default 32).
     Campaign& runs(std::size_t per_point);
@@ -196,13 +200,17 @@ public:
         Handle& operator=(const Handle&) = delete;
         ~Handle();
 
-        /// Cooperative cancellation: unstarted points are skipped and
-        /// the summary only aggregates completed points (its checksum
-        /// is then NOT comparable to a full run's).
+        /// Cooperative cancellation: no new point starts, a running
+        /// point finishes its runs, and once cancel() returns no further
+        /// on_run callbacks fire. The pool still settles every grid
+        /// point: ran, or cancelled before start. The summary only
+        /// aggregates points that ran (its checksum is then NOT
+        /// comparable to a full run's).
         void cancel();
         bool cancelled() const;
 
-        std::size_t done() const;   ///< grid points completed so far
+        /// Grid points settled so far: ran, or cancelled before start.
+        std::size_t done() const;
         std::size_t total() const;  ///< grid size
 
         /// Scrapeable rap_mc_* metrics snapshot (campaign progress, run

@@ -133,22 +133,6 @@ dfs::Graph& Design::edit() {
     return graph_mut();
 }
 
-// -- checkpointing --------------------------------------------------------
-
-void Design::set_checkpoint(std::string path, std::size_t every) {
-    options_.verify.checkpoint_path = std::move(path);
-    options_.verify.checkpoint_every = every;
-    // Option change, not a model mutation: only the verifier (which
-    // snapshots VerifyOptions at build) rebuilds; revision() holds.
-    flush_verifier();
-}
-
-void Design::set_resume(
-    std::shared_ptr<const petri::StoreCheckpoint> resume) {
-    options_.verify.resume = std::move(resume);
-    flush_verifier();
-}
-
 // -- artifacts -----------------------------------------------------------
 
 const dfs::Dynamics& Design::dynamics() const {

@@ -159,28 +159,6 @@ public:
     /// readable across model mutations.
     std::optional<petri::PorStats> por_stats() const;
 
-    // -- checkpointing ----------------------------------------------------
-
-    /// Points verification checkpointing at `path` (empty disables):
-    /// subsequent explorations periodically serialize a
-    /// petri::StoreCheckpoint there (`every` = cadence in expanded
-    /// states; 0 = engine default). Not a model mutation — cached
-    /// artifacts other than the verifier survive, and revision() does
-    /// not change.
-    void set_checkpoint(std::string path, std::size_t every = 0);
-
-    /// Makes the next exploration resume from a loaded checkpoint
-    /// instead of the initial marking (pass nullptr to clear). The
-    /// checkpoint must match the session's net structure; the engine
-    /// refuses anything else loudly. One-shot in spirit: callers clear or
-    /// replace it after the resumed pass completes.
-    void set_resume(std::shared_ptr<const petri::StoreCheckpoint> resume);
-
-    /// The checkpoint path explorations currently write to ("" = off).
-    const std::string& checkpoint_path() const noexcept {
-        return options_.verify.checkpoint_path;
-    }
-
     // -- simulation -------------------------------------------------------
 
     dfs::State initial_state() const;

@@ -1,0 +1,100 @@
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <mutex>
+#include <thread>
+#include <utility>
+#include <vector>
+
+namespace rap::flow::detail {
+
+/// The worker pool under flow::Sweep and flow::Campaign. Workers claim
+/// grid points in index order from one counter. One mutex guards the
+/// pool's counters and cancel flag, and the result slots and aggregates
+/// of the Sweep or Campaign too. One cancel rule holds for both: after
+/// cancel() no point body starts, and a point that had not started is
+/// settled without running — it counts in done(), fires no callback and
+/// keeps its launch-time slot. cancel() takes mutex() and callbacks test
+/// cancelled() under it, so none fires after cancel() returns.
+class GridPool {
+public:
+    GridPool() = default;
+    GridPool(const GridPool&) = delete;  // workers hold its address
+    GridPool& operator=(const GridPool&) = delete;
+    ~GridPool() { join(); }
+
+    /// Starts the workers over `points` grid points; `workers` 0 means
+    /// one per hardware thread, capped at `points`. run(i) executes
+    /// point i outside the lock; publish(i, result) stores its result
+    /// under mutex() in the step that settles the point.
+    template <typename Run, typename Publish>
+    void start(std::size_t points, std::size_t workers, Run run,
+               Publish publish) {
+        total_ = points;
+        if (workers == 0) {
+            workers = std::max(1u, std::thread::hardware_concurrency());
+        }
+        workers = std::max<std::size_t>(1, std::min(workers, points));
+        threads_.reserve(workers);
+        for (std::size_t i = 0; i < workers; ++i) {
+            threads_.emplace_back([this, run, publish]() mutable {
+                for (;;) {
+                    const std::size_t index =
+                        next_.fetch_add(1, std::memory_order_relaxed);
+                    if (index >= total_) return;
+                    {
+                        const std::lock_guard<std::mutex> lock(mutex_);
+                        if (cancelled()) {
+                            ++done_;
+                            continue;
+                        }
+                        ++in_flight_;
+                    }
+                    auto result = run(index);
+                    const std::lock_guard<std::mutex> lock(mutex_);
+                    --in_flight_;
+                    ++done_;
+                    publish(index, std::move(result));
+                }
+            });
+        }
+    }
+
+    /// Waits for every worker. Idempotent.
+    void join() {
+        for (std::thread& worker : threads_) {
+            if (worker.joinable()) worker.join();
+        }
+    }
+
+    void cancel() {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        cancelled_.store(true, std::memory_order_relaxed);
+    }
+
+    // The counters and the flag change only under mutex(): a reader that
+    // holds it sees them consistent with the result slots, and a
+    // lock-free read (a stop poll, a progress query) is a snapshot.
+    bool cancelled() const {
+        return cancelled_.load(std::memory_order_relaxed);
+    }
+    std::size_t done() const { return done_.load(std::memory_order_relaxed); }
+    std::size_t in_flight() const {
+        return in_flight_.load(std::memory_order_relaxed);
+    }
+    std::size_t total() const { return total_; }
+    std::mutex& mutex() const { return mutex_; }
+
+private:
+    std::size_t total_ = 0;
+    std::atomic<std::size_t> next_{0};
+    mutable std::mutex mutex_;
+    std::atomic<std::size_t> in_flight_{0};
+    std::atomic<std::size_t> done_{0};
+    std::atomic<bool> cancelled_{false};
+    std::vector<std::thread> threads_;
+};
+
+}  // namespace rap::flow::detail

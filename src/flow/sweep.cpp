@@ -1,15 +1,14 @@
 #include "flow/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
+#include "flow/grid_pool.hpp"
 #include "ope/dfs_models.hpp"
 #include "verify/cache.hpp"
 
@@ -28,15 +27,13 @@ std::string_view to_string(SweepStatus status) {
 namespace detail {
 
 /// Everything a running sweep shares between the launching thread, the
-/// worker pool and the Handle. Lifetime: shared_ptr held by the Handle
-/// and (via the thread objects living inside it) the workers.
+/// worker pool and the Handle. Owned by the Handle, which joins the
+/// runner before letting go of it.
 struct SweepState {
     // -- immutable after launch -----------------------------------------
     Sweep::Factory factory;
     DesignOptions base;
     verify::Spec spec;
-    std::vector<SweepPoint> grid;
-    std::vector<tech::VoltageSchedule> schedules;
     double timeout_s = 0.0;
     Sweep::ResultCallback callback;
     /// Checkpoint directory ("" = off): each point writes
@@ -46,16 +43,8 @@ struct SweepState {
     /// hit-rate to this sweep rather than the whole process lifetime.
     verify::CacheStats cache_before;
 
-    // -- work distribution ----------------------------------------------
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> cancelled{false};
-    std::vector<std::thread> pool;
-
-    // -- mutable results + aggregates (guarded by mutex) ------------------
-    std::mutex mutex;
-    std::size_t in_flight = 0;
+    // -- results + aggregates (guarded by runner.mutex()) -----------------
     std::vector<SweepResult> results;  ///< slot per grid point
-    std::size_t done = 0;
     std::unordered_set<std::string> distinct;  ///< model fingerprints
     std::size_t states_total = 0;
     double verify_seconds_total = 0.0;
@@ -67,29 +56,21 @@ struct SweepState {
     std::size_t por_active_configs = 0;  ///< rows whose pass reduced
     std::size_t por_enabled_total = 0;   ///< full-exploration work
     std::size_t por_expanded_total = 0;  ///< work actually done
-    bool joined = false;
+
+    /// Last, so it is destroyed first: the workers are joined before the
+    /// slots they write go away.
+    GridPool runner;
 };
 
 namespace {
 
-/// Runs one grid point start to finish. Never throws: every failure mode
-/// maps to a row status.
-SweepResult process_point(SweepState& state, const SweepPoint& point) {
-    SweepResult row;
-    row.point = point;
-
-    // The schedule axis' analytic figure of merit is defined even for
-    // configurations the factory rejects.
-    if (point.schedule < state.schedules.size()) {
-        row.schedule_finish_s =
-            state.schedules[point.schedule].finish_time(
-                tech::VoltageModel(state.base.process), 0.0, 1.0);
-    }
-
-    if (state.cancelled.load(std::memory_order_relaxed)) {
-        row.status = SweepStatus::kCancelled;
-        return row;
-    }
+/// Runs one grid point start to finish, from the point and figure of
+/// merit in its launch-time slot (no other worker touches that slot, so
+/// it is read without the lock). Never throws: every failure mode maps
+/// to a row status.
+SweepResult process_point(SweepState& state, std::size_t index) {
+    SweepResult row = state.results[index];
+    const SweepPoint& point = row.point;
 
     std::optional<pipeline::Pipeline> model;
     try {
@@ -105,23 +86,24 @@ SweepResult process_point(SweepState& state, const SweepPoint& point) {
     // content and never evicts a model the session still holds.
     const std::string key = verify::model_fingerprint(model->graph);
     {
-        const std::lock_guard<std::mutex> lock(state.mutex);
+        const std::lock_guard<std::mutex> lock(state.runner.mutex());
         state.distinct.insert(key);
     }
 
-    const auto deadline =
-        state.timeout_s > 0.0
-            ? std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(state.timeout_s))
-            : std::chrono::steady_clock::time_point::max();
+    // A budget the clock cannot represent means no deadline, as <= 0
+    // does.
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double> budget(state.timeout_s);
+    const Clock::time_point deadline =
+        budget.count() > 0.0 && budget < Clock::time_point::max() - now
+            ? now + std::chrono::duration_cast<Clock::duration>(budget)
+            : Clock::time_point::max();
 
     DesignOptions options = state.base;
     const std::function<bool()> user_stop = options.verify.stop;
     options.verify.stop = [&state, deadline, user_stop] {
-        return state.cancelled.load(std::memory_order_relaxed) ||
-               std::chrono::steady_clock::now() >= deadline ||
+        return state.runner.cancelled() || Clock::now() >= deadline ||
                (user_stop && user_stop());
     };
     if (!state.checkpoint_dir.empty()) {
@@ -141,9 +123,9 @@ SweepResult process_point(SweepState& state, const SweepPoint& point) {
     try {
         design = make_design(std::move(*model), options);
 
-        const auto t0 = std::chrono::steady_clock::now();
+        const auto t0 = Clock::now();
         row.report = design->verify(state.spec);
-        const auto t1 = std::chrono::steady_clock::now();
+        const auto t1 = Clock::now();
 
         row.verify_seconds =
             std::chrono::duration<double>(t1 - t0).count();
@@ -158,7 +140,7 @@ SweepResult process_point(SweepState& state, const SweepPoint& point) {
         for (const auto& finding : row.report.findings) {
             truncated_by_stop |= finding.truncated;
         }
-        if (state.cancelled.load(std::memory_order_relaxed)) {
+        if (state.runner.cancelled()) {
             row.status = SweepStatus::kCancelled;
         } else if (truncated_by_stop && t1 >= deadline) {
             row.status = SweepStatus::kTimedOut;
@@ -177,59 +159,26 @@ SweepResult process_point(SweepState& state, const SweepPoint& point) {
     return row;
 }
 
-void run_point(SweepState& state, std::size_t index) {
-    {
-        const std::lock_guard<std::mutex> lock(state.mutex);
-        ++state.in_flight;
-    }
-
-    SweepResult row = process_point(state, state.grid[index]);
-
-    {
-        const std::lock_guard<std::mutex> lock(state.mutex);
-        --state.in_flight;
-        state.states_total += row.states;
-        state.verify_seconds_total += row.verify_seconds;
-        if (row.memory) {
-            if (row.memory->peak_bytes >= state.peak_resident_bytes) {
-                state.peak_store = row.memory->store;
-            }
-            state.peak_resident_bytes = std::max(
-                state.peak_resident_bytes, row.memory->peak_bytes);
+/// Folds a finished row into the aggregates, stores it in its slot and
+/// streams it. Runs under runner.mutex().
+void publish_row(SweepState& state, std::size_t index, SweepResult row) {
+    state.states_total += row.states;
+    state.verify_seconds_total += row.verify_seconds;
+    if (row.memory) {
+        if (row.memory->peak_bytes >= state.peak_resident_bytes) {
+            state.peak_store = row.memory->store;
         }
-        if (row.por && row.por->active) {
-            ++state.por_active_configs;
-            state.por_enabled_total += row.por->enabled_transitions;
-            state.por_expanded_total += row.por->expanded_transitions;
-        }
-        state.results[index] = std::move(row);
-        ++state.done;
-        // cancel() flips the flag under this same mutex, so once it
-        // returns no further callback can be entered.
-        if (!state.cancelled.load(std::memory_order_relaxed) &&
-            state.callback) {
-            state.callback(state.results[index]);
-        }
+        state.peak_resident_bytes =
+            std::max(state.peak_resident_bytes, row.memory->peak_bytes);
     }
-}
-
-void worker_loop(const std::shared_ptr<SweepState>& state) {
-    for (;;) {
-        const std::size_t index =
-            state->next.fetch_add(1, std::memory_order_relaxed);
-        if (index >= state->grid.size()) return;
-        run_point(*state, index);
+    if (row.por && row.por->active) {
+        ++state.por_active_configs;
+        state.por_enabled_total += row.por->enabled_transitions;
+        state.por_expanded_total += row.por->expanded_transitions;
     }
-}
-
-void join_pool(SweepState& state) {
-    {
-        const std::lock_guard<std::mutex> lock(state.mutex);
-        if (state.joined) return;
-        state.joined = true;
-    }
-    for (std::thread& worker : state.pool) {
-        if (worker.joinable()) worker.join();
+    state.results[index] = std::move(row);
+    if (!state.runner.cancelled() && state.callback) {
+        state.callback(state.results[index]);
     }
 }
 
@@ -248,9 +197,9 @@ Metrics build_metrics(SweepState& state) {
     std::size_t por_enabled = 0;
     std::size_t por_expanded = 0;
     {
-        const std::lock_guard<std::mutex> lock(state.mutex);
-        done = state.done;
-        in_flight = state.in_flight;
+        const std::lock_guard<std::mutex> lock(state.runner.mutex());
+        done = state.runner.done();
+        in_flight = state.runner.in_flight();
         distinct = state.distinct.size();
         states_total = state.states_total;
         verify_seconds = state.verify_seconds_total;
@@ -260,7 +209,7 @@ Metrics build_metrics(SweepState& state) {
         por_enabled = state.por_enabled_total;
         por_expanded = state.por_expanded_total;
     }
-    const std::size_t total = state.grid.size();
+    const std::size_t total = state.runner.total();
     const std::size_t queued = total - std::min(total, done + in_flight);
 
     m.set("rap_sweep_configs_total",
@@ -277,7 +226,7 @@ Metrics build_metrics(SweepState& state) {
           Type::kGauge, static_cast<double>(in_flight));
     m.set("rap_sweep_cancelled",
           "1 once Handle::cancel() was called", Type::kGauge,
-          state.cancelled.load(std::memory_order_relaxed) ? 1.0 : 0.0);
+          state.runner.cancelled() ? 1.0 : 0.0);
     m.set("rap_sweep_distinct_models",
           "Distinct model contents seen (the dedup denominator)",
           Type::kGauge, static_cast<double>(distinct));
@@ -387,9 +336,8 @@ Sweep::Sweep(Factory factory, DesignOptions base)
             "flow::Sweep: the model factory must be callable");
     }
     validate_options(base_);
-    // Sweeps verify with partial-order reduction by default: verdicts
-    // are preserved and every configuration explores a smaller graph.
-    // Sweep::por(false) restores full explorations.
+    // Sweeps verify with partial-order reduction: verdicts are preserved
+    // and every configuration explores a smaller graph.
     base_.verify.por = true;
     schedules_.push_back(
         tech::VoltageSchedule::constant(base_.process.v_nominal));
@@ -441,11 +389,6 @@ Sweep& Sweep::spec(verify::Spec value) {
     return *this;
 }
 
-Sweep& Sweep::por(bool enabled) {
-    base_.verify.por = enabled;
-    return *this;
-}
-
 Sweep& Sweep::workers(std::size_t count) {
     workers_ = count;
     return *this;
@@ -490,27 +433,23 @@ Sweep::Handle::Handle(std::shared_ptr<detail::SweepState> state)
     : state_(std::move(state)) {}
 
 Sweep::Handle::~Handle() {
-    if (state_) detail::join_pool(*state_);
+    if (state_) state_->runner.join();
 }
 
-void Sweep::Handle::cancel() {
-    const std::lock_guard<std::mutex> lock(state_->mutex);
-    state_->cancelled.store(true, std::memory_order_relaxed);
-}
+void Sweep::Handle::cancel() { state_->runner.cancel(); }
 
 bool Sweep::Handle::cancelled() const {
-    return state_->cancelled.load(std::memory_order_relaxed);
+    return state_->runner.cancelled();
 }
 
-std::size_t Sweep::Handle::done() const {
-    const std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->done;
-}
+std::size_t Sweep::Handle::done() const { return state_->runner.done(); }
 
-std::size_t Sweep::Handle::total() const { return state_->grid.size(); }
+std::size_t Sweep::Handle::total() const {
+    return state_->runner.total();
+}
 
 std::size_t Sweep::Handle::distinct_models() const {
-    const std::lock_guard<std::mutex> lock(state_->mutex);
+    const std::lock_guard<std::mutex> lock(state_->runner.mutex());
     return state_->distinct.size();
 }
 
@@ -519,7 +458,7 @@ Metrics Sweep::Handle::metrics() const {
 }
 
 std::vector<SweepResult> Sweep::Handle::wait() {
-    detail::join_pool(*state_);
+    state_->runner.join();
     return std::move(state_->results);
 }
 
@@ -530,32 +469,33 @@ Sweep::Handle Sweep::launch() {
     state->factory = factory_;
     state->base = base_;
     state->spec = spec_;
-    state->grid = grid();
-    state->schedules = schedules_;
     state->timeout_s = timeout_s_;
     state->callback = callback_;
     state->checkpoint_dir = checkpoint_dir_;
     state->cache_before = verify::cache_stats();
 
-    std::size_t workers = workers_;
-    if (workers == 0) {
-        workers = std::max(1u, std::thread::hardware_concurrency());
+    // Every slot starts as its point's kCancelled row with the schedule
+    // axis' figure of merit, which is defined even for configurations the
+    // factory rejects; a worker overwrites the slot of each point it runs.
+    const tech::VoltageModel model(base_.process);
+    std::vector<double> finish_s;
+    for (const tech::VoltageSchedule& schedule : schedules_) {
+        finish_s.push_back(schedule.finish_time(model, 0.0, 1.0));
     }
-    workers = std::max<std::size_t>(1, std::min(workers, state->grid.size()));
+    for (SweepPoint& point : grid()) {
+        SweepResult& row = state->results.emplace_back();
+        row.status = SweepStatus::kCancelled;
+        row.schedule_finish_s = finish_s[point.schedule];
+        row.point = std::move(point);
+    }
 
-    state->results.resize(state->grid.size());
-    // Pre-fill every slot's point so cancelled-before-start rows still
-    // identify themselves; workers overwrite the slots they process.
-    for (std::size_t i = 0; i < state->grid.size(); ++i) {
-        state->results[i].point = state->grid[i];
-        state->results[i].status = SweepStatus::kCancelled;
-    }
-
-    state->pool.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-        state->pool.emplace_back(
-            [state] { detail::worker_loop(state); });
-    }
+    detail::SweepState* st = state.get();
+    st->runner.start(
+        st->results.size(), workers_,
+        [st](std::size_t i) { return detail::process_point(*st, i); },
+        [st](std::size_t i, SweepResult row) {
+            detail::publish_row(*st, i, std::move(row));
+        });
     return Handle(std::move(state));
 }
 

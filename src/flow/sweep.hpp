@@ -56,7 +56,7 @@ struct SweepResult {
     /// all (factory rejection, cancellation before start).
     std::optional<petri::MemoryStats> memory;
     /// Partial-order-reduction statistics of the verification pass
-    /// (sweeps verify with reduction on by default — Sweep::por()).
+    /// (sweeps always verify with reduction on).
     std::optional<petri::PorStats> por;
     /// Wall seconds for one nominal-speed second of work under this
     /// point's voltage schedule (+inf when the supply never recovers
@@ -128,15 +128,11 @@ public:
 
     /// Properties each configuration verifies (default Spec::standard()).
     Sweep& spec(verify::Spec value);
-    /// Partial-order reduction for the per-configuration verifications.
-    /// Defaults to ON inside sweeps (it preserves every verdict while
-    /// shrinking the explored graph — see VerifyOptions::por), overriding
-    /// the base options; pass false to measure full explorations.
-    Sweep& por(bool enabled);
     /// Worker pool size; 0 (default) = one per hardware thread, capped
     /// at the grid size.
     Sweep& workers(std::size_t count);
-    /// Wall-clock budget per configuration; <= 0 (default) = none.
+    /// Wall-clock budget per configuration; <= 0 (default) = none, and
+    /// so is a budget the clock cannot represent (infinity, >= ~9.2e9).
     Sweep& per_config_timeout(double seconds);
     /// Per-configuration checkpointing: each grid point's exploration
     /// periodically serializes a petri::StoreCheckpoint to
@@ -165,12 +161,14 @@ public:
 
         /// Cooperative cancellation: no new configurations start,
         /// running explorations stop at their next poll, and once
-        /// cancel() returns no further on_result callbacks fire.
-        /// Unfinished grid points report kCancelled.
+        /// cancel() returns no further on_result callbacks fire. The
+        /// pool still settles every grid point: ran, or cancelled before
+        /// start. Points that did not finish report kCancelled.
         void cancel();
         bool cancelled() const;
 
-        std::size_t done() const;   ///< rows completed so far
+        /// Grid points settled so far: ran, or cancelled before start.
+        std::size_t done() const;
         std::size_t total() const;  ///< grid size
 
         /// Distinct model contents seen so far (the dedup denominator:

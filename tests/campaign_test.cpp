@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -62,6 +63,19 @@ TEST(Campaign, RejectsBadConfiguration) {
     EXPECT_THROW(campaign.runs(0), std::invalid_argument);
     EXPECT_THROW(campaign.items(0), std::invalid_argument);
     EXPECT_THROW(campaign.time_budget_factor(0.0), std::invalid_argument);
+    // Refused at the setter: past it, FaultSpec::scaled and
+    // splice_glitches would throw on a worker thread and end the process.
+    EXPECT_THROW(campaign.fault_scales({1.0, -1.0}), std::invalid_argument);
+    EXPECT_THROW(campaign.fault_scales({std::nan("")}),
+                 std::invalid_argument);
+    asim::FaultSpec faults;
+    faults.glitch.rate_hz = 1e6;
+    faults.glitch.droop_v = 0.4;
+    faults.glitch.min_duration_s = 5e-8;
+    faults.glitch.max_duration_s = 1e-8;
+    EXPECT_THROW(campaign.base_faults(faults), std::invalid_argument);
+    faults.glitch.min_duration_s = -1e-8;
+    EXPECT_THROW(campaign.base_faults(faults), std::invalid_argument);
 }
 
 // The seeding contract: the full result set — every per-point checksum
@@ -363,6 +377,10 @@ TEST(Campaign, CancelStopsCallbacksAndSkipsUnstartedPoints) {
     }
     EXPECT_EQ(summary.runs_total, 3u * summary.rows.size());
     EXPECT_EQ(handle.metrics().value("rap_mc_cancelled"), 1.0);
+    // The pool settles every point: ran, or cancelled before start.
+    EXPECT_EQ(handle.done(), handle.total());
+    EXPECT_EQ(handle.metrics().value("rap_mc_points_done"), 4.0);
+    EXPECT_EQ(handle.metrics().value("rap_mc_in_flight"), 0.0);
 }
 
 TEST(Campaign, MetricsExposeMonteCarloCounters) {

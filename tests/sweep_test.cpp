@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -241,6 +242,17 @@ TEST(Sweep, CancelStopsCallbacksAndDrainsPool) {
     }
     EXPECT_GE(cancelled, 3u);
     EXPECT_EQ(handle.metrics().value("rap_sweep_cancelled"), 1.0);
+    EXPECT_EQ(handle.metrics().value("rap_sweep_in_flight"), 0.0);
+    // Every slot, kCancelled ones included, carries its grid point and
+    // its schedule's figure of merit.
+    const std::vector<SweepPoint> grid = sweep.grid();
+    EXPECT_GT(rows[0].schedule_finish_s, 0.0);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].point.index, i);
+        EXPECT_EQ(rows[i].point.label, grid[i].label);
+        EXPECT_EQ(rows[i].schedule_finish_s, rows[0].schedule_finish_s)
+            << rows[i].point.label;
+    }
 }
 
 // A per-configuration wall-clock budget interrupts the exploration
@@ -265,6 +277,32 @@ TEST(Sweep, PerConfigTimeoutMarksRowTimedOut) {
     }
     EXPECT_TRUE(any_truncated);
     EXPECT_LT(rows[0].states, 191000u);
+}
+
+// A budget the clock cannot represent is no budget, exactly as <= 0.
+// Converted to a steady_clock deadline, it would overflow into the past
+// and stop every configuration at its first poll.
+TEST(Sweep, UnrepresentableTimeoutMeansNoDeadline) {
+    const auto sweep_with = [](double timeout_s) {
+        return Sweep(&ope_style_factory)
+            .stages({2, 3})
+            .depths(1, 2)
+            .spec(verify::Spec{}.deadlock())
+            .per_config_timeout(timeout_s)
+            .run();
+    };
+    const std::vector<SweepResult> unbounded = sweep_with(0.0);
+    for (const double timeout_s :
+         {std::numeric_limits<double>::infinity(), 1e10}) {
+        const std::vector<SweepResult> rows = sweep_with(timeout_s);
+        ASSERT_EQ(rows.size(), unbounded.size());
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            EXPECT_EQ(rows[i].status, SweepStatus::kOk)
+                << timeout_s << " s, " << rows[i].point.label;
+            EXPECT_EQ(rows[i].states, unbounded[i].states)
+                << timeout_s << " s, " << rows[i].point.label;
+        }
+    }
 }
 
 // A pass that dies mid-exploration must not vanish from the memory
