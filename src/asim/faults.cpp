@@ -102,6 +102,11 @@ GlitchedSchedule splice_glitches(const tech::VoltageSchedule& base,
         return out;
     }
     validate_glitch(spec);
+    if (!std::isfinite(horizon_s)) {
+        throw std::invalid_argument(
+            "splice_glitches: horizon_s must be finite (the arrivals would "
+            "never reach it)");
+    }
 
     // Poisson arrivals: exponential inter-arrival times at rate_hz.
     // Windows are merged when a droop arrives inside the previous one.

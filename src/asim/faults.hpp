@@ -131,7 +131,8 @@ void validate_glitch(const GlitchSpec& spec);
 /// subtracting spec.droop_v from whatever `base` schedules there
 /// (clamped at 0V; base breakpoints inside a window are preserved).
 /// Past the horizon the base schedule continues unmodified. The result
-/// is a pure function of (base, spec, seed).
+/// is a pure function of (base, spec, seed). An active spec with a
+/// horizon that is not finite throws std::invalid_argument.
 GlitchedSchedule splice_glitches(const tech::VoltageSchedule& base,
                                  const GlitchSpec& spec, std::uint64_t seed,
                                  double horizon_s);

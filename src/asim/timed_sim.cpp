@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
@@ -45,6 +46,11 @@ void TimedSimulator::set_stimulus(std::vector<dfs::Event> forced) {
 }
 
 void TimedSimulator::enable_power_trace(double bin_s) {
+    if (!std::isfinite(bin_s) || bin_s <= 0.0) {
+        throw std::invalid_argument(
+            "TimedSimulator: power-trace bin width must be positive and "
+            "finite");
+    }
     trace_bin_s_ = bin_s;
 }
 
@@ -119,9 +125,19 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
 
     // Power-trace accumulation.
     std::vector<double> bin_dynamic;  // dynamic energy per bin
+    // Every bin index goes through here: one the vector could not hold
+    // throws instead of overflowing the conversion to size_t.
+    const auto bin_index = [&bin_dynamic](double bins) {
+        if (!(bins < static_cast<double>(bin_dynamic.max_size()))) {
+            throw std::length_error(
+                "TimedSimulator: the power trace needs more bins than a "
+                "vector can hold");
+        }
+        return static_cast<std::size_t>(bins);
+    };
     auto record_energy = [&](double t, double joules) {
         if (!trace_bin_s_) return;
-        const auto bin = static_cast<std::size_t>(t / *trace_bin_s_);
+        const std::size_t bin = bin_index(t / *trace_bin_s_);
         if (bin_dynamic.size() <= bin) bin_dynamic.resize(bin + 1, 0.0);
         bin_dynamic[bin] += joules;
     };
@@ -274,8 +290,7 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
 
     if (trace_bin_s_) {
         const double bin = *trace_bin_s_;
-        const auto bins = static_cast<std::size_t>(
-            std::ceil(now / bin));
+        const std::size_t bins = bin_index(std::ceil(now / bin));
         bin_dynamic.resize(std::max(bin_dynamic.size(), bins), 0.0);
         for (std::size_t i = 0; i < bin_dynamic.size(); ++i) {
             PowerSample sample;

@@ -139,7 +139,10 @@ public:
     /// under normal arbitration.
     void set_stimulus(std::vector<dfs::Event> forced);
 
-    /// Enables power-trace sampling with the given bin width.
+    /// Enables power-trace sampling with the given bin width. A width
+    /// that is not positive and finite throws std::invalid_argument; one
+    /// so small that a run's trace needs more bins than a vector can
+    /// hold makes run() throw std::length_error.
     void enable_power_trace(double bin_s);
 
     /// Records every fired event with its timestamp into

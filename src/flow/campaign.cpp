@@ -1,6 +1,7 @@
 #include "flow/campaign.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -420,9 +421,10 @@ Campaign& Campaign::items(std::uint64_t count) {
 }
 
 Campaign& Campaign::time_budget_factor(double factor) {
-    if (factor <= 0.0) {
+    if (!std::isfinite(factor) || factor <= 0.0) {
         throw std::invalid_argument(
-            "flow::Campaign: time_budget_factor must be positive");
+            "flow::Campaign: time_budget_factor must be positive and "
+            "finite");
     }
     budget_factor_ = factor;
     return *this;
@@ -498,7 +500,7 @@ Metrics Campaign::Handle::metrics() const {
 }
 
 CampaignSummary Campaign::Handle::wait() {
-    state_->runner.join();
+    state_->runner.wait();
     return detail::build_summary(*state_);
 }
 

@@ -165,7 +165,8 @@ public:
     Campaign& items(std::uint64_t count);
     /// A run's simulated-time budget, as a multiple of the point's
     /// calibrated fault-free run time (voltage-compensated; default 8).
-    /// Runs that exceed it count as failures.
+    /// Runs that exceed it count as failures. A factor that is not
+    /// positive and finite throws std::invalid_argument.
     Campaign& time_budget_factor(double factor);
     /// Replay every hazardous run's event log on the translated Petri
     /// net to confirm PN-reachability (CampaignRun::hazard_confirmed).
@@ -191,7 +192,8 @@ public:
     std::vector<CampaignPoint> grid() const;
 
     /// A launched campaign. Movable handle over shared state; the
-    /// destructor waits for the pool (call cancel() first to end early).
+    /// destructor waits for the pool (call cancel() first to end early)
+    /// and drops the exception wait() would have rethrown.
     class Handle {
     public:
         Handle(Handle&&) noexcept = default;
@@ -218,7 +220,9 @@ public:
         Metrics metrics() const;
 
         /// Joins the pool and returns the aggregated summary. Call at
-        /// most once; the pool is joined either way.
+        /// most once; the pool is joined either way. An exception that
+        /// escaped a point or on_run settled that point and cancelled
+        /// the campaign; wait() rethrows the first one.
         CampaignSummary wait();
 
     private:

@@ -79,25 +79,13 @@ const pipeline::Pipeline& Design::pipeline() const {
 
 // -- invalidation --------------------------------------------------------
 
-void Design::flush_verifier() const {
-    if (!verifier_) return;
-    // The verifier is about to be dropped: fold its observable state
-    // into the session accumulators so stats never appear to go
-    // backwards across a rebuild.
-    if (verifier_->has_memory_stats()) {
-        last_memory_ = verifier_->memory_stats();
-    }
-    if (verifier_->has_por_stats()) last_por_ = verifier_->por_stats();
-    verifier_.reset();
-}
-
 void Design::invalidate_marking_artifacts() {
     ++revision_;
     // The PN translation encodes the initial marking; the verifier holds
     // the compiled artifact. Dynamics, netlist and timing read only the
     // structure and survive reconfiguration.
     model_.reset();
-    flush_verifier();
+    verifier_.reset();
 }
 
 void Design::invalidate_all_artifacts() {
@@ -182,34 +170,10 @@ const asim::TimingMap& Design::timing() const {
 
 // -- verification --------------------------------------------------------
 
-verify::Report Design::verify() const {
-    verify::Report report = verifier().verify_all();
-    last_memory_ = verifier().memory_stats();
-    last_por_ = verifier().por_stats();
-    return report;
-}
+verify::Report Design::verify() const { return verifier().verify_all(); }
 
 verify::Report Design::verify(const verify::Spec& spec) const {
-    verify::Report report = verifier().verify(spec);
-    last_memory_ = verifier().memory_stats();
-    last_por_ = verifier().por_stats();
-    return report;
-}
-
-std::optional<petri::MemoryStats> Design::memory_stats() const {
-    // Explorations driven directly through verifier() count too; pull
-    // the freshest footprint before answering.
-    if (verifier_ && verifier_->has_memory_stats()) {
-        last_memory_ = verifier_->memory_stats();
-    }
-    return last_memory_;
-}
-
-std::optional<petri::PorStats> Design::por_stats() const {
-    if (verifier_ && verifier_->has_por_stats()) {
-        last_por_ = verifier_->por_stats();
-    }
-    return last_por_;
+    return verifier().verify(spec);
 }
 
 // -- simulation ----------------------------------------------------------

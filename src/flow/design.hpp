@@ -139,25 +139,11 @@ public:
     // -- verification -----------------------------------------------------
 
     /// All standard checks (deadlock, control conflict, persistence) in
-    /// one exploration.
+    /// one exploration, whose statistics the report carries.
     verify::Report verify() const;
 
     /// Exactly the properties `spec` asks for, one exploration.
     verify::Report verify(const verify::Spec& spec) const;
-
-    /// Memory footprint of the most recent verification exploration
-    /// (records, resident bytes, peak) — the capacity-planning surface
-    /// for the deep OPE configurations. std::nullopt until a verify()
-    /// has run in this session (model mutations do not reset it; the
-    /// last completed exploration's footprint stays readable).
-    std::optional<petri::MemoryStats> memory_stats() const;
-
-    /// Partial-order-reduction statistics of the most recent verification
-    /// exploration (inactive unless options.verify.por was on).
-    /// std::nullopt until a verify() has run in this session; like
-    /// memory_stats(), the last completed exploration's numbers stay
-    /// readable across model mutations.
-    std::optional<petri::PorStats> por_stats() const;
 
     // -- simulation -------------------------------------------------------
 
@@ -196,9 +182,6 @@ private:
     dfs::Graph& graph_mut() noexcept;
     void invalidate_marking_artifacts();
     void invalidate_all_artifacts();
-    /// Drops the cached verifier after folding its stats into the
-    /// session-level accumulators (so nothing observable resets).
-    void flush_verifier() const;
 
     DesignOptions options_;
     /// Exactly one of the two holds the model.
@@ -214,11 +197,6 @@ private:
     mutable std::size_t pn_builds_ = 0;
     mutable std::size_t netlist_builds_ = 0;
     std::size_t revision_ = 0;
-    /// Footprint of the last completed exploration, surviving verifier
-    /// invalidation so memory_stats() keeps answering after reconfigure.
-    mutable std::optional<petri::MemoryStats> last_memory_;
-    /// Same survival contract for the reduction statistics.
-    mutable std::optional<petri::PorStats> last_por_;
 };
 
 /// Heap-pinned session factory: the way to own a Design that has to be

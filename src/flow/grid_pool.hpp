@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -17,7 +18,12 @@ namespace rap::flow::detail {
 /// cancel() no point body starts, and a point that had not started is
 /// settled without running — it counts in done(), fires no callback and
 /// keeps its launch-time slot. cancel() takes mutex() and callbacks test
-/// cancelled() under it, so none fires after cancel() returns.
+/// cancelled() under it, so none fires after cancel() returns. One
+/// failure rule holds for both too: an exception that escapes a point
+/// body or a publish step (a throwing callback) settles that point and
+/// cancels the grid; the first one is kept and wait() rethrows it on the
+/// caller's thread after the join. join() alone, as a Handle destroyed
+/// without wait() does, drops it.
 class GridPool {
 public:
     GridPool() = default;
@@ -52,11 +58,17 @@ public:
                         }
                         ++in_flight_;
                     }
-                    auto result = run(index);
-                    const std::lock_guard<std::mutex> lock(mutex_);
-                    --in_flight_;
-                    ++done_;
-                    publish(index, std::move(result));
+                    try {
+                        auto result = run(index);
+                        const std::lock_guard<std::mutex> lock(mutex_);
+                        publish(index, std::move(result));
+                        settle();
+                    } catch (...) {
+                        const std::lock_guard<std::mutex> lock(mutex_);
+                        settle();
+                        if (!error_) error_ = std::current_exception();
+                        cancelled_.store(true, std::memory_order_relaxed);
+                    }
                 }
             });
         }
@@ -67,6 +79,13 @@ public:
         for (std::thread& worker : threads_) {
             if (worker.joinable()) worker.join();
         }
+    }
+
+    /// join(), then rethrows the first exception a point body or publish
+    /// step threw, if any.
+    void wait() {
+        join();
+        if (error_) std::rethrow_exception(error_);
     }
 
     void cancel() {
@@ -88,12 +107,18 @@ public:
     std::mutex& mutex() const { return mutex_; }
 
 private:
+    void settle() {
+        --in_flight_;
+        ++done_;
+    }
+
     std::size_t total_ = 0;
     std::atomic<std::size_t> next_{0};
     mutable std::mutex mutex_;
     std::atomic<std::size_t> in_flight_{0};
     std::atomic<std::size_t> done_{0};
     std::atomic<bool> cancelled_{false};
+    std::exception_ptr error_;  ///< first failure; written under mutex_
     std::vector<std::thread> threads_;
 };
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -115,13 +116,8 @@ SweepResult process_point(SweepState& state, std::size_t index) {
             state.checkpoint_dir + "/" + name + ".ckpt";
     }
 
-    // The session outlives the try: a pass that dies mid-exploration
-    // still has a real interned footprint (petri::ExplorationAborted
-    // carries it into Design::memory_stats()), and dropping it here used
-    // to under-report the sweep's peak-resident aggregate.
-    std::unique_ptr<Design> design;
     try {
-        design = make_design(std::move(*model), options);
+        const auto design = make_design(std::move(*model), options);
 
         const auto t0 = Clock::now();
         row.report = design->verify(state.spec);
@@ -129,15 +125,9 @@ SweepResult process_point(SweepState& state, std::size_t index) {
 
         row.verify_seconds =
             std::chrono::duration<double>(t1 - t0).count();
-        row.clean = row.report.clean();
-        for (const auto& finding : row.report.findings) {
-            row.states = std::max(row.states, finding.states_explored);
-        }
-        row.memory = design->memory_stats();
-        row.por = design->por_stats();
-
         bool truncated_by_stop = false;
         for (const auto& finding : row.report.findings) {
+            row.states = std::max(row.states, finding.states_explored);
             truncated_by_stop |= finding.truncated;
         }
         if (state.runner.cancelled()) {
@@ -147,14 +137,14 @@ SweepResult process_point(SweepState& state, std::size_t index) {
         } else {
             row.status = SweepStatus::kOk;
         }
+    } catch (const petri::ExplorationAborted& e) {
+        // A pass that died mid-exploration still interned real states.
+        row.status = SweepStatus::kInvalid;
+        row.error = e.what();
+        row.report.memory = e.memory;
     } catch (const std::exception& e) {
         row.status = SweepStatus::kInvalid;
         row.error = e.what();
-        if (design) {
-            // Salvage whatever the dead pass measured before it threw.
-            row.memory = design->memory_stats();
-            row.por = design->por_stats();
-        }
     }
     return row;
 }
@@ -164,17 +154,19 @@ SweepResult process_point(SweepState& state, std::size_t index) {
 void publish_row(SweepState& state, std::size_t index, SweepResult row) {
     state.states_total += row.states;
     state.verify_seconds_total += row.verify_seconds;
-    if (row.memory) {
-        if (row.memory->peak_bytes >= state.peak_resident_bytes) {
-            state.peak_store = row.memory->store;
+    const petri::MemoryStats& memory = row.report.memory;
+    if (memory.records > 0) {  // zero: the row ran no pass
+        if (memory.peak_bytes >= state.peak_resident_bytes) {
+            state.peak_store = memory.store;
         }
         state.peak_resident_bytes =
-            std::max(state.peak_resident_bytes, row.memory->peak_bytes);
+            std::max(state.peak_resident_bytes, memory.peak_bytes);
     }
-    if (row.por && row.por->active) {
+    const petri::PorStats& por = row.report.por;
+    if (por.active) {
         ++state.por_active_configs;
-        state.por_enabled_total += row.por->enabled_transitions;
-        state.por_expanded_total += row.por->expanded_transitions;
+        state.por_enabled_total += por.enabled_transitions;
+        state.por_expanded_total += por.expanded_transitions;
     }
     state.results[index] = std::move(row);
     if (!state.runner.cancelled() && state.callback) {
@@ -458,7 +450,7 @@ Metrics Sweep::Handle::metrics() const {
 }
 
 std::vector<SweepResult> Sweep::Handle::wait() {
-    state_->runner.join();
+    state_->runner.wait();
     return std::move(state_->results);
 }
 

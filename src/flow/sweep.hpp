@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,19 +44,12 @@ struct SweepResult {
     SweepPoint point;
     SweepStatus status = SweepStatus::kOk;
     std::string error;      ///< what() of the rejecting exception (kInvalid)
-    verify::Report report;  ///< findings (kOk; truncated ones on kTimedOut)
-    bool clean = false;     ///< report.clean() shortcut
+    /// Findings (kOk; truncated ones on kTimedOut) and the pass's
+    /// statistics. A kInvalid row whose pass died keeps its partial
+    /// footprint; a row that ran no pass has all-zero figures.
+    verify::Report report;
     std::size_t states = 0;           ///< states explored by the pass
     double verify_seconds = 0.0;      ///< wall time of the verification
-    /// Exploration footprint. Present on kOk and kTimedOut rows, and on
-    /// kInvalid rows whose exploration died mid-pass (the partial pass's
-    /// interned footprint is real and counts toward the sweep's
-    /// peak-resident aggregate) — absent only when no exploration ran at
-    /// all (factory rejection, cancellation before start).
-    std::optional<petri::MemoryStats> memory;
-    /// Partial-order-reduction statistics of the verification pass
-    /// (sweeps always verify with reduction on).
-    std::optional<petri::PorStats> por;
     /// Wall seconds for one nominal-speed second of work under this
     /// point's voltage schedule (+inf when the supply never recovers
     /// above the freeze voltage) — the schedule axis' figure of merit.
@@ -150,7 +142,8 @@ public:
     std::vector<SweepPoint> grid() const;
 
     /// A launched sweep. Movable handle over shared state; the
-    /// destructor waits for the pool (call cancel() first to end early).
+    /// destructor waits for the pool (call cancel() first to end early)
+    /// and drops the exception wait() would have rethrown.
     class Handle {
     public:
         Handle(Handle&&) noexcept = default;
@@ -183,7 +176,9 @@ public:
         Metrics metrics() const;
 
         /// Joins the pool and returns every row in stable grid order.
-        /// Call at most once; the pool is joined either way.
+        /// Call at most once; the pool is joined either way. An exception
+        /// that escaped a point or on_result settled that point and
+        /// cancelled the sweep; wait() rethrows the first one.
         std::vector<SweepResult> wait();
 
     private:

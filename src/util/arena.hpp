@@ -34,7 +34,7 @@ public:
     }
 
     /// Heap bytes currently held by live blocks (released blocks do not
-    /// count). The arena's contribution to an engine's memory_stats().
+    /// count). The arena's contribution to a pass's petri::MemoryStats.
     std::size_t resident_bytes() const noexcept {
         return (blocks_.size() - released_blocks_) * records_per_block_ *
                record_words_ * sizeof(std::uint64_t);

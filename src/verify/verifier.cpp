@@ -57,18 +57,7 @@ petri::MultiResult Verifier::run_exploration(const petri::MultiQuery& query,
     ropts.resume = options_.resume;
     petri::ReachabilityExplorer explorer(model_->compiled(), ropts);
     ++explorations_;
-    try {
-        auto result = explorer.run_query(query);
-        last_memory_ = result.memory;
-        last_por_ = result.por;
-        return result;
-    } catch (const petri::ExplorationAborted& e) {
-        // The pass died mid-exploration but its interned footprint is
-        // real: cache it so memory_stats() (and flow::Sweep's
-        // peak-resident aggregation) still sees the partial pass.
-        last_memory_ = e.memory;
-        throw;
-    }
+    return explorer.run_query(query);
 }
 
 void Verifier::fill_traces(Finding& finding,
@@ -242,6 +231,8 @@ Report Verifier::run_spec(const Spec& spec, bool stop_at_first) const {
 
     // Findings in the canonical deterministic order.
     Report report;
+    report.memory = multi.memory;
+    report.por = multi.por;
     std::size_t goal = 0;
     if (spec.wants_deadlock()) {
         report.findings.push_back(from_reachability(

@@ -60,8 +60,8 @@ struct VerifyOptions {
     /// standard goals carry support places, so the unknown-support
     /// fallback never triggers for Spec::standard() — but
     /// states_explored counts the reduced graph and violation witnesses
-    /// need not be globally shortest. por_stats() reports the measured
-    /// reduction after a pass.
+    /// need not be globally shortest. Report::por carries the measured
+    /// reduction of a pass.
     bool por = false;
     /// Cooperative stop hook forwarded to the exploration engine
     /// (petri::ReachabilityOptions::stop): polled cheaply mid-pass; when
@@ -90,6 +90,13 @@ struct VerifyOptions {
 /// regardless of how the Spec was assembled.
 struct Report {
     std::vector<Finding> findings;
+    /// Footprint of the exploration that produced this report; all zero
+    /// when the spec needed no exploration.
+    petri::MemoryStats memory;
+    /// Reduction statistics of that exploration (inactive unless
+    /// VerifyOptions::por was on and the pass could reduce); all zero,
+    /// with reduction inactive, when the spec needed no exploration.
+    petri::PorStats por;
 
     bool clean() const {
         for (const auto& f : findings) {
@@ -169,28 +176,6 @@ public:
     /// Lets callers (and tests) confirm verify_all's single-pass claim.
     std::size_t explorations_run() const noexcept { return explorations_; }
 
-    /// True once at least one exploration has run, i.e. memory_stats()
-    /// reports a real footprint rather than its all-zero initial state.
-    bool has_memory_stats() const noexcept { return explorations_ > 0; }
-
-    /// Memory footprint of the most recent exploration (records, resident
-    /// and peak bytes) — all zeros until one has run; check
-    /// has_memory_stats() (flow::Design::memory_stats() wraps this in a
-    /// std::optional instead).
-    const petri::MemoryStats& memory_stats() const noexcept {
-        return last_memory_;
-    }
-
-    /// True once at least one exploration has run, i.e. por_stats()
-    /// reports the last pass rather than its all-zero initial state.
-    bool has_por_stats() const noexcept { return explorations_ > 0; }
-
-    /// Reduction statistics of the most recent exploration (inactive
-    /// unless VerifyOptions::por was on and the pass could reduce);
-    /// all-zero until one has run — check has_por_stats()
-    /// (flow::Design::por_stats() wraps this in a std::optional instead).
-    const petri::PorStats& por_stats() const noexcept { return last_por_; }
-
     const dfs::Translation& translation() const noexcept {
         return model_->translation();
     }
@@ -219,8 +204,6 @@ private:
     VerifyOptions options_;
     std::shared_ptr<const CompiledModel> model_;
     mutable std::size_t explorations_ = 0;
-    mutable petri::MemoryStats last_memory_;
-    mutable petri::PorStats last_por_;
 };
 
 }  // namespace rap::verify

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include "asim/timed_sim.hpp"
 #include "dfs/dynamics.hpp"
 #include "dfs_helpers.hpp"
@@ -178,6 +182,26 @@ TEST(TimedSim, PowerTraceCoversRunAndSumsToEnergy) {
     // past it, adding its leakage).
     EXPECT_GE(traced, stats.total_energy_j() * 0.99);
     EXPECT_LE(traced, stats.total_energy_j() * 1.2);
+}
+
+TEST(TimedSim, PowerTraceRefusesADegenerateBin) {
+    dfs::Graph g("lin");
+    const auto regs = add_linear_pipeline(g, "p", 2);
+    const Dynamics dyn(g);
+    auto sim = make_sim(dyn, uniform_timing(g, 1.0, 2.0));
+    for (const double bin : {0.0, -1.0, std::nan(""),
+                             std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW(sim.enable_power_trace(bin), std::invalid_argument)
+            << bin;
+    }
+    // Positive and finite, but a run's trace would need more bins than a
+    // vector can hold: run() says so instead of converting the index.
+    sim.enable_power_trace(1e-300);
+    State s = State::initial(g);
+    RunLimits limits;
+    limits.target_marks = 4;
+    limits.observe = regs.back();
+    EXPECT_THROW(sim.run(s, limits), std::length_error);
 }
 
 TEST(TimedSim, TrueBiasSteersBypassFraction) {

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -63,6 +64,12 @@ TEST(Campaign, RejectsBadConfiguration) {
     EXPECT_THROW(campaign.runs(0), std::invalid_argument);
     EXPECT_THROW(campaign.items(0), std::invalid_argument);
     EXPECT_THROW(campaign.time_budget_factor(0.0), std::invalid_argument);
+    // An unbounded budget reaches splice_glitches as an unbounded horizon.
+    EXPECT_THROW(campaign.time_budget_factor(std::nan("")),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        campaign.time_budget_factor(std::numeric_limits<double>::infinity()),
+        std::invalid_argument);
     // Refused at the setter: past it, FaultSpec::scaled and
     // splice_glitches would throw on a worker thread and end the process.
     EXPECT_THROW(campaign.fault_scales({1.0, -1.0}), std::invalid_argument);
@@ -381,6 +388,36 @@ TEST(Campaign, CancelStopsCallbacksAndSkipsUnstartedPoints) {
     EXPECT_EQ(handle.done(), handle.total());
     EXPECT_EQ(handle.metrics().value("rap_mc_points_done"), 4.0);
     EXPECT_EQ(handle.metrics().value("rap_mc_in_flight"), 0.0);
+}
+
+// The grid runner's one failure rule, from the point body's side: an
+// exception that escapes on_run settles its point, cancels the grid and
+// comes out of wait() on the caller's thread. Two workers can each fire
+// one callback before the first failure cancels the grid.
+TEST(Campaign, ThrowingCallbackSurfacesFromWait) {
+    std::atomic<int> calls{0};
+    auto handle = Campaign(small_factory(2))
+                      .depths({1, 2})
+                      .fault_scales({0.0, 1.0})  // 4 points
+                      .runs(2)
+                      .items(4)
+                      .workers(2)
+                      .on_run([&](const CampaignRun&) {
+                          ++calls;
+                          throw std::runtime_error("run sink failed");
+                      })
+                      .launch();
+    try {
+        handle.wait();
+        ADD_FAILURE() << "wait() returned without the callback's exception";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "run sink failed");
+    }
+    EXPECT_TRUE(handle.cancelled());
+    EXPECT_EQ(handle.done(), handle.total());
+    EXPECT_EQ(handle.metrics().value("rap_mc_in_flight"), 0.0);
+    EXPECT_GE(calls.load(), 1);
+    EXPECT_LE(calls.load(), 2);
 }
 
 TEST(Campaign, MetricsExposeMonteCarloCounters) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "asim/faults.hpp"
@@ -52,6 +55,27 @@ TEST(Faults, SpliceGlitchesIsSeedDeterministic) {
         differs = a.windows[i].start_s != c.windows[i].start_s;
     }
     EXPECT_TRUE(differs);
+}
+
+// Poisson arrivals never reach an unbounded horizon: splice_glitches
+// refuses one instead of appending windows until memory runs out.
+TEST(Faults, SpliceGlitchesRefusesAnUnboundedHorizon) {
+    const auto base = tech::VoltageSchedule::constant(1.2);
+    GlitchSpec spec;
+    spec.rate_hz = 2e5;
+    spec.droop_v = 0.5;
+    spec.min_duration_s = 2e-7;
+    spec.max_duration_s = 1e-6;
+    for (const double horizon :
+         {std::numeric_limits<double>::infinity(), std::nan("")}) {
+        EXPECT_THROW(splice_glitches(base, spec, 1, horizon),
+                     std::invalid_argument)
+            << horizon;
+    }
+    // Without droops there is nothing to splice, whatever the horizon.
+    const auto calm = splice_glitches(
+        base, GlitchSpec{}, 1, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(calm.glitches(), 0u);
 }
 
 TEST(Faults, SplicedScheduleDroopsInsideWindowsOnly) {

@@ -462,7 +462,7 @@ TEST(PorReduction, SweepGridReducedStateCountsArePinned) {
         EXPECT_FALSE(report.findings.front().truncated) << label(point);
         EXPECT_EQ(report.findings.front().states_explored, point.states)
             << label(point);
-        EXPECT_TRUE(verifier.por_stats().active) << label(point);
+        EXPECT_TRUE(report.por.active) << label(point);
     }
 }
 

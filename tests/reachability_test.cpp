@@ -825,15 +825,12 @@ TEST(MemoryDiet, CacheDropsEnabledShareAndKeepsResultsBitIdentical) {
 }
 
 TEST(MemoryDiet, StatsSurfaceThroughVerifierAndDesign) {
-    // memory_stats() rides the facades: std::nullopt before any
-    // exploration, then populated by verify() with the engine's
-    // footprint.
+    // The engine's footprint rides the facades: verify() puts it in the
+    // report it returns.
     flow::Design design(ope::build_reconfigurable_ope_dfs(3, 3));
-    EXPECT_FALSE(design.memory_stats().has_value());
     const auto report = design.verify();
     ASSERT_TRUE(report.clean());
-    ASSERT_TRUE(design.memory_stats().has_value());
-    const auto stats = *design.memory_stats();
+    const MemoryStats& stats = report.memory;
     EXPECT_EQ(stats.records, report.findings[0].states_explored);
     EXPECT_GT(stats.record_bytes, 0u);
     EXPECT_GT(stats.resident_bytes, stats.record_bytes);

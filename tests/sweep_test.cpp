@@ -131,21 +131,19 @@ TEST(Sweep, ThreeAxisSweepDedupsBeforeCompileAndMatchesSerialRuns) {
         }
         ASSERT_EQ(row.status, SweepStatus::kOk) << row.point.label;
         ++ok;
-        EXPECT_TRUE(row.clean) << row.point.label;
+        EXPECT_TRUE(row.report.clean()) << row.point.label;
         EXPECT_GT(row.states, 0u);
         EXPECT_GE(row.verify_seconds, 0.0);
-        ASSERT_TRUE(row.memory.has_value());
-        EXPECT_GT(row.memory->records, 0u);
+        EXPECT_GT(row.report.memory.records, 0u);
         EXPECT_GT(row.schedule_finish_s, 0.0);
 
         // Sweeps verify with partial-order reduction on by default; the
         // pass over these nets carries persistence, so reduction must
         // at least have been attempted (active), whatever it saved.
-        ASSERT_TRUE(row.por.has_value()) << row.point.label;
-        EXPECT_TRUE(row.por->active) << row.point.label;
-        EXPECT_GT(row.por->expansions, 0u) << row.point.label;
-        EXPECT_GE(row.por->enabled_transitions,
-                  row.por->expanded_transitions)
+        const petri::PorStats& por = row.report.por;
+        EXPECT_TRUE(por.active) << row.point.label;
+        EXPECT_GT(por.expansions, 0u) << row.point.label;
+        EXPECT_GE(por.enabled_transitions, por.expanded_transitions)
             << row.point.label;
 
         // Differential: a serial Design session over the same factory
@@ -255,6 +253,37 @@ TEST(Sweep, CancelStopsCallbacksAndDrainsPool) {
     }
 }
 
+// One failure rule for the grid runner: an exception that escapes the
+// on_result callback settles its point, cancels the grid and comes out of
+// wait() on the caller's thread, instead of ending the process on a
+// worker thread. Two workers can each fire one callback before the
+// first failure cancels the grid.
+TEST(Sweep, ThrowingCallbackSurfacesFromWait) {
+    std::atomic<int> calls{0};
+    Sweep sweep(&ope_style_factory);
+    Sweep::Handle handle =
+        sweep.stages({2, 3})
+            .depths(1, 2)  // 4 configurations, all valid
+            .spec(verify::Spec{}.deadlock())
+            .workers(2)
+            .on_result([&](const SweepResult&) {
+                ++calls;
+                throw std::runtime_error("result sink failed");
+            })
+            .launch();
+    try {
+        handle.wait();
+        ADD_FAILURE() << "wait() returned without the callback's exception";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "result sink failed");
+    }
+    EXPECT_TRUE(handle.cancelled());
+    EXPECT_EQ(handle.done(), handle.total());
+    EXPECT_EQ(handle.metrics().value("rap_sweep_in_flight"), 0.0);
+    EXPECT_GE(calls.load(), 1);
+    EXPECT_LE(calls.load(), 2);
+}
+
 // A per-configuration wall-clock budget interrupts the exploration
 // through the same stop hook: the row reports kTimedOut and its
 // findings are truncated (inconclusive), while the sweep carries on.
@@ -307,7 +336,7 @@ TEST(Sweep, UnrepresentableTimeoutMeansNoDeadline) {
 
 // A pass that dies mid-exploration must not vanish from the memory
 // accounting: petri::ExplorationAborted carries the interned footprint at
-// the moment of death through the Verifier into the row and the sweep's
+// the moment of death into the row's report and the sweep's
 // peak-resident aggregate. An unwritable checkpoint directory kills the
 // pass deterministically at the first save boundary (head 64).
 TEST(Sweep, AbortedPassStillSalvagesPartialMemory) {
@@ -327,9 +356,8 @@ TEST(Sweep, AbortedPassStillSalvagesPartialMemory) {
         << rows[0].error;
     // The partial pass interned at least the 64 expanded states before
     // the save threw — that footprint survives into the row...
-    ASSERT_TRUE(rows[0].memory.has_value());
-    EXPECT_GT(rows[0].memory->records, 64u);
-    EXPECT_GT(rows[0].memory->resident_bytes, 0u);
+    EXPECT_GT(rows[0].report.memory.records, 64u);
+    EXPECT_GT(rows[0].report.memory.resident_bytes, 0u);
     // ...and into the sweep-wide aggregate (this used to report 0).
     EXPECT_GT(handle.metrics().value("rap_sweep_peak_resident_bytes"),
               0.0);

@@ -5,6 +5,7 @@
 
 #include "dfs/translate.hpp"
 #include "dfs_helpers.hpp"
+#include "flow/design.hpp"
 #include "ope/dfs_models.hpp"
 #include "petri/compiled.hpp"
 #include "pipeline/builder.hpp"
@@ -257,6 +258,61 @@ TEST(Verifier, VerifyAllRunsExactlyOneExploration) {
         EXPECT_EQ(finding.states_explored, states)
             << verify::to_string(finding.property);
     }
+}
+
+// A report carries the footprint and reduction statistics of the pass
+// that produced it, so they outlive the verifier: a Design drops its
+// verifier on every reconfiguration, and earlier reports keep theirs.
+TEST(Verifier, ReportCarriesThePassStatistics) {
+    flow::Design design(ope::build_reconfigurable_ope_dfs(3, 3));
+    const Report first = design.verify(Spec::standard());
+    ASSERT_TRUE(first.clean()) << first.to_string();
+    const petri::MemoryStats& memory = first.memory;
+    for (const Finding& finding : first.findings) {
+        EXPECT_EQ(memory.records, finding.states_explored)
+            << to_string(finding.property);
+    }
+    EXPECT_GE(memory.peak_bytes, memory.resident_bytes);
+    EXPECT_GT(memory.resident_bytes, memory.record_bytes);
+    EXPECT_GT(memory.record_bytes, 0u);
+    EXPECT_FALSE(first.por.active);
+
+    VerifyOptions por_on;
+    por_on.por = true;
+    const Report reduced =
+        Verifier(design.graph(), por_on).verify(Spec::standard());
+    EXPECT_TRUE(reduced.por.active);
+    EXPECT_GT(reduced.por.expansions, 0u);
+    EXPECT_EQ(reduced.memory.records,
+              reduced.findings.front().states_explored);
+
+    // No node of the OPE has two controls, so this spec runs no pass and
+    // its report says so: every figure zero, reduction inactive.
+    const Report no_pass = design.verify(Spec{}.control_conflict());
+    EXPECT_EQ(no_pass.memory.records, 0u);
+    EXPECT_EQ(no_pass.memory.record_bytes, 0u);
+    EXPECT_EQ(no_pass.memory.resident_bytes, 0u);
+    EXPECT_EQ(no_pass.memory.peak_bytes, 0u);
+    EXPECT_EQ(no_pass.memory.store.slots, 0u);
+    EXPECT_EQ(no_pass.memory.store.table_bytes, 0u);
+    EXPECT_EQ(no_pass.memory.store.arena_bytes, 0u);
+    EXPECT_FALSE(no_pass.por.active);
+    EXPECT_EQ(no_pass.por.expansions, 0u);
+    EXPECT_EQ(no_pass.por.enabled_transitions, 0u);
+
+    // The gap configuration of Section III-A: a new pass, new figures,
+    // and the first report still holds its own.
+    const std::size_t first_records = memory.records;
+    const std::size_t first_peak = memory.peak_bytes;
+    design.reset_ring(design.pipeline().stages[1].global_ring,
+                      TokenValue::False);
+    const Report gap = design.verify(Spec{}.deadlock());
+    ASSERT_TRUE(gap.findings.front().violated);
+    EXPECT_EQ(gap.memory.records, gap.findings.front().states_explored);
+    EXPECT_GT(gap.memory.records, 0u);
+    EXPECT_LT(gap.memory.records, first_records);
+    EXPECT_EQ(first.memory.records, first_records);
+    EXPECT_EQ(first.memory.peak_bytes, first_peak);
 }
 
 TEST(Verifier, SpecEvaluatesCustomPredicatesInSharedPass) {
