@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark regression gate for CI.
 
-Compares a google-benchmark JSON result against the committed
-bench/baseline.json. Benchmarks listed in GATED are enforced: a
-regression above --warn prints a warning, above --fail the script exits
-non-zero and fails the CI job. Everything else is informational.
+Compares a google-benchmark JSON result (--current) against the
+committed bench/baseline.json (--baseline). Benchmarks listed in GATED
+are enforced: a regression above --warn prints a warning, above --fail
+the script exits non-zero and fails the CI job. Everything else is
+informational. The timing comparison runs only when both files are
+given; the --por, --capacity and --mc sections run on their own.
 
 Because CI runners and developer machines differ in absolute speed, the
 current times are first scaled by the median baseline/current ratio over
@@ -116,35 +118,9 @@ def load_section(path, name, gated, failures):
         return None
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", required=True)
-    parser.add_argument("--current", required=True)
-    parser.add_argument("--warn", type=float, default=0.10,
-                        help="warn above this regression fraction")
-    parser.add_argument("--fail", type=float, default=0.35,
-                        help="fail gated benchmarks above this fraction")
-    parser.add_argument("--absolute", action="store_true",
-                        help="compare raw times, skip calibration")
-    parser.add_argument("--por",
-                        help="bench_por JSON summary to gate "
-                             "(reduction-ratio floor)")
-    parser.add_argument("--capacity",
-                        help="bench_capacity JSON summary to gate "
-                             "(per-fixture bytes/state ceilings)")
-    parser.add_argument("--min-ope-ratio", type=float,
-                        default=POR_MIN_OPE_RATIO,
-                        help="state-count reduction floor on the best "
-                             "OPE fixture")
-    parser.add_argument("--sweep",
-                        help="bench_sweep JSON summary to report "
-                             "(advisory only, never gated)")
-    parser.add_argument("--mc",
-                        help="bench_mc JSON summary to report "
-                             "(advisory only; reproducibility gates in "
-                             "bench_mc itself via its exit code)")
-    args = parser.parse_args()
-
+def compare_times(args, failures, warnings):
+    """The timing table: --current against --baseline, calibrated for
+    machine speed unless --absolute."""
     baseline = load_times(args.baseline)
     current = load_times(args.current)
 
@@ -159,8 +135,6 @@ def main():
             print(f"calibration (median over ungated benchmarks): current "
                   f"machine runs {scale:.2f}x the baseline machine's speed")
 
-    failures = []
-    warnings = []
     print(f"{'benchmark':40} {'baseline':>12} {'current':>12} {'delta':>8}")
     for name in sorted(set(baseline) | set(current)):
         gated = is_gated(name)
@@ -190,6 +164,45 @@ def main():
             marker = " WARN"
         print(f"{name:40} {base * 1e9:11.0f}n {cur * 1e9:11.0f}n "
               f"{delta:+7.1%} [{tag}]{marker}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--baseline",
+                        help="google-benchmark JSON to compare against")
+    parser.add_argument("--current",
+                        help="google-benchmark JSON of this build")
+    parser.add_argument("--warn", type=float, default=0.10,
+                        help="warn above this regression fraction")
+    parser.add_argument("--fail", type=float, default=0.35,
+                        help="fail gated benchmarks above this fraction")
+    parser.add_argument("--absolute", action="store_true",
+                        help="compare raw times, skip calibration")
+    parser.add_argument("--por",
+                        help="bench_por JSON summary to gate "
+                             "(reduction-ratio floor)")
+    parser.add_argument("--capacity",
+                        help="bench_capacity JSON summary to gate "
+                             "(per-fixture bytes/state ceilings)")
+    parser.add_argument("--min-ope-ratio", type=float,
+                        default=POR_MIN_OPE_RATIO,
+                        help="state-count reduction floor on the best "
+                             "OPE fixture")
+    parser.add_argument("--mc",
+                        help="bench_mc JSON summary to report "
+                             "(advisory only; reproducibility gates in "
+                             "bench_mc itself via its exit code)")
+    args = parser.parse_args()
+    if (args.baseline is None) != (args.current is None):
+        parser.error("--baseline and --current go together")
+    if args.baseline is None and not (args.por or args.capacity or args.mc):
+        parser.error("nothing to compare: give --baseline and --current, "
+                     "or a --por, --capacity or --mc summary")
+
+    failures = []
+    warnings = []
+    if args.baseline is not None:
+        compare_times(args, failures, warnings)
 
     por = (load_section(args.por, "por", True, failures)
            if args.por else None)
@@ -240,26 +253,6 @@ def main():
         if not cap.get("ok", False):
             failures.append("bench_capacity reported a truncated "
                             "fixture")
-
-    sweep = (load_section(args.sweep, "sweep", False, failures)
-             if args.sweep else None)
-    if sweep is not None:
-        # Advisory only: dedup ratio and cache hit rate are facts about
-        # the sweep workload, not regressions — surface them in the job
-        # log (and as warnings if they look off) without gating.
-        dedup = sweep.get("dedup_ratio", 0.0)
-        hit_rate = sweep.get("cache_hit_rate", 0.0)
-        print(f"sweep service (advisory): {sweep.get('grid_points')} grid "
-              f"points, {sweep.get('distinct_models')} distinct models "
-              f"(dedup {dedup:.2f}x), cache hit rate {hit_rate:.1%}, "
-              f"{sweep.get('states_per_second', 0.0):.0f} states/s in "
-              f"{sweep.get('sweep_seconds', 0.0):.2f}s")
-        if not sweep.get("ok", False):
-            warnings.append("bench_sweep reported a problem (see its "
-                            "own job step for the gate)")
-        elif hit_rate <= 0.0:
-            warnings.append("sweep cache hit rate is zero — dedup "
-                            "before compile is not engaging")
 
     mc = (load_section(args.mc, "mc", False, failures)
           if args.mc else None)

@@ -1,8 +1,8 @@
 // Design-space sweep demo: explore the reconfigurable OPE's
-// configuration space (pipeline depth x stage count x supply schedule)
-// through the flow::Sweep batch service, streaming verified rows as
-// they complete and finishing with the Prometheus-style metrics scrape
-// a dashboard would poll.
+// configuration space (pipeline depth x stage count) through the
+// flow::Sweep batch service, streaming verified rows as they complete
+// and finishing with the Prometheus-style metrics scrape a dashboard
+// would poll.
 //
 //   $ ./examples/sweep_demo
 
@@ -19,30 +19,19 @@ int main() {
     flow::DesignOptions base;
     base.verify.max_states = 50'000;
 
-    // Two supply stories for the schedule axis: a steady nominal rail
-    // and a brown-out that dips three-quarters of the way down.
-    tech::VoltageSchedule droop;
-    droop.add_segment(2e-6, base.process.v_nominal);
-    droop.add_segment(1e-6, base.process.v_nominal * 0.75);
-    droop.add_segment(1e-6, base.process.v_nominal);
-
-    std::printf("%-10s %-9s %9s %12s %14s\n", "config", "status",
-                "states", "verify [ms]", "finish 1s work");
+    std::printf("%-10s %-9s %9s %12s\n", "config", "status", "states",
+                "verify [ms]");
     flow::Sweep::Handle handle =
         flow::Sweep::ope(base)
             .stages({3, 4})
             .depths(2, 4)  // depth 2 is below the chip's minimum -> invalid
-            .schedules({tech::VoltageSchedule::constant(
-                            base.process.v_nominal),
-                        droop})
             .workers(4)
             .on_result([](const flow::SweepResult& row) {
                 if (row.status == flow::SweepStatus::kOk) {
-                    std::printf("%-10s %-9s %9zu %12.1f %11.2f us\n",
+                    std::printf("%-10s %-9s %9zu %12.1f\n",
                                 row.point.label.c_str(),
                                 std::string(to_string(row.status)).c_str(),
-                                row.states, row.verify_seconds * 1e3,
-                                row.schedule_finish_s * 1e6);
+                                row.states, row.verify_seconds * 1e3);
                 } else {
                     std::printf("%-10s %-9s  (%s)\n",
                                 row.point.label.c_str(),
@@ -53,9 +42,8 @@ int main() {
             .launch();
     const auto rows = handle.wait();
 
-    // The dedup story: identical model contents (the schedule axis does
-    // not change the model) compiled exactly once, everything else came
-    // out of the artifact cache.
+    // One exploration per configuration: each distinct model content is
+    // compiled once, through the artifact cache.
     std::printf("\n%zu grid points, %zu distinct models\n", rows.size(),
                 handle.distinct_models());
 

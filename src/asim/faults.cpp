@@ -136,11 +136,10 @@ GlitchedSchedule splice_glitches(const tech::VoltageSchedule& base,
 
     // Rebuild the schedule from the union of base breakpoints and window
     // edges; inside a window the base voltage is drooped (clamped >= 0).
+    const std::vector<std::pair<double, double>> points = base.breakpoints();
     std::vector<double> edges{0.0};
-    for (const auto& [start, voltage] : base.breakpoints()) {
-        (void)voltage;
-        edges.push_back(start);
-    }
+    edges.reserve(1 + points.size() + 2 * out.windows.size());
+    for (const auto& point : points) edges.push_back(point.first);
     for (const auto& w : out.windows) {
         edges.push_back(w.start_s);
         edges.push_back(w.end_s);
@@ -148,24 +147,31 @@ GlitchedSchedule splice_glitches(const tech::VoltageSchedule& base,
     std::sort(edges.begin(), edges.end());
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
-    const auto drooped = [&](double at) {
-        double v = base.voltage_at(at);
-        for (const auto& w : out.windows) {
-            if (at >= w.start_s && at < w.end_s) {
-                v = std::max(0.0, v - spec.droop_v);
-                break;
-            }
-        }
-        return v;
-    };
-
+    // One walk over the sorted edges, with a cursor into the base
+    // breakpoints and one into the windows (sorted and disjoint), so each
+    // edge costs amortised O(1).
+    std::size_t next_point = 0;   // first base breakpoint after `start`
+    std::size_t open_window = 0;  // first window ending after `start`
     tech::VoltageSchedule spliced;
     for (std::size_t i = 0; i < edges.size(); ++i) {
         const double start = edges[i];
         const double end =
             (i + 1 < edges.size()) ? edges[i + 1] : start + 1.0;
         if (end <= start) continue;
-        spliced.add_segment(end - start, drooped(start));
+        while (next_point < points.size() &&
+               points[next_point].first <= start) {
+            ++next_point;
+        }
+        while (open_window < out.windows.size() &&
+               out.windows[open_window].end_s <= start) {
+            ++open_window;
+        }
+        double v = next_point > 0 ? points[next_point - 1].second : 0.0;
+        if (open_window < out.windows.size() &&
+            out.windows[open_window].start_s <= start) {
+            v = std::max(0.0, v - spec.droop_v);
+        }
+        spliced.add_segment(end - start, v);
     }
     out.schedule = std::move(spliced);
     return out;

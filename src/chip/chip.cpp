@@ -28,6 +28,15 @@ void check_options(const ChipOptions& options) {
     }
 }
 
+/// The simulator reads 0 target items as "no target": a measurement run
+/// on a live supply would never end.
+void check_items(std::uint64_t items) {
+    if (items == 0) {
+        throw std::invalid_argument(
+            "chip::Evaluation: need at least one item to measure");
+    }
+}
+
 }  // namespace
 
 FunctionalResult run_random_mode(const ChipOptions& options,
@@ -116,6 +125,7 @@ asim::TimingMap Evaluation::annotated_timing() const {
 }
 
 Measurement Evaluation::measure(double voltage, std::uint64_t items) const {
+    check_items(items);
     const dfs::Dynamics dynamics(model_.graph);
     asim::TimedSimulator sim(dynamics, annotated_timing(), voltage_model_,
                              tech::VoltageSchedule::constant(voltage),
@@ -139,6 +149,7 @@ Measurement Evaluation::measure(double voltage, std::uint64_t items) const {
 asim::TimedStats Evaluation::measure_with_schedule(
     const tech::VoltageSchedule& schedule, std::uint64_t items,
     double trace_bin_s, double max_time_s) const {
+    check_items(items);
     const dfs::Dynamics dynamics(model_.graph);
     asim::TimedSimulator sim(dynamics, annotated_timing(), voltage_model_,
                              schedule, netlist_->total_gates());

@@ -90,11 +90,13 @@ public:
     netlist::NetlistStats implementation_stats() const;
 
     /// Processes `items` input items at a constant supply voltage.
+    /// `items` == 0 throws std::invalid_argument.
     Measurement measure(double voltage, std::uint64_t items) const;
 
     /// Processes up to `items` items under an arbitrary supply schedule,
     /// sampling the power trace with `trace_bin_s` bins (Fig. 9b's
-    /// instrument). The run also stops at `max_time_s`.
+    /// instrument). The run also stops at `max_time_s`. `items` == 0
+    /// throws std::invalid_argument.
     asim::TimedStats measure_with_schedule(
         const tech::VoltageSchedule& schedule, std::uint64_t items,
         double trace_bin_s, double max_time_s) const;

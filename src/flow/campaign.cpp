@@ -364,6 +364,12 @@ Campaign& Campaign::voltages(std::vector<double> values) {
     if (values.empty()) {
         throw std::invalid_argument("flow::Campaign: empty voltage axis");
     }
+    for (const double voltage : values) {
+        if (!(voltage >= 0.0) || std::isinf(voltage)) {
+            throw std::invalid_argument(
+                "flow::Campaign: voltages must be finite and non-negative");
+        }
+    }
     voltages_ = std::move(values);
     return *this;
 }

@@ -144,6 +144,9 @@ public:
 
     // -- grid axes (defaults: nominal voltage, scale 1, depth 1) ---------
 
+    /// Each voltage must be finite and non-negative (a NaN, infinite or
+    /// negative one throws std::invalid_argument); 0V is an unpowered
+    /// point.
     Campaign& voltages(std::vector<double> values);
     /// Each scale must be non-negative (a negative or NaN one throws
     /// std::invalid_argument).

@@ -65,10 +65,10 @@ struct SweepState {
 
 namespace {
 
-/// Runs one grid point start to finish, from the point and figure of
-/// merit in its launch-time slot (no other worker touches that slot, so
-/// it is read without the lock). Never throws: every failure mode maps
-/// to a row status.
+/// Runs one grid point start to finish, from the point in its
+/// launch-time slot (no other worker touches that slot, so it is read
+/// without the lock). Never throws: every failure mode maps to a row
+/// status.
 SweepResult process_point(SweepState& state, std::size_t index) {
     SweepResult row = state.results[index];
     const SweepPoint& point = row.point;
@@ -109,7 +109,7 @@ SweepResult process_point(SweepState& state, std::size_t index) {
     };
     if (!state.checkpoint_dir.empty()) {
         // `<dir>/<label>.ckpt` with the grid label's slashes flattened
-        // ("s4/d3/v0" -> "s4_d3_v0") so every point is one file.
+        // ("s4/d3" -> "s4_d3") so every point is one file.
         std::string name = point.label;
         std::replace(name.begin(), name.end(), '/', '_');
         options.verify.checkpoint_path =
@@ -331,8 +331,6 @@ Sweep::Sweep(Factory factory, DesignOptions base)
     // Sweeps verify with partial-order reduction: verdicts are preserved
     // and every configuration explores a smaller graph.
     base_.verify.por = true;
-    schedules_.push_back(
-        tech::VoltageSchedule::constant(base_.process.v_nominal));
 }
 
 Sweep Sweep::ope(DesignOptions base) {
@@ -344,11 +342,16 @@ Sweep Sweep::ope(DesignOptions base) {
 }
 
 Sweep& Sweep::depths(int lo, int hi) {
-    depths_.clear();
-    for (int d = lo; d <= hi; ++d) depths_.push_back(d);
-    if (depths_.empty()) {
+    if (lo > hi) {
         throw std::invalid_argument("flow::Sweep: empty depth range");
     }
+    // Stops at hi before incrementing, so hi == INT_MAX cannot overflow.
+    std::vector<int> values;
+    for (int d = lo;; ++d) {
+        values.push_back(d);
+        if (d == hi) break;
+    }
+    depths_ = std::move(values);
     return *this;
 }
 
@@ -365,14 +368,6 @@ Sweep& Sweep::stages(std::vector<int> values) {
         throw std::invalid_argument("flow::Sweep: empty stage axis");
     }
     stages_ = std::move(values);
-    return *this;
-}
-
-Sweep& Sweep::schedules(std::vector<tech::VoltageSchedule> values) {
-    if (values.empty()) {
-        throw std::invalid_argument("flow::Sweep: empty schedule axis");
-    }
-    schedules_ = std::move(values);
     return *this;
 }
 
@@ -403,17 +398,12 @@ Sweep& Sweep::on_result(ResultCallback callback) {
 
 std::vector<SweepPoint> Sweep::grid() const {
     std::vector<SweepPoint> points;
-    points.reserve(stages_.size() * depths_.size() * schedules_.size());
+    points.reserve(stages_.size() * depths_.size());
     char label[64];
     for (const int stages : stages_) {
         for (const int depth : depths_) {
-            for (std::size_t schedule = 0; schedule < schedules_.size();
-                 ++schedule) {
-                std::snprintf(label, sizeof(label), "s%d/d%d/v%zu",
-                              stages, depth, schedule);
-                points.push_back(SweepPoint{points.size(), stages, depth,
-                                            schedule, label});
-            }
+            std::snprintf(label, sizeof(label), "s%d/d%d", stages, depth);
+            points.push_back(SweepPoint{points.size(), stages, depth, label});
         }
     }
     return points;
@@ -466,18 +456,11 @@ Sweep::Handle Sweep::launch() {
     state->checkpoint_dir = checkpoint_dir_;
     state->cache_before = verify::cache_stats();
 
-    // Every slot starts as its point's kCancelled row with the schedule
-    // axis' figure of merit, which is defined even for configurations the
-    // factory rejects; a worker overwrites the slot of each point it runs.
-    const tech::VoltageModel model(base_.process);
-    std::vector<double> finish_s;
-    for (const tech::VoltageSchedule& schedule : schedules_) {
-        finish_s.push_back(schedule.finish_time(model, 0.0, 1.0));
-    }
+    // Every slot starts as its point's kCancelled row; a worker
+    // overwrites the slot of each point it runs.
     for (SweepPoint& point : grid()) {
         SweepResult& row = state->results.emplace_back();
         row.status = SweepStatus::kCancelled;
-        row.schedule_finish_s = finish_s[point.schedule];
         row.point = std::move(point);
     }
 

@@ -10,7 +10,6 @@
 #include "flow/design.hpp"
 #include "flow/metrics.hpp"
 #include "pipeline/builder.hpp"
-#include "tech/voltage.hpp"
 #include "verify/spec.hpp"
 
 namespace rap::flow {
@@ -20,13 +19,12 @@ struct SweepState;
 }
 
 /// One point of a sweep's parameter grid, in stable grid order (stages
-/// outermost, then depth, then voltage schedule).
+/// outermost, then depth).
 struct SweepPoint {
     std::size_t index = 0;  ///< position in the expanded grid
     int stages = 0;
     int depth = 0;
-    std::size_t schedule = 0;  ///< index into the schedules() axis
-    std::string label;         ///< "s4/d3/v1"
+    std::string label;  ///< "s4/d3"
 };
 
 enum class SweepStatus {
@@ -50,23 +48,18 @@ struct SweepResult {
     verify::Report report;
     std::size_t states = 0;           ///< states explored by the pass
     double verify_seconds = 0.0;      ///< wall time of the verification
-    /// Wall seconds for one nominal-speed second of work under this
-    /// point's voltage schedule (+inf when the supply never recovers
-    /// above the freeze voltage) — the schedule axis' figure of merit.
-    double schedule_finish_s = 0.0;
 };
 
 /// Batch design-space sweep driver: the paper's verification flow as a
 /// high-traffic workload. A fluent grid builder expands depth × stage
-/// count × voltage schedule into configurations, schedules one
-/// flow::Design session per configuration over a worker pool, and
-/// streams SweepResult rows as they complete:
+/// count into configurations, schedules one flow::Design session per
+/// configuration over a worker pool, and streams SweepResult rows as they
+/// complete:
 ///
 ///     auto results =
 ///         flow::Sweep::ope()                 // reconfigurable OPE factory
 ///             .stages({3, 4, 5})
 ///             .depths(1, 6)                  // invalid combos -> kInvalid
-///             .schedules({nominal, droop})
 ///             .workers(4)
 ///             .on_result([](const flow::SweepResult& r) { ... })
 ///             .run();
@@ -76,9 +69,10 @@ struct SweepResult {
 /// - **Dedup before compile.** Configurations are content-keyed
 ///   (verify::model_fingerprint); the verify::ArtifactCache
 ///   coalesces concurrent builds, so identical models reached through
-///   different grid points (e.g. the same depth under two voltage
-///   schedules) compile exactly once — artifact_builds() grows by the
-///   number of *distinct* models, not grid points.
+///   different grid points (e.g. a factory that maps two grid points to
+///   one model, or a repeated axis value) compile exactly once —
+///   artifact_builds() grows by the number of *distinct* models, not
+///   grid points.
 /// - **Held artifacts.** Each worker's session owns its configuration's
 ///   compiled model while it runs, and the cache never evicts a model
 ///   that is still held, so a tight cache capacity cannot force a
@@ -111,10 +105,10 @@ public:
 
     // -- grid axes (empty axis = the base factory defaults below) -------
 
-    Sweep& depths(int lo, int hi);  ///< inclusive range
+    /// Inclusive range; lo > hi throws and leaves the axis as it was.
+    Sweep& depths(int lo, int hi);
     Sweep& depths(std::vector<int> values);
     Sweep& stages(std::vector<int> values);
-    Sweep& schedules(std::vector<tech::VoltageSchedule> values);
 
     // -- per-configuration behaviour ------------------------------------
 
@@ -128,8 +122,8 @@ public:
     Sweep& per_config_timeout(double seconds);
     /// Per-configuration checkpointing: each grid point's exploration
     /// periodically serializes a petri::StoreCheckpoint to
-    /// `<dir>/<label>.ckpt` (grid labels like "s4/d3/v0" are flattened to
-    /// "s4_d3_v0"), so a killed sweep can resume its longest
+    /// `<dir>/<label>.ckpt` (grid labels like "s4/d3" are flattened to
+    /// "s4_d3"), so a killed sweep can resume its longest
     /// configurations instead of rerunning them. The directory must
     /// exist. Empty (default) = off.
     Sweep& checkpoint_dir(std::string dir);
@@ -200,7 +194,6 @@ private:
     verify::Spec spec_;
     std::vector<int> depths_{1};
     std::vector<int> stages_{1};
-    std::vector<tech::VoltageSchedule> schedules_;
     std::size_t workers_ = 0;
     double timeout_s_ = 0.0;
     std::string checkpoint_dir_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -50,12 +51,12 @@ void VoltageSchedule::add_segment(double duration_s, double v) {
 }
 
 double VoltageSchedule::voltage_at(double t) const {
-    double v = 0.0;
-    for (const Segment& s : segments_) {
-        if (s.start > t) break;
-        v = s.voltage;
-    }
-    return v;
+    const auto after = [](double at, const Segment& s) {
+        return at < s.start;
+    };
+    const auto later =
+        std::upper_bound(segments_.begin(), segments_.end(), t, after);
+    return later == segments_.begin() ? 0.0 : std::prev(later)->voltage;
 }
 
 std::vector<std::pair<double, double>> VoltageSchedule::breakpoints() const {

@@ -56,6 +56,8 @@ public:
     /// previously appended segments.
     void add_segment(double duration_s, double v);
 
+    /// The voltage of the last segment starting at or before t (0V
+    /// before the first); a binary search over the segments.
     double voltage_at(double t) const;
 
     /// The piecewise-constant breakpoints as (start time, voltage) pairs,

@@ -75,6 +75,15 @@ TEST(Campaign, RejectsBadConfiguration) {
     EXPECT_THROW(campaign.fault_scales({1.0, -1.0}), std::invalid_argument);
     EXPECT_THROW(campaign.fault_scales({std::nan("")}),
                  std::invalid_argument);
+    // A NaN, infinite or negative voltage would read as a frozen point
+    // and move the survival knee with the axis order; 0V is unpowered.
+    EXPECT_THROW(campaign.voltages({0.2, std::nan("")}),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        campaign.voltages({std::numeric_limits<double>::infinity()}),
+        std::invalid_argument);
+    EXPECT_THROW(campaign.voltages({-1.0}), std::invalid_argument);
+    EXPECT_NO_THROW(campaign.voltages({0.0, 1.2}));
     asim::FaultSpec faults;
     faults.glitch.rate_hz = 1e6;
     faults.glitch.droop_v = 0.4;

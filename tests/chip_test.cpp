@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "chip/chip.hpp"
 #include "chip/lfsr.hpp"
@@ -187,6 +189,18 @@ TEST(Evaluation, DaisyChainMeasurementIsPinned) {
     EXPECT_EQ(low.items, 300u);
     EXPECT_EQ(low.time_s, 0x1.ac8a8a1ced51bp-16);
     EXPECT_EQ(low.energy_j(), 0x1.ac8ea185a8b04p-32);
+}
+
+// The simulator reads 0 target items as "no target", so a zero-item
+// measurement on a live supply would never end: both entry points refuse
+// it.
+TEST(Evaluation, RefusesZeroItems) {
+    const Evaluation chip(small_static());
+    EXPECT_THROW(chip.measure(1.2, 0), std::invalid_argument);
+    EXPECT_THROW(chip.measure_with_schedule(
+                     tech::VoltageSchedule::constant(1.2), 0, 0.0,
+                     std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
 }
 
 TEST(Evaluation, FreezeAndRecoverCompletesTheRun) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -100,6 +102,105 @@ TEST(Faults, SplicedScheduleDroopsInsideWindowsOnly) {
     const auto off = splice_glitches(base, GlitchSpec{}, 11, 500.0);
     EXPECT_EQ(off.glitches(), 0u);
     EXPECT_EQ(off.schedule.voltage_at(123.0), 1.2);
+}
+
+/// splice_glitches' former rebuild, kept as the oracle: every distinct
+/// edge reads the base voltage by a linear scan of its breakpoints and is
+/// drooped when a scan of every window finds one holding it.
+tech::VoltageSchedule quadratic_rebuild(const tech::VoltageSchedule& base,
+                                        const GlitchedSchedule& glitched,
+                                        double droop_v) {
+    const auto points = base.breakpoints();
+    std::vector<double> edges{0.0};
+    for (const auto& point : points) edges.push_back(point.first);
+    for (const auto& w : glitched.windows) {
+        edges.push_back(w.start_s);
+        edges.push_back(w.end_s);
+    }
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+
+    const auto drooped = [&](double at) {
+        double v = 0.0;
+        for (const auto& [start, voltage] : points) {
+            if (start > at) break;
+            v = voltage;
+        }
+        for (const auto& w : glitched.windows) {
+            if (at >= w.start_s && at < w.end_s) {
+                v = std::max(0.0, v - droop_v);
+                break;
+            }
+        }
+        return v;
+    };
+
+    tech::VoltageSchedule spliced;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        const double start = edges[i];
+        const double end =
+            (i + 1 < edges.size()) ? edges[i + 1] : start + 1.0;
+        if (end <= start) continue;
+        spliced.add_segment(end - start, drooped(start));
+    }
+    return spliced;
+}
+
+// The cursor walk rebuilds exactly the schedule the quadratic scan did,
+// breakpoint for breakpoint, on a flat base, on a 3-segment base whose
+// breakpoints fall inside windows (a droop then spans a base step), and
+// on an empty 0V base (droops clamp at 0V).
+TEST(Faults, SpliceGlitchesMatchesTheQuadraticReference) {
+    GlitchSpec spec;
+    spec.rate_hz = 1e6;
+    spec.droop_v = 1.0;
+    spec.min_duration_s = 5e-8;
+    spec.max_duration_s = 4e-7;
+
+    const auto flat = tech::VoltageSchedule::constant(1.2);
+    std::size_t most_windows = 0;
+    std::size_t empty_splices = 0;
+    for (std::uint64_t seed = 1; seed <= 110; ++seed) {
+        // Horizons from 0 to 2.5 ms: 0 to ~2,000 windows.
+        const double horizon = 2.5e-4 * static_cast<double>(seed % 11);
+        const std::vector<GlitchedSchedule::Window> windows =
+            splice_glitches(flat, spec, seed, horizon).windows;
+        most_windows = std::max(most_windows, windows.size());
+        empty_splices += windows.empty() ? 1 : 0;
+
+        // Base breakpoints in the middle of two windows.
+        const auto middle = [&](std::size_t i) {
+            return (windows[i].start_s + windows[i].end_s) / 2;
+        };
+        const double first = windows.size() >= 2
+                                 ? middle(windows.size() / 3)
+                                 : 1e-4;
+        const double second = windows.size() >= 2
+                                  ? middle(2 * windows.size() / 3)
+                                  : 2e-4;
+        tech::VoltageSchedule stepped;
+        stepped.add_segment(first, 1.2);
+        stepped.add_segment(second - first, 0.9);
+        stepped.add_segment(1.0, 1.1);
+
+        for (const tech::VoltageSchedule& base :
+             {flat, stepped, tech::VoltageSchedule{}}) {
+            const GlitchedSchedule out =
+                splice_glitches(base, spec, seed, horizon);
+            ASSERT_EQ(out.windows.size(), windows.size()) << seed;
+            const tech::VoltageSchedule expected =
+                out.windows.empty()
+                    ? base
+                    : quadratic_rebuild(base, out, spec.droop_v);
+            EXPECT_EQ(out.schedule.breakpoints(), expected.breakpoints())
+                << "seed " << seed << ", " << out.windows.size()
+                << " windows";
+            EXPECT_EQ(out.schedule.duration(), expected.duration())
+                << seed;
+        }
+    }
+    EXPECT_GT(most_windows, 1500u);
+    EXPECT_GT(empty_splices, 0u);
 }
 
 TEST(Faults, ScaledMultipliesIntensitiesAndClamps) {

@@ -102,6 +102,33 @@ TEST(VoltageSchedule, SegmentsApplyInOrder) {
     EXPECT_THROW(s.add_segment(0.0, 1.2), std::invalid_argument);
 }
 
+// voltage_at at, just before and just after every breakpoint, and
+// before the first one, where the supply is 0V.
+TEST(VoltageSchedule, VoltageAtEveryBreakpointEdge) {
+    VoltageSchedule s;
+    const std::vector<double> voltages{1.2, 0.5, 0.9, 0.0, 0.34, 1.1, 0.7};
+    for (std::size_t i = 0; i < voltages.size(); ++i) {
+        s.add_segment(1e-6 * static_cast<double>(i + 1), voltages[i]);
+    }
+    const auto points = s.breakpoints();
+    ASSERT_EQ(points.size(), voltages.size());
+    EXPECT_EQ(s.voltage_at(-1.0), 0.0);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const auto [start, voltage] = points[i];
+        const double previous = i > 0 ? points[i - 1].second : 0.0;
+        EXPECT_EQ(s.voltage_at(start), voltage) << i;
+        EXPECT_EQ(s.voltage_at(std::nextafter(start, -kInf)), previous)
+            << i;
+        EXPECT_EQ(s.voltage_at(std::nextafter(start, kInf)), voltage) << i;
+    }
+    EXPECT_EQ(s.voltage_at(kInf), voltages.back());
+
+    const VoltageSchedule empty;
+    for (const double t : {-1.0, 0.0, 1.0, kInf}) {
+        EXPECT_EQ(empty.voltage_at(t), 0.0) << t;
+    }
+}
+
 TEST(VoltageSchedule, FinishTimeAtNominalIsIdentity) {
     const auto s = VoltageSchedule::constant(1.2);
     const VoltageModel m;
