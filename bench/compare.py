@@ -17,9 +17,10 @@ Pass --absolute to compare raw numbers instead (useful when baseline and
 current come from the same machine).
 
 Refresh the baseline (after intentional performance changes, on the
-reference machine):
+reference machine) with the CI job's own command, built at the commit
+the next change is to be measured against:
 
-    ./build/bench/bench_micro --benchmark_repetitions=5 \
+    ./build/bench/bench_micro --benchmark_repetitions=3 \
         --benchmark_report_aggregates_only=true \
         --benchmark_format=json --benchmark_out=bench/baseline.json
 """

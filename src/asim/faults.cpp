@@ -86,10 +86,19 @@ FaultRealization::Action FaultRealization::on_fire(std::uint32_t node) {
 }
 
 void validate_glitch(const GlitchSpec& spec) {
-    if (spec.active() && (spec.max_duration_s < spec.min_duration_s ||
-                          spec.min_duration_s < 0.0)) {
+    if (!spec.active()) return;
+    // Negated forms, so that a NaN duration fails them too.
+    if (!(spec.min_duration_s >= 0.0) ||
+        !(spec.max_duration_s >= spec.min_duration_s) ||
+        std::isinf(spec.max_duration_s)) {
         throw std::invalid_argument(
-            "GlitchSpec: need 0 <= min_duration_s <= max_duration_s");
+            "GlitchSpec: need 0 <= min_duration_s <= max_duration_s, "
+            "both finite");
+    }
+    // An infinite rate draws zero-length gaps: the arrivals never pass
+    // the horizon.
+    if (std::isinf(spec.rate_hz)) {
+        throw std::invalid_argument("GlitchSpec: rate_hz must be finite");
     }
 }
 

@@ -121,9 +121,10 @@ struct GlitchedSchedule {
     std::size_t glitches() const noexcept { return windows.size(); }
 };
 
-/// Throws std::invalid_argument unless an active spec's duration window
-/// satisfies 0 <= min_duration_s <= max_duration_s — the rule
-/// splice_glitches applies, callable where a spec is configured.
+/// Throws std::invalid_argument unless an active spec has a finite
+/// rate_hz and a duration window 0 <= min_duration_s <= max_duration_s
+/// of finite values (NaN fails) — the rule splice_glitches applies,
+/// callable where a spec is configured.
 void validate_glitch(const GlitchSpec& spec);
 
 /// Splices seeded voltage droops into `base` over [0, horizon_s):

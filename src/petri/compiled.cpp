@@ -282,12 +282,14 @@ void CompiledNet::enabled_set(const std::uint64_t* marking,
 void CompiledNet::update_enabled(const std::uint64_t* marking,
                                  TransitionId fired,
                                  std::uint64_t* enabled) const noexcept {
+    const std::uint64_t* known = disables(fired);
     for (std::uint32_t ti : affected(fired)) {
+        const std::size_t w = ti / kWordBits;
         const std::uint64_t bit = std::uint64_t{1} << (ti % kWordBits);
-        if (is_enabled(marking, TransitionId{ti})) {
-            enabled[ti / kWordBits] |= bit;
+        if ((known[w] & bit) == 0 && is_enabled(marking, TransitionId{ti})) {
+            enabled[w] |= bit;
         } else {
-            enabled[ti / kWordBits] &= ~bit;
+            enabled[w] &= ~bit;
         }
     }
 }
@@ -300,11 +302,6 @@ MarkingStore::MarkingStore(std::size_t marking_words,
       meta_words_(meta_words),
       arena_(words_ + meta_words_),
       table_(std::size_t{1} << 12, kEmptySlot) {}
-
-std::uint64_t MarkingStore::hash(const std::uint64_t* words)
-    const noexcept {
-    return hash_marking_words(words, words_);
-}
 
 void MarkingStore::insert_displacing(std::uint64_t entry, std::size_t slot,
                                      std::size_t dist) noexcept {
@@ -332,22 +329,21 @@ void MarkingStore::insert_displacing(std::uint64_t entry, std::size_t slot,
 }
 
 void MarkingStore::grow() {
-    // No per-id hash index to lean on: recompute each record's hash from
-    // the arena. The marking arena is never released here, so every
-    // record is readable.
-    table_.assign(table_.size() * 2, kEmptySlot);
+    // Doubling: every entry moves to the new table as it is, its home
+    // recovered from its own fragment. The arena is never read.
+    std::vector<std::uint64_t> old(table_.size() * 2, kEmptySlot);
+    table_.swap(old);
     const std::size_t mask = table_.size() - 1;
-    for (std::uint32_t id = 0; id < count_; ++id) {
-        const std::uint64_t h = hash(arena_[id]);
-        insert_displacing(pack(h, id), static_cast<std::size_t>(h) & mask,
+    for (const std::uint64_t entry : old) {
+        if (entry == kEmptySlot) continue;
+        insert_displacing(entry, static_cast<std::size_t>(entry >> 32) & mask,
                           0);
     }
 }
 
 MarkingStore::InternResult MarkingStore::intern(
-    const std::uint64_t* words, std::size_t capacity_limit) {
+    const std::uint64_t* words, std::uint64_t h, std::size_t capacity_limit) {
     const std::size_t mask = table_.size() - 1;
-    const std::uint64_t h = hash(words);
     const auto fragment = static_cast<std::uint32_t>(h);
     std::size_t slot = static_cast<std::size_t>(h) & mask;
     std::size_t dist = 0;

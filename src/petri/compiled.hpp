@@ -46,10 +46,11 @@ inline std::uint64_t hash_marking_words(const std::uint64_t* words,
 /// places its firing toggles of each place's dependent transitions)
 /// enables incremental enabled-set maintenance: after firing t, only
 /// affected(t) can change enabledness, so a successor's enabled set is
-/// its parent's with just those bits re-tested. Its subset that firing
+/// its parent's with just those bits refreshed. Its subset that firing
 /// t can only ever *disable* is kept as one bitset row per transition
-/// (disables(t)), the structural relation behind the persistence scan
-/// and the stubborn-set dependence.
+/// (disables(t)), the structural relation behind the persistence scan,
+/// the stubborn-set dependence, and the bits update_enabled clears
+/// without a test.
 class CompiledNet {
 public:
     explicit CompiledNet(const Net& net);
@@ -96,9 +97,14 @@ public:
     void enabled_set(const std::uint64_t* marking,
                      std::uint64_t* out) const noexcept;
 
-    /// Incremental maintenance: given `marking` obtained by firing
-    /// `fired`, refreshes in `enabled` (the parent's enabled bitset) the
-    /// bits of exactly the transitions firing `fired` can have changed.
+    /// Incremental maintenance: given `marking` obtained by firing the
+    /// enabled transition `fired`, refreshes in `enabled` (the parent's
+    /// enabled bitset) the bits of exactly the transitions firing `fired`
+    /// can have changed, affected(fired). The members of
+    /// disables(fired) are cleared without a test: the firing unmarked
+    /// a place each of them requires or marked one it forbids, so they
+    /// are disabled at every marking it produces. Only the rest of
+    /// affected(fired) is re-tested with is_enabled.
     void update_enabled(const std::uint64_t* marking, TransitionId fired,
                         std::uint64_t* enabled) const noexcept;
 
@@ -200,8 +206,13 @@ struct StoreStats {
 /// bookkeeping can run on plain arrays. No per-marking heap allocation.
 ///
 /// The table runs at a 7/8 load ceiling with no per-id hash index: the
-/// slot's back-reference doubles as identity, and a rehash recomputes
-/// hashes from the records themselves.
+/// slot's back-reference doubles as identity, and growth re-inserts the
+/// entries from the old table's own slots.
+///
+/// Callers hash a marking once (hash()) and hand the hash to intern().
+/// That lets an expansion hash all of a state's successors first and
+/// prefetch their home slots, so the probes that follow overlap their
+/// cache misses instead of paying them one after another.
 ///
 /// Each record optionally carries `meta_words` extra payload words after
 /// the marking (zero-initialised on intern, ignored by hashing and
@@ -235,8 +246,22 @@ public:
         bool inserted = false;
     };
 
-    /// Looks `words` up; inserts when absent and size() < capacity_limit.
-    InternResult intern(const std::uint64_t* words,
+    /// The interning hash of the marking `words`.
+    std::uint64_t hash(const std::uint64_t* words) const noexcept {
+        return hash_marking_words(words, words_);
+    }
+
+    /// Starts loading the home slot of hash `h` into the cache; a hint
+    /// only, so a table that grows before the probe costs nothing but
+    /// the wasted load.
+    void prefetch(std::uint64_t h) const noexcept {
+        __builtin_prefetch(table_.data() +
+                           (static_cast<std::size_t>(h) & (table_.size() - 1)));
+    }
+
+    /// Looks `words` up under its hash `h`, which must be hash(words);
+    /// inserts when absent and size() < capacity_limit.
+    InternResult intern(const std::uint64_t* words, std::uint64_t h,
                         std::size_t capacity_limit);
 
     /// Drops every marking, keeping the arena blocks and table storage.
@@ -262,7 +287,6 @@ public:
     }
 
 private:
-    std::uint64_t hash(const std::uint64_t* words) const noexcept;
     void insert_displacing(std::uint64_t entry, std::size_t slot,
                            std::size_t dist) noexcept;
     void grow();
@@ -272,8 +296,9 @@ private:
     // kEmptySlot: kNone is not a valid id. The fragment is the hash's LOW
     // 32 bits, because robin-hood probing must recover an entry's home
     // slot from the slot value alone (home = fragment & mask) to compute
-    // probe distances — sound while the table holds <= 2^32 slots, far
-    // past the 100M-state tier at 7/8 load.
+    // probe distances and to re-insert it on growth — sound while the
+    // table holds <= 2^32 slots, far past the 100M-state tier at 7/8
+    // load.
     static constexpr std::uint64_t kEmptySlot = UINT64_MAX;
     static std::uint64_t pack(std::uint64_t h, std::uint32_t id) noexcept {
         return (h << 32) | id;

@@ -204,10 +204,23 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
                unmatched == 0 && !collecting();
     };
 
-    std::vector<std::uint64_t> child(std::max<std::size_t>(mwords, 1), 0);
     Marking scratch(net.place_count());  // predicate evaluation view
     PorContext::Scratch por_scratch;
     std::vector<std::uint64_t> ample(por ? twords : 0, 0);
+    // Per-state persistence pre-test accumulator (see scan_persistence).
+    std::vector<std::uint64_t> pair_rows(query.check_persistence ? twords : 0);
+
+    // The successor batch of one expansion: every successor marking,
+    // `stride` words apart (the store's key width), with the transition
+    // that produced it and its interning hash. Grown to the widest
+    // expansion seen, then reused; its first slot also stages the root.
+    struct Successor {
+        std::uint32_t via;
+        std::uint64_t hash;
+    };
+    const std::size_t stride = std::max<std::size_t>(mwords, 1);
+    std::vector<std::uint64_t> successor_words(stride, 0);
+    std::vector<Successor> successors;
 
     store_.clear();
 
@@ -251,8 +264,9 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     std::uint32_t next_layer_begin = 1;
     if (options_.resume == nullptr) {
         const Marking m0 = net.initial_marking();
-        copy_words(child.data(), m0.word_data(), m0.word_count());
-        const auto root = store_.intern(child.data(), cap);
+        std::uint64_t* key = successor_words.data();
+        copy_words(key, m0.word_data(), m0.word_count());
+        const auto root = store_.intern(key, store_.hash(key), cap);
         store_.meta(root.id)[0] = pack_visit(kNoParent, 0);
         enabled_store.push_zero();
         compiled_->enabled_set(store_[root.id], enabled_store[root.id]);
@@ -265,7 +279,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
         ckpt.check_resumable(*compiled_, cap, query.goals.size());
         for (std::uint64_t id = 0; id < ckpt.record_count; ++id) {
             const std::uint64_t* rec = ckpt.record(id);
-            const auto interned = store_.intern(rec, cap);
+            const auto interned = store_.intern(rec, store_.hash(rec), cap);
             if (!interned.inserted || interned.id != id) {
                 throw std::runtime_error(
                     "resume: checkpoint records are not unique dense-id "
@@ -377,8 +391,27 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
         // it reaches exactly what a full pass reports there). With t and
         // u both enabled, t disables u exactly when CompiledNet::disables
         // says so, so the scan of t needs no successor marking and is one
-        // AND per word with t's checked-pair row.
+        // AND per word with t's checked-pair row. Most states have no
+        // violation: the OR of the enabled transitions' rows, ANDed with
+        // the enabled set, proves that before the scan walks any pair.
         auto scan_persistence = [&] {
+            std::fill(pair_rows.begin(), pair_rows.end(), 0);
+            for (std::size_t w = 0; w < twords; ++w) {
+                for (std::uint64_t bits = enabled[w]; bits != 0;
+                     bits &= bits - 1) {
+                    const std::uint64_t* row =
+                        checked.data() +
+                        std::size_t{bit_transition(w, bits).value} * twords;
+                    for (std::size_t v = 0; v < twords; ++v) {
+                        pair_rows[v] |= row[v];
+                    }
+                }
+            }
+            std::uint64_t any = 0;
+            for (std::size_t v = 0; v < twords; ++v) {
+                any |= pair_rows[v] & enabled[v];
+            }
+            if (any == 0) return;
             for (std::size_t w = 0; w < twords; ++w) {
                 for (std::uint64_t bits = enabled[w]; bits != 0;
                      bits &= bits - 1) {
@@ -400,7 +433,8 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
         if (answered()) break;
 
         bool fresh_seen = false;
-        auto expand_edge = [&](TransitionId t) {
+        // Interns successor i of the batch, the edge it stands for.
+        auto intern_successor = [&](std::size_t i) {
             // Edge-counter stop poll: the head poll above fires every
             // 2048 *states*, which a heavily reduced (or truncated-at-
             // capacity) pass may take arbitrarily long to advance by —
@@ -411,10 +445,9 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
                 return;
             }
             ++edges;
-            copy_words(child.data(), marking, mwords);
-            compiled_->fire(child.data(), t);
-
-            const auto interned = store_.intern(child.data(), cap);
+            const std::uint64_t* next = successor_words.data() + i * stride;
+            const TransitionId t{successors[i].via};
+            const auto interned = store_.intern(next, successors[i].hash, cap);
             if (interned.id == MarkingStore::kNone) {
                 // max_states hit mid-expansion: report truncation and
                 // stop with states_explored == max_states exactly.
@@ -427,8 +460,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
 
             store_.meta(interned.id)[0] = pack_visit(head, t.value);
             enabled_store.push(enabled);
-            compiled_->update_enabled(child.data(), t,
-                                      enabled_store[interned.id]);
+            compiled_->update_enabled(next, t, enabled_store[interned.id]);
             const std::size_t sig =
                 enabled_store.allocated_blocks() + store_.resident_bytes();
             if (sig != geometry_sig) {
@@ -440,18 +472,35 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
             visit(interned.id);
         };
 
-        // Fires every transition of bits & ~minus (minus may be null) in
-        // ascending id order until the pass stops. Returns true when the
-        // state needs no proviso widening: a successor lies in the next
-        // BFS layer, or the pass stopped.
+        // Expands every transition of bits & ~minus (minus may be null).
+        // All successors are fired and hashed first, and each one's home
+        // slot is prefetched, so the probes overlap their cache misses;
+        // then they are interned in ascending transition order until the
+        // pass stops. Returns true when the state needs no proviso
+        // widening: a successor lies in the next BFS layer, or the pass
+        // stopped.
         auto expand = [&](const std::uint64_t* bits,
                           const std::uint64_t* minus) {
-            for (std::size_t w = 0; w < twords && !stop; ++w) {
+            successors.clear();
+            for (std::size_t w = 0; w < twords; ++w) {
                 std::uint64_t word = bits[w];
                 if (minus != nullptr) word &= ~minus[w];
-                for (; word != 0 && !stop; word &= word - 1) {
-                    expand_edge(bit_transition(w, word));
+                for (; word != 0; word &= word - 1) {
+                    const std::size_t end = (successors.size() + 1) * stride;
+                    if (successor_words.size() < end) {
+                        successor_words.resize(end, 0);
+                    }
+                    std::uint64_t* next = successor_words.data() + end - stride;
+                    const TransitionId t = bit_transition(w, word);
+                    copy_words(next, marking, mwords);
+                    compiled_->fire(next, t);
+                    const std::uint64_t h = store_.hash(next);
+                    store_.prefetch(h);
+                    successors.push_back({t.value, h});
                 }
+            }
+            for (std::size_t i = 0; i < successors.size() && !stop; ++i) {
+                intern_successor(i);
             }
             return fresh_seen || stop;
         };

@@ -43,8 +43,14 @@ VoltageSchedule VoltageSchedule::constant(double v) {
 }
 
 void VoltageSchedule::add_segment(double duration_s, double v) {
-    if (duration_s <= 0) {
-        throw std::invalid_argument("segment duration must be positive");
+    // Written so that NaN fails both tests: a NaN duration would start
+    // every later segment at NaN and break the sorted starts voltage_at
+    // and SupplyTimeline search.
+    if (!(duration_s > 0.0) || std::isinf(duration_s) || !(v >= 0.0) ||
+        std::isinf(v)) {
+        throw std::invalid_argument(
+            "VoltageSchedule::add_segment: need a positive finite duration "
+            "and a finite non-negative voltage");
     }
     segments_.push_back({cursor_, v});
     cursor_ += duration_s;

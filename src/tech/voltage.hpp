@@ -53,7 +53,9 @@ public:
     static VoltageSchedule constant(double v);
 
     /// Appends a segment of `duration_s` seconds at voltage `v` after the
-    /// previously appended segments.
+    /// previously appended segments. Throws std::invalid_argument, and
+    /// leaves the schedule unchanged, unless the duration is positive and
+    /// finite and the voltage finite and non-negative (0V is unpowered).
     void add_segment(double duration_s, double v);
 
     /// The voltage of the last segment starting at or before t (0V

@@ -92,6 +92,17 @@ TEST(Campaign, RejectsBadConfiguration) {
     EXPECT_THROW(campaign.base_faults(faults), std::invalid_argument);
     faults.glitch.min_duration_s = -1e-8;
     EXPECT_THROW(campaign.base_faults(faults), std::invalid_argument);
+    // NaN bounds and an infinite rate, refused before any worker splices.
+    faults.glitch.min_duration_s = std::nan("");
+    EXPECT_THROW(campaign.base_faults(faults), std::invalid_argument);
+    faults.glitch.min_duration_s = 1e-8;
+    faults.glitch.max_duration_s = std::nan("");
+    EXPECT_THROW(campaign.base_faults(faults), std::invalid_argument);
+    faults.glitch.max_duration_s = 5e-8;
+    faults.glitch.rate_hz = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(campaign.base_faults(faults), std::invalid_argument);
+    faults.glitch.rate_hz = 1e6;
+    EXPECT_NO_THROW(campaign.base_faults(faults));
 }
 
 // The seeding contract: the full result set — every per-point checksum

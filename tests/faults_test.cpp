@@ -80,6 +80,36 @@ TEST(Faults, SpliceGlitchesRefusesAnUnboundedHorizon) {
     EXPECT_EQ(calm.glitches(), 0u);
 }
 
+// NaN fails every comparison, so the checks are written to fail it: a
+// NaN duration bound used to pass and splice windows that end at NaN.
+// An infinite rate draws zero-length gaps and would never reach the
+// horizon; the spec is refused before any arrival is drawn.
+TEST(Faults, ValidateGlitchRefusesNanDurationsAndAnInfiniteRate) {
+    const auto base = tech::VoltageSchedule::constant(1.2);
+    GlitchSpec spec;
+    spec.rate_hz = 2e5;
+    spec.droop_v = 0.5;
+    spec.min_duration_s = 2e-7;
+    spec.max_duration_s = std::nan("");
+    EXPECT_THROW(validate_glitch(spec), std::invalid_argument);
+    EXPECT_THROW(splice_glitches(base, spec, 1, 1e-4), std::invalid_argument);
+    spec.max_duration_s = 1e-6;
+    spec.min_duration_s = std::nan("");
+    EXPECT_THROW(validate_glitch(spec), std::invalid_argument);
+    EXPECT_THROW(splice_glitches(base, spec, 1, 1e-4), std::invalid_argument);
+
+    spec.rate_hz = std::numeric_limits<double>::infinity();
+    spec.min_duration_s = 0.0;
+    spec.max_duration_s = 0.0;
+    ASSERT_THROW(validate_glitch(spec), std::invalid_argument);
+    EXPECT_THROW(splice_glitches(base, spec, 1, 1e-4), std::invalid_argument);
+
+    // An inactive spec is not checked: it splices nothing.
+    spec.droop_v = 0.0;
+    EXPECT_NO_THROW(validate_glitch(spec));
+    EXPECT_EQ(splice_glitches(base, spec, 1, 1e-4).glitches(), 0u);
+}
+
 TEST(Faults, SplicedScheduleDroopsInsideWindowsOnly) {
     const auto base = tech::VoltageSchedule::constant(1.2);
     GlitchSpec spec;

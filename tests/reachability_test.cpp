@@ -12,6 +12,7 @@
 #include <deque>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "dfs_helpers.hpp"
@@ -115,19 +116,21 @@ TEST(CompiledNet, AgreesWithNetOnEveryReachableMarking) {
     }
 }
 
-TEST(CompiledNet, IncrementalEnabledSetMatchesFullScan) {
-    const Net net = make_mixed();
+/// BFS over `net` under the interpreted semantics, stopping discovery
+/// at `limit` states: after every firing, the parent's enabled set
+/// updated by update_enabled must equal the full scan of the child.
+void expect_incremental_matches_full_scan(const Net& net,
+                                          std::size_t limit) {
     const CompiledNet compiled(net);
-    std::deque<Marking> frontier;
-    std::unordered_map<Marking, std::size_t, util::BitVecHash> seen;
-    const Marking m0 = net.initial_marking();
-    seen.emplace(m0, 0);
-    frontier.push_back(m0);
-    std::vector<std::uint64_t> parent_enabled(compiled.enabled_words());
-    std::vector<std::uint64_t> incremental(compiled.enabled_words());
-    std::vector<std::uint64_t> full(compiled.enabled_words());
+    const std::size_t words = compiled.enabled_words();
+    std::unordered_set<Marking, util::BitVecHash> seen;
+    std::deque<Marking> frontier{net.initial_marking()};
+    seen.insert(frontier.front());
+    std::vector<std::uint64_t> parent_enabled(words);
+    std::vector<std::uint64_t> incremental(words);
+    std::vector<std::uint64_t> full(words);
     while (!frontier.empty()) {
-        const Marking current = frontier.front();
+        const Marking current = std::move(frontier.front());
         frontier.pop_front();
         compiled.enabled_set(current.word_data(), parent_enabled.data());
         for (std::uint32_t ti = 0; ti < net.transition_count(); ++ti) {
@@ -138,12 +141,34 @@ TEST(CompiledNet, IncrementalEnabledSetMatchesFullScan) {
             incremental = parent_enabled;
             compiled.update_enabled(next.word_data(), t, incremental.data());
             compiled.enabled_set(next.word_data(), full.data());
-            EXPECT_EQ(incremental, full)
-                << "after " << net.transition_name(t);
-            if (seen.emplace(next, seen.size()).second) {
-                frontier.push_back(next);
+            ASSERT_EQ(incremental, full)
+                << net.name() << ": after " << net.transition_name(t)
+                << " at " << net.describe_marking(current);
+            if (seen.size() < limit && seen.insert(next).second) {
+                frontier.push_back(std::move(next));
             }
         }
+    }
+}
+
+TEST(CompiledNet, IncrementalEnabledSetMatchesFullScan) {
+    // Every state of the zoo (the OPE s3/d3 model in full, wagging's
+    // first 60,000 states) and of the 24 fuzz seeds, plus the small
+    // nets above: update_enabled must agree with a full scan after every
+    // firing, both on the bits it re-tests and on the ones it clears
+    // because the firing must have disabled them.
+    std::vector<testfx::Fixture> fixtures = testfx::all_fixtures();
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        fixtures.push_back(testfx::fuzz_fixture(seed));
+    }
+    fixtures.push_back({"ring", make_ring()});
+    fixtures.push_back({"toggles", make_toggles(4)});
+    fixtures.push_back({"mixed", make_mixed()});
+    for (const testfx::Fixture& fixture : fixtures) {
+        const std::size_t limit =
+            fixture.name == "wagging" ? 60'000 : SIZE_MAX;
+        expect_incremental_matches_full_scan(fixture.net, limit);
+        if (HasFatalFailure()) return;
     }
 }
 
@@ -316,17 +341,17 @@ TEST(MarkingStore, InternsDedupesAndEnforcesCapacity) {
     MarkingStore store(2);
     const std::uint64_t a[2] = {1, 2};
     const std::uint64_t b[2] = {3, 4};
-    const auto ra = store.intern(a, 2);
+    const auto ra = store.intern(a, store.hash(a), 2);
     EXPECT_TRUE(ra.inserted);
     EXPECT_EQ(ra.id, 0u);
-    const auto ra2 = store.intern(a, 2);
+    const auto ra2 = store.intern(a, store.hash(a), 2);
     EXPECT_FALSE(ra2.inserted);
     EXPECT_EQ(ra2.id, 0u);
-    const auto rb = store.intern(b, 2);
+    const auto rb = store.intern(b, store.hash(b), 2);
     EXPECT_TRUE(rb.inserted);
     EXPECT_EQ(rb.id, 1u);
     const std::uint64_t c[2] = {5, 6};
-    const auto rc = store.intern(c, 2);  // over capacity
+    const auto rc = store.intern(c, store.hash(c), 2);  // over capacity
     EXPECT_FALSE(rc.inserted);
     EXPECT_EQ(rc.id, MarkingStore::kNone);
     EXPECT_EQ(store.size(), 2u);
@@ -334,17 +359,28 @@ TEST(MarkingStore, InternsDedupesAndEnforcesCapacity) {
 }
 
 TEST(MarkingStore, SurvivesGrowthRehash) {
+    // 600K keys take the 4096-slot table through eight doublings. Every
+    // key keeps its dense id across all of them, and the geometry is
+    // the documented one: the smallest power of two that keeps the
+    // records under the 7/8 load ceiling.
+    constexpr std::uint64_t kKeys = 600'000;
     MarkingStore store(1);
-    for (std::uint64_t i = 0; i < 5000; ++i) {
-        const auto r = store.intern(&i, SIZE_MAX);
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+        const auto r = store.intern(&i, store.hash(&i), SIZE_MAX);
         ASSERT_TRUE(r.inserted);
         ASSERT_EQ(r.id, i);
     }
-    for (std::uint64_t i = 0; i < 5000; ++i) {
-        const auto r = store.intern(&i, SIZE_MAX);
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+        const auto r = store.intern(&i, store.hash(&i), SIZE_MAX);
         ASSERT_FALSE(r.inserted);
         ASSERT_EQ(r.id, i);
+        ASSERT_EQ(store[r.id][0], i);
     }
+    std::size_t slots = 4096;
+    while (kKeys * 8 >= slots * 7) slots *= 2;
+    EXPECT_EQ(slots, std::size_t{1} << 20);
+    EXPECT_EQ(store.stats().slots, slots);
+    EXPECT_EQ(store.stats().records, kKeys);
 }
 
 TEST(MarkingStore, MetaWordsLiveInTheRecord) {
@@ -356,14 +392,15 @@ TEST(MarkingStore, MetaWordsLiveInTheRecord) {
     MarkingStore store(1, /*meta_words=*/2);
     ASSERT_EQ(store.meta_words(), 2u);
     for (std::uint64_t i = 0; i < 3000; ++i) {
-        const auto r = store.intern(&i, SIZE_MAX);
+        const auto r = store.intern(&i, store.hash(&i), SIZE_MAX);
         ASSERT_TRUE(r.inserted);
         EXPECT_EQ(store.meta(r.id)[0], 0u);
         store.meta(r.id)[0] = i * 2 + 1;
         store.meta(r.id)[1] = ~i;
     }
     for (std::uint64_t i = 0; i < 3000; ++i) {
-        const auto r = store.intern(&i, SIZE_MAX);  // dedup after rehashes
+        // dedup after rehashes
+        const auto r = store.intern(&i, store.hash(&i), SIZE_MAX);
         ASSERT_FALSE(r.inserted);
         EXPECT_EQ(store[r.id][0], i);              // payload intact
         EXPECT_EQ(store.meta(r.id)[0], i * 2 + 1);  // meta intact
@@ -749,6 +786,117 @@ TEST(PersistenceOracle, FirstViolationStopMatchesTheExhaustivePass) {
             << fixture.name << ": reduced violation not in the full set";
     }
     EXPECT_GT(compared, 0u) << "no fixture has a violation to compare";
+}
+
+// ------------------------------------------------- discovery order --
+
+/// `n` independent binary choices: c<i> starts marked, and a<i> / b<i>
+/// move its token to l<i> / r<i>. 3^n states and 2^n deadlocks, and each
+/// undecided choice is a pair of mutual persistence violations.
+Net make_choices(int n) {
+    Net net("choices");
+    for (int i = 0; i < n; ++i) {
+        const std::string k = std::to_string(i);
+        const auto c = net.add_place("c" + k, true);
+        const auto l = net.add_place("l" + k, false);
+        const auto r = net.add_place("r" + k, false);
+        const auto a = net.add_transition("a" + k);
+        net.add_input_arc(c, a);
+        net.add_output_arc(a, l);
+        const auto b = net.add_transition("b" + k);
+        net.add_input_arc(c, b);
+        net.add_output_arc(b, r);
+    }
+    return net;
+}
+
+void fnv_fold(std::uint64_t& h, std::uint64_t word) {
+    h ^= word;
+    h *= 1099511628211ULL;
+}
+
+TEST(DiscoveryOrder, DeadlockAndViolationListsArePinned) {
+    // Deadlocks and violations come out in state-id order, and ids are
+    // handed out in interning order, so these two hashes pin the
+    // engine's discovery order through its public results. The table
+    // grows five times on the way (4096 to 131,072 slots). The values
+    // were recorded on the engine that interned one successor at a time.
+    const Net net = make_choices(10);
+    MultiQuery query;
+    query.collect_deadlocks = true;
+    query.check_persistence = true;
+    ReachabilityOptions options;
+    options.stop_at_first_match = false;
+    const MultiResult result =
+        ReachabilityExplorer(net, options).run_query(query);
+    ASSERT_EQ(result.states_explored, 59'049u);
+    ASSERT_EQ(result.deadlocks.size(), 1'024u);
+    ASSERT_EQ(result.persistence_violations.size(), 393'660u);
+    std::uint64_t deadlocks = 1469598103934665603ULL;
+    for (const Marking& m : result.deadlocks) {
+        for (std::size_t w = 0; w < m.word_count(); ++w) {
+            fnv_fold(deadlocks, m.word_data()[w]);
+        }
+    }
+    std::uint64_t violations = 1469598103934665603ULL;
+    for (const PersistenceViolation& v : result.persistence_violations) {
+        for (std::size_t w = 0; w < v.marking.word_count(); ++w) {
+            fnv_fold(violations, v.marking.word_data()[w]);
+        }
+        fnv_fold(violations, v.fired.value);
+        fnv_fold(violations, v.disabled.value);
+    }
+    EXPECT_EQ(deadlocks, 12303155330813055875ULL);
+    EXPECT_EQ(violations, 4729014869784321323ULL);
+}
+
+TEST(DiscoveryOrder, DebugLoopWitnessesArePinned) {
+    // The two ring bugs of perfbench's debug loop on the s3/d3 OPE: the
+    // standard check stops at its first finding, and the whole witness
+    // trace (BFS-shortest, first discovered) is pinned name by name.
+    auto design = flow::make_design(ope::build_reconfigurable_ope_dfs(3, 3));
+    const auto& stages = design->pipeline().stages;
+    struct Bug {
+        pipeline::ControlRing ring;
+        std::size_t states;
+        std::vector<std::string> trace;
+    };
+    const std::vector<Bug> bugs = {
+        {stages[1].global_ring, 1'904,
+         {"M_in+", "M_s1_local_in+", "M_s1_global_in+", "C_s1_f+",
+          "M_s1_local_out+", "C_s1_g+", "M_s1_global_out+",
+          "Mf_s2_gctrl_c2+", "Mf_s2_local_in+", "Mf_s2_global_in+",
+          "Mf_s2_global_out+", "Mf_s2_gctrl_c1-", "Mf_s2_gctrl_c3+",
+          "Mf_s2_gctrl_c2-", "Mt_s3_gctrl_c2+", "Mt_s3_lctrl_c2+",
+          "Mt_s3_global_in+", "M_in-", "M_s1_local_in-", "M_s1_global_in-",
+          "C_s1_f-", "M_s1_local_out-", "C_s1_g-", "Mf_s2_local_in-",
+          "Mf_s2_global_in-"}},
+        {stages[2].local_ring, 5'786,
+         {"M_in+", "M_s1_local_in+", "M_s1_global_in+", "C_s1_f+",
+          "M_s1_local_out+", "C_s1_g+", "M_s1_global_out+",
+          "Mt_s2_gctrl_c2+", "Mt_s2_local_in+", "Mt_s2_global_in+",
+          "C_s2_f+", "M_s2_local_out+", "C_s2_g+", "Mt_s2_global_out+",
+          "Mt_s2_gctrl_c1-", "Mt_s2_gctrl_c3+", "Mt_s2_gctrl_c2-",
+          "Mt_s3_gctrl_c2+", "Mf_s3_lctrl_c2+", "Mf_s3_local_in+",
+          "Mf_s3_lctrl_c1-", "Mf_s3_lctrl_c3+", "Mf_s3_lctrl_c2-",
+          "Mt_s3_global_in+", "M_in-", "M_s1_local_in-", "M_s1_global_in-",
+          "C_s1_f-", "M_s1_local_out-", "C_s1_g-", "Mt_s2_local_in-",
+          "Mt_s2_global_in-", "C_s2_f-", "M_s2_local_out-", "C_s2_g-",
+          "Mf_s3_local_in-", "Mf_s3_lctrl_c1+", "Mf_s3_lctrl_c3-",
+          "Mf_s3_lctrl_c2+"}},
+    };
+    for (const Bug& bug : bugs) {
+        design->reset_ring(bug.ring, dfs::TokenValue::False);
+        const verify::Report report = design->verify();
+        const auto finding =
+            std::find_if(report.findings.begin(), report.findings.end(),
+                         [](const verify::Finding& f) { return f.violated; });
+        ASSERT_NE(finding, report.findings.end());
+        EXPECT_EQ(finding->property, verify::Property::Deadlock);
+        EXPECT_EQ(finding->states_explored, bug.states);
+        EXPECT_EQ(finding->trace, bug.trace);
+        design->reset_ring(bug.ring, dfs::TokenValue::True);
+    }
 }
 
 // ------------------------------------------------------- stop hook ------

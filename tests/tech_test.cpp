@@ -102,6 +102,28 @@ TEST(VoltageSchedule, SegmentsApplyInOrder) {
     EXPECT_THROW(s.add_segment(0.0, 1.2), std::invalid_argument);
 }
 
+// A refused segment leaves the schedule as it was: a NaN duration used
+// to be accepted and start every later segment at NaN.
+TEST(VoltageSchedule, RefusesNonFiniteOrNegativeSegments) {
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    VoltageSchedule s;
+    s.add_segment(2.0, 1.2);
+    const auto before = s.breakpoints();
+    const std::pair<double, double> bad[] = {
+        {kNan, 1.0},  {kInf, 1.0},  {-1.0, 1.0}, {0.0, 1.0},
+        {1.0, kNan},  {1.0, kInf},  {1.0, -kInf}, {1.0, -0.1},
+    };
+    for (const auto& [duration, voltage] : bad) {
+        EXPECT_THROW(s.add_segment(duration, voltage), std::invalid_argument)
+            << duration << " s at " << voltage << " V";
+        EXPECT_EQ(s.breakpoints(), before);
+    }
+    s.add_segment(1.0, 0.0);  // 0V is unpowered, not invalid
+    s.add_segment(1.0, 0.9);
+    EXPECT_EQ(s.voltage_at(2.5), 0.0);
+    EXPECT_EQ(s.voltage_at(3.0), 0.9);
+}
+
 // voltage_at at, just before and just after every breakpoint, and
 // before the first one, where the supply is 0V.
 TEST(VoltageSchedule, VoltageAtEveryBreakpointEdge) {
