@@ -30,9 +30,11 @@ double standard_normal(util::Rng& rng) {
 }  // namespace
 
 FaultSpec FaultSpec::scaled(double factor) const {
-    if (factor < 0.0) {
+    // A NaN factor makes every rate NaN, and an infinite one makes a
+    // zero rate NaN (0 * inf).
+    if (!(factor >= 0.0) || std::isinf(factor)) {
         throw std::invalid_argument(
-            "FaultSpec::scaled: factor must be non-negative");
+            "FaultSpec::scaled: factor must be finite and non-negative");
     }
     FaultSpec out = *this;
     out.delay_sigma = delay_sigma * factor;

@@ -57,7 +57,8 @@ struct FaultSpec {
     }
 
     /// The spec with every intensity multiplied by `factor` — the
-    /// campaign's fault-rate axis (probabilities clamped to [0, 1]).
+    /// campaign's fault-rate axis (probabilities clamped to [0, 1]). A
+    /// negative, NaN or infinite factor throws std::invalid_argument.
     FaultSpec scaled(double factor) const;
 };
 

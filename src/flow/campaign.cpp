@@ -380,9 +380,10 @@ Campaign& Campaign::fault_scales(std::vector<double> values) {
             "flow::Campaign: empty fault-scale axis");
     }
     for (const double scale : values) {
-        if (!(scale >= 0.0)) {
+        if (!(scale >= 0.0) || std::isinf(scale)) {
             throw std::invalid_argument(
-                "flow::Campaign: fault scales must be non-negative");
+                "flow::Campaign: fault scales must be finite and "
+                "non-negative");
         }
     }
     fault_scales_ = std::move(values);

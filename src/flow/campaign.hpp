@@ -148,8 +148,8 @@ public:
     /// negative one throws std::invalid_argument); 0V is an unpowered
     /// point.
     Campaign& voltages(std::vector<double> values);
-    /// Each scale must be non-negative (a negative or NaN one throws
-    /// std::invalid_argument).
+    /// Each scale must be finite and non-negative (a negative, NaN or
+    /// infinite one throws std::invalid_argument).
     Campaign& fault_scales(std::vector<double> values);
     Campaign& depths(std::vector<int> values);
 

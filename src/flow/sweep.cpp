@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <optional>
@@ -382,6 +383,10 @@ Sweep& Sweep::workers(std::size_t count) {
 }
 
 Sweep& Sweep::per_config_timeout(double seconds) {
+    if (std::isnan(seconds)) {
+        throw std::invalid_argument(
+            "flow::Sweep: per-configuration timeout must not be NaN");
+    }
     timeout_s_ = seconds;
     return *this;
 }

@@ -119,6 +119,7 @@ public:
     Sweep& workers(std::size_t count);
     /// Wall-clock budget per configuration; <= 0 (default) = none, and
     /// so is a budget the clock cannot represent (infinity, >= ~9.2e9).
+    /// NaN throws std::invalid_argument.
     Sweep& per_config_timeout(double seconds);
     /// Per-configuration checkpointing: each grid point's exploration
     /// periodically serializes a petri::StoreCheckpoint to

@@ -52,9 +52,10 @@ void PorContext::mark_enabledness_support_visible(std::uint32_t transition) {
 PorContext::PorContext(const CompiledNet& compiled,
                        const PorRequest& request,
                        const std::uint64_t* checked_pairs)
-    : words_(compiled.enabled_words()) {
+    : words_(compiled.enabled_words()),
+      transitions_(compiled.transition_count()) {
     const Net& net = compiled.net();
-    const std::size_t T = compiled.transition_count();
+    const std::size_t T = transitions_;
     // A pass whose goals include a predicate of unknown support cannot
     // bound that goal's visible transitions; reduction would risk the
     // verdict, so the whole pass falls back to full exploration.
@@ -191,25 +192,19 @@ std::size_t PorContext::close(std::uint32_t seed,
     const std::size_t words = words_;
     const std::uint64_t* visible = visible_.data();
     std::uint64_t* closure = s.closure.data();
-    std::uint64_t* pending = s.pending.data();
+    std::uint32_t* stack = s.stack.data();
     const std::size_t seed_word = seed / kWordBits;
     const std::uint64_t seed_bit = std::uint64_t{1} << (seed % kWordBits);
     // C2: a proper ample set may not fire a visible transition.
     if ((visible[seed_word] & seed_bit) != 0) return 0;
     std::fill(closure, closure + words, 0);
-    std::fill(pending, pending + words, 0);
     closure[seed_word] = seed_bit;
-    pending[seed_word] = seed_bit;
+    std::size_t top = 0;
+    stack[top++] = seed;
     // bound >= 2 here: reduce() stops at an ample set of one.
     std::size_t amp = 1;
-    std::size_t lo = seed_word;  // no pending member below this word
-    for (;;) {
-        while (lo < words && pending[lo] == 0) ++lo;
-        if (lo == words) return amp;
-        const auto u = static_cast<std::uint32_t>(
-            lo * kWordBits +
-            static_cast<std::size_t>(std::countr_zero(pending[lo])));
-        pending[lo] &= pending[lo] - 1;
+    while (top != 0) {
+        const std::uint32_t u = stack[--top];
         // D1 for an enabled member, D2 for a disabled one.
         const std::uint64_t* row = test_bit(enabled, u)
                                        ? dependent_row(u)
@@ -219,17 +214,31 @@ std::size_t PorContext::close(std::uint32_t seed,
             const std::uint64_t fresh = row[w] & ~closure[w];
             if (fresh == 0) continue;
             closure[w] |= fresh;
-            pending[w] |= fresh;
-            lo = std::min(lo, w);
             const std::uint64_t fresh_enabled = fresh & enabled[w];
-            if (fresh_enabled == 0) continue;
-            if ((fresh_enabled & visible[w]) != 0) return 0;
-            amp += static_cast<std::size_t>(std::popcount(fresh_enabled));
+            if (fresh_enabled != 0) {
+                if ((fresh_enabled & visible[w]) != 0) return 0;
+                // Every enabled transition below the seed was an earlier
+                // seed of this reduce() call. This closure now contains
+                // that seed's whole closure, which cannot beat the
+                // incumbent, so this one cannot either.
+                const std::uint64_t earlier =
+                    w < seed_word    ? ~std::uint64_t{0}
+                    : w == seed_word ? seed_bit - 1
+                                     : 0;
+                if ((fresh_enabled & earlier) != 0) return 0;
+                amp += static_cast<std::size_t>(std::popcount(fresh_enabled));
+            }
+            for (std::uint64_t bits = fresh; bits != 0; bits &= bits - 1) {
+                stack[top++] = static_cast<std::uint32_t>(
+                    w * kWordBits +
+                    static_cast<std::size_t>(std::countr_zero(bits)));
+            }
         }
         // A closure that already matches the incumbent can't improve on
         // it, and closures only grow.
         if (amp >= bound) return 0;
     }
+    return amp;
 }
 
 bool PorContext::reduce(const std::uint64_t* marking,
@@ -242,10 +251,11 @@ bool PorContext::reduce(const std::uint64_t* marking,
     }
     if (enabled_count < 2) return false;
     s.closure.resize(words_);
-    s.pending.resize(words_);
+    s.stack.resize(transitions_);
 
-    // Seeds in ascending id order; each accepted closure is its seed's
-    // least fixpoint and strictly smaller than the incumbent.
+    // Seeds in ascending id order (close()'s earlier-seed stop relies on
+    // it); each accepted closure is its seed's least fixpoint and
+    // strictly smaller than the incumbent.
     std::size_t best_count = enabled_count;
     int trials = 0;
     for (std::size_t w = 0; w < words_ && trials < kSeedTrials; ++w) {

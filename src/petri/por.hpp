@@ -84,9 +84,26 @@ struct PorRequest {
 /// condition (a proper ample set contains no transition that can change
 /// a watched predicate) and the BFS-queue ignoring proviso, which the
 /// engine applies through proviso_needed() and its layer bookkeeping.
-/// The choice of ample set depends only on (marking, enabled set, static
-/// tables), so the reduced state graph — and every verdict and counter
-/// derived from it — is a deterministic function of net and query.
+///
+/// Seeds are tried in ascending id order, the first kSeedTrials enabled
+/// transitions, and a trial is accepted when its closure has fewer
+/// enabled members than the incumbent and no enabled visible one. The
+/// closure is walked depth-first from a stack of members not yet stepped,
+/// and a trial stops as soon as it must be rejected:
+///
+/// - its enabled count reaches the incumbent's (closures only grow);
+/// - it gains an enabled visible member;
+/// - it gains an earlier seed of the same state. That seed's closure is
+///   then a subset of this one, and that seed was either accepted (so the
+///   incumbent is no larger than its closure) or rejected by one of these
+///   same rules.
+///
+/// Walk order cannot change a result: every stop rule is monotone in the
+/// closure, so a trial is rejected exactly when its least fixpoint would
+/// be, and an accepted trial runs to that fixpoint. The choice of ample
+/// set therefore depends only on (marking, enabled set, static tables),
+/// so the reduced state graph — and every verdict and counter derived
+/// from it — is a deterministic function of net and query.
 class PorContext {
 public:
     /// `checked_pairs` is read when request.check_persistence: one
@@ -106,10 +123,13 @@ public:
     /// proviso. Deadlock-only passes skip both and reduce harder.
     bool proviso_needed() const noexcept { return proviso_; }
 
-    /// Scratch for reduce(); reusable across states.
+    /// Scratch for reduce(); reusable across states and across contexts
+    /// (reduce() sizes it to the context's transition count).
     struct Scratch {
         std::vector<std::uint64_t> closure;  ///< the seed's closure so far
-        std::vector<std::uint64_t> pending;  ///< members not yet stepped
+        /// Members not yet stepped, depth-first; each transition is pushed
+        /// at most once per closure, so transition_count entries suffice.
+        std::vector<std::uint32_t> stack;
     };
 
     /// Computes a stubborn subset of `enabled` at `marking` into `ample`
@@ -139,15 +159,17 @@ private:
     const std::uint64_t* chosen_enablers(
         std::uint32_t t, const std::uint64_t* marking) const noexcept;
     /// Ample count of `seed`'s closure, left in scratch.closure; 0 when
-    /// the closure reaches `bound` enabled members or an enabled visible
-    /// one (the seed cannot beat the incumbent).
+    /// the closure reaches `bound` enabled members, an enabled visible
+    /// one, or an enabled member below `seed` (an earlier seed): the
+    /// seed cannot beat the incumbent.
     std::size_t close(std::uint32_t seed, const std::uint64_t* marking,
                       const std::uint64_t* enabled, std::size_t bound,
                       Scratch& scratch) const;
     void mark_togglers_visible(std::uint32_t place);
     void mark_enabledness_support_visible(std::uint32_t transition);
 
-    std::size_t words_;  ///< enabled_words()
+    std::size_t words_;        ///< enabled_words()
+    std::size_t transitions_;  ///< transition_count()
     bool active_ = true;
     bool proviso_ = false;
 

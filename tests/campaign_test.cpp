@@ -75,6 +75,12 @@ TEST(Campaign, RejectsBadConfiguration) {
     EXPECT_THROW(campaign.fault_scales({1.0, -1.0}), std::invalid_argument);
     EXPECT_THROW(campaign.fault_scales({std::nan("")}),
                  std::invalid_argument);
+    // An infinite scale would throw mid-grid with glitches on, and make
+    // NaN rates (0 * inf) with them off.
+    EXPECT_THROW(
+        campaign.fault_scales({1.0, std::numeric_limits<double>::infinity()}),
+        std::invalid_argument);
+    EXPECT_NO_THROW(campaign.fault_scales({0.0, 4.0}));
     // A NaN, infinite or negative voltage would read as a frozen point
     // and move the survival knee with the axis order; 0V is unpowered.
     EXPECT_THROW(campaign.voltages({0.2, std::nan("")}),

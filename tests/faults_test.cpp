@@ -252,6 +252,18 @@ TEST(Faults, ScaledMultipliesIntensitiesAndClamps) {
     EXPECT_THROW((void)spec.scaled(-1.0), std::invalid_argument);
 }
 
+TEST(Faults, ScaledRefusesNonFiniteFactor) {
+    // A NaN factor would make every rate NaN, an infinite one each zero
+    // rate NaN (0 * inf).
+    FaultSpec spec;
+    spec.drop_rate = 0.3;
+    spec.glitch.rate_hz = 2.0;
+    EXPECT_THROW((void)spec.scaled(std::nan("")), std::invalid_argument);
+    EXPECT_THROW((void)spec.scaled(std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
+    EXPECT_NO_THROW((void)spec.scaled(3.0));
+}
+
 // -- injected event faults ----------------------------------------------
 
 TEST(Faults, SameSeedReproducesIdenticalStats) {

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -223,10 +224,12 @@ struct Walk {
 /// lie in earlier layers is widened back to its enabled set (the
 /// engines' ignoring proviso), so the walk is the graph the engines
 /// explore; without it, the walk reaches other states. Stops after
-/// `max_states` states.
+/// `max_states` states. Each walked marking is appended to `visited`
+/// when given.
 Walk walk_reduced_graph(const CompiledNet& compiled,
                         const MultiQuery& query, bool widen,
-                        std::size_t max_states, const std::string& context) {
+                        std::size_t max_states, const std::string& context,
+                        std::vector<Marking>* visited = nullptr) {
     const PorRequest request = request_of(query);
     const std::vector<std::uint64_t> rows = checked_pairs(compiled, query);
     const PorContext por(compiled, request, rows.data());
@@ -255,6 +258,7 @@ Walk walk_reduced_graph(const CompiledNet& compiled,
                 break;
             }
             ++walked;
+            if (visited != nullptr) visited->push_back(m);
             compiled.enabled_set(m.word_data(), enabled.data());
             const bool found = por.reduce(m.word_data(), enabled.data(),
                                           ample.data(), scratch);
@@ -389,6 +393,86 @@ TEST(PorOracle, ReduceMatchesTheReferenceOnTheSweepGrid) {
         walk_reduced_graph(compiled, persistence, false, kPrefix,
                            label(point) + " persistence, no widening");
     }
+}
+
+TEST(PorOracle, ScratchReuseMatchesFreshScratch) {
+    // One long-lived Scratch serves three contexts of different
+    // transition counts, their states interleaved and the smallest
+    // context's first (its initial state has four enabled transitions,
+    // so its reduce() call is the first to size the Scratch). reduce()
+    // must size the closure's bitset and stack to each context (a Scratch
+    // sized once, to rand_1's 16 transitions, would overflow on the
+    // larger contexts' deeper closures) and carry nothing from one state
+    // or context to the next.
+    // Every (found, ample) must equal the result from a fresh Scratch.
+    struct Case {
+        Case(const Fixture& fixture, bool persistence, std::size_t max_states)
+            : compiled(fixture.net), bundle(fixture.net) {
+            if (persistence) {
+                query.check_persistence = true;
+            } else {
+                query.goals.push_back(&bundle.dead);
+            }
+            rows = checked_pairs(compiled, query);
+            por.emplace(compiled, request_of(query), rows.data());
+            walk = walk_reduced_graph(compiled, query, true, max_states,
+                                      fixture.name, &states);
+        }
+        CompiledNet compiled;
+        QueryBundle bundle;
+        MultiQuery query;
+        std::vector<std::uint64_t> rows;
+        std::optional<PorContext> por;
+        std::vector<Marking> states;
+        Walk walk;
+    };
+    const Fixture small = random_fixture(1);
+    const Fixture s3 = ope_fixture(3, 3);
+    const Fixture s4 = ope_fixture(4, 4);
+    const Case cases[] = {
+        {small, true, 200}, {s3, false, 1'000}, {s4, false, 4'000}};
+    ASSERT_EQ(cases[0].compiled.transition_count(), 16u);
+    ASSERT_EQ(cases[1].compiled.transition_count(), 90u);
+    ASSERT_EQ(cases[2].compiled.transition_count(), 132u);
+    ASSERT_FALSE(cases[0].states.empty());
+    EXPECT_TRUE(cases[1].walk.complete);
+    EXPECT_EQ(cases[1].states.size(), 945u);
+    EXPECT_TRUE(cases[2].walk.complete);
+    EXPECT_EQ(cases[2].states.size(), 3'644u);
+
+    PorContext::Scratch shared;
+    std::vector<std::uint64_t> enabled;
+    std::vector<std::uint64_t> ample;
+    std::vector<std::uint64_t> fresh_ample;
+    std::size_t checked = 0;
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0;; ++i) {
+        bool any = false;
+        for (const Case& c : cases) {
+            if (i >= c.states.size()) continue;
+            any = true;
+            const std::size_t words = c.compiled.enabled_words();
+            enabled.assign(words, 0);
+            ample.assign(words, 0);
+            fresh_ample.assign(words, 0);
+            const std::uint64_t* m = c.states[i].word_data();
+            c.compiled.enabled_set(m, enabled.data());
+            const bool found =
+                c.por->reduce(m, enabled.data(), ample.data(), shared);
+            PorContext::Scratch fresh;
+            const bool fresh_found =
+                c.por->reduce(m, enabled.data(), fresh_ample.data(), fresh);
+            ++checked;
+            if ((found != fresh_found || (found && ample != fresh_ample)) &&
+                ++mismatches <= 3) {
+                ADD_FAILURE() << "reused Scratch disagrees at state " << i
+                              << " of " << c.compiled.net().name();
+            }
+        }
+        if (!any) break;
+    }
+    EXPECT_EQ(checked, cases[0].states.size() + 945u + 3'644u);
+    EXPECT_EQ(mismatches, 0u);
 }
 
 // ---------------------------------------------------- actual reduction --

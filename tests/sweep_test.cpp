@@ -67,6 +67,12 @@ TEST(Sweep, RejectsEmptyAxesAndNullFactory) {
     EXPECT_THROW(sweep.depths({}), std::invalid_argument);
     EXPECT_THROW(sweep.depths(3, 2), std::invalid_argument);
     EXPECT_THROW(sweep.depths(4, 3), std::invalid_argument);
+    // NaN is no budget the setter can mean; <= 0 and infinity are "none".
+    EXPECT_THROW(sweep.per_config_timeout(std::nan("")),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(sweep.per_config_timeout(0.0));
+    EXPECT_NO_THROW(
+        sweep.per_config_timeout(std::numeric_limits<double>::infinity()));
 
     // A refused setter leaves its axis as it was.
     const std::vector<SweepPoint> after = sweep.grid();
