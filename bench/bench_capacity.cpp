@@ -2,19 +2,15 @@
 // robin-hood table over a record arena) on the fixtures the capacity
 // story rests on — the reconfigurable OPE model plus the deep token
 // ring. The byte counts come from the engine's own StoreStats (table +
-// arena geometry), so they are deterministic and machine-independent:
-// bench/compare.py --capacity gates per-row bytes/state ceilings on
-// them.
-//
-// --json PATH   machine-readable summary for the compare.py gate
-// --stages N    OPE fixture size (default 3 = s3/d3 tier-1 scale;
-//               the nightly soak passes 4 = the 19M-state s4/d4 pin,
-//               OPE row only, to keep the runtime bounded)
+// arena geometry), so they are deterministic and machine-independent.
+// Their bytes/state ceilings are tier-1 assertions
+// (MemoryDiet.BytesPerStateStayUnderTheCapacityCeilings in
+// tests/reachability_test.cpp); the soak test holds the 19M-state
+// s4/d4 model's.
 //
 // Exit is non-zero if any fixture truncates.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,7 +28,6 @@ using namespace rap;
 struct Row {
     std::string name;
     std::size_t states = 0;
-    std::size_t edges = 0;
     std::size_t bytes = 0;  ///< table + arena
     double seconds = 0.0;
     bool truncated = false;
@@ -55,7 +50,6 @@ Row measure(const std::string& name, const petri::CompiledNet& compiled,
     row.name = name;
     row.seconds = watch.elapsed_s();
     row.states = result.states_explored;
-    row.edges = result.edges_explored;
     row.bytes =
         result.memory.store.table_bytes + result.memory.store.arena_bytes;
     row.truncated = result.truncated;
@@ -79,38 +73,22 @@ petri::Net deep_ring_net() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-    const char* json_path = nullptr;
-    int stages = 3;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-        if (std::strcmp(argv[i], "--stages") == 0) {
-            stages = std::atoi(argv[i + 1]);
-        }
-    }
+int main() {
     bench::Stopwatch watch;
     bench::print_header("marking-store capacity tier",
                         "bytes/state of the interning store");
 
-    const bool soak_pin = stages >= 4;
-    const std::size_t cap = soak_pin ? 25'000'000 : 2'000'000;
-    const auto p = ope::build_reconfigurable_ope_dfs(stages, stages);
+    const std::size_t cap = 2'000'000;
+    const auto p = ope::build_reconfigurable_ope_dfs(3, 3);
     const auto tr = dfs::to_petri(p.graph);
     const petri::CompiledNet compiled(tr.net);
-    char ope_label[32];
-    std::snprintf(ope_label, sizeof(ope_label), "ope_s%d_d%d", stages,
-                  stages);
+    const petri::Net ring = deep_ring_net();
+    const petri::CompiledNet ring_compiled(ring);
 
     std::vector<Row> rows;
-    rows.push_back(measure(std::string(ope_label) + "/seq", compiled, cap));
+    rows.push_back(measure("ope_s3_d3/seq", compiled, cap));
+    rows.push_back(measure("deepring/seq", ring_compiled, cap));
     bool ok = true;
-    if (!soak_pin) {
-        // Tier-1 scale: add the narrow-marking ring. The soak pin skips
-        // it to keep the runtime bounded.
-        const petri::Net ring = deep_ring_net();
-        const petri::CompiledNet ring_compiled(ring);
-        rows.push_back(measure("deepring/seq", ring_compiled, cap));
-    }
 
     util::Table table({"fixture", "states", "B/state", "time [s]"});
     for (const Row& row : rows) {
@@ -123,34 +101,9 @@ int main(int argc, char** argv) {
             ok = false;
         }
     }
-    std::printf("%s\n(gate: per-fixture B/state ceilings via compare.py "
-                "--capacity)\n\n",
+    std::printf("%s\n(ceilings: MemoryDiet."
+                "BytesPerStateStayUnderTheCapacityCeilings)\n\n",
                 table.to_ascii().c_str());
-
-    if (json_path != nullptr) {
-        if (FILE* f = std::fopen(json_path, "w")) {
-            std::fprintf(f, "{\n  \"rows\": [\n");
-            for (std::size_t i = 0; i < rows.size(); ++i) {
-                const Row& row = rows[i];
-                std::fprintf(f,
-                             "    {\"name\": \"%s\", \"states\": %zu, "
-                             "\"edges\": %zu, "
-                             "\"bytes_per_state\": %.3f}%s\n",
-                             row.name.c_str(), row.states, row.edges,
-                             row.bytes_per_state(),
-                             i + 1 < rows.size() ? "," : "");
-            }
-            std::fprintf(f,
-                         "  ],\n"
-                         "  \"ok\": %s\n"
-                         "}\n",
-                         ok ? "true" : "false");
-            std::fclose(f);
-        } else {
-            std::printf("cannot write %s\n", json_path);
-            ok = false;
-        }
-    }
 
     bench::print_footer(watch);
     return ok ? 0 : 1;

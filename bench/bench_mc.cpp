@@ -6,18 +6,13 @@
 // folds every run's raw time/energy/fault bits, so one diverging run
 // anywhere fails the comparison).
 //
-// --json PATH writes the machine-readable summary bench/compare.py
-// prints advisorily (--mc; survival and hazard counts are workload
-// facts, not regressions — only the reproducibility bit is a gate, and
-// it gates HERE via the exit code).
-//
 // Exit is non-zero if the campaign misbehaves: reproducibility broken,
 // fault-free nominal-voltage runs failing, or the checksum blind to the
-// master seed (a different seed producing the same aggregate).
+// master seed (a different seed producing the same aggregate). The
+// nightly soak workflow runs it, and that exit code is the gate.
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,11 +41,7 @@ flow::Campaign make_campaign(std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-    const char* json_path = nullptr;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    }
+int main() {
     bench::Stopwatch watch;
     bench::print_header(
         "fault-injection Monte-Carlo campaign",
@@ -122,40 +113,6 @@ int main(int argc, char** argv) {
     if (other.checksum == summary.checksum) {
         std::printf("CHECKSUM BLIND: different seed, same checksum\n");
         ok = false;
-    }
-
-    if (json_path != nullptr) {
-        if (FILE* f = std::fopen(json_path, "w")) {
-            std::fprintf(
-                f,
-                "{\n"
-                "  \"runs_total\": %zu,\n"
-                "  \"grid_points\": %zu,\n"
-                "  \"survival\": %.4f,\n"
-                "  \"hazards_total\": %zu,\n"
-                "  \"first_failure_voltage\": %s,\n"
-                "  \"checksum\": \"%016" PRIx64 "\",\n"
-                "  \"reproducible\": %s,\n"
-                "  \"campaign_seconds\": %.3f,\n"
-                "  \"runs_per_second\": %.1f,\n"
-                "  \"ok\": %s\n"
-                "}\n",
-                summary.runs_total, summary.rows.size(),
-                summary.survival(), summary.hazards_total,
-                summary.first_failure_voltage
-                    ? std::to_string(*summary.first_failure_voltage).c_str()
-                    : "null",
-                summary.checksum, reproducible ? "true" : "false",
-                campaign_seconds,
-                campaign_seconds > 0.0
-                    ? summary.runs_total / campaign_seconds
-                    : 0.0,
-                ok ? "true" : "false");
-            std::fclose(f);
-        } else {
-            std::printf("cannot write %s\n", json_path);
-            ok = false;
-        }
     }
 
     bench::print_footer(watch);

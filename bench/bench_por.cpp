@@ -5,11 +5,9 @@
 // the reduction helps most (no visibility proviso) and the one the
 // verification flow leans on — both unreduced and with
 // ReachabilityOptions::por, and reports the state-count and
-// transition-work ratios.
-//
-// --json PATH writes the machine-readable summary bench/compare.py
-// gates (--por): reduction *ratios* only, never absolute state counts —
-// ratios are machine-independent, so the floor holds on any runner.
+// transition-work ratios. The same passes, with the 100x floor on the
+// best OPE ratio, are tier-1 assertions
+// (PorReduction.DeadlockPassShrinksTheOpeModels in tests/por_test.cpp).
 //
 // Exit is non-zero on any verdict disagreement between the full and
 // reduced passes, so the harness doubles as an end-to-end differential
@@ -17,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,7 +36,7 @@ using namespace rap;
 struct Fixture {
     std::string name;
     petri::Net net;
-    bool ope = false;  ///< counts toward the gated best_ope_ratio
+    bool ope = false;  ///< counts toward the best OPE ratio
 };
 
 petri::Net ring_net(int depth) {
@@ -113,11 +110,7 @@ Pass run_pass(const petri::CompiledNet& compiled, bool por) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-    const char* json_path = nullptr;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    }
+int main() {
     bench::Stopwatch watch;
     bench::print_header("partial-order reduction ratios",
                         "full vs stubborn-set deadlock passes");
@@ -127,7 +120,6 @@ int main(int argc, char** argv) {
     util::Table table({"fixture", "full states", "reduced states",
                        "state ratio", "work ratio", "full [ms]",
                        "reduced [ms]"});
-    std::string fixtures_json;
     for (const Fixture& fixture : fixtures()) {
         const petri::CompiledNet compiled(fixture.net);
         const Pass full = run_pass(compiled, /*por=*/false);
@@ -159,36 +151,12 @@ int main(int argc, char** argv) {
                        util::Table::num(work_ratio, 2) + "x",
                        util::Table::num(full.seconds * 1e3, 1),
                        util::Table::num(red.seconds * 1e3, 1)});
-        fixtures_json +=
-            "    {\"name\": \"" + fixture.name + "\", \"state_ratio\": " +
-            std::to_string(state_ratio) + ", \"work_ratio\": " +
-            std::to_string(work_ratio) + "}";
-        fixtures_json += ",\n";
-    }
-    if (!fixtures_json.empty()) {
-        fixtures_json.erase(fixtures_json.size() - 2, 1);  // last comma
     }
     std::printf("%s\n", table.to_ascii().c_str());
     std::printf("best OPE state-count reduction: %.2fx "
-                "(CI floor: compare.py --por)\n\n",
+                "(floor 100x: PorReduction.DeadlockPassShrinksTheOpeModels)"
+                "\n\n",
                 best_ope_ratio);
-
-    if (json_path != nullptr) {
-        if (FILE* f = std::fopen(json_path, "w")) {
-            std::fprintf(f,
-                         "{\n"
-                         "  \"fixtures\": [\n%s  ],\n"
-                         "  \"best_ope_ratio\": %.3f,\n"
-                         "  \"ok\": %s\n"
-                         "}\n",
-                         fixtures_json.c_str(), best_ope_ratio,
-                         ok ? "true" : "false");
-            std::fclose(f);
-        } else {
-            std::printf("cannot write %s\n", json_path);
-            ok = false;
-        }
-    }
 
     bench::print_footer(watch);
     return ok ? 0 : 1;

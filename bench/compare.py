@@ -5,8 +5,9 @@ Compares a google-benchmark JSON result (--current) against the
 committed bench/baseline.json (--baseline). Benchmarks listed in GATED
 are enforced: a regression above --warn prints a warning, above --fail
 the script exits non-zero and fails the CI job. Everything else is
-informational. The timing comparison runs only when both files are
-given; the --por, --capacity and --mc sections run on their own.
+informational. Deterministic properties (the partial-order reduction
+floor, the marking store's bytes/state ceilings) are tier-1 tests, not
+checks here.
 
 Because CI runners and developer machines differ in absolute speed, the
 current times are first scaled by the median baseline/current ratio over
@@ -29,30 +30,6 @@ import argparse
 import json
 import statistics
 import sys
-
-# Capacity gate for bench_capacity's JSON summary (--capacity). The
-# numbers are store geometry (table + arena bytes over deterministic
-# state counts), not timings, so they are machine-independent and gate
-# on any runner: the per-row bytes/state ceilings catch the store
-# silently growing records or slot head-room. Ceilings sit ~15% above
-# the measured values so allocator-rounding changes don't flap the gate.
-CAPACITY_MAX_BYTES_PER_STATE = {
-    # fixture           bytes/state ceiling (measured value in brackets)
-    "ope_s3_d3/seq": 41.0,   # [35.7]
-    "deepring/seq": 56.0,    # [48.7]
-    # the nightly soak pin (19M states, OPE row only)
-    "ope_s4_d4/seq": 53.0,   # [46.1]
-}
-
-# Partial-order reduction floor for bench_por's JSON summary (--por).
-# Unlike timings, these are state-count ratios of a deterministic
-# reduced graph — machine-independent, so the gate holds on any runner
-# (1-core containers included). Measured: ope_s3_d3 202x, wagging 87x,
-# ope_gap 32x, ope_static_s2 4.7x. The floor sits at half the best OPE
-# ratio — any drift of the reduction shows, a change of heuristic that
-# keeps the state space two orders of magnitude down does not — and no
-# fixture may explore more states reduced than full.
-POR_MIN_OPE_RATIO = 100.0
 
 # Benchmarks that gate the build: the reachability/verification engine
 # hot paths this repo's performance story rests on.
@@ -96,27 +73,6 @@ def machine_scale(baseline, current):
               for n in set(baseline) & set(current)
               if not is_gated(n) and current[n] > 0]
     return statistics.median(ratios) if ratios else None
-
-
-def load_section(path, name, gated, failures):
-    """Load one summary-JSON section, loudly.
-
-    A flag that asks for a section must never silently pass when the
-    file is absent or unreadable: a gated section records a failure (the
-    gate cannot be skipped by deleting its input), an advisory section
-    prints an explicit skip line so the job log shows the gap.
-    """
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, ValueError) as e:
-        if gated:
-            failures.append(f"{name} section missing — gated input "
-                            f"{path} unreadable ({e})")
-        else:
-            print(f"{name}: section missing — advisory skipped "
-                  f"({path}: {e})")
-        return None
 
 
 def compare_times(args, failures, warnings):
@@ -169,9 +125,9 @@ def compare_times(args, failures, warnings):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline",
+    parser.add_argument("--baseline", required=True,
                         help="google-benchmark JSON to compare against")
-    parser.add_argument("--current",
+    parser.add_argument("--current", required=True,
                         help="google-benchmark JSON of this build")
     parser.add_argument("--warn", type=float, default=0.10,
                         help="warn above this regression fraction")
@@ -179,106 +135,11 @@ def main():
                         help="fail gated benchmarks above this fraction")
     parser.add_argument("--absolute", action="store_true",
                         help="compare raw times, skip calibration")
-    parser.add_argument("--por",
-                        help="bench_por JSON summary to gate "
-                             "(reduction-ratio floor)")
-    parser.add_argument("--capacity",
-                        help="bench_capacity JSON summary to gate "
-                             "(per-fixture bytes/state ceilings)")
-    parser.add_argument("--min-ope-ratio", type=float,
-                        default=POR_MIN_OPE_RATIO,
-                        help="state-count reduction floor on the best "
-                             "OPE fixture")
-    parser.add_argument("--mc",
-                        help="bench_mc JSON summary to report "
-                             "(advisory only; reproducibility gates in "
-                             "bench_mc itself via its exit code)")
     args = parser.parse_args()
-    if (args.baseline is None) != (args.current is None):
-        parser.error("--baseline and --current go together")
-    if args.baseline is None and not (args.por or args.capacity or args.mc):
-        parser.error("nothing to compare: give --baseline and --current, "
-                     "or a --por, --capacity or --mc summary")
 
     failures = []
     warnings = []
-    if args.baseline is not None:
-        compare_times(args, failures, warnings)
-
-    por = (load_section(args.por, "por", True, failures)
-           if args.por else None)
-    if por is not None:
-        # Ratios only, never absolute state counts: the reduced graph is
-        # deterministic, so the ratios transfer across machines while
-        # counts would pin fixture sizes into CI.
-        best = por.get("best_ope_ratio", 0.0)
-        for fx in por.get("fixtures", []):
-            print(f"por {fx.get('name'):24} state ratio "
-                  f"{fx.get('state_ratio', 0.0):8.2f}x   work ratio "
-                  f"{fx.get('work_ratio', 0.0):6.2f}x")
-            if fx.get("state_ratio", 0.0) < 1.0 - 1e-9:
-                failures.append(
-                    f"por: {fx.get('name')} explored MORE states reduced "
-                    f"than full ({fx.get('state_ratio', 0.0):.2f}x)")
-        print(f"por best OPE reduction: {best:.2f}x "
-              f"(floor {args.min_ope_ratio:.2f}x)")
-        if not por.get("ok", False):
-            failures.append("bench_por reported a verdict mismatch "
-                            "between full and reduced passes")
-        if best < args.min_ope_ratio:
-            failures.append(
-                f"por: best OPE reduction {best:.2f}x fell below the "
-                f"{args.min_ope_ratio:.2f}x floor")
-
-    cap = (load_section(args.capacity, "capacity", True, failures)
-           if args.capacity else None)
-    if cap is not None:
-        # Store geometry over deterministic state counts —
-        # machine-independent, so the ceilings gate on any runner.
-        rows = cap.get("rows", [])
-        if not rows:
-            failures.append("capacity: summary has no fixture rows")
-        for row in rows:
-            name = row.get("name", "?")
-            per_state = row.get("bytes_per_state", 0.0)
-            print(f"capacity {name:18} {row.get('states', 0):>10} states"
-                  f"   {per_state:6.1f} B/state")
-            ceiling = CAPACITY_MAX_BYTES_PER_STATE.get(name)
-            if ceiling is None:
-                print(f"capacity: no bytes/state ceiling pinned for "
-                      f"{name} (informational row)")
-            elif per_state > ceiling:
-                failures.append(
-                    f"capacity: {name} store grew to {per_state:.1f} "
-                    f"B/state (ceiling {ceiling:.1f})")
-        if not cap.get("ok", False):
-            failures.append("bench_capacity reported a truncated "
-                            "fixture")
-
-    mc = (load_section(args.mc, "mc", False, failures)
-          if args.mc else None)
-    if mc is not None:
-        # Advisory only: survival and hazard counts are facts about the
-        # fault model, not regressions. The one hard contract — fixed-seed
-        # reproducibility of the aggregate row — is checked inside
-        # bench_mc, whose exit code gates its own CI step; here we just
-        # surface the summary (and a warning if that run flagged trouble).
-        ffv = mc.get("first_failure_voltage")
-        print(f"mc campaign (advisory): {mc.get('runs_total')} runs over "
-              f"{mc.get('grid_points')} grid points, "
-              f"survival {mc.get('survival', 0.0):.1%}, "
-              f"{mc.get('hazards_total', 0)} hazards, "
-              f"first failure at "
-              f"{f'{ffv:.2f} V' if ffv is not None else 'none'}, "
-              f"{mc.get('runs_per_second', 0.0):.0f} runs/s in "
-              f"{mc.get('campaign_seconds', 0.0):.2f}s, "
-              f"checksum {mc.get('checksum', '?')}")
-        if not mc.get("reproducible", False):
-            warnings.append("bench_mc: seeded campaign was NOT "
-                            "bit-reproducible (its own job step gates)")
-        elif not mc.get("ok", False):
-            warnings.append("bench_mc reported a problem (see its own "
-                            "job step for the gate)")
+    compare_times(args, failures, warnings)
 
     for w in warnings:
         print(f"::warning::bench: {w}")

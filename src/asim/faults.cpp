@@ -42,6 +42,13 @@ FaultSpec FaultSpec::scaled(double factor) const {
     out.duplicate_rate = clamp_probability(duplicate_rate * factor);
     out.stuck_rate = clamp_probability(stuck_rate * factor);
     out.glitch.rate_hz = glitch.rate_hz * factor;
+    // A finite factor can still overflow a large intensity.
+    if (!std::isfinite(out.delay_sigma) ||
+        !std::isfinite(out.glitch.rate_hz)) {
+        throw std::invalid_argument(
+            "FaultSpec::scaled: scaled delay_sigma and glitch.rate_hz must "
+            "be finite");
+    }
     return out;
 }
 

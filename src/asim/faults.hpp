@@ -58,7 +58,8 @@ struct FaultSpec {
 
     /// The spec with every intensity multiplied by `factor` — the
     /// campaign's fault-rate axis (probabilities clamped to [0, 1]). A
-    /// negative, NaN or infinite factor throws std::invalid_argument.
+    /// negative, NaN or infinite factor throws std::invalid_argument, and
+    /// so does a scaled delay_sigma or glitch.rate_hz that is not finite.
     FaultSpec scaled(double factor) const;
 };
 
@@ -97,7 +98,6 @@ public:
     bool stuck(std::uint32_t node) const {
         return stuck_[node] != 0;
     }
-    bool any_stuck() const noexcept { return counts_.stuck_nodes > 0; }
 
     const FaultCounts& counts() const noexcept { return counts_; }
 

@@ -88,7 +88,6 @@ public:
     std::optional<NodeId> find(std::string_view name) const;
 
     bool is_logic(NodeId n) const { return kind(n) == NodeKind::Logic; }
-    bool is_register_kind(NodeId n) const { return !is_logic(n); }
     bool is_dynamic(NodeId n) const {
         const NodeKind k = kind(n);
         return k == NodeKind::Control || k == NodeKind::Push ||

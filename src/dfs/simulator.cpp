@@ -54,9 +54,4 @@ SimStats Simulator::run(State& state, std::uint64_t max_steps) {
     return stats;
 }
 
-SimStats Simulator::run_from_initial(std::uint64_t max_steps) {
-    State state = State::initial(dynamics_->graph());
-    return run(state, max_steps);
-}
-
 }  // namespace rap::dfs

@@ -42,9 +42,6 @@ public:
     /// stop the run (they may resolve once controls unmark).
     SimStats run(State& state, std::uint64_t max_steps);
 
-    /// Convenience: run from the initial state.
-    SimStats run_from_initial(std::uint64_t max_steps);
-
     /// Biases the True/False choice of *free* control registers (those
     /// with no upstream controls): probability of choosing True when both
     /// polarities are enabled. Default 0.5. This models the data

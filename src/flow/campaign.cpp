@@ -385,6 +385,7 @@ Campaign& Campaign::fault_scales(std::vector<double> values) {
                 "flow::Campaign: fault scales must be finite and "
                 "non-negative");
         }
+        (void)faults_.scaled(scale);  // throws if the product overflows
     }
     fault_scales_ = std::move(values);
     return *this;
@@ -400,6 +401,7 @@ Campaign& Campaign::depths(std::vector<int> values) {
 
 Campaign& Campaign::base_faults(asim::FaultSpec spec) {
     asim::validate_glitch(spec.glitch);
+    for (const double scale : fault_scales_) (void)spec.scaled(scale);
     faults_ = spec;
     return *this;
 }

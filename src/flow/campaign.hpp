@@ -149,7 +149,9 @@ public:
     /// point.
     Campaign& voltages(std::vector<double> values);
     /// Each scale must be finite and non-negative (a negative, NaN or
-    /// infinite one throws std::invalid_argument).
+    /// infinite one throws std::invalid_argument), and so must its product
+    /// with the current base_faults (FaultSpec::scaled). On a throw the
+    /// campaign is unchanged.
     Campaign& fault_scales(std::vector<double> values);
     Campaign& depths(std::vector<int> values);
 
@@ -158,7 +160,9 @@ public:
     /// The fault intensities at scale 1.0 (each point applies
     /// spec.scaled(point.fault_scale)). An active glitch spec whose
     /// duration window splice_glitches would refuse throws
-    /// std::invalid_argument here (asim::validate_glitch).
+    /// std::invalid_argument here (asim::validate_glitch), and so does a
+    /// spec that one of the current fault scales overflows. On a throw
+    /// the campaign is unchanged.
     Campaign& base_faults(asim::FaultSpec spec);
     /// Seeded runs per grid point (default 32).
     Campaign& runs(std::size_t per_point);

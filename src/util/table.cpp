@@ -1,7 +1,6 @@
 #include "util/table.hpp"
 
 #include <cassert>
-#include <fstream>
 #include <ostream>
 
 #include "util/strings.hpp"
@@ -80,13 +79,6 @@ std::string Table::to_csv() const {
     emit(headers_);
     for (const auto& row : rows_) emit(row);
     return out;
-}
-
-bool Table::write_csv(const std::string& path) const {
-    std::ofstream os(path);
-    if (!os) return false;
-    os << to_csv();
-    return static_cast<bool>(os);
 }
 
 std::ostream& operator<<(std::ostream& os, const Table& table) {

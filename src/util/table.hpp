@@ -36,9 +36,6 @@ public:
     /// quoted, quotes doubled).
     std::string to_csv() const;
 
-    /// Writes the CSV rendering to a file; returns false on I/O failure.
-    bool write_csv(const std::string& path) const;
-
 private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

@@ -25,13 +25,6 @@ struct CacheStats {
     std::size_t bytes = 0;      ///< estimated resident bytes right now
     std::size_t pinned = 0;     ///< held entries right now (see ArtifactCache)
     std::size_t capacity_bytes = 0;
-
-    double hit_rate() const noexcept {
-        const std::size_t lookups = hits + misses;
-        return lookups == 0 ? 0.0
-                            : static_cast<double>(hits) /
-                                  static_cast<double>(lookups);
-    }
 };
 
 /// Concurrent LRU cache of CompiledModel artifacts, keyed by exact model

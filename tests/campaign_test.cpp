@@ -109,6 +109,18 @@ TEST(Campaign, RejectsBadConfiguration) {
     EXPECT_THROW(campaign.base_faults(faults), std::invalid_argument);
     faults.glitch.rate_hz = 1e6;
     EXPECT_NO_THROW(campaign.base_faults(faults));
+    // A finite scale whose product with the base spec overflows would
+    // throw on a worker after earlier points ran. Each setter checks
+    // against the other's current value and, on a throw, changes nothing.
+    EXPECT_THROW(campaign.fault_scales({1.0, 1e303}), std::invalid_argument);
+    const auto grid = campaign.grid();  // scales {0, 4} kept
+    ASSERT_EQ(grid.size(), 4u);
+    EXPECT_EQ(grid[3].fault_scale, 4.0);
+    campaign.base_faults(asim::FaultSpec{});
+    campaign.fault_scales({1.0, 1e303});  // a zero spec scales to zero
+    EXPECT_THROW(campaign.base_faults(faults), std::invalid_argument);
+    // The base spec stayed zero, so every point runs.
+    EXPECT_NO_THROW(campaign.voltages({1.2}).runs(1).items(2).run());
 }
 
 // The seeding contract: the full result set — every per-point checksum

@@ -262,6 +262,13 @@ TEST(Faults, ScaledRefusesNonFiniteFactor) {
     EXPECT_THROW((void)spec.scaled(std::numeric_limits<double>::infinity()),
                  std::invalid_argument);
     EXPECT_NO_THROW((void)spec.scaled(3.0));
+    // A finite factor whose product overflows an intensity to inf.
+    spec.glitch.rate_hz = 1e6;
+    EXPECT_THROW((void)spec.scaled(1e303), std::invalid_argument);
+    FaultSpec jitter;
+    jitter.delay_sigma = 2.0;
+    EXPECT_THROW((void)jitter.scaled(1e308), std::invalid_argument);
+    EXPECT_NO_THROW((void)jitter.scaled(1e300));
 }
 
 // -- injected event faults ----------------------------------------------

@@ -7,10 +7,11 @@
 // (replayed firing by firing, goal re-evaluated at the end marking),
 // reduced violation sets a subset of the full pass's — plus the
 // PorStats surface, the unknown-support fallback, and actual
-// state-count reduction on the OPE models the CI ratio floor gates. The ample-set
-// oracle walks the reduced graphs state by state and checks every
-// reduction choice against the reference closure in por_reference.hpp,
-// and the sweep_grid benchmark's reduced state counts are pinned here.
+// state-count reduction on the OPE models, with the 100x ratio floor
+// on the best of them. The ample-set oracle walks the reduced graphs
+// state by state and checks every reduction choice against the
+// reference closure in por_reference.hpp, and the sweep_grid
+// benchmark's reduced state counts are pinned here.
 
 #include <gtest/gtest.h>
 
@@ -478,12 +479,24 @@ TEST(PorOracle, ScratchReuseMatchesFreshScratch) {
 // ---------------------------------------------------- actual reduction --
 
 TEST(PorReduction, DeadlockPassShrinksTheOpeModels) {
-    // The quantity the CI ratio floor gates (bench_por + compare.py
-    // --por): on the highly concurrent OPE models, a pass that needs no
-    // proviso (deadlock detection / plain exploration) must actually
-    // explore fewer states, with identical deadlock verdicts.
-    for (const Fixture& fixture :
-         {static_ope_fixture(2), ope_fixture(3, 3)}) {
+    // bench_por's fixtures and query (a deadlock goal plus collection,
+    // the pass that needs no proviso). Every fixture keeps the full
+    // pass's verdict and deadlock set and explores no more states; the
+    // OPE models explore strictly fewer. The reduced graph is
+    // deterministic, so the ratio floor holds on every build: the best
+    // OPE model must shrink at least 100x (ope_s3_d3 measures 202x,
+    // 191,052 -> 945) — half the measured figure, so any drift of the
+    // reduction shows and a heuristic change that keeps two orders of
+    // magnitude does not.
+    struct Case {
+        Fixture fixture;
+        bool ope;
+    };
+    const Case cases[] = {{ring_fixture(4), false}, {wagging_fixture(), false},
+                          {static_ope_fixture(2), true},
+                          {ope_fixture(3, 3), true}, {gap_fixture(), true}};
+    double best_ope_ratio = 0.0;
+    for (const auto& [fixture, ope] : cases) {
         const CompiledNet compiled(fixture.net);
         MultiQuery query;
         const Predicate dead = Predicate::deadlock();
@@ -498,10 +511,19 @@ TEST(PorReduction, DeadlockPassShrinksTheOpeModels) {
             << fixture.name;
         EXPECT_EQ(red.goals[0].found(), full.goals[0].found())
             << fixture.name;
+        EXPECT_LE(red.states_explored, full.states_explored)
+            << fixture.name;
+        if (!ope) continue;
         EXPECT_LT(red.states_explored, full.states_explored)
             << fixture.name;
         EXPECT_GT(red.por.ignored(), 0u) << fixture.name;
+        best_ope_ratio =
+            std::max(best_ope_ratio,
+                     static_cast<double>(full.states_explored) /
+                         static_cast<double>(red.states_explored));
     }
+    EXPECT_GE(best_ope_ratio, 100.0)
+        << "the best OPE full/reduced state ratio fell below the floor";
 }
 
 TEST(PorReduction, FiveStageOpeReducedPassFitsTierOne) {
