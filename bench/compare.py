@@ -9,13 +9,16 @@ informational. Deterministic properties (the partial-order reduction
 floor, the marking store's bytes/state ceilings) are tier-1 tests, not
 checks here.
 
-Because CI runners and developer machines differ in absolute speed, the
-current times are first scaled by the median baseline/current ratio over
-every ungated benchmark present in both files: machine-speed
-differences cancel while regressions *relative to the rest of the code
-base* remain visible, and no single noisy anchor can move every row.
-Pass --absolute to compare raw numbers instead (useful when baseline and
-current come from the same machine).
+Because CI runners and developer machines differ in absolute speed, each
+current time is first scaled by the median baseline/current ratio over
+its anchors: the ungated benchmarks present in both files whose baseline
+time is within 10x of the row's own, when at least three exist, and
+every ungated benchmark otherwise. Machine-speed differences cancel
+while regressions *relative to the rest of the code base* remain
+visible, no single noisy anchor can move every row, and a host that
+speeds up ms-scale work more than ns-scale work does not mis-scale the
+ns-scale rows. Pass --absolute to compare raw numbers instead (useful
+when baseline and current come from the same machine).
 
 Refresh the baseline (after intentional performance changes, on the
 reference machine) with the CI job's own command, built at the commit
@@ -44,6 +47,11 @@ GATED = (
 
 TIME_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
+# A row's anchors are the ungated benchmarks whose baseline time is
+# within NEAR_FACTOR of its own, when at least MIN_NEAR_ANCHORS exist.
+NEAR_FACTOR = 10.0
+MIN_NEAR_ANCHORS = 3
+
 
 def load_times(path):
     """name -> real_time in seconds, preferring median aggregates."""
@@ -66,13 +74,23 @@ def is_gated(name):
     return any(name == g or name.startswith(g + "/") for g in GATED)
 
 
-def machine_scale(baseline, current):
-    """Median baseline/current time ratio over the ungated benchmarks
-    both files carry, or None when they share none."""
-    ratios = [baseline[n] / current[n]
-              for n in set(baseline) & set(current)
-              if not is_gated(n) and current[n] > 0]
-    return statistics.median(ratios) if ratios else None
+def anchors(baseline, current):
+    """(baseline time, baseline/current ratio) of every ungated
+    benchmark both files carry."""
+    return [(baseline[n], baseline[n] / current[n])
+            for n in set(baseline) & set(current)
+            if not is_gated(n) and current[n] > 0]
+
+
+def row_scale(base, anchor_list):
+    """Median ratio over the anchors within NEAR_FACTOR of a row's
+    baseline time `base`, when at least MIN_NEAR_ANCHORS exist, else over
+    every anchor; None when there is no anchor."""
+    near = [ratio for time, ratio in anchor_list
+            if base / NEAR_FACTOR <= time <= base * NEAR_FACTOR]
+    if len(near) < MIN_NEAR_ANCHORS:
+        near = [ratio for _, ratio in anchor_list]
+    return statistics.median(near) if near else None
 
 
 def compare_times(args, failures, warnings):
@@ -81,18 +99,18 @@ def compare_times(args, failures, warnings):
     baseline = load_times(args.baseline)
     current = load_times(args.current)
 
-    scale = 1.0
-    if not args.absolute:
-        median = machine_scale(baseline, current)
-        if median is None:
-            print("no ungated benchmark in both files; falling back to "
-                  "absolute comparison")
-        else:
-            scale = median
-            print(f"calibration (median over ungated benchmarks): current "
-                  f"machine runs {scale:.2f}x the baseline machine's speed")
+    anchor_list = [] if args.absolute else anchors(baseline, current)
+    if not args.absolute and not anchor_list:
+        print("no ungated benchmark in both files; falling back to "
+              "absolute comparison")
+    elif anchor_list:
+        print(f"calibration: each row scaled by the median speed ratio of "
+              f"the ungated benchmarks within {NEAR_FACTOR:g}x of its "
+              f"baseline time (all {len(anchor_list)} when fewer than "
+              f"{MIN_NEAR_ANCHORS})")
 
-    print(f"{'benchmark':40} {'baseline':>12} {'current':>12} {'delta':>8}")
+    print(f"{'benchmark':40} {'baseline':>12} {'current':>12} {'delta':>8} "
+          f"{'scale':>6}")
     for name in sorted(set(baseline) | set(current)):
         gated = is_gated(name)
         tag = "gate" if gated else "    "
@@ -110,6 +128,7 @@ def compare_times(args, failures, warnings):
                 failures.append(name + " has no baseline entry")
             continue
         base = baseline[name]
+        scale = row_scale(base, anchor_list) or 1.0
         cur = current[name] * scale
         delta = (cur - base) / base
         marker = ""
@@ -120,7 +139,7 @@ def compare_times(args, failures, warnings):
             warnings.append(f"{name} regressed {delta:+.0%}")
             marker = " WARN"
         print(f"{name:40} {base * 1e9:11.0f}n {cur * 1e9:11.0f}n "
-              f"{delta:+7.1%} [{tag}]{marker}")
+              f"{delta:+7.1%} {scale:5.2f}x [{tag}]{marker}")
 
 
 def main():

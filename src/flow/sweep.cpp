@@ -38,9 +38,6 @@ struct SweepState {
     verify::Spec spec;
     double timeout_s = 0.0;
     Sweep::ResultCallback callback;
-    /// Checkpoint directory ("" = off): each point writes
-    /// `<dir>/<flattened label>.ckpt`.
-    std::string checkpoint_dir;
     /// Cache counters at launch, so the metrics snapshot can attribute
     /// hit-rate to this sweep rather than the whole process lifetime.
     verify::CacheStats cache_before;
@@ -108,14 +105,6 @@ SweepResult process_point(SweepState& state, std::size_t index) {
         return state.runner.cancelled() || Clock::now() >= deadline ||
                (user_stop && user_stop());
     };
-    if (!state.checkpoint_dir.empty()) {
-        // `<dir>/<label>.ckpt` with the grid label's slashes flattened
-        // ("s4/d3" -> "s4_d3") so every point is one file.
-        std::string name = point.label;
-        std::replace(name.begin(), name.end(), '/', '_');
-        options.verify.checkpoint_path =
-            state.checkpoint_dir + "/" + name + ".ckpt";
-    }
 
     try {
         const auto design = make_design(std::move(*model), options);
@@ -391,11 +380,6 @@ Sweep& Sweep::per_config_timeout(double seconds) {
     return *this;
 }
 
-Sweep& Sweep::checkpoint_dir(std::string dir) {
-    checkpoint_dir_ = std::move(dir);
-    return *this;
-}
-
 Sweep& Sweep::on_result(ResultCallback callback) {
     callback_ = std::move(callback);
     return *this;
@@ -458,7 +442,6 @@ Sweep::Handle Sweep::launch() {
     state->spec = spec_;
     state->timeout_s = timeout_s_;
     state->callback = callback_;
-    state->checkpoint_dir = checkpoint_dir_;
     state->cache_before = verify::cache_stats();
 
     // Every slot starts as its point's kCancelled row; a worker

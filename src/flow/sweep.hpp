@@ -121,13 +121,6 @@ public:
     /// so is a budget the clock cannot represent (infinity, >= ~9.2e9).
     /// NaN throws std::invalid_argument.
     Sweep& per_config_timeout(double seconds);
-    /// Per-configuration checkpointing: each grid point's exploration
-    /// periodically serializes a petri::StoreCheckpoint to
-    /// `<dir>/<label>.ckpt` (grid labels like "s4/d3" are flattened to
-    /// "s4_d3"), so a killed sweep can resume its longest
-    /// configurations instead of rerunning them. The directory must
-    /// exist. Empty (default) = off.
-    Sweep& checkpoint_dir(std::string dir);
     /// Streaming sink, invoked from worker threads (serialised — at most
     /// one callback at a time) as rows complete. The callback must not
     /// call back into the Handle (it runs under the sweep's result lock).
@@ -197,7 +190,6 @@ private:
     std::vector<int> stages_{1};
     std::size_t workers_ = 0;
     double timeout_s_ = 0.0;
-    std::string checkpoint_dir_;
     ResultCallback callback_;
 };
 

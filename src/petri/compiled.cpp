@@ -85,8 +85,7 @@ CompiledNet::CompiledNet(const Net& net)
       place_count_(net.place_count()),
       transition_count_(net.transition_count()),
       marking_words_(util::BitVec::words_for_bits(place_count_)),
-      enabled_words_(util::BitVec::words_for_bits(transition_count_)),
-      structure_digest_(digest_structure(net)) {
+      enabled_words_(util::BitVec::words_for_bits(transition_count_)) {
     require_off_.reserve(transition_count_ + 1);
     forbid_off_.reserve(transition_count_ + 1);
     effect_off_.reserve(transition_count_ + 1);

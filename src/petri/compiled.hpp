@@ -10,9 +10,8 @@
 
 namespace rap::petri {
 
-/// Marking payload hash of the interning store (and the checkpoint
-/// checksum): FNV-1a over the words plus a splitmix64 finisher (FNV alone
-/// clusters under linear probing).
+/// Marking payload hash of the interning store: FNV-1a over the words
+/// plus a splitmix64 finisher (FNV alone clusters under linear probing).
 inline std::uint64_t hash_marking_words(const std::uint64_t* words,
                                         std::size_t count) noexcept {
     std::uint64_t h = 1469598103934665603ULL;
@@ -69,14 +68,9 @@ public:
 
     /// FNV-1a digest of the net's structure — place/transition counts and
     /// every arc, but NOT initial markings. Two nets that differ only in
-    /// initial marking (a run-time reconfiguration) share it; it keys
-    /// checkpoint compatibility and parent lookup for delta compilation.
-    std::uint64_t structure_digest() const noexcept {
-        return structure_digest_;
-    }
-
-    /// Structure digest of a net without compiling it.
+    /// initial marking (a run-time reconfiguration) share it.
     static std::uint64_t digest_structure(const Net& net) noexcept;
+
     std::size_t place_count() const noexcept { return place_count_; }
     std::size_t transition_count() const noexcept {
         return transition_count_;
@@ -169,7 +163,6 @@ private:
     std::size_t transition_count_;
     std::size_t marking_words_;
     std::size_t enabled_words_;
-    std::uint64_t structure_digest_ = 0;
 
     // Per-transition CSR offsets into the shared term arrays; offsets
     // have transition_count_+1 entries each.

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstring>
 
-#include "petri/checkpoint.hpp"
 #include "util/arena.hpp"
 #include "util/strings.hpp"
 
@@ -149,9 +148,9 @@ MultiResult ReachabilityExplorer::run_query(const MultiQuery& query) {
     try {
         return run_pass(query);
     } catch (const std::exception& e) {
-        // The pass died mid-exploration (a goal predicate threw, a
-        // checkpoint write failed). The interned footprint is real and
-        // still resident — attach it so accounting survives the abort.
+        // The pass died mid-exploration (a goal predicate threw). The
+        // interned footprint is real and still resident — attach it so
+        // accounting survives the abort.
         throw ExplorationAborted(
             e.what(), footprint(store_, store_.resident_bytes(), 0));
     }
@@ -181,13 +180,17 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
 
     // Verdicts are state ids, materialized only at the end of the pass:
     // witness links in the records are immutable once written, so late
-    // materialization is exact — and an id list is exactly what a
-    // checkpoint carries. goal_hit[g] is goal g's first (BFS-shortest)
-    // witness, kNoParent while unmatched.
+    // materialization is exact. goal_hit[g] is goal g's first
+    // (BFS-shortest) witness, kNoParent while unmatched.
     std::vector<std::uint32_t> goal_hit(query.goals.size(), kNoParent);
     std::size_t unmatched = goal_hit.size();
     std::vector<std::uint32_t> deadlocks;
-    std::vector<StoreCheckpoint::Violation> violations;
+    struct Violation {
+        std::uint32_t state;
+        std::uint32_t fired;
+        std::uint32_t disabled;
+    };
+    std::vector<Violation> violations;
     std::size_t edges = 0;
     PorStats por_stats;
 
@@ -260,53 +263,14 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
         }
     };
 
-    std::uint32_t start_head = 0;
-    std::uint32_t next_layer_begin = 1;
-    if (options_.resume == nullptr) {
-        const Marking m0 = net.initial_marking();
-        std::uint64_t* key = successor_words.data();
-        copy_words(key, m0.word_data(), m0.word_count());
-        const auto root = store_.intern(key, store_.hash(key), cap);
-        store_.meta(root.id)[0] = pack_visit(kNoParent, 0);
-        enabled_store.push_zero();
-        compiled_->enabled_set(store_[root.id], enabled_store[root.id]);
-        visit(root.id);
-    } else {
-        // Rebuild the checkpointed pass: re-intern its records in dense
-        // id order (dense ids make the rebuild independent of the
-        // table's probe order), then seed the verdict accumulators.
-        const StoreCheckpoint& ckpt = *options_.resume;
-        ckpt.check_resumable(*compiled_, cap, query.goals.size());
-        for (std::uint64_t id = 0; id < ckpt.record_count; ++id) {
-            const std::uint64_t* rec = ckpt.record(id);
-            const auto interned = store_.intern(rec, store_.hash(rec), cap);
-            if (!interned.inserted || interned.id != id) {
-                throw std::runtime_error(
-                    "resume: checkpoint records are not unique dense-id "
-                    "markings — corrupted or foreign checkpoint");
-            }
-            store_.meta(interned.id)[0] = rec[mwords];
-        }
-        edges = static_cast<std::size_t>(ckpt.edges_explored);
-        por_stats = ckpt.por;
-        deadlocks = ckpt.deadlocks;
-        violations = ckpt.violations;
-        goal_hit = ckpt.goal_hits;
-        unmatched = static_cast<std::size_t>(
-            std::count(goal_hit.begin(), goal_hit.end(), kNoParent));
-        start_head = static_cast<std::uint32_t>(ckpt.head);
-        next_layer_begin =
-            static_cast<std::uint32_t>(ckpt.next_layer_begin);
-        if (answered()) stop = true;
-        // Enabled rows are derived data: skip the (released, never read
-        // again) prefix and recompute only the live frontier's rows.
-        enabled_store.skip_to(start_head);
-        for (std::uint64_t id = start_head; id < ckpt.record_count;
-             ++id) {
-            enabled_store.push_zero();
-            compiled_->enabled_set(store_[id], enabled_store[id]);
-        }
-    }
+    const Marking m0 = net.initial_marking();
+    std::uint64_t* key = successor_words.data();
+    copy_words(key, m0.word_data(), m0.word_count());
+    const auto root = store_.intern(key, store_.hash(key), cap);
+    store_.meta(root.id)[0] = pack_visit(kNoParent, 0);
+    enabled_store.push_zero();
+    compiled_->enabled_set(store_[root.id], enabled_store[root.id]);
+    visit(root.id);
 
     auto resident_now = [&]() {
         return store_.resident_bytes() + enabled_store.resident_bytes();
@@ -320,37 +284,6 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     std::size_t geometry_sig =
         enabled_store.allocated_blocks() + store_.resident_bytes();
 
-    const std::size_t save_every = options_.checkpoint_every != 0
-                                       ? options_.checkpoint_every
-                                       : std::size_t{1} << 16;
-    // Snapshot at the top of the loop, before `head` is expanded: the
-    // records (payload + witness link) in dense id order, the cursor and
-    // every verdict accumulator. Enabled rows are derived data and stay
-    // out.
-    auto save_checkpoint = [&](std::uint32_t head) {
-        StoreCheckpoint ckpt;
-        ckpt.structure_digest = compiled_->structure_digest();
-        ckpt.marking_words = static_cast<std::uint32_t>(mwords);
-        ckpt.meta_words = 1;
-        const std::size_t n = store_.size();
-        const std::size_t stride = mwords + 1;
-        ckpt.record_count = n;
-        ckpt.records.reserve(n * stride);
-        for (std::uint32_t id = 0; id < n; ++id) {
-            const std::uint64_t* rec = store_[id];
-            ckpt.records.insert(ckpt.records.end(), rec, rec + stride);
-        }
-        ckpt.edges_explored = edges;
-        ckpt.head = head;
-        ckpt.next_layer_begin = next_layer_begin;
-        ckpt.goal_hits = goal_hit;
-        ckpt.deadlocks = deadlocks;
-        ckpt.violations = violations;
-        ckpt.por = por_stats;
-        ckpt.por.active = por.has_value();
-        ckpt.save(options_.checkpoint_path);
-    };
-
     // The BFS frontier is implicit: ids are dense discovery-order
     // indices and the queue is FIFO, so the frontier is exactly the id
     // range [head, store_.size()).
@@ -359,17 +292,13 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     // the current or an earlier BFS layer (expanded or being expanded),
     // ids at or above it were discovered this layer and will only be
     // expanded in the next one.
-    for (std::uint32_t head = start_head; head < store_.size() && !stop;
-         ++head) {
+    std::uint32_t next_layer_begin = 1;
+    for (std::uint32_t head = 0; head < store_.size() && !stop; ++head) {
         if (options_.stop && (head & 2047u) == 0 && options_.stop()) {
             // Cooperative stop (sweep cancellation / timeout): report the
             // pass as truncated — whatever was explored is inconclusive.
             truncated = true;
             break;
-        }
-        if (!options_.checkpoint_path.empty() && head != start_head &&
-            head % save_every == 0) {
-            save_checkpoint(head);
         }
         if (head % rpb == 0) {
             // Frontier-only enabled-set cache: every state below `head`
@@ -568,7 +497,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
         result.deadlocks.push_back(marking_of(id));
     }
     result.persistence_violations.reserve(violations.size());
-    for (const StoreCheckpoint::Violation& v : violations) {
+    for (const Violation& v : violations) {
         result.persistence_violations.push_back(
             {marking_of(v.state), TransitionId{v.fired},
              TransitionId{v.disabled}, trace_to(v.state)});

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -17,8 +16,6 @@
 #include "petri/predicate.hpp"
 
 namespace rap::petri {
-
-class StoreCheckpoint;  // petri/checkpoint.hpp — serialized resume point
 
 /// A firing sequence from the initial marking, used as counterexample
 /// witness (what MPSAT prints as a violation trace).
@@ -62,24 +59,6 @@ struct ReachabilityOptions {
     /// sweep's deadline hook). Must not throw. Null (the default) never
     /// stops.
     std::function<bool()> stop;
-    /// When non-empty, the exploration serializes a petri::StoreCheckpoint
-    /// here (atomically: tmp file + rename) every `checkpoint_every`
-    /// expanded states, so a killed pass can resume instead of rerunning
-    /// from t=0. Each save writes the whole store. A failed write aborts
-    /// the pass with ExplorationAborted rather than run a soak whose
-    /// "checkpoints" silently don't exist.
-    std::string checkpoint_path;
-    /// Checkpoint cadence in expanded states; 0 picks 65536.
-    std::size_t checkpoint_every = 0;
-    /// Resume point: continue a previously checkpointed exploration
-    /// instead of starting from the initial marking. The checkpoint must
-    /// come from the same net structure (structural digest) and record
-    /// geometry, and every id and witness link it carries must be in
-    /// range (StoreCheckpoint::check_resumable) — anything else throws
-    /// std::runtime_error.
-    /// The continued pass reproduces the uninterrupted run's
-    /// (states, edges, verdicts, witnesses) exactly.
-    std::shared_ptr<const StoreCheckpoint> resume;
 };
 
 /// Memory footprint of one exploration pass, for capacity planning at the
@@ -97,11 +76,11 @@ struct MemoryStats {
     StoreStats store;
 };
 
-/// Thrown when an exploration dies mid-pass — a goal predicate threw, a
-/// checkpoint write failed — after states were already interned. Carries
-/// the footprint at the moment of death so callers can still account for
-/// partial-pass memory (flow::Sweep's peak-resident aggregation would
-/// otherwise under-report exactly the contended runs that die).
+/// Thrown when an exploration dies mid-pass — a goal predicate threw —
+/// after states were already interned. Carries the footprint at the
+/// moment of death so callers can still account for partial-pass memory
+/// (flow::Sweep's peak-resident aggregation would otherwise under-report
+/// exactly the contended runs that die).
 class ExplorationAborted : public std::runtime_error {
 public:
     ExplorationAborted(const std::string& what, MemoryStats stats)

@@ -46,15 +46,6 @@ public:
     /// container's capacity) does — the peak-memory sampling hook.
     std::size_t allocated_blocks() const noexcept { return blocks_.size(); }
 
-    /// Fast-forwards an EMPTY arena so the next push lands at `index`,
-    /// without materialising the skipped records: whole skipped blocks
-    /// are left unallocated (recorded as already released), and only the
-    /// partial block containing `index` is backed by real zeroed memory.
-    /// The checkpoint-resume hook for frontier-only caches, where every
-    /// record below the resume cursor was released before the checkpoint
-    /// was taken and will never be read again. Precondition: size() == 0.
-    void skip_to(std::size_t index);
-
     /// Frees every block whose records all have index < `index` — the
     /// frontier-only cache hook: once a BFS layer is fully expanded, its
     /// records are never read again and their blocks can go back to the

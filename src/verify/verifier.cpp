@@ -52,9 +52,6 @@ petri::MultiResult Verifier::run_exploration(const petri::MultiQuery& query,
     ropts.stop_at_first_match = stop_at_first_match;
     ropts.por = options_.por;
     ropts.stop = options_.stop;
-    ropts.checkpoint_path = options_.checkpoint_path;
-    ropts.checkpoint_every = options_.checkpoint_every;
-    ropts.resume = options_.resume;
     petri::ReachabilityExplorer explorer(model_->compiled(), ropts);
     ++explorations_;
     return explorer.run_query(query);

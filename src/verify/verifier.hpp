@@ -9,7 +9,6 @@
 #include "dfs/dynamics.hpp"
 #include "dfs/model.hpp"
 #include "dfs/translate.hpp"
-#include "petri/checkpoint.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
 #include "verify/artifacts.hpp"
@@ -70,18 +69,6 @@ struct VerifyOptions {
     /// drives cancellation and per-configuration timeouts through this.
     /// Must not throw. Null (the default) never stops.
     std::function<bool()> stop;
-    /// Periodic checkpointing (petri::ReachabilityOptions::
-    /// checkpoint_path): when non-empty, every exploration this verifier
-    /// runs serializes resume points there. See the engine option for
-    /// the cadence.
-    std::string checkpoint_path;
-    /// Cadence forwarded to petri::ReachabilityOptions::checkpoint_every
-    /// (0 = engine default).
-    std::size_t checkpoint_every = 0;
-    /// Resume point forwarded to petri::ReachabilityOptions::resume: the
-    /// next exploration continues the checkpointed pass instead of
-    /// starting at the initial marking.
-    std::shared_ptr<const petri::StoreCheckpoint> resume;
 };
 
 /// Aggregate report of a full verification pass. Findings are always in

@@ -1,9 +1,9 @@
 // Shared Petri-net test fixtures and differential-harness plumbing:
 // the model zoo (paper-style rings/wagging/OPE plus seeded random
 // topologies), the naive BFS oracle, the query/replay helpers used by
-// the engine harnesses (reachability_test.cpp, por_test.cpp,
-// checkpoint_test.cpp), and the compiled-index comparison the
-// delta-build tests share. Header-only, test-only.
+// the engine harnesses (reachability_test.cpp, por_test.cpp), and the
+// compiled-index comparison the delta-build tests share. Header-only,
+// test-only.
 
 #pragma once
 

@@ -11,12 +11,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <memory>
 
 #include "dfs/translate.hpp"
 #include "ope/dfs_models.hpp"
-#include "petri/checkpoint.hpp"
 #include "petri/compiled.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
@@ -25,9 +22,8 @@ namespace rap::petri {
 namespace {
 
 /// Reachable markings of build_reconfigurable_ope_dfs(4, 4), pinned here:
-/// every nightly pass — fresh or resumed from the previous night's
-/// checkpoint — must reproduce them exactly, a scale the tier-1 fixtures
-/// cannot afford.
+/// every nightly pass explores them all from the initial marking and must
+/// reproduce them exactly, a scale the tier-1 fixtures cannot afford.
 constexpr std::size_t kFourStageOpeStates = 19'095'912;
 constexpr std::size_t kFourStageOpeEdges = 137'589'840;
 
@@ -44,30 +40,6 @@ TEST(Soak, FourStageOpeExploresNineteenMillionStates) {
     ReachabilityOptions options;
     options.max_states = 25'000'000;
     options.stop_at_first_match = false;
-
-    // RAP_SOAK_CHECKPOINT=<path>: serialize a StoreCheckpoint there and,
-    // when the previous nightly left one behind (the CI job restores it
-    // from the cache), resume from it — the continued pass must land on
-    // exactly the same pinned counts, which makes every nightly a
-    // checkpoint/resume differential at full scale. Every save writes
-    // the whole store (up to ~600 MB here), so the cadence keeps a full
-    // pass to 9 saves.
-    const char* ckpt_path = std::getenv("RAP_SOAK_CHECKPOINT");
-    if (ckpt_path != nullptr) {
-        options.checkpoint_path = ckpt_path;
-        options.checkpoint_every = 2'000'000;
-        if (std::ifstream(ckpt_path, std::ios::binary).good()) {
-            options.resume = std::make_shared<const StoreCheckpoint>(
-                StoreCheckpoint::load(ckpt_path));
-            std::printf("soak: resuming from checkpoint '%s' (%llu of "
-                        "%llu records expanded)\n",
-                        ckpt_path,
-                        static_cast<unsigned long long>(
-                            options.resume->head),
-                        static_cast<unsigned long long>(
-                            options.resume->record_count));
-        }
-    }
     ReachabilityExplorer explorer(compiled, options);
 
     // Deadlock goal + collection keeps goal evaluation and deadlock
@@ -106,9 +78,7 @@ TEST(Soak, FourStageOpeExploresNineteenMillionStates) {
         result.memory.resident_bytes, result.memory.peak_bytes);
 
     // Capacity ceiling at the 19M-state scale (46.1 B/state measured),
-    // ~15% head-room like the tier-1 ceilings in reachability_test. The
-    // store's table and arena geometry depend on the record count alone,
-    // so a pass resumed from a checkpoint reads the same figure.
+    // ~15% head-room like the tier-1 ceilings in reachability_test.
     const double store_bytes_per_state =
         static_cast<double>(result.memory.store.table_bytes +
                             result.memory.store.arena_bytes) /
@@ -123,10 +93,6 @@ TEST(Soak, FourStageOpeExploresNineteenMillionStates) {
     // heuristic evolves (no pinned count — the ratio floor lives in
     // PorReduction.DeadlockPassShrinksTheOpeModels).
     options.por = true;
-    // The reduced pass explores a different (smaller) state set: its
-    // checkpoint must never overwrite — or resume from — the full pass's.
-    options.checkpoint_path.clear();
-    options.resume = nullptr;
     ReachabilityExplorer reduced_explorer(compiled, options);
     const auto reduced = reduced_explorer.run_query(query);
     EXPECT_FALSE(reduced.truncated);

@@ -11,8 +11,6 @@
 #include <cmath>
 #include <chrono>
 #include <climits>
-#include <cstdio>
-#include <fstream>
 #include <future>
 #include <limits>
 #include <set>
@@ -195,6 +193,12 @@ TEST(Sweep, DedupsBeforeCompileAndMatchesSerialRuns) {
     EXPECT_LE(m.value("rap_cache_hit_rate"), 1.0);
     EXPECT_EQ(m.value("rap_cache_misses_total"),
               static_cast<double>(kDistinct));
+    // The store geometry gauges of the sweep's largest exploration.
+    EXPECT_GT(m.value("rap_store_slots"), 0.0);
+    EXPECT_GT(m.value("rap_store_table_bytes"), 0.0);
+    EXPECT_GT(m.value("rap_store_arena_bytes"), 0.0);
+    EXPECT_GT(m.value("rap_store_load_factor"), 0.0);
+    EXPECT_LE(m.value("rap_store_load_factor"), 1.0);
 }
 
 // Cancellation honoured mid-sweep: after cancel() returns no further
@@ -344,59 +348,39 @@ TEST(Sweep, UnrepresentableTimeoutMeansNoDeadline) {
 // A pass that dies mid-exploration must not vanish from the memory
 // accounting: petri::ExplorationAborted carries the interned footprint at
 // the moment of death into the row's report and the sweep's
-// peak-resident aggregate. An unwritable checkpoint directory kills the
-// pass deterministically at the first save boundary (head 64).
+// peak-resident aggregate. A goal predicate that throws on its 100th
+// evaluation kills the pass deterministically: the engine evaluates each
+// newly interned state once, so the pass dies at its 100th state.
 TEST(Sweep, AbortedPassStillSalvagesPartialMemory) {
-    DesignOptions base;
-    base.verify.checkpoint_every = 64;
-    Sweep sweep = Sweep::ope(base);
-    Sweep::Handle handle = sweep.stages({3})
-                               .depths({3})
-                               .workers(1)
-                               .checkpoint_dir("/nonexistent-rap-ckpt-dir")
-                               .launch();
+    std::size_t evaluations = 0;
+    petri::Predicate doomed = petri::Predicate::custom(
+        "throws on its 100th evaluation",
+        [&evaluations](const petri::Net&, const petri::Marking&) -> bool {
+            if (++evaluations == 100) {
+                throw std::runtime_error("goal evaluation 100 failed");
+            }
+            return false;
+        });
+    Sweep sweep = Sweep::ope();
+    Sweep::Handle handle =
+        sweep.stages({3})
+            .depths({3})
+            .workers(1)
+            .spec(verify::Spec{}.custom("doomed", std::move(doomed)))
+            .launch();
     const std::vector<SweepResult> rows = handle.wait();
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].status, SweepStatus::kInvalid);
-    EXPECT_NE(rows[0].error.find("cannot be opened for writing"),
+    EXPECT_NE(rows[0].error.find("goal evaluation 100 failed"),
               std::string::npos)
         << rows[0].error;
-    // The partial pass interned at least the 64 expanded states before
-    // the save threw — that footprint survives into the row...
+    // The partial pass interned its 100 states before the goal threw —
+    // that footprint survives into the row...
     EXPECT_GT(rows[0].report.memory.records, 64u);
     EXPECT_GT(rows[0].report.memory.resident_bytes, 0u);
     // ...and into the sweep-wide aggregate (this used to report 0).
     EXPECT_GT(handle.metrics().value("rap_sweep_peak_resident_bytes"),
               0.0);
-}
-
-// checkpoint_dir happy path: each grid point periodically serializes to
-// `<dir>/<flattened-label>.ckpt`, and the finished handle exposes the
-// peak configuration's store geometry gauges.
-TEST(Sweep, CheckpointDirWritesPerPointFiles) {
-    std::string dir = testing::TempDir();
-    while (!dir.empty() && dir.back() == '/') dir.pop_back();
-    const std::string path = dir + "/s3_d3.ckpt";
-    std::remove(path.c_str());
-
-    DesignOptions base;
-    base.verify.checkpoint_every = 4096;
-    Sweep sweep = Sweep::ope(base);
-    Sweep::Handle handle =
-        sweep.stages({3}).depths({3}).workers(1).checkpoint_dir(dir).launch();
-    const std::vector<SweepResult> rows = handle.wait();
-    ASSERT_EQ(rows.size(), 1u);
-    ASSERT_EQ(rows[0].status, SweepStatus::kOk) << rows[0].error;
-
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << "no checkpoint written at " << path;
-
-    const Metrics m = handle.metrics();
-    EXPECT_GT(m.value("rap_store_slots"), 0.0);
-    EXPECT_GT(m.value("rap_store_table_bytes"), 0.0);
-    EXPECT_GT(m.value("rap_store_arena_bytes"), 0.0);
-    EXPECT_GT(m.value("rap_store_load_factor"), 0.0);
-    EXPECT_LE(m.value("rap_store_load_factor"), 1.0);
 }
 
 TEST(Metrics, PrometheusExpositionFormat) {
