@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -531,9 +532,14 @@ Campaign::Handle Campaign::launch() {
 
     state->rows.resize(state->grid.size());
 
+    // Points are claimed in grid order: their costs lie within 2x of
+    // each other, so no claim order shortens a campaign by much.
+    std::vector<std::size_t> order(state->grid.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+
     detail::CampaignState* st = state.get();
     st->runner.start(
-        st->grid.size(), workers_,
+        std::move(order), workers_,
         [st](std::size_t i) { return detail::process_point(*st, i); },
         [st](std::size_t i, CampaignAggregate row) {
             st->rows[i] = std::move(row);

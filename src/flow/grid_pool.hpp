@@ -12,7 +12,8 @@
 namespace rap::flow::detail {
 
 /// The worker pool under flow::Sweep and flow::Campaign. Workers claim
-/// grid points in index order from one counter. One mutex guards the
+/// grid points in the caller's claim order, one counter stepping through
+/// that permutation of the point indices. One mutex guards the
 /// pool's counters and cancel flag, and the result slots and aggregates
 /// of the Sweep or Campaign too. One cancel rule holds for both: after
 /// cancel() no point body starts, and a point that had not started is
@@ -31,25 +32,27 @@ public:
     GridPool& operator=(const GridPool&) = delete;
     ~GridPool() { join(); }
 
-    /// Starts the workers over `points` grid points; `workers` 0 means
-    /// one per hardware thread, capped at `points`. run(i) executes
-    /// point i outside the lock; publish(i, result) stores its result
-    /// under mutex() in the step that settles the point.
+    /// Starts the workers over the grid points in `order`, a permutation
+    /// of the point indices that workers claim front to back; `workers`
+    /// 0 means one per hardware thread, capped at the point count.
+    /// run(i) executes point i outside the lock; publish(i, result) stores
+    /// its result under mutex() in the step that settles the point.
     template <typename Run, typename Publish>
-    void start(std::size_t points, std::size_t workers, Run run,
+    void start(std::vector<std::size_t> order, std::size_t workers, Run run,
                Publish publish) {
-        total_ = points;
+        order_ = std::move(order);
         if (workers == 0) {
             workers = std::max(1u, std::thread::hardware_concurrency());
         }
-        workers = std::max<std::size_t>(1, std::min(workers, points));
+        workers = std::max<std::size_t>(1, std::min(workers, total()));
         threads_.reserve(workers);
         for (std::size_t i = 0; i < workers; ++i) {
             threads_.emplace_back([this, run, publish]() mutable {
                 for (;;) {
-                    const std::size_t index =
+                    const std::size_t claim =
                         next_.fetch_add(1, std::memory_order_relaxed);
-                    if (index >= total_) return;
+                    if (claim >= total()) return;
+                    const std::size_t index = order_[claim];
                     {
                         const std::lock_guard<std::mutex> lock(mutex_);
                         if (cancelled()) {
@@ -103,7 +106,7 @@ public:
     std::size_t in_flight() const {
         return in_flight_.load(std::memory_order_relaxed);
     }
-    std::size_t total() const { return total_; }
+    std::size_t total() const { return order_.size(); }
     std::mutex& mutex() const { return mutex_; }
 
 private:
@@ -112,7 +115,7 @@ private:
         ++done_;
     }
 
-    std::size_t total_ = 0;
+    std::vector<std::size_t> order_;  ///< claim order, set by start()
     std::atomic<std::size_t> next_{0};
     mutable std::mutex mutex_;
     std::atomic<std::size_t> in_flight_{0};

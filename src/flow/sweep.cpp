@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <unordered_set>
@@ -452,9 +453,21 @@ Sweep::Handle Sweep::launch() {
         row.point = std::move(point);
     }
 
+    // Largest configuration first: a sweep ends no sooner than its
+    // slowest pass, so that pass must not start behind smaller ones.
+    // Ties keep grid order.
+    std::vector<std::size_t> order(state->results.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const auto larger = [&](std::size_t a, std::size_t b) {
+        const SweepPoint& pa = state->results[a].point;
+        const SweepPoint& pb = state->results[b].point;
+        return std::pair(pa.stages, pa.depth) > std::pair(pb.stages, pb.depth);
+    };
+    std::stable_sort(order.begin(), order.end(), larger);
+
     detail::SweepState* st = state.get();
     st->runner.start(
-        st->results.size(), workers_,
+        std::move(order), workers_,
         [st](std::size_t i) { return detail::process_point(*st, i); },
         [st](std::size_t i, SweepResult row) {
             detail::publish_row(*st, i, std::move(row));

@@ -84,6 +84,11 @@ struct SweepResult {
 ///   new work and interrupts running explorations through the engine's
 ///   stop hook; per_config_timeout() bounds each configuration the same
 ///   way (status kTimedOut, findings truncated).
+/// - **Largest first.** Workers claim configurations in descending
+///   (stages, depth) order, ties in grid order, whatever order the axes
+///   list their values in. A sweep ends no sooner than its slowest
+///   pass, so that pass starts first rather than behind smaller ones.
+///   Only the claim order changes: wait() still returns grid order.
 ///
 /// Results arrive through on_result in completion order (never after
 /// cancel() returns) and from Handle::wait() as one vector in stable

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -367,6 +368,29 @@ TEST(Campaign, StreamsRowsInRunOrderPerPoint) {
             EXPECT_EQ(runs[r], r) << "rows of one point arrive in order";
         }
     }
+}
+
+// Campaign points are claimed in grid order, unlike Sweep's largest
+// first: one worker runs them with the point index never decreasing.
+TEST(Campaign, ClaimsPointsInGridOrder) {
+    std::vector<std::size_t> points;
+    const CampaignSummary summary =
+        Campaign(small_factory(2))
+            .depths({1, 2})
+            .fault_scales({0.0, 1.0})  // 4 points
+            .runs(2)
+            .items(4)
+            .seed(5)
+            .workers(1)
+            .on_run([&](const CampaignRun& run) {
+                points.push_back(run.point);
+            })
+            .run();
+    ASSERT_EQ(points.size(), summary.runs_total);
+    ASSERT_EQ(points.size(), 4u * 2u);
+    EXPECT_TRUE(std::is_sorted(points.begin(), points.end()));
+    EXPECT_EQ(points.front(), 0u);
+    EXPECT_EQ(points.back(), 3u);
 }
 
 TEST(Campaign, CancelStopsCallbacksAndSkipsUnstartedPoints) {

@@ -12,7 +12,9 @@
 #include <chrono>
 #include <climits>
 #include <future>
+#include <latch>
 #include <limits>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -248,7 +250,8 @@ TEST(Sweep, CancelStopsCallbacksAndDrainsPool) {
     EXPECT_EQ(handle.done(), 4u);
     EXPECT_EQ(callbacks.load(), callbacks_at_cancel);
 
-    EXPECT_EQ(rows[0].status, SweepStatus::kOk);
+    // The first claim, largest first, is s3/d2 at grid index 3.
+    EXPECT_EQ(rows[3].status, SweepStatus::kOk);
     std::size_t cancelled = 0;
     for (const SweepResult& row : rows) {
         if (row.status == SweepStatus::kCancelled) ++cancelled;
@@ -262,6 +265,65 @@ TEST(Sweep, CancelStopsCallbacksAndDrainsPool) {
         EXPECT_EQ(rows[i].point.index, i);
         EXPECT_EQ(rows[i].point.label, grid[i].label);
     }
+}
+
+// Workers claim the largest configurations first, in descending
+// (stages, depth) order whatever order the axes list their values in, so
+// the slowest pass never starts behind smaller ones. Only the claim
+// order changes: wait() still returns the rows in grid order.
+TEST(Sweep, ClaimsLargestConfigurationsFirst) {
+    using Call = std::pair<int, int>;
+    std::vector<Call> largest_first;  // s2/d3 is invalid, claimed in place
+    for (const int stages : {4, 3, 2}) {
+        for (const int depth : {3, 2, 1}) {
+            largest_first.emplace_back(stages, depth);
+        }
+    }
+    std::mutex mutex;
+    std::vector<Call> calls;
+    const auto record = [&](int stages, int depth) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        calls.emplace_back(stages, depth);
+    };
+    const auto sweep = [](Sweep::Factory factory) {
+        return Sweep(std::move(factory))
+            .stages({2, 4, 3})
+            .depths({1, 3, 2})
+            .spec(verify::Spec{}.deadlock());
+    };
+
+    const auto recording = [&](int stages, int depth) {
+        record(stages, depth);
+        return ope_style_factory(stages, depth);
+    };
+    const std::vector<SweepResult> rows =
+        sweep(Sweep::Factory(recording)).workers(1).run();
+    EXPECT_EQ(calls, largest_first);
+    const std::vector<SweepPoint> grid = sweep(&ope_style_factory).grid();
+    ASSERT_EQ(rows.size(), grid.size());
+    ASSERT_EQ(grid[1].label, "s2/d3");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].point.index, i);
+        EXPECT_EQ(rows[i].point.label, grid[i].label);
+        EXPECT_EQ(rows[i].status,
+                  i == 1 ? SweepStatus::kInvalid : SweepStatus::kOk);
+    }
+
+    // Two workers: each records its first claim and holds it until the
+    // other has made its own, so the first two calls are the two largest
+    // points.
+    calls.clear();
+    std::latch both_claimed(2);
+    std::atomic<int> started{0};
+    const auto gated = [&](int stages, int depth) {
+        record(stages, depth);
+        if (started.fetch_add(1) < 2) both_claimed.arrive_and_wait();
+        return ope_style_factory(stages, depth);
+    };
+    sweep(Sweep::Factory(gated)).workers(2).run();
+    ASSERT_EQ(calls.size(), largest_first.size());
+    const std::set<Call> first_two(calls.begin(), calls.begin() + 2);
+    EXPECT_EQ(first_two, (std::set<Call>{{4, 3}, {4, 2}}));
 }
 
 // One failure rule for the grid runner: an exception that escapes the
