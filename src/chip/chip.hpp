@@ -84,6 +84,10 @@ class Evaluation {
 public:
     explicit Evaluation(ChipOptions options);
 
+    // netlist_ points into model_.
+    Evaluation(const Evaluation&) = delete;
+    Evaluation& operator=(const Evaluation&) = delete;
+
     const ChipOptions& options() const noexcept { return options_; }
     const pipeline::Pipeline& model() const noexcept { return model_; }
     const netlist::Netlist& netlist() const noexcept { return *netlist_; }

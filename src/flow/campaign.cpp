@@ -12,7 +12,6 @@
 #include "flow/grid_pool.hpp"
 #include "ope/dfs_models.hpp"
 #include "util/rng.hpp"
-#include "verify/witness.hpp"
 
 namespace rap::flow {
 
@@ -45,6 +44,10 @@ void fnv_double(std::uint64_t& h, double v) {
 /// streams (which use plain stream_seed(master, point * runs + run)).
 constexpr std::uint64_t kCalibTag = 0x63616c6962ULL;  // "calib"
 
+/// A run's simulated-time budget, as a multiple of its point's
+/// calibrated fault-free run time; a run that exceeds it fails.
+constexpr double kTimeBudgetFactor = 8.0;
+
 }  // namespace
 
 /// Everything a running campaign shares between the launching thread,
@@ -59,8 +62,6 @@ struct CampaignState {
     std::size_t runs = 1;
     std::uint64_t seed = 1;
     std::uint64_t items = 1;
-    double budget_factor = 8.0;
-    bool confirm_hazards = false;
     double knee_fraction = 0.05;
     Campaign::RunCallback callback;
 
@@ -83,8 +84,7 @@ namespace {
 void fold_run(std::uint64_t& h, const CampaignRun& r) {
     fnv_u64(h, r.seed);
     fnv_u64(h, (r.completed ? 1u : 0u) | (r.deadlocked ? 2u : 0u) |
-                   (r.frozen ? 4u : 0u) | (r.hazard ? 8u : 0u) |
-                   (r.hazard_confirmed ? 16u : 0u));
+                   (r.frozen ? 4u : 0u) | (r.hazard ? 8u : 0u));
     fnv_double(h, r.time_s);
     fnv_double(h, r.energy_j);
     fnv_u64(h, r.items);
@@ -161,7 +161,7 @@ CampaignAggregate process_point(CampaignState& state, std::size_t index) {
     }
     const double sf = model.speed_factor(point.voltage);
     const double budget_s =
-        state.budget_factor * nominal_s / (sf > 0.0 ? sf : 1.0);
+        kTimeBudgetFactor * nominal_s / (sf > 0.0 ? sf : 1.0);
 
     const asim::FaultSpec spec = state.faults.scaled(point.fault_scale);
     const tech::VoltageSchedule base_schedule =
@@ -181,9 +181,6 @@ CampaignAggregate process_point(CampaignState& state, std::size_t index) {
         asim::TimedSimulator sim = design->timed_sim(glitched.schedule);
         sim.set_seed(row.seed);
         sim.set_faults(spec);
-        if (state.confirm_hazards) {
-            sim.enable_event_trace(event_cap);
-        }
 
         dfs::State s = dfs::State::initial(graph);
         asim::RunLimits limits;
@@ -202,18 +199,6 @@ CampaignAggregate process_point(CampaignState& state, std::size_t index) {
         row.events = stats.events;
         row.faults = stats.faults;
         row.hazard = dynamics.control_conflict(s).has_value();
-        if (row.hazard && state.confirm_hazards &&
-            !stats.events_log_truncated) {
-            std::vector<dfs::Event> events;
-            events.reserve(stats.events_log.size());
-            for (const asim::TimedEvent& te : stats.events_log) {
-                events.push_back(te.event);
-            }
-            const verify::WitnessReplay replay =
-                verify::replay_events_on_net(dynamics,
-                                             design->translation(), events);
-            row.hazard_confirmed = replay.ok && replay.marking_agrees;
-        }
 
         if (row.completed) {
             ++agg.completed;
@@ -224,7 +209,6 @@ CampaignAggregate process_point(CampaignState& state, std::size_t index) {
         }
         fold_run(agg.checksum, row);
         if (row.hazard) ++agg.hazards;
-        if (row.hazard_confirmed) ++agg.hazards_confirmed;
         agg.faults_injected += row.faults.injected();
         agg.glitch_windows += row.glitches;
         if (row.completed) {
@@ -430,21 +414,6 @@ Campaign& Campaign::items(std::uint64_t count) {
     return *this;
 }
 
-Campaign& Campaign::time_budget_factor(double factor) {
-    if (!std::isfinite(factor) || factor <= 0.0) {
-        throw std::invalid_argument(
-            "flow::Campaign: time_budget_factor must be positive and "
-            "finite");
-    }
-    budget_factor_ = factor;
-    return *this;
-}
-
-Campaign& Campaign::confirm_hazards(bool enabled) {
-    confirm_hazards_ = enabled;
-    return *this;
-}
-
 Campaign& Campaign::knee_min_failure_fraction(double fraction) {
     if (!(fraction >= 0.0 && fraction <= 1.0)) {
         throw std::invalid_argument(
@@ -525,8 +494,6 @@ Campaign::Handle Campaign::launch() {
     state->runs = runs_;
     state->seed = seed_;
     state->items = items_;
-    state->budget_factor = budget_factor_;
-    state->confirm_hazards = confirm_hazards_;
     state->knee_fraction = knee_fraction_;
     state->callback = callback_;
 

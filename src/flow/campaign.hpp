@@ -40,13 +40,11 @@ struct CampaignRun {
     bool deadlocked = false;
     bool frozen = false;    ///< supply never recovered above freeze
     /// The run ended in a control-token conflict (the Section II-B
-    /// "disabled node" hazard) — fault injection broke a handshake.
+    /// "disabled node" hazard) — fault injection broke a handshake. To
+    /// confirm one on the Petri net, rerun its seed with
+    /// TimedSimulator::enable_event_trace and pass the log to
+    /// verify::replay_events_on_net.
     bool hazard = false;
-    /// The hazardous run's event log replayed onto the translated Petri
-    /// net (only attempted with confirm_hazards(true)): true means the
-    /// trace is PN-reachable, bridging the simulated failure back to the
-    /// verifier's semantics.
-    bool hazard_confirmed = false;
     double time_s = 0.0;
     double energy_j = 0.0;       ///< dynamic + leakage
     std::uint64_t items = 0;     ///< tokens latched at the output
@@ -63,7 +61,6 @@ struct CampaignAggregate {
     std::size_t deadlocks = 0;
     std::size_t frozen = 0;
     std::size_t hazards = 0;
-    std::size_t hazards_confirmed = 0;
     std::uint64_t faults_injected = 0;
     std::uint64_t glitch_windows = 0;
     double survival = 0.0;  ///< completed / runs
@@ -169,16 +166,9 @@ public:
     /// Master seed of the whole campaign (default 1).
     Campaign& seed(std::uint64_t master);
     /// Tokens each run pushes through the pipeline output (default 32).
+    /// A run that has not pushed them within 8x the point's calibrated
+    /// fault-free run time (voltage-compensated) counts as a failure.
     Campaign& items(std::uint64_t count);
-    /// A run's simulated-time budget, as a multiple of the point's
-    /// calibrated fault-free run time (voltage-compensated; default 8).
-    /// Runs that exceed it count as failures. A factor that is not
-    /// positive and finite throws std::invalid_argument.
-    Campaign& time_budget_factor(double factor);
-    /// Replay every hazardous run's event log on the translated Petri
-    /// net to confirm PN-reachability (CampaignRun::hazard_confirmed).
-    /// Costs an event trace per run; off by default.
-    Campaign& confirm_hazards(bool enabled);
     /// Minimum per-point failure fraction for a point to count toward
     /// the survival knee (CampaignSummary::first_failure_voltage).
     /// Default 0.05: a single flaky run out of hundreds at nominal no
@@ -255,8 +245,6 @@ private:
     std::size_t runs_ = 32;
     std::uint64_t seed_ = 1;
     std::uint64_t items_ = 32;
-    double budget_factor_ = 8.0;
-    bool confirm_hazards_ = false;
     double knee_fraction_ = 0.05;
     std::size_t workers_ = 0;
     RunCallback callback_;

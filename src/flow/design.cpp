@@ -27,12 +27,6 @@ void validate_options(const DesignOptions& options) {
             "makes no forward progress, so a nominal supply there means "
             "every timed simulation hangs");
     }
-    if (!(p.v_max >= p.v_nominal)) {
-        throw std::invalid_argument(
-            "flow::DesignOptions: process.v_max must be >= "
-            "process.v_nominal (the absolute maximum rating cannot sit "
-            "below the nominal supply)");
-    }
     if (!(p.alpha > 0.0)) {
         throw std::invalid_argument(
             "flow::DesignOptions: process.alpha (the alpha-power-law "

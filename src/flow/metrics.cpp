@@ -21,56 +21,23 @@ std::string render_value(double value) {
     return buf;
 }
 
-std::string escape_label(const std::string& value) {
-    std::string out;
-    out.reserve(value.size());
-    for (const char c : value) {
-        switch (c) {
-            case '\\': out += "\\\\"; break;
-            case '"': out += "\\\""; break;
-            case '\n': out += "\\n"; break;
-            default: out += c;
-        }
-    }
-    return out;
-}
-
 }  // namespace
 
-Metrics::Sample& Metrics::sample(std::string_view name,
-                                 std::string_view help, Type type,
-                                 const Labels& labels) {
+void Metrics::set(std::string_view name, std::string_view help, Type type,
+                  double value) {
     for (Family& family : families_) {
-        if (family.name != name) continue;
-        for (Sample& s : family.samples) {
-            if (s.labels == labels) return s;
+        if (family.name == name) {
+            family.value = value;
+            return;
         }
-        family.samples.push_back(Sample{labels, 0.0});
-        return family.samples.back();
     }
     families_.push_back(
-        Family{std::string(name), std::string(help), type, {}});
-    families_.back().samples.push_back(Sample{labels, 0.0});
-    return families_.back().samples.back();
+        Family{std::string(name), std::string(help), type, value});
 }
 
-void Metrics::set(std::string_view name, std::string_view help, Type type,
-                  double value, Labels labels) {
-    sample(name, help, type, labels).value = value;
-}
-
-void Metrics::add(std::string_view name, std::string_view help, Type type,
-                  double delta, Labels labels) {
-    sample(name, help, type, labels).value += delta;
-}
-
-double Metrics::value(std::string_view name, const Labels& labels,
-                      double fallback) const {
+double Metrics::value(std::string_view name, double fallback) const {
     for (const Family& family : families_) {
-        if (family.name != name) continue;
-        for (const Sample& s : family.samples) {
-            if (s.labels == labels) return s.value;
-        }
+        if (family.name == name) return family.value;
     }
     return fallback;
 }
@@ -85,20 +52,7 @@ std::string to_prometheus(const Metrics& registry) {
                (family.type == Metrics::Type::kCounter ? "counter"
                                                        : "gauge") +
                "\n";
-        for (const Metrics::Sample& s : family.samples) {
-            out += family.name;
-            if (!s.labels.empty()) {
-                out += '{';
-                bool first = true;
-                for (const auto& [key, value] : s.labels) {
-                    if (!first) out += ',';
-                    first = false;
-                    out += key + "=\"" + escape_label(value) + "\"";
-                }
-                out += '}';
-            }
-            out += ' ' + render_value(s.value) + '\n';
-        }
+        out += family.name + ' ' + render_value(family.value) + '\n';
     }
     return out;
 }

@@ -1,68 +1,49 @@
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace rap::flow {
 
-/// A small Prometheus-style metrics registry: named families of counter
-/// or gauge samples, each sample optionally labelled, rendered to the
-/// text exposition format by metrics::to_prometheus(). Value type, no
-/// locks — producers (flow::Sweep::Handle::metrics(), benches) build a
-/// snapshot on demand; scraping a snapshot is free of engine state.
+/// A small Prometheus-style metrics registry: named counter or gauge
+/// families of one unlabelled value each, rendered to the text
+/// exposition format by metrics::to_prometheus(). Value type, no locks —
+/// producers (flow::Sweep::Handle::metrics(), benches) build a snapshot
+/// on demand; scraping a snapshot is free of engine state.
 class Metrics {
 public:
     enum class Type { kCounter, kGauge };
-
-    using Labels = std::vector<std::pair<std::string, std::string>>;
-
-    struct Sample {
-        Labels labels;  ///< in registration order, rendered verbatim
-        double value = 0.0;
-    };
 
     struct Family {
         std::string name;  ///< e.g. "rap_sweep_configs_done"
         std::string help;
         Type type = Type::kGauge;
-        std::vector<Sample> samples;
+        double value = 0.0;
     };
 
-    /// Adds (or updates) the sample with `labels` in family `name`,
-    /// creating the family on first use. Families and samples keep
-    /// their registration order, so expositions diff cleanly.
+    /// Sets family `name` to `value`, creating it on first use. Families
+    /// keep their registration order, so expositions diff cleanly.
     void set(std::string_view name, std::string_view help, Type type,
-             double value, Labels labels = {});
-
-    /// Adds `delta` to the sample (creating it at zero first).
-    void add(std::string_view name, std::string_view help, Type type,
-             double delta, Labels labels = {});
+             double value);
 
     const std::vector<Family>& families() const noexcept {
         return families_;
     }
 
-    /// The sample's value, or `fallback` when absent (scrape-side
+    /// The family's value, or `fallback` when absent (scrape-side
     /// convenience for tests and benches).
-    double value(std::string_view name, const Labels& labels = {},
-                 double fallback = 0.0) const;
+    double value(std::string_view name, double fallback = 0.0) const;
 
 private:
-    Sample& sample(std::string_view name, std::string_view help, Type type,
-                   const Labels& labels);
-
     std::vector<Family> families_;
 };
 
 namespace metrics {
 
 /// Renders the registry in the Prometheus text exposition format
-/// (version 0.0.4): `# HELP` / `# TYPE` comment pairs per family, one
-/// `name{label="value",...} value` line per sample. Label values are
-/// escaped (backslash, double-quote, newline) per the spec.
+/// (version 0.0.4): `# HELP` / `# TYPE` comment pairs per family, then
+/// one `name value` line.
 std::string to_prometheus(const Metrics& registry);
 
 }  // namespace metrics

@@ -43,19 +43,12 @@ struct SweepState {
     /// hit-rate to this sweep rather than the whole process lifetime.
     verify::CacheStats cache_before;
 
-    // -- results + aggregates (guarded by runner.mutex()) -----------------
-    std::vector<SweepResult> results;  ///< slot per grid point
+    // -- results (guarded by runner.mutex()) ------------------------------
+    /// Slot per grid point; the metrics snapshot's figures are folded
+    /// from the slots, so a slot no pass has filled (its launch-time
+    /// kCancelled row, all figures zero) adds nothing.
+    std::vector<SweepResult> results;
     std::unordered_set<std::string> distinct;  ///< model fingerprints
-    std::size_t states_total = 0;
-    double verify_seconds_total = 0.0;
-    std::size_t peak_resident_bytes = 0;
-    /// Marking-store shape of the exploration that owns
-    /// peak_resident_bytes — the rap_store_* gauges describe the sweep's
-    /// biggest state space, the one capacity planning cares about.
-    std::optional<petri::StoreStats> peak_store;
-    std::size_t por_active_configs = 0;  ///< rows whose pass reduced
-    std::size_t por_enabled_total = 0;   ///< full-exploration work
-    std::size_t por_expanded_total = 0;  ///< work actually done
 
     /// Last, so it is destroyed first: the workers are joined before the
     /// slots they write go away.
@@ -140,25 +133,9 @@ SweepResult process_point(SweepState& state, std::size_t index) {
     return row;
 }
 
-/// Folds a finished row into the aggregates, stores it in its slot and
-/// streams it. Runs under runner.mutex().
+/// Stores a finished row in its slot and streams it. Runs under
+/// runner.mutex().
 void publish_row(SweepState& state, std::size_t index, SweepResult row) {
-    state.states_total += row.states;
-    state.verify_seconds_total += row.verify_seconds;
-    const petri::MemoryStats& memory = row.report.memory;
-    if (memory.records > 0) {  // zero: the row ran no pass
-        if (memory.peak_bytes >= state.peak_resident_bytes) {
-            state.peak_store = memory.store;
-        }
-        state.peak_resident_bytes =
-            std::max(state.peak_resident_bytes, memory.peak_bytes);
-    }
-    const petri::PorStats& por = row.report.por;
-    if (por.active) {
-        ++state.por_active_configs;
-        state.por_enabled_total += por.enabled_transitions;
-        state.por_expanded_total += por.expanded_transitions;
-    }
     state.results[index] = std::move(row);
     if (!state.runner.cancelled() && state.callback) {
         state.callback(state.results[index]);
@@ -175,6 +152,9 @@ Metrics build_metrics(SweepState& state) {
     std::size_t states_total = 0;
     double verify_seconds = 0.0;
     std::size_t peak = 0;
+    // Marking-store shape of the exploration that owns `peak` (on a tie,
+    // the later row in grid order) — the rap_store_* gauges describe the
+    // sweep's biggest state space, the one capacity planning cares about.
     std::optional<petri::StoreStats> peak_store;
     std::size_t por_active = 0;
     std::size_t por_enabled = 0;
@@ -184,13 +164,22 @@ Metrics build_metrics(SweepState& state) {
         done = state.runner.done();
         in_flight = state.runner.in_flight();
         distinct = state.distinct.size();
-        states_total = state.states_total;
-        verify_seconds = state.verify_seconds_total;
-        peak = state.peak_resident_bytes;
-        peak_store = state.peak_store;
-        por_active = state.por_active_configs;
-        por_enabled = state.por_enabled_total;
-        por_expanded = state.por_expanded_total;
+        for (const SweepResult& row : state.results) {
+            states_total += row.states;
+            verify_seconds += row.verify_seconds;
+            const petri::MemoryStats& memory = row.report.memory;
+            // Zero records: the row ran no pass.
+            if (memory.records > 0 && memory.peak_bytes >= peak) {
+                peak = memory.peak_bytes;
+                peak_store = memory.store;
+            }
+            const petri::PorStats& por = row.report.por;
+            if (por.active) {
+                ++por_active;
+                por_enabled += por.enabled_transitions;
+                por_expanded += por.expanded_transitions;
+            }
+        }
     }
     const std::size_t total = state.runner.total();
     const std::size_t queued = total - std::min(total, done + in_flight);
@@ -431,7 +420,7 @@ Metrics Sweep::Handle::metrics() const {
 
 std::vector<SweepResult> Sweep::Handle::wait() {
     state_->runner.wait();
-    return std::move(state_->results);
+    return state_->results;
 }
 
 // -- launch --------------------------------------------------------------

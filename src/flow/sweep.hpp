@@ -168,7 +168,8 @@ public:
         /// metrics::to_prometheus().
         Metrics metrics() const;
 
-        /// Joins the pool and returns every row in stable grid order.
+        /// Joins the pool and returns a copy of every row in stable grid
+        /// order, so metrics() afterwards still reads the rows' figures.
         /// Call at most once; the pool is joined either way. An exception
         /// that escaped a point or on_result settled that point and
         /// cancelled the sweep; wait() rethrows the first one.

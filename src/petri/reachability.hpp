@@ -186,6 +186,10 @@ public:
     explicit ReachabilityExplorer(const CompiledNet& compiled,
                                   ReachabilityOptions options = {});
 
+    // compiled_ may point into owned_.
+    ReachabilityExplorer(const ReachabilityExplorer&) = delete;
+    ReachabilityExplorer& operator=(const ReachabilityExplorer&) = delete;
+
     /// Full control: goals + deadlock collection + persistence checking,
     /// all in one exploration.
     MultiResult run_query(const MultiQuery& query);

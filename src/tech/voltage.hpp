@@ -14,7 +14,6 @@ namespace rap::tech {
 struct ProcessParams {
     double v_nominal = 1.2;   ///< nominal supply [V]
     double v_freeze = 0.34;   ///< no forward progress at or below this [V]
-    double v_max = 1.6;       ///< absolute maximum rating [V]
     double alpha = 2.0;       ///< alpha-power-law exponent (near-threshold fit)
     /// Leakage power per gate at the nominal voltage [W]; scales ~V^3
     /// (subthreshold + DIBL lump).

@@ -64,13 +64,6 @@ TEST(Campaign, RejectsBadConfiguration) {
     EXPECT_THROW(campaign.depths({}), std::invalid_argument);
     EXPECT_THROW(campaign.runs(0), std::invalid_argument);
     EXPECT_THROW(campaign.items(0), std::invalid_argument);
-    EXPECT_THROW(campaign.time_budget_factor(0.0), std::invalid_argument);
-    // An unbounded budget reaches splice_glitches as an unbounded horizon.
-    EXPECT_THROW(campaign.time_budget_factor(std::nan("")),
-                 std::invalid_argument);
-    EXPECT_THROW(
-        campaign.time_budget_factor(std::numeric_limits<double>::infinity()),
-        std::invalid_argument);
     // Refused at the setter: past it, FaultSpec::scaled and
     // splice_glitches would throw on a worker thread and end the process.
     EXPECT_THROW(campaign.fault_scales({1.0, -1.0}), std::invalid_argument);
@@ -322,7 +315,6 @@ TEST(Campaign, StuckFaultsDegradeSurvival) {
                                         .runs(4)
                                         .items(8)
                                         .seed(13)
-                                        .confirm_hazards(true)
                                         .run();
     ASSERT_EQ(summary.rows.size(), 2u);
     EXPECT_EQ(summary.rows[0].survival, 1.0);  // scale 0 disarms

@@ -3,12 +3,18 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 
 #include "chip/chip.hpp"
 #include "chip/lfsr.hpp"
 
 namespace rap::chip {
 namespace {
+
+// An Evaluation's netlist points into its own model, so a copy or a move
+// would leave it pointing into the source.
+static_assert(!std::is_copy_constructible_v<Evaluation>);
+static_assert(!std::is_move_constructible_v<Evaluation>);
 
 // --------------------------------------------------------------- LFSR --
 

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <deque>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -27,6 +28,11 @@
 
 namespace rap::petri {
 namespace {
+
+// An explorer built from a Net points at the CompiledNet it owns, so a
+// copy or a move would leave it pointing into the source.
+static_assert(!std::is_copy_constructible_v<ReachabilityExplorer>);
+static_assert(!std::is_move_constructible_v<ReachabilityExplorer>);
 
 /// p0 -> t0 -> p1 -> t1 -> p0 : a two-place ring with one token.
 Net make_ring() {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cmath>
@@ -132,9 +133,22 @@ TEST(Sweep, DedupsBeforeCompileAndMatchesSerialRuns) {
 
     std::size_t ok = 0;
     std::size_t invalid = 0;
+    std::size_t states_sum = 0;
+    std::size_t peak_bytes_max = 0;
+    std::size_t por_active = 0;
+    std::size_t por_enabled_sum = 0;
+    std::size_t por_expanded_sum = 0;
     for (const SweepResult& row : rows) {
         EXPECT_EQ(row.point.index,
                   static_cast<std::size_t>(&row - rows.data()));
+        states_sum += row.states;
+        peak_bytes_max =
+            std::max(peak_bytes_max, row.report.memory.peak_bytes);
+        if (row.report.por.active) {
+            ++por_active;
+            por_enabled_sum += row.report.por.enabled_transitions;
+            por_expanded_sum += row.report.por.expanded_transitions;
+        }
         if (row.status == SweepStatus::kInvalid) {
             ++invalid;
             EXPECT_GT(row.point.depth, row.point.stages);
@@ -179,8 +193,9 @@ TEST(Sweep, DedupsBeforeCompileAndMatchesSerialRuns) {
     EXPECT_EQ(ok, kValid);
     EXPECT_EQ(invalid, kGrid - kValid);
 
-    // The metrics snapshot agrees with the counters and reports the
-    // sweep's cache traffic (hit rate strictly positive).
+    // The metrics snapshot agrees with the counters, folds the figures
+    // of the rows wait() returned, and reports the sweep's cache traffic
+    // (hit rate strictly positive).
     const Metrics m = handle.metrics();
     EXPECT_EQ(m.value("rap_sweep_configs_total"),
               static_cast<double>(kGrid));
@@ -191,6 +206,16 @@ TEST(Sweep, DedupsBeforeCompileAndMatchesSerialRuns) {
     EXPECT_EQ(m.value("rap_sweep_in_flight"), 0.0);
     EXPECT_EQ(m.value("rap_sweep_queue_depth"), 0.0);
     EXPECT_GT(m.value("rap_sweep_states_total"), 0.0);
+    EXPECT_EQ(m.value("rap_sweep_states_total"),
+              static_cast<double>(states_sum));
+    EXPECT_EQ(m.value("rap_sweep_peak_resident_bytes"),
+              static_cast<double>(peak_bytes_max));
+    EXPECT_EQ(m.value("rap_por_active_configs"),
+              static_cast<double>(por_active));
+    EXPECT_EQ(m.value("rap_por_enabled_transitions_total"),
+              static_cast<double>(por_enabled_sum));
+    EXPECT_EQ(m.value("rap_por_expanded_transitions_total"),
+              static_cast<double>(por_expanded_sum));
     EXPECT_GT(m.value("rap_cache_hit_rate"), 0.0);
     EXPECT_LE(m.value("rap_cache_hit_rate"), 1.0);
     EXPECT_EQ(m.value("rap_cache_misses_total"),
@@ -228,6 +253,7 @@ TEST(Sweep, CancelStopsCallbacksAndDrainsPool) {
         sweep.stages({2, 3})
             .depths(1, 2)  // 4 configurations, all valid
             .workers(1)
+            .spec(verify::Spec{}.deadlock())
             .on_result([&](const SweepResult&) {
                 ++callbacks;
                 if (!first_signalled) {
@@ -448,9 +474,11 @@ TEST(Sweep, AbortedPassStillSalvagesPartialMemory) {
 TEST(Metrics, PrometheusExpositionFormat) {
     Metrics m;
     m.set("rap_demo_total", "A counter", Metrics::Type::kCounter, 42.0);
-    m.set("rap_demo_gauge", "A labelled gauge", Metrics::Type::kGauge,
-          0.5, {{"shard", "3"}, {"mode", "a\"b\\c\nd"}});
-    m.add("rap_demo_total", "A counter", Metrics::Type::kCounter, 1.0);
+    m.set("rap_demo_gauge", "A gauge", Metrics::Type::kGauge, 0.5);
+    // A second set() overwrites the family's value in place.
+    m.set("rap_demo_total", "A counter", Metrics::Type::kCounter, 43.0);
+    ASSERT_EQ(m.families().size(), 2u);
+    EXPECT_EQ(m.value("rap_demo_total"), 43.0);
 
     const std::string text = metrics::to_prometheus(m);
     EXPECT_NE(text.find("# HELP rap_demo_total A counter\n"),
@@ -458,13 +486,10 @@ TEST(Metrics, PrometheusExpositionFormat) {
     EXPECT_NE(text.find("# TYPE rap_demo_total counter\n"),
               std::string::npos);
     EXPECT_NE(text.find("\nrap_demo_total 43\n"), std::string::npos);
+    EXPECT_EQ(text.find("rap_demo_total 42"), std::string::npos);
     EXPECT_NE(text.find("# TYPE rap_demo_gauge gauge\n"),
               std::string::npos);
-    // Label values escape backslash, double-quote and newline.
-    EXPECT_NE(
-        text.find(
-            "rap_demo_gauge{shard=\"3\",mode=\"a\\\"b\\\\c\\nd\"} 0.5\n"),
-        std::string::npos);
+    EXPECT_NE(text.find("\nrap_demo_gauge 0.5\n"), std::string::npos);
 }
 
 // The exposition of a finished sweep parses line by line: every line is
