@@ -48,6 +48,10 @@ constexpr std::uint64_t kCalibTag = 0x63616c6962ULL;  // "calib"
 /// calibrated fault-free run time; a run that exceeds it fails.
 constexpr double kTimeBudgetFactor = 8.0;
 
+/// A grid point whose runs fail at least this often sets the survival
+/// knee; one that fails less often is a blip.
+constexpr double kKneeMinFailureFraction = 0.05;
+
 }  // namespace
 
 /// Everything a running campaign shares between the launching thread,
@@ -62,17 +66,12 @@ struct CampaignState {
     std::size_t runs = 1;
     std::uint64_t seed = 1;
     std::uint64_t items = 1;
-    double knee_fraction = 0.05;
     Campaign::RunCallback callback;
 
-    // -- results + aggregates (guarded by runner.mutex()) -----------------
-    /// Slot per grid point, empty until a worker runs the point.
+    // -- results (guarded by runner.mutex()) ------------------------------
+    /// Slot per grid point, empty until a worker runs the point; the
+    /// metrics snapshot's run figures are folded from the slots.
     std::vector<std::optional<CampaignAggregate>> rows;
-    std::size_t runs_done = 0;
-    std::size_t failures = 0;
-    std::size_t hazards = 0;
-    std::uint64_t faults_injected = 0;
-    std::uint64_t glitch_windows = 0;
 
     /// Last, so it is destroyed first: the workers are joined before the
     /// slots they write go away.
@@ -95,16 +94,10 @@ void fold_run(std::uint64_t& h, const CampaignRun& r) {
     fnv_u64(h, r.glitches);
 }
 
-/// Publishes one finished run row: aggregate counters + the streaming
-/// callback, both under the runner's mutex (callback serialised, never
-/// after cancel()).
+/// Streams one finished run row under the runner's mutex (callback
+/// serialised, never after cancel()).
 void publish_run(CampaignState& state, const CampaignRun& row) {
     const std::lock_guard<std::mutex> lock(state.runner.mutex());
-    ++state.runs_done;
-    if (!row.completed) ++state.failures;
-    if (row.hazard) ++state.hazards;
-    state.faults_injected += row.faults.injected();
-    state.glitch_windows += row.glitches;
     if (!state.runner.cancelled() && state.callback) state.callback(row);
 }
 
@@ -244,11 +237,14 @@ Metrics build_metrics(CampaignState& state) {
         const std::lock_guard<std::mutex> lock(state.runner.mutex());
         done = state.runner.done();
         in_flight = state.runner.in_flight();
-        runs_done = state.runs_done;
-        failures = state.failures;
-        hazards = state.hazards;
-        faults = state.faults_injected;
-        glitches = state.glitch_windows;
+        for (const std::optional<CampaignAggregate>& slot : state.rows) {
+            if (!slot) continue;  // not settled, or cancelled before start
+            runs_done += slot->runs;
+            failures += slot->runs - slot->completed;
+            hazards += slot->hazards;
+            faults += slot->faults_injected;
+            glitches += slot->glitch_windows;
+        }
     }
 
     m.set("rap_mc_points_total", "Grid points in the campaign",
@@ -262,7 +258,7 @@ Metrics build_metrics(CampaignState& state) {
     m.set("rap_mc_runs_total", "Monte-Carlo runs the grid will execute",
           Type::kGauge,
           static_cast<double>(state.grid.size() * state.runs));
-    m.set("rap_mc_runs_done", "Monte-Carlo runs completed so far",
+    m.set("rap_mc_runs_done", "Monte-Carlo runs of the points settled so far",
           Type::kCounter, static_cast<double>(runs_done));
     m.set("rap_mc_failures_total",
           "Runs that missed the item target (deadlock, freeze or budget)",
@@ -300,7 +296,7 @@ CampaignSummary build_summary(CampaignState& state) {
                     ? static_cast<double>(row.runs - row.completed) /
                           static_cast<double>(row.runs)
                     : 0.0;
-            if (failure_fraction >= state.knee_fraction) {
+            if (failure_fraction >= kKneeMinFailureFraction) {
                 if (!summary.first_failure_voltage ||
                     row.point.voltage > *summary.first_failure_voltage) {
                     summary.first_failure_voltage = row.point.voltage;
@@ -414,15 +410,6 @@ Campaign& Campaign::items(std::uint64_t count) {
     return *this;
 }
 
-Campaign& Campaign::knee_min_failure_fraction(double fraction) {
-    if (!(fraction >= 0.0 && fraction <= 1.0)) {
-        throw std::invalid_argument(
-            "flow::Campaign: knee_min_failure_fraction must be in [0, 1]");
-    }
-    knee_fraction_ = fraction;
-    return *this;
-}
-
 Campaign& Campaign::workers(std::size_t count) {
     workers_ = count;
     return *this;
@@ -494,7 +481,6 @@ Campaign::Handle Campaign::launch() {
     state->runs = runs_;
     state->seed = seed_;
     state->items = items_;
-    state->knee_fraction = knee_fraction_;
     state->callback = callback_;
 
     state->rows.resize(state->grid.size());

@@ -80,16 +80,17 @@ struct CampaignSummary {
     std::size_t completed_total = 0;
     std::size_t hazards_total = 0;
     /// Highest supply voltage at which a grid point's failure fraction
-    /// reached knee_min_failure_fraction() (the top of the survival
-    /// curve's knee); nullopt when no point failed that decisively.
-    /// Points with fewer failures are statistical blips and are reported
-    /// through highest_blip_voltage instead of moving the knee.
+    /// reached 5% (the top of the survival curve's knee); nullopt when
+    /// no point failed that decisively. Points with fewer failures are
+    /// statistical blips — a single flaky run out of hundreds at nominal
+    /// must not drag the knee to the top of the voltage axis — and are
+    /// reported through highest_blip_voltage instead.
     std::optional<double> first_failure_voltage;
     /// Highest supply voltage at which some runs failed but the point's
-    /// failure fraction stayed *below* the knee threshold — the blips
-    /// the knee deliberately ignores; nullopt when there were none.
+    /// failure fraction stayed *below* 5% — the blips the knee
+    /// deliberately ignores; nullopt when there were none.
     std::optional<double> highest_blip_voltage;
-    /// Grid points counted as blips (failures below the knee threshold).
+    /// Grid points counted as blips (failures below 5% of their runs).
     std::size_t blip_points = 0;
     /// FNV-1a over the row checksums in grid order — one number that
     /// must match across reruns with the same master seed.
@@ -169,14 +170,6 @@ public:
     /// A run that has not pushed them within 8x the point's calibrated
     /// fault-free run time (voltage-compensated) counts as a failure.
     Campaign& items(std::uint64_t count);
-    /// Minimum per-point failure fraction for a point to count toward
-    /// the survival knee (CampaignSummary::first_failure_voltage).
-    /// Default 0.05: a single flaky run out of hundreds at nominal no
-    /// longer drags the knee to the top of the voltage axis — such
-    /// points are reported as blips (highest_blip_voltage/blip_points)
-    /// instead. Pass 0.0 to restore any-failure knee detection; must be
-    /// in [0, 1].
-    Campaign& knee_min_failure_fraction(double fraction);
     /// Worker pool size; 0 (default) = one per hardware thread, capped
     /// at the grid size. Never affects results.
     Campaign& workers(std::size_t count);
@@ -214,6 +207,8 @@ public:
 
         /// Scrapeable rap_mc_* metrics snapshot (campaign progress, run
         /// and failure counters) — render with metrics::to_prometheus().
+        /// The run figures fold the points settled so far, so they move
+        /// a whole point's runs at a time.
         Metrics metrics() const;
 
         /// Joins the pool and returns the aggregated summary. Call at
@@ -245,7 +240,6 @@ private:
     std::size_t runs_ = 32;
     std::uint64_t seed_ = 1;
     std::uint64_t items_ = 32;
-    double knee_fraction_ = 0.05;
     std::size_t workers_ = 0;
     RunCallback callback_;
 };

@@ -74,19 +74,11 @@ const pipeline::Pipeline& Design::pipeline() const {
 // -- invalidation --------------------------------------------------------
 
 void Design::invalidate_marking_artifacts() {
-    ++revision_;
     // The PN translation encodes the initial marking; the verifier holds
     // the compiled artifact. Dynamics, netlist and timing read only the
     // structure and survive reconfiguration.
     model_.reset();
     verifier_.reset();
-}
-
-void Design::invalidate_all_artifacts() {
-    invalidate_marking_artifacts();
-    dynamics_.reset();
-    netlist_.reset();
-    timing_.reset();
 }
 
 void Design::set_depth(int depth) {
@@ -110,11 +102,6 @@ void Design::reset_ring(const pipeline::ControlRing& ring,
     invalidate_marking_artifacts();
 }
 
-dfs::Graph& Design::edit() {
-    invalidate_all_artifacts();
-    return graph_mut();
-}
-
 // -- artifacts -----------------------------------------------------------
 
 const dfs::Dynamics& Design::dynamics() const {
@@ -124,9 +111,10 @@ const dfs::Dynamics& Design::dynamics() const {
 
 std::shared_ptr<const verify::CompiledModel> Design::compiled_model() const {
     if (!model_) {
-        // compile_model may still serve the artifact from the process
-        // cache (e.g. a sibling session over the same model content);
-        // pn_builds_ counts this design's cache misses.
+        // compile_model may serve the artifact from the process cache
+        // (e.g. a sibling session over the same model content, or a
+        // marking this design held before); pn_builds_ counts this
+        // design's fetches, served or built.
         model_ = verify::compile_model(graph());
         ++pn_builds_;
     }

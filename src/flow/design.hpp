@@ -52,13 +52,13 @@ void validate_options(const DesignOptions& options);
 ///   timing()          per-node delay/energy annotation
 ///   timed_sim()       event-driven timed simulator over all of the above
 ///
-/// Mutating the model invalidates exactly the artifacts it affects:
-/// reconfiguration (set_depth / set_initial / reset_ring) changes only
-/// initial markings, so the PN-derived artifacts rebuild on next use
-/// while the netlist mapping (structure-only) survives; a structural
-/// edit() invalidates everything. Artifact (re)builds are counted —
-/// pn_builds() / netlist_builds() — so tests and benches can assert the
-/// caching contract.
+/// A session's structure is fixed at construction. Reconfiguration
+/// (set_depth / set_initial / reset_ring) is its only mutation and
+/// changes only initial markings, so the PN-derived artifacts are fetched
+/// again on next use while dynamics, the netlist mapping and timing
+/// (structure-only) are built once. pn_builds() / netlist_builds() count
+/// the fetches and builds, so tests and benches can assert the caching
+/// contract.
 ///
 /// ## Pinning contract (the one place it is documented)
 ///
@@ -105,9 +105,9 @@ public:
     /// std::logic_error ("set_depth needs a pipeline-backed design") for
     /// graph-backed designs, std::invalid_argument for an out-of-range
     /// depth or a bypassed static stage (see pipeline::set_depth). On
-    /// any throw the model, the cached artifacts, revision() and the
-    /// build counters are all untouched — a failed reconfiguration
-    /// leaves the session exactly as it was.
+    /// any throw the model, the cached artifacts and the build counters
+    /// are all untouched — a failed reconfiguration leaves the session
+    /// exactly as it was.
     void set_depth(int depth);
 
     /// dfs::Graph::set_initial with artifact invalidation.
@@ -118,13 +118,6 @@ public:
     /// seeding hook of the Section III-A workflow).
     void reset_ring(const pipeline::ControlRing& ring,
                     dfs::TokenValue polarity);
-
-    // -- structural edits ------------------------------------------------
-
-    /// Mutable access to the model for structural edits (adding nodes or
-    /// arcs). Invalidates EVERY cached artifact. For pipeline-backed
-    /// designs the stage handles keep pointing at the original nodes.
-    dfs::Graph& edit();
 
     // -- cached artifacts ------------------------------------------------
 
@@ -168,20 +161,18 @@ public:
 
     // -- cache observability ----------------------------------------------
 
-    /// Times the PN translation + CompiledNet artifact was (re)built for
-    /// this design. At most one build per model mutation.
+    /// Times this design fetched its PN translation + CompiledNet
+    /// artifact, whether the process cache served it or built it: at most
+    /// one fetch per reconfiguration. verify::artifact_builds() counts
+    /// the builds.
     std::size_t pn_builds() const noexcept { return pn_builds_; }
 
-    /// Times the netlist mapping was (re)built for this design.
+    /// Times the netlist mapping was built for this design.
     std::size_t netlist_builds() const noexcept { return netlist_builds_; }
-
-    /// Bumped on every model mutation (reconfiguration or edit()).
-    std::size_t revision() const noexcept { return revision_; }
 
 private:
     dfs::Graph& graph_mut() noexcept;
     void invalidate_marking_artifacts();
-    void invalidate_all_artifacts();
 
     DesignOptions options_;
     /// Exactly one of the two holds the model.
@@ -196,7 +187,6 @@ private:
 
     mutable std::size_t pn_builds_ = 0;
     mutable std::size_t netlist_builds_ = 0;
-    std::size_t revision_ = 0;
 };
 
 /// Heap-pinned session factory: the way to own a Design that has to be

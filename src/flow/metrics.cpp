@@ -35,11 +35,11 @@ void Metrics::set(std::string_view name, std::string_view help, Type type,
         Family{std::string(name), std::string(help), type, value});
 }
 
-double Metrics::value(std::string_view name, double fallback) const {
+double Metrics::value(std::string_view name) const {
     for (const Family& family : families_) {
         if (family.name == name) return family.value;
     }
-    return fallback;
+    return 0.0;
 }
 
 namespace metrics {

@@ -31,9 +31,9 @@ public:
         return families_;
     }
 
-    /// The family's value, or `fallback` when absent (scrape-side
-    /// convenience for tests and benches).
-    double value(std::string_view name, double fallback = 0.0) const;
+    /// The family's value, or 0 when absent (scrape-side convenience for
+    /// tests and benches).
+    double value(std::string_view name) const;
 
 private:
     std::vector<Family> families_;

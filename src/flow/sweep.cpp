@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <numeric>
@@ -21,7 +20,6 @@ std::string_view to_string(SweepStatus status) {
     switch (status) {
         case SweepStatus::kOk: return "ok";
         case SweepStatus::kInvalid: return "invalid";
-        case SweepStatus::kTimedOut: return "timed-out";
         case SweepStatus::kCancelled: return "cancelled";
     }
     return "?";
@@ -37,7 +35,6 @@ struct SweepState {
     Sweep::Factory factory;
     DesignOptions base;
     verify::Spec spec;
-    double timeout_s = 0.0;
     Sweep::ResultCallback callback;
     /// Cache counters at launch, so the metrics snapshot can attribute
     /// hit-rate to this sweep rather than the whole process lifetime.
@@ -83,44 +80,25 @@ SweepResult process_point(SweepState& state, std::size_t index) {
         state.distinct.insert(key);
     }
 
-    // A budget the clock cannot represent means no deadline, as <= 0
-    // does.
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point now = Clock::now();
-    const std::chrono::duration<double> budget(state.timeout_s);
-    const Clock::time_point deadline =
-        budget.count() > 0.0 && budget < Clock::time_point::max() - now
-            ? now + std::chrono::duration_cast<Clock::duration>(budget)
-            : Clock::time_point::max();
-
     DesignOptions options = state.base;
     const std::function<bool()> user_stop = options.verify.stop;
-    options.verify.stop = [&state, deadline, user_stop] {
-        return state.runner.cancelled() || Clock::now() >= deadline ||
-               (user_stop && user_stop());
+    options.verify.stop = [&state, user_stop] {
+        return state.runner.cancelled() || (user_stop && user_stop());
     };
 
     try {
         const auto design = make_design(std::move(*model), options);
 
+        using Clock = std::chrono::steady_clock;
         const auto t0 = Clock::now();
         row.report = design->verify(state.spec);
-        const auto t1 = Clock::now();
-
         row.verify_seconds =
-            std::chrono::duration<double>(t1 - t0).count();
-        bool truncated_by_stop = false;
+            std::chrono::duration<double>(Clock::now() - t0).count();
         for (const auto& finding : row.report.findings) {
             row.states = std::max(row.states, finding.states_explored);
-            truncated_by_stop |= finding.truncated;
         }
-        if (state.runner.cancelled()) {
-            row.status = SweepStatus::kCancelled;
-        } else if (truncated_by_stop && t1 >= deadline) {
-            row.status = SweepStatus::kTimedOut;
-        } else {
-            row.status = SweepStatus::kOk;
-        }
+        row.status = state.runner.cancelled() ? SweepStatus::kCancelled
+                                              : SweepStatus::kOk;
     } catch (const petri::ExplorationAborted& e) {
         // A pass that died mid-exploration still interned real states.
         row.status = SweepStatus::kInvalid;
@@ -361,15 +339,6 @@ Sweep& Sweep::workers(std::size_t count) {
     return *this;
 }
 
-Sweep& Sweep::per_config_timeout(double seconds) {
-    if (std::isnan(seconds)) {
-        throw std::invalid_argument(
-            "flow::Sweep: per-configuration timeout must not be NaN");
-    }
-    timeout_s_ = seconds;
-    return *this;
-}
-
 Sweep& Sweep::on_result(ResultCallback callback) {
     callback_ = std::move(callback);
     return *this;
@@ -430,7 +399,6 @@ Sweep::Handle Sweep::launch() {
     state->factory = factory_;
     state->base = base_;
     state->spec = spec_;
-    state->timeout_s = timeout_s_;
     state->callback = callback_;
     state->cache_before = verify::cache_stats();
 

@@ -30,7 +30,6 @@ struct SweepPoint {
 enum class SweepStatus {
     kOk,         ///< verified (report may still be truncated by max_states)
     kInvalid,    ///< factory/options rejected the configuration
-    kTimedOut,   ///< per-config timeout stopped the exploration
     kCancelled,  ///< Handle::cancel() hit before/while this config ran
 };
 
@@ -42,9 +41,9 @@ struct SweepResult {
     SweepPoint point;
     SweepStatus status = SweepStatus::kOk;
     std::string error;      ///< what() of the rejecting exception (kInvalid)
-    /// Findings (kOk; truncated ones on kTimedOut) and the pass's
-    /// statistics. A kInvalid row whose pass died keeps its partial
-    /// footprint; a row that ran no pass has all-zero figures.
+    /// Findings (kOk) and the pass's statistics. A kInvalid row whose
+    /// pass died keeps its partial footprint; a row that ran no pass has
+    /// all-zero figures.
     verify::Report report;
     std::size_t states = 0;           ///< states explored by the pass
     double verify_seconds = 0.0;      ///< wall time of the verification
@@ -80,10 +79,11 @@ struct SweepResult {
 /// - **Bounded in-flight memory.** Each worker runs one configuration at
 ///   a time, so at most workers() sessions hold exploration state
 ///   simultaneously.
-/// - **Cooperative cancellation + timeouts.** Handle::cancel() stops
-///   new work and interrupts running explorations through the engine's
-///   stop hook; per_config_timeout() bounds each configuration the same
-///   way (status kTimedOut, findings truncated).
+/// - **Bounded per configuration.** DesignOptions::verify.max_states
+///   caps every pass, and a capped pass truncates at the same state on
+///   every machine, so a row depends only on its configuration.
+/// - **Cooperative cancellation.** Handle::cancel() stops new work and
+///   interrupts running explorations through the engine's stop hook.
 /// - **Largest first.** Workers claim configurations in descending
 ///   (stages, depth) order, ties in grid order, whatever order the axes
 ///   list their values in. A sweep ends no sooner than its slowest
@@ -122,10 +122,6 @@ public:
     /// Worker pool size; 0 (default) = one per hardware thread, capped
     /// at the grid size.
     Sweep& workers(std::size_t count);
-    /// Wall-clock budget per configuration; <= 0 (default) = none, and
-    /// so is a budget the clock cannot represent (infinity, >= ~9.2e9).
-    /// NaN throws std::invalid_argument.
-    Sweep& per_config_timeout(double seconds);
     /// Streaming sink, invoked from worker threads (serialised — at most
     /// one callback at a time) as rows complete. The callback must not
     /// call back into the Handle (it runs under the sweep's result lock).
@@ -195,7 +191,6 @@ private:
     std::vector<int> depths_{1};
     std::vector<int> stages_{1};
     std::size_t workers_ = 0;
-    double timeout_s_ = 0.0;
     ResultCallback callback_;
 };
 

@@ -295,8 +295,8 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     std::uint32_t next_layer_begin = 1;
     for (std::uint32_t head = 0; head < store_.size() && !stop; ++head) {
         if (options_.stop && (head & 2047u) == 0 && options_.stop()) {
-            // Cooperative stop (sweep cancellation / timeout): report the
-            // pass as truncated — whatever was explored is inconclusive.
+            // Cooperative stop (sweep cancellation): report the pass as
+            // truncated — whatever was explored is inconclusive.
             truncated = true;
             break;
         }
@@ -367,7 +367,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
             // Edge-counter stop poll: the head poll above fires every
             // 2048 *states*, which a heavily reduced (or truncated-at-
             // capacity) pass may take arbitrarily long to advance by —
-            // deadlines must also trip on expansion work itself.
+            // a cancel must also trip on expansion work itself.
             if (options_.stop && (edges & 255u) == 0 && options_.stop()) {
                 truncated = true;
                 stop = true;

@@ -51,13 +51,12 @@ struct ReachabilityOptions {
     bool por = false;
     /// Cooperative stop hook, polled every 2048 expanded states AND every
     /// 256 expanded edges (states alone let a heavily POR-reduced or
-    /// wide-state pass run far past a deadline). Returning true ends the
+    /// wide-state pass run far past a cancel). Returning true ends the
     /// exploration early with `truncated = true` — the mechanism behind
-    /// flow::Sweep cancellation and per-configuration timeouts. It runs
-    /// on the exploring thread; state it shares with other threads must
-    /// be safe to read concurrently (atomics and the clock, as in the
-    /// sweep's deadline hook). Must not throw. Null (the default) never
-    /// stops.
+    /// flow::Sweep cancellation. It runs on the exploring thread; state
+    /// it shares with other threads must be safe to read concurrently
+    /// (atomics, as in the sweep's cancel flag). Must not throw. Null
+    /// (the default) never stops.
     std::function<bool()> stop;
 };
 

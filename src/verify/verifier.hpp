@@ -66,7 +66,7 @@ struct VerifyOptions {
     /// (petri::ReachabilityOptions::stop): polled cheaply mid-pass; when
     /// it returns true the exploration ends early and every finding of
     /// the pass reports `truncated = true` (inconclusive). flow::Sweep
-    /// drives cancellation and per-configuration timeouts through this.
+    /// drives cancellation through this.
     /// Must not throw. Null (the default) never stops.
     std::function<bool()> stop;
 };

@@ -1,7 +1,7 @@
 // Tests for the flow::Campaign Monte-Carlo harness: grid expansion,
 // bit-reproducibility across worker counts (the seeding contract),
-// survival-curve aggregation, streaming per-run rows, hazard
-// confirmation plumbing, and the rap_mc_* metrics exposition.
+// survival-curve aggregation and its knee, streaming per-run rows, and
+// the rap_mc_* metrics exposition folded from settled points.
 
 #include <gtest/gtest.h>
 
@@ -251,58 +251,30 @@ TEST(Campaign, SubFreezeVoltageShowsUpInTheSurvivalCurve) {
     EXPECT_NEAR(*summary.first_failure_voltage, 0.3, 1e-12);
 }
 
-// The knee-detection bugfix: a statistical blip at nominal voltage (a
-// few flaky runs out of many) must not drag first_failure_voltage to
-// the top of the axis. With the minimum-failure-fraction knob the knee
-// lands on the decisively failing band and the blip is reported
-// separately; the knob never perturbs the reproducibility checksums.
+// The survival knee ignores statistical blips. A point whose runs fail
+// less often than 5% (1 of 40) is reported as a blip and does not drag
+// first_failure_voltage to the top of the voltage axis; a point that
+// fails in 5% of its runs (2 of 40, the threshold itself) sets the knee.
 TEST(Campaign, KneeRequiresMinimumFailureFraction) {
     asim::FaultSpec faults;
-    faults.stuck_rate = 0.002;  // rare stuck-ats: flaky, not broken
-
-    auto run_with = [&](double knee) {
-        return Campaign(small_factory(2))
-            .depths({2})
-            .voltages({1.2, 0.3})  // nominal + sub-freeze
-            .base_faults(faults)
-            .runs(8)
-            .items(6)
-            .seed(99)
-            .knee_min_failure_fraction(knee)
-            .run();
-    };
-
-    // Legacy behaviour (threshold 0): ANY failing run moves the knee.
-    const CampaignSummary strict = run_with(0.0);
-    ASSERT_EQ(strict.rows.size(), 2u);
-    const CampaignAggregate& nominal = strict.rows[0];
-    const CampaignAggregate& frozen = strict.rows[1];
-    ASSERT_EQ(frozen.completed, 0u);  // sub-freeze: every run fails
-    // The seed must realise a partial failure at nominal — the blip.
-    ASSERT_GT(nominal.completed, 0u);
-    ASSERT_LT(nominal.completed, nominal.runs);
-    ASSERT_TRUE(strict.first_failure_voltage.has_value());
-    EXPECT_NEAR(*strict.first_failure_voltage, 1.2, 1e-12);  // the bug
-    EXPECT_EQ(strict.blip_points, 0u);
-
-    // With the threshold above the blip's fraction the knee lands on
-    // the decisively failing band and the blip is reported separately.
-    const double blip_fraction =
-        static_cast<double>(nominal.runs - nominal.completed) /
-        static_cast<double>(nominal.runs);
-    const CampaignSummary tolerant = run_with(blip_fraction + 0.01);
-    ASSERT_TRUE(tolerant.first_failure_voltage.has_value());
-    EXPECT_NEAR(*tolerant.first_failure_voltage, 0.3, 1e-12);
-    EXPECT_EQ(tolerant.blip_points, 1u);
-    ASSERT_TRUE(tolerant.highest_blip_voltage.has_value());
-    EXPECT_NEAR(*tolerant.highest_blip_voltage, 1.2, 1e-12);
-    EXPECT_EQ(tolerant.checksum, strict.checksum)
-        << "knee classification must not perturb result checksums";
-
-    EXPECT_THROW(Campaign(small_factory(2)).knee_min_failure_fraction(-0.1),
-                 std::invalid_argument);
-    EXPECT_THROW(Campaign(small_factory(2)).knee_min_failure_fraction(1.5),
-                 std::invalid_argument);
+    faults.stuck_rate = 0.0005;  // rare stuck-ats: flaky, not broken
+    const CampaignSummary summary = Campaign(small_factory(2))
+                                        .depths({2})
+                                        .voltages({1.2, 0.9})
+                                        .base_faults(faults)
+                                        .runs(40)
+                                        .items(6)
+                                        .seed(13)
+                                        .run();
+    ASSERT_EQ(summary.rows.size(), 2u);
+    // The seed realises one failure at 1.2 V and two at 0.9 V.
+    ASSERT_EQ(summary.rows[0].runs - summary.rows[0].completed, 1u);
+    ASSERT_EQ(summary.rows[1].runs - summary.rows[1].completed, 2u);
+    ASSERT_TRUE(summary.first_failure_voltage.has_value());
+    EXPECT_NEAR(*summary.first_failure_voltage, 0.9, 1e-12);
+    EXPECT_EQ(summary.blip_points, 1u);
+    ASSERT_TRUE(summary.highest_blip_voltage.has_value());
+    EXPECT_NEAR(*summary.highest_blip_voltage, 1.2, 1e-12);
 }
 
 TEST(Campaign, StuckFaultsDegradeSurvival) {
@@ -490,6 +462,62 @@ TEST(Campaign, MetricsExposeMonteCarloCounters) {
     EXPECT_NE(text.find("rap_mc_failures_total 0"), std::string::npos);
     EXPECT_NE(text.find("rap_mc_survival 1"), std::string::npos);
     EXPECT_EQ(summary.runs_total, 4u);
+}
+
+// The run figures fold the settled points' rows. Polled from the
+// launching thread while two workers run, every snapshot counts whole
+// points and its counters never fall; the last one matches the summary.
+TEST(Campaign, MetricsFoldSettledPoints) {
+    asim::FaultSpec faults;
+    faults.stuck_rate = 0.01;
+    const std::size_t kRuns = 6;
+    auto handle = Campaign(small_factory(2))
+                      .depths({1, 2})
+                      .fault_scales({0.0, 1.0, 4.0})
+                      .voltages({1.2, 0.3})  // nominal + sub-freeze
+                      .base_faults(faults)
+                      .runs(kRuns)
+                      .items(8)
+                      .seed(11)
+                      .workers(2)
+                      .launch();
+    double runs_done = 0.0;
+    double failures = 0.0;
+    const auto check = [&](const Metrics& m) {
+        const double runs = m.value("rap_mc_runs_done");
+        const double failed = m.value("rap_mc_failures_total");
+        EXPECT_EQ(runs, m.value("rap_mc_points_done") * kRuns);
+        EXPECT_LE(failed, runs);
+        EXPECT_GE(runs, runs_done);
+        EXPECT_GE(failed, failures);
+        runs_done = runs;
+        failures = failed;
+    };
+    while (handle.done() < handle.total()) check(handle.metrics());
+    const CampaignSummary summary = handle.wait();
+    const Metrics last = handle.metrics();
+    check(last);
+
+    std::uint64_t faults_injected = 0;
+    std::uint64_t glitch_windows = 0;
+    for (const CampaignAggregate& row : summary.rows) {
+        faults_injected += row.faults_injected;
+        glitch_windows += row.glitch_windows;
+    }
+    EXPECT_GT(summary.runs_total, summary.completed_total);
+    EXPECT_EQ(last.value("rap_mc_points_done"),
+              static_cast<double>(summary.rows.size()));
+    EXPECT_EQ(last.value("rap_mc_runs_done"),
+              static_cast<double>(summary.runs_total));
+    EXPECT_EQ(last.value("rap_mc_failures_total"),
+              static_cast<double>(summary.runs_total -
+                                  summary.completed_total));
+    EXPECT_EQ(last.value("rap_mc_hazards_total"),
+              static_cast<double>(summary.hazards_total));
+    EXPECT_EQ(last.value("rap_mc_faults_injected_total"),
+              static_cast<double>(faults_injected));
+    EXPECT_EQ(last.value("rap_mc_glitch_windows_total"),
+              static_cast<double>(glitch_windows));
 }
 
 }  // namespace

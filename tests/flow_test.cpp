@@ -1,5 +1,5 @@
 // flow::Design session tests: the cached-artifact contract (lazy build,
-// at most one PN compile per model mutation, structure-only artifacts
+// at most one PN fetch per reconfiguration, structure-only artifacts
 // surviving reconfiguration), the fluent Spec single-pass guarantee, and
 // DFS-level witnesses at the facade boundary.
 
@@ -16,6 +16,7 @@
 #include "flow/design.hpp"
 #include "ope/dfs_models.hpp"
 #include "pipeline/builder.hpp"
+#include "verify/artifacts.hpp"
 
 namespace rap::flow {
 namespace {
@@ -53,19 +54,19 @@ TEST(Design, RoundTripReconfigureInvalidatesOnlyPnArtifacts) {
     EXPECT_EQ(design.pn_builds(), 1u);
     design.netlist();
     EXPECT_EQ(design.netlist_builds(), 1u);
-    EXPECT_EQ(design.revision(), 0u);
+    const std::string before = verify::model_fingerprint(design.graph());
 
     design.set_depth(2);
-    EXPECT_EQ(design.revision(), 1u);
-    // Invalidation is lazy: nothing rebuilt until asked for.
+    EXPECT_NE(verify::model_fingerprint(design.graph()), before);
+    // Invalidation is lazy: nothing fetched until asked for.
     EXPECT_EQ(design.pn_builds(), 1u);
 
     const auto second = design.verify();
     EXPECT_TRUE(second.clean()) << second.to_string();
     EXPECT_EQ(design.pn_builds(), 2u);
 
-    // A second verify at the same configuration shares the rebuilt
-    // artifact: at most ONE PN build per model mutation.
+    // A second verify at the same configuration shares the fetched
+    // artifact: at most ONE PN fetch per reconfiguration.
     const auto third = design.verify();
     EXPECT_TRUE(third.clean());
     EXPECT_EQ(design.pn_builds(), 2u);
@@ -129,27 +130,6 @@ TEST(Design, SequentialVerifierSessionsShareOneCompile) {
     EXPECT_EQ(first.compiled_model().get(), second.compiled_model().get());
 }
 
-TEST(Design, EditInvalidatesEveryArtifact) {
-    Design design(make_fig1b().graph);
-    design.verify();
-    design.netlist();
-    EXPECT_EQ(design.pn_builds(), 1u);
-    EXPECT_EQ(design.netlist_builds(), 1u);
-
-    // A structural edit: tap the output with one more register.
-    auto& g = design.edit();
-    const auto tap = g.add_register("tap");
-    g.connect(g.find("out").value(), tap);
-    EXPECT_EQ(design.revision(), 1u);
-
-    EXPECT_TRUE(design.verify().clean());
-    design.netlist();
-    EXPECT_EQ(design.pn_builds(), 2u);
-    EXPECT_EQ(design.netlist_builds(), 2u);
-    EXPECT_EQ(design.netlist().instances().size(),
-              design.graph().node_count());
-}
-
 TEST(Design, GraphBackedSessionRejectsPipelineOps) {
     Design design(make_fig1b().graph);
     EXPECT_FALSE(design.has_pipeline());
@@ -163,8 +143,9 @@ TEST(Design, SetInitialInvalidatesLikeReconfiguration) {
     EXPECT_TRUE(design.verify().clean());
     design.netlist();
     // Seed a buggy initialisation through the session API.
+    const std::string before = verify::model_fingerprint(design.graph());
     design.set_initial(m.comp, true);
-    EXPECT_EQ(design.revision(), 1u);
+    EXPECT_NE(verify::model_fingerprint(design.graph()), before);
     design.verify();
     EXPECT_EQ(design.pn_builds(), 2u);
     EXPECT_EQ(design.netlist_builds(), 1u);
@@ -275,17 +256,17 @@ TEST(Incremental, SetDepthValidatesTheWholeRequestBeforeApplying) {
             << e.what();
     }
 
-    // Design level: the failed call leaves revision(), the build
+    // Design level: the failed call leaves the model, the build
     // counters and every cached artifact untouched.
     Design design(
         pipeline::build_pipeline("inc_depth2", ope_style_stages(3, 3)));
     const auto baseline = design.verify();
-    const std::size_t revision = design.revision();
+    const std::string fingerprint = verify::model_fingerprint(design.graph());
     const std::size_t builds = design.pn_builds();
 
     EXPECT_THROW(design.set_depth(99), std::invalid_argument);
     EXPECT_THROW(design.set_depth(0), std::invalid_argument);
-    EXPECT_EQ(design.revision(), revision);
+    EXPECT_EQ(verify::model_fingerprint(design.graph()), fingerprint);
     EXPECT_EQ(design.pn_builds(), builds);
     expect_same_report(design.verify(), baseline,
                        "artifacts survive the failed reconfiguration");

@@ -1,8 +1,8 @@
 // Tests for the flow::Sweep batch driver and the flow::Metrics
 // exposition: grid expansion, dedup-before-compile proven by the
 // artifact-build counters, differential equality against serial Design
-// runs, mid-sweep cancellation, per-configuration timeouts, and the
-// Prometheus text format.
+// runs, mid-sweep cancellation, and the Prometheus text format of sweeps
+// and campaigns.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <climits>
 #include <future>
 #include <latch>
-#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "dfs_helpers.hpp"
+#include "rap/flow/campaign.hpp"
 #include "rap/flow/metrics.hpp"
 #include "rap/flow/sweep.hpp"
 #include "rap/verify/cache.hpp"
@@ -68,12 +68,6 @@ TEST(Sweep, RejectsEmptyAxesAndNullFactory) {
     EXPECT_THROW(sweep.depths({}), std::invalid_argument);
     EXPECT_THROW(sweep.depths(3, 2), std::invalid_argument);
     EXPECT_THROW(sweep.depths(4, 3), std::invalid_argument);
-    // NaN is no budget the setter can mean; <= 0 and infinity are "none".
-    EXPECT_THROW(sweep.per_config_timeout(std::nan("")),
-                 std::invalid_argument);
-    EXPECT_NO_THROW(sweep.per_config_timeout(0.0));
-    EXPECT_NO_THROW(
-        sweep.per_config_timeout(std::numeric_limits<double>::infinity()));
 
     // A refused setter leaves its axis as it was.
     const std::vector<SweepPoint> after = sweep.grid();
@@ -383,56 +377,6 @@ TEST(Sweep, ThrowingCallbackSurfacesFromWait) {
     EXPECT_LE(calls.load(), 2);
 }
 
-// A per-configuration wall-clock budget interrupts the exploration
-// through the same stop hook: the row reports kTimedOut and its
-// findings are truncated (inconclusive), while the sweep carries on.
-TEST(Sweep, PerConfigTimeoutMarksRowTimedOut) {
-    // The real 3-stage reconfigurable OPE (~191k states) cannot finish
-    // in a millisecond; the engine polls the stop hook every 2048
-    // expansions.
-    DesignOptions base;
-    const std::vector<SweepResult> rows = Sweep::ope(base)
-                                              .stages({3})
-                                              .depths({3})
-                                              .per_config_timeout(0.001)
-                                              .run();
-    ASSERT_EQ(rows.size(), 1u);
-    EXPECT_EQ(rows[0].status, SweepStatus::kTimedOut);
-    ASSERT_FALSE(rows[0].report.findings.empty());
-    bool any_truncated = false;
-    for (const auto& finding : rows[0].report.findings) {
-        any_truncated |= finding.truncated;
-    }
-    EXPECT_TRUE(any_truncated);
-    EXPECT_LT(rows[0].states, 191000u);
-}
-
-// A budget the clock cannot represent is no budget, exactly as <= 0.
-// Converted to a steady_clock deadline, it would overflow into the past
-// and stop every configuration at its first poll.
-TEST(Sweep, UnrepresentableTimeoutMeansNoDeadline) {
-    const auto sweep_with = [](double timeout_s) {
-        return Sweep(&ope_style_factory)
-            .stages({2, 3})
-            .depths(1, 2)
-            .spec(verify::Spec{}.deadlock())
-            .per_config_timeout(timeout_s)
-            .run();
-    };
-    const std::vector<SweepResult> unbounded = sweep_with(0.0);
-    for (const double timeout_s :
-         {std::numeric_limits<double>::infinity(), 1e10}) {
-        const std::vector<SweepResult> rows = sweep_with(timeout_s);
-        ASSERT_EQ(rows.size(), unbounded.size());
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            EXPECT_EQ(rows[i].status, SweepStatus::kOk)
-                << timeout_s << " s, " << rows[i].point.label;
-            EXPECT_EQ(rows[i].states, unbounded[i].states)
-                << timeout_s << " s, " << rows[i].point.label;
-        }
-    }
-}
-
 // A pass that dies mid-exploration must not vanish from the memory
 // accounting: petri::ExplorationAborted carries the interned footprint at
 // the moment of death into the row's report and the sweep's
@@ -492,44 +436,58 @@ TEST(Metrics, PrometheusExpositionFormat) {
     EXPECT_NE(text.find("\nrap_demo_gauge 0.5\n"), std::string::npos);
 }
 
-// The exposition of a finished sweep parses line by line: every line is
-// a HELP/TYPE comment or `name{labels} value` with a finite value, and
-// the families the dashboard needs are all present.
+/// Parses a Prometheus exposition strictly: every family is exactly the
+/// three lines `# HELP name text`, `# TYPE name counter|gauge` and
+/// `name value`, with one name in all three, a valid metric name, a
+/// finite value that parses whole and no name twice. Returns the names.
+std::set<std::string> parse_exposition(const std::string& text) {
+    std::set<std::string> names;
+    std::istringstream lines(text);
+    std::string help;
+    std::string type;
+    std::string sample;
+    while (std::getline(lines, help)) {
+        if (!std::getline(lines, type) || !std::getline(lines, sample)) {
+            ADD_FAILURE() << "family cut short after: " << help;
+            break;
+        }
+        const std::size_t space = sample.find(' ');
+        if (space == 0 || space == std::string::npos) {
+            ADD_FAILURE() << "not a `name value` line: " << sample;
+            break;
+        }
+        const std::string name = sample.substr(0, space);
+        EXPECT_EQ(help.rfind("# HELP " + name + ' ', 0), 0u) << help;
+        EXPECT_GT(help.size(), name.size() + 8) << "no help text: " << help;
+        EXPECT_TRUE(type == "# TYPE " + name + " counter" ||
+                    type == "# TYPE " + name + " gauge")
+            << type;
+        EXPECT_FALSE(std::isdigit(static_cast<unsigned char>(name[0])))
+            << name;
+        for (const char c : name) {
+            EXPECT_TRUE(std::isalnum(static_cast<unsigned char>(c)) ||
+                        c == '_')
+                << name;
+        }
+        const std::string value_str = sample.substr(space + 1);
+        std::size_t parsed = 0;
+        const double value = std::stod(value_str, &parsed);
+        EXPECT_EQ(parsed, value_str.size()) << sample;
+        EXPECT_TRUE(std::isfinite(value)) << sample;
+        EXPECT_TRUE(names.insert(name).second) << "repeated family " << name;
+    }
+    return names;
+}
+
+// The expositions of a finished sweep and a finished campaign parse
+// strictly, family by family, and hold the families a dashboard needs.
 TEST(Metrics, SweepExpositionParses) {
     Sweep sweep(&ope_style_factory);
     Sweep::Handle handle =
         sweep.stages({2}).depths(1, 2).workers(2).launch();
     handle.wait();
-    const std::string text = metrics::to_prometheus(handle.metrics());
-
-    std::set<std::string> names;
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-        ASSERT_FALSE(line.empty());
-        if (line.rfind("# HELP ", 0) == 0 ||
-            line.rfind("# TYPE ", 0) == 0) {
-            continue;
-        }
-        // name{...} value  |  name value
-        const std::size_t space = line.rfind(' ');
-        ASSERT_NE(space, std::string::npos) << line;
-        const std::string value_str = line.substr(space + 1);
-        std::size_t parsed = 0;
-        const double value = std::stod(value_str, &parsed);
-        EXPECT_EQ(parsed, value_str.size()) << line;
-        EXPECT_TRUE(std::isfinite(value)) << line;
-        std::string name = line.substr(0, space);
-        const std::size_t brace = name.find('{');
-        if (brace != std::string::npos) name.resize(brace);
-        ASSERT_FALSE(name.empty());
-        for (const char c : name) {
-            EXPECT_TRUE(std::isalnum(static_cast<unsigned char>(c)) ||
-                        c == '_')
-                << line;
-        }
-        names.insert(name);
-    }
+    const std::set<std::string> names =
+        parse_exposition(metrics::to_prometheus(handle.metrics()));
     for (const char* required :
          {"rap_sweep_configs_total", "rap_sweep_configs_done",
           "rap_sweep_queue_depth", "rap_sweep_in_flight",
@@ -541,6 +499,25 @@ TEST(Metrics, SweepExpositionParses) {
           "rap_cache_hits_total", "rap_cache_misses_total",
           "rap_cache_hit_rate", "rap_cache_entries"}) {
         EXPECT_TRUE(names.count(required)) << required;
+    }
+
+    Campaign::Handle campaign =
+        Campaign([](int depth) { return ope_style_factory(2, depth); })
+            .depths({1, 2})
+            .runs(2)
+            .items(4)
+            .workers(2)
+            .launch();
+    campaign.wait();
+    const std::set<std::string> mc_names =
+        parse_exposition(metrics::to_prometheus(campaign.metrics()));
+    for (const char* required :
+         {"rap_mc_points_total", "rap_mc_points_done", "rap_mc_in_flight",
+          "rap_mc_cancelled", "rap_mc_runs_total", "rap_mc_runs_done",
+          "rap_mc_failures_total", "rap_mc_hazards_total",
+          "rap_mc_faults_injected_total", "rap_mc_glitch_windows_total",
+          "rap_mc_survival"}) {
+        EXPECT_TRUE(mc_names.count(required)) << required;
     }
 }
 
