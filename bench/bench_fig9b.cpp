@@ -54,7 +54,7 @@ int main() {
 
     // Idle prefix: before the computation starts the chip only leaks at
     // 0.5V (the flat left side of Fig. 9b).
-    const tech::VoltageModel model(options.process);
+    const tech::VoltageModel model;
     const double idle_power =
         model.leakage_power(0.5, chip_eval.netlist().total_gates());
 

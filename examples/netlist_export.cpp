@@ -29,10 +29,9 @@ int main(int argc, char** argv) {
     g.connect(comp, out);
     g.connect(ctrl, out);
 
-    flow::DesignOptions options;
-    options.library.data_width = 16;
-    options.library.sync = netlist::SyncTopology::Tree;
-    const flow::Design design(std::move(g), options);
+    // The session maps onto the NCL-D library's 16-bit datapath with
+    // tree completion, the topology the paper proposes.
+    const flow::Design design(std::move(g));
 
     // Verify before committing to silicon — the paper's ordering.
     if (!design.verify().clean()) {

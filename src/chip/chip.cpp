@@ -87,14 +87,10 @@ Evaluation::Evaluation(ChipOptions options)
       model_(options.core == Core::Static
                  ? ope::build_static_ope_dfs(options.stages)
                  : ope::build_reconfigurable_ope_dfs(options.stages,
-                                                     options.depth)),
-      voltage_model_(options.process) {
+                                                     options.depth)) {
     check_options(options);
-    netlist::Library::Options lib_options;
-    lib_options.data_width = options.data_width;
-    lib_options.sync = options.sync;
     netlist_ = std::make_unique<netlist::Netlist>(
-        model_.graph, netlist::Library(lib_options));
+        model_.graph, netlist::Library(options.sync));
 }
 
 netlist::NetlistStats Evaluation::implementation_stats() const {
@@ -103,7 +99,6 @@ netlist::NetlistStats Evaluation::implementation_stats() const {
 
 asim::TimingMap Evaluation::annotated_timing() const {
     asim::TimingMap timing = netlist_->timing();
-    const auto& lib = netlist_->library();
     if (options_.sync == netlist::SyncTopology::DaisyChain) {
         // The daisy chain threads the completion of consecutive stages:
         // each *active* stage contribution is serialised instead of
@@ -115,11 +110,8 @@ asim::TimingMap Evaluation::annotated_timing() const {
         // inter-stage wiring and buffering the floorplan imposes on a
         // chain that snakes across all 18 stages (the tree overlaps these
         // segments). Fitted to the silicon's measured +36%.
-        const double c_delay = 8.0 * lib.options().gate_delay_s;
+        const double c_delay = 8.0 * netlist::Library::kGateDelayS;
         timing[model_.agg.value].delay_per_true_input_s = c_delay;
-        // The broadcast of the common input collects acknowledgements
-        // through the same chain.
-        timing[model_.in.value].delay_per_true_input_s = 0;
     }
     return timing;
 }
@@ -127,7 +119,7 @@ asim::TimingMap Evaluation::annotated_timing() const {
 Measurement Evaluation::measure(double voltage, std::uint64_t items) const {
     check_items(items);
     const dfs::Dynamics dynamics(model_.graph);
-    asim::TimedSimulator sim(dynamics, annotated_timing(), voltage_model_,
+    asim::TimedSimulator sim(dynamics, annotated_timing(), tech::VoltageModel(),
                              tech::VoltageSchedule::constant(voltage),
                              netlist_->total_gates());
     dfs::State state = dfs::State::initial(model_.graph);
@@ -151,7 +143,7 @@ asim::TimedStats Evaluation::measure_with_schedule(
     double trace_bin_s, double max_time_s) const {
     check_items(items);
     const dfs::Dynamics dynamics(model_.graph);
-    asim::TimedSimulator sim(dynamics, annotated_timing(), voltage_model_,
+    asim::TimedSimulator sim(dynamics, annotated_timing(), tech::VoltageModel(),
                              schedule, netlist_->total_gates());
     if (trace_bin_s > 0) sim.enable_power_trace(trace_bin_s);
     dfs::State state = dfs::State::initial(model_.graph);

@@ -27,8 +27,6 @@ struct ChipOptions {
     /// reconfigurable core used the daisy chain (the 36% overhead); the
     /// static core and the proposed fix use the tree.
     netlist::SyncTopology sync = netlist::SyncTopology::Tree;
-    int data_width = 16;
-    tech::ProcessParams process{};
 };
 
 // ---------------------------------------------------------------- modes --
@@ -111,7 +109,6 @@ private:
     ChipOptions options_;
     pipeline::Pipeline model_;
     std::unique_ptr<netlist::Netlist> netlist_;
-    tech::VoltageModel voltage_model_;
 };
 
 /// Scale factors mapping simulator units onto the paper's absolute

@@ -60,7 +60,6 @@ constexpr double kKneeMinFailureFraction = 0.05;
 struct CampaignState {
     // -- immutable after launch -----------------------------------------
     Campaign::Factory factory;
-    DesignOptions base;
     asim::FaultSpec faults;
     std::vector<CampaignPoint> grid;
     std::size_t runs = 1;
@@ -113,7 +112,7 @@ CampaignAggregate process_point(CampaignState& state, std::size_t index) {
 
     std::unique_ptr<Design> design;
     try {
-        design = make_design(state.factory(point.depth), state.base);
+        design = make_design(state.factory(point.depth));
     } catch (const std::exception&) {
         // Invalid depth for this factory: the whole point is a failure
         // band of the survival curve, deterministically.
@@ -132,7 +131,7 @@ CampaignAggregate process_point(CampaignState& state, std::size_t index) {
     const dfs::Graph& graph = design->graph();
     const dfs::Dynamics& dynamics = design->dynamics();
     const dfs::NodeId out = design->pipeline().out;
-    const tech::VoltageModel model(state.base.process);
+    const tech::VoltageModel model;
     // Guard rail against pathological fault configurations that never
     // reach the item target: generous, but finite.
     const std::uint64_t event_cap =
@@ -323,22 +322,18 @@ CampaignSummary build_summary(CampaignState& state) {
 
 // -- Campaign (builder) --------------------------------------------------
 
-Campaign::Campaign(Factory factory, DesignOptions base)
-    : factory_(std::move(factory)), base_(std::move(base)) {
+Campaign::Campaign(Factory factory)
+    : factory_(std::move(factory)), voltages_{tech::kNominalV} {
     if (!factory_) {
         throw std::invalid_argument(
             "flow::Campaign: the model factory must be callable");
     }
-    validate_options(base_);
-    voltages_.push_back(base_.process.v_nominal);
 }
 
-Campaign Campaign::ope(int stages, DesignOptions base) {
-    return Campaign(
-        [stages](int depth) {
-            return ope::build_reconfigurable_ope_dfs(stages, depth);
-        },
-        std::move(base));
+Campaign Campaign::ope(int stages) {
+    return Campaign([stages](int depth) {
+        return ope::build_reconfigurable_ope_dfs(stages, depth);
+    });
 }
 
 Campaign& Campaign::voltages(std::vector<double> values) {
@@ -475,7 +470,6 @@ CampaignSummary Campaign::Handle::wait() {
 Campaign::Handle Campaign::launch() {
     auto state = std::make_shared<detail::CampaignState>();
     state->factory = factory_;
-    state->base = base_;
     state->faults = faults_;
     state->grid = grid();
     state->runs = runs_;

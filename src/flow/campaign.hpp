@@ -107,7 +107,9 @@ struct CampaignSummary {
 /// flow::Sweep's sibling for the measurement bench instead of the model
 /// checker. A fluent grid of depth × fault scale × supply voltage fans
 /// out to `runs()` seeded timed-sim runs per point over a worker pool,
-/// streaming CampaignRun rows and aggregating survival curves:
+/// streaming CampaignRun rows and aggregating survival curves. Each point
+/// is a default flow::Design in the one tech:: process and NCL-D
+/// library; a campaign never verifies, so it takes no DesignOptions:
 ///
 ///     auto summary =
 ///         flow::Campaign::ope(4)            // 4-stage reconfigurable OPE
@@ -134,13 +136,13 @@ public:
     using Factory = std::function<pipeline::Pipeline(int depth)>;
     using RunCallback = std::function<void(const CampaignRun&)>;
 
-    explicit Campaign(Factory factory, DesignOptions base = {});
+    explicit Campaign(Factory factory);
 
     /// Campaign over the paper's reconfigurable OPE pipeline with the
     /// given stage count.
-    static Campaign ope(int stages, DesignOptions base = {});
+    static Campaign ope(int stages);
 
-    // -- grid axes (defaults: nominal voltage, scale 1, depth 1) ---------
+    // -- grid axes (defaults: tech::kNominalV, scale 1, depth 1) ---------
 
     /// Each voltage must be finite and non-negative (a NaN, infinite or
     /// negative one throws std::invalid_argument); 0V is an unpowered
@@ -232,7 +234,6 @@ public:
 
 private:
     Factory factory_;
-    DesignOptions base_;
     asim::FaultSpec faults_;
     std::vector<double> voltages_;
     std::vector<double> fault_scales_{1.0};

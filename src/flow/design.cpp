@@ -15,23 +15,6 @@ void validate_options(const DesignOptions& options) {
             "zero state cap would truncate every exploration at the "
             "initial marking and make all verdicts inconclusive");
     }
-    const tech::ProcessParams& p = options.process;
-    if (!(p.v_freeze >= 0.0)) {
-        throw std::invalid_argument(
-            "flow::DesignOptions: process.v_freeze must be >= 0 V");
-    }
-    if (!(p.v_nominal > p.v_freeze)) {
-        throw std::invalid_argument(
-            "flow::DesignOptions: process.v_nominal must exceed "
-            "process.v_freeze — at or below the freeze voltage the model "
-            "makes no forward progress, so a nominal supply there means "
-            "every timed simulation hangs");
-    }
-    if (!(p.alpha > 0.0)) {
-        throw std::invalid_argument(
-            "flow::DesignOptions: process.alpha (the alpha-power-law "
-            "exponent) must be positive");
-    }
 }
 
 Design::Design(dfs::Graph graph, DesignOptions options)
@@ -138,8 +121,8 @@ const verify::Verifier& Design::verifier() const {
 
 const netlist::Netlist& Design::netlist() const {
     if (!netlist_) {
-        netlist_ = std::make_unique<netlist::Netlist>(
-            graph(), netlist::Library(options_.library));
+        netlist_ =
+            std::make_unique<netlist::Netlist>(graph(), netlist::Library());
         ++netlist_builds_;
     }
     return *netlist_;
@@ -169,15 +152,12 @@ dfs::Simulator Design::simulator(std::uint64_t seed) const {
 }
 
 asim::TimedSimulator Design::timed_sim(tech::VoltageSchedule schedule) const {
-    return asim::TimedSimulator(dynamics(), timing(),
-                                tech::VoltageModel(options_.process),
-                                std::move(schedule),
-                                netlist().total_gates());
+    return asim::TimedSimulator(dynamics(), timing(), tech::VoltageModel(),
+                                std::move(schedule), netlist().total_gates());
 }
 
 asim::TimedSimulator Design::timed_sim() const {
-    return timed_sim(
-        tech::VoltageSchedule::constant(options_.process.v_nominal));
+    return timed_sim(tech::VoltageSchedule::constant(tech::kNominalV));
 }
 
 // -- exports -------------------------------------------------------------

@@ -21,18 +21,14 @@
 
 namespace rap::flow {
 
-/// Session-wide knobs, fixed at construction: they parameterise how the
-/// derived artifacts are built, not what the model is. Validated by the
-/// Design constructor (and therefore by make_design and flow::Sweep):
-/// inconsistent options — a zero state cap, a process model whose
-/// nominal voltage does not clear the freeze voltage, a non-positive
-/// alpha exponent — throw std::invalid_argument with a message naming
-/// the offending field, instead of surfacing as puzzling downstream
-/// failures mid-verification or mid-simulation.
+/// Session-wide settings, fixed at construction: how the session
+/// verifies. The technology is no setting: every session maps onto the
+/// one NCL-D library (tree completion) and simulates in the one tech::
+/// process. Validated by the Design constructor (and therefore by
+/// make_design and flow::Sweep): a zero state cap throws
+/// std::invalid_argument naming the field.
 struct DesignOptions {
-    verify::VerifyOptions verify{};          ///< state-space cap
-    netlist::Library::Options library{};     ///< NCL-D mapping options
-    tech::ProcessParams process{};           ///< voltage/leakage model
+    verify::VerifyOptions verify{};  ///< state-space cap, POR, stop hook
 };
 
 /// Throws std::invalid_argument if `options` is inconsistent (see
@@ -48,7 +44,7 @@ void validate_options(const DesignOptions& options);
 ///   dynamics()        token-game semantics (structure-only)
 ///   compiled_model()  PN translation + CompiledNet (shared artifact)
 ///   verifier()        model checker over the shared artifact
-///   netlist()         NCL-D direct mapping
+///   netlist()         NCL-D direct mapping (tree completion)
 ///   timing()          per-node delay/energy annotation
 ///   timed_sim()       event-driven timed simulator over all of the above
 ///
@@ -150,7 +146,7 @@ public:
     /// schedule.
     asim::TimedSimulator timed_sim(tech::VoltageSchedule schedule) const;
 
-    /// timed_sim at a constant nominal supply.
+    /// timed_sim at a constant tech::kNominalV supply.
     asim::TimedSimulator timed_sim() const;
 
     // -- exports ----------------------------------------------------------

@@ -147,7 +147,7 @@ Metrics build_metrics(SweepState& state) {
             verify_seconds += row.verify_seconds;
             const petri::MemoryStats& memory = row.report.memory;
             // Zero records: the row ran no pass.
-            if (memory.records > 0 && memory.peak_bytes >= peak) {
+            if (memory.store.records > 0 && memory.peak_bytes >= peak) {
                 peak = memory.peak_bytes;
                 peak_store = memory.store;
             }

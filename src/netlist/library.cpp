@@ -12,13 +12,9 @@ std::string_view to_string(SyncTopology topology) {
     return "?";
 }
 
-Library::Library() : options_(Options{}) {}
-
-Library::Library(Options options) : options_(options) {}
-
 int Library::sync_depth(int n) const {
     if (n <= 1) return 1;
-    if (options_.sync == SyncTopology::DaisyChain) return n;
+    if (sync_ == SyncTopology::DaisyChain) return n;
     return static_cast<int>(std::ceil(std::log2(static_cast<double>(n)))) + 1;
 }
 
@@ -30,7 +26,7 @@ int Library::sync_gates(int n) const {
 
 ComponentSpec Library::spec_for(const dfs::Graph& graph,
                                 dfs::NodeId node) const {
-    const int w = options_.data_width;
+    const int w = kDataWidth;
     // Register-level fan-in/out determines the completion structure the
     // component needs to synchronise with its neighbours.
     const int fan_in =

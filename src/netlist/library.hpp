@@ -32,17 +32,19 @@ struct ComponentSpec {
 /// fan-in/fan-out and the chosen sync topology.
 class Library {
 public:
-    struct Options {
-        int data_width = 16;        ///< dual-rail datapath width
-        SyncTopology sync = SyncTopology::Tree;
-        double gate_delay_s = 35e-12;    ///< 90nm 2-input gate @1.2V
-        double energy_per_gate_j = 2e-15;///< per gate toggle @1.2V
-        double area_per_gate_um2 = 5.0;  ///< 90nm std-cell average
-    };
+    /// Dual-rail datapath width of every data component.
+    static constexpr int kDataWidth = 16;
+    /// Delay of one 2-input gate level at the nominal 1.2V [s] (90nm).
+    static constexpr double kGateDelayS = 35e-12;
+    /// Switching energy of one gate toggle at the nominal 1.2V [J].
+    static constexpr double kEnergyPerGateJ = 2e-15;
+    /// Area of one equivalent gate [um^2] (90nm std-cell average).
+    static constexpr double kAreaPerGateUm2 = 5.0;
 
-    Library();  // default options
-    explicit Library(Options options);
-    const Options& options() const noexcept { return options_; }
+    explicit Library(SyncTopology sync = SyncTopology::Tree)
+        : sync_(sync) {}
+
+    SyncTopology sync() const noexcept { return sync_; }
 
     /// Depth (gate levels) of a completion structure joining `n` inputs.
     int sync_depth(int n) const;
@@ -53,14 +55,14 @@ public:
     ComponentSpec spec_for(const dfs::Graph& graph, dfs::NodeId node) const;
 
     double delay_of(const ComponentSpec& spec) const {
-        return spec.crit_path_gates * options_.gate_delay_s;
+        return spec.crit_path_gates * kGateDelayS;
     }
     double energy_of(const ComponentSpec& spec) const {
-        return spec.switched_gates * options_.energy_per_gate_j;
+        return spec.switched_gates * kEnergyPerGateJ;
     }
 
 private:
-    Options options_;
+    SyncTopology sync_;
 };
 
 }  // namespace rap::netlist

@@ -24,7 +24,7 @@ NetlistStats Netlist::stats() const {
             case dfs::NodeKind::Logic: ++s.function_blocks; break;
         }
     }
-    s.area_um2 = s.total_gates * library_.options().area_per_gate_um2;
+    s.area_um2 = s.total_gates * Library::kAreaPerGateUm2;
     return s;
 }
 

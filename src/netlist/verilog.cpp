@@ -167,15 +167,14 @@ std::string wire_name(const dfs::Graph& g, dfs::NodeId n) {
 std::string to_verilog(const Netlist& netlist) {
     const dfs::Graph& g = netlist.graph();
     const Library& lib = netlist.library();
-    const int w = lib.options().data_width;
-    const int topology =
-        lib.options().sync == SyncTopology::DaisyChain ? 1 : 0;
+    const int w = Library::kDataWidth;
+    const int topology = lib.sync() == SyncTopology::DaisyChain ? 1 : 0;
 
     std::string out;
     out += "// Generated by rap::netlist — DFS model '" + g.name() + "'\n";
     out += util::format(
         "// style: NCL-D dual-rail 4-phase, W=%d, completion: %s\n\n", w,
-        std::string(to_string(lib.options().sync)).c_str());
+        std::string(to_string(lib.sync())).c_str());
     out += kPrimitives;
 
     // ---- top module -----------------------------------------------------

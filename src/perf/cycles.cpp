@@ -27,6 +27,9 @@ double CycleReport::throughput_bound() const {
 
 namespace {
 
+/// Longest cycle enumerated, in nodes; a longer one is not reported.
+constexpr std::size_t kMaxCycleLength = 64;
+
 /// Johnson-style simple cycle enumeration with caps. We use an iterative
 /// DFS with a blocked set per root; the graphs here are small (hundreds
 /// of nodes) so the simpler O(V*E*C) bound is fine.
@@ -37,7 +40,7 @@ public:
 
     CycleReport run() {
         const auto all = graph_.nodes();
-        path_.reserve(options_.max_length + 1);
+        path_.reserve(kMaxCycleLength + 1);
         on_path_.assign(graph_.node_count(), 0);
         for (const dfs::NodeId root : all) {
             if (report_.truncated) break;
@@ -70,7 +73,7 @@ private:
                 continue;
             }
             if (on_path_[next.value] ||
-                path_.size() >= options_.max_length) {
+                path_.size() >= kMaxCycleLength) {
                 continue;
             }
             dfs(next);

@@ -29,8 +29,7 @@ struct Cycle {
 };
 
 struct CycleAnalysisOptions {
-    std::size_t max_cycles = 20000;
-    std::size_t max_length = 64;
+    std::size_t max_cycles = 20000;  ///< enumeration cap (sets truncated)
 };
 
 /// The Fig. 5 report: every enumerated cycle, sorted slowest-first, plus
@@ -49,8 +48,9 @@ struct CycleReport {
     double throughput_bound() const;
 };
 
-/// Enumerates simple cycles (Johnson's algorithm, capped) and computes
-/// their throughput bounds from the initial marking.
+/// Enumerates simple cycles of at most 64 nodes (a depth-first search
+/// from each root, capped at max_cycles) and computes their throughput
+/// bounds from the initial marking.
 CycleReport analyse_cycles(const dfs::Graph& graph,
                            CycleAnalysisOptions options = {});
 

@@ -5,23 +5,28 @@
 
 namespace rap::perf {
 
+namespace {
+constexpr std::uint64_t kWarmupTokens = 20;
+constexpr std::uint64_t kMaxEvents = 10'000'000;
+}  // namespace
+
 ThroughputResult measure_throughput(const dfs::Graph& graph,
                                     dfs::NodeId observe,
                                     ThroughputOptions options) {
     const dfs::Dynamics dynamics(graph);
-    // Unit voltage model at nominal: speed factor 1 everywhere.
-    asim::TimedSimulator sim(
-        dynamics, asim::uniform_timing(graph, options.node_delay_s),
-        tech::VoltageModel{}, tech::VoltageSchedule::constant(1.2),
-        /*leakage_gates=*/0.0);
+    // Unit delays at the nominal supply: speed factor 1 everywhere.
+    asim::TimedSimulator sim(dynamics, asim::uniform_timing(graph, 1.0),
+                             tech::VoltageModel{},
+                             tech::VoltageSchedule::constant(tech::kNominalV),
+                             /*leakage_gates=*/0.0);
 
     dfs::State state = dfs::State::initial(graph);
 
     // Warmup: let the pipeline fill before timing.
     asim::RunLimits warmup;
-    warmup.target_marks = options.warmup_tokens;
+    warmup.target_marks = kWarmupTokens;
     warmup.observe = observe;
-    warmup.max_events = options.max_events;
+    warmup.max_events = kMaxEvents;
     const auto w = sim.run(state, warmup);
 
     ThroughputResult result;
@@ -33,7 +38,7 @@ ThroughputResult measure_throughput(const dfs::Graph& graph,
     asim::RunLimits limits;
     limits.target_marks = options.tokens;
     limits.observe = observe;
-    limits.max_events = options.max_events;
+    limits.max_events = kMaxEvents;
     const auto stats = sim.run(state, limits);
 
     result.deadlocked = stats.deadlocked;

@@ -8,9 +8,11 @@
 namespace rap::perf {
 
 /// Measured steady-state throughput of a DFS model: tokens per second at
-/// an observation register under uniform unit node delays (the dynamic
-/// counterpart of the static cycle bound — the Workcraft performance
-/// analyser reports both).
+/// an observation register under uniform unit node delays at the nominal
+/// supply (the dynamic counterpart of the static cycle bound — the
+/// Workcraft performance analyser reports both). The first 20 tokens
+/// fill the pipeline and are excluded from the rate; each of the two
+/// runs stops after 10M events.
 struct ThroughputResult {
     double tokens_per_s = 0;
     double time_s = 0;
@@ -19,10 +21,7 @@ struct ThroughputResult {
 };
 
 struct ThroughputOptions {
-    std::uint64_t tokens = 200;       ///< tokens to observe
-    std::uint64_t warmup_tokens = 20; ///< excluded from the rate
-    double node_delay_s = 1.0;        ///< uniform per-event work
-    std::uint64_t max_events = 10'000'000;
+    std::uint64_t tokens = 200;  ///< tokens to observe after the warmup
 };
 
 ThroughputResult measure_throughput(const dfs::Graph& graph,

@@ -182,6 +182,8 @@ const std::uint64_t* PorContext::chosen_enablers(
     return nullptr;
 }
 
+// 64-byte aligned like CompiledNet::fire: a 32-byte shift cost sweep_grid 12%.
+__attribute__((aligned(64)))
 std::size_t PorContext::close(std::uint32_t seed,
                               const std::uint64_t* marking,
                               const std::uint64_t* enabled,
@@ -241,6 +243,7 @@ std::size_t PorContext::close(std::uint32_t seed,
     return amp;
 }
 
+__attribute__((aligned(64)))
 bool PorContext::reduce(const std::uint64_t* marking,
                         const std::uint64_t* enabled, std::uint64_t* ample,
                         Scratch& s) const {

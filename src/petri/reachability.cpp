@@ -72,8 +72,6 @@ std::vector<std::uint64_t> checked_pairs(const CompiledNet& compiled,
 MemoryStats footprint(const MarkingStore& store, std::size_t resident,
                       std::size_t peak) {
     MemoryStats stats;
-    stats.records = store.size();
-    stats.record_bytes = store.record_bytes();
     stats.resident_bytes = resident;
     stats.peak_bytes = std::max(peak, resident);
     stats.store = store.stats();

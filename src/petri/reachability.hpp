@@ -64,14 +64,13 @@ struct ReachabilityOptions {
 /// 19M-state scale (surfaced as ReachabilityResult/MultiResult::memory
 /// and through verify::Verifier / flow::Design).
 struct MemoryStats {
-    std::size_t records = 0;        ///< interned markings
-    std::size_t record_bytes = 0;   ///< arena-resident record payloads
     /// Records + interning table + live enabled-set cache + frontier
     /// bookkeeping, at the end of the pass.
     std::size_t resident_bytes = 0;
     std::size_t peak_bytes = 0;  ///< max resident over the pass
-    /// Interning-table geometry (slots, load factor, table vs arena byte
-    /// split) — the rap_store_* metrics source.
+    /// The store's records and arena bytes, and its interning-table
+    /// geometry (slots, load factor, table bytes) — the rap_store_*
+    /// metrics source.
     StoreStats store;
 };
 

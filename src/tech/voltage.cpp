@@ -12,28 +12,23 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
-VoltageModel::VoltageModel(ProcessParams params) : params_(params) {
-    if (params_.v_nominal <= params_.v_freeze) {
-        throw std::invalid_argument("nominal voltage must exceed v_freeze");
-    }
-    norm_ = std::pow(params_.v_nominal - params_.v_freeze, params_.alpha) /
-            params_.v_nominal;
-}
+VoltageModel::VoltageModel()
+    : norm_(std::pow(kNominalV - kFreezeV, kAlpha) / kNominalV) {}
 
 double VoltageModel::speed_factor(double v) const {
-    if (v <= params_.v_freeze) return 0.0;
-    return std::pow(v - params_.v_freeze, params_.alpha) / v / norm_;
+    if (v <= kFreezeV) return 0.0;
+    return std::pow(v - kFreezeV, kAlpha) / v / norm_;
 }
 
 double VoltageModel::energy_factor(double v) const {
-    const double r = v / params_.v_nominal;
+    const double r = v / kNominalV;
     return r * r;
 }
 
 double VoltageModel::leakage_power(double v, double gates) const {
     if (v <= 0) return 0.0;
-    const double r = v / params_.v_nominal;
-    return params_.leakage_per_gate_w * gates * r * r * r;
+    const double r = v / kNominalV;
+    return kLeakagePerGateW * gates * r * r * r;
 }
 
 VoltageSchedule VoltageSchedule::constant(double v) {

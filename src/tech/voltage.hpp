@@ -5,41 +5,38 @@
 
 namespace rap::tech {
 
-/// Parameters of the 90nm-like low-power CMOS process model standing in
-/// for the paper's TSMC 90nm silicon. The delay model is an alpha-power
-/// law anchored at the freeze voltage: the paper observes the chip
-/// operating down to 0.34V, freezing there (no progress, leakage only)
-/// and recovering when the supply rises — exactly the behaviour
-/// speed_factor() reproduces.
-struct ProcessParams {
-    double v_nominal = 1.2;   ///< nominal supply [V]
-    double v_freeze = 0.34;   ///< no forward progress at or below this [V]
-    double alpha = 2.0;       ///< alpha-power-law exponent (near-threshold fit)
-    /// Leakage power per gate at the nominal voltage [W]; scales ~V^3
-    /// (subthreshold + DIBL lump).
-    double leakage_per_gate_w = 2.75e-10;
-};
+/// The 90nm-like low-power CMOS process standing in for the paper's
+/// TSMC 90nm silicon, the one technology the chip was built in. The
+/// delay model is an alpha-power law anchored at the freeze voltage: the
+/// paper observes the chip operating down to 0.34V, freezing there (no
+/// progress, leakage only) and recovering when the supply rises —
+/// exactly the behaviour VoltageModel::speed_factor() reproduces.
+inline constexpr double kNominalV = 1.2;  ///< nominal supply [V]
+/// No forward progress at or below this supply [V].
+inline constexpr double kFreezeV = 0.34;
+/// Alpha-power-law exponent (near-threshold fit).
+inline constexpr double kAlpha = 2.0;
+/// Leakage power per gate at the nominal voltage [W]; scales ~V^3
+/// (subthreshold + DIBL lump).
+inline constexpr double kLeakagePerGateW = 2.75e-10;
 
-/// Voltage-dependent speed/energy/leakage scaling.
+/// Voltage-dependent speed/energy/leakage scaling of the process above.
 class VoltageModel {
 public:
-    explicit VoltageModel(ProcessParams params = {});
+    VoltageModel();
 
-    const ProcessParams& params() const noexcept { return params_; }
-
-    /// Relative logic speed: 1.0 at nominal, 0 at or below v_freeze,
-    /// > 1 above nominal. speed = k * (V - v_freeze)^alpha / V.
+    /// Relative logic speed: 1.0 at kNominalV, 0 at or below kFreezeV,
+    /// > 1 above nominal. speed = k * (V - kFreezeV)^kAlpha / V.
     double speed_factor(double v) const;
 
-    /// Relative dynamic energy per switching event: (V / v_nominal)^2.
+    /// Relative dynamic energy per switching event: (V / kNominalV)^2.
     double energy_factor(double v) const;
 
     /// Static (leakage) power of `gates` equivalent gates at voltage v.
     double leakage_power(double v, double gates) const;
 
 private:
-    ProcessParams params_;
-    double norm_;  // normalisation so speed_factor(v_nominal) == 1
+    double norm_;  // normalisation so speed_factor(kNominalV) == 1
 };
 
 /// Piecewise-constant supply-voltage schedule, built by appending

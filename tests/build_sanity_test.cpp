@@ -31,7 +31,7 @@ TEST(BuildSanity, EveryModuleLinks) {
 
     // tech
     const tech::VoltageModel voltage;
-    EXPECT_DOUBLE_EQ(voltage.speed_factor(voltage.params().v_nominal), 1.0);
+    EXPECT_DOUBLE_EQ(voltage.speed_factor(tech::kNominalV), 1.0);
 
     // petri
     petri::Net net("sanity");

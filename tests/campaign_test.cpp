@@ -238,7 +238,7 @@ TEST(Campaign, CleanNominalCampaignSurvivesEverywhere) {
 TEST(Campaign, SubFreezeVoltageShowsUpInTheSurvivalCurve) {
     const CampaignSummary summary = Campaign(small_factory(2))
                                         .depths({2})
-                                        .voltages({1.2, 0.3})  // < v_freeze
+                                        .voltages({1.2, 0.3})  // < kFreezeV
                                         .runs(3)
                                         .items(4)
                                         .seed(7)

@@ -409,7 +409,7 @@ TEST(Faults, VcdOfGlitchedRunShowsTheStallWindow) {
     // covering the window.
     GlitchSpec glitch;
     glitch.rate_hz = 0.005;
-    glitch.droop_v = 1.0;  // 1.2 - 1.0 = 0.2V < v_freeze: full stall
+    glitch.droop_v = 1.0;  // 1.2 - 1.0 = 0.2V < kFreezeV: full stall
     glitch.min_duration_s = 40.0;
     glitch.max_duration_s = 40.0;
     const auto spliced = splice_glitches(

@@ -203,21 +203,6 @@ TEST(Design, ConstructorRejectsInconsistentOptionsWithClearMessage) {
         EXPECT_NE(std::string(e.what()).find("max_states"),
                   std::string::npos);
     }
-
-    DesignOptions frozen;
-    frozen.process.v_nominal = frozen.process.v_freeze;
-    try {
-        make_design(make_fig1b().graph, frozen);
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("v_nominal"),
-                  std::string::npos);
-    }
-
-    DesignOptions bad_alpha;
-    bad_alpha.process.alpha = 0.0;
-    EXPECT_THROW(Design(make_fig1b().graph, bad_alpha),
-                 std::invalid_argument);
 }
 
 void expect_same_report(const verify::Report& a, const verify::Report& b,

@@ -112,9 +112,8 @@ TEST(Integration, TimedAndUntimedSemanticsAgreeOnTokenCounts) {
 
 TEST(Integration, VerilogExportScalesTo18Stages) {
     const auto model = ope::build_reconfigurable_ope_dfs(18, 18);
-    netlist::Library::Options options;
-    options.sync = netlist::SyncTopology::DaisyChain;
-    const netlist::Netlist mapped(model.graph, netlist::Library(options));
+    const netlist::Netlist mapped(
+        model.graph, netlist::Library(netlist::SyncTopology::DaisyChain));
     const std::string verilog = netlist::to_verilog(mapped);
     // Every stage instantiated; chain topology selected.
     for (int i = 1; i <= 18; ++i) {

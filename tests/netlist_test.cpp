@@ -12,10 +12,10 @@ namespace {
 using dfs::testing::make_fig1b;
 
 TEST(Library, SyncDepthTopologies) {
-    Library::Options daisy_opts;
-    daisy_opts.sync = SyncTopology::DaisyChain;
-    const Library daisy(daisy_opts);
+    const Library daisy(SyncTopology::DaisyChain);
     const Library tree;  // default Tree
+    EXPECT_EQ(daisy.sync(), SyncTopology::DaisyChain);
+    EXPECT_EQ(tree.sync(), SyncTopology::Tree);
     EXPECT_EQ(daisy.sync_depth(18), 18);
     EXPECT_EQ(tree.sync_depth(18), 6);  // ceil(log2 18) + 1
     EXPECT_EQ(daisy.sync_depth(1), 1);
@@ -52,9 +52,8 @@ TEST(Library, DelayAndEnergyDeriveFromSpec) {
     ComponentSpec spec;
     spec.crit_path_gates = 10;
     spec.switched_gates = 100;
-    EXPECT_NEAR(lib.delay_of(spec), 10 * lib.options().gate_delay_s, 1e-20);
-    EXPECT_NEAR(lib.energy_of(spec), 100 * lib.options().energy_per_gate_j,
-                1e-20);
+    EXPECT_NEAR(lib.delay_of(spec), 10 * Library::kGateDelayS, 1e-20);
+    EXPECT_NEAR(lib.energy_of(spec), 100 * Library::kEnergyPerGateJ, 1e-20);
 }
 
 TEST(Netlist, MapsEveryNode) {
@@ -100,6 +99,40 @@ TEST(Netlist, ReconfigurableOpeCostsMoreThanStatic) {
     EXPECT_EQ(rs.control_registers, 3 * (1 + 16 * 2));
 }
 
+TEST(Netlist, PaperChipFiguresArePinned) {
+    // The chip's two cores as Fig. 8b compares them: the static core
+    // with tree completion, the fabricated reconfigurable core (full
+    // depth) with the daisy chain. Pins the library's datapath width and
+    // area per gate, which no timing or checksum pin reads.
+    struct Core {
+        const char* name;
+        pipeline::Pipeline model;
+        SyncTopology sync;
+        int instances;
+        int total_gates;
+        double area_um2;
+        const char* header;
+    };
+    const Core cores[] = {
+        {"static", ope::build_static_ope_dfs(18), SyncTopology::Tree, 111,
+         11755, 58775.0,
+         "// style: NCL-D dual-rail 4-phase, W=16, completion: tree\n"},
+        {"reconfigurable", ope::build_reconfigurable_ope_dfs(18, 18),
+         SyncTopology::DaisyChain, 210, 14480, 72400.0,
+         "// style: NCL-D dual-rail 4-phase, W=16, completion: "
+         "daisy-chain\n"},
+    };
+    for (const Core& core : cores) {
+        const Netlist netlist(core.model.graph, Library(core.sync));
+        const NetlistStats stats = netlist.stats();
+        EXPECT_EQ(stats.instances, core.instances) << core.name;
+        EXPECT_EQ(stats.total_gates, core.total_gates) << core.name;
+        EXPECT_EQ(stats.area_um2, core.area_um2) << core.name;
+        EXPECT_NE(to_verilog(netlist).find(core.header), std::string::npos)
+            << core.name;
+    }
+}
+
 TEST(Verilog, ContainsPrimitivesAndComponents) {
     const auto m = make_fig1b();
     const Netlist netlist(m.graph, Library{});
@@ -130,9 +163,8 @@ TEST(Verilog, InstantiatesEveryNodeAndWiresConfig) {
 
 TEST(Verilog, TopologyParameterFollowsLibrary) {
     const auto m = make_fig1b();
-    Library::Options daisy;
-    daisy.sync = SyncTopology::DaisyChain;
-    const std::string v_daisy = to_verilog(Netlist(m.graph, Library{daisy}));
+    const std::string v_daisy =
+        to_verilog(Netlist(m.graph, Library(SyncTopology::DaisyChain)));
     const std::string v_tree = to_verilog(Netlist(m.graph, Library{}));
     EXPECT_NE(v_daisy.find(".TOPOLOGY(1)"), std::string::npos);
     EXPECT_EQ(v_daisy.find(".TOPOLOGY(0)"), std::string::npos);

@@ -710,7 +710,7 @@ TEST(CompactStore, DifferentialZooAgainstTheNaiveOracle) {
         EXPECT_EQ(result.edges_explored, naive.edges) << fixture.name;
         EXPECT_EQ(testfx::sorted(result.deadlocks), naive.deadlocks)
             << fixture.name;
-        EXPECT_EQ(result.memory.records, naive.states) << fixture.name;
+        EXPECT_EQ(result.memory.store.records, naive.states) << fixture.name;
     }
 }
 
@@ -910,7 +910,7 @@ TEST(DiscoveryOrder, DebugLoopWitnessesArePinned) {
 TEST(StopHook, FiresWithinEdgeBoundOnReducedPasses) {
     // Regression: the stop hook used to be polled on interned *states*
     // only (every 2048), so a heavily POR-reduced pass — few fresh
-    // states, many edges — could run far past its deadline. The engine
+    // states, many edges — could run far past a cancel. The engine
     // also polls every 256 expanded edges; with a hook that trips right
     // after its first call the pass must stop within a small edge
     // budget, nowhere near the fixture's full reduced exploration.
@@ -966,11 +966,12 @@ TEST(MemoryDiet, CacheDropsEnabledShareAndKeepsResultsBitIdentical) {
     const std::size_t twords = compiled.enabled_words();
     const MemoryStats& memory = first.memory;
     const std::size_t states = first.states_explored;
-    EXPECT_EQ(memory.records, states);
+    EXPECT_EQ(memory.store.records, states);
     const double expected_records =
         static_cast<double>(states * (mwords + 1) * sizeof(std::uint64_t));
-    EXPECT_NEAR(static_cast<double>(memory.record_bytes) / expected_records,
-                1.0, 0.05)
+    EXPECT_NEAR(
+        static_cast<double>(memory.store.arena_bytes) / expected_records, 1.0,
+        0.05)
         << "records must not carry enabled words";
     EXPECT_LT(memory.resident_bytes,
               states * (mwords + 1 + twords) * sizeof(std::uint64_t) +
@@ -985,16 +986,16 @@ TEST(MemoryDiet, StatsSurfaceThroughVerifierAndDesign) {
     const auto report = design.verify();
     ASSERT_TRUE(report.clean());
     const MemoryStats& stats = report.memory;
-    EXPECT_EQ(stats.records, report.findings[0].states_explored);
-    EXPECT_GT(stats.record_bytes, 0u);
-    EXPECT_GT(stats.resident_bytes, stats.record_bytes);
+    EXPECT_EQ(stats.store.records, report.findings[0].states_explored);
+    EXPECT_GT(stats.store.arena_bytes, 0u);
+    EXPECT_GT(stats.resident_bytes, stats.store.arena_bytes);
     EXPECT_GE(stats.peak_bytes, stats.resident_bytes);
 
     // The enabled bitsets never live in the records (the memory diet):
     // record bytes stay below what in-record rows would need.
     const CompiledNet& compiled = design.compiled_net();
-    EXPECT_LT(stats.record_bytes,
-              stats.records *
+    EXPECT_LT(stats.store.arena_bytes,
+              stats.store.records *
                   (compiled.marking_words() + 1 + compiled.enabled_words()) *
                   sizeof(std::uint64_t));
 }

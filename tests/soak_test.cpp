@@ -62,18 +62,17 @@ TEST(Soak, FourStageOpeExploresNineteenMillionStates) {
     // too. Resident record bytes must be >= 35% below that layout.
     const std::size_t record_words = compiled.marking_words() + 1;
     const std::size_t pre_diet_bytes =
-        result.memory.records *
+        result.memory.store.records *
         (record_words + compiled.enabled_words()) * sizeof(std::uint64_t);
-    EXPECT_EQ(result.memory.records, kFourStageOpeStates);
-    EXPECT_LE(result.memory.record_bytes,
-              (pre_diet_bytes * 65) / 100)
+    EXPECT_EQ(result.memory.store.records, kFourStageOpeStates);
+    EXPECT_LE(result.memory.store.arena_bytes, (pre_diet_bytes * 65) / 100)
         << "memory diet regressed below the 35% reduction target";
     std::printf(
         "soak: %zu states, %zu edges; record bytes %zu (pre-diet layout "
         "%zu, -%.1f%%), resident %zu, peak %zu\n",
         result.states_explored, result.edges_explored,
-        result.memory.record_bytes, pre_diet_bytes,
-        100.0 * (1.0 - static_cast<double>(result.memory.record_bytes) /
+        result.memory.store.arena_bytes, pre_diet_bytes,
+        100.0 * (1.0 - static_cast<double>(result.memory.store.arena_bytes) /
                            static_cast<double>(pre_diet_bytes)),
         result.memory.resident_bytes, result.memory.peak_bytes);
 

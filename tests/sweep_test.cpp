@@ -154,7 +154,7 @@ TEST(Sweep, DedupsBeforeCompileAndMatchesSerialRuns) {
         EXPECT_TRUE(row.report.clean()) << row.point.label;
         EXPECT_GT(row.states, 0u);
         EXPECT_GE(row.verify_seconds, 0.0);
-        EXPECT_GT(row.report.memory.records, 0u);
+        EXPECT_GT(row.report.memory.store.records, 0u);
 
         // Sweeps verify with partial-order reduction on by default; the
         // pass over these nets carries persistence, so reduction must
@@ -408,7 +408,7 @@ TEST(Sweep, AbortedPassStillSalvagesPartialMemory) {
         << rows[0].error;
     // The partial pass interned its 100 states before the goal threw —
     // that footprint survives into the row...
-    EXPECT_GT(rows[0].report.memory.records, 64u);
+    EXPECT_GT(rows[0].report.memory.store.records, 64u);
     EXPECT_GT(rows[0].report.memory.resident_bytes, 0u);
     // ...and into the sweep-wide aggregate (this used to report 0).
     EXPECT_GT(handle.metrics().value("rap_sweep_peak_resident_bytes"),

@@ -269,12 +269,12 @@ TEST(Verifier, ReportCarriesThePassStatistics) {
     ASSERT_TRUE(first.clean()) << first.to_string();
     const petri::MemoryStats& memory = first.memory;
     for (const Finding& finding : first.findings) {
-        EXPECT_EQ(memory.records, finding.states_explored)
+        EXPECT_EQ(memory.store.records, finding.states_explored)
             << to_string(finding.property);
     }
     EXPECT_GE(memory.peak_bytes, memory.resident_bytes);
-    EXPECT_GT(memory.resident_bytes, memory.record_bytes);
-    EXPECT_GT(memory.record_bytes, 0u);
+    EXPECT_GT(memory.resident_bytes, memory.store.arena_bytes);
+    EXPECT_GT(memory.store.arena_bytes, 0u);
     EXPECT_FALSE(first.por.active);
 
     VerifyOptions por_on;
@@ -283,14 +283,13 @@ TEST(Verifier, ReportCarriesThePassStatistics) {
         Verifier(design.graph(), por_on).verify(Spec::standard());
     EXPECT_TRUE(reduced.por.active);
     EXPECT_GT(reduced.por.expansions, 0u);
-    EXPECT_EQ(reduced.memory.records,
+    EXPECT_EQ(reduced.memory.store.records,
               reduced.findings.front().states_explored);
 
     // No node of the OPE has two controls, so this spec runs no pass and
     // its report says so: every figure zero, reduction inactive.
     const Report no_pass = design.verify(Spec{}.control_conflict());
-    EXPECT_EQ(no_pass.memory.records, 0u);
-    EXPECT_EQ(no_pass.memory.record_bytes, 0u);
+    EXPECT_EQ(no_pass.memory.store.records, 0u);
     EXPECT_EQ(no_pass.memory.resident_bytes, 0u);
     EXPECT_EQ(no_pass.memory.peak_bytes, 0u);
     EXPECT_EQ(no_pass.memory.store.slots, 0u);
@@ -302,16 +301,16 @@ TEST(Verifier, ReportCarriesThePassStatistics) {
 
     // The gap configuration of Section III-A: a new pass, new figures,
     // and the first report still holds its own.
-    const std::size_t first_records = memory.records;
+    const std::size_t first_records = memory.store.records;
     const std::size_t first_peak = memory.peak_bytes;
     design.reset_ring(design.pipeline().stages[1].global_ring,
                       TokenValue::False);
     const Report gap = design.verify(Spec{}.deadlock());
     ASSERT_TRUE(gap.findings.front().violated);
-    EXPECT_EQ(gap.memory.records, gap.findings.front().states_explored);
-    EXPECT_GT(gap.memory.records, 0u);
-    EXPECT_LT(gap.memory.records, first_records);
-    EXPECT_EQ(first.memory.records, first_records);
+    EXPECT_EQ(gap.memory.store.records, gap.findings.front().states_explored);
+    EXPECT_GT(gap.memory.store.records, 0u);
+    EXPECT_LT(gap.memory.store.records, first_records);
+    EXPECT_EQ(first.memory.store.records, first_records);
     EXPECT_EQ(first.memory.peak_bytes, first_peak);
 }
 
