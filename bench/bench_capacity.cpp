@@ -45,7 +45,7 @@ Row measure(const std::string& name, const petri::CompiledNet& compiled,
     options.stop_at_first_match = false;
     bench::Stopwatch watch;
     petri::ReachabilityExplorer explorer(compiled, options);
-    const petri::ReachabilityResult result = explorer.explore_all();
+    const petri::MultiResult result = explorer.run_query({});
     Row row;
     row.name = name;
     row.seconds = watch.elapsed_s();

@@ -54,9 +54,8 @@ int main() {
 
     // Idle prefix: before the computation starts the chip only leaks at
     // 0.5V (the flat left side of Fig. 9b).
-    const tech::VoltageModel model;
     const double idle_power =
-        model.leakage_power(0.5, chip_eval.netlist().total_gates());
+        tech::leakage_power(0.5, chip_eval.netlist().total_gates());
 
     util::Table table({"t [s, paper scale]", "V", "power [uW, paper scale]",
                        "phase"});

@@ -117,7 +117,7 @@ void BM_ReachabilityFig1b(benchmark::State& state) {
     const auto tr = dfs::to_petri(g);
     for (auto _ : state) {
         petri::ReachabilityExplorer explorer(tr.net);
-        benchmark::DoNotOptimize(explorer.count_states());
+        benchmark::DoNotOptimize(explorer.run_query({}).states_explored);
     }
 }
 BENCHMARK(BM_ReachabilityFig1b);
@@ -126,7 +126,7 @@ void BM_VerifyDeadlockOpe(benchmark::State& state) {
     const auto p = ope::build_reconfigurable_ope_dfs(3, 3);
     for (auto _ : state) {
         const verify::Verifier verifier(p.graph);
-        benchmark::DoNotOptimize(verifier.check_deadlock());
+        benchmark::DoNotOptimize(verifier.verify(verify::Spec{}.deadlock()));
     }
 }
 BENCHMARK(BM_VerifyDeadlockOpe)->Unit(benchmark::kMillisecond);
@@ -139,7 +139,7 @@ void BM_ReachabilityOpeStates(benchmark::State& state) {
     std::size_t states = 0;
     for (auto _ : state) {
         petri::ReachabilityExplorer explorer(tr.net);
-        states = explorer.count_states();
+        states = explorer.run_query({}).states_explored;
         benchmark::DoNotOptimize(states);
     }
     state.SetItemsProcessed(
@@ -169,10 +169,13 @@ void BM_PorPassOpe(benchmark::State& state) {
     const petri::CompiledNet compiled(tr.net);
     petri::ReachabilityOptions options;
     options.por = true;
+    const petri::Predicate dead = petri::Predicate::deadlock();
     std::size_t states = 0;
     for (auto _ : state) {
         petri::ReachabilityExplorer explorer(compiled, options);
-        states = explorer.find_deadlocks().states_explored;
+        states =
+            explorer.run_query({.goals = {&dead}, .collect_deadlocks = true})
+                .states_explored;
         benchmark::DoNotOptimize(states);
     }
     state.counters["states"] = static_cast<double>(states);
@@ -203,8 +206,8 @@ void BM_TimedSimRun(benchmark::State& state) {
     {
         asim::TimedSimulator sim = design->timed_sim();
         dfs::State s = design->initial_state();
-        limits.max_time_s = 8 * sim.run(s, limits).time_s /
-                            tech::VoltageModel{}.speed_factor(voltage);
+        limits.max_time_s =
+            8 * sim.run(s, limits).time_s / tech::speed_factor(voltage);
     }
     const asim::GlitchedSchedule glitched = asim::splice_glitches(
         tech::VoltageSchedule::constant(voltage), faults.glitch, seed,

@@ -77,7 +77,7 @@ Point measure(const Model& m, double true_bias, std::uint64_t items) {
     // the energy of the plumbing around it.
     asim::TimingMap timing = asim::uniform_timing(m.graph, 1e-9, 1e-12);
     timing[m.comp.value] = {20e-9, 50e-12};
-    asim::TimedSimulator sim(dynamics, timing, tech::VoltageModel{},
+    asim::TimedSimulator sim(dynamics, timing,
                              tech::VoltageSchedule::constant(1.2), 0.0);
     sim.set_seed(7);
     sim.set_true_bias(true_bias);

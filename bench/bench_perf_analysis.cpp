@@ -39,9 +39,7 @@ int main() {
                         "cycle throughput analysis of the OPE pipeline");
 
     const auto p = ope::build_reconfigurable_ope_dfs(6, 6);
-    perf::CycleAnalysisOptions options;
-    options.max_cycles = 50000;
-    const auto report = perf::analyse_cycles(p.graph, options);
+    const auto report = perf::analyse_cycles(p.graph);
 
     std::printf("model: %s — %zu nodes, %zu edges; %zu simple cycles%s\n\n",
                 p.graph.name().c_str(), p.graph.node_count(),

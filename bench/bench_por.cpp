@@ -127,7 +127,8 @@ int main() {
 
         // Differential smoke: verdict + deadlock sets.
         if (full.result.truncated || red.result.truncated ||
-            red.result.goals[0].found() != full.result.goals[0].found() ||
+            red.result.goals[0].has_value() !=
+                full.result.goals[0].has_value() ||
             sorted(red.result.deadlocks) != sorted(full.result.deadlocks)) {
             std::printf("VERDICT MISMATCH on %s\n", fixture.name.c_str());
             ok = false;

@@ -99,7 +99,7 @@ int main() {
     petri::ReachabilityExplorer explorer(tr.net);
     const double t_compile = compile_watch.elapsed_s();
     bench::Stopwatch pn_watch;
-    const std::size_t via_pn = explorer.count_states();
+    const std::size_t via_pn = explorer.run_query({}).states_explored;
     const double t_pn = pn_watch.elapsed_s();
 
     util::Table states({"semantics", "reachable states", "time [ms]"});

@@ -63,9 +63,10 @@ int main() {
     auto add_bug = [&bugs](const char* name, const dfs::Graph& graph,
                            bool expect_conflict = false) {
         const verify::Verifier verifier(graph);
-        const auto finding = expect_conflict
-                                 ? verifier.check_control_conflict()
-                                 : verifier.check_deadlock();
+        const verify::Spec spec = expect_conflict
+                                      ? verify::Spec{}.control_conflict()
+                                      : verify::Spec{}.deadlock();
+        const auto finding = verifier.verify(spec).findings[0];
         std::string trace;
         for (std::size_t i = 0; i < finding.trace.size() && i < 5; ++i) {
             if (i) trace += " -> ";

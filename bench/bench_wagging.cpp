@@ -23,7 +23,7 @@ double run_rate(const dfs::Graph& g, dfs::NodeId observe,
     const dfs::Dynamics dyn(g);
     asim::TimingMap timing = asim::uniform_timing(g, 1.0);
     for (const auto n : slow_nodes) timing[n.value].delay_s = slow_delay;
-    asim::TimedSimulator sim(dyn, timing, tech::VoltageModel{},
+    asim::TimedSimulator sim(dyn, timing,
                              tech::VoltageSchedule::constant(1.2), 0.0);
     dfs::State s = dfs::State::initial(g);
     asim::RunLimits limits;

@@ -4,8 +4,12 @@
 // the Workcraft GUI.
 //
 //   $ ./examples/dfs_explorer [model.dfs]
+//
+// A file that cannot be read or parsed is refused with its message on
+// stderr and exit status 2.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "rap/rap.hpp"
 
@@ -33,8 +37,16 @@ edge ctrl out
 int main(int argc, char** argv) {
     using namespace rap;
 
-    dfs::Graph graph = argc > 1 ? dfs::load_file(argv[1])
-                                : dfs::from_text(kDemoModel);
+    dfs::Graph graph;
+    try {
+        graph = argc > 1 ? dfs::load_file(argv[1])
+                         : dfs::from_text(kDemoModel);
+    } catch (const std::exception& e) {
+        // std::invalid_argument (malformed text) or std::runtime_error
+        // (I/O), as dfs/serialize.hpp documents.
+        std::fprintf(stderr, "dfs_explorer: %s\n", e.what());
+        return 2;
+    }
     std::printf("loaded model '%s': %zu nodes, %zu edges\n",
                 graph.name().c_str(), graph.node_count(),
                 graph.edge_count());
@@ -57,8 +69,9 @@ int main(int argc, char** argv) {
 
     // Cycle/bottleneck analysis (the Fig. 5 panel).
     const auto cycles = perf::analyse_cycles(design.graph());
-    std::printf("cycles: %zu; model throughput bound %.4f\n",
-                cycles.cycles.size(), cycles.throughput_bound());
+    std::printf("cycles: %zu%s; model throughput bound %.4f\n",
+                cycles.cycles.size(), cycles.truncated ? " (capped)" : "",
+                cycles.throughput_bound());
     if (const auto* bottleneck = cycles.bottleneck()) {
         std::printf("slowest cycle: %s\n\n",
                     bottleneck->describe(design.graph()).c_str());

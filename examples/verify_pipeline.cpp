@@ -25,7 +25,7 @@ int main() {
                       dfs::TokenValue::False);
 
     std::printf("verifying the mis-initialised pipeline...\n");
-    const auto finding = design.verifier().check_deadlock();
+    const auto finding = design.verify(verify::Spec{}.deadlock()).findings[0];
     std::printf("%s\n\n", finding.to_string().c_str());
     if (!finding.violated) {
         std::printf("expected a deadlock — model changed?\n");

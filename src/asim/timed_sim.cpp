@@ -23,14 +23,13 @@ TimingMap uniform_timing(const dfs::Graph& graph, double delay_s,
 }
 
 TimedSimulator::TimedSimulator(const dfs::Dynamics& dynamics,
-                               TimingMap timing, tech::VoltageModel model,
+                               TimingMap timing,
                                tech::VoltageSchedule schedule,
                                double leakage_gates)
     : dynamics_(&dynamics),
       timing_(std::move(timing)),
-      model_(model),
       schedule_(std::move(schedule)),
-      timeline_(schedule_, model_),
+      timeline_(schedule_),
       leakage_gates_(leakage_gates) {
     assert(timing_.size() == dynamics.graph().node_count());
 }
@@ -224,7 +223,7 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
         now = best_time;
         const double joules =
             timing_[event.node.value].energy_j *
-            model_.energy_factor(schedule_.voltage_at(now));
+            tech::energy_factor(schedule_.voltage_at(now));
 
         const FaultRealization::Action action =
             faults.on_fire(event.node.value);
@@ -285,8 +284,7 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
 
     stats.time_s = now;
     stats.faults = faults.counts();
-    stats.leakage_energy_j =
-        schedule_.leakage_energy(model_, leakage_gates_, 0.0, now);
+    stats.leakage_energy_j = schedule_.leakage_energy(leakage_gates_, 0.0, now);
 
     if (trace_bin_s_) {
         const double bin = *trace_bin_s_;
@@ -297,7 +295,7 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
             sample.t_start_s = static_cast<double>(i) * bin;
             sample.t_end_s = sample.t_start_s + bin;
             const double leak = schedule_.leakage_energy(
-                model_, leakage_gates_, sample.t_start_s, sample.t_end_s);
+                leakage_gates_, sample.t_start_s, sample.t_end_s);
             sample.power_w = (bin_dynamic[i] + leak) / bin;
             sample.voltage_v = schedule_.voltage_at(sample.t_start_s);
             stats.trace.push_back(sample);

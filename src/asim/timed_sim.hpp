@@ -107,8 +107,7 @@ struct TimedStats {
 class TimedSimulator {
 public:
     TimedSimulator(const dfs::Dynamics& dynamics, TimingMap timing,
-                   tech::VoltageModel model, tech::VoltageSchedule schedule,
-                   double leakage_gates);
+                   tech::VoltageSchedule schedule, double leakage_gates);
 
     /// Master seed of the run's every stochastic stream: free-choice
     /// bias arbitration and each fault-injection dice derive their own
@@ -156,9 +155,8 @@ public:
 private:
     const dfs::Dynamics* dynamics_;
     TimingMap timing_;
-    tech::VoltageModel model_;
     tech::VoltageSchedule schedule_;
-    tech::SupplyTimeline timeline_;  // schedule_ compiled against model_
+    tech::SupplyTimeline timeline_;  // schedule_ compiled
     double leakage_gates_;
     double true_bias_ = 0.5;
     std::uint64_t seed_ = 1;

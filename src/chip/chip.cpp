@@ -119,7 +119,7 @@ asim::TimingMap Evaluation::annotated_timing() const {
 Measurement Evaluation::measure(double voltage, std::uint64_t items) const {
     check_items(items);
     const dfs::Dynamics dynamics(model_.graph);
-    asim::TimedSimulator sim(dynamics, annotated_timing(), tech::VoltageModel(),
+    asim::TimedSimulator sim(dynamics, annotated_timing(),
                              tech::VoltageSchedule::constant(voltage),
                              netlist_->total_gates());
     dfs::State state = dfs::State::initial(model_.graph);
@@ -143,8 +143,8 @@ asim::TimedStats Evaluation::measure_with_schedule(
     double trace_bin_s, double max_time_s) const {
     check_items(items);
     const dfs::Dynamics dynamics(model_.graph);
-    asim::TimedSimulator sim(dynamics, annotated_timing(), tech::VoltageModel(),
-                             schedule, netlist_->total_gates());
+    asim::TimedSimulator sim(dynamics, annotated_timing(), schedule,
+                             netlist_->total_gates());
     if (trace_bin_s > 0) sim.enable_power_trace(trace_bin_s);
     dfs::State state = dfs::State::initial(model_.graph);
     asim::RunLimits limits;

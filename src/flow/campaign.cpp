@@ -131,7 +131,6 @@ CampaignAggregate process_point(CampaignState& state, std::size_t index) {
     const dfs::Graph& graph = design->graph();
     const dfs::Dynamics& dynamics = design->dynamics();
     const dfs::NodeId out = design->pipeline().out;
-    const tech::VoltageModel model;
     // Guard rail against pathological fault configurations that never
     // reach the item target: generous, but finite.
     const std::uint64_t event_cap =
@@ -151,7 +150,7 @@ CampaignAggregate process_point(CampaignState& state, std::size_t index) {
         limits.max_events = event_cap;
         nominal_s = sim.run(s, limits).time_s;
     }
-    const double sf = model.speed_factor(point.voltage);
+    const double sf = tech::speed_factor(point.voltage);
     const double budget_s =
         kTimeBudgetFactor * nominal_s / (sf > 0.0 ? sf : 1.0);
 

@@ -152,8 +152,8 @@ dfs::Simulator Design::simulator(std::uint64_t seed) const {
 }
 
 asim::TimedSimulator Design::timed_sim(tech::VoltageSchedule schedule) const {
-    return asim::TimedSimulator(dynamics(), timing(), tech::VoltageModel(),
-                                std::move(schedule), netlist().total_gates());
+    return asim::TimedSimulator(dynamics(), timing(), std::move(schedule),
+                                netlist().total_gates());
 }
 
 asim::TimedSimulator Design::timed_sim() const {

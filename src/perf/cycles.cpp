@@ -29,14 +29,19 @@ namespace {
 
 /// Longest cycle enumerated, in nodes; a longer one is not reported.
 constexpr std::size_t kMaxCycleLength = 64;
+/// Cycles reported before the search stops.
+constexpr std::size_t kMaxCycles = 20'000;
+/// Search steps (nodes entered) before the search stops: 200 times the
+/// 5,216 the 18-stage, depth-18 OPE model takes.
+constexpr std::size_t kMaxSteps = std::size_t{1} << 20;
 
-/// Johnson-style simple cycle enumeration with caps. We use an iterative
-/// DFS with a blocked set per root; the graphs here are small (hundreds
-/// of nodes) so the simpler O(V*E*C) bound is fine.
+/// Simple cycle enumeration by plain backtracking: a recursive DFS from
+/// each root with only an on-path mark and no blocked set, so it may walk
+/// every simple path from every root. Two caps bound it: the cycles
+/// found and the search steps taken.
 class CycleFinder {
 public:
-    CycleFinder(const dfs::Graph& graph, const CycleAnalysisOptions& options)
-        : graph_(graph), options_(options) {}
+    explicit CycleFinder(const dfs::Graph& graph) : graph_(graph) {}
 
     CycleReport run() {
         const auto all = graph_.nodes();
@@ -61,6 +66,10 @@ public:
 private:
     void dfs(dfs::NodeId v) {
         if (report_.truncated) return;
+        if (++steps_ > kMaxSteps) {
+            report_.truncated = true;
+            return;
+        }
         path_.push_back(v);
         on_path_[v.value] = 1;
         for (const dfs::NodeId next : graph_.postset(v)) {
@@ -83,7 +92,7 @@ private:
     }
 
     void record_cycle() {
-        if (report_.cycles.size() >= options_.max_cycles) {
+        if (report_.cycles.size() >= kMaxCycles) {
             report_.truncated = true;
             return;
         }
@@ -108,8 +117,8 @@ private:
     }
 
     const dfs::Graph& graph_;
-    CycleAnalysisOptions options_;
     CycleReport report_;
+    std::size_t steps_ = 0;
     dfs::NodeId root_;
     std::vector<dfs::NodeId> path_;
     std::vector<char> on_path_;
@@ -117,9 +126,8 @@ private:
 
 }  // namespace
 
-CycleReport analyse_cycles(const dfs::Graph& graph,
-                           CycleAnalysisOptions options) {
-    return CycleFinder(graph, options).run();
+CycleReport analyse_cycles(const dfs::Graph& graph) {
+    return CycleFinder(graph).run();
 }
 
 }  // namespace rap::perf

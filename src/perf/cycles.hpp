@@ -28,15 +28,13 @@ struct Cycle {
     std::string describe(const dfs::Graph& graph) const;
 };
 
-struct CycleAnalysisOptions {
-    std::size_t max_cycles = 20000;  ///< enumeration cap (sets truncated)
-};
-
 /// The Fig. 5 report: every enumerated cycle, sorted slowest-first, plus
 /// the bottleneck (slowest) cycle's registers for highlighting.
 struct CycleReport {
     std::vector<Cycle> cycles;  ///< sorted by ascending throughput bound
-    bool truncated = false;     ///< enumeration cap hit
+    /// The search stopped early: it found 20,000 cycles, or it walked
+    /// 2^20 search steps. The cycles found so far are still reported.
+    bool truncated = false;
 
     const Cycle* bottleneck() const {
         return cycles.empty() ? nullptr : &cycles.front();
@@ -49,9 +47,10 @@ struct CycleReport {
 };
 
 /// Enumerates simple cycles of at most 64 nodes (a depth-first search
-/// from each root, capped at max_cycles) and computes their throughput
-/// bounds from the initial marking.
-CycleReport analyse_cycles(const dfs::Graph& graph,
-                           CycleAnalysisOptions options = {});
+/// from each root) and computes their throughput bounds from the initial
+/// marking. The search is bounded: it stops with `truncated` set after
+/// 20,000 cycles or 2^20 search steps (one step enters one node), so no
+/// input runs it for long.
+CycleReport analyse_cycles(const dfs::Graph& graph);
 
 }  // namespace rap::perf

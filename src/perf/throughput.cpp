@@ -16,7 +16,6 @@ ThroughputResult measure_throughput(const dfs::Graph& graph,
     const dfs::Dynamics dynamics(graph);
     // Unit delays at the nominal supply: speed factor 1 everywhere.
     asim::TimedSimulator sim(dynamics, asim::uniform_timing(graph, 1.0),
-                             tech::VoltageModel{},
                              tech::VoltageSchedule::constant(tech::kNominalV),
                              /*leakage_gates=*/0.0);
 

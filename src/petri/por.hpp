@@ -10,9 +10,9 @@
 
 namespace rap::petri {
 
-/// Reduction statistics of one exploration pass (ReachabilityResult /
-/// MultiResult::por). The reduced state graph depends only on the net and
-/// the query, so every run of the same pass reports the same numbers.
+/// Reduction statistics of one exploration pass (MultiResult::por). The
+/// reduced state graph depends only on the net and the query, so every
+/// run of the same pass reports the same numbers.
 struct PorStats {
     /// Reduction actually ran. False when ReachabilityOptions::por was
     /// off or the pass had to fall back to full exploration (a goal

@@ -107,54 +107,7 @@ ReachabilityExplorer::ReachabilityExplorer(const CompiledNet& compiled,
       compiled_(&compiled),
       store_(compiled.marking_words(), /*meta_words=*/1) {}
 
-ReachabilityResult ReachabilityExplorer::find(const Predicate& goal) {
-    MultiQuery query;
-    query.goals = {&goal};
-    return std::move(run_query(query).goals[0]);
-}
-
-std::vector<ReachabilityResult> ReachabilityExplorer::find_all(
-    std::span<const Predicate* const> goals) {
-    MultiQuery query;
-    query.goals.assign(goals.begin(), goals.end());
-    return std::move(run_query(query).goals);
-}
-
-ReachabilityResult ReachabilityExplorer::find_deadlocks() {
-    const Predicate dead = Predicate::deadlock();
-    MultiQuery query;
-    query.goals = {&dead};
-    query.collect_deadlocks = true;
-    MultiResult multi = run_query(query);
-    ReachabilityResult result = std::move(multi.goals[0]);
-    result.deadlocks = std::move(multi.deadlocks);
-    return result;
-}
-
-ReachabilityResult ReachabilityExplorer::explore_all() {
-    const MultiResult multi = run_query(MultiQuery{});
-    ReachabilityResult result;
-    result.states_explored = multi.states_explored;
-    result.edges_explored = multi.edges_explored;
-    result.truncated = multi.truncated;
-    result.memory = multi.memory;
-    result.por = multi.por;
-    return result;
-}
-
 MultiResult ReachabilityExplorer::run_query(const MultiQuery& query) {
-    try {
-        return run_pass(query);
-    } catch (const std::exception& e) {
-        // The pass died mid-exploration (a goal predicate threw). The
-        // interned footprint is real and still resident — attach it so
-        // accounting survives the abort.
-        throw ExplorationAborted(
-            e.what(), footprint(store_, store_.resident_bytes(), 0));
-    }
-}
-
-MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     const Net& net = compiled_->net();
     const std::size_t mwords = compiled_->marking_words();
     const std::size_t twords = compiled_->enabled_words();
@@ -232,6 +185,10 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
 
     bool stop = false;
     bool truncated = false;
+    auto resident_now = [&]() {
+        return store_.resident_bytes() + enabled_store.resident_bytes();
+    };
+    std::size_t peak_bytes = 0;
 
     // Discovery-time evaluation of a freshly interned state: deadlock
     // collection and every unmatched goal.
@@ -252,7 +209,17 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
                                scratch.word_count());
                     scratch_ready = true;
                 }
-                match = goal(net, scratch);
+                try {
+                    match = goal(net, scratch);
+                } catch (const std::exception& e) {
+                    // The pass dies here. Its interned states and live
+                    // enabled-set rows are real and still resident:
+                    // attach them, with the peak sampled so far, so the
+                    // accounting survives the abort.
+                    throw ExplorationAborted(
+                        e.what(),
+                        footprint(store_, resident_now(), peak_bytes));
+                }
             }
             if (match) {
                 goal_hit[g] = id;
@@ -270,10 +237,7 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     compiled_->enabled_set(store_[root.id], enabled_store[root.id]);
     visit(root.id);
 
-    auto resident_now = [&]() {
-        return store_.resident_bytes() + enabled_store.resident_bytes();
-    };
-    std::size_t peak_bytes = resident_now();
+    peak_bytes = resident_now();
     // Peak sampling keys off the allocation geometry, not a head-index
     // stride: the resident footprint only moves when an arena gains a
     // block or the interning table grows, so re-sampling whenever this
@@ -463,9 +427,8 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     }
 
     // Materialize every verdict from its state id: deadlocks and
-    // violations in discovery order, one ReachabilityResult per goal
-    // carrying the pass's counters and, when matched, the witness marking
-    // with its trace (a walk over the records' witness links).
+    // violations in discovery order, and each matched goal's witness
+    // marking with its trace (a walk over the records' witness links).
     auto marking_of = [&](std::uint32_t id) {
         Marking m(net.place_count());
         copy_words(m.word_data(), store_[id], m.word_count());
@@ -502,15 +465,9 @@ MultiResult ReachabilityExplorer::run_pass(const MultiQuery& query) {
     }
     result.goals.resize(goal_hit.size());
     for (std::size_t g = 0; g < goal_hit.size(); ++g) {
-        ReachabilityResult& r = result.goals[g];
-        r.states_explored = result.states_explored;
-        r.edges_explored = result.edges_explored;
-        r.truncated = result.truncated;
-        r.memory = result.memory;
-        r.por = result.por;
         if (goal_hit[g] != kNoParent) {
-            r.witness = marking_of(goal_hit[g]);
-            r.witness_trace = trace_to(goal_hit[g]);
+            result.goals[g] = Witness{marking_of(goal_hit[g]),
+                                      trace_to(goal_hit[g])};
         }
     }
     return result;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -61,8 +60,8 @@ struct ReachabilityOptions {
 };
 
 /// Memory footprint of one exploration pass, for capacity planning at the
-/// 19M-state scale (surfaced as ReachabilityResult/MultiResult::memory
-/// and through verify::Verifier / flow::Design).
+/// 19M-state scale (surfaced as MultiResult::memory and through
+/// verify::Verifier / flow::Design).
 struct MemoryStats {
     /// Records + interning table + live enabled-set cache + frontier
     /// bookkeeping, at the end of the pass.
@@ -76,9 +75,10 @@ struct MemoryStats {
 
 /// Thrown when an exploration dies mid-pass — a goal predicate threw —
 /// after states were already interned. Carries the footprint at the
-/// moment of death so callers can still account for partial-pass memory
-/// (flow::Sweep's peak-resident aggregation would otherwise under-report
-/// exactly the contended runs that die).
+/// moment of death, live enabled-set rows and sampled peak included, so
+/// callers can still account for partial-pass memory (flow::Sweep's
+/// peak-resident aggregation would otherwise under-report exactly the
+/// contended runs that die).
 class ExplorationAborted : public std::runtime_error {
 public:
     ExplorationAborted(const std::string& what, MemoryStats stats)
@@ -87,24 +87,12 @@ public:
     MemoryStats memory;
 };
 
-struct ReachabilityResult {
-    std::size_t states_explored = 0;
-    std::size_t edges_explored = 0;
-    bool truncated = false;
-    MemoryStats memory;
-    PorStats por;  ///< reduction statistics (inactive when por was off)
-
-    /// Set when a goal predicate was supplied and matched. Always the
-    /// *first* match in BFS order, i.e. a shortest witness, regardless of
-    /// stop_at_first_match.
-    std::optional<Marking> witness;
-    std::optional<Trace> witness_trace;
-
-    /// All deadlocked markings found (populated by find_deadlocks /
-    /// explore-with-deadlock-goal).
-    std::vector<Marking> deadlocks;
-
-    bool found() const noexcept { return witness.has_value(); }
+/// A goal's answer: the first explored marking that satisfies it, with
+/// the firing sequence from the initial marking that reaches it. The
+/// trace is BFS-shortest when POR is off.
+struct Witness {
+    Marking marking;
+    Trace trace;
 };
 
 /// A persistence violation: at `marking`, `disabled` was enabled, then
@@ -122,12 +110,14 @@ struct PersistenceViolation {
 
 /// One exploration, many questions: reachability goals, deadlock
 /// collection and persistence checking share a single BFS pass instead of
-/// re-exploring the state space per property.
+/// re-exploring the state space per property. An aggregate whose every
+/// member has a default, so a query names only what it asks:
+/// `run_query({.goals = {&goal}, .collect_deadlocks = true})`.
 struct MultiQuery {
     /// Goal predicates, each answered independently with its first
-    /// (BFS-shortest) witness.
-    std::vector<const Predicate*> goals;
-    /// Collect every deadlocked marking (find_deadlocks semantics).
+    /// witness.
+    std::vector<const Predicate*> goals{};
+    /// Collect every deadlocked marking.
     bool collect_deadlocks = false;
     /// Check output persistence at every explored state, over its full
     /// enabled set: each enabled u whose enabling an enabled t withdraws
@@ -141,7 +131,7 @@ struct MultiQuery {
     /// once per structural pair (u in CompiledNet::disables(t)) when a
     /// persistence pass starts, never during the scan.
     std::function<bool(const Net&, TransitionId, TransitionId)>
-        persistence_exempt;
+        persistence_exempt{};
     /// Keep at most this many violations. A stop_at_first_match pass that
     /// does not collect deadlocks ends once every goal has matched and
     /// this many violations are in; with the default it never stops for
@@ -156,9 +146,10 @@ struct MultiResult {
     MemoryStats memory;
     PorStats por;  ///< reduction statistics (inactive when por was off)
 
-    /// One entry per MultiQuery::goals entry, all sharing the pass's
-    /// states/edges/truncated counters.
-    std::vector<ReachabilityResult> goals;
+    /// One entry per MultiQuery::goals entry, in order: the goal's first
+    /// match in exploration order (whatever stop_at_first_match says), or
+    /// nullopt when no explored state satisfied it.
+    std::vector<std::optional<Witness>> goals;
 
     std::vector<Marking> deadlocks;
     std::vector<PersistenceViolation> persistence_violations;
@@ -188,37 +179,16 @@ public:
     ReachabilityExplorer(const ReachabilityExplorer&) = delete;
     ReachabilityExplorer& operator=(const ReachabilityExplorer&) = delete;
 
-    /// Full control: goals + deadlock collection + persistence checking,
-    /// all in one exploration.
+    /// Answers every question of `query` in one exploration: its goals,
+    /// deadlock collection and persistence checking. The only entry
+    /// point; a plain state count is `run_query({}).states_explored`.
+    /// A goal predicate that throws ends the pass with
+    /// ExplorationAborted.
     MultiResult run_query(const MultiQuery& query);
-
-    /// Searches for a marking satisfying `goal`.
-    ReachabilityResult find(const Predicate& goal);
-
-    /// Single-pass multi-goal search: one exploration answers every goal.
-    /// Returns one result per goal (same order), each carrying the shared
-    /// pass's state/edge counts.
-    std::vector<ReachabilityResult> find_all(
-        std::span<const Predicate* const> goals);
-
-    /// Exhaustively explores and collects every deadlocked marking
-    /// (respecting max_states).
-    ReachabilityResult find_deadlocks();
-
-    /// Exhaustively explores; returns state/edge counts only.
-    ReachabilityResult explore_all();
-
-    /// Number of distinct reachable markings (convenience over explore_all).
-    std::size_t count_states() { return explore_all().states_explored; }
 
     const CompiledNet& compiled() const noexcept { return *compiled_; }
 
 private:
-    /// The pass body, factored out so run_query can convert a mid-pass
-    /// failure into ExplorationAborted with the footprint at the moment
-    /// of death attached.
-    MultiResult run_pass(const MultiQuery& query);
-
     ReachabilityOptions options_;
     std::optional<CompiledNet> owned_;  ///< set by the Net constructor only
     const CompiledNet* compiled_;       ///< owned_ or the shared artifact

@@ -12,20 +12,20 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
-VoltageModel::VoltageModel()
-    : norm_(std::pow(kNominalV - kFreezeV, kAlpha) / kNominalV) {}
-
-double VoltageModel::speed_factor(double v) const {
+double speed_factor(double v) {
     if (v <= kFreezeV) return 0.0;
-    return std::pow(v - kFreezeV, kAlpha) / v / norm_;
+    // The normalisation that makes speed_factor(kNominalV) == 1.
+    static const double norm =
+        std::pow(kNominalV - kFreezeV, kAlpha) / kNominalV;
+    return std::pow(v - kFreezeV, kAlpha) / v / norm;
 }
 
-double VoltageModel::energy_factor(double v) const {
+double energy_factor(double v) {
     const double r = v / kNominalV;
     return r * r;
 }
 
-double VoltageModel::leakage_power(double v, double gates) const {
+double leakage_power(double v, double gates) {
     if (v <= 0) return 0.0;
     const double r = v / kNominalV;
     return kLeakagePerGateW * gates * r * r * r;
@@ -67,13 +67,11 @@ std::vector<std::pair<double, double>> VoltageSchedule::breakpoints() const {
     return out;
 }
 
-double VoltageSchedule::finish_time(const VoltageModel& model, double t0,
-                                    double work) const {
-    return SupplyTimeline(*this, model).finish_time(t0, work);
+double VoltageSchedule::finish_time(double t0, double work) const {
+    return SupplyTimeline(*this).finish_time(t0, work);
 }
 
-double VoltageSchedule::leakage_energy(const VoltageModel& model,
-                                       double gates, double t0,
+double VoltageSchedule::leakage_energy(double gates, double t0,
                                        double t1) const {
     if (t1 <= t0) return 0.0;
     double energy = 0.0;
@@ -84,16 +82,15 @@ double VoltageSchedule::leakage_energy(const VoltageModel& model,
         const double lo = std::max(seg_start, t0);
         const double hi = std::min(seg_end, t1);
         if (hi <= lo) continue;
-        energy += model.leakage_power(segments_[i].voltage, gates) * (hi - lo);
+        energy += leakage_power(segments_[i].voltage, gates) * (hi - lo);
     }
     return energy;
 }
 
-SupplyTimeline::SupplyTimeline(const VoltageSchedule& schedule,
-                               const VoltageModel& model) {
+SupplyTimeline::SupplyTimeline(const VoltageSchedule& schedule) {
     rows_.reserve(schedule.segments_.size());
     for (const VoltageSchedule::Segment& s : schedule.segments_) {
-        rows_.push_back({s.start, model.speed_factor(s.voltage)});
+        rows_.push_back({s.start, speed_factor(s.voltage)});
     }
 }
 

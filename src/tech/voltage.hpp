@@ -10,7 +10,7 @@ namespace rap::tech {
 /// delay model is an alpha-power law anchored at the freeze voltage: the
 /// paper observes the chip operating down to 0.34V, freezing there (no
 /// progress, leakage only) and recovering when the supply rises —
-/// exactly the behaviour VoltageModel::speed_factor() reproduces.
+/// exactly the behaviour speed_factor() reproduces.
 inline constexpr double kNominalV = 1.2;  ///< nominal supply [V]
 /// No forward progress at or below this supply [V].
 inline constexpr double kFreezeV = 0.34;
@@ -20,24 +20,15 @@ inline constexpr double kAlpha = 2.0;
 /// (subthreshold + DIBL lump).
 inline constexpr double kLeakagePerGateW = 2.75e-10;
 
-/// Voltage-dependent speed/energy/leakage scaling of the process above.
-class VoltageModel {
-public:
-    VoltageModel();
+/// Relative logic speed of the process: 1.0 at kNominalV, 0 at or below
+/// kFreezeV, > 1 above nominal. speed = k * (V - kFreezeV)^kAlpha / V.
+double speed_factor(double v);
 
-    /// Relative logic speed: 1.0 at kNominalV, 0 at or below kFreezeV,
-    /// > 1 above nominal. speed = k * (V - kFreezeV)^kAlpha / V.
-    double speed_factor(double v) const;
+/// Relative dynamic energy per switching event: (V / kNominalV)^2.
+double energy_factor(double v);
 
-    /// Relative dynamic energy per switching event: (V / kNominalV)^2.
-    double energy_factor(double v) const;
-
-    /// Static (leakage) power of `gates` equivalent gates at voltage v.
-    double leakage_power(double v, double gates) const;
-
-private:
-    double norm_;  // normalisation so speed_factor(kNominalV) == 1
-};
+/// Static (leakage) power of `gates` equivalent gates at voltage v [W].
+double leakage_power(double v, double gates);
 
 /// Piecewise-constant supply-voltage schedule, built by appending
 /// segments. The last appended segment's voltage holds forever (its
@@ -74,12 +65,10 @@ public:
     /// above the freeze voltage for long enough. Compiles a
     /// SupplyTimeline per call; callers that integrate repeatedly over
     /// one schedule should compile it once.
-    double finish_time(const VoltageModel& model, double t0,
-                       double work) const;
+    double finish_time(double t0, double work) const;
 
     /// Leakage energy dissipated by `gates` between t0 and t1.
-    double leakage_energy(const VoltageModel& model, double gates, double t0,
-                          double t1) const;
+    double leakage_energy(double gates, double t0, double t1) const;
 
 private:
     friend class SupplyTimeline;
@@ -93,15 +82,14 @@ private:
     double cursor_ = 0.0;  // end time of the last appended segment
 };
 
-/// A (VoltageSchedule, VoltageModel) pair compiled into one row per
-/// segment: its start time and the model's speed factor at its voltage.
-/// Integrating work over the rows evaluates no pow() per call, and the
-/// result is bit-identical to evaluating the model per segment. The
-/// timed simulator compiles its supply once per run.
+/// A VoltageSchedule compiled into one row per segment: its start time
+/// and the speed factor at its voltage. Integrating work over the rows
+/// evaluates no pow() per call, and the result is bit-identical to
+/// evaluating speed_factor() per segment. The timed simulator compiles
+/// its supply once per run.
 class SupplyTimeline {
 public:
-    SupplyTimeline(const VoltageSchedule& schedule,
-                   const VoltageModel& model);
+    explicit SupplyTimeline(const VoltageSchedule& schedule);
 
     /// VoltageSchedule::finish_time over the compiled rows.
     double finish_time(double t0, double work) const;

@@ -45,18 +45,6 @@ Verifier::Verifier(const dfs::Graph& graph,
                    VerifyOptions options)
     : graph_(&graph), options_(options), model_(std::move(model)) {}
 
-petri::MultiResult Verifier::run_exploration(const petri::MultiQuery& query,
-                                             bool stop_at_first_match) const {
-    petri::ReachabilityOptions ropts;
-    ropts.max_states = options_.max_states;
-    ropts.stop_at_first_match = stop_at_first_match;
-    ropts.por = options_.por;
-    ropts.stop = options_.stop;
-    petri::ReachabilityExplorer explorer(model_->compiled(), ropts);
-    ++explorations_;
-    return explorer.run_query(query);
-}
-
 void Verifier::fill_traces(Finding& finding,
                            const petri::Trace& trace) const {
     const dfs::Translation& tr = model_->translation();
@@ -68,33 +56,38 @@ void Verifier::fill_traces(Finding& finding,
     }
 }
 
-Finding Verifier::from_reachability(Property property,
-                                    const petri::ReachabilityResult& result,
-                                    std::string detail_on_violation) const {
+namespace {
+
+/// A finding of `property` carrying the pass's counters, not violated.
+Finding pass_finding(Property property, const petri::MultiResult& multi) {
     Finding finding;
     finding.property = property;
-    finding.states_explored = result.states_explored;
-    finding.truncated = result.truncated;
-    finding.violated = result.found();
+    finding.states_explored = multi.states_explored;
+    finding.truncated = multi.truncated;
+    return finding;
+}
+
+}  // namespace
+
+Finding Verifier::goal_finding(Property property,
+                               const petri::MultiResult& multi,
+                               std::size_t goal,
+                               std::string detail_on_violation) const {
+    Finding finding = pass_finding(property, multi);
+    const std::optional<petri::Witness>& witness = multi.goals[goal];
+    finding.violated = witness.has_value();
     if (finding.violated) {
-        finding.detail = std::move(detail_on_violation);
-        if (result.witness) {
-            finding.detail += " at " + model_->translation().net
-                                           .describe_marking(*result.witness);
-        }
-        if (result.witness_trace) {
-            fill_traces(finding, *result.witness_trace);
-        }
+        finding.detail =
+            std::move(detail_on_violation) + " at " +
+            model_->translation().net.describe_marking(witness->marking);
+        fill_traces(finding, witness->trace);
     }
     return finding;
 }
 
 Finding Verifier::persistence_finding(
     const petri::MultiResult& multi) const {
-    Finding finding;
-    finding.property = Property::Persistence;
-    finding.states_explored = multi.states_explored;
-    finding.truncated = multi.truncated;
+    Finding finding = pass_finding(Property::Persistence, multi);
     finding.violated = !multi.persistence_violations.empty();
     if (finding.violated) {
         const dfs::Translation& tr = model_->translation();
@@ -177,36 +170,21 @@ bool Verifier::persistence_exempt(const dfs::Translation& translation,
     return ea.node == eb.node && marks(ea.kind) && marks(eb.kind);
 }
 
-namespace {
-
-Finding trivially_safe_conflict_finding(std::size_t states_explored,
-                                        bool truncated) {
-    Finding finding;
-    finding.property = Property::ControlConflict;
-    finding.detail = "no node has multiple controls; trivially safe";
-    finding.states_explored = states_explored;
-    finding.truncated = truncated;
-    return finding;
-}
-
-}  // namespace
-
-Report Verifier::run_spec(const Spec& spec, bool stop_at_first) const {
+Report Verifier::verify(const Spec& spec) const {
     // One exploration answers every requested property: deadlock,
     // control-conflict and any custom predicates as multi-goal
-    // reachability, persistence at the explored states. With more than
-    // one open question the pass runs to exhaustion — early exit on one
-    // property would leave the others unanswered — but keeps only the
-    // first persistence counterexample.
+    // reachability, persistence at the explored states. A single open
+    // question may stop at its first answer. With more than one the pass
+    // runs to exhaustion — early exit on one property would leave the
+    // others unanswered — but keeps only the first persistence
+    // counterexample.
     const auto deadlock_goal = petri::Predicate::deadlock();
     std::optional<petri::Predicate> conflict;
-    const bool conflict_possible =
-        spec.wants_control_conflict() &&
-        (conflict = control_conflict_predicate()).has_value();
+    if (spec.wants_control_conflict()) conflict = control_conflict_predicate();
 
     petri::MultiQuery query;
     if (spec.wants_deadlock()) query.goals.push_back(&deadlock_goal);
-    if (conflict_possible) query.goals.push_back(&*conflict);
+    if (conflict) query.goals.push_back(&*conflict);
     for (const auto& custom : spec.customs()) {
         query.goals.push_back(&custom.predicate);
     }
@@ -218,10 +196,21 @@ Report Verifier::run_spec(const Spec& spec, bool stop_at_first) const {
         };
         query.persistence_max_violations = 1;
     }
+    const std::size_t questions = (spec.wants_deadlock() ? 1u : 0u) +
+                                  (spec.wants_control_conflict() ? 1u : 0u) +
+                                  (spec.wants_persistence() ? 1u : 0u) +
+                                  spec.customs().size();
 
     petri::MultiResult multi;
     if (!query.goals.empty() || query.check_persistence) {
-        multi = run_exploration(query, stop_at_first);
+        petri::ReachabilityOptions ropts;
+        ropts.max_states = options_.max_states;
+        ropts.stop_at_first_match = questions <= 1;
+        ropts.por = options_.por;
+        ropts.stop = options_.stop;
+        ++explorations_;
+        multi = petri::ReachabilityExplorer(model_->compiled(), ropts)
+                    .run_query(query);
     }
     // else: the only requested property is a trivially safe
     // control-conflict — nothing to explore.
@@ -232,67 +221,31 @@ Report Verifier::run_spec(const Spec& spec, bool stop_at_first) const {
     report.por = multi.por;
     std::size_t goal = 0;
     if (spec.wants_deadlock()) {
-        report.findings.push_back(from_reachability(
-            Property::Deadlock, multi.goals[goal++], "deadlock reachable"));
+        report.findings.push_back(goal_finding(
+            Property::Deadlock, multi, goal++, "deadlock reachable"));
     }
-    if (spec.wants_control_conflict()) {
-        if (conflict_possible) {
-            report.findings.push_back(from_reachability(
-                Property::ControlConflict, multi.goals[goal++],
-                "mixed True/False controls disable a node"));
-        } else {
-            report.findings.push_back(trivially_safe_conflict_finding(
-                multi.states_explored, multi.truncated));
-        }
+    if (conflict) {
+        report.findings.push_back(
+            goal_finding(Property::ControlConflict, multi, goal++,
+                         "mixed True/False controls disable a node"));
+    } else if (spec.wants_control_conflict()) {
+        Finding safe = pass_finding(Property::ControlConflict, multi);
+        safe.detail = "no node has multiple controls; trivially safe";
+        report.findings.push_back(std::move(safe));
     }
     if (spec.wants_persistence()) {
         report.findings.push_back(persistence_finding(multi));
     }
     for (const auto& custom : spec.customs()) {
-        auto finding = from_reachability(
-            Property::Custom, multi.goals[goal++], "predicate reachable");
-        if (finding.detail.empty()) {
-            finding.detail = custom.description + ": unreachable";
-        } else {
-            finding.detail = custom.description + ": " + finding.detail;
-        }
+        Finding finding = goal_finding(Property::Custom, multi, goal++,
+                                       "predicate reachable");
+        finding.detail = custom.description + ": " +
+                         (finding.violated ? finding.detail : "unreachable");
         report.findings.push_back(std::move(finding));
     }
     return report;
 }
 
-Report Verifier::verify(const Spec& spec) const {
-    // A single open question may stop at its first answer; a combined
-    // pass must exhaust the state space so every property gets an exact
-    // answer.
-    const std::size_t questions = (spec.wants_deadlock() ? 1u : 0u) +
-                                  (spec.wants_control_conflict() ? 1u : 0u) +
-                                  (spec.wants_persistence() ? 1u : 0u) +
-                                  spec.customs().size();
-    return run_spec(spec, /*stop_at_first=*/questions <= 1);
-}
-
-Finding Verifier::check_deadlock() const {
-    return std::move(verify(Spec{}.deadlock()).findings.front());
-}
-
-Finding Verifier::check_control_conflict() const {
-    return std::move(verify(Spec{}.control_conflict()).findings.front());
-}
-
-Finding Verifier::check_persistence() const {
-    return std::move(verify(Spec{}.persistence()).findings.front());
-}
-
-Finding Verifier::check_custom(const petri::Predicate& predicate,
-                               std::string description) const {
-    return std::move(
-        verify(Spec{}.custom(std::move(description), predicate))
-            .findings.front());
-}
-
-Report Verifier::verify_all() const {
-    return run_spec(Spec::standard(), /*stop_at_first=*/false);
-}
+Report Verifier::verify_all() const { return verify(Spec::standard()); }
 
 }  // namespace rap::verify

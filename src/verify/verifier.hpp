@@ -21,9 +21,17 @@ namespace rap::verify {
 /// hazards of the dynamic extension (control-token conflicts,
 /// non-persistence) expressed in Reach on the translated Petri net.
 enum class Property {
+    /// Reachability of a marking with no enabled transitions.
     Deadlock,
+    /// Reachability of a marking where some node's control preset is
+    /// fully marked with mixed True/False tokens — the "disabled node"
+    /// hazard of Section II-B.
     ControlConflict,
+    /// Output persistence of the PN, exempting the intended Mt+/Mf+ free
+    /// choices of control registers (Fig. 4's non-deterministic
+    /// evaluation outcome is a choice, not a hazard).
     Persistence,
+    /// Reachability of a custom Reach-style predicate.
     Custom,
 };
 
@@ -126,37 +134,20 @@ public:
 
     /// Runs exactly the properties `spec` asks for, sharing ONE
     /// state-space exploration across all of them, and reports findings
-    /// in the canonical order.
+    /// in the canonical order. A spec with one question stops the pass at
+    /// its first answer; with more, the pass runs to exhaustion so that
+    /// every property gets an exact answer.
     Report verify(const Spec& spec) const;
 
-    /// Reachability of a marking with no enabled transitions.
-    Finding check_deadlock() const;
-
-    /// Reachability of a marking where some node's control preset is
-    /// fully marked with mixed True/False tokens — the "disabled node"
-    /// hazard of Section II-B.
-    Finding check_control_conflict() const;
-
-    /// Output persistence of the PN, exempting the intended Mt+/Mf+
-    /// free choices of control registers (Fig. 4's non-deterministic
-    /// evaluation outcome is a choice, not a hazard).
-    Finding check_persistence() const;
-
-    /// The pairs check_persistence exempts, read off the translation's
-    /// event map: the MarkTrue/MarkFalse (Mt+/Mf+) transitions of one
-    /// node.
+    /// The pairs the persistence check exempts, read off the
+    /// translation's event map: the MarkTrue/MarkFalse (Mt+/Mf+)
+    /// transitions of one node.
     static bool persistence_exempt(const dfs::Translation& translation,
                                    petri::TransitionId a,
                                    petri::TransitionId b);
 
-    /// Reachability of a custom Reach-style predicate.
-    Finding check_custom(const petri::Predicate& predicate,
-                         std::string description) const;
-
-    /// Runs all standard checks — deadlock, control conflict, persistence
-    /// — in ONE state-space exploration; shorthand for
-    /// verify(Spec::standard()). Custom properties go through
-    /// verify(Spec) (the Spec owns its predicates).
+    /// verify(Spec::standard()): deadlock, control conflict and
+    /// persistence in ONE state-space exploration.
     Report verify_all() const;
 
     /// Number of state-space explorations this verifier has run so far.
@@ -173,19 +164,15 @@ public:
     }
 
 private:
-    Finding from_reachability(Property property,
-                              const petri::ReachabilityResult& result,
-                              std::string detail_on_violation) const;
+    Finding goal_finding(Property property, const petri::MultiResult& multi,
+                         std::size_t goal,
+                         std::string detail_on_violation) const;
     Finding persistence_finding(const petri::MultiResult& multi) const;
     void fill_traces(Finding& finding, const petri::Trace& trace) const;
 
     /// The control-conflict Reach predicate; nullopt when no node has
     /// multiple controls (trivially safe, nothing to explore).
     std::optional<petri::Predicate> control_conflict_predicate() const;
-
-    Report run_spec(const Spec& spec, bool stop_at_first) const;
-    petri::MultiResult run_exploration(const petri::MultiQuery& query,
-                                       bool stop_at_first_match) const;
 
     const dfs::Graph* graph_;
     VerifyOptions options_;

@@ -19,7 +19,7 @@ using dfs::testing::make_fig1b;
 
 TimedSimulator make_sim(const Dynamics& dyn, const TimingMap& timing,
                         double voltage = 1.2, double leakage_gates = 0.0) {
-    return TimedSimulator(dyn, timing, tech::VoltageModel{},
+    return TimedSimulator(dyn, timing,
                           tech::VoltageSchedule::constant(voltage),
                           leakage_gates);
 }
@@ -45,7 +45,6 @@ TEST(TimedSim, ThroughputHalvesAtHalfSpeedVoltage) {
     dfs::Graph g("lin");
     const auto regs = add_linear_pipeline(g, "p", 2);
     const Dynamics dyn(g);
-    const tech::VoltageModel model;
 
     auto run_at = [&](double v) {
         auto sim = make_sim(dyn, uniform_timing(g, 1.0), v);
@@ -58,7 +57,7 @@ TEST(TimedSim, ThroughputHalvesAtHalfSpeedVoltage) {
     const double t_nominal = run_at(1.2);
     const double t_low = run_at(0.6);
     const double expected_ratio =
-        model.speed_factor(1.2) / model.speed_factor(0.6);
+        tech::speed_factor(1.2) / tech::speed_factor(0.6);
     EXPECT_NEAR(t_low / t_nominal, expected_ratio, expected_ratio * 0.01);
 }
 
@@ -98,7 +97,7 @@ TEST(TimedSim, FrozenSupplyReported) {
     dfs::Graph g("lin");
     const auto regs = add_linear_pipeline(g, "p", 2);
     const Dynamics dyn(g);
-    TimedSimulator sim(dyn, uniform_timing(g, 1.0), tech::VoltageModel{},
+    TimedSimulator sim(dyn, uniform_timing(g, 1.0),
                        tech::VoltageSchedule::constant(0.2), 0.0);
     State s = State::initial(g);
     RunLimits limits;
@@ -117,8 +116,7 @@ TEST(TimedSim, FreezeThenRecoveryCompletesWork) {
     schedule.add_segment(5.0, 1.2);
     schedule.add_segment(100.0, 0.30);  // freeze
     schedule.add_segment(1.0, 1.2);     // recover, hold forever
-    TimedSimulator sim(dyn, uniform_timing(g, 1.0), tech::VoltageModel{},
-                       schedule, 0.0);
+    TimedSimulator sim(dyn, uniform_timing(g, 1.0), schedule, 0.0);
     State s = State::initial(g);
     RunLimits limits;
     limits.target_marks = 20;
@@ -155,9 +153,8 @@ TEST(TimedSim, LeakageAccruesOverTime) {
     limits.target_marks = 20;
     limits.observe = regs.back();
     const auto stats = sim.run(s, limits);
-    const tech::VoltageModel model;
     EXPECT_NEAR(stats.leakage_energy_j,
-                model.leakage_power(1.2, 1e6) * stats.time_s,
+                tech::leakage_power(1.2, 1e6) * stats.time_s,
                 stats.leakage_energy_j * 1e-9);
 }
 

@@ -30,8 +30,7 @@ TEST(BuildSanity, EveryModuleLinks) {
     EXPECT_EQ(bits.count(), 1u);
 
     // tech
-    const tech::VoltageModel voltage;
-    EXPECT_DOUBLE_EQ(voltage.speed_factor(tech::kNominalV), 1.0);
+    EXPECT_DOUBLE_EQ(tech::speed_factor(tech::kNominalV), 1.0);
 
     // petri
     petri::Net net("sanity");
@@ -69,7 +68,8 @@ TEST(BuildSanity, EveryModuleLinks) {
 
     // verify
     const verify::Verifier verifier(graph);
-    const auto deadlock = verifier.check_deadlock();
+    const auto deadlock =
+        verifier.verify(verify::Spec{}.deadlock()).findings[0];
     EXPECT_FALSE(deadlock.truncated);
     EXPECT_GT(deadlock.states_explored, 0u);
 

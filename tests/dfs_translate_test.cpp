@@ -302,7 +302,7 @@ void expect_equal_state_spaces(const Graph& graph) {
     const Dynamics dyn(graph);
     const Translation tr = to_petri(graph);
     petri::ReachabilityExplorer explorer(tr.net);
-    EXPECT_EQ(dfs_state_count(dyn), explorer.count_states());
+    EXPECT_EQ(dfs_state_count(dyn), explorer.run_query({}).states_explored);
 }
 
 TEST(Translate, StateSpaceBisimulationFig1b) {
@@ -442,7 +442,8 @@ TEST(Translate, PnDeadlockFreeForFig1b) {
     const auto m = make_fig1b();
     const Translation tr = to_petri(m.graph);
     petri::ReachabilityExplorer explorer(tr.net);
-    EXPECT_TRUE(explorer.find_deadlocks().deadlocks.empty());
+    EXPECT_TRUE(
+        explorer.run_query({.collect_deadlocks = true}).deadlocks.empty());
 }
 
 TEST(Translate, PnFindsSeededDeadlock) {
@@ -466,7 +467,7 @@ TEST(Translate, PnFindsSeededDeadlock) {
     // R-postset is occupied.
     const Translation tr = to_petri(g);
     petri::ReachabilityExplorer explorer(tr.net);
-    const auto result = explorer.find_deadlocks();
+    const auto result = explorer.run_query({.collect_deadlocks = true});
     EXPECT_FALSE(result.deadlocks.empty());
 }
 

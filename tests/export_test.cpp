@@ -23,7 +23,6 @@ asim::TimedStats traced_run(const dfs::Graph& g, dfs::NodeId observe,
                             std::size_t cap = 1'000'000) {
     const dfs::Dynamics dyn(g);
     asim::TimedSimulator sim(dyn, asim::uniform_timing(g, 1.0),
-                             tech::VoltageModel{},
                              tech::VoltageSchedule::constant(1.2), 0.0);
     sim.enable_event_trace(cap);
     dfs::State s = dfs::State::initial(g);

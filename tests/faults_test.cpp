@@ -28,8 +28,7 @@ using dfs::testing::make_fig1b;
 TimedSimulator make_sim(const Dynamics& dyn, const TimingMap& timing,
                         tech::VoltageSchedule schedule =
                             tech::VoltageSchedule::constant(1.2)) {
-    return TimedSimulator(dyn, timing, tech::VoltageModel{},
-                          std::move(schedule), 0.0);
+    return TimedSimulator(dyn, timing, std::move(schedule), 0.0);
 }
 
 // -- glitch splicing -----------------------------------------------------
@@ -465,7 +464,8 @@ TEST(Witness, VerifierCounterexampleDrivesTheTimedSim) {
     g.connect(p, sink);
 
     const verify::Verifier verifier(g);
-    const verify::Finding finding = verifier.check_control_conflict();
+    const verify::Finding finding =
+        verifier.verify(verify::Spec{}.control_conflict()).findings[0];
     ASSERT_TRUE(finding.violated);
     ASSERT_EQ(finding.event_trace.size(), finding.trace.size());
     ASSERT_FALSE(finding.event_trace.empty());

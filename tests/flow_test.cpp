@@ -105,7 +105,7 @@ TEST(Design, DeadlockWitnessSpeaksDfs) {
     Design design(ope::build_reconfigurable_ope_dfs(3, 3));
     design.reset_ring(design.pipeline().stages[1].global_ring,
                       TokenValue::False);
-    const auto finding = design.verifier().check_deadlock();
+    const auto finding = design.verify(verify::Spec{}.deadlock()).findings[0];
     ASSERT_TRUE(finding.violated);
     ASSERT_FALSE(finding.dfs_trace.empty());
     for (const auto& step : finding.dfs_trace) {

@@ -98,9 +98,8 @@ TEST(Integration, TimedAndUntimedSemanticsAgreeOnTokenCounts) {
     EXPECT_NEAR(static_cast<double>(ustats.marks_at(model.in)),
                 static_cast<double>(ustats.marks_at(model.out)), 6.0);
 
-    asim::TimedSimulator timed(
-        dyn, asim::uniform_timing(model.graph, 1.0), tech::VoltageModel{},
-        tech::VoltageSchedule::constant(1.2), 0.0);
+    asim::TimedSimulator timed(dyn, asim::uniform_timing(model.graph, 1.0),
+                               tech::VoltageSchedule::constant(1.2), 0.0);
     dfs::State s2 = dfs::State::initial(model.graph);
     asim::RunLimits limits;
     limits.target_marks = 200;

@@ -199,7 +199,7 @@ TEST(OpeDfs, FullDepthVerifiedDeadlockFree) {
     verify::VerifyOptions options;
     options.max_states = 3'000'000;
     const verify::Verifier verifier(p.graph, options);
-    const auto finding = verifier.check_deadlock();
+    const auto finding = verifier.verify(verify::Spec{}.deadlock()).findings[0];
     EXPECT_FALSE(finding.violated) << finding.to_string();
     EXPECT_FALSE(finding.truncated);
 }

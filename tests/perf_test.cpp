@@ -130,29 +130,54 @@ TEST(Cycles, SlowestCycleFirstAndBottleneckIdentified) {
 }
 
 TEST(Cycles, CapTruncatesEnumeration) {
-    // Complete-ish digraph: lots of simple cycles.
+    // The complete digraph on 9 registers has over 100,000 simple
+    // cycles; the search keeps the first 20,000.
     Graph g("dense");
     std::vector<dfs::NodeId> regs;
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 0; i < 9; ++i) {
         regs.push_back(g.add_register("r" + std::to_string(i), i % 2 == 0));
     }
-    for (int i = 0; i < 8; ++i) {
-        for (int j = 0; j < 8; ++j) {
+    for (int i = 0; i < 9; ++i) {
+        for (int j = 0; j < 9; ++j) {
             if (i != j) g.connect(regs[i], regs[j]);
         }
     }
-    CycleAnalysisOptions options;
-    options.max_cycles = 50;
-    const auto report = analyse_cycles(g, options);
+    const auto report = analyse_cycles(g);
     EXPECT_TRUE(report.truncated);
-    EXPECT_EQ(report.cycles.size(), 50u);
+    EXPECT_EQ(report.cycles.size(), 20'000u);
+}
+
+/// `layers` layers of two registers, each feeding both registers of the
+/// next layer: acyclic, yet 2^(layers - i) simple paths start in layer i.
+Graph ladder(int layers) {
+    Graph g("ladder");
+    std::vector<dfs::NodeId> prev;
+    for (int layer = 0; layer < layers; ++layer) {
+        std::vector<dfs::NodeId> next;
+        for (int k = 0; k < 2; ++k) {
+            next.push_back(g.add_register(
+                "r" + std::to_string(layer) + "_" + std::to_string(k)));
+            for (const dfs::NodeId from : prev) g.connect(from, next.back());
+        }
+        prev = next;
+    }
+    return g;
+}
+
+TEST(Cycles, StepCapStopsAnAcyclicLadder) {
+    // Backtracking walks every simple path from every root, 2^(L+2) - 4
+    // - 2L search steps on an L-layer ladder, whatever the cycle count.
+    // 18 layers take 2^20 - 40 steps, within the 2^20 cap; 24 layers
+    // would take ~6.7e7, and the cap stops the search instead.
+    EXPECT_FALSE(analyse_cycles(ladder(18)).truncated);
+    const auto report = analyse_cycles(ladder(24));
+    EXPECT_TRUE(report.truncated);
+    EXPECT_TRUE(report.cycles.empty());
 }
 
 TEST(Cycles, OpeReconfigurableModelAnalysable) {
     const auto p = ope::build_reconfigurable_ope_dfs(4, 4);
-    CycleAnalysisOptions options;
-    options.max_cycles = 5000;
-    const auto report = analyse_cycles(p.graph, options);
+    const auto report = analyse_cycles(p.graph);
     ASSERT_FALSE(report.cycles.empty());
     // Every control ring shows up as a 1/3-throughput cycle; nothing is
     // dead in a valid configuration.

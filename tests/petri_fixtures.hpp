@@ -357,16 +357,14 @@ inline void expect_identical_passes(const Net& net, const MultiResult& a,
         << context;
     ASSERT_EQ(a.goals.size(), b.goals.size()) << context;
     for (std::size_t g = 0; g < a.goals.size(); ++g) {
-        ASSERT_EQ(a.goals[g].found(), b.goals[g].found())
+        ASSERT_EQ(a.goals[g].has_value(), b.goals[g].has_value())
             << context << " goal " << g;
-        if (!a.goals[g].found()) continue;
-        EXPECT_EQ(a.goals[g].witness, b.goals[g].witness)
+        if (!a.goals[g]) continue;
+        EXPECT_EQ(a.goals[g]->marking, b.goals[g]->marking)
             << context << " goal " << g;
-        EXPECT_EQ(a.goals[g].witness_trace->firings,
-                  b.goals[g].witness_trace->firings)
+        EXPECT_EQ(a.goals[g]->trace.firings, b.goals[g]->trace.firings)
             << context << " goal " << g;
-        expect_replays(net, *b.goals[g].witness_trace,
-                       *b.goals[g].witness,
+        expect_replays(net, b.goals[g]->trace, b.goals[g]->marking,
                        context + " goal " + std::to_string(g));
     }
     ASSERT_EQ(a.persistence_violations.size(),

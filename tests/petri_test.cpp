@@ -121,33 +121,35 @@ TEST(Net, DeadlockDetection) {
 TEST(Reachability, RingHasTwoStates) {
     const Net net = make_ring();
     ReachabilityExplorer explorer(net);
-    EXPECT_EQ(explorer.count_states(), 2u);
+    EXPECT_EQ(explorer.run_query({}).states_explored, 2u);
 }
 
 TEST(Reachability, FindsMarkedPlaceWithShortestTrace) {
     const Net net = make_ring();
     ReachabilityExplorer explorer(net);
-    const auto result = explorer.find(Predicate::marked(net, "p1"));
-    ASSERT_TRUE(result.found());
-    ASSERT_TRUE(result.witness_trace.has_value());
-    EXPECT_EQ(result.witness_trace->firings.size(), 1u);
-    EXPECT_EQ(result.witness_trace->to_string(net), "t0");
+    const auto goal = Predicate::marked(net, "p1");
+    const auto witness = explorer.run_query({.goals = {&goal}}).goals[0];
+    ASSERT_TRUE(witness.has_value());
+    EXPECT_EQ(witness->trace.firings.size(), 1u);
+    EXPECT_EQ(witness->trace.to_string(net), "t0");
 }
 
 TEST(Reachability, GoalAtInitialStateHasEmptyTrace) {
     const Net net = make_ring();
     ReachabilityExplorer explorer(net);
-    const auto result = explorer.find(Predicate::marked(net, "p0"));
-    ASSERT_TRUE(result.found());
-    EXPECT_TRUE(result.witness_trace->firings.empty());
+    const auto goal = Predicate::marked(net, "p0");
+    const auto witness = explorer.run_query({.goals = {&goal}}).goals[0];
+    ASSERT_TRUE(witness.has_value());
+    EXPECT_TRUE(witness->trace.firings.empty());
 }
 
 TEST(Reachability, UnreachableGoalExploresEverything) {
     const Net net = make_ring();
     ReachabilityExplorer explorer(net);
-    const auto result = explorer.find(Predicate::marked(net, "p0") &&
-                                      Predicate::marked(net, "p1"));
-    EXPECT_FALSE(result.found());
+    const auto goal =
+        Predicate::marked(net, "p0") && Predicate::marked(net, "p1");
+    const auto result = explorer.run_query({.goals = {&goal}});
+    EXPECT_FALSE(result.goals[0].has_value());
     EXPECT_EQ(result.states_explored, 2u);
 }
 
@@ -159,16 +161,20 @@ TEST(Reachability, DeadlockFoundInLinearChain) {
     net.add_input_arc(a, t);
     net.add_output_arc(t, b);
     ReachabilityExplorer explorer(net);
-    const auto result = explorer.find_deadlocks();
+    const auto dead = Predicate::deadlock();
+    const auto result =
+        explorer.run_query({.goals = {&dead}, .collect_deadlocks = true});
     ASSERT_EQ(result.deadlocks.size(), 1u);
     EXPECT_TRUE(result.deadlocks[0].get(b.value));
-    EXPECT_EQ(result.witness_trace->firings.size(), 1u);
+    ASSERT_TRUE(result.goals[0].has_value());
+    EXPECT_EQ(result.goals[0]->trace.firings.size(), 1u);
 }
 
 TEST(Reachability, LiveRingHasNoDeadlock) {
     const Net net = make_ring();
     ReachabilityExplorer explorer(net);
-    EXPECT_TRUE(explorer.find_deadlocks().deadlocks.empty());
+    EXPECT_TRUE(
+        explorer.run_query({.collect_deadlocks = true}).deadlocks.empty());
 }
 
 TEST(Reachability, MaxStatesTruncates) {
@@ -188,7 +194,7 @@ TEST(Reachability, MaxStatesTruncates) {
     ReachabilityOptions options;
     options.max_states = 100;
     ReachabilityExplorer explorer(net, options);
-    const auto result = explorer.explore_all();
+    const auto result = explorer.run_query({});
     EXPECT_TRUE(result.truncated);
     EXPECT_LE(result.states_explored, 102u);
 }

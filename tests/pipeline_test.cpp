@@ -183,7 +183,8 @@ TEST(Pipeline, VerifiedDeadlockFreeAtEveryDepth) {
                         options);
     for (int depth : {2, 3}) {
         design.set_depth(depth);
-        const auto finding = design.verifier().check_deadlock();
+        const auto finding =
+            design.verify(verify::Spec{}.deadlock()).findings[0];
         EXPECT_FALSE(finding.violated)
             << "depth " << depth << ": " << finding.to_string();
         EXPECT_FALSE(finding.truncated);
@@ -198,7 +199,7 @@ TEST(Pipeline, GapConfigurationDeadlocks) {
     // stage 3 stays active while stage 2 is bypassed.
     design.reset_ring(design.pipeline().stages[1].global_ring,
                       TokenValue::False);
-    const auto finding = design.verifier().check_deadlock();
+    const auto finding = design.verify(verify::Spec{}.deadlock()).findings[0];
     EXPECT_TRUE(finding.violated);
     // The witness is reported both as PN firings and translated back to
     // DFS-level events (the paper's debugging vocabulary): token moves of

@@ -85,15 +85,12 @@ void expect_preserves(const Net& net, const QueryBundle& bundle,
     ASSERT_EQ(red.goals.size(), full.goals.size()) << context;
     const Predicate* goal_preds[] = {&bundle.dead, &bundle.marked};
     for (std::size_t g = 0; g < full.goals.size(); ++g) {
-        ASSERT_EQ(red.goals[g].found(), full.goals[g].found())
+        ASSERT_EQ(red.goals[g].has_value(), full.goals[g].has_value())
             << context << " goal " << g;
-        if (!red.goals[g].found()) continue;
-        ASSERT_TRUE(red.goals[g].witness_trace.has_value())
-            << context << " goal " << g;
-        expect_replays(net, *red.goals[g].witness_trace,
-                       *red.goals[g].witness,
+        if (!red.goals[g]) continue;
+        expect_replays(net, red.goals[g]->trace, red.goals[g]->marking,
                        context + " goal " + std::to_string(g));
-        EXPECT_TRUE(satisfies(net, *goal_preds[g], *red.goals[g].witness))
+        EXPECT_TRUE(satisfies(net, *goal_preds[g], red.goals[g]->marking))
             << context << " goal " << g;
     }
 
@@ -509,7 +506,7 @@ TEST(PorReduction, DeadlockPassShrinksTheOpeModels) {
         ASSERT_FALSE(red.truncated) << fixture.name;
         EXPECT_EQ(sorted(red.deadlocks), sorted(full.deadlocks))
             << fixture.name;
-        EXPECT_EQ(red.goals[0].found(), full.goals[0].found())
+        EXPECT_EQ(red.goals[0].has_value(), full.goals[0].has_value())
             << fixture.name;
         EXPECT_LE(red.states_explored, full.states_explored)
             << fixture.name;
@@ -543,7 +540,7 @@ TEST(PorReduction, FiveStageOpeReducedPassFitsTierOne) {
 
     const auto red = reduced_run(compiled, query);
     ASSERT_FALSE(red.truncated);
-    EXPECT_FALSE(red.goals[0].found()) << "5-stage OPE deadlocked";
+    EXPECT_FALSE(red.goals[0].has_value()) << "5-stage OPE deadlocked";
     EXPECT_TRUE(red.deadlocks.empty());
     EXPECT_TRUE(red.por.active);
     EXPECT_GT(red.por.ignored(), 0u);
@@ -578,7 +575,7 @@ TEST(PorStats, InactiveWhenOff) {
     const Fixture fixture = ring_fixture(2);
     const CompiledNet compiled(fixture.net);
     ReachabilityExplorer seq(compiled);
-    const auto result = seq.explore_all();
+    const auto result = seq.run_query({});
     EXPECT_FALSE(result.por.active);
     EXPECT_EQ(result.por.expansions, 0u);
     EXPECT_EQ(result.por.enabled_transitions, 0u);
@@ -602,7 +599,7 @@ TEST(PorStats, UnknownSupportGoalFallsBackToFullExploration) {
     EXPECT_FALSE(red.por.active);
     EXPECT_EQ(red.states_explored, full.states_explored);
     EXPECT_EQ(red.edges_explored, full.edges_explored);
-    EXPECT_EQ(red.goals[0].found(), full.goals[0].found());
+    EXPECT_EQ(red.goals[0].has_value(), full.goals[0].has_value());
 }
 
 TEST(PorStats, SupportedCustomGoalKeepsReductionActive) {
@@ -619,11 +616,11 @@ TEST(PorStats, SupportedCustomGoalKeepsReductionActive) {
     const auto full = full_reference(compiled, query);
     const auto red = reduced_run(compiled, query);
     EXPECT_TRUE(red.por.active);
-    EXPECT_EQ(red.goals[0].found(), full.goals[0].found());
-    if (red.goals[0].found()) {
-        expect_replays(fixture.net, *red.goals[0].witness_trace,
-                       *red.goals[0].witness, "scoped custom goal");
-        EXPECT_TRUE(red.goals[0].witness->get(0));
+    EXPECT_EQ(red.goals[0].has_value(), full.goals[0].has_value());
+    if (red.goals[0]) {
+        expect_replays(fixture.net, red.goals[0]->trace,
+                       red.goals[0]->marking, "scoped custom goal");
+        EXPECT_TRUE(red.goals[0]->marking.get(0));
     }
 }
 

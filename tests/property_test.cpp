@@ -91,7 +91,7 @@ TEST_P(RandomModel, StateSpacesAgree) {
 
     const Translation tr = to_petri(g);
     petri::ReachabilityExplorer explorer(tr.net);
-    EXPECT_EQ(explorer.count_states(), seen.size());
+    EXPECT_EQ(explorer.run_query({}).states_explored, seen.size());
 }
 
 TEST_P(RandomModel, TranslationStaysOneHotSafe) {
@@ -130,10 +130,10 @@ TEST_P(RandomModel, TranslationStaysOneHotSafe) {
         }
         return false;
     };
-    const auto result = explorer.find(
-        petri::Predicate::custom("one-hot violation", violates));
-    EXPECT_FALSE(result.found())
-        << tr.net.describe_marking(*result.witness);
+    const auto goal = petri::Predicate::custom("one-hot violation", violates);
+    const auto witness = explorer.run_query({.goals = {&goal}}).goals[0];
+    EXPECT_FALSE(witness.has_value())
+        << tr.net.describe_marking(witness->marking);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomModel,

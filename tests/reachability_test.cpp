@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -225,7 +226,8 @@ TEST(CompiledNet, DisablesRowsMatchFiringOnEveryReachableMarking) {
 TEST(CompiledNet, StateCountsMatchNaiveExploration) {
     for (const Net& net : {make_ring(), make_toggles(6), make_mixed()}) {
         ReachabilityExplorer explorer(net);
-        EXPECT_EQ(explorer.count_states(), testfx::naive_explore(net).states)
+        EXPECT_EQ(explorer.run_query({}).states_explored,
+                  testfx::naive_explore(net).states)
             << net.name();
     }
 }
@@ -425,7 +427,7 @@ TEST(Reachability, TruncationMidExpansionReportsExactStateCount) {
     ReachabilityOptions options;
     options.max_states = 100;
     ReachabilityExplorer explorer(net, options);
-    const auto result = explorer.explore_all();
+    const auto result = explorer.run_query({});
     EXPECT_TRUE(result.truncated);
     EXPECT_EQ(result.states_explored, 100u);
 }
@@ -434,24 +436,25 @@ TEST(Reachability, TruncationConsistentAcrossQueryShapes) {
     const Net net = make_toggles(12);
     ReachabilityOptions options;
     options.max_states = 64;
-    for (int shape = 0; shape < 3; ++shape) {
+    const auto dead = Predicate::deadlock();
+    // An unreachable goal: all toggles simultaneously "up" is reachable,
+    // so use an impossible conjunction.
+    const auto never =
+        Predicate::marked(net, "b0_0") && Predicate::marked(net, "b0_1");
+    // A plain count, deadlock collection, one unreachable goal.
+    const MultiQuery shapes[] = {
+        {},
+        {.goals = {&dead}, .collect_deadlocks = true},
+        {.goals = {&never}},
+    };
+    for (std::size_t shape = 0; shape < std::size(shapes); ++shape) {
         ReachabilityExplorer explorer(net, options);
-        ReachabilityResult result;
-        switch (shape) {
-            case 0: result = explorer.explore_all(); break;
-            case 1: result = explorer.find_deadlocks(); break;
-            default: {
-                // An unreachable goal: all toggles simultaneously "up"
-                // is reachable, so use an impossible conjunction.
-                const auto goal = Predicate::marked(net, "b0_0") &&
-                                  Predicate::marked(net, "b0_1");
-                result = explorer.find(goal);
-                break;
-            }
-        }
+        const auto result = explorer.run_query(shapes[shape]);
         EXPECT_TRUE(result.truncated) << shape;
         EXPECT_EQ(result.states_explored, 64u) << shape;
-        EXPECT_FALSE(result.found()) << shape;
+        for (const auto& witness : result.goals) {
+            EXPECT_FALSE(witness.has_value()) << shape;
+        }
     }
 }
 
@@ -460,12 +463,12 @@ TEST(Reachability, NoTruncationAtExactFit) {
     ReachabilityOptions options;
     options.max_states = 32;
     ReachabilityExplorer explorer(net, options);
-    const auto result = explorer.explore_all();
+    const auto result = explorer.run_query({});
     EXPECT_FALSE(result.truncated);
     EXPECT_EQ(result.states_explored, 32u);
 }
 
-// ---------------------------------------------------------- find_all --
+// ------------------------------------------------------- multi-goal --
 
 TEST(Reachability, FindAllAnswersEveryGoalInOnePass) {
     const Net net = make_mixed();
@@ -474,28 +477,25 @@ TEST(Reachability, FindAllAnswersEveryGoalInOnePass) {
     const auto g_dead = Predicate::deadlock();
     const auto g_never =
         Predicate::marked(net, "src") && Predicate::marked(net, "mid");
-    const Predicate* goals[] = {&g_dst, &g_mid, &g_dead, &g_never};
 
     ReachabilityExplorer explorer(net);
-    const auto results = explorer.find_all(goals);
+    const auto multi =
+        explorer.run_query({.goals = {&g_dst, &g_mid, &g_dead, &g_never}});
+    const auto& results = multi.goals;
     ASSERT_EQ(results.size(), 4u);
 
-    EXPECT_TRUE(results[0].found());
-    EXPECT_TRUE(results[1].found());
+    EXPECT_TRUE(results[0].has_value());
+    EXPECT_TRUE(results[1].has_value());
     // The self-loop on dst keeps every dst-holding state live, and the
     // remaining states always offer move/fwd/drop: no deadlock.
-    EXPECT_FALSE(results[2].found());
-    EXPECT_FALSE(results[3].found());  // move consumes src before mid fills
+    EXPECT_FALSE(results[2].has_value());
+    EXPECT_FALSE(results[3].has_value());  // move consumes src before mid
 
     // Witnesses are BFS-shortest per goal.
-    EXPECT_EQ(results[1].witness_trace->to_string(net), "move");
+    EXPECT_EQ(results[1]->trace.to_string(net), "move");
 
-    // Every result reports the same shared pass counters.
-    for (const auto& r : results) {
-        EXPECT_EQ(r.states_explored, results[0].states_explored);
-        EXPECT_EQ(r.edges_explored, results[0].edges_explored);
-        EXPECT_FALSE(r.truncated);
-    }
+    // One pass answered them all, to the end.
+    EXPECT_FALSE(multi.truncated);
 }
 
 TEST(Reachability, FindAllMatchesIndividualFinds) {
@@ -503,22 +503,23 @@ TEST(Reachability, FindAllMatchesIndividualFinds) {
     const auto g1 = Predicate::marked(net, "b3_1");
     const auto g2 = Predicate::marked(net, "b0_1") &&
                     Predicate::marked(net, "b4_1");
-    const Predicate* goals[] = {&g1, &g2};
 
     ReachabilityExplorer multi(net);
-    const auto together = multi.find_all(goals);
+    const auto together = multi.run_query({.goals = {&g1, &g2}}).goals;
 
     ReachabilityExplorer single(net);
-    const auto alone1 = single.find(g1);
-    const auto alone2 = single.find(g2);
+    const auto alone1 = single.run_query({.goals = {&g1}}).goals[0];
+    const auto alone2 = single.run_query({.goals = {&g2}}).goals[0];
 
-    ASSERT_TRUE(together[0].found());
-    ASSERT_TRUE(together[1].found());
-    EXPECT_EQ(together[0].witness_trace->firings.size(),
-              alone1.witness_trace->firings.size());
-    EXPECT_EQ(together[1].witness_trace->firings.size(),
-              alone2.witness_trace->firings.size());
-    EXPECT_EQ(*together[0].witness, *alone1.witness);
+    ASSERT_TRUE(together[0].has_value());
+    ASSERT_TRUE(together[1].has_value());
+    ASSERT_TRUE(alone1.has_value());
+    ASSERT_TRUE(alone2.has_value());
+    EXPECT_EQ(together[0]->trace.firings.size(),
+              alone1->trace.firings.size());
+    EXPECT_EQ(together[1]->trace.firings.size(),
+              alone2->trace.firings.size());
+    EXPECT_EQ(together[0]->marking, alone1->marking);
 }
 
 TEST(Reachability, RunQueryCombinesGoalsDeadlocksAndPersistence) {
@@ -545,7 +546,7 @@ TEST(Reachability, RunQueryCombinesGoalsDeadlocksAndPersistence) {
     const auto multi = explorer.run_query(query);
     EXPECT_EQ(multi.states_explored, 3u);
     ASSERT_EQ(multi.goals.size(), 1u);
-    EXPECT_TRUE(multi.goals[0].witness.has_value());
+    EXPECT_TRUE(multi.goals[0].has_value());
     EXPECT_EQ(multi.deadlocks.size(), 2u);  // {b} and {c}
     ASSERT_FALSE(multi.persistence_violations.empty());
     EXPECT_NE(multi.persistence_violations[0].fired,
@@ -562,11 +563,12 @@ TEST(Reachability, ExhaustiveSearchKeepsFirstWitness) {
     ReachabilityOptions options;
     options.stop_at_first_match = false;
     ReachabilityExplorer explorer(net, options);
-    const auto result = explorer.find(Predicate::marked(net, "dst"));
-    ASSERT_TRUE(result.found());
-    ASSERT_TRUE(result.witness_trace.has_value());
-    EXPECT_EQ(result.witness_trace->firings.size(), 1u);
-    EXPECT_EQ(result.witness_trace->to_string(net), "drop");
+    const auto goal = Predicate::marked(net, "dst");
+    const auto result = explorer.run_query({.goals = {&goal}});
+    const auto& witness = result.goals[0];
+    ASSERT_TRUE(witness.has_value());
+    EXPECT_EQ(witness->trace.firings.size(), 1u);
+    EXPECT_EQ(witness->trace.to_string(net), "drop");
     // The pass itself ran to exhaustion.
     EXPECT_EQ(result.states_explored, testfx::naive_explore(net).states);
 }
@@ -581,13 +583,13 @@ TEST(Reachability, TracesDeterministicAcrossRuns) {
     std::size_t first_states = 0;
     for (int run = 0; run < 3; ++run) {
         ReachabilityExplorer explorer(net);
-        const auto result = explorer.find(goal);
-        ASSERT_TRUE(result.found());
+        const auto result = explorer.run_query({.goals = {&goal}});
+        ASSERT_TRUE(result.goals[0].has_value());
         if (run == 0) {
-            first_firings = result.witness_trace->firings;
+            first_firings = result.goals[0]->trace.firings;
             first_states = result.states_explored;
         } else {
-            EXPECT_EQ(result.witness_trace->firings, first_firings);
+            EXPECT_EQ(result.goals[0]->trace.firings, first_firings);
             EXPECT_EQ(result.states_explored, first_states);
         }
     }
@@ -606,17 +608,17 @@ TEST(Reachability, WitnessTracesReplayFromPredecessorRecords) {
         for (std::uint32_t pi = 0; pi < net.place_count(); ++pi) {
             const auto goal =
                 Predicate::marked(net, net.place_name(PlaceId{pi}));
-            const auto result = explorer.find(goal);
-            if (!result.found()) continue;
-            ASSERT_TRUE(result.witness_trace.has_value());
+            const auto witness =
+                explorer.run_query({.goals = {&goal}}).goals[0];
+            if (!witness) continue;
             Marking m = net.initial_marking();
-            for (const TransitionId t : result.witness_trace->firings) {
+            for (const TransitionId t : witness->trace.firings) {
                 ASSERT_TRUE(net.is_enabled(m, t))
                     << net.name() << ": trace fires disabled "
                     << net.transition_name(t);
                 net.fire(m, t);
             }
-            EXPECT_EQ(m, *result.witness)
+            EXPECT_EQ(m, witness->marking)
                 << net.name() << " goal " << net.place_name(PlaceId{pi});
         }
     }
@@ -625,10 +627,10 @@ TEST(Reachability, WitnessTracesReplayFromPredecessorRecords) {
 TEST(Reachability, ExplorerInstanceIsReusable) {
     const Net net = make_ring();
     ReachabilityExplorer explorer(net);
-    EXPECT_EQ(explorer.count_states(), 2u);
-    const auto found = explorer.find(Predicate::marked(net, "p1"));
-    EXPECT_TRUE(found.found());
-    EXPECT_EQ(explorer.count_states(), 2u);
+    EXPECT_EQ(explorer.run_query({}).states_explored, 2u);
+    const auto goal = Predicate::marked(net, "p1");
+    EXPECT_TRUE(explorer.run_query({.goals = {&goal}}).goals[0].has_value());
+    EXPECT_EQ(explorer.run_query({}).states_explored, 2u);
 }
 
 // --------------------------------------------------- memory accounting --
@@ -664,7 +666,7 @@ TEST(Reachability, PeakMemoryCapturesMidPassFrontierSpike) {
     ReachabilityOptions options;
     options.max_states = std::size_t{1} << 16;
     ReachabilityExplorer explorer(compiled, options);
-    const auto result = explorer.explore_all();
+    const auto result = explorer.run_query({});
     ASSERT_EQ(result.states_explored, std::size_t{1} << 15);
     ASSERT_FALSE(result.truncated);
     EXPECT_GT(result.memory.peak_bytes, result.memory.resident_bytes);
@@ -678,6 +680,36 @@ TEST(Reachability, PeakMemoryCapturesMidPassFrontierSpike) {
                                   sizeof(std::uint64_t);
     EXPECT_LT(result.memory.peak_bytes,
               result.memory.resident_bytes + every_row);
+}
+
+TEST(Reachability, AbortedPassReportsItsWholeFootprint) {
+    // A goal that throws on its 5,000th evaluation kills the pass at its
+    // 5,000th state (each newly interned state is evaluated once), with
+    // enabled-set rows live beside the store. The footprint
+    // ExplorationAborted carries must count them, and the peak sampled
+    // so far, not the store alone.
+    const testfx::Fixture fixture = testfx::ope_fixture(3, 3);
+    std::size_t evaluations = 0;
+    const Predicate doomed = Predicate::custom(
+        "throws on its 5,000th evaluation",
+        [&evaluations](const Net&, const Marking&) -> bool {
+            if (++evaluations == 5000) {
+                throw std::runtime_error("goal evaluation 5000 failed");
+            }
+            return false;
+        });
+    ReachabilityExplorer explorer(fixture.net);
+    try {
+        explorer.run_query({.goals = {&doomed}});
+        FAIL() << "the pass survived its throwing goal";
+    } catch (const ExplorationAborted& e) {
+        EXPECT_STREQ(e.what(), "goal evaluation 5000 failed");
+        const MemoryStats& memory = e.memory;
+        EXPECT_EQ(memory.store.records, 5000u);
+        EXPECT_GT(memory.resident_bytes,
+                  memory.store.arena_bytes + memory.store.table_bytes);
+        EXPECT_GE(memory.peak_bytes, memory.resident_bytes);
+    }
 }
 
 // ------------------------------------------------ naive-oracle zoo --
@@ -1028,7 +1060,7 @@ TEST(MemoryDiet, BytesPerStateStayUnderTheCapacityCeilings) {
     };
     for (const auto& [fixture, ceiling] : cases) {
         const CompiledNet compiled(fixture.net);
-        const auto result = ReachabilityExplorer(compiled).explore_all();
+        const auto result = ReachabilityExplorer(compiled).run_query({});
         ASSERT_FALSE(result.truncated) << fixture.name;
         const StoreStats& store = result.memory.store;
         const double per_state =

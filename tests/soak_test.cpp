@@ -54,7 +54,7 @@ TEST(Soak, FourStageOpeExploresNineteenMillionStates) {
     EXPECT_FALSE(result.truncated);
     EXPECT_EQ(result.states_explored, kFourStageOpeStates);
     EXPECT_EQ(result.edges_explored, kFourStageOpeEdges);
-    EXPECT_FALSE(result.goals[0].found()) << "4-stage OPE deadlocked";
+    EXPECT_FALSE(result.goals[0].has_value()) << "4-stage OPE deadlocked";
     EXPECT_TRUE(result.deadlocks.empty());
 
     // Memory diet acceptance: records carry marking + 1 witness meta
@@ -95,7 +95,7 @@ TEST(Soak, FourStageOpeExploresNineteenMillionStates) {
     ReachabilityExplorer reduced_explorer(compiled, options);
     const auto reduced = reduced_explorer.run_query(query);
     EXPECT_FALSE(reduced.truncated);
-    EXPECT_FALSE(reduced.goals[0].found());
+    EXPECT_FALSE(reduced.goals[0].has_value());
     EXPECT_TRUE(reduced.deadlocks.empty());
     EXPECT_TRUE(reduced.por.active);
     EXPECT_LE(reduced.states_explored, kFourStageOpeStates);

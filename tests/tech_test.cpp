@@ -17,53 +17,47 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(VoltageModel, SpeedNormalisedAtNominal) {
-    const VoltageModel m;
-    EXPECT_NEAR(m.speed_factor(1.2), 1.0, 1e-12);
+    EXPECT_NEAR(speed_factor(1.2), 1.0, 1e-12);
 }
 
 TEST(VoltageModel, SpeedMonotoneInVoltage) {
-    const VoltageModel m;
     double prev = 0;
     for (double v = 0.35; v <= 1.6; v += 0.05) {
-        const double s = m.speed_factor(v);
+        const double s = speed_factor(v);
         EXPECT_GT(s, prev) << "at " << v;
         prev = s;
     }
 }
 
 TEST(VoltageModel, FreezesAtAndBelowThreshold) {
-    const VoltageModel m;
-    EXPECT_EQ(m.speed_factor(0.34), 0.0);
-    EXPECT_EQ(m.speed_factor(0.30), 0.0);
-    EXPECT_EQ(m.speed_factor(0.0), 0.0);
-    EXPECT_GT(m.speed_factor(0.35), 0.0);
+    EXPECT_EQ(speed_factor(0.34), 0.0);
+    EXPECT_EQ(speed_factor(0.30), 0.0);
+    EXPECT_EQ(speed_factor(0.0), 0.0);
+    EXPECT_GT(speed_factor(0.35), 0.0);
 }
 
 TEST(VoltageModel, NearThresholdSlowdownIsSteep) {
     // The paper's Fig. 9a spans roughly two decades of computation time
     // between 0.5V and 1.6V.
-    const VoltageModel m;
-    const double slow = 1.0 / m.speed_factor(0.5);
-    const double fast = 1.0 / m.speed_factor(1.6);
+    const double slow = 1.0 / speed_factor(0.5);
+    const double fast = 1.0 / speed_factor(1.6);
     EXPECT_GT(slow / fast, 10.0);
     EXPECT_LT(slow / fast, 200.0);
 }
 
 TEST(VoltageModel, EnergySquareLaw) {
-    const VoltageModel m;
-    EXPECT_NEAR(m.energy_factor(1.2), 1.0, 1e-12);
-    EXPECT_NEAR(m.energy_factor(0.6), 0.25, 1e-12);
-    EXPECT_NEAR(m.energy_factor(2.4), 4.0, 1e-12);
+    EXPECT_NEAR(energy_factor(1.2), 1.0, 1e-12);
+    EXPECT_NEAR(energy_factor(0.6), 0.25, 1e-12);
+    EXPECT_NEAR(energy_factor(2.4), 4.0, 1e-12);
 }
 
 TEST(VoltageModel, LeakageScalesWithGatesAndVoltage) {
-    const VoltageModel m;
-    const double p1 = m.leakage_power(1.2, 1000);
-    const double p2 = m.leakage_power(1.2, 2000);
+    const double p1 = leakage_power(1.2, 1000);
+    const double p2 = leakage_power(1.2, 2000);
     EXPECT_NEAR(p2 / p1, 2.0, 1e-9);
-    EXPECT_LT(m.leakage_power(0.5, 1000), p1);
-    EXPECT_EQ(m.leakage_power(0.0, 1000), 0.0);
-    EXPECT_EQ(m.leakage_power(-1.0, 1000), 0.0);
+    EXPECT_LT(leakage_power(0.5, 1000), p1);
+    EXPECT_EQ(leakage_power(0.0, 1000), 0.0);
+    EXPECT_EQ(leakage_power(-1.0, 1000), 0.0);
 }
 
 // ------------------------------------------------------------ schedule --
@@ -76,9 +70,8 @@ TEST(VoltageSchedule, ConstantHoldsForever) {
 
 TEST(VoltageSchedule, EmptyScheduleIsFrozen) {
     const VoltageSchedule s;
-    const VoltageModel m;
     EXPECT_EQ(s.voltage_at(5.0), 0.0);
-    EXPECT_EQ(s.finish_time(m, 0.0, 1.0), kInf);
+    EXPECT_EQ(s.finish_time(0.0, 1.0), kInf);
 }
 
 TEST(VoltageSchedule, SegmentsApplyInOrder) {
@@ -146,16 +139,14 @@ TEST(VoltageSchedule, VoltageAtEveryBreakpointEdge) {
 
 TEST(VoltageSchedule, FinishTimeAtNominalIsIdentity) {
     const auto s = VoltageSchedule::constant(1.2);
-    const VoltageModel m;
-    EXPECT_NEAR(s.finish_time(m, 2.0, 3.0), 5.0, 1e-12);
-    EXPECT_EQ(s.finish_time(m, 2.0, 0.0), 2.0);
+    EXPECT_NEAR(s.finish_time(2.0, 3.0), 5.0, 1e-12);
+    EXPECT_EQ(s.finish_time(2.0, 0.0), 2.0);
 }
 
 TEST(VoltageSchedule, FinishTimeScalesWithSpeed) {
-    const VoltageModel m;
     const auto s = VoltageSchedule::constant(0.5);
-    const double rate = m.speed_factor(0.5);
-    EXPECT_NEAR(s.finish_time(m, 0.0, 1.0), 1.0 / rate, 1e-9);
+    const double rate = speed_factor(0.5);
+    EXPECT_NEAR(s.finish_time(0.0, 1.0), 1.0 / rate, 1e-9);
 }
 
 TEST(VoltageSchedule, WorkSpansSegmentBoundary) {
@@ -163,8 +154,7 @@ TEST(VoltageSchedule, WorkSpansSegmentBoundary) {
     VoltageSchedule s;
     s.add_segment(0.5, 1.2);   // rate 1 for 0.5s -> 0.5 work done
     s.add_segment(1.0, 1.2);   // remaining 0.5 work at rate 1
-    const VoltageModel m;
-    EXPECT_NEAR(s.finish_time(m, 0.0, 1.0), 1.0, 1e-9);
+    EXPECT_NEAR(s.finish_time(0.0, 1.0), 1.0, 1e-9);
 }
 
 TEST(VoltageSchedule, FreezeThenRecoverCompletesAfterRecovery) {
@@ -172,30 +162,27 @@ TEST(VoltageSchedule, FreezeThenRecoverCompletesAfterRecovery) {
     s.add_segment(1.0, 1.2);    // 1 work unit possible
     s.add_segment(10.0, 0.30);  // frozen decade
     s.add_segment(1.0, 1.2);    // recovery
-    const VoltageModel m;
     // 2 units of work: 1 before the freeze, then wait out the freeze.
-    EXPECT_NEAR(s.finish_time(m, 0.0, 2.0), 12.0, 1e-9);
+    EXPECT_NEAR(s.finish_time(0.0, 2.0), 12.0, 1e-9);
 }
 
 TEST(VoltageSchedule, FrozenForeverNeverFinishes) {
     VoltageSchedule s;
     s.add_segment(1.0, 1.2);
     s.add_segment(1.0, 0.2);  // trailing freeze holds forever
-    const VoltageModel m;
-    EXPECT_EQ(s.finish_time(m, 0.0, 2.0), kInf);
+    EXPECT_EQ(s.finish_time(0.0, 2.0), kInf);
 }
 
 TEST(VoltageSchedule, LeakageEnergyIntegratesSegments) {
     VoltageSchedule s;
     s.add_segment(2.0, 1.2);
     s.add_segment(2.0, 0.6);
-    const VoltageModel m;
     const double gates = 1e6;
-    const double expected = m.leakage_power(1.2, gates) * 2.0 +
-                            m.leakage_power(0.6, gates) * 1.0;
-    EXPECT_NEAR(s.leakage_energy(m, gates, 0.0, 3.0), expected, 1e-15);
-    EXPECT_EQ(s.leakage_energy(m, gates, 3.0, 3.0), 0.0);
-    EXPECT_EQ(s.leakage_energy(m, gates, 5.0, 3.0), 0.0);
+    const double expected = leakage_power(1.2, gates) * 2.0 +
+                            leakage_power(0.6, gates) * 1.0;
+    EXPECT_NEAR(s.leakage_energy(gates, 0.0, 3.0), expected, 1e-15);
+    EXPECT_EQ(s.leakage_energy(gates, 3.0, 3.0), 0.0);
+    EXPECT_EQ(s.leakage_energy(gates, 5.0, 3.0), 0.0);
 }
 
 // ------------------------------------------------------------ timeline --
@@ -203,8 +190,7 @@ TEST(VoltageSchedule, LeakageEnergyIntegratesSegments) {
 /// The integration loop as it stood before SupplyTimeline existed: one
 /// speed_factor (one pow) per visited segment per call. Kept here as the
 /// reference the compiled timeline must reproduce bit for bit.
-double per_call_finish_time(const VoltageSchedule& schedule,
-                            const VoltageModel& model, double t0,
+double per_call_finish_time(const VoltageSchedule& schedule, double t0,
                             double work) {
     if (work <= 0) return t0;
     const auto segments = schedule.breakpoints();
@@ -214,7 +200,7 @@ double per_call_finish_time(const VoltageSchedule& schedule,
         const double seg_end =
             (i + 1 < segments.size()) ? segments[i + 1].first : kInf;
         if (seg_end <= t) continue;
-        const double rate = model.speed_factor(segments[i].second);
+        const double rate = speed_factor(segments[i].second);
         const double span = seg_end - t;
         if (rate > 0) {
             const double need = remaining / rate;
@@ -254,7 +240,6 @@ bool inside_a_window(const asim::GlitchedSchedule& glitched, double t) {
 }
 
 TEST(SupplyTimeline, MatchesPerCallIntegrationBitForBit) {
-    const VoltageModel model;
     const double horizon = 1e-5;
     // Base supplies: nominal, sub-nominal (droops push it below the
     // freeze), a three-step ramp, and one that freezes for good.
@@ -287,7 +272,7 @@ TEST(SupplyTimeline, MatchesPerCallIntegrationBitForBit) {
         const asim::GlitchedSchedule glitched =
             asim::splice_glitches(base, spec, seed, horizon);
         const VoltageSchedule& schedule = glitched.schedule;
-        const SupplyTimeline timeline(schedule, model);
+        const SupplyTimeline timeline(schedule);
         const Breakpoints points = schedule.breakpoints();
 
         for (int k = 0; k < 24; ++k) {
@@ -305,16 +290,15 @@ TEST(SupplyTimeline, MatchesPerCallIntegrationBitForBit) {
             if (k % 6 == 0) work = 0.0;
             if (k % 6 == 3) work = rng.uniform() * 1e-7;
 
-            const double want =
-                per_call_finish_time(schedule, model, t0, work);
+            const double want = per_call_finish_time(schedule, t0, work);
             const double got = timeline.finish_time(t0, work);
             ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
                       std::bit_cast<std::uint64_t>(want))
                 << "seed " << seed << " t0 " << t0 << " work " << work
                 << ": " << got << " vs " << want;
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(
-                          schedule.finish_time(model, t0, work)),
-                      std::bit_cast<std::uint64_t>(want));
+            ASSERT_EQ(
+                std::bit_cast<std::uint64_t>(schedule.finish_time(t0, work)),
+                std::bit_cast<std::uint64_t>(want));
 
             ++pairs;
             const bool boundary = starts_a_segment(points, t0);
@@ -337,7 +321,7 @@ TEST(SupplyTimeline, MatchesPerCallIntegrationBitForBit) {
 }
 
 TEST(SupplyTimeline, EmptyScheduleNeverFinishes) {
-    const SupplyTimeline timeline(VoltageSchedule{}, VoltageModel{});
+    const SupplyTimeline timeline(VoltageSchedule{});
     EXPECT_EQ(timeline.finish_time(0.0, 1.0), kInf);
     EXPECT_EQ(timeline.finish_time(3.0, 0.0), 3.0);
     EXPECT_EQ(timeline.finish_time(kInf, 1.0), kInf);

@@ -43,7 +43,7 @@ TEST(Verifier, DeadlockFoundInTwoRegisterRing) {
     g.connect(c1, c2);
     g.connect(c2, c1);
     const Verifier verifier(g);
-    const Finding finding = verifier.check_deadlock();
+    const Finding finding = verifier.verify(Spec{}.deadlock()).findings[0];
     EXPECT_TRUE(finding.violated);
     // Deadlocked from the start: empty witness trace.
     EXPECT_TRUE(finding.trace.empty());
@@ -54,7 +54,7 @@ TEST(Verifier, HealthyRingHasNoDeadlock) {
     Graph g("ring3");
     add_control_ring(g, "loop", TokenValue::True);
     const Verifier verifier(g);
-    EXPECT_FALSE(verifier.check_deadlock().violated);
+    EXPECT_FALSE(verifier.verify(Spec{}.deadlock()).findings[0].violated);
 }
 
 TEST(Verifier, ControlConflictDetectedWithMixedRings) {
@@ -71,7 +71,8 @@ TEST(Verifier, ControlConflictDetectedWithMixedRings) {
     g.connect(b.c1, p);
     g.connect(p, sink);
     const Verifier verifier(g);
-    const Finding finding = verifier.check_control_conflict();
+    const Finding finding =
+        verifier.verify(Spec{}.control_conflict()).findings[0];
     EXPECT_TRUE(finding.violated);
     EXPECT_NE(finding.detail.find("mixed"), std::string::npos);
 }
@@ -79,7 +80,8 @@ TEST(Verifier, ControlConflictDetectedWithMixedRings) {
 TEST(Verifier, ControlConflictTriviallySafeWithSingleControl) {
     const auto m = make_fig1b();
     const Verifier verifier(m.graph);
-    const Finding finding = verifier.check_control_conflict();
+    const Finding finding =
+        verifier.verify(Spec{}.control_conflict()).findings[0];
     EXPECT_FALSE(finding.violated);
     EXPECT_NE(finding.detail.find("trivially safe"), std::string::npos);
 }
@@ -96,7 +98,8 @@ TEST(Verifier, ControlConflictAbsentWithAgreeingRings) {
     g.connect(b.c1, p);
     g.connect(p, sink);
     const Verifier verifier(g);
-    EXPECT_FALSE(verifier.check_control_conflict().violated);
+    EXPECT_FALSE(
+        verifier.verify(Spec{}.control_conflict()).findings[0].violated);
 }
 
 TEST(Verifier, PersistenceHoldsForFig1b) {
@@ -104,7 +107,7 @@ TEST(Verifier, PersistenceHoldsForFig1b) {
     // choice); everything else must be persistent.
     const auto m = make_fig1b();
     const Verifier verifier(m.graph);
-    const Finding finding = verifier.check_persistence();
+    const Finding finding = verifier.verify(Spec{}.persistence()).findings[0];
     EXPECT_FALSE(finding.violated) << finding.to_string();
 }
 
@@ -185,7 +188,8 @@ TEST(Verifier, WaggingPersistenceWitnessIsPinned) {
         VerifyOptions options;
         options.por = por;
         const Verifier verifier(g, options);
-        const Finding finding = verifier.check_persistence();
+        const Finding finding =
+            verifier.verify(Spec{}.persistence()).findings[0];
         EXPECT_TRUE(finding.violated) << "por=" << por;
         EXPECT_FALSE(finding.truncated) << "por=" << por;
         EXPECT_EQ(finding.states_explored, 8'038u) << "por=" << por;
@@ -198,9 +202,10 @@ TEST(Verifier, CustomPredicateReachable) {
     const auto m = make_fig1b();
     const Verifier verifier(m.graph);
     const auto& net = verifier.translation().net;
-    const Finding finding = verifier.check_custom(
-        petri::Predicate::marked(net, "Mf_out_1"),
-        "empty token at the output");
+    const auto goal = petri::Predicate::marked(net, "Mf_out_1");
+    const Finding finding =
+        verifier.verify(Spec{}.custom("empty token at the output", goal))
+            .findings[0];
     EXPECT_TRUE(finding.violated);  // reachable by design
     EXPECT_FALSE(finding.trace.empty());
 }
@@ -210,10 +215,12 @@ TEST(Verifier, CustomPredicateUnreachable) {
     const Verifier verifier(m.graph);
     const auto& net = verifier.translation().net;
     // comp can never hold a token while filt carries a destroyed one.
-    const Finding finding = verifier.check_custom(
-        petri::Predicate::marked(net, "M_comp_1") &&
-            petri::Predicate::marked(net, "Mf_filt_1"),
-        "destroyed token alongside comp data");
+    const auto goal = petri::Predicate::marked(net, "M_comp_1") &&
+                      petri::Predicate::marked(net, "Mf_filt_1");
+    const Finding finding =
+        verifier
+            .verify(Spec{}.custom("destroyed token alongside comp data", goal))
+            .findings[0];
     EXPECT_FALSE(finding.violated);
     EXPECT_NE(finding.detail.find("unreachable"), std::string::npos);
 }
@@ -223,7 +230,7 @@ TEST(Verifier, TruncationReportedAsInconclusive) {
     VerifyOptions options;
     options.max_states = 3;
     const Verifier verifier(m.graph, options);
-    const Finding finding = verifier.check_deadlock();
+    const Finding finding = verifier.verify(Spec{}.deadlock()).findings[0];
     EXPECT_TRUE(finding.truncated);
 }
 
@@ -345,7 +352,7 @@ TEST(Verifier, VerifyAllMatchesIndividualChecks) {
     g.connect(c2, c1);
     const Verifier verifier(g);
     const Report report = verifier.verify_all();
-    const Finding alone = verifier.check_deadlock();
+    const Finding alone = verifier.verify(Spec{}.deadlock()).findings[0];
     EXPECT_EQ(report.findings[0].violated, alone.violated);
     EXPECT_EQ(report.findings[0].trace, alone.trace);
 }
@@ -371,8 +378,9 @@ TEST(Verifier, WitnessTraceTranslatedToDfsEvents) {
     const auto m = make_fig1b();
     const Verifier verifier(m.graph);
     const auto& net = verifier.translation().net;
-    const Finding finding = verifier.check_custom(
-        petri::Predicate::marked(net, "Mf_out_1"), "empty output");
+    const auto goal = petri::Predicate::marked(net, "Mf_out_1");
+    const Finding finding =
+        verifier.verify(Spec{}.custom("empty output", goal)).findings[0];
     ASSERT_TRUE(finding.violated);
     // Every PN firing of the witness has a DFS-level rendering, aligned
     // entry-for-entry; the final step is the pop emitting the empty
@@ -402,8 +410,8 @@ TEST(Verifier, SequentialConstructionsShareCompiledArtifact) {
     EXPECT_EQ(artifact_builds(), before + 1);
     EXPECT_EQ(first.model().get(), second.model().get());
     // Both verifiers still answer independently.
-    EXPECT_FALSE(first.check_deadlock().violated);
-    EXPECT_FALSE(second.check_deadlock().violated);
+    EXPECT_FALSE(first.verify(Spec{}.deadlock()).findings[0].violated);
+    EXPECT_FALSE(second.verify(Spec{}.deadlock()).findings[0].violated);
 }
 
 TEST(Verifier, MutatedModelRecompiles) {

@@ -70,7 +70,8 @@ TEST(InvertingArcs, ComplementaryPairIsAConflictOnAgreement) {
     EXPECT_EQ(*dyn.control_conflict(s), p);
     // And via the verifier on the Petri-net side.
     const verify::Verifier verifier(g);
-    EXPECT_TRUE(verifier.check_control_conflict().violated);
+    const auto report = verifier.verify(verify::Spec{}.control_conflict());
+    EXPECT_TRUE(report.findings[0].violated);
 }
 
 TEST(InvertingArcs, TranslationMatchesDynamics) {
@@ -189,7 +190,7 @@ TEST(Wagging, DoublesThroughputOfSlowFunction) {
         const Dynamics dyn(g);
         asim::TimingMap timing = asim::uniform_timing(g, 1.0);
         for (const auto n : slow_nodes) timing[n.value].delay_s = slow;
-        asim::TimedSimulator sim(dyn, timing, tech::VoltageModel{},
+        asim::TimedSimulator sim(dyn, timing,
                                  tech::VoltageSchedule::constant(1.2), 0.0);
         State s = State::initial(g);
         asim::RunLimits limits;
