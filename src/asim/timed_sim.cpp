@@ -15,6 +15,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Sub-stream tag of the free-choice bias coin (see util::stream_seed);
 /// the fault streams have their own tags inside asim/faults.cpp.
 constexpr std::uint64_t kStreamBias = 0x62696173ULL;  // "bias"
+
+/// A control register with no upstream controls: the bias coin, not a
+/// control token, decides the polarity of its marks.
+bool is_free_choice(const dfs::Graph& graph, dfs::NodeId node) {
+    return graph.kind(node) == dfs::NodeKind::Control &&
+           graph.control_preset(node).empty();
+}
 }  // namespace
 
 TimingMap uniform_timing(const dfs::Graph& graph, double delay_s,
@@ -57,8 +64,22 @@ void TimedSimulator::enable_event_trace(std::size_t max_events) {
     event_trace_cap_ = max_events;
 }
 
+bool TimedSimulator::depends_on_seed() const {
+    if (faults_.any()) return true;
+    const dfs::Graph& graph = dynamics_->graph();
+    const auto nodes = graph.nodes();
+    return std::any_of(nodes.begin(), nodes.end(), [&](dfs::NodeId n) {
+        return is_free_choice(graph, n);
+    });
+}
+
 TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
     const dfs::Graph& graph = dynamics_->graph();
+    if (limits.target_marks > 0 &&
+        limits.observe.value >= graph.node_count()) {
+        throw std::out_of_range(
+            "TimedSimulator: the observed node is outside the graph");
+    }
     TimedStats stats;
     stats.marks.assign(graph.node_count(), 0);
     util::Rng bias_rng(util::stream_seed(seed_, kStreamBias));
@@ -208,16 +229,13 @@ TimedStats TimedSimulator::run(dfs::State& state, const RunLimits& limits) {
         // forced stimulus scripts the polarity, so its race is not
         // re-drawn.
         dfs::Event event = dynamics_->event(best);
-        if (!forcing && (event.kind == dfs::EventKind::MarkTrue ||
-                         event.kind == dfs::EventKind::MarkFalse)) {
-            const bool is_free_choice =
-                graph.kind(event.node) == dfs::NodeKind::Control &&
-                graph.control_preset(event.node).empty();
-            if (is_free_choice) {
-                event.kind = bias_rng.chance(true_bias_)
-                                 ? dfs::EventKind::MarkTrue
-                                 : dfs::EventKind::MarkFalse;
-            }
+        if (!forcing &&
+            (event.kind == dfs::EventKind::MarkTrue ||
+             event.kind == dfs::EventKind::MarkFalse) &&
+            is_free_choice(graph, event.node)) {
+            event.kind = bias_rng.chance(true_bias_)
+                             ? dfs::EventKind::MarkTrue
+                             : dfs::EventKind::MarkFalse;
         }
 
         now = best_time;

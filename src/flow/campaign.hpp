@@ -128,9 +128,16 @@ struct CampaignSummary {
 /// are folded in run order — so the full result set, including every
 /// checksum, is bit-identical for a given master seed at ANY worker
 /// count. The checksums exist to let CI assert exactly that.
+///
+/// A point that no seed can change simulates once. When
+/// asim::TimedSimulator::depends_on_seed() is false for its first run
+/// (no fault armed at the point's scale, no free-choice control in its
+/// model), every run reports that result under its own run index and
+/// seed: the rows and checksums that simulating each run would give.
 class Campaign {
 public:
-    /// Builds the model at one reconfiguration depth. Throwing marks
+    /// Builds the model at one reconfiguration depth. Throwing, or
+    /// returning a model that fails dfs::Graph::ensure_valid, marks
     /// every grid point of that depth kInvalid-like: its runs all report
     /// as failed with zero events.
     using Factory = std::function<pipeline::Pipeline(int depth)>;

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "asim/timed_sim.hpp"
 #include "dfs/dynamics.hpp"
 #include "dfs_helpers.hpp"
+#include "ope/dfs_models.hpp"
 #include "pipeline/builder.hpp"
 
 namespace rap::asim {
@@ -323,6 +329,138 @@ TEST(TimedSim, StimulusOfAKindTheNodeNeverEmitsStalls) {
         EXPECT_EQ(stats.events, 0u);
         EXPECT_EQ(s, State::initial(m.graph));
     }
+}
+
+TEST(TimedSim, ObserveOutsideTheGraphThrows) {
+    dfs::Graph g("lin");
+    add_linear_pipeline(g, "p", 2);
+    const Dynamics dyn(g);
+    auto sim = make_sim(dyn, uniform_timing(g, 1.0));
+    State s = State::initial(g);
+    RunLimits limits;
+    limits.target_marks = 4;
+    for (const std::uint32_t node :
+         {static_cast<std::uint32_t>(g.node_count()), 100000u}) {
+        limits.observe = dfs::NodeId{node};
+        EXPECT_THROW(sim.run(s, limits), std::out_of_range) << node;
+        EXPECT_EQ(s, State::initial(g)) << "nothing fired";
+    }
+    // Without a mark target the observed node is never read.
+    limits.target_marks = 0;
+    limits.max_events = 10;
+    EXPECT_EQ(sim.run(s, limits).events, 10u);
+}
+
+/// Runs `sim` from the model's initial state until `out` latched `items`
+/// tokens (or 100,000 events fired), with the event log on.
+TimedStats run_seeded(TimedSimulator& sim, const dfs::Graph& g,
+                      dfs::NodeId out, std::uint64_t items,
+                      std::uint64_t seed) {
+    sim.set_seed(seed);
+    sim.enable_event_trace();
+    State s = State::initial(g);
+    RunLimits limits;
+    limits.target_marks = items;
+    limits.observe = out;
+    limits.max_events = 100'000;
+    return sim.run(s, limits);
+}
+
+/// Whether two runs agree on every field, doubles bit for bit.
+bool identical(const TimedStats& a, const TimedStats& b) {
+    const auto same = [](double x, double y) {
+        return std::bit_cast<std::uint64_t>(x) ==
+               std::bit_cast<std::uint64_t>(y);
+    };
+    if (a.events_log.size() != b.events_log.size()) return false;
+    for (std::size_t i = 0; i < a.events_log.size(); ++i) {
+        if (!same(a.events_log[i].t_s, b.events_log[i].t_s) ||
+            !(a.events_log[i].event == b.events_log[i].event)) {
+            return false;
+        }
+    }
+    return same(a.time_s, b.time_s) && a.events == b.events &&
+           a.deadlocked == b.deadlocked && a.frozen == b.frozen &&
+           same(a.dynamic_energy_j, b.dynamic_energy_j) &&
+           same(a.leakage_energy_j, b.leakage_energy_j) &&
+           a.marks == b.marks &&
+           a.events_log_truncated == b.events_log_truncated &&
+           a.faults.jittered_enables == b.faults.jittered_enables &&
+           a.faults.drops == b.faults.drops &&
+           a.faults.duplicates == b.faults.duplicates &&
+           a.faults.stuck_nodes == b.faults.stuck_nodes &&
+           a.stimulus_fired == b.stimulus_fired &&
+           a.stimulus_stalled == b.stimulus_stalled;
+}
+
+// The OPE has no free-choice control (every control register sits in a
+// ring), so without faults no seeded stream is read: any two seeds give
+// the same run, bit for bit. Campaign relies on this to simulate such a
+// point once.
+TEST(TimedSim, FaultFreeOpeRunDoesNotDependOnTheSeed) {
+    const pipeline::Pipeline ope = ope::build_reconfigurable_ope_dfs(3, 3);
+    const Dynamics dyn(ope.graph);
+    auto sim = make_sim(dyn, uniform_timing(ope.graph, 1e-9, 1e-12), 0.9,
+                        1e4);
+    EXPECT_FALSE(sim.depends_on_seed());
+    const TimedStats a = run_seeded(sim, ope.graph, ope.out, 16, 1);
+    const TimedStats b = run_seeded(sim, ope.graph, ope.out, 16, 0xfeed);
+    EXPECT_EQ(a.marks_at(ope.out), 16u);
+    EXPECT_FALSE(a.events_log_truncated);
+    EXPECT_TRUE(identical(a, b));
+}
+
+TEST(TimedSim, EachArmedFaultClassMakesTheRunDependOnTheSeed) {
+    const pipeline::Pipeline ope = ope::build_reconfigurable_ope_dfs(3, 3);
+    const Dynamics dyn(ope.graph);
+    auto sim = make_sim(dyn, uniform_timing(ope.graph, 1e-9, 1e-12));
+
+    FaultSpec jitter;
+    jitter.delay_sigma = 0.2;
+    FaultSpec drops;
+    drops.drop_rate = 0.05;
+    FaultSpec duplicates;
+    duplicates.duplicate_rate = 0.05;
+    FaultSpec stuck;
+    stuck.stuck_rate = 0.01;
+    FaultSpec glitch;
+    glitch.glitch.rate_hz = 1e6;
+    glitch.glitch.droop_v = 0.4;
+    glitch.glitch.min_duration_s = 1e-8;
+    glitch.glitch.max_duration_s = 5e-8;
+    const std::vector<std::pair<std::string, FaultSpec>> classes{
+        {"delay_sigma", jitter},
+        {"drop_rate", drops},
+        {"duplicate_rate", duplicates},
+        {"stuck_rate", stuck},
+        {"glitch", glitch}};
+    for (const auto& [name, spec] : classes) {
+        sim.set_faults(spec);
+        EXPECT_TRUE(sim.depends_on_seed()) << name;
+        if (spec.glitch.active()) {
+            // Droops are spliced into the schedule per run seed by the
+            // caller (asim::splice_glitches), not drawn by run() itself.
+            continue;
+        }
+        const TimedStats a = run_seeded(sim, ope.graph, ope.out, 16, 1);
+        const TimedStats b = run_seeded(sim, ope.graph, ope.out, 16, 2);
+        EXPECT_FALSE(identical(a, b)) << name << ": the seed moved nothing";
+    }
+    sim.set_faults(FaultSpec{});
+    EXPECT_FALSE(sim.depends_on_seed());
+}
+
+// Fig. 1b's `ctrl` takes its polarity from `cond`, not from a control
+// token: the bias coin decides each race, so the seed moves the run even
+// without faults.
+TEST(TimedSim, FreeChoiceControlMakesTheRunDependOnTheSeed) {
+    const auto m = make_fig1b();
+    const Dynamics dyn(m.graph);
+    auto sim = make_sim(dyn, uniform_timing(m.graph, 1.0));
+    EXPECT_TRUE(sim.depends_on_seed());
+    const TimedStats a = run_seeded(sim, m.graph, m.out, 64, 1);
+    const TimedStats b = run_seeded(sim, m.graph, m.out, 64, 2);
+    EXPECT_FALSE(identical(a, b));
 }
 
 }  // namespace

@@ -7,18 +7,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <future>
 #include <limits>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dfs_helpers.hpp"
 #include "rap/flow/campaign.hpp"
+#include "rap/flow/design.hpp"
 #include "rap/flow/metrics.hpp"
+#include "rap/util/rng.hpp"
 
 namespace rap::flow {
 namespace {
@@ -309,6 +313,257 @@ TEST(Campaign, InvalidDepthPointsReportAsDeterministicFailures) {
     EXPECT_EQ(a.rows[0].completed, 0u);
     EXPECT_EQ(a.runs_total, 3u);
     EXPECT_EQ(a.checksum, b.checksum);
+
+    // A factory that returns an invalid model instead of throwing (depth
+    // 2 gains a push with no control register) fails its own points the
+    // same way; the valid depth beside it still completes.
+    const Campaign::Factory valid = small_factory(2);
+    const Campaign::Factory returns_invalid = [&valid](int depth) {
+        pipeline::Pipeline p = valid(depth);
+        if (depth == 2) {
+            const dfs::NodeId bad = p.graph.add_push("bad_push");
+            p.graph.connect(p.out, bad);
+        }
+        return p;
+    };
+    std::map<std::size_t, std::uint64_t> events;
+    const auto mixed = [&] {
+        return Campaign(returns_invalid)
+            .depths({1, 2})
+            .runs(3)
+            .items(4)
+            .seed(5)
+            .workers(2)
+            .on_run([&](const CampaignRun& run) {
+                events[run.point] += run.events;
+            })
+            .run();
+    };
+    const CampaignSummary c = mixed();
+    ASSERT_EQ(c.rows.size(), 2u);
+    EXPECT_EQ(c.rows[0].survival, 1.0) << "the valid depth completes";
+    EXPECT_GT(events[0], 0u);
+    EXPECT_EQ(c.rows[1].runs, 3u);
+    EXPECT_EQ(c.rows[1].completed, 0u);
+    EXPECT_EQ(events[1], 0u) << "an invalid model fires nothing";
+    EXPECT_EQ(mixed().checksum, c.checksum);
+}
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+
+/// Folds one 64-bit word into an FNV-1a hash, lowest byte first, as
+/// Campaign's checksums do.
+void fnv_fold(std::uint64_t& h, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xffu;
+        h *= 1099511628211ULL;
+    }
+}
+
+/// Folds one run row the way Campaign's point checksum does.
+void reference_fold(std::uint64_t& h, const CampaignRun& r) {
+    fnv_fold(h, r.seed);
+    fnv_fold(h, (r.completed ? 1u : 0u) | (r.deadlocked ? 2u : 0u) |
+                    (r.frozen ? 4u : 0u) | (r.hazard ? 8u : 0u));
+    fnv_fold(h, std::bit_cast<std::uint64_t>(r.time_s));
+    fnv_fold(h, std::bit_cast<std::uint64_t>(r.energy_j));
+    fnv_fold(h, r.items);
+    fnv_fold(h, r.events);
+    fnv_fold(h, r.faults.drops);
+    fnv_fold(h, r.faults.duplicates);
+    fnv_fold(h, r.faults.stuck_nodes);
+    fnv_fold(h, r.glitches);
+}
+
+struct ReferencePoint {
+    std::vector<CampaignRun> runs;
+    std::uint64_t checksum = kFnvOffset;
+};
+
+/// Every run of every grid point simulated on its own, one after the
+/// other: the per-run loop Campaign ran before a seed-independent point
+/// simulated once. Calibration tag, 8x time budget, event cap and seeds
+/// follow src/flow/campaign.cpp. Valid models only.
+std::vector<ReferencePoint> reference_campaign(
+    const Campaign::Factory& factory, const std::vector<CampaignPoint>& grid,
+    const asim::FaultSpec& faults, std::size_t runs, std::uint64_t seed,
+    std::uint64_t items) {
+    std::vector<ReferencePoint> points;
+    for (const CampaignPoint& point : grid) {
+        const std::unique_ptr<Design> design =
+            make_design(factory(point.depth));
+        const dfs::Graph& graph = design->graph();
+        const dfs::NodeId out = design->pipeline().out;
+        const std::uint64_t event_cap = items * graph.node_count() * 64;
+
+        asim::TimedSimulator calib = design->timed_sim();
+        calib.set_seed(
+            util::stream_seed(seed ^ 0x63616c6962ULL, point.index));
+        dfs::State cs = dfs::State::initial(graph);
+        asim::RunLimits climits;
+        climits.target_marks = items;
+        climits.observe = out;
+        climits.max_events = event_cap;
+        const double nominal_s = calib.run(cs, climits).time_s;
+        const double sf = tech::speed_factor(point.voltage);
+        const double budget_s = 8.0 * nominal_s / (sf > 0.0 ? sf : 1.0);
+        const asim::FaultSpec spec = faults.scaled(point.fault_scale);
+
+        ReferencePoint ref;
+        for (std::size_t r = 0; r < runs; ++r) {
+            CampaignRun row;
+            row.point = point.index;
+            row.run = r;
+            row.seed = util::stream_seed(seed, point.index * runs + r);
+            const asim::GlitchedSchedule glitched = asim::splice_glitches(
+                tech::VoltageSchedule::constant(point.voltage), spec.glitch,
+                row.seed, budget_s);
+            row.glitches = glitched.glitches();
+            asim::TimedSimulator sim = design->timed_sim(glitched.schedule);
+            sim.set_seed(row.seed);
+            sim.set_faults(spec);
+            dfs::State s = dfs::State::initial(graph);
+            asim::RunLimits limits;
+            limits.target_marks = items;
+            limits.observe = out;
+            limits.max_events = event_cap;
+            limits.max_time_s = budget_s;
+            const asim::TimedStats stats = sim.run(s, limits);
+            row.items = stats.marks_at(out);
+            row.completed = row.items >= items;
+            row.deadlocked = stats.deadlocked;
+            row.frozen = stats.frozen;
+            row.time_s = stats.time_s;
+            row.energy_j = stats.total_energy_j();
+            row.events = stats.events;
+            row.faults = stats.faults;
+            row.hazard =
+                design->dynamics().control_conflict(s).has_value();
+            reference_fold(ref.checksum, row);
+            ref.runs.push_back(row);
+        }
+        points.push_back(std::move(ref));
+    }
+    return points;
+}
+
+/// Whether two rows agree on every field, doubles bit for bit.
+bool same_row(const CampaignRun& a, const CampaignRun& b) {
+    return a.point == b.point && a.run == b.run && a.seed == b.seed &&
+           a.completed == b.completed && a.deadlocked == b.deadlocked &&
+           a.frozen == b.frozen && a.hazard == b.hazard &&
+           std::bit_cast<std::uint64_t>(a.time_s) ==
+               std::bit_cast<std::uint64_t>(b.time_s) &&
+           std::bit_cast<std::uint64_t>(a.energy_j) ==
+               std::bit_cast<std::uint64_t>(b.energy_j) &&
+           a.items == b.items && a.events == b.events &&
+           a.faults.jittered_enables == b.faults.jittered_enables &&
+           a.faults.drops == b.faults.drops &&
+           a.faults.duplicates == b.faults.duplicates &&
+           a.faults.stuck_nodes == b.faults.stuck_nodes &&
+           a.glitches == b.glitches;
+}
+
+/// Whether every run of a reference point has run 0's results.
+bool seed_independent(const ReferencePoint& ref) {
+    return std::all_of(ref.runs.begin(), ref.runs.end(),
+                       [&](CampaignRun row) {
+                           row.run = ref.runs[0].run;
+                           row.seed = ref.runs[0].seed;
+                           return same_row(row, ref.runs[0]);
+                       });
+}
+
+/// Runs the campaign on two workers and checks every streamed row, every
+/// point checksum and the campaign checksum against the reference loop.
+/// Returns the reference.
+std::vector<ReferencePoint> expect_matches_reference(
+    Campaign campaign, const Campaign::Factory& factory,
+    const asim::FaultSpec& faults, std::size_t runs, std::uint64_t seed,
+    std::uint64_t items) {
+    std::map<std::size_t, std::vector<CampaignRun>> streamed;
+    const std::vector<CampaignPoint> grid = campaign.grid();
+    const CampaignSummary summary =
+        campaign.base_faults(faults)
+            .runs(runs)
+            .items(items)
+            .seed(seed)
+            .workers(2)
+            .on_run([&](const CampaignRun& run) {
+                streamed[run.point].push_back(run);
+            })
+            .run();
+    const std::vector<ReferencePoint> reference =
+        reference_campaign(factory, grid, faults, runs, seed, items);
+
+    EXPECT_EQ(summary.rows.size(), grid.size());
+    EXPECT_EQ(streamed.size(), grid.size());
+    std::uint64_t campaign_checksum = kFnvOffset;
+    for (std::size_t p = 0; p < reference.size(); ++p) {
+        const std::vector<CampaignRun>& rows = streamed[p];
+        EXPECT_EQ(rows.size(), runs) << grid[p].label;
+        for (std::size_t r = 0; r < std::min(rows.size(), runs); ++r) {
+            EXPECT_TRUE(same_row(rows[r], reference[p].runs[r]))
+                << grid[p].label << " run " << r;
+        }
+        if (p < summary.rows.size()) {
+            EXPECT_EQ(summary.rows[p].checksum, reference[p].checksum)
+                << grid[p].label;
+        }
+        fnv_fold(campaign_checksum, reference[p].checksum);
+    }
+    EXPECT_EQ(summary.checksum, campaign_checksum);
+    return reference;
+}
+
+// A point with no fault armed on a model with no free-choice control
+// simulates once and reports that run under every run's seed. Every row
+// it streams and every checksum must equal simulating each run on its
+// own, while points that do read a seed keep simulating every run.
+TEST(Campaign, SeedIndependentPointsMatchThePerRunReference) {
+    asim::FaultSpec faults;
+    faults.delay_sigma = 0.2;
+    faults.drop_rate = 0.02;
+    faults.duplicate_rate = 0.01;
+    faults.stuck_rate = 0.002;
+    faults.glitch.rate_hz = 1e6;
+    faults.glitch.droop_v = 0.4;
+    faults.glitch.min_duration_s = 1e-8;
+    faults.glitch.max_duration_s = 5e-8;
+    const Campaign::Factory factory = small_factory(2);
+    Campaign campaign(factory);
+    campaign.depths({1, 2}).fault_scales({0.0, 1.0}).voltages({1.2, 0.7});
+    const std::vector<ReferencePoint> reference =
+        expect_matches_reference(campaign, factory, faults, 5, 31, 6);
+    // Grid order: depth, then scale, then voltage. Scale 0 is the copy
+    // path's input, scale 1 is not.
+    ASSERT_EQ(reference.size(), 8u);
+    for (std::size_t p = 0; p < reference.size(); ++p) {
+        const bool fault_free = (p / 2) % 2 == 0;
+        EXPECT_EQ(seed_independent(reference[p]), fault_free) << p;
+    }
+}
+
+// Fig. 1b's `ctrl` is a free-choice control register: even at fault
+// scale 0 every run reads the bias coin, so the copy path must not
+// engage and each run keeps its own result.
+TEST(Campaign, FreeChoiceModelsSimulateEveryRun) {
+    const Campaign::Factory fig1b = [](int) {
+        dfs::testing::Fig1b m = dfs::testing::make_fig1b();
+        pipeline::Pipeline p;
+        p.graph = std::move(m.graph);
+        p.in = m.in;
+        p.out = m.out;
+        return p;
+    };
+    Campaign campaign(fig1b);
+    campaign.fault_scales({0.0}).voltages({1.2, 0.7});
+    const std::vector<ReferencePoint> reference = expect_matches_reference(
+        campaign, fig1b, asim::FaultSpec{}, 6, 8, 16);
+    ASSERT_EQ(reference.size(), 2u);
+    for (const ReferencePoint& ref : reference) {
+        EXPECT_FALSE(seed_independent(ref));
+    }
 }
 
 TEST(Campaign, StreamsRowsInRunOrderPerPoint) {

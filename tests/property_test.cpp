@@ -101,7 +101,7 @@ TEST_P(RandomModel, TranslationStaysOneHotSafe) {
     petri::ReachabilityOptions options;
     options.max_states = 60000;
     options.stop_at_first_match = true;
-    petri::ReachabilityExplorer explorer(tr.net);
+    petri::ReachabilityExplorer explorer(tr.net, options);
 
     // A marking violating any variable's one-hot encoding would mean the
     // translation lost 1-safety.
@@ -131,7 +131,10 @@ TEST_P(RandomModel, TranslationStaysOneHotSafe) {
         return false;
     };
     const auto goal = petri::Predicate::custom("one-hot violation", violates);
-    const auto witness = explorer.run_query({.goals = {&goal}}).goals[0];
+    const petri::MultiResult result = explorer.run_query({.goals = {&goal}});
+    // A truncated pass would leave markings past the cap unchecked.
+    EXPECT_FALSE(result.truncated) << result.states_explored << " states";
+    const auto& witness = result.goals[0];
     EXPECT_FALSE(witness.has_value())
         << tr.net.describe_marking(witness->marking);
 }
